@@ -13,7 +13,6 @@ every entity in play.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,53 +111,74 @@ def region_query(points: FeatureMatrix, index: int, eps: float) -> list[int]:
     return [int(i) for i in np.nonzero(d <= eps)[0]]
 
 
-def dbscan(points: FeatureMatrix, params: NeighborhoodParams) -> ClusterAssignment:
+def _check_dist(points: FeatureMatrix, dist: np.ndarray | None) -> np.ndarray:
+    """The pairwise distance matrix of the rows, built unless one is given."""
+    if dist is None:
+        return _distance_matrix(points.values)
+    n = len(points.entities)
+    if dist.shape != (n, n):
+        raise ClusteringError(f"distance matrix shape {dist.shape} != ({n}, {n})")
+    return dist
+
+
+def dbscan(
+    points: FeatureMatrix,
+    params: NeighborhoodParams,
+    dist: np.ndarray | None = None,
+) -> ClusterAssignment:
     """Density clustering of the matrix rows.
 
     A point is core iff its eps neighborhood (self included) has at least
     min_pts points; clusters are maximal density-connected sets; non-core
     points within eps of a core point join that core's cluster; the rest
-    are NOISE. Empty input yields the vacuous assignment (0 clusters)."""
+    are NOISE. Empty input yields the vacuous assignment (0 clusters).
+    `dist` is the pairwise distance matrix of the rows (as built by
+    sweep_params), computed here when omitted.
+
+    Each cluster grows from its lowest-index unlabelled core point one
+    frontier at a time: an unlabelled point joins when it is within eps of
+    a core point of the frontier. This labels exactly as a breadth-first
+    expansion would, so a border point goes to the cluster found first."""
     n = len(points.entities)
     if n == 0:
         return ClusterAssignment((), 0, ())
-    dist = _distance_matrix(points.values)
-    within = dist <= params.eps
-    neighbor_lists = [np.nonzero(within[i])[0] for i in range(n)]
-    core = np.array([len(nb) >= params.min_pts for nb in neighbor_lists])
+    within = _check_dist(points, dist) <= params.eps
+    core = within.sum(axis=1) >= params.min_pts
 
     labels = np.full(n, NOISE, dtype=int)
     next_id = 0
-    for i in range(n):
-        if labels[i] != NOISE or not core[i]:
+    for i in np.flatnonzero(core):
+        if labels[i] != NOISE:
             continue
-        cid = next_id
+        labels[i] = next_id
+        frontier = np.zeros(n, dtype=bool)
+        frontier[i] = True
+        while True:
+            frontier = within[frontier & core].any(axis=0) & (labels == NOISE)
+            if not frontier.any():
+                break
+            labels[frontier] = next_id
         next_id += 1
-        labels[i] = cid
-        queue = deque([i])
-        while queue:
-            j = queue.popleft()
-            if not core[j]:
-                continue
-            for k in neighbor_lists[j]:
-                if labels[k] == NOISE:
-                    labels[k] = cid
-                    queue.append(int(k))
-    return ClusterAssignment(tuple(labels), next_id, tuple(bool(c) for c in core))
+    return ClusterAssignment(tuple(labels.tolist()), next_id, tuple(core.tolist()))
 
 
-def silhouette(points: FeatureMatrix, assignment: ClusterAssignment) -> SilhouetteReport:
+def silhouette(
+    points: FeatureMatrix,
+    assignment: ClusterAssignment,
+    dist: np.ndarray | None = None,
+) -> SilhouetteReport:
     """Silhouette values s_i = (b_i - a_i) / max(a_i, b_i) over non-noise points.
 
     a_i is the mean distance to the other members of the point's cluster,
     b_i the smallest mean distance to any other cluster. Singleton-cluster
     points score 0. Noise points are excluded from scoring and from the
-    mean. Requires at least 2 clusters."""
+    mean. Requires at least 2 clusters. `dist` is the pairwise distance
+    matrix of the rows, computed here when omitted."""
     if assignment.num_clusters < 2:
         raise ClusteringError("silhouette undefined for fewer than 2 clusters")
     labels = np.asarray(assignment.labels)
     scored = np.nonzero(labels != NOISE)[0]
-    dist = _distance_matrix(points.values)
+    dist = _check_dist(points, dist)
     member_idx = {cid: np.nonzero(labels == cid)[0] for cid in range(assignment.num_clusters)}
 
     s_vals: list[float] = []
@@ -217,19 +237,32 @@ def sweep_params(
     A result is admissible when it has at least 2 clusters. Ranking is by
     descending mean silhouette, then ascending SSE, then ascending cluster
     count; remaining ties fall back to ascending (eps, min_pts) so the
-    output order is deterministic. Raises when nothing is admissible."""
+    output order is deterministic. Raises when nothing is admissible.
+
+    The distance matrix is built once for the whole grid, and each distinct
+    labelling is scored once. Grid points that yield the same labels and
+    core flags share one (quality, assignment) pair of objects."""
     if not eps_grid or not minpts_grid:
         raise ClusteringError("parameter grids must be non-empty")
+    dist = _distance_matrix(points.values)
+    quality_of: dict[tuple[int, ...], ClusteringQuality] = {}
+    record_of: dict[tuple, tuple[ClusteringQuality, ClusterAssignment]] = {}
     results = []
     for eps in eps_grid:
         for min_pts in minpts_grid:
             params = NeighborhoodParams(float(eps), int(min_pts))
-            assignment = dbscan(points, params)
+            assignment = dbscan(points, params, dist)
             if assignment.num_clusters < 2:
                 continue
-            sil = silhouette(points, assignment)
-            quality = sse(points, assignment, sc=sil.mean_sc)
-            results.append((params, quality, assignment))
+            key = (assignment.labels, assignment.core_flags)
+            if key not in record_of:
+                quality = quality_of.get(assignment.labels)
+                if quality is None:
+                    sil = silhouette(points, assignment, dist)
+                    quality = sse(points, assignment, sc=sil.mean_sc)
+                    quality_of[assignment.labels] = quality
+                record_of[key] = (quality, assignment)
+            results.append((params, *record_of[key]))
     if not results:
         raise ClusteringError("no admissible clustering")
     results.sort(key=lambda r: (-r[1].sc, r[1].sse, r[1].c, r[0].eps, r[0].min_pts))

@@ -123,9 +123,10 @@ def _load_long(path: Path) -> EnergyPanel:
             )
         cells: dict[tuple[int, str, str], float] = {}
         first_row: dict[tuple[int, str, str], int] = {}
-        years: list[int] = []
-        entities: list[str] = []
-        features: list[str] = []
+        # Insertion-ordered name sets: dict keys keep first-seen order.
+        years: dict[int, None] = {}
+        entities: dict[str, None] = {}
+        features: dict[str, None] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -145,22 +146,18 @@ def _load_long(path: Path) -> EnergyPanel:
                 )
             cells[key] = value
             first_row[key] = lineno
-            if year not in years:
-                years.append(year)
-            if entity not in entities:
-                entities.append(entity)
-            if feat not in features:
-                features.append(feat)
+            years[year] = None
+            entities[entity] = None
+            features[feat] = None
     if not cells:
         raise PanelFormatError(f"{path}: no data rows")
-    years.sort()
-    values = np.zeros((len(years), len(entities), len(features)))
-    y_idx = {y: i for i, y in enumerate(years)}
+    y_idx = {y: i for i, y in enumerate(sorted(years))}
     e_idx = {e: i for i, e in enumerate(entities)}
     f_idx = {f: i for i, f in enumerate(features)}
+    values = np.zeros((len(y_idx), len(e_idx), len(f_idx)))
     for (year, entity, feat), v in cells.items():
         values[y_idx[year], e_idx[entity], f_idx[feat]] = v
-    return EnergyPanel(tuple(years), tuple(entities), tuple(features), values)
+    return EnergyPanel(tuple(y_idx), tuple(e_idx), tuple(f_idx), values)
 
 
 def _load_wide(path: Path) -> EnergyPanel:

@@ -311,10 +311,12 @@ def _coordinate_descent(
     lam2: float,
     tol: float,
     max_iter: int,
+    start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, bool, int]:
     """Cyclic coordinate descent for RSS + lam1*L1 + lam2*L2 (no intercept).
 
-    Stops when the largest coefficient change in a sweep drops below tol.
+    Starts from `start` (in the coordinates of x) or from zero. Stops
+    when the largest coefficient change in a sweep drops below tol.
     Once the active sign pattern is stable across two sweeps, an exact
     solve on the active set is attempted and accepted only when the full
     KKT conditions verify; this short-circuits the slow tail on poorly
@@ -328,7 +330,7 @@ def _coordinate_descent(
     thresh = lam1 / 2.0
     scale = max(1.0, float(np.abs(corr).max(initial=0.0)), float(np.abs(gram).max(initial=0.0)))
     slack = max(1e-12, 10.0 * tol) * scale
-    beta = np.zeros(p)
+    beta = np.zeros(p) if start is None else np.where(denom > 0.0, start, 0.0)
     prev_pattern: tuple | None = None
     failed_pattern: tuple | None = None
     for sweep in range(max_iter):
@@ -396,7 +398,8 @@ def fit_elastic_net(
                    standardize=standardize)
 
 
-def _fit_cd(d, lam1, lam2, spec, tol, max_iter, fit_intercept, standardize) -> LinearModel:
+def _fit_cd(d, lam1, lam2, spec, tol, max_iter, fit_intercept, standardize,
+            start=None) -> LinearModel:
     if tol <= 0:
         raise RegressionError("tol must be > 0")
     if max_iter < 1:
@@ -407,7 +410,9 @@ def _fit_cd(d, lam1, lam2, spec, tol, max_iter, fit_intercept, standardize) -> L
     if standardize:
         xc, scale = _scale_columns(xc)
         flags = ("standardized",)
-    beta, converged, _ = _coordinate_descent(xc, yc, lam1, lam2, tol, max_iter)
+    if start is not None:
+        start = np.asarray(start, dtype=float) * scale  # the solver's scaled coordinates
+    beta, converged, _ = _coordinate_descent(xc, yc, lam1, lam2, tol, max_iter, start)
     if not converged:
         flags = flags + ("non_converged",)
     beta = beta / scale
@@ -422,15 +427,20 @@ def fit_penalized(
     max_iter: int = 100_000,
     fit_intercept: bool = True,
     standardize: bool = False,
+    start: np.ndarray | None = None,
 ) -> LinearModel:
-    """Dispatch a fit from a PenaltySpec."""
+    """Dispatch a fit from a PenaltySpec.
+
+    Lasso and elastic net start coordinate descent from the coefficients
+    `start` (as reported on a model, e.g. the fit at a neighbouring
+    penalty) or from zero. Ridge is closed-form and ignores `start`."""
     if spec.kind == "ridge":
         return fit_ridge(d, spec.lam, fit_intercept=fit_intercept, standardize=standardize)
-    if spec.kind == "lasso":
-        return fit_lasso(d, spec.lam, tol=tol, max_iter=max_iter,
-                         fit_intercept=fit_intercept, standardize=standardize)
-    return fit_elastic_net(d, spec.lam1, spec.lam2, tol=tol, max_iter=max_iter,
-                           fit_intercept=fit_intercept, standardize=standardize)
+    if start is not None and np.shape(start) != (d.p,):
+        raise RegressionError(f"start must have shape ({d.p},), got {np.shape(start)}")
+    lam1, lam2 = (spec.lam, 0.0) if spec.kind == "lasso" else (spec.lam1, spec.lam2)
+    return _fit_cd(d, lam1=lam1, lam2=lam2, spec=spec, tol=tol, max_iter=max_iter,
+                   fit_intercept=fit_intercept, standardize=standardize, start=start)
 
 
 def kkt_check(model: LinearModel, d: DesignMatrix) -> float:
@@ -553,7 +563,12 @@ def cross_validate(
     years, so shuffling would leak time structure). Ties break toward the
     larger lambda. For elastic_net the grid holds total weights split as
     lam1 = alpha*total, lam2 = (1-alpha)*total. Returns the winning spec
-    and the full (lambda, cv_mse) table in grid order."""
+    and the full (lambda, cv_mse) table in grid order.
+
+    Within each fold the grid is fitted from the largest lambda down, and
+    every lasso or elastic-net fit starts from the previous fit's
+    coefficients (the largest starts from zero). Each fit still meets the
+    kkt_check bound and agrees with a cold-started fit within it."""
     grid = [float(v) for v in lambda_grid]
     if not grid:
         raise RegressionError("lambda grid is empty")
@@ -561,18 +576,20 @@ def cross_validate(
         raise RegressionError("folds must be >= 2")
     if d.n < folds:
         raise RegressionError(f"need at least {folds} samples for {folds} folds, got {d.n}")
-    blocks = np.array_split(np.arange(d.n), folds)
-    table: list[tuple[float, float]] = []
-    for lam in grid:
-        spec = _spec_for(kind, lam, alpha)
-        fold_mse = []
-        for block in blocks:
-            train = np.setdiff1d(np.arange(d.n), block)
-            model = fit_penalized(d.subset(train), spec, tol=tol, max_iter=max_iter,
-                                  fit_intercept=fit_intercept, standardize=standardize)
+    specs = [_spec_for(kind, lam, alpha) for lam in grid]
+    descending = sorted(range(len(grid)), key=lambda i: -grid[i])
+    fold_mse: list[list[float]] = [[] for _ in grid]
+    for block in np.array_split(np.arange(d.n), folds):
+        train = d.subset(np.setdiff1d(np.arange(d.n), block))
+        start = None
+        for i in descending:
+            model = fit_penalized(train, specs[i], tol=tol, max_iter=max_iter,
+                                  fit_intercept=fit_intercept, standardize=standardize,
+                                  start=start)
+            start = model.coefficients
             y_hat = predict(model, d.x[block])
-            fold_mse.append(compute_mse(d.y[block], y_hat))
-        table.append((lam, float(np.mean(fold_mse))))
+            fold_mse[i].append(compute_mse(d.y[block], y_hat))
+    table = [(lam, float(np.mean(m))) for lam, m in zip(grid, fold_mse)]
     best_lam, best_mse = table[0]
     for lam, m in table[1:]:
         if m < best_mse or (m == best_mse and lam > best_lam):
@@ -592,21 +609,27 @@ def iterate_lambda(
 ) -> PathReport:
     """Fit at every grid value (ascending) and record the trajectories.
 
-    Every point is a cold-start fit, so each path row matches a one-off
-    call with the same penalty exactly."""
+    The fits run from the largest lambda down; each lasso or elastic-net
+    fit starts from the coefficients of the next larger lambda (the
+    largest starts from zero). Every row meets the kkt_check bound
+    10*tol*max(1, |2X'y|_inf) and differs from a cold-started one-off fit
+    with the same penalty by at most that bound."""
     grid = [float(v) for v in grid]
     if not grid:
         raise RegressionError("lambda grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise RegressionError("lambda grid must be strictly ascending")
     coefs = np.zeros((len(grid), d.p))
-    r2s: list[float] = []
-    mses: list[float] = []
-    for i, lam in enumerate(grid):
-        model = fit_penalized(d, _spec_for(kind, lam, alpha), tol=tol, max_iter=max_iter,
-                              fit_intercept=fit_intercept, standardize=standardize)
+    r2s = [0.0] * len(grid)
+    mses = [0.0] * len(grid)
+    start = None
+    for i in reversed(range(len(grid))):
+        model = fit_penalized(d, _spec_for(kind, grid[i], alpha), tol=tol, max_iter=max_iter,
+                              fit_intercept=fit_intercept, standardize=standardize,
+                              start=start)
+        start = model.coefficients
         coefs[i] = model.coefficients
         report = fit_report(model, d)
-        r2s.append(report.r2)
-        mses.append(report.mse)
+        r2s[i] = report.r2
+        mses[i] = report.mse
     return PathReport(tuple(grid), coefs, tuple(r2s), tuple(mses), d.column_names)

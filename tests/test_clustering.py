@@ -1,5 +1,10 @@
+import math
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clusterreg.clustering import (
     NOISE,
@@ -17,6 +22,11 @@ from clusterreg.errors import ClusteringError
 from clusterreg.preprocess import FeatureMatrix
 
 from oracles import check_dbscan_against_oracle, silhouette_by_hand
+
+# Integer coordinates make every distance exact, so eps values that are
+# themselves distances (1, sqrt 2, 2, ...) put points exactly on the boundary.
+INT_POINTS = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 2)), min_size=1, max_size=24)
+EXACT_EPS = st.sampled_from([0.0, 1.0, math.sqrt(2.0), 2.0, math.sqrt(5.0), 3.0])
 
 
 def matrix(points):
@@ -120,6 +130,118 @@ class TestDbscan:
                 out = dbscan(m, NeighborhoodParams(float(eps), min_pts))
                 counts.append(sum(l == NOISE for l in out.labels))
             assert all(b <= a for a, b in zip(counts, counts[1:]))
+
+
+def bfs_dbscan_labels(values, eps, min_pts):
+    """Reference labels from a queue-driven breadth-first expansion."""
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    dist = np.sqrt(((values[:, None, :] - values[None, :, :]) ** 2).sum(axis=2))
+    neighbors = [np.nonzero(dist[i] <= eps)[0] for i in range(n)]
+    core = [len(nb) >= min_pts for nb in neighbors]
+    labels = [NOISE] * n
+    next_id = 0
+    for i in range(n):
+        if labels[i] != NOISE or not core[i]:
+            continue
+        labels[i] = next_id
+        queue = deque([i])
+        while queue:
+            j = queue.popleft()
+            if core[j]:
+                for k in neighbors[j]:
+                    if labels[k] == NOISE:
+                        labels[k] = next_id
+                        queue.append(int(k))
+        next_id += 1
+    return tuple(labels), tuple(core)
+
+
+class TestDbscanFrontier:
+    # A border point at exactly eps from a core of each of two clusters,
+    # listed so that either cluster is discovered first.
+    @example(points=[(0, 0), (1, 0), (2, 0), (4, 0), (6, 0), (7, 0), (8, 0)], eps=2.0, min_pts=4)
+    @example(points=[(6, 0), (7, 0), (8, 0), (4, 0), (0, 0), (1, 0), (2, 0)], eps=2.0, min_pts=4)
+    @given(points=INT_POINTS, eps=EXACT_EPS, min_pts=st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_breadth_first_reference_and_oracle(self, points, eps, min_pts):
+        m = matrix([list(pt) for pt in points])
+        out = dbscan(m, NeighborhoodParams(eps, min_pts))
+        assert (out.labels, out.core_flags) == bfs_dbscan_labels(m.values, eps, min_pts)
+        check_dbscan_against_oracle(m.values, eps, min_pts, out)
+
+    def test_given_distance_matrix_is_used_and_checked(self, blob6):
+        far = np.full((6, 6), 100.0)
+        np.fill_diagonal(far, 0.0)
+        out = dbscan(blob6, NeighborhoodParams(0.6, 2), far)
+        assert out.num_clusters == 0
+        with pytest.raises(ClusteringError, match="shape"):
+            dbscan(blob6, NeighborhoodParams(0.6, 2), far[:5, :5])
+
+
+def naive_sweep(points, eps_grid, minpts_grid):
+    """sweep_params as a plain loop: every grid point clustered and scored
+    on its own, with no shared distance matrix or memo."""
+    results = []
+    for eps in eps_grid:
+        for min_pts in minpts_grid:
+            params = NeighborhoodParams(float(eps), int(min_pts))
+            assignment = dbscan(points, params)
+            if assignment.num_clusters < 2:
+                continue
+            quality = sse(points, assignment, sc=silhouette(points, assignment).mean_sc)
+            results.append((params, quality, assignment))
+    results.sort(key=lambda r: (-r[1].sc, r[1].sse, r[1].c, r[0].eps, r[0].min_pts))
+    return results
+
+
+def sweep_summary(results):
+    return [(p.eps, p.min_pts, q.c, q.sc, q.sse, a.labels, a.core_flags)
+            for p, q, a in results]
+
+
+class TestSweepMemo:
+    @given(points=INT_POINTS.filter(lambda pts: len(pts) >= 2),
+           eps_grid=st.lists(EXACT_EPS, min_size=1, max_size=5),
+           minpts_grid=st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_loop_and_shares_records(self, points, eps_grid, minpts_grid):
+        m = matrix([list(pt) for pt in points])
+        expected = naive_sweep(m, eps_grid, minpts_grid)
+        if not expected:
+            with pytest.raises(ClusteringError, match="no admissible"):
+                sweep_params(m, eps_grid, minpts_grid)
+            return
+        got = sweep_params(m, eps_grid, minpts_grid)
+        assert sweep_summary(got) == sweep_summary(expected)
+        first: dict = {}
+        for _, quality, assignment in got:
+            key = (assignment.labels, assignment.core_flags)
+            q0, a0 = first.setdefault(key, (quality, assignment))
+            assert quality is q0 and assignment is a0
+
+    def test_each_distinct_labelling_scored_once(self, monkeypatch):
+        import clusterreg.clustering as clustering
+
+        calls = {"dbscan": 0, "silhouette": []}
+        real_dbscan, real_silhouette = clustering.dbscan, clustering.silhouette
+
+        def counting_dbscan(*args, **kwargs):
+            calls["dbscan"] += 1
+            return real_dbscan(*args, **kwargs)
+
+        def counting_silhouette(points, assignment, *args, **kwargs):
+            calls["silhouette"].append(assignment.labels)
+            return real_silhouette(points, assignment, *args, **kwargs)
+
+        monkeypatch.setattr(clustering, "dbscan", counting_dbscan)
+        monkeypatch.setattr(clustering, "silhouette", counting_silhouette)
+        m = matrix([0.0, 0.1, 0.2, 5.0, 5.1, 5.2, 10.0, 10.4])
+        eps_grid = [0.15, 0.3, 0.5, 1.0, 6.0]
+        out = sweep_params(m, eps_grid, [1, 2, 3])
+        assert calls["dbscan"] == len(eps_grid) * 3
+        scored = calls["silhouette"]
+        assert len(scored) == len(set(scored)) == len({a.labels for _, _, a in out})
 
 
 class TestSilhouette:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from clusterreg.errors import RegressionError
 from clusterreg.regression import (
     DesignMatrix,
+    LinearModel,
     PenaltySpec,
     compute_mse,
     compute_r2,
@@ -321,6 +322,84 @@ class TestIterateLambda:
         path = iterate_lambda(d, "lasso", [0.1, 0.2])
         assert path.header() == ["lambda", "c0", "c1", "c2", "r2", "mse"]
         assert len(path.rows()) == 2 and len(path.rows()[0]) == 6
+
+
+def _kkt_bound(d: DesignMatrix, tol: float = 1e-10) -> float:
+    return 10 * tol * max(1.0, float(np.abs(2 * d.x.T @ d.y).max()))
+
+
+def _cold_spec(kind: str, lam: float, alpha: float = 0.5) -> PenaltySpec:
+    if kind == "lasso":
+        return PenaltySpec.lasso(lam)
+    if kind == "elastic_net":
+        return PenaltySpec.elastic_net_total(lam, alpha)
+    return PenaltySpec.ridge(lam)
+
+
+class TestWarmStart:
+    def test_warm_path_rows_pass_kkt_and_match_cold_fits(self):
+        rng = np.random.default_rng(2010)
+        for _ in range(100):
+            x, y = random_instance(rng)
+            d = DesignMatrix(x, y, tuple(f"c{j}" for j in range(x.shape[1])))
+            bound = _kkt_bound(d)
+            lam_max = lasso_lambda_max(d)
+            grid = np.geomspace(1e-4 * lam_max, 1.5 * lam_max, 12).tolist()
+            for kind in ("lasso", "elastic_net"):
+                path = iterate_lambda(d, kind, grid)
+                for i, lam in enumerate(grid):
+                    spec = _cold_spec(kind, lam)
+                    beta = path.coefficient_matrix[i]
+                    warm = LinearModel(float(d.y.mean() - d.x.mean(axis=0) @ beta), beta,
+                                       spec, d.column_names)
+                    assert kkt_check(warm, d) <= bound, (kind, lam)
+                    cold = fit_penalized(d, spec)
+                    assert np.abs(beta - cold.coefficients).max() <= bound, (kind, lam)
+
+    def test_start_is_in_reported_coordinates(self):
+        # Started at its own solution, one sweep must already converge; a
+        # start left unscaled under standardize=True would not.
+        base = random_design(seed=31)
+        d = DesignMatrix(base.x * [1.0, 10.0, 0.1], base.y, base.column_names)
+        for standardize in (False, True):
+            cold = fit_penalized(d, PenaltySpec.lasso(0.05), standardize=standardize)
+            warm = fit_penalized(d, PenaltySpec.lasso(0.05), standardize=standardize,
+                                 max_iter=1, start=cold.coefficients)
+            assert warm.converged, standardize
+            assert np.abs(warm.coefficients - cold.coefficients).max() <= _kkt_bound(d)
+
+    def test_constant_column_stays_zero_from_any_start(self):
+        base = random_design(seed=33)
+        x = base.x.copy()
+        x[:, 1] = 4.0  # centers to a zero-norm column
+        d = DesignMatrix(x, base.y, base.column_names)
+        m = fit_penalized(d, PenaltySpec.lasso(0.05), start=np.array([0.0, 7.0, 0.0]))
+        assert m.coefficients[1] == 0.0
+
+    def test_start_shape_checked(self):
+        d = random_design(seed=32)
+        with pytest.raises(RegressionError, match="start"):
+            fit_penalized(d, PenaltySpec.lasso(0.1), start=np.zeros(d.p + 1))
+
+    def test_cv_table_equals_cold_reference(self, synthetic_case):
+        from clusterreg.pipeline import prepare_inputs
+
+        _, _, _, config = synthetic_case
+        d = prepare_inputs(config).train_design
+        grids = {"ridge": config.ridge_lambdas, "lasso": config.lasso_lambdas,
+                 "elastic_net": config.enet_lambdas}
+        blocks = np.array_split(np.arange(d.n), config.cv_folds)
+        for kind, grid in grids.items():
+            reference = []
+            for lam in grid:
+                fold_mse = []
+                for block in blocks:
+                    train = np.setdiff1d(np.arange(d.n), block)
+                    model = fit_penalized(d.subset(train), _cold_spec(kind, lam))
+                    fold_mse.append(compute_mse(d.y[block], predict(model, d.x[block])))
+                reference.append((lam, float(np.mean(fold_mse))))
+            _, table = cross_validate(d, kind, grid, folds=config.cv_folds)
+            assert table == reference, kind
 
 
 class TestMetrics:
