@@ -14,20 +14,20 @@ import json
 import sys
 from pathlib import Path
 
-from . import clustering, preprocess, regression
+from . import preprocess, regression
 from .dataio import load_panel, save_panel_long, save_report, validate_panel
 from .errors import ClusterRegError, ConfigError
-from .pipeline import PipelineConfig, prepare_inputs, run_pipeline
+from .pipeline import (
+    PipelineConfig,
+    clustering_tables,
+    fit_kind,
+    prepare_inputs,
+    run_pipeline,
+    write_csv,
+)
 from .synth import generate_synthetic
 
 FIGURES = ("energy_trends", "heatmap", "cluster_boxes", "lambda_path", "fit_scatter", "forecast")
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _load_config(args) -> PipelineConfig:
@@ -55,43 +55,28 @@ def cmd_cluster(args) -> int:
     prep = prepare_inputs(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "assignment.csv", ["entity", "cluster_id", "is_core"],
-               clustering.assignment_rows(tuple(prep.panel.entities), prep.assignment))
-    _write_csv(out / "cluster_quality.csv", ["eps", "min_pts", "c", "sc", "sse"],
-               clustering.quality_rows(prep.ranked))
+    for name, (header, rows) in clustering_tables(prep).items():
+        write_csv(out / name, header, rows)
     q = prep.quality
     print(f"eps={prep.params.eps:g} min_pts={prep.params.min_pts} "
           f"c={q.c} sc={q.sc:.6f} sse={q.sse:.6f}")
     return 0
 
 
-def _metrics_line(kind: str, lam: float, report) -> str:
-    return (f"{kind} lambda={lam:.6g} r2={report.r2:.6f} "
+def _metrics_line(spec: regression.PenaltySpec, report) -> str:
+    return (f"{spec.kind} lambda={sum(spec.weights):.6g} r2={report.r2:.6f} "
             f"mse={report.mse:.6g} sparsity={report.sparsity:.4f}")
 
 
 def cmd_regress(args) -> int:
     cfg = _load_config(args)
-    prep = prepare_inputs(cfg)
     kind = args.kind
-    grid = {"ridge": cfg.ridge_lambdas, "lasso": cfg.lasso_lambdas,
-            "elastic_net": cfg.enet_lambdas}[kind]
-    spec, _ = regression.cross_validate(
-        prep.train_design, kind, grid, folds=cfg.cv_folds, alpha=cfg.enet_alpha,
-        tol=cfg.tol, max_iter=cfg.max_iter, standardize=cfg.standardize)
-    model = regression.fit_penalized(prep.train_design, spec, tol=cfg.tol,
-                                     max_iter=cfg.max_iter, standardize=cfg.standardize)
-    report = regression.fit_report(model, prep.train_design)
+    spec, _, model, report, path = fit_kind(cfg, prepare_inputs(cfg).train_design, kind)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_report(model, out / f"model_{kind}.json")
-    path = regression.iterate_lambda(
-        prep.train_design, kind, sorted(set(float(v) for v in grid)),
-        alpha=cfg.enet_alpha, tol=cfg.tol, max_iter=cfg.max_iter,
-        standardize=cfg.standardize)
-    _write_csv(out / f"path_{kind}.csv", path.header(), path.rows())
-    lam = spec.lam if kind != "elastic_net" else spec.lam1 + spec.lam2
-    print(_metrics_line(kind, lam, report))
+    write_csv(out / f"path_{kind}.csv", path.header(), path.rows())
+    print(_metrics_line(spec, report))
     return 0
 
 
@@ -101,10 +86,8 @@ def cmd_pipeline(args) -> int:
     q = report.quality
     print(f"clustering eps={report.params.eps:g} min_pts={report.params.min_pts} "
           f"c={q.c} sc={q.sc:.6f} sse={q.sse:.6f}")
-    for kind in ("ridge", "lasso", "elastic_net"):
-        spec = report.models[kind].penalty
-        lam = spec.lam if kind != "elastic_net" else spec.lam1 + spec.lam2
-        print(_metrics_line(kind, lam, report.reports[kind]))
+    for kind in regression.PENALTY_KINDS:
+        print(_metrics_line(report.models[kind].penalty, report.reports[kind]))
     print(f"forecast mean_error={report.mean_error:.6f} variance={report.variance:.6f}")
     return 0
 
@@ -159,26 +142,21 @@ def cmd_plot_data(args) -> int:
         panel = load_panel(cfg.data_path, cfg.layout)
         panel, _ = preprocess.drop_zero_series(panel)
         if figure == "energy_trends":
-            rows = []
+            header, rows = ["year", "feature", "value"], []
             totals = panel.values.sum(axis=1)  # (years, features)
             for yi, year in enumerate(panel.years):
                 for fi, feat in enumerate(panel.features):
                     rows.append([year, feat, repr(float(totals[yi, fi]))])
-            _write_csv(target, ["year", "feature", "value"], rows)
         else:
             window = cfg.train_years if cfg.train_years else list(panel.years)
             window = [y for y in window if y in panel.years] or list(panel.years)
             profile = preprocess.minmax_normalize_rows(
                 preprocess.entity_profile(panel, window))
-            rows = []
+            header, rows = ["entity", "feature", "value"], []
             for ei, entity in enumerate(profile.entities):
                 for fi, feat in enumerate(profile.features):
                     rows.append([entity, feat, repr(float(profile.values[ei, fi]))])
-            _write_csv(target, ["entity", "feature", "value"], rows)
-        print(f"wrote {target}")
-        return 0
-
-    if figure == "lambda_path":
+    elif figure == "lambda_path":
         path_csv = out / "path_lasso.csv"
         if not path_csv.exists():
             raise ClusterRegError(
@@ -186,40 +164,35 @@ def cmd_plot_data(args) -> int:
             )
         with open(path_csv, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            coef_names = header[1:-2]
-            rows = []
+            coef_names = next(reader)[1:-2]
+            header, rows = ["lambda", "coef_name", "value"], []
             for row in reader:
                 lam = row[0]
                 for name, value in zip(coef_names, row[1:-2]):
                     rows.append([lam, name, value])
-        _write_csv(target, ["lambda", "coef_name", "value"], rows)
-        print(f"wrote {target}")
-        return 0
-
-    report = _need_report(out)
-    if figure == "cluster_boxes":
-        agg = report["aggregates"]
-        rows = []
+    elif figure == "cluster_boxes":
+        agg = _need_report(out)["aggregates"]
+        header, rows = ["cluster", "year", "value"], []
         for ci, column in enumerate(agg["columns"]):
             for yi, year in enumerate(agg["years"]):
                 rows.append([column, year, repr(float(agg["regressors"][yi][ci]))])
-        _write_csv(target, ["cluster", "year", "value"], rows)
     elif figure == "fit_scatter":
+        report = _need_report(out)
         fit = report["fit_reports"]["elastic_net"]
         train_years = report["config"]["train_years"]
         years = report["aggregates"]["years"]
         log_target = report["aggregates"]["log_target"]
         actual = [log_target[years.index(y)] for y in train_years]
+        header = ["actual", "predicted"]
         rows = [[repr(float(a)), repr(float(p))] for a, p in zip(actual, fit["y_hat"])]
-        _write_csv(target, ["actual", "predicted"], rows)
     else:  # forecast
+        header = ["year", "true", "predict", "difference"]
         rows = [
             [r["year"], repr(float(r["true"])), repr(float(r["predict"])),
              repr(float(r["difference"]))]
-            for r in report["forecast"]["rows"]
+            for r in _need_report(out)["forecast"]["rows"]
         ]
-        _write_csv(target, ["year", "true", "predict", "difference"], rows)
+    write_csv(target, header, rows)
     print(f"wrote {target}")
     return 0
 

@@ -272,8 +272,11 @@ def _jsonable(record) -> dict | list:
 
 
 def save_report(record, path: str | Path) -> None:
-    """Write any report record as round-trippable JSON (UTF-8, sorted keys)."""
-    payload = json.dumps(_jsonable(record), sort_keys=True, indent=2, allow_nan=True)
+    """Write any report record as round-trippable JSON (UTF-8, sorted keys).
+
+    The JSON is strict: a NaN or infinite number raises ValueError before
+    the file is created."""
+    payload = json.dumps(_jsonable(record), sort_keys=True, indent=2, allow_nan=False)
     Path(path).write_text(payload + "\n", encoding="utf-8")
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -184,26 +184,7 @@ class PipelineConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        return {
-            "data_path": self.data_path,
-            "layout": self.layout,
-            "train_years": list(self.train_years),
-            "test_years": list(self.test_years),
-            "anchor": self.anchor,
-            "anchor_year": self.anchor_year,
-            "log_epsilon": self.log_epsilon,
-            "eps_grid": list(self.eps_grid),
-            "minpts_grid": list(self.minpts_grid),
-            "ridge_lambdas": list(self.ridge_lambdas),
-            "lasso_lambdas": list(self.lasso_lambdas),
-            "enet_lambdas": list(self.enet_lambdas),
-            "enet_alpha": self.enet_alpha,
-            "cv_folds": self.cv_folds,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "standardize": self.standardize,
-            "out_dir": self.out_dir,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -231,17 +212,7 @@ class ClusterProfile:
             raise ClusterRegError("cluster profile variance negative")
 
     def to_dict(self) -> dict:
-        return {
-            "cluster_id": self.cluster_id,
-            "sum": self.total,
-            "mean": self.mean,
-            "variance": self.variance,
-            "minimum": self.minimum,
-            "p25": self.p25,
-            "median": self.median,
-            "p75": self.p75,
-            "maximum": self.maximum,
-        }
+        return {("sum" if k == "total" else k): v for k, v in asdict(self).items()}
 
 
 def aggregate_by_cluster(
@@ -307,8 +278,9 @@ def summarize_forecast(differences) -> tuple[float, float]:
 
 
 @dataclass
-class PipelineReport:
-    """Everything a pipeline run produced, serializable to one JSON file."""
+class PreparedInputs:
+    """Front half of a run: the cleaned panel's clustering, its cluster
+    aggregates in levels and logs, and the training design matrix."""
 
     config: PipelineConfig
     dropped_features: list[str]
@@ -327,6 +299,15 @@ class PipelineReport:
     log_regressors: np.ndarray
     log_target: np.ndarray
     epsilon_cells: list[tuple[str, int]]
+    train_idx: list[int]
+    test_idx: list[int]
+    train_design: regression.DesignMatrix
+
+
+@dataclass
+class PipelineReport(PreparedInputs):
+    """Everything a pipeline run produced, serializable to one JSON file."""
+
     cv_tables: dict
     models: dict
     reports: dict
@@ -402,32 +383,9 @@ def build_design(
     return regression.DesignMatrix(log_regressors[rows], log_target[rows], tuple(columns))
 
 
-@dataclass
-class PreparedInputs:
-    """Shared pipeline front-end output: cleaned panel through log design."""
-
-    panel: EnergyPanel
-    dropped_features: list[str]
-    dropped_entities: list[str]
-    ranked: list
-    params: clustering.NeighborhoodParams
-    quality: clustering.ClusteringQuality
-    assignment: ClusterAssignment
-    promoted: ClusterAssignment
-    columns: list[str]
-    regressors: np.ndarray
-    target: np.ndarray
-    log_regressors: np.ndarray
-    log_target: np.ndarray
-    epsilon_cells: list[tuple[str, int]]
-    train_idx: list[int]
-    test_idx: list[int]
-    train_design: regression.DesignMatrix
-
-
 def prepare_inputs(config: PipelineConfig) -> PreparedInputs:
     """Run the front half of the pipeline: load, clean, cluster, aggregate,
-    log-transform, and build the training design matrix."""
+    profile the clusters, log-transform, and build the training design."""
     _stage("config", config.validate)
 
     panel = _stage("load", load_panel, config.data_path, config.layout)
@@ -451,9 +409,9 @@ def prepare_inputs(config: PipelineConfig) -> PreparedInputs:
     profile = _stage("cluster-matrix", preprocess.entity_profile, panel, window)
     normalized = preprocess.minmax_normalize_rows(profile)
 
-    ranked = _stage("sweep", clustering.sweep_params, normalized,
-                    config.eps_grid, config.minpts_grid)
-    params, quality, assignment = ranked[0]
+    sweep = _stage("sweep", clustering.sweep_params, normalized,
+                   config.eps_grid, config.minpts_grid)
+    params, quality, assignment = sweep[0]
     promoted = clustering.promote_noise(assignment)
 
     regressors, target = _stage("aggregate", aggregate_by_cluster, panel, promoted)
@@ -462,6 +420,7 @@ def prepare_inputs(config: PipelineConfig) -> PreparedInputs:
     gap = np.abs(regressors.sum(axis=1) - panel_totals)
     if gap.max() > CONSERVATION_TOL * max(1.0, float(np.abs(panel_totals).max())):
         raise PipelineStageError("aggregate", "conservation identity violated")
+    profiles = _stage("profiles", profile_clusters, panel, promoted, list(config.train_years))
 
     columns = [f"cluster_{cid}" for cid in range(promoted.num_clusters)]
     epsilon_cells = [
@@ -477,14 +436,17 @@ def prepare_inputs(config: PipelineConfig) -> PreparedInputs:
     test_idx = [panel.year_index(y) for y in config.test_years]
     train_design = build_design(log_regressors, log_target, columns, train_idx)
     return PreparedInputs(
-        panel=panel,
+        config=config,
         dropped_features=dropped_features,
         dropped_entities=dropped_entities,
-        ranked=ranked,
         params=params,
         quality=quality,
         assignment=assignment,
         promoted=promoted,
+        sweep=sweep,
+        entities=list(panel.entities),
+        profiles=profiles,
+        years=list(panel.years),
         columns=columns,
         regressors=regressors,
         target=target,
@@ -497,6 +459,24 @@ def prepare_inputs(config: PipelineConfig) -> PreparedInputs:
     )
 
 
+def fit_kind(config: PipelineConfig, design: regression.DesignMatrix, kind: str):
+    """Cross-validate one penalty kind on design, refit at the chosen
+    penalty, and trace the path over the kind's grid.
+
+    Returns (spec, cv_table, model, fit_report, path)."""
+    grid = {"ridge": config.ridge_lambdas, "lasso": config.lasso_lambdas,
+            "elastic_net": config.enet_lambdas}[kind]
+    solver = {"tol": config.tol, "max_iter": config.max_iter,
+              "standardize": config.standardize}
+    spec, table = _stage("fit", regression.cross_validate, design, kind, grid,
+                         folds=config.cv_folds, alpha=config.enet_alpha, **solver)
+    model = _stage("fit", regression.fit_penalized, design, spec, **solver)
+    report = regression.fit_report(model, design)
+    path = _stage("fit", regression.iterate_lambda, design, kind,
+                  sorted(set(float(v) for v in grid)), alpha=config.enet_alpha, **solver)
+    return spec, table, model, report, path
+
+
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
     """Execute the full workflow and (if configured) write all artifacts.
 
@@ -505,73 +485,28 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     ridge/lasso/elastic-net fits -> holdout forecast. Any stage failure
     aborts with a stage-tagged error and no partial output files."""
     prep = prepare_inputs(config)
-    panel = prep.panel
-    promoted = prep.promoted
-    columns = prep.columns
-    log_regressors = prep.log_regressors
-    log_target = prep.log_target
-    test_idx = prep.test_idx
-    train_design = prep.train_design
-
-    profiles = _stage("profiles", profile_clusters, panel, promoted, list(config.train_years))
-
-    grids = {
-        "ridge": config.ridge_lambdas,
-        "lasso": config.lasso_lambdas,
-        "elastic_net": config.enet_lambdas,
-    }
     cv_tables: dict = {}
     models: dict = {}
     reports: dict = {}
     paths: dict = {}
-    for kind, grid in grids.items():
-        spec, table = _stage("fit", regression.cross_validate, train_design, kind, grid,
-                             folds=config.cv_folds, alpha=config.enet_alpha,
-                             tol=config.tol, max_iter=config.max_iter,
-                             standardize=config.standardize)
-        model = _stage("fit", regression.fit_penalized, train_design, spec,
-                       tol=config.tol, max_iter=config.max_iter,
-                       standardize=config.standardize)
+    for kind in regression.PENALTY_KINDS:
+        spec, table, models[kind], reports[kind], paths[kind] = fit_kind(
+            config, prep.train_design, kind)
         cv_tables[kind] = (spec, table)
-        models[kind] = model
-        reports[kind] = regression.fit_report(model, train_design)
-        path_grid = sorted(set(float(v) for v in grid))
-        paths[kind] = _stage("fit", regression.iterate_lambda, train_design, kind,
-                             path_grid, alpha=config.enet_alpha, tol=config.tol,
-                             max_iter=config.max_iter, standardize=config.standardize)
 
-    enet = models["elastic_net"]
-    predictions = regression.predict(enet, log_regressors[test_idx])
+    predictions = regression.predict(models["elastic_net"], prep.log_regressors[prep.test_idx])
     forecast_rows = []
-    differences = []
     for k, year in enumerate(config.test_years):
-        true = float(log_target[test_idx[k]])
+        true = float(prep.log_target[prep.test_idx[k]])
         pred = float(predictions[k])
-        diff = true - pred
-        differences.append(diff)
         forecast_rows.append(
-            {"year": int(year), "true": true, "predict": pred, "difference": diff}
+            {"year": int(year), "true": true, "predict": pred, "difference": true - pred}
         )
-    mean_error, variance = _stage("forecast", summarize_forecast, differences)
+    mean_error, variance = _stage("forecast", summarize_forecast,
+                                  [r["difference"] for r in forecast_rows])
 
     report = PipelineReport(
-        config=config,
-        dropped_features=prep.dropped_features,
-        dropped_entities=prep.dropped_entities,
-        params=prep.params,
-        quality=prep.quality,
-        assignment=prep.assignment,
-        promoted=promoted,
-        sweep=prep.ranked,
-        entities=list(panel.entities),
-        profiles=profiles,
-        years=list(panel.years),
-        columns=columns,
-        regressors=prep.regressors,
-        target=prep.target,
-        log_regressors=log_regressors,
-        log_target=log_target,
-        epsilon_cells=prep.epsilon_cells,
+        **vars(prep),
         cv_tables=cv_tables,
         models=models,
         reports=reports,
@@ -585,50 +520,53 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     return report
 
 
-def _csv_text(header: list, rows: list[list]) -> str:
+def write_csv(path: str | Path, header: list, rows: list[list]) -> Path:
+    """Write one CSV file: UTF-8, each line ending in a bare LF."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+    writer.writerows(rows)
+    path = Path(path)
+    path.write_text(buf.getvalue(), encoding="utf-8")
+    return path
+
+
+def clustering_tables(prep: PreparedInputs) -> dict[str, tuple[list, list[list]]]:
+    """(header, rows) of assignment.csv and cluster_quality.csv."""
+    return {
+        "assignment.csv": (
+            ["entity", "cluster_id", "is_core"],
+            clustering.assignment_rows(tuple(prep.entities), prep.assignment),
+        ),
+        "cluster_quality.csv": (
+            ["eps", "min_pts", "c", "sc", "sse"], clustering.quality_rows(prep.sweep)
+        ),
+    }
 
 
 def write_artifacts(report: PipelineReport, out_dir: str | Path) -> list[Path]:
     """Write the documented artifact set; clean up on partial failure."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    entities = tuple(report.entities)
-    files: dict[str, str] = {
-        "assignment.csv": _csv_text(
-            ["entity", "cluster_id", "is_core"],
-            clustering.assignment_rows(entities, report.assignment),
-        ),
-        "cluster_quality.csv": _csv_text(
-            ["eps", "min_pts", "c", "sc", "sse"], clustering.quality_rows(report.sweep)
-        ),
-        "forecast.csv": _csv_text(
-            ["year", "true", "predict", "difference"],
-            [[r["year"], r["true"], r["predict"], r["difference"]] for r in report.forecast_rows],
-        ),
-    }
-    for kind in ("ridge", "lasso", "elastic_net"):
+    tables = clustering_tables(report)
+    tables["forecast.csv"] = (
+        ["year", "true", "predict", "difference"],
+        [[r["year"], r["true"], r["predict"], r["difference"]] for r in report.forecast_rows],
+    )
+    records: dict = {}
+    for kind in regression.PENALTY_KINDS:
         path_report = report.paths[kind]
-        files[f"path_{kind}.csv"] = _csv_text(path_report.header(), path_report.rows())
+        tables[f"path_{kind}.csv"] = (path_report.header(), path_report.rows())
+        records[f"model_{kind}.json"] = report.models[kind]
+    records["pipeline_report.json"] = report.to_dict()
     written: list[Path] = []
     try:
-        for name, text in files.items():
-            target = out / name
-            target.write_text(text, encoding="utf-8")
-            written.append(target)
-        for kind in ("ridge", "lasso", "elastic_net"):
-            target = out / f"model_{kind}.json"
-            save_report(report.models[kind], target)
-            written.append(target)
-        target = out / "pipeline_report.json"
-        save_report(report.to_dict(), target)
-        written.append(target)
-    except OSError:
+        for name, (header, rows) in tables.items():
+            written.append(write_csv(out / name, header, rows))
+        for name, record in records.items():
+            save_report(record, out / name)
+            written.append(out / name)
+    except (OSError, ValueError):  # ValueError: a non-finite number in a JSON record
         for path in written:
             path.unlink(missing_ok=True)
         raise

@@ -27,7 +27,7 @@ at lam1 = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,6 +97,23 @@ class PenaltySpec:
         if self.kind != "elastic_net" or self.lam1 + self.lam2 == 0:
             return None
         return self.lam1 / (self.lam1 + self.lam2)
+
+    @property
+    def weights(self) -> tuple[float, float]:
+        """The (lam1, lam2) weights of the L1 and squared-L2 terms."""
+        if self.kind == "ridge":
+            return 0.0, self.lam
+        if self.kind == "lasso":
+            return self.lam, 0.0
+        return self.lam1, self.lam2
+
+    @classmethod
+    def of(cls, kind: str, lam: float, alpha: float) -> "PenaltySpec":
+        """Spec of one grid point: lam is the weight, or for elastic_net the
+        total weight split by alpha."""
+        if kind == "elastic_net":
+            return cls.elastic_net_total(lam, alpha)
+        return cls(kind, lam=lam)
 
     @classmethod
     def ridge(cls, lam: float) -> "PenaltySpec":
@@ -236,11 +253,7 @@ def fit_ols(d: DesignMatrix, fit_intercept: bool = True) -> LinearModel:
 
     Singular systems fall back to the minimum-norm solution and the model
     is flagged 'singular_system'."""
-    xc, yc, x_mean, y_mean = _center(d, fit_intercept)
-    beta, _, rank, _ = np.linalg.lstsq(xc, yc, rcond=None)
-    flags = ("singular_system",) if rank < d.p else ()
-    intercept = y_mean - float(x_mean @ beta)
-    return LinearModel(intercept, beta, None, d.column_names, converged=True, flags=flags)
+    return replace(fit_ridge(d, 0.0, fit_intercept=fit_intercept), penalty=None)
 
 
 def fit_ridge(
@@ -250,23 +263,8 @@ def fit_ridge(
     standardize: bool = False,
 ) -> LinearModel:
     """Closed-form ridge: solves (X'X + lam*I) beta = X'y on centered data."""
-    if lam < 0:
-        raise RegressionError("lambda must be >= 0")
-    xc, yc, x_mean, y_mean = _center(d, fit_intercept)
-    scale = np.ones(d.p)
-    if standardize:
-        xc, scale = _scale_columns(xc)
-    flags: tuple[str, ...] = ("standardized",) if standardize else ()
-    if lam == 0:
-        beta, _, rank, _ = np.linalg.lstsq(xc, yc, rcond=None)
-        if rank < d.p:
-            flags = flags + ("singular_system",)
-    else:
-        gram = xc.T @ xc + lam * np.eye(d.p)
-        beta = np.linalg.solve(gram, xc.T @ yc)
-    beta = beta / scale
-    intercept = y_mean - float(x_mean @ beta)
-    return LinearModel(intercept, beta, PenaltySpec.ridge(lam), d.column_names, flags=flags)
+    return fit_penalized(d, PenaltySpec.ridge(lam), fit_intercept=fit_intercept,
+                         standardize=standardize)
 
 
 def _polish_active_set(
@@ -373,10 +371,8 @@ def fit_lasso(
 
     Non-convergence within max_iter is flagged on the returned model
     (converged=False, flag 'non_converged'), never silently accepted."""
-    if lam < 0:
-        raise RegressionError("lambda must be >= 0")
-    return _fit_cd(d, lam1=lam, lam2=0.0, spec=PenaltySpec.lasso(lam), tol=tol,
-                   max_iter=max_iter, fit_intercept=fit_intercept, standardize=standardize)
+    return fit_penalized(d, PenaltySpec.lasso(lam), tol=tol, max_iter=max_iter,
+                         fit_intercept=fit_intercept, standardize=standardize)
 
 
 def fit_elastic_net(
@@ -391,33 +387,8 @@ def fit_elastic_net(
     """Combined L1/L2 penalty by cyclic coordinate descent.
 
     Reduces exactly to the lasso at lam2=0 and to ridge at lam1=0."""
-    if lam1 < 0 or lam2 < 0:
-        raise RegressionError("lambda1 and lambda2 must be >= 0")
-    return _fit_cd(d, lam1=lam1, lam2=lam2, spec=PenaltySpec.elastic_net(lam1, lam2),
-                   tol=tol, max_iter=max_iter, fit_intercept=fit_intercept,
-                   standardize=standardize)
-
-
-def _fit_cd(d, lam1, lam2, spec, tol, max_iter, fit_intercept, standardize,
-            start=None) -> LinearModel:
-    if tol <= 0:
-        raise RegressionError("tol must be > 0")
-    if max_iter < 1:
-        raise RegressionError("max_iter must be >= 1")
-    xc, yc, x_mean, y_mean = _center(d, fit_intercept)
-    scale = np.ones(d.p)
-    flags: tuple[str, ...] = ()
-    if standardize:
-        xc, scale = _scale_columns(xc)
-        flags = ("standardized",)
-    if start is not None:
-        start = np.asarray(start, dtype=float) * scale  # the solver's scaled coordinates
-    beta, converged, _ = _coordinate_descent(xc, yc, lam1, lam2, tol, max_iter, start)
-    if not converged:
-        flags = flags + ("non_converged",)
-    beta = beta / scale
-    intercept = y_mean - float(x_mean @ beta)
-    return LinearModel(intercept, beta, spec, d.column_names, converged=converged, flags=flags)
+    return fit_penalized(d, PenaltySpec.elastic_net(lam1, lam2), tol=tol, max_iter=max_iter,
+                         fit_intercept=fit_intercept, standardize=standardize)
 
 
 def fit_penalized(
@@ -429,18 +400,44 @@ def fit_penalized(
     standardize: bool = False,
     start: np.ndarray | None = None,
 ) -> LinearModel:
-    """Dispatch a fit from a PenaltySpec.
+    """Fit the penalty a PenaltySpec describes.
 
-    Lasso and elastic net start coordinate descent from the coefficients
-    `start` (as reported on a model, e.g. the fit at a neighbouring
-    penalty) or from zero. Ridge is closed-form and ignores `start`."""
-    if spec.kind == "ridge":
-        return fit_ridge(d, spec.lam, fit_intercept=fit_intercept, standardize=standardize)
-    if start is not None and np.shape(start) != (d.p,):
-        raise RegressionError(f"start must have shape ({d.p},), got {np.shape(start)}")
-    lam1, lam2 = (spec.lam, 0.0) if spec.kind == "lasso" else (spec.lam1, spec.lam2)
-    return _fit_cd(d, lam1=lam1, lam2=lam2, spec=spec, tol=tol, max_iter=max_iter,
-                   fit_intercept=fit_intercept, standardize=standardize, start=start)
+    Ridge is solved in closed form and ignores tol, max_iter and `start`;
+    at lam=0 it is least squares, whose minimum-norm solution on a
+    rank-deficient design is flagged 'singular_system'. Lasso and elastic
+    net run coordinate descent from the coefficients `start` (as reported
+    on a model, e.g. the fit at a neighbouring penalty) or from zero."""
+    ridge = spec.kind == "ridge"
+    if not ridge:
+        if start is not None and np.shape(start) != (d.p,):
+            raise RegressionError(f"start must have shape ({d.p},), got {np.shape(start)}")
+        if tol <= 0:
+            raise RegressionError("tol must be > 0")
+        if max_iter < 1:
+            raise RegressionError("max_iter must be >= 1")
+    xc, yc, x_mean, y_mean = _center(d, fit_intercept)
+    scale = np.ones(d.p)
+    flags: tuple[str, ...] = ()
+    if standardize:
+        xc, scale = _scale_columns(xc)
+        flags = ("standardized",)
+    lam1, lam2 = spec.weights
+    converged = True
+    if ridge and lam2 == 0:
+        beta, _, rank, _ = np.linalg.lstsq(xc, yc, rcond=None)
+        if rank < d.p:
+            flags = flags + ("singular_system",)
+    elif ridge:
+        beta = np.linalg.solve(xc.T @ xc + lam2 * np.eye(d.p), xc.T @ yc)
+    else:
+        if start is not None:
+            start = np.asarray(start, dtype=float) * scale  # the solver's scaled coordinates
+        beta, converged, _ = _coordinate_descent(xc, yc, lam1, lam2, tol, max_iter, start)
+        if not converged:
+            flags = flags + ("non_converged",)
+    beta = beta / scale
+    intercept = y_mean - float(x_mean @ beta)
+    return LinearModel(intercept, beta, spec, d.column_names, converged=converged, flags=flags)
 
 
 def kkt_check(model: LinearModel, d: DesignMatrix) -> float:
@@ -456,15 +453,7 @@ def kkt_check(model: LinearModel, d: DesignMatrix) -> float:
         raise RegressionError("kkt_check applies to unstandardized fits")
     residual = d.y - predict(model, d.x)
     g = -2.0 * (d.x.T @ residual)
-    spec = model.penalty
-    if spec is None:
-        lam1, lam2 = 0.0, 0.0
-    elif spec.kind == "ridge":
-        lam1, lam2 = 0.0, spec.lam
-    elif spec.kind == "lasso":
-        lam1, lam2 = spec.lam, 0.0
-    else:
-        lam1, lam2 = spec.lam1, spec.lam2
+    lam1, lam2 = (0.0, 0.0) if model.penalty is None else model.penalty.weights
     worst = 0.0
     for j in range(d.p):
         beta_j = model.coefficients[j]
@@ -536,16 +525,6 @@ def fit_report(model: LinearModel, d: DesignMatrix) -> FitReport:
     )
 
 
-def _spec_for(kind: str, lam: float, alpha: float) -> PenaltySpec:
-    if kind == "ridge":
-        return PenaltySpec.ridge(lam)
-    if kind == "lasso":
-        return PenaltySpec.lasso(lam)
-    if kind == "elastic_net":
-        return PenaltySpec.elastic_net_total(lam, alpha)
-    raise RegressionError(f"unknown penalty kind {kind!r}")
-
-
 def cross_validate(
     d: DesignMatrix,
     kind: str,
@@ -576,7 +555,7 @@ def cross_validate(
         raise RegressionError("folds must be >= 2")
     if d.n < folds:
         raise RegressionError(f"need at least {folds} samples for {folds} folds, got {d.n}")
-    specs = [_spec_for(kind, lam, alpha) for lam in grid]
+    specs = [PenaltySpec.of(kind, lam, alpha) for lam in grid]
     descending = sorted(range(len(grid)), key=lambda i: -grid[i])
     fold_mse: list[list[float]] = [[] for _ in grid]
     for block in np.array_split(np.arange(d.n), folds):
@@ -594,7 +573,7 @@ def cross_validate(
     for lam, m in table[1:]:
         if m < best_mse or (m == best_mse and lam > best_lam):
             best_lam, best_mse = lam, m
-    return _spec_for(kind, best_lam, alpha), table
+    return PenaltySpec.of(kind, best_lam, alpha), table
 
 
 def iterate_lambda(
@@ -624,9 +603,9 @@ def iterate_lambda(
     mses = [0.0] * len(grid)
     start = None
     for i in reversed(range(len(grid))):
-        model = fit_penalized(d, _spec_for(kind, grid[i], alpha), tol=tol, max_iter=max_iter,
-                              fit_intercept=fit_intercept, standardize=standardize,
-                              start=start)
+        model = fit_penalized(d, PenaltySpec.of(kind, grid[i], alpha), tol=tol,
+                              max_iter=max_iter, fit_intercept=fit_intercept,
+                              standardize=standardize, start=start)
         start = model.coefficients
         coefs[i] = model.coefficients
         report = fit_report(model, d)

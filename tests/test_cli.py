@@ -242,3 +242,21 @@ def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["regress"])  # --kind is required
     assert err.value.code == 2
+
+
+def test_subcommand_files_match_pipeline_bytes(synthetic_cli, tmp_path):
+    """cluster and regress write the same bytes as pipeline's files of the
+    same name (every CSV ends its lines with a bare newline)."""
+    panel_path, _ = synthetic_cli
+    cfg = write_config(tmp_path / "run.ini", panel_path)
+    full = tmp_path / "pipeline"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(full)]) == 0
+    runs = {"cluster": (["cluster"], ["assignment.csv", "cluster_quality.csv"])}
+    for kind in ("ridge", "lasso", "elastic_net"):
+        runs[kind] = (["regress", "--kind", kind], [f"model_{kind}.json", f"path_{kind}.csv"])
+    for name, (argv, files) in runs.items():
+        out = tmp_path / name
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == files
+        for fname in files:
+            assert (out / fname).read_bytes() == (full / fname).read_bytes(), (name, fname)

@@ -176,3 +176,11 @@ def test_save_report_validation_report(tmp_path):
     save_report(report, path)
     assert load_report(path) == {"ok": True, "issues": []}
     assert json.loads(path.read_text())["issues"] == []
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_save_report_rejects_non_finite_and_writes_nothing(tmp_path, value):
+    path = tmp_path / "r.json"
+    with pytest.raises(ValueError):
+        save_report({"sc": value}, path)
+    assert not path.exists()

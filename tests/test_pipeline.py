@@ -347,3 +347,12 @@ class TestRunPipeline:
         p = tmp_path / "rep.json"
         save_report(report.to_dict(), p)
         assert load_report(p) == report.to_dict()
+
+
+def test_non_finite_report_leaves_no_artifacts(synthetic_report, tmp_path):
+    from clusterreg.pipeline import write_artifacts
+
+    bad = dataclasses.replace(synthetic_report, mean_error=float("nan"))
+    with pytest.raises(ValueError):
+        write_artifacts(bad, tmp_path / "out")
+    assert list((tmp_path / "out").iterdir()) == []
