@@ -10,20 +10,21 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
-from . import preprocess, regression
-from .dataio import load_panel, save_panel_long, save_report, validate_panel
+from . import regression
+from .dataio import LONG_HEADER, load_panel, load_report, panel_long_rows, validate_panel
 from .errors import ClusterRegError, ConfigError
 from .pipeline import (
     PipelineConfig,
+    cluster_matrix,
     clustering_tables,
     fit_kind,
+    load_clean,
     prepare_inputs,
     run_pipeline,
-    write_csv,
+    write_files,
 )
 from .synth import generate_synthetic
 
@@ -53,10 +54,7 @@ def cmd_validate(args) -> int:
 def cmd_cluster(args) -> int:
     cfg = _load_config(args)
     prep = prepare_inputs(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in clustering_tables(prep).items():
-        write_csv(out / name, header, rows)
+    write_files(args.out, clustering_tables(prep), {})
     q = prep.quality
     print(f"eps={prep.params.eps:g} min_pts={prep.params.min_pts} "
           f"c={q.c} sc={q.sc:.6f} sse={q.sse:.6f}")
@@ -72,10 +70,8 @@ def cmd_regress(args) -> int:
     cfg = _load_config(args)
     kind = args.kind
     spec, _, model, report, path = fit_kind(cfg, prepare_inputs(cfg).train_design, kind)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_report(model, out / f"model_{kind}.json")
-    write_csv(out / f"path_{kind}.csv", path.header(), path.rows())
+    write_files(args.out, {f"path_{kind}.csv": (path.header(), path.rows())},
+                {f"model_{kind}.json": model})
     print(_metrics_line(spec, report))
     return 0
 
@@ -112,87 +108,64 @@ def cmd_gen_synthetic(args) -> int:
         support_size=args.support,
         noise_sd=args.noise_sd,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    panel_path = out / "synthetic_panel.csv"
-    truth_path = out / "ground_truth.json"
-    save_panel_long(panel, panel_path)
-    save_report(truth.to_dict(), truth_path)
+    panel_path, truth_path = write_files(
+        args.out, {"synthetic_panel.csv": (LONG_HEADER, panel_long_rows(panel))},
+        {"ground_truth.json": truth})
     print(f"wrote {panel_path} and {truth_path}")
     return 0
 
 
-def _need_report(out: Path) -> dict:
-    path = out / "pipeline_report.json"
+def _upstream(out: Path, name: str, producer: str) -> Path:
+    path = out / name
     if not path.exists():
-        raise ClusterRegError(
-            f"missing upstream artifact {path}: run the pipeline stage first"
-        )
-    return json.loads(path.read_text(encoding="utf-8"))
+        raise ClusterRegError(f"missing upstream artifact {path}: run the {producer} first")
+    return path
+
+
+def _tidy(row_names, col_names, values) -> list[list]:
+    """One [row name, column name, repr(value)] row per matrix cell, row-major."""
+    return [[r, c, repr(float(values[i][j]))]
+            for i, r in enumerate(row_names) for j, c in enumerate(col_names)]
 
 
 def cmd_plot_data(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     figure = args.figure
-    target = out / f"fig_{figure}.csv"
-
     if figure in ("energy_trends", "heatmap"):
         cfg = _load_config(args)
-        panel = load_panel(cfg.data_path, cfg.layout)
-        panel, _ = preprocess.drop_zero_series(panel)
+        _, panel = load_clean(cfg)
         if figure == "energy_trends":
-            header, rows = ["year", "feature", "value"], []
-            totals = panel.values.sum(axis=1)  # (years, features)
-            for yi, year in enumerate(panel.years):
-                for fi, feat in enumerate(panel.features):
-                    rows.append([year, feat, repr(float(totals[yi, fi]))])
+            header = ["year", "feature", "value"]
+            rows = _tidy(panel.years, panel.features, panel.values.sum(axis=1))
         else:
-            window = cfg.train_years if cfg.train_years else list(panel.years)
-            window = [y for y in window if y in panel.years] or list(panel.years)
-            profile = preprocess.minmax_normalize_rows(
-                preprocess.entity_profile(panel, window))
-            header, rows = ["entity", "feature", "value"], []
-            for ei, entity in enumerate(profile.entities):
-                for fi, feat in enumerate(profile.features):
-                    rows.append([entity, feat, repr(float(profile.values[ei, fi]))])
+            matrix = cluster_matrix(cfg, panel)
+            header = ["entity", "feature", "value"]
+            rows = _tidy(matrix.entities, matrix.features, matrix.values)
     elif figure == "lambda_path":
-        path_csv = out / "path_lasso.csv"
-        if not path_csv.exists():
-            raise ClusterRegError(
-                f"missing upstream artifact {path_csv}: run the pipeline or regress stage first"
-            )
+        path_csv = _upstream(out, "path_lasso.csv", "pipeline or regress stage")
         with open(path_csv, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             coef_names = next(reader)[1:-2]
-            header, rows = ["lambda", "coef_name", "value"], []
-            for row in reader:
-                lam = row[0]
-                for name, value in zip(coef_names, row[1:-2]):
-                    rows.append([lam, name, value])
-    elif figure == "cluster_boxes":
-        agg = _need_report(out)["aggregates"]
-        header, rows = ["cluster", "year", "value"], []
-        for ci, column in enumerate(agg["columns"]):
-            for yi, year in enumerate(agg["years"]):
-                rows.append([column, year, repr(float(agg["regressors"][yi][ci]))])
-    elif figure == "fit_scatter":
-        report = _need_report(out)
-        fit = report["fit_reports"]["elastic_net"]
-        train_years = report["config"]["train_years"]
-        years = report["aggregates"]["years"]
-        log_target = report["aggregates"]["log_target"]
-        actual = [log_target[years.index(y)] for y in train_years]
-        header = ["actual", "predicted"]
-        rows = [[repr(float(a)), repr(float(p))] for a, p in zip(actual, fit["y_hat"])]
-    else:  # forecast
-        header = ["year", "true", "predict", "difference"]
-        rows = [
-            [r["year"], repr(float(r["true"])), repr(float(r["predict"])),
-             repr(float(r["difference"]))]
-            for r in _need_report(out)["forecast"]["rows"]
-        ]
-    write_csv(target, header, rows)
+            header = ["lambda", "coef_name", "value"]
+            rows = [[row[0], name, value]
+                    for row in reader for name, value in zip(coef_names, row[1:-2])]
+    else:
+        report = load_report(_upstream(out, "pipeline_report.json", "pipeline stage"))
+        agg = report["aggregates"]
+        if figure == "cluster_boxes":
+            header = ["cluster", "year", "value"]
+            rows = _tidy(agg["columns"], agg["years"], list(zip(*agg["regressors"])))
+        elif figure == "fit_scatter":
+            years, log_target = agg["years"], agg["log_target"]
+            actual = [log_target[years.index(y)] for y in report["config"]["train_years"]]
+            y_hat = report["fit_reports"]["elastic_net"]["y_hat"]
+            header = ["actual", "predicted"]
+            rows = [[repr(float(a)), repr(float(p))] for a, p in zip(actual, y_hat)]
+        else:  # forecast
+            header = ["year", "true", "predict", "difference"]
+            rows = [[r["year"], repr(float(r["true"])), repr(float(r["predict"])),
+                     repr(float(r["difference"]))] for r in report["forecast"]["rows"]]
+    [target] = write_files(out, {f"fig_{figure}.csv": (header, rows)}, {})
     print(f"wrote {target}")
     return 0
 

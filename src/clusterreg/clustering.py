@@ -65,12 +65,6 @@ class ClusterAssignment:
     def n_points(self) -> int:
         return len(self.labels)
 
-    def members(self, cid: int) -> list[int]:
-        return [i for i, l in enumerate(self.labels) if l == cid]
-
-    def noise_indices(self) -> list[int]:
-        return [i for i, l in enumerate(self.labels) if l == NOISE]
-
 
 @dataclass(frozen=True)
 class SilhouetteReport:
@@ -78,8 +72,6 @@ class SilhouetteReport:
 
     per_point: tuple[float, ...]
     mean_sc: float
-    a: tuple[float, ...]
-    b: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -182,8 +174,6 @@ def silhouette(
     member_idx = {cid: np.nonzero(labels == cid)[0] for cid in range(assignment.num_clusters)}
 
     s_vals: list[float] = []
-    a_vals: list[float] = []
-    b_vals: list[float] = []
     for i in scored:
         own = member_idx[labels[i]]
         b = min(
@@ -199,14 +189,7 @@ def silhouette(
             denom = max(a, b)
             s = (b - a) / denom if denom > 0 else 0.0
         s_vals.append(s)
-        a_vals.append(a)
-        b_vals.append(b)
-    return SilhouetteReport(
-        per_point=tuple(s_vals),
-        mean_sc=float(np.mean(s_vals)),
-        a=tuple(a_vals),
-        b=tuple(b_vals),
-    )
+    return SilhouetteReport(per_point=tuple(s_vals), mean_sc=float(np.mean(s_vals)))
 
 
 def sse(points: FeatureMatrix, assignment: ClusterAssignment, sc: float = float("nan")) -> ClusteringQuality:

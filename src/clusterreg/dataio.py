@@ -110,45 +110,58 @@ def _parse_year(text: str, where: str) -> int:
         raise PanelFormatError(f"non-integer year {text!r} at {where}") from None
 
 
-def _load_long(path: Path) -> EnergyPanel:
+def _csv_rows(path: Path):
+    """Yield (line number, row) for each line of a UTF-8 CSV file, the header
+    first. An empty file, bytes that are not UTF-8 and csv errors raise
+    PanelFormatError."""
+    lineno = 0
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelFormatError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != LONG_HEADER:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                yield lineno, row
+        except UnicodeDecodeError as err:
+            raise PanelFormatError(f"{path}: not valid UTF-8: {err.reason}") from None
+        except csv.Error as err:
+            raise PanelFormatError(f"{path}: {err}") from None
+    if lineno == 0:
+        raise PanelFormatError(f"{path}: empty file")
+
+
+def _load_long(path: Path) -> EnergyPanel:
+    reader = _csv_rows(path)
+    header = [h.strip() for h in next(reader)[1]]
+    if header != LONG_HEADER:
+        raise PanelFormatError(
+            f"{path}: malformed header {header!r}, expected {','.join(LONG_HEADER)}"
+        )
+    cells: dict[tuple[int, str, str], float] = {}
+    first_row: dict[tuple[int, str, str], int] = {}
+    # Insertion-ordered name sets: dict keys keep first-seen order.
+    years: dict[int, None] = {}
+    entities: dict[str, None] = {}
+    features: dict[str, None] = {}
+    for lineno, row in reader:
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 4:
+            raise PanelFormatError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
+        where = f"{path}:{lineno}"
+        year = _parse_year(row[0].strip(), where)
+        entity = row[1].strip()
+        feat = row[2].strip()
+        if not entity or not feat:
+            raise PanelFormatError(f"{where}: empty entity or feature name")
+        value = _parse_value(row[3].strip(), where)
+        key = (year, entity, feat)
+        if key in cells:
             raise PanelFormatError(
-                f"{path}: malformed header {header!r}, expected {','.join(LONG_HEADER)}"
+                f"{where}: duplicate key {key}, first seen at row {first_row[key]}"
             )
-        cells: dict[tuple[int, str, str], float] = {}
-        first_row: dict[tuple[int, str, str], int] = {}
-        # Insertion-ordered name sets: dict keys keep first-seen order.
-        years: dict[int, None] = {}
-        entities: dict[str, None] = {}
-        features: dict[str, None] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 4:
-                raise PanelFormatError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-            where = f"{path}:{lineno}"
-            year = _parse_year(row[0].strip(), where)
-            entity = row[1].strip()
-            feat = row[2].strip()
-            if not entity or not feat:
-                raise PanelFormatError(f"{where}: empty entity or feature name")
-            value = _parse_value(row[3].strip(), where)
-            key = (year, entity, feat)
-            if key in cells:
-                raise PanelFormatError(
-                    f"{where}: duplicate key {key}, first seen at row {first_row[key]}"
-                )
-            cells[key] = value
-            first_row[key] = lineno
-            years[year] = None
-            entities[entity] = None
-            features[feat] = None
+        cells[key] = value
+        first_row[key] = lineno
+        years[year] = None
+        entities[entity] = None
+        features[feat] = None
     if not cells:
         raise PanelFormatError(f"{path}: no data rows")
     y_idx = {y: i for i, y in enumerate(sorted(years))}
@@ -171,48 +184,40 @@ def _load_wide(path: Path) -> EnergyPanel:
     year_files.sort()
 
     features: list[str] | None = None
-    entities: list[str] = []
+    entities: dict[str, None] = {}  # insertion-ordered name set
     per_year: dict[int, dict[str, list[float]]] = {}
     for year, file in year_files:
-        with open(file, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise PanelFormatError(f"{file}: empty file") from None
-            header = [h.strip() for h in header]
-            if not header or header[0] != "entity":
-                raise PanelFormatError(f"{file}: first header column must be 'entity'")
-            file_feats = header[1:]
-            if not file_feats:
-                raise PanelFormatError(f"{file}: no feature columns")
-            if features is None:
-                features = file_feats
-            elif file_feats != features:
+        reader = _csv_rows(file)
+        header = [h.strip() for h in next(reader)[1]]
+        if not header or header[0] != "entity":
+            raise PanelFormatError(f"{file}: first header column must be 'entity'")
+        file_feats = header[1:]
+        if not file_feats:
+            raise PanelFormatError(f"{file}: no feature columns")
+        if features is None:
+            features = file_feats
+        elif file_feats != features:
+            raise PanelFormatError(
+                f"{file}: feature columns {file_feats!r} differ from {features!r}"
+            )
+        rows: dict[str, list[float]] = {}
+        for lineno, row in reader:
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(features) + 1:
                 raise PanelFormatError(
-                    f"{file}: feature columns {file_feats!r} differ from {features!r}"
+                    f"{file}:{lineno}: expected {len(features) + 1} columns, got {len(row)}"
                 )
-            rows: dict[str, list[float]] = {}
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) != len(features) + 1:
-                    raise PanelFormatError(
-                        f"{file}:{lineno}: expected {len(features) + 1} columns, got {len(row)}"
-                    )
-                entity = row[0].strip()
-                if not entity:
-                    raise PanelFormatError(f"{file}:{lineno}: empty entity name")
-                if entity in rows:
-                    raise PanelFormatError(f"{file}:{lineno}: duplicate entity {entity!r}")
-                rows[entity] = [
-                    _parse_value(c.strip(), f"{file}:{lineno}") for c in row[1:]
-                ]
-                if entity not in entities:
-                    entities.append(entity)
-            if not rows:
-                raise PanelFormatError(f"{file}: no data rows")
-            per_year[year] = rows
+            entity = row[0].strip()
+            if not entity:
+                raise PanelFormatError(f"{file}:{lineno}: empty entity name")
+            if entity in rows:
+                raise PanelFormatError(f"{file}:{lineno}: duplicate entity {entity!r}")
+            rows[entity] = [_parse_value(c.strip(), f"{file}:{lineno}") for c in row[1:]]
+            entities[entity] = None
+        if not rows:
+            raise PanelFormatError(f"{file}: no data rows")
+        per_year[year] = rows
 
     assert features is not None
     years = [y for y, _ in year_files]
@@ -285,12 +290,38 @@ def load_report(path: str | Path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+class _LineFeed:
+    """File proxy for csv.writer. csv quotes only fields holding a character
+    of its line terminator, so rows are formatted with the default \\r\\n
+    (a bare \\r in a name gets quoted too) and written ending in \\n."""
+
+    def __init__(self, fh):
+        self.write = lambda line: fh.write(line[:-2] + "\n")
+
+
+def write_csv(path: str | Path, header: list, rows) -> Path:
+    """Stream one CSV file: UTF-8, each line ending in a bare LF. rows may be
+    any iterable; a failed write removes the partial file."""
+    path = Path(path)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        try:
+            writer = csv.writer(_LineFeed(fh))
+            writer.writerow(header)
+            writer.writerows(rows)
+        except BaseException:
+            path.unlink()
+            raise
+    return path
+
+
+def panel_long_rows(panel: EnergyPanel):
+    """Rows of the long CSV layout (all cells, including zeros), one at a time."""
+    for yi, year in enumerate(panel.years):
+        for entity, row in zip(panel.entities, panel.values[yi].tolist()):
+            for feat, value in zip(panel.features, row):
+                yield [year, entity, feat, repr(value)]
+
+
 def save_panel_long(panel: EnergyPanel, path: str | Path) -> None:
     """Write a panel in the long CSV layout (all cells, including zeros)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LONG_HEADER)
-        for yi, year in enumerate(panel.years):
-            for ei, entity in enumerate(panel.entities):
-                for fi, feat in enumerate(panel.features):
-                    writer.writerow([year, entity, feat, repr(float(panel.values[yi, ei, fi]))])
+    write_csv(path, LONG_HEADER, panel_long_rows(panel))

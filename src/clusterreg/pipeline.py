@@ -10,8 +10,6 @@ training years only; the elastic-net fit produces the holdout forecasts.
 from __future__ import annotations
 
 import configparser
-import csv
-import io
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -19,7 +17,7 @@ import numpy as np
 
 from . import clustering, preprocess, regression
 from .clustering import NOISE, ClusterAssignment
-from .dataio import EnergyPanel, load_panel, save_report, validate_panel
+from .dataio import EnergyPanel, load_panel, save_report, validate_panel, write_csv
 from .errors import ClusterRegError, ConfigError, PipelineStageError
 
 ARTIFACT_FILES = (
@@ -140,51 +138,64 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
+        """Read an INI config. A missing or blank key keeps its default; a
+        malformed value or a key or section not in _CONFIG_KEYS raises
+        ConfigError naming the file, section and key."""
         parser = configparser.ConfigParser()
-        read = parser.read(path)
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except (configparser.Error, ValueError) as err:
+            raise ConfigError(f"{path}: {err}") from None
         if not read:
             raise ConfigError(f"cannot read config file {path}")
-
-        def section(name):
-            return parser[name] if parser.has_section(name) else {}
-
+        known = {(sec, key) for sec, key, _ in _CONFIG_KEYS.values()}
+        for sec in parser.sections():
+            if sec not in {s for s, _ in known}:
+                raise ConfigError(f"{path}: unknown section [{sec}]")
+        for sec in [parser.default_section, *parser.sections()]:
+            for key in parser[sec]:
+                if (sec, key) not in known:
+                    raise ConfigError(f"{path}: unknown key [{sec}] {key}")
         cfg = cls()
-        data = section("data")
-        cfg.data_path = data.get("path", cfg.data_path)
-        cfg.layout = data.get("layout", cfg.layout)
-        pre = section("preprocess")
-        cfg.log_epsilon = float(pre.get("log_epsilon", cfg.log_epsilon))
-        cfg.anchor = pre.get("anchor", cfg.anchor)
-        if pre.get("anchor_year", "").strip():
-            cfg.anchor_year = int(pre["anchor_year"])
-        clu = section("cluster")
-        if clu.get("eps_grid"):
-            cfg.eps_grid = parse_grid(clu["eps_grid"])
-        if clu.get("minpts_grid"):
-            cfg.minpts_grid = [int(v) for v in parse_grid(clu["minpts_grid"])]
-        reg = section("regress")
-        if reg.get("ridge_lambdas"):
-            cfg.ridge_lambdas = parse_grid(reg["ridge_lambdas"])
-        if reg.get("lasso_lambdas"):
-            cfg.lasso_lambdas = parse_grid(reg["lasso_lambdas"])
-        if reg.get("enet_lambdas"):
-            cfg.enet_lambdas = parse_grid(reg["enet_lambdas"])
-        cfg.enet_alpha = float(reg.get("enet_alpha", cfg.enet_alpha))
-        cfg.cv_folds = int(reg.get("cv_folds", cfg.cv_folds))
-        cfg.tol = float(reg.get("tol", cfg.tol))
-        cfg.max_iter = int(reg.get("max_iter", cfg.max_iter))
-        cfg.standardize = str(reg.get("standardize", "false")).strip().lower() in (
-            "1", "true", "yes", "on",
-        )
-        fc = section("forecast")
-        if fc.get("train_years"):
-            cfg.train_years = parse_years(fc["train_years"])
-        if fc.get("test_years"):
-            cfg.test_years = parse_years(fc["test_years"])
+        for name, (sec, key, parse) in _CONFIG_KEYS.items():
+            try:
+                text = parser.get(sec, key, fallback="").strip()
+                if text:
+                    setattr(cfg, name, parse(text))
+            except (configparser.Error, ConfigError, ValueError, OverflowError) as err:
+                raise ConfigError(f"{path}: [{sec}] {key}: {err}") from None
         return cfg
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"not a boolean: {text!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
+# PipelineConfig field -> (INI section, key, parser of the stripped value).
+_CONFIG_KEYS = {
+    "data_path": ("data", "path", str),
+    "layout": ("data", "layout", str),
+    "log_epsilon": ("preprocess", "log_epsilon", float),
+    "anchor": ("preprocess", "anchor", str),
+    "anchor_year": ("preprocess", "anchor_year", int),
+    "eps_grid": ("cluster", "eps_grid", parse_grid),
+    "minpts_grid": ("cluster", "minpts_grid", lambda t: [int(v) for v in parse_grid(t)]),
+    "ridge_lambdas": ("regress", "ridge_lambdas", parse_grid),
+    "lasso_lambdas": ("regress", "lasso_lambdas", parse_grid),
+    "enet_lambdas": ("regress", "enet_lambdas", parse_grid),
+    "enet_alpha": ("regress", "enet_alpha", float),
+    "cv_folds": ("regress", "cv_folds", int),
+    "tol": ("regress", "tol", float),
+    "max_iter": ("regress", "max_iter", int),
+    "standardize": ("regress", "standardize", _parse_bool),
+    "train_years": ("forecast", "train_years", parse_years),
+    "test_years": ("forecast", "test_years", parse_years),
+}
 
 
 @dataclass(frozen=True)
@@ -383,31 +394,38 @@ def build_design(
     return regression.DesignMatrix(log_regressors[rows], log_target[rows], tuple(columns))
 
 
-def prepare_inputs(config: PipelineConfig) -> PreparedInputs:
-    """Run the front half of the pipeline: load, clean, cluster, aggregate,
-    profile the clusters, log-transform, and build the training design."""
+def load_clean(config: PipelineConfig) -> tuple[EnergyPanel, EnergyPanel]:
+    """Validate the config, then load, validate, year-check and clean the
+    panel. Returns (raw panel, cleaned panel)."""
     _stage("config", config.validate)
-
-    panel = _stage("load", load_panel, config.data_path, config.layout)
-    check = validate_panel(panel)
+    raw = _stage("load", load_panel, config.data_path, config.layout)
+    check = validate_panel(raw)
     if not check.ok:
         issues = "; ".join(f"{loc}: {msg}" for sev, loc, msg in check.issues if sev == "error")
         raise PipelineStageError("load", f"panel validation failed: {issues}")
     for year in list(config.train_years) + list(config.test_years):
-        if year not in panel.years:
+        if year not in raw.years:
             raise PipelineStageError("load", f"configured year {year} not present in data")
+    panel, _ = _stage("clean", preprocess.drop_zero_series, raw)
+    return raw, panel
 
-    raw_panel = panel
-    panel, _ = _stage("clean", preprocess.drop_zero_series, panel)
+
+def cluster_matrix(config: PipelineConfig, panel: EnergyPanel) -> preprocess.FeatureMatrix:
+    """The matrix the sweep clusters: each entity's mean feature profile
+    over the anchor window (the anchor year, or the training years),
+    min-max normalized per entity."""
+    window = [config.anchor_year] if config.anchor == "year" else list(config.train_years)
+    profile = _stage("cluster-matrix", preprocess.entity_profile, panel, window)
+    return preprocess.minmax_normalize_rows(profile)
+
+
+def prepare_inputs(config: PipelineConfig) -> PreparedInputs:
+    """Run the front half of the pipeline: load, clean, cluster, aggregate,
+    profile the clusters, log-transform, and build the training design."""
+    raw_panel, panel = load_clean(config)
     dropped_features = [f for f in raw_panel.features if f not in panel.features]
     dropped_entities = [e for e in raw_panel.entities if e not in panel.entities]
-
-    if config.anchor == "year":
-        window = [config.anchor_year]
-    else:
-        window = list(config.train_years)
-    profile = _stage("cluster-matrix", preprocess.entity_profile, panel, window)
-    normalized = preprocess.minmax_normalize_rows(profile)
+    normalized = cluster_matrix(config, panel)
 
     sweep = _stage("sweep", clustering.sweep_params, normalized,
                    config.eps_grid, config.minpts_grid)
@@ -520,17 +538,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     return report
 
 
-def write_csv(path: str | Path, header: list, rows: list[list]) -> Path:
-    """Write one CSV file: UTF-8, each line ending in a bare LF."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    path = Path(path)
-    path.write_text(buf.getvalue(), encoding="utf-8")
-    return path
-
-
 def clustering_tables(prep: PreparedInputs) -> dict[str, tuple[list, list[list]]]:
     """(header, rows) of assignment.csv and cluster_quality.csv."""
     return {
@@ -544,21 +551,12 @@ def clustering_tables(prep: PreparedInputs) -> dict[str, tuple[list, list[list]]
     }
 
 
-def write_artifacts(report: PipelineReport, out_dir: str | Path) -> list[Path]:
-    """Write the documented artifact set; clean up on partial failure."""
+def write_files(out_dir: str | Path, tables: dict, records: dict) -> list[Path]:
+    """Write each CSV table (name -> (header, rows)) and JSON record (name ->
+    record) into out_dir, creating it; a failed write removes what this call
+    already wrote before the error propagates."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tables = clustering_tables(report)
-    tables["forecast.csv"] = (
-        ["year", "true", "predict", "difference"],
-        [[r["year"], r["true"], r["predict"], r["difference"]] for r in report.forecast_rows],
-    )
-    records: dict = {}
-    for kind in regression.PENALTY_KINDS:
-        path_report = report.paths[kind]
-        tables[f"path_{kind}.csv"] = (path_report.header(), path_report.rows())
-        records[f"model_{kind}.json"] = report.models[kind]
-    records["pipeline_report.json"] = report.to_dict()
     written: list[Path] = []
     try:
         for name, (header, rows) in tables.items():
@@ -571,3 +569,18 @@ def write_artifacts(report: PipelineReport, out_dir: str | Path) -> list[Path]:
             path.unlink(missing_ok=True)
         raise
     return written
+
+
+def write_artifacts(report: PipelineReport, out_dir: str | Path) -> list[Path]:
+    """Write the documented artifact set; clean up on partial failure."""
+    tables = clustering_tables(report)
+    tables["forecast.csv"] = (
+        ["year", "true", "predict", "difference"],
+        [[r["year"], r["true"], r["predict"], r["difference"]] for r in report.forecast_rows],
+    )
+    records: dict = {}
+    for kind in regression.PENALTY_KINDS:
+        tables[f"path_{kind}.csv"] = (report.paths[kind].header(), report.paths[kind].rows())
+        records[f"model_{kind}.json"] = report.models[kind]
+    records["pipeline_report.json"] = report.to_dict()
+    return write_files(out_dir, tables, records)

@@ -525,6 +525,17 @@ def fit_report(model: LinearModel, d: DesignMatrix) -> FitReport:
     )
 
 
+def _warm_descent(d: DesignMatrix, kind: str, grid: list[float], alpha: float, **solver):
+    """Fit every grid value from the largest down, each fit starting from the
+    previous fit's coefficients (the largest from zero; ridge ignores the
+    start). Yields (grid index, model); equal values keep grid order."""
+    start = None
+    for i in sorted(range(len(grid)), key=lambda i: -grid[i]):
+        model = fit_penalized(d, PenaltySpec.of(kind, grid[i], alpha), start=start, **solver)
+        start = model.coefficients
+        yield i, model
+
+
 def cross_validate(
     d: DesignMatrix,
     kind: str,
@@ -555,19 +566,12 @@ def cross_validate(
         raise RegressionError("folds must be >= 2")
     if d.n < folds:
         raise RegressionError(f"need at least {folds} samples for {folds} folds, got {d.n}")
-    specs = [PenaltySpec.of(kind, lam, alpha) for lam in grid]
-    descending = sorted(range(len(grid)), key=lambda i: -grid[i])
     fold_mse: list[list[float]] = [[] for _ in grid]
     for block in np.array_split(np.arange(d.n), folds):
         train = d.subset(np.setdiff1d(np.arange(d.n), block))
-        start = None
-        for i in descending:
-            model = fit_penalized(train, specs[i], tol=tol, max_iter=max_iter,
-                                  fit_intercept=fit_intercept, standardize=standardize,
-                                  start=start)
-            start = model.coefficients
-            y_hat = predict(model, d.x[block])
-            fold_mse[i].append(compute_mse(d.y[block], y_hat))
+        for i, model in _warm_descent(train, kind, grid, alpha, tol=tol, max_iter=max_iter,
+                                      fit_intercept=fit_intercept, standardize=standardize):
+            fold_mse[i].append(compute_mse(d.y[block], predict(model, d.x[block])))
     table = [(lam, float(np.mean(m))) for lam, m in zip(grid, fold_mse)]
     best_lam, best_mse = table[0]
     for lam, m in table[1:]:
@@ -601,12 +605,8 @@ def iterate_lambda(
     coefs = np.zeros((len(grid), d.p))
     r2s = [0.0] * len(grid)
     mses = [0.0] * len(grid)
-    start = None
-    for i in reversed(range(len(grid))):
-        model = fit_penalized(d, PenaltySpec.of(kind, grid[i], alpha), tol=tol,
-                              max_iter=max_iter, fit_intercept=fit_intercept,
-                              standardize=standardize, start=start)
-        start = model.coefficients
+    for i, model in _warm_descent(d, kind, grid, alpha, tol=tol, max_iter=max_iter,
+                                  fit_intercept=fit_intercept, standardize=standardize):
         coefs[i] = model.coefficients
         report = fit_report(model, d)
         r2s[i] = report.r2

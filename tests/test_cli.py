@@ -260,3 +260,110 @@ def test_subcommand_files_match_pipeline_bytes(synthetic_cli, tmp_path):
         assert sorted(p.name for p in out.iterdir()) == files
         for fname in files:
             assert (out / fname).read_bytes() == (full / fname).read_bytes(), (name, fname)
+
+
+MALFORMED_CONFIGS = [
+    ("[regress]\ntol = abc\n", "[regress] tol"),
+    ("[cluster]\neps_grid = 0.1,x\n", "[cluster] eps_grid"),
+    ("[cluster]\neps_grid = 0:inf:1\n", "[cluster] eps_grid"),
+    ("[regress]\ncv_folds = 2.5\n", "[regress] cv_folds"),
+    ("[forecast]\ntrain_years = 2000-x\n", "[forecast] train_years"),
+    ("[preprocess]\nanchor_year = 20o3\n", "[preprocess] anchor_year"),
+    ("[regress]\nenet_alpha = half\n", "[regress] enet_alpha"),
+    ("[regress]\nstandardize = maybe\n", "[regress] standardize: not a boolean"),
+    ("[cluster]\nminpts_grid = 1:0:1\n", "[cluster] minpts_grid: bad range grid"),
+    ("[regress]\ntolerance = 1e-8\n", "unknown key [regress] tolerance"),
+    ("[data]\nlayuot = wide\n", "unknown key [data] layuot"),
+    ("[regres]\ntol = 1e-8\n", "unknown section [regres]"),
+    ("[output]\n", "unknown section [output]"),
+    ("[DEFAULT]\ntol = 1e-8\n", "[DEFAULT] tol"),
+    ("[regress]\ntol = 1e-8\ntol = 1e-9\n", "'tol'"),
+    ("tol = 1e-8\n[regress]\n", "cfg.ini"),  # no section header
+]
+
+
+@pytest.mark.parametrize("text, named", MALFORMED_CONFIGS)
+def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, text, named):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "cfg.ini" in err
+    assert not out.exists()
+
+
+def test_heatmap_is_the_matrix_the_sweep_clustered(tmp_path):
+    """Under anchor = year, fig_heatmap.csv holds the anchor-year matrix the
+    sweep clustered, not a training-window profile."""
+    from clusterreg.clustering import quality_rows, sweep_params
+    from clusterreg.dataio import save_panel_long
+    from clusterreg.pipeline import (
+        PipelineConfig, cluster_matrix, load_clean, prepare_inputs)
+    from clusterreg.synth import generate_synthetic
+
+    panel, _ = generate_synthetic(seed=2024)
+    values = panel.values.copy()
+    year = panel.year_index(2003)
+    values[year, 0, values[year, 0].argmax()] *= 50
+    panel = type(panel)(panel.years, panel.entities, panel.features, values)
+    save_panel_long(panel, tmp_path / "panel.csv")
+    cfg_path = write_config(tmp_path / "cfg.ini", tmp_path / "panel.csv", extra=[
+        ("preprocess", "anchor", "year"), ("preprocess", "anchor_year", "2003")])
+    out = tmp_path / "out"
+    assert main(["plot-data", "--figure", "heatmap", "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    header, rows = read_rows(out / "fig_heatmap.csv")
+    assert header == ["entity", "feature", "value"]
+
+    cfg = PipelineConfig.from_file(cfg_path)
+    matrix = cluster_matrix(cfg, load_clean(cfg)[1])
+    expected = [[e, f, repr(float(matrix.values[i, j]))]
+                for i, e in enumerate(matrix.entities) for j, f in enumerate(matrix.features)]
+    assert rows == expected
+    prep = prepare_inputs(cfg)
+    swept = sweep_params(matrix, cfg.eps_grid, cfg.minpts_grid)
+    assert quality_rows(swept) == quality_rows(prep.sweep)
+
+
+def test_plot_data_rejects_negative_cell(tmp_path, capsys):
+    panel = tmp_path / "neg.csv"
+    rows = ["year,entity,feature,value"]
+    for year in range(2000, 2020):
+        rows += [f"{year},A,f1,1.0", f"{year},A,f2,2.0", f"{year},B,f1,3.0", f"{year},B,f2,0.5"]
+    rows.append("2003,C,f1,-1.0")
+    panel.write_text("\n".join(rows) + "\n")
+    cfg = write_config(tmp_path / "cfg.ini", panel)
+    out = tmp_path / "out"
+    for figure in ("energy_trends", "heatmap"):
+        assert main(["plot-data", "--figure", figure, "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "value[2003,C,f1]" in err and "negative" in err
+        assert not (out / f"fig_{figure}.csv").exists()
+
+
+def test_cluster_failed_write_leaves_no_partial_files(synthetic_cli, tmp_path):
+    panel_path, _ = synthetic_cli
+    cfg = write_config(tmp_path / "cfg.ini", panel_path)
+    out = tmp_path / "out"
+    (out / "cluster_quality.csv").mkdir(parents=True)
+    assert main(["cluster", "--config", str(cfg), "--out", str(out)]) == 2
+    assert [p.name for p in out.iterdir()] == ["cluster_quality.csv"]
+
+
+def test_gen_synthetic_writes_bare_line_feeds(tmp_path):
+    assert main(["gen-synthetic", "--seed", "5", "--entities", "6", "--features", "3",
+                 "--clusters", "3", "--years", "4", "--support", "2",
+                 "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "synthetic_panel.csv").read_bytes()
+    assert b"\r" not in data
+    assert data.count(b"\n") == 1 + 4 * 6 * 3 and data.endswith(b"\n")
+
+
+def test_validate_bad_utf8_exit_one_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"year,entity,feature,value\n2000,A\xff,f,1.0\n")
+    assert main(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}: not valid UTF-8" in err

@@ -184,3 +184,81 @@ def test_save_report_rejects_non_finite_and_writes_nothing(tmp_path, value):
     with pytest.raises(ValueError):
         save_report({"sc": value}, path)
     assert not path.exists()
+
+
+# -- writer/loader round trip and loader robustness (hypothesis) -------------
+
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+# Names as the loader returns them: non-empty, no surrounding whitespace
+# (the loader strips each field).
+NAMES = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=5).filter(
+    lambda s: s == s.strip())
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def panels(draw):
+    years = sorted(draw(st.lists(st.integers(-3000, 3000), min_size=1, max_size=3, unique=True)))
+    entities = draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+    features = draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+    n = len(years) * len(entities) * len(features)
+    values = draw(st.lists(FINITE, min_size=n, max_size=n))
+    shape = (len(years), len(entities), len(features))
+    return EnergyPanel(years, entities, features, np.array(values).reshape(shape))
+
+
+@given(panel=panels())
+@example(panel=EnergyPanel((2000,), ("a\rb", 'c\n"d'), ("e,f",), np.array([[[1.0], [-0.0]]])))
+@settings(max_examples=150, deadline=None)
+def test_save_panel_long_load_panel_roundtrip(tmp_path_factory, panel):
+    path = tmp_path_factory.mktemp("roundtrip") / "panel.csv"
+    save_panel_long(panel, path)
+    back = load_panel(path, "long")
+    assert (back.years, back.entities, back.features) == (
+        panel.years, panel.entities, panel.features)
+    assert np.array_equal(back.values, panel.values)
+
+
+FIELDS = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    st.sampled_from(["2000", "2001", "A", "f", "1.5", "-2", "nan", "inf", "1e999", "", " "]),
+)
+
+
+@given(rows=st.lists(st.lists(FIELDS, max_size=5), max_size=6),
+       junk=st.binary(max_size=4), at=st.integers(0, 500))
+@settings(max_examples=300, deadline=None)
+def test_malformed_long_csv_raises_only_panel_format_error(tmp_path_factory, rows, junk, at):
+    """Whatever the bytes (bad UTF-8 included), the long loader either loads
+    a panel or raises PanelFormatError."""
+    text = "year,entity,feature,value\n" + "\n".join(",".join(r) for r in rows)
+    data = text.encode("utf-8")
+    at = min(at, len(data))
+    path = tmp_path_factory.mktemp("fuzz") / "panel.csv"
+    path.write_bytes(data[:at] + junk + data[at:])
+    try:
+        load_panel(path, "long")
+    except PanelFormatError:
+        pass
+
+
+@pytest.mark.parametrize("layout", ["long", "wide"])
+def test_bad_utf8_raises_panel_format_error_naming_the_file(tmp_path, layout):
+    if layout == "long":
+        path = bad = tmp_path / "p.csv"
+        bad.write_bytes(b"year,entity,feature,value\n2000,A,f\xe9,1.0\n")
+    else:
+        path, bad = tmp_path, tmp_path / "panel_2000.csv"
+        bad.write_bytes(b"entity,f\nA\xe9,1.0\n")
+    with pytest.raises(PanelFormatError, match=f"{bad}: not valid UTF-8"):
+        load_panel(path, layout)
+
+
+def test_wide_loader_keeps_first_seen_entity_order(tmp_path):
+    write(tmp_path / "panel_2000.csv", "entity,f\nB,1.0\nA,2.0\n")
+    write(tmp_path / "panel_2001.csv", "entity,f\nC,3.0\nA,4.0\nB,5.0\n")
+    panel = load_panel(tmp_path, "wide")
+    assert panel.entities == ("B", "A", "C")
+    assert panel.values[:, :, 0].tolist() == [[1.0, 2.0, 0.0], [5.0, 4.0, 3.0]]

@@ -356,3 +356,61 @@ def test_non_finite_report_leaves_no_artifacts(synthetic_report, tmp_path):
     with pytest.raises(ValueError):
         write_artifacts(bad, tmp_path / "out")
     assert list((tmp_path / "out").iterdir()) == []
+
+
+EVERY_KEY = """
+[data]
+path = data/panel
+layout = wide
+
+[preprocess]
+log_epsilon = 1e-4
+anchor = year
+anchor_year = 2001
+
+[cluster]
+eps_grid = 0.1,0.2
+minpts_grid = 1:3:1
+
+[regress]
+ridge_lambdas = 0.0:0.2:0.1
+lasso_lambdas = logspace:-3:0:4
+enet_lambdas = 0.5
+enet_alpha = 0.25
+cv_folds = 4
+tol = 1e-9
+max_iter = 500
+standardize = on
+
+[forecast]
+train_years = 2000-2004
+test_years = 2005,2006
+"""
+
+
+class TestConfigKeys:
+    def test_every_key(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text(EVERY_KEY)
+        assert PipelineConfig.from_file(path) == PipelineConfig(
+            data_path="data/panel", layout="wide", train_years=[2000, 2001, 2002, 2003, 2004],
+            test_years=[2005, 2006], anchor="year", anchor_year=2001, log_epsilon=1e-4,
+            eps_grid=[0.1, 0.2], minpts_grid=[1, 2, 3], ridge_lambdas=parse_grid("0.0:0.2:0.1"),
+            lasso_lambdas=parse_grid("logspace:-3:0:4"), enet_lambdas=[0.5], enet_alpha=0.25,
+            cv_folds=4, tol=1e-9, max_iter=500, standardize=True)
+
+    def test_blank_keys_keep_defaults(self, tmp_path):
+        blank = "\n".join(line.split("=")[0] + "=" if "=" in line else line
+                          for line in EVERY_KEY.splitlines())
+        path = tmp_path / "cfg.ini"
+        path.write_text(blank)
+        assert PipelineConfig.from_file(path) == PipelineConfig()
+
+    @pytest.mark.parametrize("text, value", [
+        ("1", True), ("Yes", True), ("TRUE", True), ("on", True),
+        ("0", False), ("no", False), ("false", False), ("Off", False),
+    ])
+    def test_boolean_states(self, tmp_path, text, value):
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[regress]\nstandardize = {text}\n")
+        assert PipelineConfig.from_file(path).standardize is value
