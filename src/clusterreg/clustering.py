@@ -46,20 +46,19 @@ class ClusterAssignment:
     core_flags: tuple[bool, ...]
 
     def __post_init__(self):
-        labels = tuple(int(v) for v in self.labels)
-        flags = tuple(bool(v) for v in self.core_flags)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "core_flags", flags)
-        if len(labels) != len(flags):
+        labels = np.asarray(self.labels, dtype=int)
+        core = np.asarray(self.core_flags, dtype=bool)
+        object.__setattr__(self, "labels", tuple(labels.tolist()))
+        object.__setattr__(self, "core_flags", tuple(core.tolist()))
+        if labels.shape != core.shape:
             raise ClusteringError("labels and core_flags length mismatch")
-        used = {v for v in labels if v != NOISE}
-        if any(v < 0 for v in used) or used != set(range(self.num_clusters)):
-            raise ClusteringError(
-                f"labels must use exactly the ids 0..{self.num_clusters - 1}"
-            )
-        for cid in range(self.num_clusters):
-            if not any(l == cid and c for l, c in zip(labels, flags)):
-                raise ClusteringError(f"cluster {cid} has no core point")
+        clustered = labels != NOISE
+        ids = set(labels[clustered].tolist())
+        if ids != set(range(self.num_clusters)):
+            raise ClusteringError(f"labels must use exactly the ids 0..{self.num_clusters - 1}")
+        coreless = ids - set(labels[clustered & core].tolist())
+        if coreless:
+            raise ClusteringError(f"cluster {min(coreless)} has no core point")
 
     @property
     def n_points(self) -> int:
@@ -78,7 +77,7 @@ class SilhouetteReport:
 class ClusteringQuality:
     """Summary quality of one clustering: silhouette mean, SSE, count."""
 
-    sc: float
+    sc: float | None
     sse: float
     c: int
     centroids: np.ndarray  # shape (c, n_features)
@@ -87,8 +86,10 @@ class ClusteringQuality:
         object.__setattr__(self, "centroids", np.asarray(self.centroids, dtype=float))
 
 
-def _distance_matrix(values: np.ndarray) -> np.ndarray:
-    diff = values[:, None, :] - values[None, :, :]
+def _distances(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Euclidean distances from each of `rows` to each row of `values`: the
+    one distance formula, so a single row matches the full matrix bit for bit."""
+    diff = rows[:, None, :] - values[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
@@ -99,14 +100,14 @@ def region_query(points: FeatureMatrix, index: int, eps: float) -> list[int]:
         raise IndexError(f"index {index} out of range for {n} points")
     if eps < 0:
         raise ClusteringError("eps must be >= 0")
-    d = np.sqrt(((points.values - points.values[index]) ** 2).sum(axis=1))
-    return [int(i) for i in np.nonzero(d <= eps)[0]]
+    d = _distances(points.values[index:index + 1], points.values)[0]
+    return np.flatnonzero(d <= eps).tolist()
 
 
 def _check_dist(points: FeatureMatrix, dist: np.ndarray | None) -> np.ndarray:
     """The pairwise distance matrix of the rows, built unless one is given."""
     if dist is None:
-        return _distance_matrix(points.values)
+        return _distances(points.values, points.values)
     n = len(points.entities)
     if dist.shape != (n, n):
         raise ClusteringError(f"distance matrix shape {dist.shape} != ({n}, {n})")
@@ -151,7 +152,7 @@ def dbscan(
                 break
             labels[frontier] = next_id
         next_id += 1
-    return ClusterAssignment(tuple(labels.tolist()), next_id, tuple(core.tolist()))
+    return ClusterAssignment(labels, next_id, core)
 
 
 def silhouette(
@@ -169,30 +170,29 @@ def silhouette(
     if assignment.num_clusters < 2:
         raise ClusteringError("silhouette undefined for fewer than 2 clusters")
     labels = np.asarray(assignment.labels)
-    scored = np.nonzero(labels != NOISE)[0]
+    scored = np.flatnonzero(labels != NOISE)
     dist = _check_dist(points, dist)
-    member_idx = {cid: np.nonzero(labels == cid)[0] for cid in range(assignment.num_clusters)}
+    own = labels[scored]
+    counts = np.bincount(own, minlength=assignment.num_clusters)
+    # A gathered block's rows sum in the order a per-point loop would, so the
+    # scores match that loop bit for bit (a one-hot matmul would not).
+    sums = np.stack([
+        dist[np.ix_(scored, np.flatnonzero(labels == cid))].sum(axis=1)
+        for cid in range(assignment.num_clusters)
+    ], axis=1)
+    rows = np.arange(len(scored))
+    others = sums / counts
+    others[rows, own] = np.inf
+    b = others.min(axis=1)
+    a = sums[rows, own] / np.maximum(counts[own] - 1, 1)
+    denom = np.maximum(a, b)
+    live = (counts[own] > 1) & (denom > 0)
+    s = np.zeros(len(scored))
+    s[live] = (b - a)[live] / denom[live]
+    return SilhouetteReport(per_point=tuple(s.tolist()), mean_sc=float(np.mean(s)))
 
-    s_vals: list[float] = []
-    for i in scored:
-        own = member_idx[labels[i]]
-        b = min(
-            float(dist[i, member_idx[cid]].mean())
-            for cid in range(assignment.num_clusters)
-            if cid != labels[i]
-        )
-        if len(own) == 1:
-            a = 0.0
-            s = 0.0
-        else:
-            a = float(dist[i, own].sum() / (len(own) - 1))
-            denom = max(a, b)
-            s = (b - a) / denom if denom > 0 else 0.0
-        s_vals.append(s)
-    return SilhouetteReport(per_point=tuple(s_vals), mean_sc=float(np.mean(s_vals)))
 
-
-def sse(points: FeatureMatrix, assignment: ClusterAssignment, sc: float = float("nan")) -> ClusteringQuality:
+def sse(points: FeatureMatrix, assignment: ClusterAssignment, sc: float | None = None) -> ClusteringQuality:
     """Within-cluster sum of squared distances to centroids.
 
     Centroid of a cluster is the mean of its member rows; noise points
@@ -227,7 +227,7 @@ def sweep_params(
     core flags share one (quality, assignment) pair of objects."""
     if not eps_grid or not minpts_grid:
         raise ClusteringError("parameter grids must be non-empty")
-    dist = _distance_matrix(points.values)
+    dist = _distances(points.values, points.values)
     quality_of: dict[tuple[int, ...], ClusteringQuality] = {}
     record_of: dict[tuple, tuple[ClusteringQuality, ClusterAssignment]] = {}
     results = []
@@ -258,15 +258,13 @@ def promote_noise(assignment: ClusterAssignment) -> ClusterAssignment:
     New ids are appended after the existing ones in entity-index order.
     A promoted point is marked core: it is trivially the core of its own
     singleton (min_pts = 1 semantics)."""
-    labels = list(assignment.labels)
-    flags = list(assignment.core_flags)
-    next_id = assignment.num_clusters
-    for i, label in enumerate(labels):
-        if label == NOISE:
-            labels[i] = next_id
-            flags[i] = True
-            next_id += 1
-    return ClusterAssignment(tuple(labels), next_id, tuple(flags))
+    labels = np.asarray(assignment.labels, dtype=int)
+    flags = np.asarray(assignment.core_flags, dtype=bool)
+    noise = labels == NOISE
+    promoted = int(noise.sum())
+    labels[noise] = assignment.num_clusters + np.arange(promoted)
+    flags[noise] = True
+    return ClusterAssignment(labels, assignment.num_clusters + promoted, flags)
 
 
 def assignment_rows(entities: tuple[str, ...], assignment: ClusterAssignment) -> list[list]:

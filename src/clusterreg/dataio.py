@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PanelFormatError
+from .errors import ClusterRegError, PanelFormatError
 
 LONG_HEADER = ["year", "entity", "feature", "value"]
 _WIDE_NAME = re.compile(r"^panel_(\d+)\.csv$")
@@ -286,8 +286,12 @@ def save_report(record, path: str | Path) -> None:
 
 
 def load_report(path: str | Path):
-    """Read back a JSON report written by save_report."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read back a JSON report written by save_report. Bytes that are not
+    UTF-8 JSON raise ClusterRegError naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ClusterRegError(f"{path}: not a valid JSON report: {err}") from None
 
 
 class _LineFeed:

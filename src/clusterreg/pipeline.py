@@ -176,6 +176,13 @@ def _parse_bool(text: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
 
 
+def _parse_int_grid(text: str) -> list[int]:
+    vals = parse_grid(text)
+    if any(v != int(v) for v in vals):
+        raise ValueError(f"min_pts values must be integers, got {text!r}")
+    return [int(v) for v in vals]
+
+
 # PipelineConfig field -> (INI section, key, parser of the stripped value).
 _CONFIG_KEYS = {
     "data_path": ("data", "path", str),
@@ -184,7 +191,7 @@ _CONFIG_KEYS = {
     "anchor": ("preprocess", "anchor", str),
     "anchor_year": ("preprocess", "anchor_year", int),
     "eps_grid": ("cluster", "eps_grid", parse_grid),
-    "minpts_grid": ("cluster", "minpts_grid", lambda t: [int(v) for v in parse_grid(t)]),
+    "minpts_grid": ("cluster", "minpts_grid", _parse_int_grid),
     "ridge_lambdas": ("regress", "ridge_lambdas", parse_grid),
     "lasso_lambdas": ("regress", "lasso_lambdas", parse_grid),
     "enet_lambdas": ("regress", "enet_lambdas", parse_grid),
@@ -403,7 +410,8 @@ def load_clean(config: PipelineConfig) -> tuple[EnergyPanel, EnergyPanel]:
     if not check.ok:
         issues = "; ".join(f"{loc}: {msg}" for sev, loc, msg in check.issues if sev == "error")
         raise PipelineStageError("load", f"panel validation failed: {issues}")
-    for year in list(config.train_years) + list(config.test_years):
+    anchor = [config.anchor_year] if config.anchor == "year" else []
+    for year in [*config.train_years, *config.test_years, *anchor]:
         if year not in raw.years:
             raise PipelineStageError("load", f"configured year {year} not present in data")
     panel, _ = _stage("clean", preprocess.drop_zero_series, raw)

@@ -329,8 +329,7 @@ def _coordinate_descent(
     scale = max(1.0, float(np.abs(corr).max(initial=0.0)), float(np.abs(gram).max(initial=0.0)))
     slack = max(1e-12, 10.0 * tol) * scale
     beta = np.zeros(p) if start is None else np.where(denom > 0.0, start, 0.0)
-    prev_pattern: tuple | None = None
-    failed_pattern: tuple | None = None
+    prev_pattern = failed_pattern = None
     for sweep in range(max_iter):
         q = gram @ beta  # refreshed each sweep so incremental drift cannot build up
         max_delta = 0.0
@@ -347,11 +346,11 @@ def _coordinate_descent(
                     max_delta = abs(delta)
         if max_delta < tol:
             return beta, True, sweep + 1
-        active = np.nonzero(beta)[0]
-        pattern = tuple((int(j), 1 if beta[j] > 0 else -1) for j in active)
-        if pattern and pattern == prev_pattern and pattern != failed_pattern:
-            signs = np.array([s for _, s in pattern], dtype=float)
-            candidate = _polish_active_set(gram, corr, lam1, lam2, active, signs, slack)
+        pattern = np.sign(beta)
+        active = np.flatnonzero(pattern)
+        if (active.size and np.array_equal(pattern, prev_pattern)
+                and not np.array_equal(pattern, failed_pattern)):
+            candidate = _polish_active_set(gram, corr, lam1, lam2, active, pattern[active], slack)
             if candidate is not None:
                 return candidate, True, sweep + 1
             failed_pattern = pattern

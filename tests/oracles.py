@@ -163,6 +163,29 @@ def silhouette_by_hand(values, labels):
     return out, float(np.mean(out))
 
 
+def silhouette_loop(dist, labels):
+    """Per-point silhouette over a given distance matrix, one point and one
+    cluster at a time: a is the summed distance to the rest of the point's
+    cluster over its size minus one, b the smallest mean distance to another
+    cluster. Noise (-1) is excluded and singletons score 0. The arithmetic
+    follows the definition term by term, so an array implementation that
+    sums the same distances in the same order must match it exactly.
+    Returns (per-point list over scored points, mean)."""
+    labels = np.asarray(labels)
+    ids = sorted(set(labels.tolist()) - {-1})
+    members = {c: np.flatnonzero(labels == c) for c in ids}
+    out = []
+    for i in np.flatnonzero(labels != -1):
+        own = members[labels[i]]
+        b = min(float(dist[i, members[c]].mean()) for c in ids if c != labels[i])
+        if len(own) == 1:
+            out.append(0.0)
+            continue
+        a = float(dist[i, own].sum() / (len(own) - 1))
+        out.append((b - a) / max(a, b) if max(a, b) > 0 else 0.0)
+    return out, float(np.mean(out))
+
+
 def random_instance(rng, max_n=8, max_p=3, cond_cap=10.0):
     """Random small regression instance with a conditioning cap.
 

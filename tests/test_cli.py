@@ -272,6 +272,7 @@ MALFORMED_CONFIGS = [
     ("[regress]\nenet_alpha = half\n", "[regress] enet_alpha"),
     ("[regress]\nstandardize = maybe\n", "[regress] standardize: not a boolean"),
     ("[cluster]\nminpts_grid = 1:0:1\n", "[cluster] minpts_grid: bad range grid"),
+    ("[cluster]\nminpts_grid = 1.5,2.7\n", "[cluster] minpts_grid: min_pts values must be integers"),
     ("[regress]\ntolerance = 1e-8\n", "unknown key [regress] tolerance"),
     ("[data]\nlayuot = wide\n", "unknown key [data] layuot"),
     ("[regres]\ntol = 1e-8\n", "unknown section [regres]"),
@@ -367,3 +368,23 @@ def test_validate_bad_utf8_exit_one_naming_the_file(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 1
     err = capsys.readouterr().err
     assert f"{bad}: not valid UTF-8" in err
+
+
+def test_missing_anchor_year_exits_one(synthetic_cli, tmp_path, capsys):
+    panel_path, _ = synthetic_cli
+    cfg = write_config(tmp_path / "cfg.ini", panel_path, extra=[
+        ("preprocess", "anchor", "year"), ("preprocess", "anchor_year", "1999")])
+    out = tmp_path / "out"
+    for argv in (["pipeline"], ["plot-data", "--figure", "heatmap"]):
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "[load] configured year 1999 not present in data" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [b'{"not json', b"\xff\xfe{}"])
+def test_plot_data_corrupt_report_exits_one_naming_the_file(tmp_path, capsys, content):
+    tmp_path.joinpath("pipeline_report.json").write_bytes(content)
+    for figure in ("forecast", "fit_scatter", "cluster_boxes"):
+        assert main(["plot-data", "--figure", figure, "--out", str(tmp_path)]) == 1
+        assert "pipeline_report.json" in capsys.readouterr().err
+        assert not (tmp_path / f"fig_{figure}.csv").exists()

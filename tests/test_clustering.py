@@ -21,7 +21,7 @@ from clusterreg.clustering import (
 from clusterreg.errors import ClusteringError
 from clusterreg.preprocess import FeatureMatrix
 
-from oracles import check_dbscan_against_oracle, silhouette_by_hand
+from oracles import check_dbscan_against_oracle, silhouette_by_hand, silhouette_loop
 
 # Integer coordinates make every distance exact, so eps values that are
 # themselves distances (1, sqrt 2, 2, ...) put points exactly on the boundary.
@@ -62,6 +62,22 @@ class TestRegionQuery:
         m = matrix([0.0, 1.0])
         with pytest.raises(IndexError):
             region_query(m, 2, 1.0)
+
+    def test_matches_dbscan_neighbourhood_on_the_boundary(self):
+        """At eps equal to a pairwise distance a point sits exactly on the
+        boundary, where two distance formulas can disagree in the last bit.
+        region_query's count must be the one that makes dbscan's core flag
+        flip: core at min_pts = count, not core at count + 1."""
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            v = rng.random((12, 5))
+            m = matrix(v.tolist())
+            for i in range(12):
+                row = np.sqrt(((v - v[i]) ** 2).sum(axis=1))
+                for eps in [*row, *np.linalg.norm(v - v[i], axis=1)]:
+                    k = len(region_query(m, i, eps))
+                    assert dbscan(m, NeighborhoodParams(eps, k)).core_flags[i]
+                    assert not dbscan(m, NeighborhoodParams(eps, k + 1)).core_flags[i]
 
 
 class TestDbscan:
@@ -294,6 +310,20 @@ class TestSilhouette:
             assert rep.mean_sc == pytest.approx(hand_mean, abs=1e-12)
             assert -1.0 <= rep.mean_sc <= 1.0
 
+    def test_equals_per_point_loop_with_noise_and_singletons(self):
+        rng = np.random.default_rng(33)
+        for n in [*range(3, 40), 120, 250]:
+            v = rng.random((n, 3))
+            dist = np.sqrt(((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2))
+            k = int(rng.integers(2, min(n, 9) + 1))
+            labels = rng.integers(NOISE, k - 1, size=n)
+            labels[rng.permutation(n)[:k]] = np.arange(k)  # id k-1 is a singleton
+            a = ClusterAssignment(tuple(labels.tolist()), k, (True,) * n)
+            rep = silhouette(matrix(v.tolist()), a, dist)
+            per_point, mean = silhouette_loop(dist, labels)
+            assert rep.per_point == tuple(per_point)
+            assert rep.mean_sc == mean
+
 
 class TestSse:
     def test_singletons_have_zero_sse(self):
@@ -385,3 +415,10 @@ def test_assignment_invariants_enforced():
         ClusterAssignment((0, 2), 2, (True, True))  # id 1 unused
     with pytest.raises(ClusteringError):
         ClusterAssignment((0, 0), 1, (False, False))  # no core point
+
+
+def test_assignment_errors_name_the_lowest_failing_id():
+    with pytest.raises(ClusteringError, match=r"exactly the ids 0\.\.1"):
+        ClusterAssignment((0, -2), 2, (True, True))  # -2 is neither an id nor NOISE
+    with pytest.raises(ClusteringError, match="cluster 1 has no core point"):
+        ClusterAssignment((0, 1, 2, 1, 2), 3, (True, False, False, False, False))

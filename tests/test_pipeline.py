@@ -1,8 +1,11 @@
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from clusterreg import pipeline
 from clusterreg.clustering import NOISE, ClusterAssignment
 from clusterreg.dataio import EnergyPanel
 from clusterreg.errors import ClusterRegError, ConfigError, PipelineStageError
@@ -414,3 +417,27 @@ class TestConfigKeys:
         path = tmp_path / "cfg.ini"
         path.write_text(f"[regress]\nstandardize = {text}\n")
         assert PipelineConfig.from_file(path).standardize is value
+
+
+def test_every_benchmark_span_fires(synthetic_case, tmp_path):
+    """The benchmark tracer wraps layer functions at the module globals their
+    callers resolve; a refactor that calls one some other way silently drops
+    its span. Runs one pipeline under that tracer (bench/spans.py, loaded
+    read-only) on the benchmark's small warm-up grids."""
+    source = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", source)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    _, _, _, config = synthetic_case
+    config = dataclasses.replace(
+        config, out_dir=str(tmp_path / "out"), eps_grid=[0.1, 0.4, 1.0], minpts_grid=[1, 2],
+        ridge_lambdas=[0.1, 0.5], lasso_lambdas=[0.1, 1.0], enet_lambdas=[0.1, 1.0])
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        pipeline.run_pipeline(config)  # through the module, where the root span is
+    finally:
+        tracer.uninstall()
+    metrics = spans.panel_metrics(tracer.take())
+    assert spans.missing_spans([metrics]) == []
+    assert metrics["clustering.silhouette_calls"] == metrics["clustering.distinct_labellings"]
