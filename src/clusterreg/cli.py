@@ -150,21 +150,27 @@ def cmd_plot_data(args) -> int:
             rows = [[row[0], name, value]
                     for row in reader for name, value in zip(coef_names, row[1:-2])]
     else:
-        report = load_report(_upstream(out, "pipeline_report.json", "pipeline stage"))
-        agg = report["aggregates"]
-        if figure == "cluster_boxes":
-            header = ["cluster", "year", "value"]
-            rows = _tidy(agg["columns"], agg["years"], list(zip(*agg["regressors"])))
-        elif figure == "fit_scatter":
-            years, log_target = agg["years"], agg["log_target"]
-            actual = [log_target[years.index(y)] for y in report["config"]["train_years"]]
-            y_hat = report["fit_reports"]["elastic_net"]["y_hat"]
-            header = ["actual", "predicted"]
-            rows = [[repr(float(a)), repr(float(p))] for a, p in zip(actual, y_hat)]
-        else:  # forecast
-            header = ["year", "true", "predict", "difference"]
-            rows = [[r["year"], repr(float(r["true"])), repr(float(r["predict"])),
-                     repr(float(r["difference"]))] for r in report["forecast"]["rows"]]
+        report_path = _upstream(out, "pipeline_report.json", "pipeline stage")
+        report = load_report(report_path)
+        try:
+            agg = report["aggregates"]
+            if figure == "cluster_boxes":
+                header = ["cluster", "year", "value"]
+                rows = _tidy(agg["columns"], agg["years"], list(zip(*agg["regressors"])))
+            elif figure == "fit_scatter":
+                years, log_target = agg["years"], agg["log_target"]
+                actual = [log_target[years.index(y)] for y in report["config"]["train_years"]]
+                y_hat = report["fit_reports"]["elastic_net"]["y_hat"]
+                header = ["actual", "predicted"]
+                rows = [[repr(float(a)), repr(float(p))] for a, p in zip(actual, y_hat)]
+            else:  # forecast
+                header = ["year", "true", "predict", "difference"]
+                rows = [[r["year"], repr(float(r["true"])), repr(float(r["predict"])),
+                         repr(float(r["difference"]))] for r in report["forecast"]["rows"]]
+        except KeyError as err:
+            raise ClusterRegError(f"{report_path}: report has no key {err}") from None
+        except (IndexError, TypeError, ValueError) as err:
+            raise ClusterRegError(f"{report_path}: malformed report: {err}") from None
     [target] = write_files(out, {f"fig_{figure}.csv": (header, rows)}, {})
     print(f"wrote {target}")
     return 0

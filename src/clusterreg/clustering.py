@@ -35,6 +35,9 @@ class NeighborhoodParams:
             raise ClusteringError("eps must be >= 0")
         if self.min_pts < 1:
             raise ClusteringError("min_pts must be >= 1")
+        if not float(self.min_pts).is_integer():
+            raise ClusteringError(f"min_pts must be an integer, got {self.min_pts!r}")
+        object.__setattr__(self, "min_pts", int(self.min_pts))
 
 
 @dataclass(frozen=True)
@@ -233,7 +236,7 @@ def sweep_params(
     results = []
     for eps in eps_grid:
         for min_pts in minpts_grid:
-            params = NeighborhoodParams(float(eps), int(min_pts))
+            params = NeighborhoodParams(float(eps), min_pts)
             assignment = dbscan(points, params, dist)
             if assignment.num_clusters < 2:
                 continue

@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -127,6 +128,12 @@ def _csv_rows(path: Path):
         raise PanelFormatError(f"{path}: empty file")
 
 
+def _pair(a: int, b: int) -> int:
+    """Cantor's pairing: a distinct int for each pair of ints >= 0."""
+    s = a + b
+    return s * (s + 1) // 2 + b
+
+
 def _load_long(path: Path) -> EnergyPanel:
     reader = _csv_rows(path)
     header = [h.strip() for h in next(reader)[1]]
@@ -134,43 +141,49 @@ def _load_long(path: Path) -> EnergyPanel:
         raise PanelFormatError(
             f"{path}: malformed header {header!r}, expected {','.join(LONG_HEADER)}"
         )
-    cells: dict[tuple[int, str, str], float] = {}
-    first_row: dict[tuple[int, str, str], int] = {}
-    # Insertion-ordered name sets: dict keys keep first-seen order.
-    years: dict[int, None] = {}
-    entities: dict[str, None] = {}
-    features: dict[str, None] = {}
+    # Names are coded 0, 1, ... in first-seen order; one int keys a cell.
+    years: dict[int, int] = {}
+    entities: dict[str, int] = {}
+    features: dict[str, int] = {}
+    first_row: dict[int, int] = {}  # cell key -> line of its first row
+    year_codes, entity_codes, feature_codes = array("q"), array("q"), array("q")
+    cells = array("d")
+    name = str(path)
     for lineno, row in reader:
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != 4:
             raise PanelFormatError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-        where = f"{path}:{lineno}"
+        where = f"{name}:{lineno}"
         year = _parse_year(row[0].strip(), where)
         entity = row[1].strip()
         feat = row[2].strip()
         if not entity or not feat:
             raise PanelFormatError(f"{where}: empty entity or feature name")
         value = _parse_value(row[3].strip(), where)
-        key = (year, entity, feat)
-        if key in cells:
+        yi = years.setdefault(year, len(years))
+        ei = entities.setdefault(entity, len(entities))
+        fi = features.setdefault(feat, len(features))
+        key = _pair(_pair(yi, ei), fi)
+        first = first_row.setdefault(key, lineno)
+        if first != lineno:
             raise PanelFormatError(
-                f"{where}: duplicate key {key}, first seen at row {first_row[key]}"
+                f"{where}: duplicate key {(year, entity, feat)}, first seen at row {first}"
             )
-        cells[key] = value
-        first_row[key] = lineno
-        years[year] = None
-        entities[entity] = None
-        features[feat] = None
+        year_codes.append(yi)
+        entity_codes.append(ei)
+        feature_codes.append(fi)
+        cells.append(value)
     if not cells:
         raise PanelFormatError(f"{path}: no data rows")
-    y_idx = {y: i for i, y in enumerate(sorted(years))}
-    e_idx = {e: i for i, e in enumerate(entities)}
-    f_idx = {f: i for i, f in enumerate(features)}
-    values = np.zeros((len(y_idx), len(e_idx), len(f_idx)))
-    for (year, entity, feat), v in cells.items():
-        values[y_idx[year], e_idx[entity], f_idx[feat]] = v
-    return EnergyPanel(tuple(y_idx), tuple(e_idx), tuple(f_idx), values)
+    order = sorted(years)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[[years[y] for y in order]] = np.arange(len(order))
+    values = np.zeros((len(years), len(entities), len(features)))
+    values[rank[np.frombuffer(year_codes, dtype=np.int64)],
+           np.frombuffer(entity_codes, dtype=np.int64),
+           np.frombuffer(feature_codes, dtype=np.int64)] = np.frombuffer(cells)
+    return EnergyPanel(tuple(order), tuple(entities), tuple(features), values)
 
 
 def _load_wide(path: Path) -> EnergyPanel:

@@ -267,6 +267,25 @@ def fit_ridge(
                          standardize=standardize)
 
 
+def _solve_pattern(
+    gram: np.ndarray,
+    corr: np.ndarray,
+    lam1: float,
+    lam2: float,
+    active: np.ndarray,
+    signs: np.ndarray,
+) -> np.ndarray | None:
+    """Stationary point of the objective restricted to one sign pattern:
+    the solve of (G_AA + lam2*I) b = c_A - (lam1/2)*s_A, or None when that
+    system is singular or its solution is not finite."""
+    sub = gram[np.ix_(active, active)] + lam2 * np.eye(active.size)
+    try:
+        b = np.linalg.solve(sub, corr[active] - 0.5 * lam1 * signs)
+    except np.linalg.LinAlgError:
+        return None
+    return b if np.all(np.isfinite(b)) else None
+
+
 def _polish_active_set(
     gram: np.ndarray,
     corr: np.ndarray,
@@ -274,22 +293,16 @@ def _polish_active_set(
     lam2: float,
     active: np.ndarray,
     signs: np.ndarray,
+    b: np.ndarray,
     slack: float,
 ) -> np.ndarray | None:
-    """Exact stationary point for a fixed active sign pattern, or None.
+    """The full coefficient vector of the pattern solve b, or None.
 
-    Solves (G_AA + lam2*I) b = c_A - (lam1/2)*s_A and accepts the candidate
-    only if the solved coefficients keep the assumed signs and the full
-    KKT conditions hold within the numerical slack."""
+    Accepts b only if it keeps the assumed signs and the full KKT
+    conditions hold within the numerical slack."""
+    if np.any(b * signs <= 0):
+        return None
     p = corr.shape[0]
-    sub = gram[np.ix_(active, active)] + lam2 * np.eye(active.size)
-    rhs = corr[active] - 0.5 * lam1 * signs
-    try:
-        b = np.linalg.solve(sub, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(b)) or np.any(b * signs <= 0):
-        return None
     candidate = np.zeros(p)
     candidate[active] = b
     g = -2.0 * (corr - gram @ candidate)
@@ -300,6 +313,79 @@ def _polish_active_set(
     if inactive.size and np.abs(g[inactive]).max() > lam1 + slack:
         return None
     return candidate
+
+
+def _line_search(
+    gram: np.ndarray,
+    corr: np.ndarray,
+    lam1: float,
+    lam2: float,
+    x: np.ndarray,
+    b: np.ndarray,
+) -> np.ndarray:
+    """The point of lowest objective among x, b and the points of the
+    segment from x to b where a nonzero coefficient of x reaches zero (set
+    exactly to zero there). x wins ties, so a step that cannot lower the
+    objective leaves x in place."""
+    cross = np.flatnonzero((x != 0.0) & (x * b <= 0.0))
+    steps = x[cross] / (x[cross] - b[cross])
+    points = x + np.outer(np.concatenate(([0.0], steps, [1.0])), b - x)
+    points[1 + np.arange(cross.size), cross] = 0.0
+    objective = ((points @ gram + lam2 * points - 2.0 * corr) * points).sum(axis=1)
+    objective += lam1 * np.abs(points).sum(axis=1)
+    return points[np.argmin(objective)]
+
+
+def _feature_sign_search(
+    gram: np.ndarray,
+    corr: np.ndarray,
+    lam1: float,
+    lam2: float,
+    beta: np.ndarray,
+    slack: float,
+) -> np.ndarray | None:
+    """Feature-sign search (Lee, Battle, Raina & Ng 2007) from the iterate
+    beta: an accepted polish of some sign pattern, or None.
+
+    Each step solves the objective on the current sign pattern. A solve
+    that keeps its signs is returned if _polish_active_set accepts it;
+    otherwise the worst inactive KKT violator j joins the pattern with sign
+    -sign(g_j). A solve that breaks a sign is approached by _line_search,
+    and the coefficients left at zero leave the pattern. The objective
+    never rises, so the search ends on a pattern seen before, after 2p
+    steps, on a singular G_AA, or when only stationarity fails (no repair
+    applies); the caller then goes on with coordinate descent."""
+    p = beta.shape[0]
+    x = beta.copy()
+    theta = np.sign(x)
+    seen = set()
+    for _ in range(2 * p):
+        key = theta.tobytes()
+        if key in seen:
+            return None
+        seen.add(key)
+        active = np.flatnonzero(theta)
+        signs = theta[active]
+        b = _solve_pattern(gram, corr, lam1, lam2, active, signs)
+        if b is None:
+            return None
+        if np.all(b * signs > 0):
+            candidate = _polish_active_set(gram, corr, lam1, lam2, active, signs, b, slack)
+            if candidate is not None:
+                return candidate
+            x = np.zeros(p)
+            x[active] = b
+            g = 2.0 * (gram @ x - corr)
+            g[active] = 0.0
+            j = int(np.argmax(np.abs(g)))
+            if abs(g[j]) <= lam1 + slack:
+                return None
+            theta[j] = -np.sign(g[j])
+        else:
+            x[active] = _line_search(gram[np.ix_(active, active)], corr[active], lam1, lam2,
+                                     x[active], b)
+            theta = np.sign(x)
+    return None
 
 
 def _coordinate_descent(
@@ -315,11 +401,13 @@ def _coordinate_descent(
 
     Starts from `start` (in the coordinates of x) or from zero. Stops
     when the largest coefficient change in a sweep drops below tol.
-    Once the active sign pattern is stable across two sweeps, an exact
-    solve on the active set is attempted and accepted only when the full
-    KKT conditions verify; this short-circuits the slow tail on poorly
-    conditioned designs without changing the limit point. Zero-norm
-    columns (centered constants) keep a zero coefficient."""
+    Once the active sign pattern is stable across two sweeps, a
+    feature-sign search from the iterate looks for the sign pattern whose
+    exact solve passes the full KKT test; this short-circuits the slow tail
+    on poorly conditioned designs without changing the limit point. When
+    the search gives up, descent goes on, and the search runs again once
+    a different pattern is stable. Zero-norm columns (centered constants)
+    keep a zero coefficient."""
     n, p = x.shape
     gram = x.T @ x
     corr = x.T @ y
@@ -347,10 +435,9 @@ def _coordinate_descent(
         if max_delta < tol:
             return beta, True, sweep + 1
         pattern = np.sign(beta)
-        active = np.flatnonzero(pattern)
-        if (active.size and np.array_equal(pattern, prev_pattern)
+        if (pattern.any() and np.array_equal(pattern, prev_pattern)
                 and not np.array_equal(pattern, failed_pattern)):
-            candidate = _polish_active_set(gram, corr, lam1, lam2, active, pattern[active], slack)
+            candidate = _feature_sign_search(gram, corr, lam1, lam2, beta, slack)
             if candidate is not None:
                 return candidate, True, sweep + 1
             failed_pattern = pattern

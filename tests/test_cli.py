@@ -381,10 +381,17 @@ def test_missing_anchor_year_exits_one(synthetic_cli, tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("content", [b'{"not json', b"\xff\xfe{}"])
+@pytest.mark.parametrize("content", [b'{"not json', b"\xff\xfe{}", b"{}",
+                                     b'{"aggregates": 5, "forecast": {"rows": [7]}}'])
 def test_plot_data_corrupt_report_exits_one_naming_the_file(tmp_path, capsys, content):
     tmp_path.joinpath("pipeline_report.json").write_bytes(content)
     for figure in ("forecast", "fit_scatter", "cluster_boxes"):
         assert main(["plot-data", "--figure", figure, "--out", str(tmp_path)]) == 1
         assert "pipeline_report.json" in capsys.readouterr().err
         assert not (tmp_path / f"fig_{figure}.csv").exists()
+
+
+def test_plot_data_report_without_a_key_names_the_key(tmp_path, capsys):
+    tmp_path.joinpath("pipeline_report.json").write_text('{"aggregates": {}}\n')
+    assert main(["plot-data", "--figure", "forecast", "--out", str(tmp_path)]) == 1
+    assert "pipeline_report.json: report has no key 'forecast'" in capsys.readouterr().err

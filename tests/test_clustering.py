@@ -388,6 +388,16 @@ class TestSweep:
         with pytest.raises(ClusteringError):
             sweep_params(blob6, [], [2])
 
+    @pytest.mark.parametrize("min_pts", [1.5, 2.7, float("nan"), float("inf")])
+    def test_fractional_min_pts_rejected(self, min_pts):
+        m = matrix([0.0, 0.1, 5.0, 5.1])
+        with pytest.raises(ClusteringError, match="min_pts must be an integer"):
+            sweep_params(m, [0.5], [1, min_pts])
+
+    def test_integral_float_min_pts_reads_as_int(self):
+        params = NeighborhoodParams(0.5, 2.0)
+        assert params.min_pts == 2 and type(params.min_pts) is int
+
 
 class TestPromoteNoise:
     def test_noise_becomes_singletons(self):

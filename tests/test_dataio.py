@@ -40,6 +40,17 @@ def test_load_long_missing_cells_default_zero(tmp_path):
     assert panel.values[0, 1, 0] == 0.0  # (2000, B, f1) was never given
 
 
+def test_load_long_sorts_years_seen_out_of_order(tmp_path):
+    p = write(tmp_path / "p.csv", "year,entity,feature,value\n"
+              "2001,B,f2,1.0\n"
+              "2000,A,f1,2.0\n"
+              "2001,A,f1,3.0\n")
+    panel = load_panel(p, "long")
+    assert panel.years == (2000, 2001)
+    assert panel.entities == ("B", "A") and panel.features == ("f2", "f1")
+    assert panel.values.tolist() == [[[0.0, 0.0], [0.0, 2.0]], [[1.0, 0.0], [0.0, 3.0]]]
+
+
 def test_load_long_empty_data_rows(tmp_path):
     p = write(tmp_path / "p.csv", "year,entity,feature,value\n")
     with pytest.raises(PanelFormatError, match="no data rows"):
@@ -240,6 +251,24 @@ def test_malformed_long_csv_raises_only_panel_format_error(tmp_path_factory, row
     path.write_bytes(data[:at] + junk + data[at:])
     try:
         load_panel(path, "long")
+    except PanelFormatError:
+        pass
+
+
+@given(rows=st.lists(st.lists(FIELDS, max_size=5), max_size=6),
+       junk=st.binary(max_size=4), at=st.integers(0, 500))
+@settings(max_examples=300, deadline=None)
+def test_malformed_wide_csv_raises_only_panel_format_error(tmp_path_factory, rows, junk, at):
+    """Whatever the bytes of one panel_<year>.csv (bad UTF-8 included), the
+    wide loader either loads a panel or raises PanelFormatError."""
+    text = "entity,f,g\n" + "\n".join(",".join(r) for r in rows)
+    data = text.encode("utf-8")
+    at = min(at, len(data))
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "panel_2000.csv").write_bytes(data[:at] + junk + data[at:])
+    write(root / "panel_2001.csv", "entity,f,g\nA,1.0,2.0\n")
+    try:
+        load_panel(root, "wide")
     except PanelFormatError:
         pass
 

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterreg import regression
 from clusterreg.errors import RegressionError
 from clusterreg.regression import (
     DesignMatrix,
@@ -400,6 +403,121 @@ class TestWarmStart:
                 reference.append((lam, float(np.mean(fold_mse))))
             _, table = cross_validate(d, kind, grid, folds=config.cv_folds)
             assert table == reference, kind
+
+
+def _sweeps(monkeypatch) -> list[int]:
+    """Record the sweep count of every coordinate-descent run from now on."""
+    sweeps: list[int] = []
+    solve = regression._coordinate_descent
+
+    def counted(*args, **kwargs):
+        beta, converged, n = solve(*args, **kwargs)
+        sweeps.append(n)
+        return beta, converged, n
+
+    monkeypatch.setattr(regression, "_coordinate_descent", counted)
+    return sweeps
+
+
+def _solves(monkeypatch) -> list[tuple]:
+    """Record (active, signs, solution or None) of every sign-pattern solve."""
+    solves: list[tuple] = []
+    solve = regression._solve_pattern
+
+    def recorded(gram, corr, lam1, lam2, active, signs):
+        b = solve(gram, corr, lam1, lam2, active, signs)
+        solves.append((active.tolist(), signs, b))
+        return b
+
+    monkeypatch.setattr(regression, "_solve_pattern", recorded)
+    return solves
+
+
+# Its first stable CD pattern is (+, -, -, +); the exact solve on it gives
+# column 2 a positive coefficient, and plain CD needs 833 sweeps.
+WRONG_SIGN_X = np.array([
+    [2.8, 2.3, 2.0, -0.6], [0.6, 0.4, 0.4, -0.3], [-0.8, -2.0, -1.7, 1.4],
+    [0.5, -3.2, -3.0, 3.3], [-1.8, -3.8, -3.4, 2.4], [-1.3, -2.8, -2.6, 1.9],
+    [0.4, -1.0, -1.1, 1.2], [0.8, -2.5, -2.6, 2.7],
+])
+WRONG_SIGN_Y = np.array([1.2, 1.3, 0.7, 2.2, 0.6, 0.4, 0.5, 2.3])
+
+
+class TestActiveSetSearch:
+    def test_wrong_sign_pattern_is_repaired_in_few_sweeps(self, monkeypatch):
+        d = DesignMatrix(WRONG_SIGN_X, WRONG_SIGN_Y, ("a", "b", "c", "d"))
+        lam = 0.1 * lasso_lambda_max(d)
+        solves = _solves(monkeypatch)
+        sweeps = _sweeps(monkeypatch)
+        m = fit_lasso(d, lam)
+        _, signs, b = solves[0]
+        assert np.any(b * signs <= 0)  # the first stable pattern breaks a sign
+        assert m.converged and kkt_check(m, d) <= _kkt_bound(d)
+        assert sweeps == [2]
+        assert m.coefficients[2] == 0.0 and m.coefficients[3] == 0.0
+
+    def test_singular_active_gram_falls_back_to_cd(self, monkeypatch):
+        # A duplicated integer column: the centered Gram is exact, so G_AA
+        # has two equal rows and is exactly singular.
+        a = np.array([3.0, -1.0, 2.0, 0.0, -2.0, 1.0, 4.0, -3.0])
+        b = np.array([1.0, 2.0, -1.0, 0.0, 3.0, -2.0, 1.0, 0.0])
+        y = 0.7 * a - 0.4 * b + np.array([0.1, -0.2, 0.05, 0.3, -0.1, 0.0, 0.2, -0.15])
+        d = DesignMatrix(np.column_stack([a, a, b]), y, ("a", "a2", "b"))
+        lam = 0.1 * lasso_lambda_max(d)
+        start = fit_lasso(d, lam).coefficients[[0, 0, 2]] / 2  # weight on both copies
+        solves = _solves(monkeypatch)
+        m = fit_penalized(d, PenaltySpec.lasso(lam), start=start)
+        assert any(active == [0, 1, 2] and b is None for active, _, b in solves)
+        assert m.converged and kkt_check(m, d) <= _kkt_bound(d)
+        assert m.coefficients[0] * m.coefficients[1] > 0
+
+    @given(data=st.data(), n=st.integers(3, 8), p=st.integers(1, 5),
+           lam_share=st.floats(0.001, 1.2), alpha=st.sampled_from([1.0, 0.5, 0.1]))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_plain_cd(self, data, n, p, lam_share, alpha):
+        """The search meets the kkt_check bound. Plain CD stops on a small
+        coefficient change, which need not meet it; with eps the larger KKT
+        residual of the two fits, convexity bounds the objective gap by
+        eps * |beta - beta'|_1."""
+        cells = st.integers(-4, 4).map(lambda v: v / 2)
+        x = np.array(data.draw(st.lists(st.lists(cells, min_size=p, max_size=p),
+                                        min_size=n, max_size=n)))
+        for j in range(p):
+            shape = data.draw(st.sampled_from(["free", "constant", "copy", "sum"]))
+            if shape == "constant":
+                x[:, j] = 1.5
+            elif shape == "copy" and j:
+                x[:, j] = -2 * x[:, data.draw(st.integers(0, j - 1))]
+            elif shape == "sum" and j > 1:
+                x[:, j] = x[:, 0] + x[:, 1]
+        y = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)))
+        d = DesignMatrix(x, y, tuple(f"c{j}" for j in range(p)))
+        lam_max = lasso_lambda_max(d)
+        spec = PenaltySpec.elastic_net_total(lam_share * max(lam_max, 1.0), alpha)
+        bound = _kkt_bound(d)
+        fast = fit_penalized(d, spec)
+        with mock.patch.object(regression, "_feature_sign_search", lambda *args: None):
+            plain = fit_penalized(d, spec)  # coordinate descent alone
+        assert fast.converged and kkt_check(fast, d) <= bound
+        if not plain.converged:
+            return
+        eps = max(kkt_check(fast, d), kkt_check(plain, d))
+        lam1, lam2 = spec.weights
+        f = [penalized_objective(d.x, d.y, m.intercept, m.coefficients, lam1, lam2)
+             for m in (fast, plain)]
+        gap = np.abs(fast.coefficients - plain.coefficients).sum()
+        assert abs(f[0] - f[1]) <= eps * gap + 1e-12 * max(1.0, f[1])
+
+    def test_pipeline_sweep_total_on_seed_2024(self, synthetic_case, monkeypatch):
+        """A machine-independent guard on solver work: 674 sweeps when this
+        was written; before the active-set search the same run took 8,032."""
+        from clusterreg.pipeline import run_pipeline
+
+        _, _, _, config = synthetic_case
+        sweeps = _sweeps(monkeypatch)
+        run_pipeline(config)
+        assert len(sweeps) == 338
+        assert sum(sweeps) <= 700
 
 
 class TestMetrics:
