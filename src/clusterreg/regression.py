@@ -286,33 +286,23 @@ def _solve_pattern(
     return b if np.all(np.isfinite(b)) else None
 
 
-def _polish_active_set(
+def _optimality(
     gram: np.ndarray,
     corr: np.ndarray,
     lam1: float,
     lam2: float,
-    active: np.ndarray,
-    signs: np.ndarray,
-    b: np.ndarray,
-    slack: float,
-) -> np.ndarray | None:
-    """The full coefficient vector of the pattern solve b, or None.
-
-    Accepts b only if it keeps the assumed signs and the full KKT
-    conditions hold within the numerical slack."""
-    if np.any(b * signs <= 0):
-        return None
-    p = corr.shape[0]
-    candidate = np.zeros(p)
-    candidate[active] = b
-    g = -2.0 * (corr - gram @ candidate)
-    stationarity = np.abs(g[active] + lam1 * signs + 2.0 * lam2 * b)
-    if stationarity.max(initial=0.0) > slack:
-        return None
-    inactive = np.setdiff1d(np.arange(p), active, assume_unique=True)
-    if inactive.size and np.abs(g[inactive]).max() > lam1 + slack:
-        return None
-    return candidate
+    beta: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """The acceptance test's two parts at beta: the largest stationarity
+    residual |g_j + lam1*sign(beta_j) + 2*lam2*beta_j| over the nonzero
+    coefficients, and the gradient g = -2(corr - gram @ beta) of the
+    squared error with its nonzero entries zeroed. beta passes when the
+    residual and max |g_j| - lam1 are both within the kkt_check bound."""
+    g = -2.0 * (corr - gram @ beta)
+    nonzero = beta != 0.0
+    stationarity = np.abs(g[nonzero] + lam1 * np.sign(beta[nonzero]) + 2.0 * lam2 * beta[nonzero])
+    g[nonzero] = 0.0
+    return float(stationarity.max(initial=0.0)), g
 
 
 def _line_search(
@@ -342,19 +332,20 @@ def _feature_sign_search(
     lam1: float,
     lam2: float,
     beta: np.ndarray,
-    slack: float,
+    bound: float,
 ) -> np.ndarray | None:
     """Feature-sign search (Lee, Battle, Raina & Ng 2007) from the iterate
-    beta: an accepted polish of some sign pattern, or None.
+    beta: the solve of some sign pattern that passes _optimality within
+    bound, or None.
 
     Each step solves the objective on the current sign pattern. A solve
-    that keeps its signs is returned if _polish_active_set accepts it;
-    otherwise the worst inactive KKT violator j joins the pattern with sign
-    -sign(g_j). A solve that breaks a sign is approached by _line_search,
-    and the coefficients left at zero leave the pattern. The objective
-    never rises, so the search ends on a pattern seen before, after 2p
-    steps, on a singular G_AA, or when only stationarity fails (no repair
-    applies); the caller then goes on with coordinate descent."""
+    that keeps its signs is returned if it passes; otherwise the worst
+    inactive KKT violator j joins the pattern with sign -sign(g_j). A
+    solve that breaks a sign is approached by _line_search, and the
+    coefficients left at zero leave the pattern. The objective never
+    rises, so the search ends on a pattern seen before, after 2p steps, on
+    a singular G_AA, or when only stationarity fails (no repair applies);
+    the caller then goes on with coordinate descent."""
     p = beta.shape[0]
     x = beta.copy()
     theta = np.sign(x)
@@ -370,16 +361,12 @@ def _feature_sign_search(
         if b is None:
             return None
         if np.all(b * signs > 0):
-            candidate = _polish_active_set(gram, corr, lam1, lam2, active, signs, b, slack)
-            if candidate is not None:
-                return candidate
             x = np.zeros(p)
             x[active] = b
-            g = 2.0 * (gram @ x - corr)
-            g[active] = 0.0
+            stationarity, g = _optimality(gram, corr, lam1, lam2, x)
             j = int(np.argmax(np.abs(g)))
-            if abs(g[j]) <= lam1 + slack:
-                return None
+            if abs(g[j]) <= lam1 + bound:
+                return x if stationarity <= bound else None
             theta[j] = -np.sign(g[j])
         else:
             x[active] = _line_search(gram[np.ix_(active, active)], corr[active], lam1, lam2,
@@ -395,27 +382,27 @@ def _coordinate_descent(
     lam2: float,
     tol: float,
     max_iter: int,
+    bound: float,
     start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, bool, int]:
     """Cyclic coordinate descent for RSS + lam1*L1 + lam2*L2 (no intercept).
 
     Starts from `start` (in the coordinates of x) or from zero. Stops
-    when the largest coefficient change in a sweep drops below tol.
-    Once the active sign pattern is stable across two sweeps, a
-    feature-sign search from the iterate looks for the sign pattern whose
-    exact solve passes the full KKT test; this short-circuits the slow tail
-    on poorly conditioned designs without changing the limit point. When
-    the search gives up, descent goes on, and the search runs again once
-    a different pattern is stable. Zero-norm columns (centered constants)
-    keep a zero coefficient."""
+    when the largest coefficient change in a sweep drops below tol and
+    the iterate passes _optimality within bound. Once the active sign
+    pattern is stable across two sweeps, a feature-sign search from the
+    iterate looks for the sign pattern whose exact solve passes the same
+    test; this short-circuits the slow tail on poorly conditioned designs
+    without changing the limit point. When the search gives up, descent
+    goes on, and the search runs again once a different pattern is
+    stable. Zero-norm columns (centered constants) keep a zero
+    coefficient."""
     n, p = x.shape
     gram = x.T @ x
     corr = x.T @ y
     col_norm2 = np.diag(gram).copy()
     denom = col_norm2 + lam2
     thresh = lam1 / 2.0
-    scale = max(1.0, float(np.abs(corr).max(initial=0.0)), float(np.abs(gram).max(initial=0.0)))
-    slack = max(1e-12, 10.0 * tol) * scale
     beta = np.zeros(p) if start is None else np.where(denom > 0.0, start, 0.0)
     prev_pattern = failed_pattern = None
     for sweep in range(max_iter):
@@ -433,11 +420,13 @@ def _coordinate_descent(
                 if abs(delta) > max_delta:
                     max_delta = abs(delta)
         if max_delta < tol:
-            return beta, True, sweep + 1
+            stationarity, g = _optimality(gram, corr, lam1, lam2, beta)
+            if stationarity <= bound and np.abs(g).max() <= lam1 + bound:
+                return beta, True, sweep + 1
         pattern = np.sign(beta)
         if (pattern.any() and np.array_equal(pattern, prev_pattern)
                 and not np.array_equal(pattern, failed_pattern)):
-            candidate = _feature_sign_search(gram, corr, lam1, lam2, beta, slack)
+            candidate = _feature_sign_search(gram, corr, lam1, lam2, beta, bound)
             if candidate is not None:
                 return candidate, True, sweep + 1
             failed_pattern = pattern
@@ -518,7 +507,9 @@ def fit_penalized(
     else:
         if start is not None:
             start = np.asarray(start, dtype=float) * scale  # the solver's scaled coordinates
-        beta, converged, _ = _coordinate_descent(xc, yc, lam1, lam2, tol, max_iter, start)
+        bound = 10.0 * tol * max(1.0, float(np.abs(2.0 * (d.x.T @ d.y)).max()))
+        beta, converged, _ = _coordinate_descent(xc, yc, lam1, lam2, tol, max_iter, bound,
+                                                 start)
         if not converged:
             flags = flags + ("non_converged",)
     beta = beta / scale
@@ -540,15 +531,11 @@ def kkt_check(model: LinearModel, d: DesignMatrix) -> float:
     residual = d.y - predict(model, d.x)
     g = -2.0 * (d.x.T @ residual)
     lam1, lam2 = (0.0, 0.0) if model.penalty is None else model.penalty.weights
-    worst = 0.0
-    for j in range(d.p):
-        beta_j = model.coefficients[j]
-        if lam1 > 0 and beta_j == 0.0:
-            v = max(abs(g[j]) - lam1, 0.0)
-        else:
-            v = abs(g[j] + lam1 * np.sign(beta_j) + 2.0 * lam2 * beta_j)
-        worst = max(worst, float(v))
-    return worst
+    beta = model.coefficients
+    v = np.abs(g + lam1 * np.sign(beta) + 2.0 * lam2 * beta)
+    if lam1 > 0:
+        v = np.where(beta == 0.0, np.maximum(np.abs(g) - lam1, 0.0), v)
+    return float(v.max())
 
 
 def lasso_lambda_max(d: DesignMatrix, fit_intercept: bool = True) -> float:

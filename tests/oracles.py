@@ -202,3 +202,22 @@ def random_instance(rng, max_n=8, max_p=3, cond_cap=10.0):
         beta = rng.normal(size=p) * (rng.random(p) < 0.7)
         y = x @ beta + rng.normal() + 0.3 * rng.normal(size=n)
         return x, y
+
+
+def kkt_loop(model, d):
+    """Largest violation of the subgradient optimality conditions, one
+    coefficient at a time: with g_j = -2 x_j'(y - yhat), a zero coefficient
+    under an L1 weight violates by max(|g_j| - lam1, 0), any other by
+    |g_j + lam1*sign(beta_j) + 2*lam2*beta_j|."""
+    residual = d.y - (model.intercept + d.x @ model.coefficients)
+    g = -2.0 * (d.x.T @ residual)
+    lam1, lam2 = (0.0, 0.0) if model.penalty is None else model.penalty.weights
+    worst = 0.0
+    for j in range(d.p):
+        beta_j = model.coefficients[j]
+        if lam1 > 0 and beta_j == 0.0:
+            v = max(abs(g[j]) - lam1, 0.0)
+        else:
+            v = abs(g[j] + lam1 * np.sign(beta_j) + 2.0 * lam2 * beta_j)
+        worst = max(worst, float(v))
+    return worst

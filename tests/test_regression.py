@@ -28,7 +28,7 @@ from clusterreg.regression import (
     soft_threshold,
 )
 
-from oracles import grid_minimize, penalized_objective, random_instance
+from oracles import grid_minimize, kkt_loop, penalized_objective, random_instance
 
 UNI_X = DesignMatrix(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 2.0, 3.0]), ("x",))
 UNI_PM = DesignMatrix(np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]), ("x",))
@@ -211,6 +211,26 @@ class TestKkt:
                 assert m.converged
                 assert kkt_check(m, d) < 10 * 1e-10 * max(
                     1.0, float(np.abs(2 * d.x.T @ d.y).max()))
+
+    @given(data=st.data(), n=st.integers(1, 6), p=st.integers(1, 4),
+           kind=st.sampled_from([None, "ridge", "lasso", "elastic_net"]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_coordinate_loop(self, data, n, p, kind):
+        cells = st.integers(-6, 6).map(lambda v: v / 4)
+        x = np.array(data.draw(st.lists(st.lists(cells, min_size=p, max_size=p),
+                                        min_size=n, max_size=n)))
+        y = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)))
+        d = DesignMatrix(x, y, tuple(f"c{j}" for j in range(p)))
+        beta = data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.3, -1.7, 2.5]) | cells,
+                                  min_size=p, max_size=p))
+        weights = st.sampled_from([0.0, 0.5, 3.0]) | st.floats(0.0, 10.0)
+        penalty = {None: lambda: None,
+                   "ridge": lambda: PenaltySpec.ridge(data.draw(weights)),
+                   "lasso": lambda: PenaltySpec.lasso(data.draw(weights)),
+                   "elastic_net": lambda: PenaltySpec.elastic_net(data.draw(weights),
+                                                                  data.draw(weights))}[kind]()
+        m = LinearModel(data.draw(cells), np.array(beta), penalty, d.column_names)
+        assert kkt_check(m, d) == kkt_loop(m, d)
 
     def test_standardized_fit_rejected(self):
         d = random_design(seed=17)
@@ -475,9 +495,10 @@ class TestActiveSetSearch:
            lam_share=st.floats(0.001, 1.2), alpha=st.sampled_from([1.0, 0.5, 0.1]))
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_plain_cd(self, data, n, p, lam_share, alpha):
-        """The search meets the kkt_check bound. Plain CD stops on a small
-        coefficient change, which need not meet it; with eps the larger KKT
-        residual of the two fits, convexity bounds the objective gap by
+        """Both exits meet the kkt_check bound: the search's and plain CD's,
+        which stops on a small coefficient change only once the iterate
+        passes the same optimality test. With eps the larger KKT residual of
+        the two fits, convexity bounds their objective gap by
         eps * |beta - beta'|_1."""
         cells = st.integers(-4, 4).map(lambda v: v / 2)
         x = np.array(data.draw(st.lists(st.lists(cells, min_size=p, max_size=p),
@@ -501,12 +522,26 @@ class TestActiveSetSearch:
         assert fast.converged and kkt_check(fast, d) <= bound
         if not plain.converged:
             return
+        assert kkt_check(plain, d) <= bound
         eps = max(kkt_check(fast, d), kkt_check(plain, d))
         lam1, lam2 = spec.weights
         f = [penalized_objective(d.x, d.y, m.intercept, m.coefficients, lam1, lam2)
              for m in (fast, plain)]
         gap = np.abs(fast.coefficients - plain.coefficients).sum()
         assert abs(f[0] - f[1]) <= eps * gap + 1e-12 * max(1.0, f[1])
+
+    def test_coefficient_change_exit_meets_the_kkt_bound(self):
+        """Plain CD (the path a search that gives up takes) moves each
+        coefficient by less than tol per sweep here long before the KKT
+        residual falls within the kkt_check bound; it must not stop there."""
+        x = np.zeros((6, 4))
+        x[:, 0] = (0.0, 0.0, 0.0, 0.0, -1.5, 0.5)
+        x[:, 1] = x[:, 3] = -2 * x[:, 0]
+        d = DesignMatrix(x, np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.5]), ("a", "b", "c", "d"))
+        with mock.patch.object(regression, "_feature_sign_search", lambda *args: None):
+            m = fit_penalized(d, PenaltySpec.elastic_net(0.5, 0.5))
+        assert m.converged
+        assert kkt_check(m, d) <= _kkt_bound(d)
 
     def test_pipeline_sweep_total_on_seed_2024(self, synthetic_case, monkeypatch):
         """A machine-independent guard on solver work: 674 sweeps when this
