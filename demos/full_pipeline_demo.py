@@ -41,8 +41,7 @@ for p in report.profiles[:5]:
 print("\n-- fitted models on training years --")
 for kind in ("ridge", "lasso", "elastic_net"):
     rep = report.reports[kind]
-    spec = report.models[kind].penalty
-    lam = spec.lam if kind != "elastic_net" else spec.lam1 + spec.lam2
+    lam = report.models[kind].penalty.lam
     print(f"{kind:>12}: lambda={lam:<10.3g} r2={rep.r2:.6f} "
           f"mse={rep.mse:.3e} sparsity={rep.sparsity:.4f}")
 

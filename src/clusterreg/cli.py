@@ -62,7 +62,7 @@ def cmd_cluster(args) -> int:
 
 
 def _metrics_line(spec: regression.PenaltySpec, report) -> str:
-    return (f"{spec.kind} lambda={sum(spec.weights):.6g} r2={report.r2:.6f} "
+    return (f"{spec.kind} lambda={spec.lam:.6g} r2={report.r2:.6f} "
             f"mse={report.mse:.6g} sparsity={report.sparsity:.4f}")
 
 

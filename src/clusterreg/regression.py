@@ -76,62 +76,59 @@ class DesignMatrix:
 
 @dataclass(frozen=True)
 class PenaltySpec:
-    """Penalty kind plus its weights.
-
-    ridge/lasso use lam; elastic_net uses (lam1, lam2) with the mixing
-    ratio alpha = lam1 / (lam1 + lam2) when the total is positive."""
+    """Penalty kind plus the weights lam1 of its L1 term and lam2 of its
+    squared-L2 term: a ridge carries only lam2, a lasso only lam1. An
+    elastic net has the mixing ratio alpha = lam1 / (lam1 + lam2) when the
+    total is positive."""
 
     kind: str
-    lam: float = 0.0
     lam1: float = 0.0
     lam2: float = 0.0
 
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
             raise RegressionError(f"unknown penalty kind {self.kind!r}")
-        if min(self.lam, self.lam1, self.lam2) < 0:
+        if min(self.lam1, self.lam2) < 0:
             raise RegressionError("penalty weights must be >= 0")
+        if self.kind == "ridge" and self.lam1:
+            raise RegressionError("a ridge penalty has no L1 weight")
+        if self.kind == "lasso" and self.lam2:
+            raise RegressionError("a lasso penalty has no L2 weight")
+
+    @property
+    def lam(self) -> float:
+        """The total weight lam1 + lam2."""
+        return self.lam1 + self.lam2
 
     @property
     def alpha(self) -> float | None:
-        if self.kind != "elastic_net" or self.lam1 + self.lam2 == 0:
+        if self.kind != "elastic_net" or self.lam == 0:
             return None
-        return self.lam1 / (self.lam1 + self.lam2)
-
-    @property
-    def weights(self) -> tuple[float, float]:
-        """The (lam1, lam2) weights of the L1 and squared-L2 terms."""
-        if self.kind == "ridge":
-            return 0.0, self.lam
-        if self.kind == "lasso":
-            return self.lam, 0.0
-        return self.lam1, self.lam2
+        return self.lam1 / self.lam
 
     @classmethod
     def of(cls, kind: str, lam: float, alpha: float) -> "PenaltySpec":
         """Spec of one grid point: lam is the weight, or for elastic_net the
-        total weight split by alpha."""
-        if kind == "elastic_net":
-            return cls.elastic_net_total(lam, alpha)
-        return cls(kind, lam=lam)
+        total weight split as lam1 = alpha*lam, lam2 = (1-alpha)*lam."""
+        if kind == "ridge":
+            return cls(kind, lam2=lam)
+        if kind == "lasso":
+            return cls(kind, lam1=lam)
+        if not 0.0 <= alpha <= 1.0:
+            raise RegressionError("alpha must be in [0, 1]")
+        return cls(kind, lam1=alpha * lam, lam2=(1.0 - alpha) * lam)
 
     @classmethod
     def ridge(cls, lam: float) -> "PenaltySpec":
-        return cls("ridge", lam=lam)
+        return cls("ridge", lam2=lam)
 
     @classmethod
     def lasso(cls, lam: float) -> "PenaltySpec":
-        return cls("lasso", lam=lam)
+        return cls("lasso", lam1=lam)
 
     @classmethod
     def elastic_net(cls, lam1: float, lam2: float) -> "PenaltySpec":
         return cls("elastic_net", lam1=lam1, lam2=lam2)
-
-    @classmethod
-    def elastic_net_total(cls, total: float, alpha: float) -> "PenaltySpec":
-        if not 0.0 <= alpha <= 1.0:
-            raise RegressionError("alpha must be in [0, 1]")
-        return cls("elastic_net", lam1=alpha * total, lam2=(1.0 - alpha) * total)
 
     def to_dict(self) -> dict:
         return {
@@ -496,7 +493,7 @@ def fit_penalized(
     if standardize:
         xc, scale = _scale_columns(xc)
         flags = ("standardized",)
-    lam1, lam2 = spec.weights
+    lam1, lam2 = spec.lam1, spec.lam2
     converged = True
     if ridge and lam2 == 0:
         beta, _, rank, _ = np.linalg.lstsq(xc, yc, rcond=None)
@@ -530,7 +527,8 @@ def kkt_check(model: LinearModel, d: DesignMatrix) -> float:
         raise RegressionError("kkt_check applies to unstandardized fits")
     residual = d.y - predict(model, d.x)
     g = -2.0 * (d.x.T @ residual)
-    lam1, lam2 = (0.0, 0.0) if model.penalty is None else model.penalty.weights
+    penalty = model.penalty
+    lam1, lam2 = (0.0, 0.0) if penalty is None else (penalty.lam1, penalty.lam2)
     beta = model.coefficients
     v = np.abs(g + lam1 * np.sign(beta) + 2.0 * lam2 * beta)
     if lam1 > 0:

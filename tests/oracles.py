@@ -211,7 +211,8 @@ def kkt_loop(model, d):
     |g_j + lam1*sign(beta_j) + 2*lam2*beta_j|."""
     residual = d.y - (model.intercept + d.x @ model.coefficients)
     g = -2.0 * (d.x.T @ residual)
-    lam1, lam2 = (0.0, 0.0) if model.penalty is None else model.penalty.weights
+    penalty = model.penalty
+    lam1, lam2 = (0.0, 0.0) if penalty is None else (penalty.lam1, penalty.lam2)
     worst = 0.0
     for j in range(d.p):
         beta_j = model.coefficients[j]

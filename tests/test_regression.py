@@ -169,11 +169,22 @@ class TestElasticNet:
         assert m.coefficients[0] == pytest.approx(0.5, abs=1e-10)
 
     def test_spec_construction(self):
-        spec = PenaltySpec.elastic_net_total(2.0, 0.5)
+        spec = PenaltySpec.of("elastic_net", 2.0, 0.5)
         assert spec.lam1 == spec.lam2 == 1.0
-        assert spec.alpha == 0.5
-        with pytest.raises(RegressionError):
-            PenaltySpec.elastic_net_total(1.0, 1.5)
+        assert spec.alpha == 0.5 and spec.lam == 2.0
+        with pytest.raises(RegressionError, match="alpha"):
+            PenaltySpec.of("elastic_net", 1.0, 1.5)
+
+    def test_spec_holds_only_its_kinds_weights(self):
+        with pytest.raises(RegressionError, match="ridge penalty has no L1"):
+            PenaltySpec("ridge", lam1=0.1, lam2=1.0)
+        with pytest.raises(RegressionError, match="lasso penalty has no L2"):
+            PenaltySpec("lasso", lam1=1.0, lam2=0.1)
+        assert PenaltySpec.of("lasso", 1e-8, 0.5).to_dict() == {
+            "kind": "lasso", "lambda": 1e-8, "lambda1": 1e-8, "lambda2": 0.0, "alpha": None}
+        assert PenaltySpec.of("ridge", 0.3, 0.5).to_dict() == {
+            "kind": "ridge", "lambda": 0.3, "lambda1": 0.0, "lambda2": 0.3, "alpha": None}
+        assert PenaltySpec.of("elastic_net", 1e-8, 0.5).to_dict()["lambda"] == 1e-8
 
 
 class TestKkt:
@@ -351,14 +362,6 @@ def _kkt_bound(d: DesignMatrix, tol: float = 1e-10) -> float:
     return 10 * tol * max(1.0, float(np.abs(2 * d.x.T @ d.y).max()))
 
 
-def _cold_spec(kind: str, lam: float, alpha: float = 0.5) -> PenaltySpec:
-    if kind == "lasso":
-        return PenaltySpec.lasso(lam)
-    if kind == "elastic_net":
-        return PenaltySpec.elastic_net_total(lam, alpha)
-    return PenaltySpec.ridge(lam)
-
-
 class TestWarmStart:
     def test_warm_path_rows_pass_kkt_and_match_cold_fits(self):
         rng = np.random.default_rng(2010)
@@ -371,7 +374,7 @@ class TestWarmStart:
             for kind in ("lasso", "elastic_net"):
                 path = iterate_lambda(d, kind, grid)
                 for i, lam in enumerate(grid):
-                    spec = _cold_spec(kind, lam)
+                    spec = PenaltySpec.of(kind, lam, 0.5)
                     beta = path.coefficient_matrix[i]
                     warm = LinearModel(float(d.y.mean() - d.x.mean(axis=0) @ beta), beta,
                                        spec, d.column_names)
@@ -418,7 +421,7 @@ class TestWarmStart:
                 fold_mse = []
                 for block in blocks:
                     train = np.setdiff1d(np.arange(d.n), block)
-                    model = fit_penalized(d.subset(train), _cold_spec(kind, lam))
+                    model = fit_penalized(d.subset(train), PenaltySpec.of(kind, lam, 0.5))
                     fold_mse.append(compute_mse(d.y[block], predict(model, d.x[block])))
                 reference.append((lam, float(np.mean(fold_mse))))
             _, table = cross_validate(d, kind, grid, folds=config.cv_folds)
@@ -514,7 +517,7 @@ class TestActiveSetSearch:
         y = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)))
         d = DesignMatrix(x, y, tuple(f"c{j}" for j in range(p)))
         lam_max = lasso_lambda_max(d)
-        spec = PenaltySpec.elastic_net_total(lam_share * max(lam_max, 1.0), alpha)
+        spec = PenaltySpec.of("elastic_net", lam_share * max(lam_max, 1.0), alpha)
         bound = _kkt_bound(d)
         fast = fit_penalized(d, spec)
         with mock.patch.object(regression, "_feature_sign_search", lambda *args: None):
@@ -524,7 +527,7 @@ class TestActiveSetSearch:
             return
         assert kkt_check(plain, d) <= bound
         eps = max(kkt_check(fast, d), kkt_check(plain, d))
-        lam1, lam2 = spec.weights
+        lam1, lam2 = spec.lam1, spec.lam2
         f = [penalized_objective(d.x, d.y, m.intercept, m.coefficients, lam1, lam2)
              for m in (fast, plain)]
         gap = np.abs(fast.coefficients - plain.coefficients).sum()
