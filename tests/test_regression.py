@@ -494,6 +494,18 @@ class TestActiveSetSearch:
         assert m.converged and kkt_check(m, d) <= _kkt_bound(d)
         assert m.coefficients[0] * m.coefficients[1] > 0
 
+    def test_search_gives_up_when_only_stationarity_fails(self, monkeypatch):
+        # Every pattern solve is scaled off its stationary point: its signs
+        # hold and no inactive coordinate violates, so no repair applies.
+        d = DesignMatrix(WRONG_SIGN_X, WRONG_SIGN_Y, ("a", "b", "c", "d"))
+        lam = 0.1 * lasso_lambda_max(d)
+        beta = fit_lasso(d, lam).coefficients
+        xc, yc = d.x - d.x.mean(axis=0), d.y - d.y.mean()
+        solve = regression._solve_pattern
+        monkeypatch.setattr(regression, "_solve_pattern", lambda *args: 1.001 * solve(*args))
+        assert regression._feature_sign_search(xc.T @ xc, xc.T @ yc, lam, 0.0, beta,
+                                               _kkt_bound(d)) is None
+
     @given(data=st.data(), n=st.integers(3, 8), p=st.integers(1, 5),
            lam_share=st.floats(0.001, 1.2), alpha=st.sampled_from([1.0, 0.5, 0.1]))
     @settings(max_examples=150, deadline=None)
