@@ -10,6 +10,7 @@ training years only; the elastic-net fit produces the holdout forecasts.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -41,29 +42,41 @@ _DEFAULT_RIDGE_GRID = [round(0.01 * k, 2) for k in range(0, 51)]  # 0.00 .. 0.50
 _DEFAULT_L1_GRID = [float(v) for v in np.logspace(-8, 1, 28)]
 
 
+def _finite(text: str) -> float:
+    """float(text), rejecting NaN and +-inf."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return v
+
+
 def parse_grid(text: str) -> list[float]:
     """Parse a grid spec: 'a:b:step' (inclusive), 'logspace:e0:e1:count',
-    or a comma-separated list."""
+    or a comma-separated list. Every value must be finite."""
     text = text.strip()
     if text.startswith("logspace:"):
         parts = text.split(":")
         if len(parts) != 4:
             raise ConfigError(f"bad logspace grid {text!r}, want logspace:e0:e1:count")
-        e0, e1, count = float(parts[1]), float(parts[2]), int(parts[3])
+        e0, e1, count = _finite(parts[1]), _finite(parts[2]), int(parts[3])
         if count < 1:
             raise ConfigError("logspace grid needs count >= 1")
-        return [float(v) for v in np.logspace(e0, e1, count)]
+        with np.errstate(over="ignore"):  # an overflow to inf is rejected below
+            vals = [float(v) for v in np.logspace(e0, e1, count)]
+        if not all(map(math.isfinite, vals)):
+            raise ConfigError(f"logspace grid {text!r} overflows")
+        return vals
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"bad range grid {text!r}, want start:stop:step")
-        a, b, step = (float(p) for p in parts)
+        a, b, step = (_finite(p) for p in parts)
         if step <= 0 or b < a:
             raise ConfigError(f"bad range grid {text!r}")
         count = int(round((b - a) / step)) + 1
         vals = [a + step * k for k in range(count)]
         return [v for v in vals if v <= b + 1e-12]
-    vals = [float(p) for p in text.split(",") if p.strip()]
+    vals = [_finite(p) for p in text.split(",") if p.strip()]
     if not vals:
         raise ConfigError(f"empty grid {text!r}")
     return vals
@@ -135,6 +148,10 @@ class PipelineConfig:
             raise ConfigError("log_epsilon must be > 0")
         if self.cv_folds < 2:
             raise ConfigError("cv_folds must be >= 2")
+        if not 0.0 < self.tol < math.inf:
+            raise ConfigError("tol must be finite and > 0")
+        if self.max_iter < 1:
+            raise ConfigError("max_iter must be >= 1")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -176,6 +193,20 @@ def _parse_bool(text: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
 
 
+def _parse_tol(text: str) -> float:
+    tol = _finite(text)
+    if tol <= 0:
+        raise ValueError(f"tol must be > 0, got {text!r}")
+    return tol
+
+
+def _parse_max_iter(text: str) -> int:
+    max_iter = int(text)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {text!r}")
+    return max_iter
+
+
 def _parse_int_grid(text: str) -> list[int]:
     vals = parse_grid(text)
     if any(v != int(v) for v in vals):
@@ -187,7 +218,7 @@ def _parse_int_grid(text: str) -> list[int]:
 _CONFIG_KEYS = {
     "data_path": ("data", "path", str),
     "layout": ("data", "layout", str),
-    "log_epsilon": ("preprocess", "log_epsilon", float),
+    "log_epsilon": ("preprocess", "log_epsilon", _finite),
     "anchor": ("preprocess", "anchor", str),
     "anchor_year": ("preprocess", "anchor_year", int),
     "eps_grid": ("cluster", "eps_grid", parse_grid),
@@ -195,10 +226,10 @@ _CONFIG_KEYS = {
     "ridge_lambdas": ("regress", "ridge_lambdas", parse_grid),
     "lasso_lambdas": ("regress", "lasso_lambdas", parse_grid),
     "enet_lambdas": ("regress", "enet_lambdas", parse_grid),
-    "enet_alpha": ("regress", "enet_alpha", float),
+    "enet_alpha": ("regress", "enet_alpha", _finite),
     "cv_folds": ("regress", "cv_folds", int),
-    "tol": ("regress", "tol", float),
-    "max_iter": ("regress", "max_iter", int),
+    "tol": ("regress", "tol", _parse_tol),
+    "max_iter": ("regress", "max_iter", _parse_max_iter),
     "standardize": ("regress", "standardize", _parse_bool),
     "train_years": ("forecast", "train_years", parse_years),
     "test_years": ("forecast", "test_years", parse_years),

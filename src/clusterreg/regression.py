@@ -1,6 +1,7 @@
-"""Penalized linear regression: closed-form ridge, coordinate-descent
-lasso and elastic net, with metrics, cross-validated penalty selection,
-path tracing, and subgradient optimality checks.
+"""Penalized linear regression: closed-form ridge, lasso and elastic net by
+feature-sign search with a coordinate-descent fallback, with metrics,
+cross-validated penalty selection, path tracing, and subgradient
+optimality checks.
 
 Objective conventions (shared by every solver and by kkt_check):
 
@@ -16,13 +17,16 @@ intercept is never penalized: fits center y and the columns of X, solve
 for beta, then restore the intercept from the means. Columns are not
 rescaled unless standardize=True is requested.
 
-Coordinate updates follow directly from the objective: for column j with
-partial residual correlation rho_j,
+A lasso or elastic-net fit is first sought by the feature-sign search,
+which returns the exact solve of one sign pattern. Only when the search
+gives up does coordinate descent run; its updates follow directly from
+the objective: for column j with partial residual correlation rho_j,
 
     beta_j = soft_threshold(rho_j, lam1 / 2) / (sum_i x_ij^2 + lam2)
 
 which reduces to the lasso update at lam2 = 0 and to a smooth shrinkage
-at lam1 = 0.
+at lam1 = 0. Both accept a fit by one test, _optimality within the
+kkt_check bound 10*tol*max(1, |2X'y|_inf).
 """
 
 from __future__ import annotations
@@ -88,8 +92,8 @@ class PenaltySpec:
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
             raise RegressionError(f"unknown penalty kind {self.kind!r}")
-        if min(self.lam1, self.lam2) < 0:
-            raise RegressionError("penalty weights must be >= 0")
+        if not (0.0 <= self.lam1 < np.inf and 0.0 <= self.lam2 < np.inf):
+            raise RegressionError("penalty weights must be finite and >= 0")
         if self.kind == "ridge" and self.lam1:
             raise RegressionError("a ridge penalty has no L1 weight")
         if self.kind == "lasso" and self.lam2:
@@ -331,7 +335,7 @@ def _feature_sign_search(
     beta: np.ndarray,
     bound: float,
 ) -> np.ndarray | None:
-    """Feature-sign search (Lee, Battle, Raina & Ng 2007) from the iterate
+    """Feature-sign search (Lee, Battle, Raina & Ng 2007) from the start
     beta: the solve of some sign pattern that passes _optimality within
     bound, or None.
 
@@ -373,35 +377,25 @@ def _feature_sign_search(
 
 
 def _coordinate_descent(
-    x: np.ndarray,
-    y: np.ndarray,
+    gram: np.ndarray,
+    corr: np.ndarray,
     lam1: float,
     lam2: float,
     tol: float,
     max_iter: int,
     bound: float,
-    start: np.ndarray | None = None,
+    beta: np.ndarray,
 ) -> tuple[np.ndarray, bool, int]:
-    """Cyclic coordinate descent for RSS + lam1*L1 + lam2*L2 (no intercept).
+    """Cyclic coordinate descent for RSS + lam1*L1 + lam2*L2 (no intercept)
+    on gram = X'X and corr = X'y, from the start beta.
 
-    Starts from `start` (in the coordinates of x) or from zero. Stops
-    when the largest coefficient change in a sweep drops below tol and
-    the iterate passes _optimality within bound. Once the active sign
-    pattern is stable across two sweeps, a feature-sign search from the
-    iterate looks for the sign pattern whose exact solve passes the same
-    test; this short-circuits the slow tail on poorly conditioned designs
-    without changing the limit point. When the search gives up, descent
-    goes on, and the search runs again once a different pattern is
-    stable. Zero-norm columns (centered constants) keep a zero
-    coefficient."""
-    n, p = x.shape
-    gram = x.T @ x
-    corr = x.T @ y
-    col_norm2 = np.diag(gram).copy()
-    denom = col_norm2 + lam2
+    Stops when the largest coefficient change in a sweep drops below tol
+    and the iterate passes _optimality within bound. Zero-norm columns
+    (centered constants) are skipped and keep their start value."""
+    p = beta.shape[0]
+    beta = beta.copy()
+    denom = np.diag(gram) + lam2
     thresh = lam1 / 2.0
-    beta = np.zeros(p) if start is None else np.where(denom > 0.0, start, 0.0)
-    prev_pattern = failed_pattern = None
     for sweep in range(max_iter):
         q = gram @ beta  # refreshed each sweep so incremental drift cannot build up
         max_delta = 0.0
@@ -420,14 +414,6 @@ def _coordinate_descent(
             stationarity, g = _optimality(gram, corr, lam1, lam2, beta)
             if stationarity <= bound and np.abs(g).max() <= lam1 + bound:
                 return beta, True, sweep + 1
-        pattern = np.sign(beta)
-        if (pattern.any() and np.array_equal(pattern, prev_pattern)
-                and not np.array_equal(pattern, failed_pattern)):
-            candidate = _feature_sign_search(gram, corr, lam1, lam2, beta, bound)
-            if candidate is not None:
-                return candidate, True, sweep + 1
-            failed_pattern = pattern
-        prev_pattern = pattern
     return beta, False, max_iter
 
 
@@ -439,10 +425,12 @@ def fit_lasso(
     fit_intercept: bool = True,
     standardize: bool = False,
 ) -> LinearModel:
-    """L1-penalized fit by cyclic coordinate descent.
+    """L1-penalized fit by feature-sign search, falling back to cyclic
+    coordinate descent when the search gives up.
 
-    Non-convergence within max_iter is flagged on the returned model
-    (converged=False, flag 'non_converged'), never silently accepted."""
+    A fallback that does not converge within max_iter sweeps is flagged on
+    the returned model (converged=False, flag 'non_converged'), never
+    silently accepted."""
     return fit_penalized(d, PenaltySpec.lasso(lam), tol=tol, max_iter=max_iter,
                          fit_intercept=fit_intercept, standardize=standardize)
 
@@ -456,7 +444,8 @@ def fit_elastic_net(
     fit_intercept: bool = True,
     standardize: bool = False,
 ) -> LinearModel:
-    """Combined L1/L2 penalty by cyclic coordinate descent.
+    """Combined L1/L2 penalty by feature-sign search, falling back to cyclic
+    coordinate descent when the search gives up.
 
     Reduces exactly to the lasso at lam2=0 and to ridge at lam1=0."""
     return fit_penalized(d, PenaltySpec.elastic_net(lam1, lam2), tol=tol, max_iter=max_iter,
@@ -477,14 +466,16 @@ def fit_penalized(
     Ridge is solved in closed form and ignores tol, max_iter and `start`;
     at lam=0 it is least squares, whose minimum-norm solution on a
     rank-deficient design is flagged 'singular_system'. Lasso and elastic
-    net run coordinate descent from the coefficients `start` (as reported
-    on a model, e.g. the fit at a neighbouring penalty) or from zero."""
+    net run the feature-sign search from the coefficients `start` (as
+    reported on a model, e.g. the fit at a neighbouring penalty) or from
+    zero, and coordinate descent from the same point only when the search
+    gives up."""
     ridge = spec.kind == "ridge"
     if not ridge:
         if start is not None and np.shape(start) != (d.p,):
             raise RegressionError(f"start must have shape ({d.p},), got {np.shape(start)}")
-        if tol <= 0:
-            raise RegressionError("tol must be > 0")
+        if not 0.0 < tol < np.inf:
+            raise RegressionError("tol must be finite and > 0")
         if max_iter < 1:
             raise RegressionError("max_iter must be >= 1")
     xc, yc, x_mean, y_mean = _center(d, fit_intercept)
@@ -502,13 +493,16 @@ def fit_penalized(
     elif ridge:
         beta = np.linalg.solve(xc.T @ xc + lam2 * np.eye(d.p), xc.T @ yc)
     else:
-        if start is not None:
-            start = np.asarray(start, dtype=float) * scale  # the solver's scaled coordinates
+        gram, corr = xc.T @ xc, xc.T @ yc
+        start = np.zeros(d.p) if start is None else np.asarray(start, dtype=float) * scale
+        start = np.where(np.diag(gram) > 0.0, start, 0.0)  # zero-norm columns stay at zero
         bound = 10.0 * tol * max(1.0, float(np.abs(2.0 * (d.x.T @ d.y)).max()))
-        beta, converged, _ = _coordinate_descent(xc, yc, lam1, lam2, tol, max_iter, bound,
-                                                 start)
-        if not converged:
-            flags = flags + ("non_converged",)
+        beta = _feature_sign_search(gram, corr, lam1, lam2, start, bound)
+        if beta is None:
+            beta, converged, _ = _coordinate_descent(gram, corr, lam1, lam2, tol, max_iter,
+                                                     bound, start)
+            if not converged:
+                flags = flags + ("non_converged",)
     beta = beta / scale
     intercept = y_mean - float(x_mean @ beta)
     return LinearModel(intercept, beta, spec, d.column_names, converged=converged, flags=flags)

@@ -273,6 +273,18 @@ MALFORMED_CONFIGS = [
     ("[regress]\nstandardize = maybe\n", "[regress] standardize: not a boolean"),
     ("[cluster]\nminpts_grid = 1:0:1\n", "[cluster] minpts_grid: bad range grid"),
     ("[cluster]\nminpts_grid = 1.5,2.7\n", "[cluster] minpts_grid: min_pts values must be integers"),
+    ("[regress]\ntol = nan\n", "[regress] tol: not a finite number"),
+    ("[regress]\ntol = inf\n", "[regress] tol: not a finite number"),
+    ("[regress]\ntol = 0\n", "[regress] tol: tol must be > 0"),
+    ("[regress]\nmax_iter = 0\n", "[regress] max_iter: max_iter must be >= 1"),
+    ("[regress]\nenet_alpha = nan\n", "[regress] enet_alpha: not a finite number"),
+    ("[preprocess]\nlog_epsilon = inf\n", "[preprocess] log_epsilon: not a finite number"),
+    ("[cluster]\neps_grid = 0.1,-inf\n", "[cluster] eps_grid: not a finite number"),
+    ("[cluster]\nminpts_grid = 1,inf\n", "[cluster] minpts_grid: not a finite number"),
+    ("[regress]\nlasso_lambdas = 0.1,nan\n", "[regress] lasso_lambdas: not a finite number"),
+    ("[regress]\nenet_lambdas = 0:1:nan\n", "[regress] enet_lambdas: not a finite number"),
+    ("[regress]\nridge_lambdas = logspace:nan:1:3\n", "[regress] ridge_lambdas: not a finite"),
+    ("[regress]\nridge_lambdas = logspace:0:400:3\n", "[regress] ridge_lambdas: logspace grid"),
     ("[regress]\ntolerance = 1e-8\n", "unknown key [regress] tolerance"),
     ("[data]\nlayuot = wide\n", "unknown key [data] layuot"),
     ("[regres]\ntol = 1e-8\n", "unknown section [regres]"),

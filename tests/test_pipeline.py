@@ -165,6 +165,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="anchor_year"):
             cfg.validate()
 
+    def test_solver_settings_checked(self):
+        for bad, named in ((dict(tol=float("nan")), "tol"), (dict(tol=float("inf")), "tol"),
+                           (dict(tol=0.0), "tol"), (dict(max_iter=0), "max_iter")):
+            cfg = PipelineConfig(train_years=[2000], test_years=[2001], **bad)
+            with pytest.raises(ConfigError, match=named):
+                cfg.validate()
+
     def test_parse_grid_forms(self):
         assert parse_grid("0.0:0.5:0.25") == [0.0, 0.25, 0.5]
         assert parse_grid("1,2,3") == [1.0, 2.0, 3.0]

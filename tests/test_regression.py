@@ -145,8 +145,10 @@ class TestLasso:
         assert m.intercept == pytest.approx(float(d.y.mean()), abs=1e-12)
 
     def test_non_convergence_flagged(self):
-        d = random_design(seed=13, n=8, p=3)
-        m = fit_lasso(d, 1e-10, max_iter=1)
+        # The search gives up on the split start (a singular G_AA), and one
+        # fallback sweep does not converge.
+        d, lam, start = duplicated_column_case()
+        m = fit_penalized(d, PenaltySpec.lasso(lam), max_iter=1, start=start)
         assert not m.converged
         assert "non_converged" in m.flags
 
@@ -456,8 +458,8 @@ def _solves(monkeypatch) -> list[tuple]:
     return solves
 
 
-# Its first stable CD pattern is (+, -, -, +); the exact solve on it gives
-# column 2 a positive coefficient, and plain CD needs 833 sweeps.
+# The exact solve on the sign pattern (+, -, -, +) gives column 2 a positive
+# coefficient, and plain CD from zero needs 833 sweeps.
 WRONG_SIGN_X = np.array([
     [2.8, 2.3, 2.0, -0.6], [0.6, 0.4, 0.4, -0.3], [-0.8, -2.0, -1.7, 1.4],
     [0.5, -3.2, -3.0, 3.3], [-1.8, -3.8, -3.4, 2.4], [-1.3, -2.8, -2.6, 1.9],
@@ -466,28 +468,53 @@ WRONG_SIGN_X = np.array([
 WRONG_SIGN_Y = np.array([1.2, 1.3, 0.7, 2.2, 0.6, 0.4, 0.5, 2.3])
 
 
+def duplicated_column_case():
+    """A duplicated integer column, a lasso weight and a start that splits
+    the weight over both copies. The centered Gram is exact, so G_AA of the
+    start's pattern has two equal rows and is exactly singular."""
+    a = np.array([3.0, -1.0, 2.0, 0.0, -2.0, 1.0, 4.0, -3.0])
+    b = np.array([1.0, 2.0, -1.0, 0.0, 3.0, -2.0, 1.0, 0.0])
+    y = 0.7 * a - 0.4 * b + np.array([0.1, -0.2, 0.05, 0.3, -0.1, 0.0, 0.2, -0.15])
+    d = DesignMatrix(np.column_stack([a, a, b]), y, ("a", "a2", "b"))
+    lam = 0.1 * lasso_lambda_max(d)
+    return d, lam, fit_lasso(d, lam).coefficients[[0, 0, 2]] / 2
+
+
 class TestActiveSetSearch:
     def test_wrong_sign_pattern_is_repaired_in_few_sweeps(self, monkeypatch):
         d = DesignMatrix(WRONG_SIGN_X, WRONG_SIGN_Y, ("a", "b", "c", "d"))
         lam = 0.1 * lasso_lambda_max(d)
+        cold = fit_lasso(d, lam)
         solves = _solves(monkeypatch)
         sweeps = _sweeps(monkeypatch)
-        m = fit_lasso(d, lam)
+        m = fit_penalized(d, PenaltySpec.lasso(lam), start=np.array([0.43, -0.18, -0.01, 0.12]))
         _, signs, b = solves[0]
-        assert np.any(b * signs <= 0)  # the first stable pattern breaks a sign
+        assert np.all(signs == [1, -1, -1, 1]) and np.any(b * signs <= 0)  # breaks a sign
         assert m.converged and kkt_check(m, d) <= _kkt_bound(d)
-        assert sweeps == [2]
+        assert sweeps == []  # the search repairs the pattern; no descent runs
+        assert np.array_equal(m.coefficients, cold.coefficients)
+        assert m.intercept == cold.intercept
         assert m.coefficients[2] == 0.0 and m.coefficients[3] == 0.0
 
+    def test_collinear_design_solved_where_descent_stalls(self, monkeypatch):
+        # Columns c and d are -2 times column b. Descent from zero spreads
+        # weight over b and c, whose G_AA is singular; after 2,000 sweeps its
+        # KKT residual is still 0.016. The search from zero takes in one
+        # column at a time and solves the fit exactly.
+        x = np.array([[0.5, 1.5, -3.0, -3.0], [-2.0, -0.5, 1.0, 1.0],
+                      [-2.0, -1.5, 3.0, 3.0], [1.0, 2.0, -4.0, -4.0]])
+        d = DesignMatrix(x, np.array([0.0, -1.5, 1.5, 1.0]), ("a", "b", "c", "d"))
+        lam = 0.01 * lasso_lambda_max(d)
+        with mock.patch.object(regression, "_feature_sign_search", lambda *args: None):
+            assert not fit_lasso(d, lam, max_iter=2000).converged  # descent alone
+        sweeps = _sweeps(monkeypatch)
+        m = fit_lasso(d, lam, max_iter=2000)
+        assert sweeps == []
+        assert m.converged and kkt_check(m, d) <= _kkt_bound(d)
+        assert m.coefficients[1] == 0.0 and m.coefficients[3] == 0.0
+
     def test_singular_active_gram_falls_back_to_cd(self, monkeypatch):
-        # A duplicated integer column: the centered Gram is exact, so G_AA
-        # has two equal rows and is exactly singular.
-        a = np.array([3.0, -1.0, 2.0, 0.0, -2.0, 1.0, 4.0, -3.0])
-        b = np.array([1.0, 2.0, -1.0, 0.0, 3.0, -2.0, 1.0, 0.0])
-        y = 0.7 * a - 0.4 * b + np.array([0.1, -0.2, 0.05, 0.3, -0.1, 0.0, 0.2, -0.15])
-        d = DesignMatrix(np.column_stack([a, a, b]), y, ("a", "a2", "b"))
-        lam = 0.1 * lasso_lambda_max(d)
-        start = fit_lasso(d, lam).coefficients[[0, 0, 2]] / 2  # weight on both copies
+        d, lam, start = duplicated_column_case()
         solves = _solves(monkeypatch)
         m = fit_penalized(d, PenaltySpec.lasso(lam), start=start)
         assert any(active == [0, 1, 2] and b is None for active, _, b in solves)
@@ -559,15 +586,26 @@ class TestActiveSetSearch:
         assert kkt_check(m, d) <= _kkt_bound(d)
 
     def test_pipeline_sweep_total_on_seed_2024(self, synthetic_case, monkeypatch):
-        """A machine-independent guard on solver work: 674 sweeps when this
-        was written; before the active-set search the same run took 8,032."""
+        """A machine-independent guard on solver work: the search accepts
+        every lasso and elastic-net fit of the run, so no descent sweep runs.
+        Descent first and the search on a stable pattern took 674 sweeps;
+        descent alone took 8,032."""
         from clusterreg.pipeline import run_pipeline
 
         _, _, _, config = synthetic_case
+        accepted: list[bool] = []
+        search = regression._feature_sign_search
+
+        def recorded(*args):
+            beta = search(*args)
+            accepted.append(beta is not None)
+            return beta
+
+        monkeypatch.setattr(regression, "_feature_sign_search", recorded)
         sweeps = _sweeps(monkeypatch)
         run_pipeline(config)
-        assert len(sweeps) == 338
-        assert sum(sweeps) <= 700
+        assert accepted == [True] * 338
+        assert sweeps == []
 
 
 class TestMetrics:
@@ -661,3 +699,16 @@ class TestInvariants:
         assert m.penalty.kind == "ridge"
         m = fit_penalized(d, PenaltySpec.elastic_net(0.1, 0.2))
         assert m.penalty.kind == "elastic_net"
+
+    def test_non_finite_solver_input_rejected(self):
+        # An infinite tol used to accept the start point as converged, and a
+        # NaN tol ran to max_iter; a NaN weight passed the sign check.
+        d = random_design(seed=44, n=10, p=3)
+        for tol in (np.inf, np.nan, 0.0):
+            with pytest.raises(RegressionError, match="tol must be finite"):
+                fit_lasso(d, 0.5, tol=tol)
+        for lam in (np.nan, np.inf, -np.inf, -1.0):
+            with pytest.raises(RegressionError, match="penalty weights must be finite"):
+                PenaltySpec.lasso(lam)
+            with pytest.raises(RegressionError, match="penalty weights must be finite"):
+                PenaltySpec.elastic_net(0.5, lam)
