@@ -7,6 +7,14 @@ Two on-disk layouts are supported for panel data:
 * wide CSV -- one file per year named ``panel_<year>.csv`` inside a
   directory; first column ``entity``, remaining columns are feature names.
 
+The long layout is parsed in blocks of ``BLOCK_ROWS`` rows, a column at a
+time. A file the block parser cannot take as it stands (a blank line, a
+bad field, a duplicate key, ...) is read again by the row loop
+``_load_long_rows``, which reports the first problem or skips the blank
+lines. Every loader error names the file and the physical line on which
+the offending record starts, so a quoted name that spans lines does not
+shift the line numbers after it.
+
 Reports are plain JSON (UTF-8, sorted keys) so external tools can parse
 them without this package.
 """
@@ -19,6 +27,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +35,9 @@ import numpy as np
 from .errors import ClusterRegError, PanelFormatError
 
 LONG_HEADER = ["year", "entity", "feature", "value"]
+# Rows per block of the long parser: big enough that per-block work is
+# negligible, small enough that a block's row lists stay well under 1 MB.
+BLOCK_ROWS = 1024
 _WIDE_NAME = re.compile(r"^panel_(\d+)\.csv$")
 
 
@@ -112,19 +124,21 @@ def _parse_year(text: str, where: str) -> int:
 
 
 def _csv_rows(path: Path):
-    """Yield (line number, row) for each line of a UTF-8 CSV file, the header
-    first. An empty file, bytes that are not UTF-8 and csv errors raise
-    PanelFormatError."""
-    lineno = 0
+    """Yield (line, row) for each record of a UTF-8 CSV file, the header
+    first; line is the physical line on which the record starts. An empty
+    file, bytes that are not UTF-8 and csv errors raise PanelFormatError."""
+    start = 1
     with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
         try:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                yield lineno, row
+            for row in reader:
+                yield start, row
+                start = reader.line_num + 1
         except UnicodeDecodeError as err:
             raise PanelFormatError(f"{path}: not valid UTF-8: {err.reason}") from None
         except csv.Error as err:
             raise PanelFormatError(f"{path}: {err}") from None
-    if lineno == 0:
+    if start == 1:
         raise PanelFormatError(f"{path}: empty file")
 
 
@@ -134,7 +148,81 @@ def _pair(a: int, b: int) -> int:
     return s * (s + 1) // 2 + b
 
 
+def _long_panel(years: dict, entities: dict, features: dict,
+                year_codes: array, entity_codes: array, feature_codes: array,
+                cells: array) -> EnergyPanel:
+    """Scatter coded cells into a dense panel with the years sorted; names
+    keep their first-seen order (each dict maps a name to its code)."""
+    order = sorted(years)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[[years[y] for y in order]] = np.arange(len(order))
+    values = np.zeros((len(years), len(entities), len(features)))
+    values[rank[np.frombuffer(year_codes, dtype=np.int64)],
+           np.frombuffer(entity_codes, dtype=np.int64),
+           np.frombuffer(feature_codes, dtype=np.int64)] = np.frombuffer(cells)
+    return EnergyPanel(tuple(order), tuple(entities), tuple(features), values)
+
+
 def _load_long(path: Path) -> EnergyPanel:
+    return _load_long_blocks(path) or _load_long_rows(path)
+
+
+def _load_long_blocks(path: Path) -> EnergyPanel | None:
+    """Parse a long CSV BLOCK_ROWS rows at a time, one column at a time.
+
+    Returns None when the file is not a plain sequence of valid rows (wrong
+    header or column count, a blank line, an empty name, a field int/float
+    rejects, a non-finite value, a duplicate key, no data rows, bytes that
+    are not UTF-8, a csv error); the row loop then reports the problem or
+    skips the blank lines. Otherwise the panel is the one _load_long_rows
+    returns, bit for bit."""
+    years: dict[int, int] = {}
+    entities: dict[str, int] = {}
+    features: dict[str, int] = {}
+    year_codes, entity_codes, feature_codes = array("q"), array("q"), array("q")
+    cells = array("d")
+    columns = ((years, year_codes), (entities, entity_codes), (features, feature_codes))
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            if [h.strip() for h in next(reader, ())] != LONG_HEADER:
+                return None
+            while block := list(islice(reader, BLOCK_ROWS)):
+                if set(map(len, block)) != {4}:
+                    return None
+                year_col, entity_col, feature_col, value_col = zip(*block)
+                cells.extend(map(float, map(str.strip, value_col)))
+                parsed = (list(map(int, map(str.strip, year_col))),
+                          list(map(str.strip, entity_col)),
+                          list(map(str.strip, feature_col)))
+                for (table, codes), col in zip(columns, parsed):
+                    for name in dict.fromkeys(col):
+                        table.setdefault(name, len(table))
+                    codes.extend(map(table.__getitem__, col))
+        except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+            return None
+    n_years, n_entities, n_features = len(years), len(entities), len(features)
+    if (not cells or "" in entities or "" in features
+            or n_years * n_entities * n_features > np.iinfo(np.int64).max):
+        return None
+    if not np.isfinite(np.frombuffer(cells)).all():
+        return None
+    keys = np.frombuffer(year_codes, dtype=np.int64) * n_entities
+    keys += np.frombuffer(entity_codes, dtype=np.int64)
+    keys *= n_features
+    keys += np.frombuffer(feature_codes, dtype=np.int64)
+    keys.sort()
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    return _long_panel(years, entities, features, year_codes, entity_codes,
+                       feature_codes, cells)
+
+
+def _load_long_rows(path: Path) -> EnergyPanel:
+    """The row-at-a-time long loader: raises PanelFormatError naming the
+    file and line of the first bad row, and skips blank lines. It is the
+    error path of _load_long and the reference its block parser is
+    tested against."""
     reader = _csv_rows(path)
     header = [h.strip() for h in next(reader)[1]]
     if header != LONG_HEADER:
@@ -176,14 +264,8 @@ def _load_long(path: Path) -> EnergyPanel:
         cells.append(value)
     if not cells:
         raise PanelFormatError(f"{path}: no data rows")
-    order = sorted(years)
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[[years[y] for y in order]] = np.arange(len(order))
-    values = np.zeros((len(years), len(entities), len(features)))
-    values[rank[np.frombuffer(year_codes, dtype=np.int64)],
-           np.frombuffer(entity_codes, dtype=np.int64),
-           np.frombuffer(feature_codes, dtype=np.int64)] = np.frombuffer(cells)
-    return EnergyPanel(tuple(order), tuple(entities), tuple(features), values)
+    return _long_panel(years, entities, features, year_codes, entity_codes,
+                       feature_codes, cells)
 
 
 def _load_wide(path: Path) -> EnergyPanel:

@@ -1,17 +1,23 @@
+import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from clusterreg import dataio
 from clusterreg.dataio import (
+    LONG_HEADER,
     EnergyPanel,
     load_panel,
     load_report,
     save_panel_long,
     save_report,
     validate_panel,
+    write_csv,
 )
 from clusterreg.errors import PanelFormatError
+from clusterreg.synth import generate_synthetic
 
 
 def write(path, text):
@@ -64,6 +70,26 @@ def test_load_long_duplicate_key_names_both_rows(tmp_path):
     with pytest.raises(PanelFormatError) as err:
         load_panel(p, "long")
     assert ":3" in str(err.value) and "row 2" in str(err.value)
+
+
+@pytest.mark.parametrize("layout,text,message", [
+    # The bad value is on line 4: the quoted name of the record before it
+    # spans lines 2 and 3.
+    ("long", 'year,entity,feature,value\n2000,"A\nB",f,1.0\n2000,C,f,x\n',
+     "non-numeric value 'x' at {}:4"),
+    ("long", 'year,entity,feature,value\n2000,"A\r\nB",f,1.0\n2000,"A\r\nB",f,2.0\n',
+     "{}:4: duplicate key (2000, 'A\\r\\nB', 'f'), first seen at row 2"),
+    ("wide", 'entity,f\n"A\nB",1.0\nC,x\n', "non-numeric value 'x' at {}:4"),
+    ("wide", 'entity,f\n"A\nB",1.0\n"A\nB",2.0\n', "{}:4: duplicate entity 'A\\nB'"),
+])
+def test_errors_name_the_physical_line_the_record_starts_on(tmp_path, layout, text, message):
+    if layout == "long":
+        path = bad = write(tmp_path / "p.csv", text)
+    else:
+        path, bad = tmp_path, write(tmp_path / "panel_2000.csv", text)
+    with pytest.raises(PanelFormatError) as err:
+        load_panel(path, layout)
+    assert str(err.value) == message.format(bad)
 
 
 def test_load_long_malformed_header(tmp_path):
@@ -232,6 +258,77 @@ def test_save_panel_long_load_panel_roundtrip(tmp_path_factory, panel):
     assert np.array_equal(back.values, panel.values)
 
 
+def assert_same_panel(a, b):
+    assert (a.years, a.entities, a.features) == (b.years, b.entities, b.features)
+    assert a.values.tobytes() == b.values.tobytes()
+
+
+# Stripped non-empty names that often hold the characters csv must quote.
+QUOTED_NAMES = st.text(
+    st.one_of(st.sampled_from(',\r\n"'), st.characters(blacklist_categories=("Cs",))),
+    min_size=1, max_size=5).filter(lambda s: s == s.strip())
+PADS = st.sampled_from(["", " ", "\t", " \t "])
+
+
+@st.composite
+def valid_long_files(draw):
+    """Rows of a valid long file: a shuffled subset of the cells (so cells
+    are missing and years out of order), every field padded with
+    whitespace; and whether lines end in CRLF."""
+    years = draw(st.lists(st.integers(-3000, 3000), min_size=1, max_size=4, unique=True))
+    entities = draw(st.lists(QUOTED_NAMES, min_size=1, max_size=4, unique=True))
+    features = draw(st.lists(QUOTED_NAMES, min_size=1, max_size=3, unique=True))
+    keys = [(y, e, f) for y in years for e in entities for f in features]
+    rows = []
+    for key in draw(st.lists(st.sampled_from(keys), min_size=1, unique=True)):
+        fields = [str(key[0]), key[1], key[2], repr(draw(FINITE))]
+        rows.append([draw(PADS) + field + draw(PADS) for field in fields])
+    return rows, draw(st.booleans())
+
+
+@given(file=valid_long_files(), block_rows=st.integers(1, 5))
+@example(file=([["2001", "a,b", "f", "1.0"], ["2000", '"c\rd', "f", "2.5"],
+                ["2001", '"c\rd', "g\n", " -0.0"]], True), block_rows=2)
+@settings(max_examples=200, deadline=None)
+def test_block_parser_equals_row_loop(tmp_path_factory, file, block_rows):
+    """On a valid long file the block parser returns the row loop's panel
+    bit for bit, and the row loop does not run. Small blocks make the code
+    tables run across blocks."""
+    rows, crlf = file
+    path = tmp_path_factory.mktemp("blocks") / "panel.csv"
+    if crlf:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([LONG_HEADER, *rows])
+    else:
+        write_csv(path, LONG_HEADER, rows)
+    expected = dataio._load_long_rows(path)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "BLOCK_ROWS", block_rows)
+        mp.setattr(dataio, "_load_long_rows", lambda path: calls.append(path))
+        panel = load_panel(path, "long")
+    assert calls == []
+    assert_same_panel(panel, expected)
+
+
+@pytest.mark.parametrize("shape,limit_mib", [({"n_entities": 400}, 12.0), ({}, 2.1)])
+def test_long_loader_peak_memory(tmp_path, shape, limit_mib):
+    """The long loader's peak Python allocation stays bounded. On the
+    400-entity panel (128,000 rows) the row lists of the whole file alone
+    take 41 MiB, and the row loop with its per-cell key table peaks at
+    18.4 MiB; on the default panel the row loop peaks at 2.1 MiB."""
+    panel, _ = generate_synthetic(seed=0, **shape)
+    path = tmp_path / "panel.csv"
+    save_panel_long(panel, path)
+    tracemalloc.start()
+    try:
+        load_panel(path, "long")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20
+
+
 FIELDS = st.one_of(
     st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
     st.sampled_from(["2000", "2001", "A", "f", "1.5", "-2", "nan", "inf", "1e999", "", " "]),
@@ -240,19 +337,29 @@ FIELDS = st.one_of(
 
 @given(rows=st.lists(st.lists(FIELDS, max_size=5), max_size=6),
        junk=st.binary(max_size=4), at=st.integers(0, 500))
+@example(rows=[["2000", "A", "f", "1.5"], ["2000", "A", "f", "-2"]], junk=b"", at=0)
+@example(rows=[["2000", " ", "f", "1.5"]], junk=b"", at=0)
+@example(rows=[["2000", "A", "", "1.5"]], junk=b"", at=0)
+@example(rows=[["2000", "A", "f", "1e999"]], junk=b"", at=0)
+@example(rows=[["2000", "A", "f", "1.5"], ["2001", "A", "f", "2", "x"]], junk=b"", at=0)
+@example(rows=[[], ["2000", "A", "f", "1.5"], [" ", ""]], junk=b"", at=0)
 @settings(max_examples=300, deadline=None)
 def test_malformed_long_csv_raises_only_panel_format_error(tmp_path_factory, rows, junk, at):
     """Whatever the bytes (bad UTF-8 included), the long loader either loads
-    a panel or raises PanelFormatError."""
+    the row loop's panel or raises the row loop's PanelFormatError."""
     text = "year,entity,feature,value\n" + "\n".join(",".join(r) for r in rows)
     data = text.encode("utf-8")
     at = min(at, len(data))
     path = tmp_path_factory.mktemp("fuzz") / "panel.csv"
     path.write_bytes(data[:at] + junk + data[at:])
     try:
-        load_panel(path, "long")
-    except PanelFormatError:
-        pass
+        expected = dataio._load_long_rows(path)
+    except PanelFormatError as err:
+        with pytest.raises(PanelFormatError) as got:
+            load_panel(path, "long")
+        assert str(got.value) == str(err)
+    else:
+        assert_same_panel(load_panel(path, "long"), expected)
 
 
 @given(rows=st.lists(st.lists(FIELDS, max_size=5), max_size=6),
