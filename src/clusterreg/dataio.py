@@ -66,6 +66,9 @@ class EnergyPanel:
         for kind, names in (("entity", self.entities), ("feature", self.features)):
             if any(not n for n in names):
                 raise PanelFormatError(f"empty {kind} name")
+            for n in names:
+                if n != n.strip():
+                    raise PanelFormatError(f"{kind} name {n!r} has surrounding whitespace")
             if len(set(names)) != len(names):
                 raise PanelFormatError(f"duplicate {kind} names")
         values.setflags(write=False)
@@ -140,12 +143,6 @@ def _csv_rows(path: Path):
             raise PanelFormatError(f"{path}: {err}") from None
     if start == 1:
         raise PanelFormatError(f"{path}: empty file")
-
-
-def _pair(a: int, b: int) -> int:
-    """Cantor's pairing: a distinct int for each pair of ints >= 0."""
-    s = a + b
-    return s * (s + 1) // 2 + b
 
 
 def _long_panel(years: dict, entities: dict, features: dict,
@@ -229,11 +226,11 @@ def _load_long_rows(path: Path) -> EnergyPanel:
         raise PanelFormatError(
             f"{path}: malformed header {header!r}, expected {','.join(LONG_HEADER)}"
         )
-    # Names are coded 0, 1, ... in first-seen order; one int keys a cell.
+    # Names are coded 0, 1, ... in first-seen order; their codes key a cell.
     years: dict[int, int] = {}
     entities: dict[str, int] = {}
     features: dict[str, int] = {}
-    first_row: dict[int, int] = {}  # cell key -> line of its first row
+    first_row: dict[tuple, int] = {}  # cell key -> line of its first row
     year_codes, entity_codes, feature_codes = array("q"), array("q"), array("q")
     cells = array("d")
     name = str(path)
@@ -252,8 +249,7 @@ def _load_long_rows(path: Path) -> EnergyPanel:
         yi = years.setdefault(year, len(years))
         ei = entities.setdefault(entity, len(entities))
         fi = features.setdefault(feat, len(features))
-        key = _pair(_pair(yi, ei), fi)
-        first = first_row.setdefault(key, lineno)
+        first = first_row.setdefault((yi, ei, fi), lineno)
         if first != lineno:
             raise PanelFormatError(
                 f"{where}: duplicate key {(year, entity, feat)}, first seen at row {first}"

@@ -592,20 +592,22 @@ def clustering_tables(prep: PreparedInputs) -> dict[str, tuple[list, list[list]]
 
 def write_files(out_dir: str | Path, tables: dict, records: dict) -> list[Path]:
     """Write each CSV table (name -> (header, rows)) and JSON record (name ->
-    record) into out_dir, creating it; a failed write removes what this call
-    already wrote before the error propagates."""
+    record) into out_dir, creating it; a failed write removes every file
+    this call wrote, a partial one too, before the error propagates."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    written: list[Path] = []  # each path joins before its write
     try:
         for name, (header, rows) in tables.items():
-            written.append(write_csv(out / name, header, rows))
-        for name, record in records.items():
-            save_report(record, out / name)
             written.append(out / name)
+            write_csv(out / name, header, rows)
+        for name, record in records.items():
+            written.append(out / name)
+            save_report(record, out / name)
     except (OSError, ValueError):  # ValueError: a non-finite number in a JSON record
         for path in written:
-            path.unlink(missing_ok=True)
+            if path.is_file():  # not a directory in the way of a write
+                path.unlink()
         raise
     return written
 

@@ -17,16 +17,19 @@ intercept is never penalized: fits center y and the columns of X, solve
 for beta, then restore the intercept from the means. Columns are not
 rescaled unless standardize=True is requested.
 
-A lasso or elastic-net fit is first sought by the feature-sign search,
-which returns the exact solve of one sign pattern. Only when the search
-gives up does coordinate descent run; its updates follow directly from
-the objective: for column j with partial residual correlation rho_j,
+In Gram form every penalty is a problem on one system matrix: with
+H = X'X + lam2*I and c = X'y on the centered design, the objective is
+b'Hb - 2c'b + lam1*|b|_1 up to a constant (Zou & Hastie 2005, Lemma 1).
+The weights pick the solve: least squares at lam1 = lam2 = 0, the closed
+form H b = c at lam1 = 0, and otherwise the feature-sign search, which
+returns the exact solve of one sign pattern. Only when the search gives
+up does coordinate descent run, with the update
 
-    beta_j = soft_threshold(rho_j, lam1 / 2) / (sum_i x_ij^2 + lam2)
+    beta_j = soft_threshold(rho_j, lam1 / 2) / H_jj
 
-which reduces to the lasso update at lam2 = 0 and to a smooth shrinkage
-at lam1 = 0. Both accept a fit by one test, _optimality within the
-kkt_check bound 10*tol*max(1, |2X'y|_inf).
+for column j with partial residual correlation rho_j. Both accept a fit
+by one test, _optimality within the kkt_check bound
+10*tol*max(1, |2X'y|_inf).
 """
 
 from __future__ import annotations
@@ -269,48 +272,44 @@ def fit_ridge(
 
 
 def _solve_pattern(
-    gram: np.ndarray,
+    hess: np.ndarray,
     corr: np.ndarray,
     lam1: float,
-    lam2: float,
     active: np.ndarray,
     signs: np.ndarray,
 ) -> np.ndarray | None:
     """Stationary point of the objective restricted to one sign pattern:
-    the solve of (G_AA + lam2*I) b = c_A - (lam1/2)*s_A, or None when that
-    system is singular or its solution is not finite."""
-    sub = gram[np.ix_(active, active)] + lam2 * np.eye(active.size)
+    the solve of H_AA b = c_A - (lam1/2)*s_A, or None when that system is
+    singular or its solution is not finite."""
     try:
-        b = np.linalg.solve(sub, corr[active] - 0.5 * lam1 * signs)
+        b = np.linalg.solve(hess[np.ix_(active, active)], corr[active] - 0.5 * lam1 * signs)
     except np.linalg.LinAlgError:
         return None
     return b if np.all(np.isfinite(b)) else None
 
 
 def _optimality(
-    gram: np.ndarray,
+    hess: np.ndarray,
     corr: np.ndarray,
     lam1: float,
-    lam2: float,
     beta: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """The acceptance test's two parts at beta: the largest stationarity
-    residual |g_j + lam1*sign(beta_j) + 2*lam2*beta_j| over the nonzero
-    coefficients, and the gradient g = -2(corr - gram @ beta) of the
-    squared error with its nonzero entries zeroed. beta passes when the
-    residual and max |g_j| - lam1 are both within the kkt_check bound."""
-    g = -2.0 * (corr - gram @ beta)
+    residual |g_j + lam1*sign(beta_j)| over the nonzero coefficients, and
+    the gradient g = -2(corr - hess @ beta) of the smooth part with its
+    nonzero entries zeroed. beta passes when the residual and
+    max |g_j| - lam1 are both within the kkt_check bound."""
+    g = -2.0 * (corr - hess @ beta)
     nonzero = beta != 0.0
-    stationarity = np.abs(g[nonzero] + lam1 * np.sign(beta[nonzero]) + 2.0 * lam2 * beta[nonzero])
+    stationarity = np.abs(g[nonzero] + lam1 * np.sign(beta[nonzero]))
     g[nonzero] = 0.0
     return float(stationarity.max(initial=0.0)), g
 
 
 def _line_search(
-    gram: np.ndarray,
+    hess: np.ndarray,
     corr: np.ndarray,
     lam1: float,
-    lam2: float,
     x: np.ndarray,
     b: np.ndarray,
 ) -> np.ndarray:
@@ -322,16 +321,15 @@ def _line_search(
     steps = x[cross] / (x[cross] - b[cross])
     points = x + np.outer(np.concatenate(([0.0], steps, [1.0])), b - x)
     points[1 + np.arange(cross.size), cross] = 0.0
-    objective = ((points @ gram + lam2 * points - 2.0 * corr) * points).sum(axis=1)
+    objective = ((points @ hess - 2.0 * corr) * points).sum(axis=1)
     objective += lam1 * np.abs(points).sum(axis=1)
     return points[np.argmin(objective)]
 
 
 def _feature_sign_search(
-    gram: np.ndarray,
+    hess: np.ndarray,
     corr: np.ndarray,
     lam1: float,
-    lam2: float,
     beta: np.ndarray,
     bound: float,
 ) -> np.ndarray | None:
@@ -345,7 +343,7 @@ def _feature_sign_search(
     solve that breaks a sign is approached by _line_search, and the
     coefficients left at zero leave the pattern. The objective never
     rises, so the search ends on a pattern seen before, after 2p steps, on
-    a singular G_AA, or when only stationarity fails (no repair applies);
+    a singular H_AA, or when only stationarity fails (no repair applies);
     the caller then goes on with coordinate descent."""
     p = beta.shape[0]
     x = beta.copy()
@@ -358,60 +356,60 @@ def _feature_sign_search(
         seen.add(key)
         active = np.flatnonzero(theta)
         signs = theta[active]
-        b = _solve_pattern(gram, corr, lam1, lam2, active, signs)
+        b = _solve_pattern(hess, corr, lam1, active, signs)
         if b is None:
             return None
         if np.all(b * signs > 0):
             x = np.zeros(p)
             x[active] = b
-            stationarity, g = _optimality(gram, corr, lam1, lam2, x)
+            stationarity, g = _optimality(hess, corr, lam1, x)
             j = int(np.argmax(np.abs(g)))
             if abs(g[j]) <= lam1 + bound:
                 return x if stationarity <= bound else None
             theta[j] = -np.sign(g[j])
         else:
-            x[active] = _line_search(gram[np.ix_(active, active)], corr[active], lam1, lam2,
+            x[active] = _line_search(hess[np.ix_(active, active)], corr[active], lam1,
                                      x[active], b)
             theta = np.sign(x)
     return None
 
 
 def _coordinate_descent(
-    gram: np.ndarray,
+    hess: np.ndarray,
     corr: np.ndarray,
     lam1: float,
-    lam2: float,
     tol: float,
     max_iter: int,
     bound: float,
     beta: np.ndarray,
 ) -> tuple[np.ndarray, bool, int]:
-    """Cyclic coordinate descent for RSS + lam1*L1 + lam2*L2 (no intercept)
-    on gram = X'X and corr = X'y, from the start beta.
+    """Cyclic coordinate descent for b'Hb - 2c'b + lam1*|b|_1 (the fit
+    without intercept) on hess = H and corr = c, from the start beta.
 
     Stops when the largest coefficient change in a sweep drops below tol
-    and the iterate passes _optimality within bound. Zero-norm columns
-    (centered constants) are skipped and keep their start value."""
+    and the iterate passes _optimality within bound. Coordinates with a
+    zero diagonal (centered constants at lam2 = 0) are skipped and keep
+    their start value."""
     p = beta.shape[0]
     beta = beta.copy()
-    denom = np.diag(gram) + lam2
+    diag = np.diag(hess)
     thresh = lam1 / 2.0
     for sweep in range(max_iter):
-        q = gram @ beta  # refreshed each sweep so incremental drift cannot build up
+        q = hess @ beta  # refreshed each sweep so incremental drift cannot build up
         max_delta = 0.0
         for j in range(p):
-            if denom[j] == 0.0:
+            if diag[j] == 0.0:
                 continue
-            rho = corr[j] - q[j] + gram[j, j] * beta[j]
-            new = soft_threshold(float(rho), thresh) / denom[j]
+            rho = corr[j] - q[j] + diag[j] * beta[j]
+            new = soft_threshold(float(rho), thresh) / diag[j]
             delta = new - beta[j]
             if delta != 0.0:
-                q += gram[:, j] * delta
+                q += hess[:, j] * delta
                 beta[j] = new
                 if abs(delta) > max_delta:
                     max_delta = abs(delta)
         if max_delta < tol:
-            stationarity, g = _optimality(gram, corr, lam1, lam2, beta)
+            stationarity, g = _optimality(hess, corr, lam1, beta)
             if stationarity <= bound and np.abs(g).max() <= lam1 + bound:
                 return beta, True, sweep + 1
     return beta, False, max_iter
@@ -461,23 +459,20 @@ def fit_penalized(
     standardize: bool = False,
     start: np.ndarray | None = None,
 ) -> LinearModel:
-    """Fit the penalty a PenaltySpec describes.
-
-    Ridge is solved in closed form and ignores tol, max_iter and `start`;
-    at lam=0 it is least squares, whose minimum-norm solution on a
-    rank-deficient design is flagged 'singular_system'. Lasso and elastic
-    net run the feature-sign search from the coefficients `start` (as
-    reported on a model, e.g. the fit at a neighbouring penalty) or from
-    zero, and coordinate descent from the same point only when the search
-    gives up."""
-    ridge = spec.kind == "ridge"
-    if not ridge:
-        if start is not None and np.shape(start) != (d.p,):
-            raise RegressionError(f"start must have shape ({d.p},), got {np.shape(start)}")
-        if not 0.0 < tol < np.inf:
-            raise RegressionError("tol must be finite and > 0")
-        if max_iter < 1:
-            raise RegressionError("max_iter must be >= 1")
+    """Fit the penalty a PenaltySpec describes. Its weights, not its kind,
+    pick the solve on H = X'X + lam2*I (centered design): least squares at
+    lam1 = lam2 = 0 (flagged 'singular_system' on a rank-deficient design,
+    where it is the minimum-norm solution), H beta = X'y at lam1 = 0, and
+    otherwise the feature-sign search from the coefficients `start` (as
+    reported on a model, e.g. the fit at a neighbouring penalty) or zero,
+    with coordinate descent from the same point only when the search gives
+    up. tol, max_iter and start are checked for every fit."""
+    if start is not None and np.shape(start) != (d.p,):
+        raise RegressionError(f"start must have shape ({d.p},), got {np.shape(start)}")
+    if not 0.0 < tol < np.inf:
+        raise RegressionError("tol must be finite and > 0")
+    if max_iter < 1:
+        raise RegressionError("max_iter must be >= 1")
     xc, yc, x_mean, y_mean = _center(d, fit_intercept)
     scale = np.ones(d.p)
     flags: tuple[str, ...] = ()
@@ -485,22 +480,23 @@ def fit_penalized(
         xc, scale = _scale_columns(xc)
         flags = ("standardized",)
     lam1, lam2 = spec.lam1, spec.lam2
+    gram, corr = xc.T @ xc, xc.T @ yc
+    hess = gram + lam2 * np.eye(d.p)
     converged = True
-    if ridge and lam2 == 0:
+    if lam1 == lam2 == 0:
         beta, _, rank, _ = np.linalg.lstsq(xc, yc, rcond=None)
         if rank < d.p:
             flags = flags + ("singular_system",)
-    elif ridge:
-        beta = np.linalg.solve(xc.T @ xc + lam2 * np.eye(d.p), xc.T @ yc)
+    elif lam1 == 0:
+        beta = np.linalg.solve(hess, corr)
     else:
-        gram, corr = xc.T @ xc, xc.T @ yc
         start = np.zeros(d.p) if start is None else np.asarray(start, dtype=float) * scale
         start = np.where(np.diag(gram) > 0.0, start, 0.0)  # zero-norm columns stay at zero
         bound = 10.0 * tol * max(1.0, float(np.abs(2.0 * (d.x.T @ d.y)).max()))
-        beta = _feature_sign_search(gram, corr, lam1, lam2, start, bound)
+        beta = _feature_sign_search(hess, corr, lam1, start, bound)
         if beta is None:
-            beta, converged, _ = _coordinate_descent(gram, corr, lam1, lam2, tol, max_iter,
-                                                     bound, start)
+            beta, converged, _ = _coordinate_descent(hess, corr, lam1, tol, max_iter, bound,
+                                                     start)
             if not converged:
                 flags = flags + ("non_converged",)
     beta = beta / scale
@@ -592,8 +588,9 @@ def fit_report(model: LinearModel, d: DesignMatrix) -> FitReport:
 
 def _warm_descent(d: DesignMatrix, kind: str, grid: list[float], alpha: float, **solver):
     """Fit every grid value from the largest down, each fit starting from the
-    previous fit's coefficients (the largest from zero; ridge ignores the
-    start). Yields (grid index, model); equal values keep grid order."""
+    previous fit's coefficients (the largest from zero; a fit without an L1
+    weight ignores the start). Yields (grid index, model); equal values
+    keep grid order."""
     start = None
     for i in sorted(range(len(grid)), key=lambda i: -grid[i]):
         model = fit_penalized(d, PenaltySpec.of(kind, grid[i], alpha), start=start, **solver)
@@ -609,7 +606,6 @@ def cross_validate(
     alpha: float = 0.5,
     tol: float = 1e-10,
     max_iter: int = 100_000,
-    fit_intercept: bool = True,
     standardize: bool = False,
 ) -> tuple[PenaltySpec, list[tuple[float, float]]]:
     """Pick the penalty weight minimizing mean validation MSE.
@@ -635,7 +631,7 @@ def cross_validate(
     for block in np.array_split(np.arange(d.n), folds):
         train = d.subset(np.setdiff1d(np.arange(d.n), block))
         for i, model in _warm_descent(train, kind, grid, alpha, tol=tol, max_iter=max_iter,
-                                      fit_intercept=fit_intercept, standardize=standardize):
+                                      standardize=standardize):
             fold_mse[i].append(compute_mse(d.y[block], predict(model, d.x[block])))
     table = [(lam, float(np.mean(m))) for lam, m in zip(grid, fold_mse)]
     best_lam, best_mse = table[0]
@@ -652,7 +648,6 @@ def iterate_lambda(
     alpha: float = 0.5,
     tol: float = 1e-10,
     max_iter: int = 100_000,
-    fit_intercept: bool = True,
     standardize: bool = False,
 ) -> PathReport:
     """Fit at every grid value (ascending) and record the trajectories.
@@ -671,7 +666,7 @@ def iterate_lambda(
     r2s = [0.0] * len(grid)
     mses = [0.0] * len(grid)
     for i, model in _warm_descent(d, kind, grid, alpha, tol=tol, max_iter=max_iter,
-                                  fit_intercept=fit_intercept, standardize=standardize):
+                                  standardize=standardize):
         coefs[i] = model.coefficients
         report = fit_report(model, d)
         r2s[i] = report.r2

@@ -223,13 +223,33 @@ def test_save_report_rejects_non_finite_and_writes_nothing(tmp_path, value):
     assert not path.exists()
 
 
+def test_panel_rejects_names_with_surrounding_whitespace():
+    # save_panel_long would write these and load_panel, which strips every
+    # field, would reject the file (" " empties) or merge two names ("A ").
+    for entities in ((" ", "A "), ("A", "A "), ("\tA",)):
+        with pytest.raises(PanelFormatError, match="entity name .* surrounding whitespace"):
+            EnergyPanel((2000,), entities, ("f",), np.zeros((1, len(entities), 1)))
+    with pytest.raises(PanelFormatError, match=r"feature name 'f\\n'"):
+        EnergyPanel((2000,), ("A",), ("f\n",), np.zeros((1, 1, 1)))
+
+
+def test_names_with_inner_whitespace_round_trip(tmp_path):
+    panel = EnergyPanel((2000, 2001), ("A B", "C\tD"), ("f 1",),
+                        np.array([[[1.5], [0.0]], [[2.25], [3.125]]]))
+    save_panel_long(panel, tmp_path / "p.csv")
+    back = load_panel(tmp_path / "p.csv", "long")
+    assert (back.years, back.entities, back.features) == (
+        panel.years, panel.entities, panel.features)
+    assert np.array_equal(back.values, panel.values)
+
+
 # -- writer/loader round trip and loader robustness (hypothesis) -------------
 
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-# Names as the loader returns them: non-empty, no surrounding whitespace
-# (the loader strips each field).
+# Names a panel may hold: non-empty, no surrounding whitespace (the loader
+# strips each field, and EnergyPanel rejects padded names).
 NAMES = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=5).filter(
     lambda s: s == s.strip())
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import importlib.util
 from pathlib import Path
 
@@ -366,6 +367,25 @@ def test_non_finite_report_leaves_no_artifacts(synthetic_report, tmp_path):
     with pytest.raises(ValueError):
         write_artifacts(bad, tmp_path / "out")
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_failed_json_write_leaves_none_of_the_call_files(tmp_path, monkeypatch):
+    """A disk that fills up halfway through b.json: the partial b.json goes
+    too, with the files written before it."""
+    real = Path.write_text
+
+    def full_disk(self, text, *args, **kwargs):
+        if self.name != "b.json":
+            return real(self, text, *args, **kwargs)
+        real(self, text[:5], *args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device", str(self))
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match="No space"):
+        pipeline.write_files(out, {"t.csv": (["x"], [[1]])}, {"a.json": {"k": 1},
+                                                             "b.json": {"k": 2}})
+    assert list(out.iterdir()) == []
 
 
 EVERY_KEY = """

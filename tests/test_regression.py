@@ -133,6 +133,16 @@ class TestLasso:
         assert lasso.converged
         assert lasso.coefficients == pytest.approx(ols.coefficients, abs=1e-8)
 
+    def test_lambda_zero_on_a_rank_deficient_design_is_ols(self):
+        # No L1 weight and no L2 weight: least squares, flagged like fit_ols
+        # when the design has a duplicated column.
+        d, _, _ = duplicated_column_case()
+        ols = fit_ols(d)
+        lasso = fit_lasso(d, 0.0)
+        assert np.array_equal(lasso.coefficients, ols.coefficients)
+        assert lasso.intercept == ols.intercept
+        assert "singular_system" in ols.flags and "singular_system" in lasso.flags
+
     def test_univariate_subgradient_value(self):
         m = fit_lasso(UNI_PM, 1.0, fit_intercept=False)
         assert m.coefficients[0] == pytest.approx(0.75, abs=1e-10)
@@ -159,6 +169,20 @@ class TestElasticNet:
         ridge = fit_ridge(d, 0.8)
         enet = fit_elastic_net(d, 0.0, 0.8)
         assert enet.coefficients == pytest.approx(ridge.coefficients, abs=1e-8)
+
+    def test_no_l1_weight_is_the_ridge_fit_bit_for_bit(self):
+        # On the duplicated column at lam2 = 1e-8 a sign-pattern search can
+        # stop on one copy carrying the whole weight, within the kkt_check
+        # bound but not the ridge solution, which splits it.
+        dup, _, _ = duplicated_column_case()
+        for d, lam2, standardize in ((dup, 1e-8, False), (dup, 0.8, True),
+                                     (random_design(seed=13, n=9, p=4), 0.8, False)):
+            ridge = fit_ridge(d, lam2, standardize=standardize)
+            for enet in (fit_elastic_net(d, 0.0, lam2, standardize=standardize),
+                         fit_penalized(d, PenaltySpec.of("elastic_net", lam2, 0.0),
+                                       standardize=standardize)):
+                assert np.array_equal(enet.coefficients, ridge.coefficients)
+                assert enet.intercept == ridge.intercept
 
     def test_lambda2_zero_equals_lasso(self):
         d = random_design(seed=12)
@@ -449,8 +473,8 @@ def _solves(monkeypatch) -> list[tuple]:
     solves: list[tuple] = []
     solve = regression._solve_pattern
 
-    def recorded(gram, corr, lam1, lam2, active, signs):
-        b = solve(gram, corr, lam1, lam2, active, signs)
+    def recorded(hess, corr, lam1, active, signs):
+        b = solve(hess, corr, lam1, active, signs)
         solves.append((active.tolist(), signs, b))
         return b
 
@@ -530,7 +554,7 @@ class TestActiveSetSearch:
         xc, yc = d.x - d.x.mean(axis=0), d.y - d.y.mean()
         solve = regression._solve_pattern
         monkeypatch.setattr(regression, "_solve_pattern", lambda *args: 1.001 * solve(*args))
-        assert regression._feature_sign_search(xc.T @ xc, xc.T @ yc, lam, 0.0, beta,
+        assert regression._feature_sign_search(xc.T @ xc, xc.T @ yc, lam, beta,
                                                _kkt_bound(d)) is None
 
     @given(data=st.data(), n=st.integers(3, 8), p=st.integers(1, 5),
@@ -699,6 +723,17 @@ class TestInvariants:
         assert m.penalty.kind == "ridge"
         m = fit_penalized(d, PenaltySpec.elastic_net(0.1, 0.2))
         assert m.penalty.kind == "elastic_net"
+
+    def test_solver_settings_checked_for_every_kind(self):
+        d = random_design(seed=45, n=10, p=3)
+        for spec in (PenaltySpec.ridge(0.5), PenaltySpec.ridge(0.0), PenaltySpec.lasso(0.5),
+                     PenaltySpec.elastic_net(0.0, 0.5)):
+            with pytest.raises(RegressionError, match="tol"):
+                fit_penalized(d, spec, tol=np.nan)
+            with pytest.raises(RegressionError, match="max_iter"):
+                fit_penalized(d, spec, max_iter=0)
+            with pytest.raises(RegressionError, match="start"):
+                fit_penalized(d, spec, start=np.zeros(d.p + 1))
 
     def test_non_finite_solver_input_rejected(self):
         # An infinite tol used to accept the start point as converged, and a
