@@ -27,6 +27,8 @@ config = PipelineConfig(
 )
 report = run_pipeline(config)
 
+# The chosen clustering is the sweep's first entry; report.params,
+# report.quality and report.assignment read it from there.
 print("\n-- clustering --")
 print(f"eps={report.params.eps} min_pts={report.params.min_pts} "
       f"clusters={report.assignment.num_clusters} "

@@ -6,12 +6,11 @@ import numpy as np
 
 from clusterreg import (
     DesignMatrix,
+    PenaltySpec,
     cross_validate,
-    fit_elastic_net,
-    fit_lasso,
     fit_ols,
+    fit_penalized,
     fit_report,
-    fit_ridge,
     iterate_lambda,
     kkt_check,
     lasso_lambda_max,
@@ -31,17 +30,20 @@ ols = fit_ols(d)
 print("OLS coefficients:", np.round(ols.coefficients, 3))
 print("OLS R^2:", round(fit_report(ols, d).r2, 4))
 
+# Every penalized fit goes through fit_penalized; its PenaltySpec names the
+# kind and the weights (PenaltySpec.ridge(lam), .lasso(lam),
+# .elastic_net(lam1, lam2)).
 # Ridge shrinks smoothly; the coefficient norm decreases monotonically.
 print("\nridge shrinkage (lambda: ||beta||):")
 for lam in (0.0, 0.5, 5.0, 50.0):
-    m = fit_ridge(d, lam)
+    m = fit_penalized(d, PenaltySpec.ridge(lam))
     print(f"  {lam:>5}: {np.linalg.norm(m.coefficients):.4f}")
 
 # The lasso reaches exact zeros. Past lambda_max everything is zero.
 lam_max = lasso_lambda_max(d)
 print("\nlasso lambda_max:", round(lam_max, 3))
 for lam in (0.01, 1.0, lam_max * 1.1):
-    m = fit_lasso(d, lam)
+    m = fit_penalized(d, PenaltySpec.lasso(lam))
     nonzero = [name for name, b in zip(d.column_names, m.coefficients)
                if abs(b) > 1e-10]
     print(f"  lambda={lam:<8.3g} nonzero={nonzero}")
@@ -59,7 +61,7 @@ for i, lam in enumerate(path.lambdas):
 spec, table = cross_validate(d, "lasso", grid, folds=5)
 print("\ncross-validated lambda:", round(spec.lam, 4))
 
-best = fit_lasso(d, spec.lam)
+best = fit_penalized(d, PenaltySpec.lasso(spec.lam))
 print("selected coefficients:",
       {name: round(float(b), 3) for name, b in zip(d.column_names, best.coefficients)})
 
@@ -74,6 +76,12 @@ print("KKT violation after perturbing:", f"{kkt_check(perturbed, d):.2e}")
 
 # Elastic net splits the weight between the two penalties; at matched
 # settings it reduces exactly to its parents.
-enet = fit_elastic_net(d, spec.lam, 0.0)
+enet = fit_penalized(d, PenaltySpec.elastic_net(spec.lam, 0.0))
 print("\nelastic net with lam2=0 equals the lasso:",
       bool(np.allclose(enet.coefficients, best.coefficients, atol=1e-8)))
+
+# With an exact copy of a column the L2 term splits the weight evenly
+# between the copies (the grouping effect), however small lam2 is.
+twins = DesignMatrix(np.column_stack([x[:, 0], x[:, 0], x[:, 3]]), y, ("a", "a_twin", "c"))
+split = fit_penalized(twins, PenaltySpec.elastic_net(spec.lam, 1e-8)).coefficients
+print("elastic net (lam2=1e-8) on an exact copy:", np.round(split, 4))

@@ -63,12 +63,9 @@ from .regression import (
     compute_r2,
     compute_sparsity,
     cross_validate,
-    fit_elastic_net,
-    fit_lasso,
     fit_ols,
     fit_penalized,
     fit_report,
-    fit_ridge,
     iterate_lambda,
     kkt_check,
     lasso_lambda_max,

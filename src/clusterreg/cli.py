@@ -69,10 +69,10 @@ def _metrics_line(spec: regression.PenaltySpec, report) -> str:
 def cmd_regress(args) -> int:
     cfg = _load_config(args)
     kind = args.kind
-    spec, _, model, report, path = fit_kind(cfg, prepare_inputs(cfg).train_design, kind)
+    _, model, report, path = fit_kind(cfg, prepare_inputs(cfg).train_design, kind)
     write_files(args.out, {f"path_{kind}.csv": (path.header(), path.rows())},
                 {f"model_{kind}.json": model})
-    print(_metrics_line(spec, report))
+    print(_metrics_line(model.penalty, report))
     return 0
 
 
@@ -133,7 +133,7 @@ def cmd_plot_data(args) -> int:
     figure = args.figure
     if figure in ("energy_trends", "heatmap"):
         cfg = _load_config(args)
-        _, panel = load_clean(cfg)
+        panel, _, _ = load_clean(cfg)
         if figure == "energy_trends":
             header = ["year", "feature", "value"]
             rows = _tidy(panel.years, panel.features, panel.values.sum(axis=1))

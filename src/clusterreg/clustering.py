@@ -70,23 +70,30 @@ class ClusterAssignment:
 
 @dataclass(frozen=True)
 class SilhouetteReport:
-    """Per-point silhouette values and their mean over scored points."""
+    """Per-point silhouette values over the scored points."""
 
     per_point: tuple[float, ...]
-    mean_sc: float
+
+    @property
+    def mean_sc(self) -> float:
+        return float(np.mean(self.per_point))
 
 
 @dataclass(frozen=True)
 class ClusteringQuality:
-    """Summary quality of one clustering: silhouette mean, SSE, count."""
+    """Summary quality of one clustering: silhouette mean, SSE, centroids."""
 
     sc: float | None
     sse: float
-    c: int
     centroids: np.ndarray  # shape (c, n_features)
 
     def __post_init__(self):
         object.__setattr__(self, "centroids", np.asarray(self.centroids, dtype=float))
+
+    @property
+    def c(self) -> int:
+        """The cluster count: one centroid per cluster."""
+        return len(self.centroids)
 
 
 def _distances(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -192,7 +199,7 @@ def silhouette(
     live = (counts[own] > 1) & (denom > 0)
     s = np.zeros(len(scored))
     s[live] = (b - a)[live] / denom[live]
-    return SilhouetteReport(per_point=tuple(s.tolist()), mean_sc=float(np.mean(s)))
+    return SilhouetteReport(per_point=tuple(s.tolist()))
 
 
 def sse(points: FeatureMatrix, assignment: ClusterAssignment, sc: float | None = None) -> ClusteringQuality:
@@ -210,7 +217,7 @@ def sse(points: FeatureMatrix, assignment: ClusterAssignment, sc: float | None =
         members = points.values[labels == cid]
         centroids[cid] = members.mean(axis=0)
         total += float(((members - centroids[cid]) ** 2).sum())
-    return ClusteringQuality(sc=sc, sse=total, c=assignment.num_clusters, centroids=centroids)
+    return ClusteringQuality(sc=sc, sse=total, centroids=centroids)
 
 
 def sweep_params(

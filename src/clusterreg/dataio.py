@@ -96,8 +96,11 @@ class EnergyPanel:
 class ValidationReport:
     """Outcome of validate_panel: ok iff no issue has severity 'error'."""
 
-    ok: bool
     issues: tuple[tuple[str, str, str], ...]  # (severity, location, message)
+
+    @property
+    def ok(self) -> bool:
+        return not any(sev == "error" for sev, _, _ in self.issues)
 
     def to_dict(self) -> dict:
         return {
@@ -349,14 +352,13 @@ def validate_panel(panel: EnergyPanel) -> ValidationReport:
         loc = f"value[{panel.years[yi]},{panel.entities[ei]},{panel.features[fi]}]"
         issues.append(("error", loc, f"negative value {values[yi, ei, fi]}"))
     finite = np.where(np.isfinite(values), values, 0.0)
-    for fi, feat in enumerate(panel.features):
-        if not finite[:, :, fi].any():
-            issues.append(("warning", f"feature[{feat}]", "zero for all years and entities"))
-    for ei, entity in enumerate(panel.entities):
-        if not finite[:, ei, :].any():
-            issues.append(("warning", f"entity[{entity}]", "zero for all years and features"))
-    ok = not any(sev == "error" for sev, _, _ in issues)
-    return ValidationReport(ok=ok, issues=tuple(issues))
+    for fi in np.flatnonzero(~finite.any(axis=(0, 1))):
+        issues.append(("warning", f"feature[{panel.features[fi]}]",
+                       "zero for all years and entities"))
+    for ei in np.flatnonzero(~finite.any(axis=(0, 2))):
+        issues.append(("warning", f"entity[{panel.entities[ei]}]",
+                       "zero for all years and features"))
+    return ValidationReport(tuple(issues))
 
 
 def _jsonable(record) -> dict | list:

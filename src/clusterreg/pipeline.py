@@ -329,14 +329,12 @@ def summarize_forecast(differences) -> tuple[float, float]:
 @dataclass
 class PreparedInputs:
     """Front half of a run: the cleaned panel's clustering, its cluster
-    aggregates in levels and logs, and the training design matrix."""
+    aggregates in levels and logs, and the training design matrix. The
+    chosen clustering is the sweep's first entry."""
 
     config: PipelineConfig
     dropped_features: list[str]
     dropped_entities: list[str]
-    params: clustering.NeighborhoodParams
-    quality: clustering.ClusteringQuality
-    assignment: ClusterAssignment
     promoted: ClusterAssignment
     sweep: list
     entities: list[str]
@@ -348,14 +346,34 @@ class PreparedInputs:
     log_regressors: np.ndarray
     log_target: np.ndarray
     epsilon_cells: list[tuple[str, int]]
-    train_idx: list[int]
-    test_idx: list[int]
     train_design: regression.DesignMatrix
+
+    @property
+    def params(self) -> clustering.NeighborhoodParams:
+        return self.sweep[0][0]
+
+    @property
+    def quality(self) -> clustering.ClusteringQuality:
+        return self.sweep[0][1]
+
+    @property
+    def assignment(self) -> ClusterAssignment:
+        return self.sweep[0][2]
+
+    @property
+    def train_idx(self) -> list[int]:
+        return [self.years.index(y) for y in self.config.train_years]
+
+    @property
+    def test_idx(self) -> list[int]:
+        return [self.years.index(y) for y in self.config.test_years]
 
 
 @dataclass
 class PipelineReport(PreparedInputs):
-    """Everything a pipeline run produced, serializable to one JSON file."""
+    """Everything a pipeline run produced, serializable to one JSON file.
+    cv_tables maps each kind to its (lambda, cv_mse) table; the penalty CV
+    chose is the model's."""
 
     cv_tables: dict
     models: dict
@@ -397,10 +415,10 @@ class PipelineReport(PreparedInputs):
             },
             "cv": {
                 kind: {
-                    "penalty": spec.to_dict(),
+                    "penalty": self.models[kind].penalty.to_dict(),
                     "table": [[lam, m] for lam, m in table],
                 }
-                for kind, (spec, table) in self.cv_tables.items()
+                for kind, table in self.cv_tables.items()
             },
             "models": {kind: m.to_dict() for kind, m in self.models.items()},
             "fit_reports": {kind: r.to_dict() for kind, r in self.reports.items()},
@@ -432,9 +450,9 @@ def build_design(
     return regression.DesignMatrix(log_regressors[rows], log_target[rows], tuple(columns))
 
 
-def load_clean(config: PipelineConfig) -> tuple[EnergyPanel, EnergyPanel]:
+def load_clean(config: PipelineConfig) -> tuple[EnergyPanel, list[str], list[str]]:
     """Validate the config, then load, validate, year-check and clean the
-    panel. Returns (raw panel, cleaned panel)."""
+    panel. Returns (cleaned panel, dropped features, dropped entities)."""
     _stage("config", config.validate)
     raw = _stage("load", load_panel, config.data_path, config.layout)
     check = validate_panel(raw)
@@ -445,8 +463,9 @@ def load_clean(config: PipelineConfig) -> tuple[EnergyPanel, EnergyPanel]:
     for year in [*config.train_years, *config.test_years, *anchor]:
         if year not in raw.years:
             raise PipelineStageError("load", f"configured year {year} not present in data")
-    panel, _ = _stage("clean", preprocess.drop_zero_series, raw)
-    return raw, panel
+    panel, dropped = _stage("clean", preprocess.drop_zero_series, raw)
+    n_features = raw.n_features - panel.n_features  # the names list features first
+    return panel, dropped[:n_features], dropped[n_features:]
 
 
 def cluster_matrix(config: PipelineConfig, panel: EnergyPanel) -> preprocess.FeatureMatrix:
@@ -461,15 +480,12 @@ def cluster_matrix(config: PipelineConfig, panel: EnergyPanel) -> preprocess.Fea
 def prepare_inputs(config: PipelineConfig) -> PreparedInputs:
     """Run the front half of the pipeline: load, clean, cluster, aggregate,
     profile the clusters, log-transform, and build the training design."""
-    raw_panel, panel = load_clean(config)
-    dropped_features = [f for f in raw_panel.features if f not in panel.features]
-    dropped_entities = [e for e in raw_panel.entities if e not in panel.entities]
+    panel, dropped_features, dropped_entities = load_clean(config)
     normalized = cluster_matrix(config, panel)
 
     sweep = _stage("sweep", clustering.sweep_params, normalized,
                    config.eps_grid, config.minpts_grid)
-    params, quality, assignment = sweep[0]
-    promoted = clustering.promote_noise(assignment)
+    promoted = clustering.promote_noise(sweep[0][2])
 
     regressors, target = _stage("aggregate", aggregate_by_cluster, panel, promoted)
     # independent check: cluster totals must reproduce the full-panel totals
@@ -490,15 +506,11 @@ def prepare_inputs(config: PipelineConfig) -> PreparedInputs:
                         config.log_epsilon, True)
 
     train_idx = [panel.year_index(y) for y in config.train_years]
-    test_idx = [panel.year_index(y) for y in config.test_years]
     train_design = build_design(log_regressors, log_target, columns, train_idx)
     return PreparedInputs(
         config=config,
         dropped_features=dropped_features,
         dropped_entities=dropped_entities,
-        params=params,
-        quality=quality,
-        assignment=assignment,
         promoted=promoted,
         sweep=sweep,
         entities=list(panel.entities),
@@ -510,8 +522,6 @@ def prepare_inputs(config: PipelineConfig) -> PreparedInputs:
         log_regressors=log_regressors,
         log_target=log_target,
         epsilon_cells=epsilon_cells,
-        train_idx=train_idx,
-        test_idx=test_idx,
         train_design=train_design,
     )
 
@@ -520,7 +530,8 @@ def fit_kind(config: PipelineConfig, design: regression.DesignMatrix, kind: str)
     """Cross-validate one penalty kind on design, refit at the chosen
     penalty, and trace the path over the kind's grid.
 
-    Returns (spec, cv_table, model, fit_report, path)."""
+    Returns (cv_table, model, fit_report, path); the model's penalty is
+    the one CV chose."""
     grid = {"ridge": config.ridge_lambdas, "lasso": config.lasso_lambdas,
             "elastic_net": config.enet_lambdas}[kind]
     solver = {"tol": config.tol, "max_iter": config.max_iter,
@@ -531,7 +542,7 @@ def fit_kind(config: PipelineConfig, design: regression.DesignMatrix, kind: str)
     report = regression.fit_report(model, design)
     path = _stage("fit", regression.iterate_lambda, design, kind,
                   sorted(set(float(v) for v in grid)), alpha=config.enet_alpha, **solver)
-    return spec, table, model, report, path
+    return table, model, report, path
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
@@ -547,14 +558,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     reports: dict = {}
     paths: dict = {}
     for kind in regression.PENALTY_KINDS:
-        spec, table, models[kind], reports[kind], paths[kind] = fit_kind(
+        cv_tables[kind], models[kind], reports[kind], paths[kind] = fit_kind(
             config, prep.train_design, kind)
-        cv_tables[kind] = (spec, table)
 
-    predictions = regression.predict(models["elastic_net"], prep.log_regressors[prep.test_idx])
+    test_idx = prep.test_idx
+    predictions = regression.predict(models["elastic_net"], prep.log_regressors[test_idx])
     forecast_rows = []
     for k, year in enumerate(config.test_years):
-        true = float(prep.log_target[prep.test_idx[k]])
+        true = float(prep.log_target[test_idx[k]])
         pred = float(predictions[k])
         forecast_rows.append(
             {"year": int(year), "true": true, "predict": pred, "difference": true - pred}

@@ -47,8 +47,8 @@ def drop_zero_series(panel: EnergyPanel) -> tuple[EnergyPanel, list[str]]:
     entities). A series with any nonzero entry is never removed. Raises
     PreprocessError if nothing remains."""
     values = panel.values
-    keep_f = np.array([values[:, :, fi].any() for fi in range(panel.n_features)])
-    keep_e = np.array([values[:, ei, :].any() for ei in range(panel.n_entities)])
+    keep_f = values.any(axis=(0, 1))
+    keep_e = values.any(axis=(0, 2))
     dropped = [f for f, k in zip(panel.features, keep_f) if not k]
     dropped += [e for e, k in zip(panel.entities, keep_e) if not k]
     if not keep_f.any() or not keep_e.any():

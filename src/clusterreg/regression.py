@@ -28,8 +28,9 @@ up does coordinate descent run, with the update
     beta_j = soft_threshold(rho_j, lam1 / 2) / H_jj
 
 for column j with partial residual correlation rho_j. Both accept a fit
-by one test, _optimality within the kkt_check bound
-10*tol*max(1, |2X'y|_inf).
+by _optimality within the kkt_check bound 10*tol*max(1, |2X'y|_inf),
+except that the search, whose solves are exact, gives its zero
+coordinates only rounding slack.
 """
 
 from __future__ import annotations
@@ -155,7 +156,6 @@ class LinearModel:
     coefficients: np.ndarray
     penalty: PenaltySpec | None
     column_names: tuple[str, ...]
-    converged: bool = True
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -171,6 +171,11 @@ class LinearModel:
     @property
     def p(self) -> int:
         return self.coefficients.shape[0]
+
+    @property
+    def converged(self) -> bool:
+        """False only for a fit flagged 'non_converged'."""
+        return "non_converged" not in self.flags
 
     def to_dict(self) -> dict:
         return {
@@ -257,18 +262,8 @@ def fit_ols(d: DesignMatrix, fit_intercept: bool = True) -> LinearModel:
 
     Singular systems fall back to the minimum-norm solution and the model
     is flagged 'singular_system'."""
-    return replace(fit_ridge(d, 0.0, fit_intercept=fit_intercept), penalty=None)
-
-
-def fit_ridge(
-    d: DesignMatrix,
-    lam: float,
-    fit_intercept: bool = True,
-    standardize: bool = False,
-) -> LinearModel:
-    """Closed-form ridge: solves (X'X + lam*I) beta = X'y on centered data."""
-    return fit_penalized(d, PenaltySpec.ridge(lam), fit_intercept=fit_intercept,
-                         standardize=standardize)
+    return replace(fit_penalized(d, PenaltySpec.ridge(0.0), fit_intercept=fit_intercept),
+                   penalty=None)
 
 
 def _solve_pattern(
@@ -334,8 +329,9 @@ def _feature_sign_search(
     bound: float,
 ) -> np.ndarray | None:
     """Feature-sign search (Lee, Battle, Raina & Ng 2007) from the start
-    beta: the solve of some sign pattern that passes _optimality within
-    bound, or None.
+    beta: the solve of some sign pattern whose stationarity residual is
+    within bound and whose zero coordinates satisfy |g_j| <= lam1 up to
+    rounding, or None.
 
     Each step solves the objective on the current sign pattern. A solve
     that keeps its signs is returned if it passes; otherwise the worst
@@ -344,8 +340,16 @@ def _feature_sign_search(
     coefficients left at zero leave the pattern. The objective never
     rises, so the search ends on a pattern seen before, after 2p steps, on
     a singular H_AA, or when only stationarity fails (no repair applies);
-    the caller then goes on with coordinate descent."""
+    the caller then goes on with coordinate descent.
+
+    The inactive test allows no iterative slack, since a pattern solve is
+    exact: only the rounding of evaluating g_j = -2(c_j - H_j x), whose
+    error is at most 2*gamma_(p+1)*(|c_j| + sum_k |H_jk||x_k|) with
+    gamma_(p+1) ~ (p+1)*eps/2 (Higham 2002, eq. 3.5). The slack is four
+    times that. A slack of bound would keep a copied column at a small
+    lam2 inactive, as its |g_j| - lam1 = 2*lam2*|beta| falls within it."""
     p = beta.shape[0]
+    rounding = 8.0 * p * np.finfo(float).eps
     x = beta.copy()
     theta = np.sign(x)
     seen = set()
@@ -363,8 +367,9 @@ def _feature_sign_search(
             x = np.zeros(p)
             x[active] = b
             stationarity, g = _optimality(hess, corr, lam1, x)
-            j = int(np.argmax(np.abs(g)))
-            if abs(g[j]) <= lam1 + bound:
+            excess = np.abs(g) - lam1 - rounding * (np.abs(corr) + np.abs(hess) @ np.abs(x))
+            j = int(np.argmax(excess))
+            if excess[j] <= 0.0:
                 return x if stationarity <= bound else None
             theta[j] = -np.sign(g[j])
         else:
@@ -415,41 +420,6 @@ def _coordinate_descent(
     return beta, False, max_iter
 
 
-def fit_lasso(
-    d: DesignMatrix,
-    lam: float,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    fit_intercept: bool = True,
-    standardize: bool = False,
-) -> LinearModel:
-    """L1-penalized fit by feature-sign search, falling back to cyclic
-    coordinate descent when the search gives up.
-
-    A fallback that does not converge within max_iter sweeps is flagged on
-    the returned model (converged=False, flag 'non_converged'), never
-    silently accepted."""
-    return fit_penalized(d, PenaltySpec.lasso(lam), tol=tol, max_iter=max_iter,
-                         fit_intercept=fit_intercept, standardize=standardize)
-
-
-def fit_elastic_net(
-    d: DesignMatrix,
-    lam1: float,
-    lam2: float,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    fit_intercept: bool = True,
-    standardize: bool = False,
-) -> LinearModel:
-    """Combined L1/L2 penalty by feature-sign search, falling back to cyclic
-    coordinate descent when the search gives up.
-
-    Reduces exactly to the lasso at lam2=0 and to ridge at lam1=0."""
-    return fit_penalized(d, PenaltySpec.elastic_net(lam1, lam2), tol=tol, max_iter=max_iter,
-                         fit_intercept=fit_intercept, standardize=standardize)
-
-
 def fit_penalized(
     d: DesignMatrix,
     spec: PenaltySpec,
@@ -466,7 +436,9 @@ def fit_penalized(
     otherwise the feature-sign search from the coefficients `start` (as
     reported on a model, e.g. the fit at a neighbouring penalty) or zero,
     with coordinate descent from the same point only when the search gives
-    up. tol, max_iter and start are checked for every fit."""
+    up. A descent that does not converge within max_iter sweeps is flagged
+    'non_converged' on the model, never silently accepted. tol, max_iter
+    and start are checked for every fit."""
     if start is not None and np.shape(start) != (d.p,):
         raise RegressionError(f"start must have shape ({d.p},), got {np.shape(start)}")
     if not 0.0 < tol < np.inf:
@@ -482,7 +454,6 @@ def fit_penalized(
     lam1, lam2 = spec.lam1, spec.lam2
     gram, corr = xc.T @ xc, xc.T @ yc
     hess = gram + lam2 * np.eye(d.p)
-    converged = True
     if lam1 == lam2 == 0:
         beta, _, rank, _ = np.linalg.lstsq(xc, yc, rcond=None)
         if rank < d.p:
@@ -501,7 +472,7 @@ def fit_penalized(
                 flags = flags + ("non_converged",)
     beta = beta / scale
     intercept = y_mean - float(x_mean @ beta)
-    return LinearModel(intercept, beta, spec, d.column_names, converged=converged, flags=flags)
+    return LinearModel(intercept, beta, spec, d.column_names, flags=flags)
 
 
 def kkt_check(model: LinearModel, d: DesignMatrix) -> float:

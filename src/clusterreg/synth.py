@@ -46,10 +46,19 @@ class SyntheticTruth:
     noise: tuple[float, ...]  # per-year target noise
     log_target: tuple[float, ...]  # ln(total) per year
     years: tuple[int, ...]
-    n_entities: int
     n_features: int
-    n_clusters: int
-    support_size: int
+
+    @property
+    def n_entities(self) -> int:
+        return len(self.labels)
+
+    @property
+    def n_clusters(self) -> int:
+        return len(self.beta)
+
+    @property
+    def support_size(self) -> int:
+        return len(self.support)
 
     @property
     def signal_sd(self) -> float:
@@ -231,9 +240,6 @@ def generate_synthetic(
         noise=tuple(float(v) for v in noise),
         log_target=tuple(float(v) for v in log_target),
         years=years,
-        n_entities=n_entities,
         n_features=n_features,
-        n_clusters=n_clusters,
-        support_size=support_size,
     )
     return panel, truth

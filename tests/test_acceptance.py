@@ -17,11 +17,10 @@ from clusterreg.pipeline import PipelineConfig, prepare_inputs, run_pipeline
 from clusterreg.preprocess import FeatureMatrix
 from clusterreg.regression import (
     DesignMatrix,
-    fit_elastic_net,
-    fit_lasso,
+    PenaltySpec,
     fit_ols,
+    fit_penalized,
     fit_report,
-    fit_ridge,
     kkt_check,
     predict,
 )
@@ -59,9 +58,9 @@ def solver_corpus():
         lam = float(np.exp(rng.uniform(np.log(1e-3), np.log(3.0))))
         lam2 = float(np.exp(rng.uniform(np.log(1e-3), np.log(3.0))))
         fits = {
-            "ridge": (fit_ridge(d, lam), 0.0, lam),
-            "lasso": (fit_lasso(d, lam), lam, 0.0),
-            "elastic_net": (fit_elastic_net(d, lam, lam2), lam, lam2),
+            "ridge": (fit_penalized(d, PenaltySpec.ridge(lam)), 0.0, lam),
+            "lasso": (fit_penalized(d, PenaltySpec.lasso(lam)), lam, 0.0),
+            "elastic_net": (fit_penalized(d, PenaltySpec.elastic_net(lam, lam2)), lam, lam2),
         }
         corpus.append((d, lam, lam2, fits))
     return corpus
@@ -105,10 +104,12 @@ def test_criterion_3_boundary_reductions(solver_corpus):
     for d, lam, lam2, fits in solver_corpus:
         ols = fit_ols(d)
         pairs = [
-            (fit_lasso(d, 0.0), ols),
-            (fit_ridge(d, 0.0), ols),
-            (fit_elastic_net(d, 0.0, lam2), fit_ridge(d, lam2)),
-            (fit_elastic_net(d, lam, 0.0), fit_lasso(d, lam)),
+            (fit_penalized(d, PenaltySpec.lasso(0.0)), ols),
+            (fit_penalized(d, PenaltySpec.ridge(0.0)), ols),
+            (fit_penalized(d, PenaltySpec.elastic_net(0.0, lam2)),
+             fit_penalized(d, PenaltySpec.ridge(lam2))),
+            (fit_penalized(d, PenaltySpec.elastic_net(lam, 0.0)),
+             fit_penalized(d, PenaltySpec.lasso(lam))),
         ]
         for got, want in pairs:
             worst = max(worst, float(np.abs(got.coefficients - want.coefficients).max()),
@@ -121,9 +122,10 @@ def test_criterion_3_boundary_reductions(solver_corpus):
 def test_criterion_4_closed_form_fixtures():
     uni = DesignMatrix([[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0], ("x",))
     pm = DesignMatrix([[1.0], [-1.0]], [1.0, -1.0], ("x",))
-    ridge = fit_ridge(uni, 1.0, fit_intercept=False).coefficients[0]
-    lasso = fit_lasso(pm, 1.0, fit_intercept=False).coefficients[0]
-    enet = fit_elastic_net(pm, 1.0, 1.0, fit_intercept=False).coefficients[0]
+    ridge = fit_penalized(uni, PenaltySpec.ridge(1.0), fit_intercept=False).coefficients[0]
+    lasso = fit_penalized(pm, PenaltySpec.lasso(1.0), fit_intercept=False).coefficients[0]
+    enet = fit_penalized(pm, PenaltySpec.elastic_net(1.0, 1.0),
+                         fit_intercept=False).coefficients[0]
     ok = (abs(ridge - 14.0 / 15.0) < 1e-10
           and abs(lasso - 0.75) < 1e-10
           and abs(enet - 0.5) < 1e-10)
@@ -290,7 +292,7 @@ def test_criterion_10_clustering_matches_published(sichuan):
 @needs_dataset
 def test_criterion_11_lasso_at_published_lambda(sichuan):
     _, prep = sichuan
-    model = fit_lasso(prep.train_design, 0.0081)
+    model = fit_penalized(prep.train_design, PenaltySpec.lasso(0.0081))
     rep = fit_report(model, prep.train_design)
     nonzero = int(np.count_nonzero(np.abs(model.coefficients) > 1e-10))
     ok = nonzero == 7 and rep.sparsity == pytest.approx(0.4375) and rep.r2 >= 0.995 and rep.mse <= 5e-4
@@ -302,7 +304,7 @@ def test_criterion_11_lasso_at_published_lambda(sichuan):
 @needs_dataset
 def test_criterion_12_elastic_net_at_published_lambdas(sichuan):
     _, prep = sichuan
-    model = fit_elastic_net(prep.train_design, 2.7826e-4, 2.7826e-4)
+    model = fit_penalized(prep.train_design, PenaltySpec.elastic_net(2.7826e-4, 2.7826e-4))
     rep = fit_report(model, prep.train_design)
     ok = rep.r2 >= 0.998 and rep.mse <= 5e-5
     line(12, ok, f"elastic net@2.7826e-4: R2={rep.r2:.4f} (>=0.998), "
@@ -313,7 +315,7 @@ def test_criterion_12_elastic_net_at_published_lambdas(sichuan):
 @needs_dataset
 def test_criterion_13_holdout_forecast_error(sichuan):
     _, prep = sichuan
-    model = fit_elastic_net(prep.train_design, 2.7826e-4, 2.7826e-4)
+    model = fit_penalized(prep.train_design, PenaltySpec.elastic_net(2.7826e-4, 2.7826e-4))
     predictions = predict(model, prep.log_regressors[prep.test_idx])
     truths = prep.log_target[prep.test_idx]
     mean_error = float(np.mean(truths - predictions))

@@ -330,7 +330,7 @@ def test_heatmap_is_the_matrix_the_sweep_clustered(tmp_path):
     assert header == ["entity", "feature", "value"]
 
     cfg = PipelineConfig.from_file(cfg_path)
-    matrix = cluster_matrix(cfg, load_clean(cfg)[1])
+    matrix = cluster_matrix(cfg, load_clean(cfg)[0])
     expected = [[e, f, repr(float(matrix.values[i, j]))]
                 for i, e in enumerate(matrix.entities) for j, f in enumerate(matrix.features)]
     assert rows == expected

@@ -361,7 +361,7 @@ class TestSweep:
     def test_single_admissible_pair(self, blob6):
         out = sweep_params(blob6, [0.6], [2])
         assert len(out) == 1
-        assert out[0][1].c == 2
+        assert out[0][1].c == 2 == len(out[0][1].centroids)
 
     def test_ranking_prefers_higher_sc(self, blob6):
         # eps=0.05 is inadmissible (all noise); 0.6 and 2.0 both admissible

@@ -304,9 +304,7 @@ class TestRunPipeline:
 
     def test_matched_penalties_reduce_consistently(self, synthetic_report):
         from clusterreg.pipeline import build_design
-        from clusterreg.regression import (
-            fit_elastic_net, fit_lasso, fit_report, fit_ridge,
-        )
+        from clusterreg.regression import PenaltySpec, fit_penalized, fit_report
 
         report = synthetic_report
         design = build_design(
@@ -314,12 +312,47 @@ class TestRunPipeline:
             report.columns,
             [report.years.index(y) for y in report.config.train_years])
         lam = 0.01
-        enet_as_lasso = fit_report(fit_elastic_net(design, lam, 0.0), design).r2
-        lasso_r2 = fit_report(fit_lasso(design, lam), design).r2
-        enet_as_ridge = fit_report(fit_elastic_net(design, 0.0, lam), design).r2
-        ridge_r2 = fit_report(fit_ridge(design, lam), design).r2
+        def r2(spec):
+            return fit_report(fit_penalized(design, spec), design).r2
+
+        enet_as_lasso = r2(PenaltySpec.elastic_net(lam, 0.0))
+        lasso_r2 = r2(PenaltySpec.lasso(lam))
+        enet_as_ridge = r2(PenaltySpec.elastic_net(0.0, lam))
+        ridge_r2 = r2(PenaltySpec.ridge(lam))
         assert enet_as_lasso == pytest.approx(lasso_r2, abs=1e-8)
         assert enet_as_ridge == pytest.approx(ridge_r2, abs=1e-8)
+
+    def test_chosen_clustering_and_year_rows_are_derived(self, synthetic_report):
+        report = synthetic_report
+        params, quality, assignment = report.sweep[0]
+        assert report.params is params and report.quality is quality
+        assert report.assignment is assignment
+        assert np.array_equal(report.log_target[report.train_idx], report.train_design.y)
+        years = [report.years[i] for i in report.test_idx]
+        assert years == [row["year"] for row in report.forecast_rows]
+        cv = report.to_dict()["cv"]
+        for kind, table in report.cv_tables.items():
+            assert cv[kind] == {"penalty": report.models[kind].penalty.to_dict(),
+                                "table": [list(row) for row in table]}
+
+    def test_dropped_names_split_into_features_and_entities(self, tmp_path):
+        from clusterreg.dataio import save_panel_long
+        from clusterreg.pipeline import prepare_inputs
+        from clusterreg.synth import generate_synthetic
+
+        panel, _ = generate_synthetic(seed=6, n_entities=8, n_features=6, n_clusters=4,
+                                      n_years=10, support_size=2)
+        values = panel.values.copy()
+        values[:, :, 5] = 0.0
+        values[:, 7, :] = 0.0
+        panel = type(panel)(panel.years, panel.entities, panel.features, values)
+        save_panel_long(panel, tmp_path / "panel.csv")
+        config = PipelineConfig(data_path=str(tmp_path / "panel.csv"),
+                                train_years=list(range(2000, 2008)), test_years=[2008, 2009])
+        prep = prepare_inputs(config)
+        assert prep.dropped_features == [panel.features[5]]
+        assert prep.dropped_entities == [panel.entities[7]]
+        assert prep.entities == list(panel.entities[:7])
 
     def test_zero_aggregate_cells_get_epsilon_and_are_listed(self, tmp_path):
         from clusterreg.dataio import save_panel_long
@@ -450,7 +483,8 @@ def test_every_benchmark_span_fires(synthetic_case, tmp_path):
     """The benchmark tracer wraps layer functions at the module globals their
     callers resolve; a refactor that calls one some other way silently drops
     its span. Runs one pipeline under that tracer (bench/spans.py, loaded
-    read-only) on the benchmark's small warm-up grids."""
+    read-only) on small grids, one with a repeated value, and checks the
+    counts the spans read off the fit records and the sweep."""
     source = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", source)
     spans = importlib.util.module_from_spec(spec)
@@ -458,7 +492,7 @@ def test_every_benchmark_span_fires(synthetic_case, tmp_path):
     _, _, _, config = synthetic_case
     config = dataclasses.replace(
         config, out_dir=str(tmp_path / "out"), eps_grid=[0.1, 0.4, 1.0], minpts_grid=[1, 2],
-        ridge_lambdas=[0.1, 0.5], lasso_lambdas=[0.1, 1.0], enet_lambdas=[0.1, 1.0])
+        ridge_lambdas=[0.1, 0.5], lasso_lambdas=[0.1, 1.0, 0.1], enet_lambdas=[0.1, 1.0])
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -468,3 +502,11 @@ def test_every_benchmark_span_fires(synthetic_case, tmp_path):
     metrics = spans.panel_metrics(tracer.take())
     assert spans.missing_spans([metrics]) == []
     assert metrics["clustering.silhouette_calls"] == metrics["clustering.distinct_labellings"]
+    assert metrics["clustering.dbscan_calls"] == len(config.eps_grid) * len(config.minpts_grid)
+    grids = {"ridge": config.ridge_lambdas, "lasso": config.lasso_lambdas,
+             "elastic_net": config.enet_lambdas}
+    for kind, grid in grids.items():
+        # CV fits every fold at every grid point, then one refit and the path
+        assert metrics[f"regression.fits.{kind}"] == (
+            config.cv_folds * len(grid) + 1 + len(set(grid))), kind
+        assert metrics[f"regression.non_converged.{kind}"] == 0, kind

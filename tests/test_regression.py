@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -15,12 +16,9 @@ from clusterreg.regression import (
     compute_r2,
     compute_sparsity,
     cross_validate,
-    fit_elastic_net,
-    fit_lasso,
     fit_ols,
     fit_penalized,
     fit_report,
-    fit_ridge,
     iterate_lambda,
     kkt_check,
     lasso_lambda_max,
@@ -75,19 +73,19 @@ class TestRidge:
     def test_lambda_zero_equals_ols(self):
         d = random_design(seed=1)
         ols = fit_ols(d)
-        ridge = fit_ridge(d, 0.0)
+        ridge = fit_penalized(d, PenaltySpec.ridge(0.0))
         assert ridge.coefficients == pytest.approx(ols.coefficients, abs=1e-10)
         assert ridge.intercept == pytest.approx(ols.intercept, abs=1e-10)
 
     def test_univariate_closed_form(self):
-        m = fit_ridge(UNI_X, 1.0, fit_intercept=False)
+        m = fit_penalized(UNI_X, PenaltySpec.ridge(1.0), fit_intercept=False)
         assert m.coefficients[0] == pytest.approx(14.0 / 15.0, abs=1e-10)
         assert m.intercept == 0.0
 
     def test_matches_independent_solve(self):
         d = random_design(seed=7)
         lam = 0.37
-        m = fit_ridge(d, lam)
+        m = fit_penalized(d, PenaltySpec.ridge(lam))
         xc = d.x - d.x.mean(axis=0)
         yc = d.y - d.y.mean()
         beta = np.linalg.solve(xc.T @ xc + lam * np.eye(d.p), xc.T @ yc)
@@ -95,13 +93,13 @@ class TestRidge:
 
     def test_shrinkage_monotone_in_lambda(self):
         d = random_design(seed=3)
-        norms = [np.linalg.norm(fit_ridge(d, lam).coefficients)
+        norms = [np.linalg.norm(fit_penalized(d, PenaltySpec.ridge(lam)).coefficients)
                  for lam in [0.0, 0.01, 0.1, 1.0, 10.0, 100.0]]
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(RegressionError):
-            fit_ridge(UNI_X, -0.1)
+            fit_penalized(UNI_X, PenaltySpec.ridge(-0.1))
 
 
 class TestSoftThreshold:
@@ -129,7 +127,7 @@ class TestLasso:
     def test_lambda_zero_equals_ols(self):
         d = random_design(seed=5)
         ols = fit_ols(d)
-        lasso = fit_lasso(d, 0.0)
+        lasso = fit_penalized(d, PenaltySpec.lasso(0.0))
         assert lasso.converged
         assert lasso.coefficients == pytest.approx(ols.coefficients, abs=1e-8)
 
@@ -138,19 +136,19 @@ class TestLasso:
         # when the design has a duplicated column.
         d, _, _ = duplicated_column_case()
         ols = fit_ols(d)
-        lasso = fit_lasso(d, 0.0)
+        lasso = fit_penalized(d, PenaltySpec.lasso(0.0))
         assert np.array_equal(lasso.coefficients, ols.coefficients)
         assert lasso.intercept == ols.intercept
         assert "singular_system" in ols.flags and "singular_system" in lasso.flags
 
     def test_univariate_subgradient_value(self):
-        m = fit_lasso(UNI_PM, 1.0, fit_intercept=False)
+        m = fit_penalized(UNI_PM, PenaltySpec.lasso(1.0), fit_intercept=False)
         assert m.coefficients[0] == pytest.approx(0.75, abs=1e-10)
 
     def test_dead_zone_beyond_lambda_max(self):
         d = random_design(seed=9)
         lam_max = lasso_lambda_max(d)
-        m = fit_lasso(d, lam_max * 1.0001)
+        m = fit_penalized(d, PenaltySpec.lasso(lam_max * 1.0001))
         assert np.all(m.coefficients == 0.0)
         assert m.intercept == pytest.approx(float(d.y.mean()), abs=1e-12)
 
@@ -166,8 +164,8 @@ class TestLasso:
 class TestElasticNet:
     def test_lambda1_zero_equals_ridge(self):
         d = random_design(seed=11)
-        ridge = fit_ridge(d, 0.8)
-        enet = fit_elastic_net(d, 0.0, 0.8)
+        ridge = fit_penalized(d, PenaltySpec.ridge(0.8))
+        enet = fit_penalized(d, PenaltySpec.elastic_net(0.0, 0.8))
         assert enet.coefficients == pytest.approx(ridge.coefficients, abs=1e-8)
 
     def test_no_l1_weight_is_the_ridge_fit_bit_for_bit(self):
@@ -177,21 +175,21 @@ class TestElasticNet:
         dup, _, _ = duplicated_column_case()
         for d, lam2, standardize in ((dup, 1e-8, False), (dup, 0.8, True),
                                      (random_design(seed=13, n=9, p=4), 0.8, False)):
-            ridge = fit_ridge(d, lam2, standardize=standardize)
-            for enet in (fit_elastic_net(d, 0.0, lam2, standardize=standardize),
-                         fit_penalized(d, PenaltySpec.of("elastic_net", lam2, 0.0),
-                                       standardize=standardize)):
+            ridge = fit_penalized(d, PenaltySpec.ridge(lam2), standardize=standardize)
+            for spec in (PenaltySpec.elastic_net(0.0, lam2),
+                         PenaltySpec.of("elastic_net", lam2, 0.0)):
+                enet = fit_penalized(d, spec, standardize=standardize)
                 assert np.array_equal(enet.coefficients, ridge.coefficients)
                 assert enet.intercept == ridge.intercept
 
     def test_lambda2_zero_equals_lasso(self):
         d = random_design(seed=12)
-        lasso = fit_lasso(d, 0.3)
-        enet = fit_elastic_net(d, 0.3, 0.0)
+        lasso = fit_penalized(d, PenaltySpec.lasso(0.3))
+        enet = fit_penalized(d, PenaltySpec.elastic_net(0.3, 0.0))
         assert enet.coefficients == pytest.approx(lasso.coefficients, abs=1e-8)
 
     def test_univariate_closed_form(self):
-        m = fit_elastic_net(UNI_PM, 1.0, 1.0, fit_intercept=False)
+        m = fit_penalized(UNI_PM, PenaltySpec.elastic_net(1.0, 1.0), fit_intercept=False)
         assert m.coefficients[0] == pytest.approx(0.5, abs=1e-10)
 
     def test_spec_construction(self):
@@ -215,19 +213,19 @@ class TestElasticNet:
 
 class TestKkt:
     def test_exact_univariate_solution(self):
-        m = fit_lasso(UNI_PM, 1.0, fit_intercept=False)
+        m = fit_penalized(UNI_PM, PenaltySpec.lasso(1.0), fit_intercept=False)
         assert kkt_check(m, UNI_PM) < 1e-8
 
     def test_all_zero_beyond_lambda_max_has_zero_violation(self):
         d = random_design(seed=15)
         lam = lasso_lambda_max(d) * 1.01
-        m = fit_lasso(d, lam)
+        m = fit_penalized(d, PenaltySpec.lasso(lam))
         assert np.all(m.coefficients == 0.0)
         assert kkt_check(m, d) == 0.0
 
     def test_perturbed_solution_violates(self):
         d = random_design(seed=16)
-        m = fit_lasso(d, 0.1)
+        m = fit_penalized(d, PenaltySpec.lasso(0.1))
         bad = type(m)(
             intercept=m.intercept,
             coefficients=m.coefficients + 0.1,
@@ -243,8 +241,8 @@ class TestKkt:
             d = DesignMatrix(x, y, tuple(f"c{j}" for j in range(x.shape[1])))
             lam1 = float(rng.uniform(0.0, 2.0))
             lam2 = float(rng.uniform(0.0, 2.0))
-            for m in (fit_lasso(d, lam1, tol=1e-10),
-                      fit_elastic_net(d, lam1, lam2, tol=1e-10)):
+            for m in (fit_penalized(d, PenaltySpec.lasso(lam1), tol=1e-10),
+                      fit_penalized(d, PenaltySpec.elastic_net(lam1, lam2), tol=1e-10)):
                 assert m.converged
                 assert kkt_check(m, d) < 10 * 1e-10 * max(
                     1.0, float(np.abs(2 * d.x.T @ d.y).max()))
@@ -271,7 +269,7 @@ class TestKkt:
 
     def test_standardized_fit_rejected(self):
         d = random_design(seed=17)
-        m = fit_lasso(d, 0.1, standardize=True)
+        m = fit_penalized(d, PenaltySpec.lasso(0.1), standardize=True)
         with pytest.raises(RegressionError, match="unstandardized"):
             kkt_check(m, d)
 
@@ -284,9 +282,9 @@ class TestGridOracle:
             d = DesignMatrix(x, y, tuple(f"c{j}" for j in range(x.shape[1])))
             lam = float(rng.uniform(0.01, 2.0))
             cases = [
-                (fit_ridge(d, lam), 0.0, lam),
-                (fit_lasso(d, lam), lam, 0.0),
-                (fit_elastic_net(d, lam, 0.5 * lam), lam, 0.5 * lam),
+                (fit_penalized(d, PenaltySpec.ridge(lam)), 0.0, lam),
+                (fit_penalized(d, PenaltySpec.lasso(lam)), lam, 0.0),
+                (fit_penalized(d, PenaltySpec.elastic_net(lam, 0.5 * lam)), lam, 0.5 * lam),
             ]
             for model, lam1, lam2 in cases:
                 a, beta, value = grid_minimize(x, y, lam1, lam2)
@@ -312,7 +310,7 @@ class TestCrossValidate:
         grid = [1e-8, 1e-4, 1e-2, 1.0, 10.0]
         spec, table = cross_validate(d, "lasso", grid, folds=3)
         assert spec.lam == 1e-8
-        m = fit_lasso(d, spec.lam)
+        m = fit_penalized(d, PenaltySpec.lasso(spec.lam))
         support = {i for i, b in enumerate(m.coefficients) if abs(b) > 1e-10}
         assert support == {0, 2}
         mses = dict(table)
@@ -362,7 +360,7 @@ class TestIterateLambda:
         grid = [0.01, 0.1, 1.0]
         path = iterate_lambda(d, "lasso", grid)
         for i, lam in enumerate(grid):
-            one_off = fit_lasso(d, lam)
+            one_off = fit_penalized(d, PenaltySpec.lasso(lam))
             assert np.array_equal(path.coefficient_matrix[i], one_off.coefficients)
 
     def test_ridge_grid_metrics_recorded(self):
@@ -501,14 +499,14 @@ def duplicated_column_case():
     y = 0.7 * a - 0.4 * b + np.array([0.1, -0.2, 0.05, 0.3, -0.1, 0.0, 0.2, -0.15])
     d = DesignMatrix(np.column_stack([a, a, b]), y, ("a", "a2", "b"))
     lam = 0.1 * lasso_lambda_max(d)
-    return d, lam, fit_lasso(d, lam).coefficients[[0, 0, 2]] / 2
+    return d, lam, fit_penalized(d, PenaltySpec.lasso(lam)).coefficients[[0, 0, 2]] / 2
 
 
 class TestActiveSetSearch:
     def test_wrong_sign_pattern_is_repaired_in_few_sweeps(self, monkeypatch):
         d = DesignMatrix(WRONG_SIGN_X, WRONG_SIGN_Y, ("a", "b", "c", "d"))
         lam = 0.1 * lasso_lambda_max(d)
-        cold = fit_lasso(d, lam)
+        cold = fit_penalized(d, PenaltySpec.lasso(lam))
         solves = _solves(monkeypatch)
         sweeps = _sweeps(monkeypatch)
         m = fit_penalized(d, PenaltySpec.lasso(lam), start=np.array([0.43, -0.18, -0.01, 0.12]))
@@ -530,9 +528,10 @@ class TestActiveSetSearch:
         d = DesignMatrix(x, np.array([0.0, -1.5, 1.5, 1.0]), ("a", "b", "c", "d"))
         lam = 0.01 * lasso_lambda_max(d)
         with mock.patch.object(regression, "_feature_sign_search", lambda *args: None):
-            assert not fit_lasso(d, lam, max_iter=2000).converged  # descent alone
+            descent = fit_penalized(d, PenaltySpec.lasso(lam), max_iter=2000)
+            assert not descent.converged
         sweeps = _sweeps(monkeypatch)
-        m = fit_lasso(d, lam, max_iter=2000)
+        m = fit_penalized(d, PenaltySpec.lasso(lam), max_iter=2000)
         assert sweeps == []
         assert m.converged and kkt_check(m, d) <= _kkt_bound(d)
         assert m.coefficients[1] == 0.0 and m.coefficients[3] == 0.0
@@ -545,12 +544,27 @@ class TestActiveSetSearch:
         assert m.converged and kkt_check(m, d) <= _kkt_bound(d)
         assert m.coefficients[0] * m.coefficients[1] > 0
 
+    def test_copies_share_the_weight_at_a_tiny_l2_weight(self):
+        # The grouping effect (Zou & Hastie 2005, Theorem 1): at any lam2 > 0
+        # a copied column gets its copy's weight. At lam2 = 1e-8 the inactive
+        # copy's |g_j| - lam1 = 2*lam2*|beta| is far inside the kkt_check
+        # bound, so only an inactive test at rounding level catches it.
+        d, lam, _ = duplicated_column_case()
+        lam2 = 1e-8
+        m = fit_penalized(d, PenaltySpec.elastic_net(lam, lam2))
+        assert np.all(m.coefficients != 0.0)
+        xc = d.x - d.x.mean(axis=0)
+        cond = np.linalg.cond(xc.T @ xc + lam2 * np.eye(d.p))
+        split = abs(m.coefficients[0] - m.coefficients[1])
+        assert split <= cond * np.finfo(float).eps * np.linalg.norm(m.coefficients)
+        assert kkt_check(m, d) <= _kkt_bound(d)
+
     def test_search_gives_up_when_only_stationarity_fails(self, monkeypatch):
         # Every pattern solve is scaled off its stationary point: its signs
         # hold and no inactive coordinate violates, so no repair applies.
         d = DesignMatrix(WRONG_SIGN_X, WRONG_SIGN_Y, ("a", "b", "c", "d"))
         lam = 0.1 * lasso_lambda_max(d)
-        beta = fit_lasso(d, lam).coefficients
+        beta = fit_penalized(d, PenaltySpec.lasso(lam)).coefficients
         xc, yc = d.x - d.x.mean(axis=0), d.y - d.y.mean()
         solve = regression._solve_pattern
         monkeypatch.setattr(regression, "_solve_pattern", lambda *args: 1.001 * solve(*args))
@@ -684,7 +698,7 @@ class TestPredict:
 
     def test_training_predictions_match_report(self):
         d = random_design(seed=35)
-        m = fit_ridge(d, 0.2)
+        m = fit_penalized(d, PenaltySpec.ridge(0.2))
         report = fit_report(m, d)
         again = predict(m, d.x)
         assert np.array_equal(report.y_hat, again)
@@ -698,14 +712,16 @@ class TestInvariants:
             d = DesignMatrix(x, y, tuple(f"c{j}" for j in range(x.shape[1])))
             lam = float(rng.uniform(0.05, 1.5))
             ols = fit_ols(d)
-            assert fit_lasso(d, 0.0).coefficients == pytest.approx(
-                ols.coefficients, abs=1e-8)
-            assert fit_ridge(d, 0.0).coefficients == pytest.approx(
-                ols.coefficients, abs=1e-8)
-            assert fit_elastic_net(d, 0.0, lam).coefficients == pytest.approx(
-                fit_ridge(d, lam).coefficients, abs=1e-8)
-            assert fit_elastic_net(d, lam, 0.0).coefficients == pytest.approx(
-                fit_lasso(d, lam).coefficients, abs=1e-8)
+
+            def beta(spec):
+                return fit_penalized(d, spec).coefficients
+
+            assert beta(PenaltySpec.lasso(0.0)) == pytest.approx(ols.coefficients, abs=1e-8)
+            assert beta(PenaltySpec.ridge(0.0)) == pytest.approx(ols.coefficients, abs=1e-8)
+            assert beta(PenaltySpec.elastic_net(0.0, lam)) == pytest.approx(
+                beta(PenaltySpec.ridge(lam)), abs=1e-8)
+            assert beta(PenaltySpec.elastic_net(lam, 0.0)) == pytest.approx(
+                beta(PenaltySpec.lasso(lam)), abs=1e-8)
 
     def test_ols_r2_dominates_penalized(self):
         rng = np.random.default_rng(41)
@@ -714,8 +730,16 @@ class TestInvariants:
             d = DesignMatrix(x, y, tuple(f"c{j}" for j in range(x.shape[1])))
             r2_ols = fit_report(fit_ols(d), d).r2
             for lam in (0.01, 0.5, 5.0):
-                assert fit_report(fit_ridge(d, lam), d).r2 <= r2_ols + 1e-10
-                assert fit_report(fit_lasso(d, lam), d).r2 <= r2_ols + 1e-10
+                assert fit_report(fit_penalized(d, PenaltySpec.ridge(lam)), d).r2 <= r2_ols + 1e-10
+                assert fit_report(fit_penalized(d, PenaltySpec.lasso(lam)), d).r2 <= r2_ols + 1e-10
+
+    def test_converged_is_read_from_the_flags(self):
+        m = fit_ols(random_design(seed=46))
+        assert m.converged and m.to_dict()["converged"] is True
+        stalled = dataclasses.replace(m, flags=("non_converged",))
+        assert not stalled.converged and stalled.to_dict()["converged"] is False
+        with pytest.raises(TypeError):
+            LinearModel(0.0, [1.0], None, ("x",), converged=False)
 
     def test_fit_penalized_dispatch(self):
         d = random_design(seed=43)
@@ -741,7 +765,7 @@ class TestInvariants:
         d = random_design(seed=44, n=10, p=3)
         for tol in (np.inf, np.nan, 0.0):
             with pytest.raises(RegressionError, match="tol must be finite"):
-                fit_lasso(d, 0.5, tol=tol)
+                fit_penalized(d, PenaltySpec.lasso(0.5), tol=tol)
         for lam in (np.nan, np.inf, -np.inf, -1.0):
             with pytest.raises(RegressionError, match="penalty weights must be finite"):
                 PenaltySpec.lasso(lam)

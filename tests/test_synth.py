@@ -116,5 +116,7 @@ def test_small_configuration_works():
     panel, truth = generate_synthetic(seed=2, n_entities=8, n_features=6,
                                       n_clusters=4, n_years=6, support_size=2)
     assert panel.values.shape == (6, 8, 6)
-    assert len(truth.support) == 2
+    assert (truth.n_entities, truth.n_clusters, truth.support_size) == (8, 4, 2)
+    record = truth.to_dict()
+    assert (record["n_entities"], record["n_clusters"], record["support_size"]) == (8, 4, 2)
     assert np.all(panel.values >= 0)
