@@ -11,9 +11,11 @@ from .clustering import (
     ClusterAssignment,
     ClusteringQuality,
     NeighborhoodParams,
+    ReachabilityTree,
     SilhouetteReport,
     dbscan,
     promote_noise,
+    reachability_tree,
     region_query,
     silhouette,
     sse,

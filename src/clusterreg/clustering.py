@@ -1,10 +1,20 @@
 """Density clustering with silhouette and within-cluster SSE quality.
 
-The clusterer grows clusters from core points (points whose epsilon
-neighborhood, self included, holds at least min_pts points) and is fully
-deterministic: entities are scanned by index, cluster ids are assigned in
-order of first discovery, and a border point reachable from several
-clusters joins the one discovered first. Distances are Euclidean.
+A point is core when its epsilon neighborhood, self included, holds at
+least min_pts points; clusters are the connected sets of core points
+within eps of each other, plus the border points they reach. Distances
+are Euclidean and the labelling is fully deterministic.
+
+Every eps is labelled from one reachability tree per min_pts (Campello,
+Moulavi & Sander 2013; Schubert et al. 2017). A point's core distance is
+its min_pts-th smallest distance, counting itself (inf when min_pts > n),
+so it is core exactly when that distance is <= eps. The tree is a Prim
+minimum spanning tree of the mutual reachability max(cd_i, cd_j, d_ij):
+its edges of weight <= eps join exactly the core points within eps of
+each other, so they give the core components at that eps. Cluster ids
+follow the smallest core index in each component, and a non-core point
+within eps of a core point joins the lowest-id such cluster: the order
+in which a scan of the points by index discovers them.
 
 Noise points carry the NOISE label (-1). For downstream aggregation they
 can be promoted to singleton clusters via promote_noise, which keeps
@@ -14,6 +24,7 @@ every entity in play.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,13 +42,23 @@ class NeighborhoodParams:
     min_pts: int
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ClusteringError("eps must be >= 0")
-        if self.min_pts < 1:
-            raise ClusteringError("min_pts must be >= 1")
-        if not float(self.min_pts).is_integer():
-            raise ClusteringError(f"min_pts must be an integer, got {self.min_pts!r}")
-        object.__setattr__(self, "min_pts", int(self.min_pts))
+        _check_eps(self.eps)
+        object.__setattr__(self, "min_pts", _check_min_pts(self.min_pts))
+
+
+def _check_eps(eps: float) -> None:
+    # A NaN eps would make every point noise, and an infinite one would make
+    # a point with an infinite core distance (min_pts > n) core.
+    if not 0.0 <= eps < np.inf:
+        raise ClusteringError(f"eps must be finite and >= 0, got {eps!r}")
+
+
+def _check_min_pts(min_pts) -> int:
+    if min_pts < 1:
+        raise ClusteringError("min_pts must be >= 1")
+    if not float(min_pts).is_integer():
+        raise ClusteringError(f"min_pts must be an integer, got {min_pts!r}")
+    return int(min_pts)
 
 
 @dataclass(frozen=True)
@@ -108,8 +129,7 @@ def region_query(points: FeatureMatrix, index: int, eps: float) -> list[int]:
     n = len(points.entities)
     if not 0 <= index < n:
         raise IndexError(f"index {index} out of range for {n} points")
-    if eps < 0:
-        raise ClusteringError("eps must be >= 0")
+    _check_eps(eps)
     d = _distances(points.values[index:index + 1], points.values)[0]
     return np.flatnonzero(d <= eps).tolist()
 
@@ -124,10 +144,68 @@ def _check_dist(points: FeatureMatrix, dist: np.ndarray | None) -> np.ndarray:
     return dist
 
 
+class ReachabilityTree(NamedTuple):
+    """Prim minimum spanning tree of the mutual reachability distances for
+    one min_pts: each point's core distance, its parent in the tree and the
+    weight of the edge to that parent. A root is its own parent with weight
+    inf; a point that no finite edge reaches starts a new root. (A
+    NamedTuple: cheaper to define at import than a frozen dataclass.)"""
+
+    min_pts: int
+    core_dist: np.ndarray  # shape (n,)
+    parent: np.ndarray  # shape (n,)
+    weight: np.ndarray  # shape (n,)
+
+
+def reachability_tree(
+    points: FeatureMatrix,
+    min_pts: int,
+    dist: np.ndarray | None = None,
+) -> ReachabilityTree:
+    """The reachability tree that labels the rows at every eps for min_pts.
+
+    The core distance cd_i is the min_pts-th smallest entry of row i of
+    `dist` (inf when min_pts > n), and the tree spans the mutual
+    reachability max(cd_i, cd_j, d_ij). Only comparisons and max touch the
+    distances, so a point is core at eps exactly when its neighborhood
+    count reaches min_pts. The mutual reachability is built one row per
+    step, never as a full matrix."""
+    min_pts = _check_min_pts(min_pts)
+    dist = _check_dist(points, dist)
+    n = len(dist)
+    if min_pts <= n:
+        core_dist = np.partition(dist, min_pts - 1, axis=1)[:, min_pts - 1]
+    else:
+        core_dist = np.full(n, np.inf)
+    parent = np.arange(n)
+    weight = np.full(n, np.inf)
+    best = np.full(n, np.inf)  # lightest edge from each point to the tree
+    near = np.arange(n)  # the tree point at the other end of that edge
+    open_cd = core_dist.copy()  # inf once a point is in the tree
+    done = np.zeros(n, dtype=bool)
+    row = np.empty(n)
+    closer = np.empty(n, dtype=bool)
+    for _ in range(n):
+        v = int(best.argmin())
+        if best[v] == np.inf:  # nothing finite reaches the tree
+            v = int(done.argmin())
+        else:
+            parent[v], weight[v] = near[v], best[v]
+        done[v] = True
+        open_cd[v] = best[v] = np.inf
+        np.maximum(dist[v], open_cd, out=row)  # row v of the mutual reachability
+        np.maximum(row, core_dist[v], out=row)
+        np.less(row, best, out=closer)
+        np.minimum(best, row, out=best)
+        near[closer] = v
+    return ReachabilityTree(min_pts, core_dist, parent, weight)
+
+
 def dbscan(
     points: FeatureMatrix,
     params: NeighborhoodParams,
     dist: np.ndarray | None = None,
+    tree: ReachabilityTree | None = None,
 ) -> ClusterAssignment:
     """Density clustering of the matrix rows.
 
@@ -135,34 +213,46 @@ def dbscan(
     min_pts points; clusters are maximal density-connected sets; non-core
     points within eps of a core point join that core's cluster; the rest
     are NOISE. Empty input yields the vacuous assignment (0 clusters).
-    `dist` is the pairwise distance matrix of the rows (as built by
-    sweep_params), computed here when omitted.
+    `dist` is the pairwise distance matrix of the rows and `tree` their
+    reachability tree for params.min_pts (as sweep_params shares them
+    across the grid), each built here when omitted.
 
-    Each cluster grows from its lowest-index unlabelled core point one
-    frontier at a time: an unlabelled point joins when it is within eps of
-    a core point of the frontier. This labels exactly as a breadth-first
-    expansion would, so a border point goes to the cluster found first."""
+    The core points are the core distances <= eps, and the tree edges of
+    weight <= eps, resolved by pointer jumping, join them into components.
+    Cluster ids follow each component's smallest core index, and a
+    non-core point within eps of core points joins the lowest-id cluster
+    among theirs, as a breadth-first expansion by index would label it."""
     n = len(points.entities)
     if n == 0:
         return ClusterAssignment((), 0, ())
-    within = _check_dist(points, dist) <= params.eps
-    core = within.sum(axis=1) >= params.min_pts
-
+    dist = _check_dist(points, dist)
+    if tree is None:
+        tree = reachability_tree(points, params.min_pts, dist)
+    elif tree.min_pts != params.min_pts:
+        raise ClusteringError(f"tree built for min_pts {tree.min_pts}, not {params.min_pts}")
+    elif tree.parent.shape != (n,):
+        raise ClusteringError(f"tree spans {tree.parent.shape[0]} points, not {n}")
+    eps = params.eps
+    core = tree.core_dist <= eps
+    root = np.where(tree.weight <= eps, tree.parent, np.arange(n))
+    while True:
+        up = root[root]
+        if (up == root).all():
+            break
+        root = up
     labels = np.full(n, NOISE, dtype=int)
-    next_id = 0
-    for i in np.flatnonzero(core):
-        if labels[i] != NOISE:
-            continue
-        labels[i] = next_id
-        frontier = np.zeros(n, dtype=bool)
-        frontier[i] = True
-        while True:
-            frontier = within[frontier & core].any(axis=0) & (labels == NOISE)
-            if not frontier.any():
-                break
-            labels[frontier] = next_id
-        next_id += 1
-    return ClusterAssignment(labels, next_id, core)
+    cores = np.flatnonzero(core)
+    _, first, component = np.unique(root[cores], return_index=True, return_inverse=True)
+    ids = np.empty(first.shape[0], dtype=int)
+    ids[np.argsort(first)] = np.arange(first.shape[0])
+    labels[cores] = ids[component]
+    rest = np.flatnonzero(~core)
+    if cores.size and rest.size:
+        by_id = cores[np.argsort(labels[cores], kind="stable")]
+        near = dist[np.ix_(rest, by_id)] <= eps
+        border = near.any(axis=1)
+        labels[rest[border]] = labels[by_id[near[border].argmax(axis=1)]]
+    return ClusterAssignment(labels, first.shape[0], core)
 
 
 def silhouette(
@@ -232,19 +322,23 @@ def sweep_params(
     count; remaining ties fall back to ascending (eps, min_pts) so the
     output order is deterministic. Raises when nothing is admissible.
 
-    The distance matrix is built once for the whole grid, and each distinct
-    labelling is scored once. Grid points that yield the same labels and
+    The distance matrix is built once for the whole grid, and the
+    reachability tree once per min_pts; each distinct labelling is scored
+    once. Grid points that yield the same labels and
     core flags share one (quality, assignment) pair of objects."""
     if not eps_grid or not minpts_grid:
         raise ClusteringError("parameter grids must be non-empty")
     dist = _distances(points.values, points.values)
+    trees: dict[int, ReachabilityTree] = {}
     quality_of: dict[tuple[int, ...], ClusteringQuality] = {}
     record_of: dict[tuple, tuple[ClusteringQuality, ClusterAssignment]] = {}
     results = []
     for eps in eps_grid:
         for min_pts in minpts_grid:
             params = NeighborhoodParams(float(eps), min_pts)
-            assignment = dbscan(points, params, dist)
+            if params.min_pts not in trees:
+                trees[params.min_pts] = reachability_tree(points, params.min_pts, dist)
+            assignment = dbscan(points, params, dist, trees[params.min_pts])
             if assignment.num_clusters < 2:
                 continue
             key = (assignment.labels, assignment.core_flags)

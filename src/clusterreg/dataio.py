@@ -343,19 +343,21 @@ def validate_panel(panel: EnergyPanel) -> ValidationReport:
     all-zero entity rows are warnings (preprocessing drops them)."""
     issues: list[tuple[str, str, str]] = []
     values = panel.values
-    bad = ~np.isfinite(values)
-    for yi, ei, fi in zip(*np.nonzero(bad)):
+    finite = np.isfinite(values)
+    bad = np.nonzero(~finite)
+    for yi, ei, fi in zip(*bad):
         loc = f"value[{panel.years[yi]},{panel.entities[ei]},{panel.features[fi]}]"
         issues.append(("error", loc, "non-finite value"))
-    neg = np.isfinite(values) & (values < 0)
+    neg = finite & (values < 0)
     for yi, ei, fi in zip(*np.nonzero(neg)):
         loc = f"value[{panel.years[yi]},{panel.entities[ei]},{panel.features[fi]}]"
         issues.append(("error", loc, f"negative value {values[yi, ei, fi]}"))
-    finite = np.where(np.isfinite(values), values, 0.0)
-    for fi in np.flatnonzero(~finite.any(axis=(0, 1))):
+    if bad[0].size:  # a non-finite cell counts as zero for the all-zero tests
+        values = np.where(finite, values, 0.0)
+    for fi in np.flatnonzero(~values.any(axis=(0, 1))):
         issues.append(("warning", f"feature[{panel.features[fi]}]",
                        "zero for all years and entities"))
-    for ei in np.flatnonzero(~finite.any(axis=(0, 2))):
+    for ei in np.flatnonzero(~values.any(axis=(0, 2))):
         issues.append(("warning", f"entity[{panel.entities[ei]}]",
                        "zero for all years and features"))
     return ValidationReport(tuple(issues))

@@ -10,7 +10,10 @@ training years only; the elastic-net fit produces the holdout forecasts.
 from __future__ import annotations
 
 import configparser
+import errno
 import math
+import os
+import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -603,24 +606,31 @@ def clustering_tables(prep: PreparedInputs) -> dict[str, tuple[list, list[list]]
 
 def write_files(out_dir: str | Path, tables: dict, records: dict) -> list[Path]:
     """Write each CSV table (name -> (header, rows)) and JSON record (name ->
-    record) into out_dir, creating it; a failed write removes every file
-    this call wrote, a partial one too, before the error propagates."""
+    record) into out_dir, creating it. The files are written into a hidden
+    temporary directory inside out_dir (on the same file system, and
+    writable wherever out_dir is) and then moved into place one by one with
+    os.replace, so out_dir never holds a partly written file. A failed
+    write, or a directory where a file must go, leaves out_dir as it was,
+    the previous run's files included."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []  # each path joins before its write
+    names = [*tables, *records]
+    for name in names:
+        if (out / name).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
     try:
         for name, (header, rows) in tables.items():
-            written.append(out / name)
-            write_csv(out / name, header, rows)
+            write_csv(staging / name, header, rows)
         for name, record in records.items():
-            written.append(out / name)
-            save_report(record, out / name)
-    except (OSError, ValueError):  # ValueError: a non-finite number in a JSON record
-        for path in written:
-            if path.is_file():  # not a directory in the way of a write
-                path.unlink()
-        raise
-    return written
+            save_report(record, staging / name)
+        for name in names:
+            os.replace(staging / name, out / name)
+    finally:  # the staging directory is empty unless a write failed
+        for path in staging.iterdir():
+            path.unlink()
+        staging.rmdir()
+    return [out / name for name in names]
 
 
 def write_artifacts(report: PipelineReport, out_dir: str | Path) -> list[Path]:

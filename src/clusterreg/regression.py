@@ -35,7 +35,8 @@ coordinates only rounding slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +46,43 @@ NONZERO_TOL = 1e-10
 PENALTY_KINDS = ("ridge", "lasso", "elastic_net")
 
 
+class Moments(NamedTuple):
+    """What every fit on one design shares: the column and target means
+    (zero without an intercept), the centered design xc and target yc with
+    xc already divided by the column scale (one unless standardized), the
+    Gram matrix xc'xc, the correlations xc'yc, and |2X'y|_inf of the
+    uncentered design, the scale of the kkt_check bound. (A NamedTuple:
+    cheaper to define at import than a frozen dataclass.)"""
+
+    x_mean: np.ndarray
+    y_mean: float
+    xc: np.ndarray
+    yc: np.ndarray
+    scale: np.ndarray
+    gram: np.ndarray
+    corr: np.ndarray
+    score_max: float
+
+
+def _compute_moments(d: "DesignMatrix", fit_intercept: bool, standardize: bool) -> Moments:
+    if fit_intercept:
+        x_mean = d.x.mean(axis=0)
+        y_mean = float(d.y.mean())
+        xc, yc = d.x - x_mean, d.y - y_mean
+    else:
+        xc, yc, x_mean, y_mean = d.x, d.y, np.zeros(d.p), 0.0
+    scale = np.ones(d.p)
+    if standardize:
+        scale = xc.std(axis=0)
+        scale = np.where(scale > 0, scale, 1.0)
+        xc = xc / scale
+    gram, corr = xc.T @ xc, xc.T @ yc
+    for shared in (x_mean, xc, yc, scale, gram, corr):
+        shared.setflags(write=False)
+    score_max = float(np.abs(2.0 * (d.x.T @ d.y)).max())
+    return Moments(x_mean, y_mean, xc, yc, scale, gram, corr, score_max)
+
+
 @dataclass(frozen=True)
 class DesignMatrix:
     """Samples-by-regressors design with a target vector and column names."""
@@ -52,6 +90,7 @@ class DesignMatrix:
     x: np.ndarray  # shape (n, p)
     y: np.ndarray  # shape (n,)
     column_names: tuple[str, ...]
+    _moment_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
@@ -80,6 +119,14 @@ class DesignMatrix:
 
     def subset(self, rows: np.ndarray) -> "DesignMatrix":
         return DesignMatrix(self.x[rows], self.y[rows], self.column_names)
+
+    def moments(self, fit_intercept: bool = True, standardize: bool = False) -> Moments:
+        """The Moments of this design, computed on the first call for each
+        option pair and kept: every fit on the design reuses them."""
+        key = (fit_intercept, standardize)
+        if key not in self._moment_cache:
+            self._moment_cache[key] = _compute_moments(self, fit_intercept, standardize)
+        return self._moment_cache[key]
 
 
 @dataclass(frozen=True)
@@ -230,20 +277,6 @@ class PathReport:
 
     def header(self) -> list[str]:
         return ["lambda", *self.column_names, "r2", "mse"]
-
-
-def _center(d: DesignMatrix, fit_intercept: bool):
-    if fit_intercept:
-        x_mean = d.x.mean(axis=0)
-        y_mean = float(d.y.mean())
-        return d.x - x_mean, d.y - y_mean, x_mean, y_mean
-    return d.x, d.y, np.zeros(d.p), 0.0
-
-
-def _scale_columns(xc: np.ndarray):
-    scale = xc.std(axis=0)
-    scale = np.where(scale > 0, scale, 1.0)
-    return xc / scale, scale
 
 
 def soft_threshold(z: float, gamma: float) -> float:
@@ -445,33 +478,28 @@ def fit_penalized(
         raise RegressionError("tol must be finite and > 0")
     if max_iter < 1:
         raise RegressionError("max_iter must be >= 1")
-    xc, yc, x_mean, y_mean = _center(d, fit_intercept)
-    scale = np.ones(d.p)
-    flags: tuple[str, ...] = ()
-    if standardize:
-        xc, scale = _scale_columns(xc)
-        flags = ("standardized",)
+    m = d.moments(fit_intercept, standardize)
+    flags: tuple[str, ...] = ("standardized",) if standardize else ()
     lam1, lam2 = spec.lam1, spec.lam2
-    gram, corr = xc.T @ xc, xc.T @ yc
-    hess = gram + lam2 * np.eye(d.p)
+    hess = m.gram + lam2 * np.eye(d.p)
     if lam1 == lam2 == 0:
-        beta, _, rank, _ = np.linalg.lstsq(xc, yc, rcond=None)
+        beta, _, rank, _ = np.linalg.lstsq(m.xc, m.yc, rcond=None)
         if rank < d.p:
             flags = flags + ("singular_system",)
     elif lam1 == 0:
-        beta = np.linalg.solve(hess, corr)
+        beta = np.linalg.solve(hess, m.corr)
     else:
-        start = np.zeros(d.p) if start is None else np.asarray(start, dtype=float) * scale
-        start = np.where(np.diag(gram) > 0.0, start, 0.0)  # zero-norm columns stay at zero
-        bound = 10.0 * tol * max(1.0, float(np.abs(2.0 * (d.x.T @ d.y)).max()))
-        beta = _feature_sign_search(hess, corr, lam1, start, bound)
+        start = np.zeros(d.p) if start is None else np.asarray(start, dtype=float) * m.scale
+        start = np.where(np.diag(m.gram) > 0.0, start, 0.0)  # zero-norm columns stay at zero
+        bound = 10.0 * tol * max(1.0, m.score_max)
+        beta = _feature_sign_search(hess, m.corr, lam1, start, bound)
         if beta is None:
-            beta, converged, _ = _coordinate_descent(hess, corr, lam1, tol, max_iter, bound,
+            beta, converged, _ = _coordinate_descent(hess, m.corr, lam1, tol, max_iter, bound,
                                                      start)
             if not converged:
                 flags = flags + ("non_converged",)
-    beta = beta / scale
-    intercept = y_mean - float(x_mean @ beta)
+    beta = beta / m.scale
+    intercept = m.y_mean - float(m.x_mean @ beta)
     return LinearModel(intercept, beta, spec, d.column_names, flags=flags)
 
 
@@ -500,8 +528,7 @@ def kkt_check(model: LinearModel, d: DesignMatrix) -> float:
 def lasso_lambda_max(d: DesignMatrix, fit_intercept: bool = True) -> float:
     """Smallest L1 weight at which the lasso solution is identically zero:
     max_j |2 x_j'(y - ybar)|."""
-    xc, yc, _, _ = _center(d, fit_intercept)
-    return float(np.max(np.abs(2.0 * (xc.T @ yc))))
+    return float(np.max(np.abs(2.0 * d.moments(fit_intercept).corr)))
 
 
 def compute_mse(y, y_hat) -> float:

@@ -13,6 +13,7 @@ from clusterreg.clustering import (
     assignment_rows,
     dbscan,
     promote_noise,
+    reachability_tree,
     region_query,
     silhouette,
     sse,
@@ -62,6 +63,14 @@ class TestRegionQuery:
         m = matrix([0.0, 1.0])
         with pytest.raises(IndexError):
             region_query(m, 2, 1.0)
+
+    @pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_eps_rejected(self, eps):
+        m = matrix([0.0, 1.0])
+        with pytest.raises(ClusteringError, match="eps must be finite and >= 0"):
+            region_query(m, 0, eps)
+        with pytest.raises(ClusteringError, match="eps must be finite and >= 0"):
+            NeighborhoodParams(eps, 2)
 
     def test_matches_dbscan_neighbourhood_on_the_boundary(self):
         """At eps equal to a pairwise distance a point sits exactly on the
@@ -173,7 +182,7 @@ def bfs_dbscan_labels(values, eps, min_pts):
     return tuple(labels), tuple(core)
 
 
-class TestDbscanFrontier:
+class TestDbscanTreeLabelling:
     # A border point at exactly eps from a core of each of two clusters,
     # listed so that either cluster is discovered first.
     @example(points=[(0, 0), (1, 0), (2, 0), (4, 0), (6, 0), (7, 0), (8, 0)], eps=2.0, min_pts=4)
@@ -185,6 +194,67 @@ class TestDbscanFrontier:
         out = dbscan(m, NeighborhoodParams(eps, min_pts))
         assert (out.labels, out.core_flags) == bfs_dbscan_labels(m.values, eps, min_pts)
         check_dbscan_against_oracle(m.values, eps, min_pts, out)
+
+    # n = 0 and 1, min_pts > n, and duplicate points at exact-eps ties.
+    @example(points=[], eps_grid=[0.0, 3.0], min_pts=1)
+    @example(points=[(2, 1)], eps_grid=[0.0], min_pts=1)
+    @example(points=[(2, 1)], eps_grid=[3.0], min_pts=2)
+    @example(points=[(0, 0), (0, 0), (1, 0), (1, 0), (3, 0)], eps_grid=[0.0, 1.0, 2.0], min_pts=2)
+    @given(points=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2)), max_size=24),
+           eps_grid=st.lists(EXACT_EPS, min_size=1, max_size=6),
+           min_pts=st.integers(1, 26))
+    @settings(max_examples=200, deadline=None)
+    def test_shared_tree_labels_every_eps_as_its_own_tree(self, points, eps_grid, min_pts):
+        """One tree per min_pts, as sweep_params shares it, labels each eps
+        as dbscan with no tree, the breadth-first reference and the oracle."""
+        m = FeatureMatrix(tuple(f"p{i}" for i in range(len(points))), ("x", "y"),
+                          np.asarray(points, dtype=float).reshape(len(points), 2))
+        tree = reachability_tree(m, min_pts)
+        for eps in eps_grid:
+            params = NeighborhoodParams(eps, min_pts)
+            shared, own = dbscan(m, params, tree=tree), dbscan(m, params)
+            assert (shared.labels, shared.core_flags) == (own.labels, own.core_flags)
+            assert shared.num_clusters == own.num_clusters
+            if points:
+                reference = bfs_dbscan_labels(m.values, eps, min_pts)
+                assert (shared.labels, shared.core_flags) == reference
+                check_dbscan_against_oracle(m.values, eps, min_pts, shared)
+
+    def test_core_flags_are_the_neighbourhood_counts(self):
+        """Core distances only compare distances, so the core flags equal the
+        counts on the distance matrix bit for bit, at every pairwise distance."""
+        rng = np.random.default_rng(8)
+        v = rng.random((30, 4))
+        m = matrix(v.tolist())
+        dist = np.sqrt(((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2))
+        for min_pts in (1, 2, 5, 30, 31):
+            tree = reachability_tree(m, min_pts, dist)
+            for eps in np.unique(dist)[::7]:
+                counted = (dist <= eps).sum(axis=1) >= min_pts
+                out = dbscan(m, NeighborhoodParams(float(eps), min_pts), dist, tree)
+                assert out.core_flags == tuple(counted.tolist())
+
+    def test_points_no_finite_distance_reaches_start_new_roots(self):
+        """Distances that overflow to inf leave parts of the tree that no
+        finite edge joins; each such part grows from its own root."""
+        m = matrix([-1e200, -1e200, 1e200, 1e200 * (1 + 2**-52), 1e200])
+        tree = reachability_tree(m, 2)
+        assert tree.parent.tolist() == [0, 0, 2, 3, 2]  # two pairs and a lone point
+        assert np.isinf(tree.weight[[0, 2, 3]]).all()
+        out = dbscan(m, NeighborhoodParams(1.0, 2), tree=tree)
+        assert out.labels == (0, 0, 1, NOISE, 1)
+        with np.errstate(over="ignore"):
+            assert out.labels == bfs_dbscan_labels(m.values, 1.0, 2)[0]
+
+    def test_tree_for_another_min_pts_or_size_rejected(self, blob6):
+        tree = reachability_tree(blob6, 3)
+        with pytest.raises(ClusteringError, match="min_pts 3, not 2"):
+            dbscan(blob6, NeighborhoodParams(0.6, 2), tree=tree)
+        with pytest.raises(ClusteringError, match="spans 5 points, not 6"):
+            dbscan(blob6, NeighborhoodParams(0.6, 3),
+                   tree=reachability_tree(matrix([0.0, 0.5, 1.0, 10.0, 10.5]), 3))
+        with pytest.raises(ClusteringError, match="min_pts must be an integer"):
+            reachability_tree(blob6, 2.5)
 
     def test_given_distance_matrix_is_used_and_checked(self, blob6):
         far = np.full((6, 6), 100.0)
@@ -239,12 +309,17 @@ class TestSweepMemo:
     def test_each_distinct_labelling_scored_once(self, monkeypatch):
         import clusterreg.clustering as clustering
 
-        calls = {"dbscan": 0, "silhouette": []}
+        calls = {"dbscan": 0, "silhouette": [], "trees": []}
         real_dbscan, real_silhouette = clustering.dbscan, clustering.silhouette
+        real_tree = clustering.reachability_tree
 
         def counting_dbscan(*args, **kwargs):
             calls["dbscan"] += 1
             return real_dbscan(*args, **kwargs)
+
+        def counting_tree(points, min_pts, *args, **kwargs):
+            calls["trees"].append(min_pts)
+            return real_tree(points, min_pts, *args, **kwargs)
 
         def counting_silhouette(points, assignment, *args, **kwargs):
             calls["silhouette"].append(assignment.labels)
@@ -252,10 +327,12 @@ class TestSweepMemo:
 
         monkeypatch.setattr(clustering, "dbscan", counting_dbscan)
         monkeypatch.setattr(clustering, "silhouette", counting_silhouette)
+        monkeypatch.setattr(clustering, "reachability_tree", counting_tree)
         m = matrix([0.0, 0.1, 0.2, 5.0, 5.1, 5.2, 10.0, 10.4])
         eps_grid = [0.15, 0.3, 0.5, 1.0, 6.0]
-        out = sweep_params(m, eps_grid, [1, 2, 3])
-        assert calls["dbscan"] == len(eps_grid) * 3
+        out = sweep_params(m, eps_grid, [1, 2, 3, 2])
+        assert calls["dbscan"] == len(eps_grid) * 4
+        assert calls["trees"] == [1, 2, 3]  # one tree per distinct min_pts
         scored = calls["silhouette"]
         assert len(scored) == len(set(scored)) == len({a.labels for _, _, a in out})
 

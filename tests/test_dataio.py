@@ -177,6 +177,26 @@ def test_validate_warns_all_zero_feature_and_entity():
     assert warned == {"feature[g]", "entity[B]"}
 
 
+def test_validate_counts_non_finite_cells_as_zero_and_keeps_the_issue_order():
+    values = np.zeros((2, 3, 3))
+    values[:, 0, 0] = [1.0, -2.0]  # entity A, feature f: one negative cell
+    values[1, 1, 1] = np.nan  # feature g is zero apart from one NaN
+    values[0, 0, 1] = -np.inf
+    values[:, 2, 2] = np.inf  # entity C is non-finite or zero throughout
+    panel = EnergyPanel((2000, 2001), ("A", "B", "C"), ("f", "g", "h"), values)
+    assert validate_panel(panel).issues == (
+        ("error", "value[2000,A,g]", "non-finite value"),
+        ("error", "value[2000,C,h]", "non-finite value"),
+        ("error", "value[2001,B,g]", "non-finite value"),
+        ("error", "value[2001,C,h]", "non-finite value"),
+        ("error", "value[2001,A,f]", "negative value -2.0"),
+        ("warning", "feature[g]", "zero for all years and entities"),
+        ("warning", "feature[h]", "zero for all years and entities"),
+        ("warning", "entity[B]", "zero for all years and features"),
+        ("warning", "entity[C]", "zero for all years and features"),
+    )
+
+
 def test_validate_clean_panel():
     panel = EnergyPanel((2000,), ("A",), ("f",), np.array([[[1.0]]]))
     report = validate_panel(panel)

@@ -402,6 +402,22 @@ def test_non_finite_report_leaves_no_artifacts(synthetic_report, tmp_path):
     assert list((tmp_path / "out").iterdir()) == []
 
 
+def test_failed_rerun_leaves_the_previous_artifacts(synthetic_report, tmp_path):
+    """A rerun that fails on its last file (a non-finite number in the JSON
+    report) replaces none of the previous run's files."""
+    from clusterreg.pipeline import ARTIFACT_FILES, write_artifacts
+
+    out = tmp_path / "out"
+    write_artifacts(synthetic_report, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == sorted(ARTIFACT_FILES)
+    changed = dataclasses.replace(synthetic_report, mean_error=float("nan"),
+                                  forecast_rows=synthetic_report.forecast_rows[:1])
+    with pytest.raises(ValueError):
+        write_artifacts(changed, out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_failed_json_write_leaves_none_of_the_call_files(tmp_path, monkeypatch):
     """A disk that fills up halfway through b.json: the partial b.json goes
     too, with the files written before it."""

@@ -347,6 +347,32 @@ class TestCrossValidate:
         assert table[0][1] == pytest.approx(0.0, abs=1e-18)
 
 
+    @pytest.mark.parametrize("kind", ["ridge", "lasso", "elastic_net"])
+    def test_moments_computed_once_per_fold_design(self, kind, monkeypatch):
+        """Every fit of a fold reuses its design's centered Gram: the moments
+        are computed once per fold, not once per grid value."""
+        calls = []
+        compute = regression._compute_moments
+
+        def counted(d, *args):
+            calls.append(d)
+            return compute(d, *args)
+
+        monkeypatch.setattr(regression, "_compute_moments", counted)
+        d = random_design(seed=24, n=15, p=4)
+        grid = [float(v) for v in np.logspace(-4, 1, 28)]
+        cross_validate(d, kind, grid, folds=5)
+        assert len(calls) == 5 and len({id(fold) for fold in calls}) == 5
+
+    def test_shared_moments_are_read_only(self):
+        d = random_design(seed=25)
+        m = d.moments()
+        assert d.moments() is m and d.moments(standardize=True) is not m
+        for a in (m.x_mean, m.xc, m.yc, m.scale, m.gram, m.corr):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+
 class TestIterateLambda:
     def test_dead_zone_tail_is_zero(self):
         d = random_design(seed=25)
