@@ -69,10 +69,11 @@ def _metrics_line(spec: regression.PenaltySpec, report) -> str:
 def cmd_regress(args) -> int:
     cfg = _load_config(args)
     kind = args.kind
-    _, model, report, path = fit_kind(cfg, prepare_inputs(cfg).train_design, kind)
+    design = prepare_inputs(cfg).train_design
+    _, model, path = fit_kind(cfg, design, kind)
     write_files(args.out, {f"path_{kind}.csv": (path.header(), path.rows())},
                 {f"model_{kind}.json": model})
-    print(_metrics_line(model.penalty, report))
+    print(_metrics_line(model.penalty, regression.fit_report(model, design)))
     return 0
 
 

@@ -32,6 +32,9 @@ from .errors import ClusteringError
 from .preprocess import FeatureMatrix
 
 NOISE = -1
+# Rows of the distance matrix computed per step, which bounds the
+# (rows, n, p) difference tensor a step holds.
+DISTANCE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -119,7 +122,18 @@ class ClusteringQuality:
 
 def _distances(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Euclidean distances from each of `rows` to each row of `values`: the
-    one distance formula, so a single row matches the full matrix bit for bit."""
+    one distance formula, so a single row matches the full matrix bit for bit.
+    Computed DISTANCE_BLOCK rows at a time into the result; each block's
+    difference tensor is freed when _distance_block returns, before the
+    next one is built."""
+    out = np.empty((len(rows), len(values)))
+    for start in range(0, len(rows), DISTANCE_BLOCK):
+        out[start:start + DISTANCE_BLOCK] = _distance_block(
+            rows[start:start + DISTANCE_BLOCK], values)
+    return out
+
+
+def _distance_block(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     diff = rows[:, None, :] - values[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 

@@ -14,7 +14,8 @@ import errno
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,9 @@ class PipelineConfig:
     def validate(self) -> None:
         if not self.train_years or not self.test_years:
             raise ConfigError("train_years and test_years must be set")
+        for name, years in (("train_years", self.train_years), ("test_years", self.test_years)):
+            if len(set(years)) != len(years):
+                raise ConfigError(f"{name} repeats a year")
         if set(self.train_years) & set(self.test_years):
             raise ConfigError("train and test year ranges overlap")
         if max(self.train_years) >= min(self.test_years):
@@ -155,6 +159,11 @@ class PipelineConfig:
             raise ConfigError("tol must be finite and > 0")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
+        if len(self.train_years) < self.cv_folds:
+            raise ConfigError(f"cv_folds = {self.cv_folds} needs at least as many train years, "
+                              f"got {len(self.train_years)}")
+        if len(self.test_years) < 2:
+            raise ConfigError("test_years needs at least 2 years for the forecast variance")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -329,27 +338,21 @@ def summarize_forecast(differences) -> tuple[float, float]:
     return float(diffs.mean()), float(diffs.var(ddof=1))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreparedInputs:
-    """Front half of a run: the cleaned panel's clustering, its cluster
-    aggregates in levels and logs, and the training design matrix. The
-    chosen clustering is the sweep's first entry."""
+    """Front half of a run: the cleaned panel's clustering and cluster
+    aggregates; the chosen clustering is the sweep's first entry. The rest
+    is derived, and frozen fields keep a value cached on first read from
+    going stale (dataclasses.replace builds a record with an empty cache)."""
 
     config: PipelineConfig
     dropped_features: list[str]
     dropped_entities: list[str]
-    promoted: ClusterAssignment
     sweep: list
     entities: list[str]
-    profiles: list[ClusterProfile]
     years: list[int]
-    columns: list[str]
+    profiles: list[ClusterProfile]
     regressors: np.ndarray
-    target: np.ndarray
-    log_regressors: np.ndarray
-    log_target: np.ndarray
-    epsilon_cells: list[tuple[str, int]]
-    train_design: regression.DesignMatrix
 
     @property
     def params(self) -> clustering.NeighborhoodParams:
@@ -363,6 +366,35 @@ class PreparedInputs:
     def assignment(self) -> ClusterAssignment:
         return self.sweep[0][2]
 
+    @cached_property
+    def promoted(self) -> ClusterAssignment:
+        return clustering.promote_noise(self.assignment)
+
+    @property
+    def columns(self) -> list[str]:
+        return [f"cluster_{cid}" for cid in range(self.regressors.shape[1])]
+
+    @property
+    def target(self) -> np.ndarray:
+        return self.regressors.sum(axis=1)  # as aggregate_by_cluster sums it
+
+    @property
+    def epsilon_cells(self) -> list[tuple[str, int]]:
+        """The (column, year) cells whose log takes the epsilon offset."""
+        columns = self.columns
+        return [(columns[cid], self.years[yi])
+                for yi, cid in zip(*np.nonzero(self.regressors == 0.0))]
+
+    @cached_property
+    def log_regressors(self) -> np.ndarray:
+        return _stage("log", preprocess.log_transform, self.regressors,
+                      self.config.log_epsilon, True)
+
+    @cached_property
+    def log_target(self) -> np.ndarray:
+        return _stage("log", preprocess.log_transform, self.target,
+                      self.config.log_epsilon, True)
+
     @property
     def train_idx(self) -> list[int]:
         return [self.years.index(y) for y in self.config.train_years]
@@ -371,20 +403,45 @@ class PreparedInputs:
     def test_idx(self) -> list[int]:
         return [self.years.index(y) for y in self.config.test_years]
 
+    @cached_property
+    def train_design(self) -> regression.DesignMatrix:
+        return build_design(self.log_regressors, self.log_target, self.columns, self.train_idx)
 
-@dataclass
+
+@dataclass(frozen=True)
 class PipelineReport(PreparedInputs):
     """Everything a pipeline run produced, serializable to one JSON file.
     cv_tables maps each kind to its (lambda, cv_mse) table; the penalty CV
-    chose is the model's."""
+    chose is the model's. The fit reports and the holdout forecast of the
+    elastic-net model are derived."""
 
     cv_tables: dict
     models: dict
-    reports: dict
     paths: dict
-    forecast_rows: list[dict]
-    mean_error: float
-    variance: float
+
+    @cached_property
+    def reports(self) -> dict:
+        return {kind: regression.fit_report(m, self.train_design)
+                for kind, m in self.models.items()}
+
+    @cached_property
+    def forecast_rows(self) -> list[dict]:
+        test_idx = self.test_idx
+        predictions = regression.predict(self.models["elastic_net"], self.log_regressors[test_idx])
+        rows = []
+        for year, i, pred in zip(self.config.test_years, test_idx, predictions.tolist()):
+            true = float(self.log_target[i])
+            rows.append({"year": int(year), "true": true, "predict": pred,
+                         "difference": true - pred})
+        return rows
+
+    @property
+    def mean_error(self) -> float:
+        return summarize_forecast([r["difference"] for r in self.forecast_rows])[0]
+
+    @property
+    def variance(self) -> float:
+        return summarize_forecast([r["difference"] for r in self.forecast_rows])[1]
 
     def to_dict(self) -> dict:
         return {
@@ -481,8 +538,9 @@ def cluster_matrix(config: PipelineConfig, panel: EnergyPanel) -> preprocess.Fea
 
 
 def prepare_inputs(config: PipelineConfig) -> PreparedInputs:
-    """Run the front half of the pipeline: load, clean, cluster, aggregate,
-    profile the clusters, log-transform, and build the training design."""
+    """Run the front half of the pipeline: load, clean, cluster, aggregate
+    and profile the clusters. The log aggregates and the training design
+    are derived from the record on first read."""
     panel, dropped_features, dropped_entities = load_clean(config)
     normalized = cluster_matrix(config, panel)
 
@@ -493,39 +551,19 @@ def prepare_inputs(config: PipelineConfig) -> PreparedInputs:
     regressors, target = _stage("aggregate", aggregate_by_cluster, panel, promoted)
     # independent check: cluster totals must reproduce the full-panel totals
     panel_totals = panel.values.sum(axis=(1, 2))
-    gap = np.abs(regressors.sum(axis=1) - panel_totals)
+    gap = np.abs(target - panel_totals)
     if gap.max() > CONSERVATION_TOL * max(1.0, float(np.abs(panel_totals).max())):
         raise PipelineStageError("aggregate", "conservation identity violated")
     profiles = _stage("profiles", profile_clusters, panel, promoted, list(config.train_years))
-
-    columns = [f"cluster_{cid}" for cid in range(promoted.num_clusters)]
-    epsilon_cells = [
-        (columns[cid], panel.years[yi])
-        for yi, cid in zip(*np.nonzero(regressors == 0.0))
-    ]
-    log_regressors = _stage("log", preprocess.log_transform, regressors,
-                            config.log_epsilon, True)
-    log_target = _stage("log", preprocess.log_transform, target,
-                        config.log_epsilon, True)
-
-    train_idx = [panel.year_index(y) for y in config.train_years]
-    train_design = build_design(log_regressors, log_target, columns, train_idx)
     return PreparedInputs(
         config=config,
         dropped_features=dropped_features,
         dropped_entities=dropped_entities,
-        promoted=promoted,
         sweep=sweep,
         entities=list(panel.entities),
-        profiles=profiles,
         years=list(panel.years),
-        columns=columns,
+        profiles=profiles,
         regressors=regressors,
-        target=target,
-        log_regressors=log_regressors,
-        log_target=log_target,
-        epsilon_cells=epsilon_cells,
-        train_design=train_design,
     )
 
 
@@ -533,8 +571,8 @@ def fit_kind(config: PipelineConfig, design: regression.DesignMatrix, kind: str)
     """Cross-validate one penalty kind on design, refit at the chosen
     penalty, and trace the path over the kind's grid.
 
-    Returns (cv_table, model, fit_report, path); the model's penalty is
-    the one CV chose."""
+    Returns (cv_table, model, path); the model's penalty is the one CV
+    chose."""
     grid = {"ridge": config.ridge_lambdas, "lasso": config.lasso_lambdas,
             "elastic_net": config.enet_lambdas}[kind]
     solver = {"tol": config.tol, "max_iter": config.max_iter,
@@ -542,10 +580,9 @@ def fit_kind(config: PipelineConfig, design: regression.DesignMatrix, kind: str)
     spec, table = _stage("fit", regression.cross_validate, design, kind, grid,
                          folds=config.cv_folds, alpha=config.enet_alpha, **solver)
     model = _stage("fit", regression.fit_penalized, design, spec, **solver)
-    report = regression.fit_report(model, design)
     path = _stage("fit", regression.iterate_lambda, design, kind,
                   sorted(set(float(v) for v in grid)), alpha=config.enet_alpha, **solver)
-    return table, model, report, path
+    return table, model, path
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
@@ -558,34 +595,12 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     prep = prepare_inputs(config)
     cv_tables: dict = {}
     models: dict = {}
-    reports: dict = {}
     paths: dict = {}
     for kind in regression.PENALTY_KINDS:
-        cv_tables[kind], models[kind], reports[kind], paths[kind] = fit_kind(
-            config, prep.train_design, kind)
-
-    test_idx = prep.test_idx
-    predictions = regression.predict(models["elastic_net"], prep.log_regressors[test_idx])
-    forecast_rows = []
-    for k, year in enumerate(config.test_years):
-        true = float(prep.log_target[test_idx[k]])
-        pred = float(predictions[k])
-        forecast_rows.append(
-            {"year": int(year), "true": true, "predict": pred, "difference": true - pred}
-        )
-    mean_error, variance = _stage("forecast", summarize_forecast,
-                                  [r["difference"] for r in forecast_rows])
-
-    report = PipelineReport(
-        **vars(prep),
-        cv_tables=cv_tables,
-        models=models,
-        reports=reports,
-        paths=paths,
-        forecast_rows=forecast_rows,
-        mean_error=mean_error,
-        variance=variance,
-    )
+        cv_tables[kind], models[kind], paths[kind] = fit_kind(config, prep.train_design, kind)
+    # from the stored fields only: vars(prep) also holds the values cached so far
+    report = PipelineReport(**{f.name: getattr(prep, f.name) for f in fields(prep)},
+                            cv_tables=cv_tables, models=models, paths=paths)
     if config.out_dir is not None:
         _stage("write", write_artifacts, report, config.out_dir)
     return report

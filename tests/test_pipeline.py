@@ -393,10 +393,18 @@ class TestRunPipeline:
         assert load_report(p) == report.to_dict()
 
 
+def _nan_cv_mse(report, **changes):
+    """A copy of the report whose first lasso CV row has a NaN cv_mse."""
+    table = list(report.cv_tables["lasso"])
+    table[0] = (table[0][0], float("nan"))
+    return dataclasses.replace(report, cv_tables={**report.cv_tables, "lasso": table},
+                               **changes)
+
+
 def test_non_finite_report_leaves_no_artifacts(synthetic_report, tmp_path):
     from clusterreg.pipeline import write_artifacts
 
-    bad = dataclasses.replace(synthetic_report, mean_error=float("nan"))
+    bad = _nan_cv_mse(synthetic_report)
     with pytest.raises(ValueError):
         write_artifacts(bad, tmp_path / "out")
     assert list((tmp_path / "out").iterdir()) == []
@@ -411,8 +419,9 @@ def test_failed_rerun_leaves_the_previous_artifacts(synthetic_report, tmp_path):
     write_artifacts(synthetic_report, out)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert sorted(before) == sorted(ARTIFACT_FILES)
-    changed = dataclasses.replace(synthetic_report, mean_error=float("nan"),
-                                  forecast_rows=synthetic_report.forecast_rows[:1])
+    config = synthetic_report.config
+    changed = _nan_cv_mse(synthetic_report, config=dataclasses.replace(
+        config, test_years=config.test_years[:2]))  # forecast.csv would change too
     with pytest.raises(ValueError):
         write_artifacts(changed, out)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
@@ -465,6 +474,78 @@ standardize = on
 train_years = 2000-2004
 test_years = 2005,2006
 """
+
+
+@pytest.mark.parametrize("years, message", [
+    (dict(test_years=[2019]), "test_years needs at least 2"),
+    (dict(train_years=[2011, 2012, 2013, 2014]), "cv_folds = 5"),
+    (dict(train_years=[2000, 2000, 2001]), "train_years repeats"),
+    (dict(test_years=[2015, 2015, 2016]), "test_years repeats"),
+])
+def test_year_counts_fail_at_the_config_stage(synthetic_case, years, message):
+    """Too few test years for a variance, fewer train years than CV folds,
+    and a repeated year all fail before the panel is read: the data path
+    does not exist, so a later check would fail at stage "load"."""
+    _, _, _, config = synthetic_case
+    bad = dataclasses.replace(config, data_path="/nonexistent/panel.csv", **years)
+    with pytest.raises(PipelineStageError, match=message) as err:
+        run_pipeline(bad)
+    assert err.value.stage == "config"
+
+
+class TestDerivedRecord:
+    def test_derived_attributes_equal_their_formulas(self, synthetic_report):
+        from clusterreg.clustering import promote_noise
+        from clusterreg.pipeline import build_design
+        from clusterreg.preprocess import log_transform
+        from clusterreg.regression import fit_report, predict
+
+        report = synthetic_report
+        eps = report.config.log_epsilon
+        assert [f.name for f in dataclasses.fields(pipeline.PreparedInputs)] == [
+            "config", "dropped_features", "dropped_entities", "sweep", "entities", "years",
+            "profiles", "regressors"]
+        assert len(dataclasses.fields(report)) == 11
+        promoted = promote_noise(report.assignment)
+        assert np.array_equal(report.promoted.labels, promoted.labels)
+        assert report.promoted.num_clusters == promoted.num_clusters
+        assert report.columns == [f"cluster_{c}" for c in range(promoted.num_clusters)]
+        assert np.array_equal(report.target, report.regressors.sum(axis=1))
+        assert np.array_equal(report.log_regressors, log_transform(report.regressors, eps, True))
+        assert np.array_equal(report.log_target, log_transform(report.target, eps, True))
+        design = build_design(report.log_regressors, report.log_target, report.columns,
+                              report.train_idx)
+        assert np.array_equal(report.train_design.x, design.x)
+        assert np.array_equal(report.train_design.y, design.y)
+        for kind, model in report.models.items():
+            assert report.reports[kind].to_dict() == fit_report(model, design).to_dict()
+        test_idx = report.test_idx
+        pred = predict(report.models["elastic_net"], report.log_regressors[test_idx])
+        assert [r["predict"] for r in report.forecast_rows] == [float(v) for v in pred]
+        assert [r["true"] for r in report.forecast_rows] == [
+            float(report.log_target[i]) for i in test_idx]
+        diffs = [r["difference"] for r in report.forecast_rows]
+        assert (report.mean_error, report.variance) == summarize_forecast(diffs)
+
+    def test_replace_rederives_from_the_new_fields(self, synthetic_report):
+        report = synthetic_report
+        cached_target, cached_design = report.log_target, report.train_design
+        regressors = report.regressors[:, :3].copy()
+        regressors[1, 2] = 0.0
+        changed = dataclasses.replace(report, regressors=regressors)
+        assert changed.columns == ["cluster_0", "cluster_1", "cluster_2"]
+        assert np.array_equal(changed.target, regressors.sum(axis=1))
+        assert changed.epsilon_cells == [("cluster_2", report.years[1])]
+        assert changed.log_regressors.shape == regressors.shape
+        assert not np.array_equal(changed.log_target, cached_target)
+        assert changed.train_design is not cached_design
+        assert changed.train_design.column_names == tuple(changed.columns)
+
+    def test_fields_cannot_be_assigned(self, synthetic_report):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            synthetic_report.regressors = synthetic_report.regressors[:, :1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            synthetic_report.models = {}
 
 
 class TestConfigKeys:
