@@ -7,9 +7,19 @@ Two on-disk layouts are supported for panel data:
 * wide CSV -- one file per year named ``panel_<year>.csv`` inside a
   directory; first column ``entity``, remaining columns are feature names.
 
-The long layout is parsed in blocks of ``BLOCK_ROWS`` rows, a column at a
-time. A file the block parser cannot take as it stands (a blank line, a
-bad field, a duplicate key, ...) is read again by the row loop
+The long layout is parsed in blocks, a column at a time, with two ways to
+split text into fields. The file is read in chunks of whole lines of about
+``CHUNK_BYTES`` characters. A chunk that holds no quote, ``\r`` or NUL and
+is no longer than ``csv.field_size_limit()`` is plain: on it ``csv.reader``
+would only split on ``\n`` and ``,``, so ``str.split`` does that instead.
+At the first chunk that is not plain, ``csv.reader`` takes the rest of the
+file, from that chunk's first line, ``BLOCK_ROWS`` rows at a time; that
+line starts a record, since no earlier chunk held a quote. NUL goes to
+``csv.reader`` because Python 3.10 rejects it and 3.11 accepts it. Both
+feed one coding step, which parses each distinct raw year and name once.
+
+A file the block parser cannot take as it stands (a blank line, a bad
+field, a duplicate key, ...) is read again by the row loop
 ``_load_long_rows``, which reports the first problem or skips the blank
 lines. Every loader error names the file and the physical line on which
 the offending record starts, so a quoted name that spans lines does not
@@ -22,12 +32,14 @@ them without this package.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
+import sys
 from array import array
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +47,10 @@ import numpy as np
 from .errors import ClusterRegError, PanelFormatError
 
 LONG_HEADER = ["year", "entity", "feature", "value"]
-# Rows per block of the long parser: big enough that per-block work is
-# negligible, small enough that a block's row lists stay well under 1 MB.
+# Characters per chunk of the long parser's plain text, and rows per block
+# once csv.reader takes over: big enough that per-block work is negligible,
+# small enough that a block's field lists stay well under 1 MB.
+CHUNK_BYTES = 1 << 16
 BLOCK_ROWS = 1024
 _WIDE_NAME = re.compile(r"^panel_(\d+)\.csv$")
 
@@ -167,8 +181,34 @@ def _load_long(path: Path) -> EnergyPanel:
     return _load_long_blocks(path) or _load_long_rows(path)
 
 
+def _long_fields(fh):
+    """Yield the fields of an open long CSV file a block at a time, each
+    block one flat list of 4 fields a record, the header's first. Plain
+    chunks are split with str.split; from the first chunk that is not plain
+    on, csv.reader splits the rest. A record that does not hold 4 fields
+    raises ValueError."""
+    limit = csv.field_size_limit()
+    while chunk := fh.read(CHUNK_BYTES):
+        chunk += fh.readline()
+        if len(chunk) > limit or '"' in chunk or "\r" in chunk or "\0" in chunk:
+            break
+        lines = chunk.split("\n")
+        if chunk[-1] == "\n":
+            lines.pop()
+        if set(map(str.count, lines, repeat(","))) != {3}:
+            raise ValueError("a line does not hold 4 fields")
+        yield ",".join(lines).split(",")
+    else:
+        return
+    reader = csv.reader(chain(io.StringIO(chunk, newline=""), fh))
+    while block := list(islice(reader, BLOCK_ROWS)):
+        if set(map(len, block)) != {4}:
+            raise ValueError("a record does not hold 4 fields")
+        yield list(chain.from_iterable(block))
+
+
 def _load_long_blocks(path: Path) -> EnergyPanel | None:
-    """Parse a long CSV BLOCK_ROWS rows at a time, one column at a time.
+    """Parse a long CSV a block at a time, one column at a time.
 
     Returns None when the file is not a plain sequence of valid rows (wrong
     header or column count, a blank line, an empty name, a field int/float
@@ -181,24 +221,27 @@ def _load_long_blocks(path: Path) -> EnergyPanel | None:
     features: dict[str, int] = {}
     year_codes, entity_codes, feature_codes = array("q"), array("q"), array("q")
     cells = array("d")
-    columns = ((years, year_codes), (entities, entity_codes), (features, feature_codes))
+    # Per key column: the table of parsed keys, a table from each raw field
+    # to its code (so each distinct raw field is parsed once), the parse,
+    # and the codes of the rows. Names are interned, so that the panels of
+    # repeated loads share one copy of each.
+    columns = ((years, {}, lambda s: int(s.strip()), year_codes),
+               (entities, {}, lambda s: sys.intern(s.strip()), entity_codes),
+               (features, {}, lambda s: sys.intern(s.strip()), feature_codes))
+    start = 4  # the header's fields lead the first block
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            if [h.strip() for h in next(reader, ())] != LONG_HEADER:
-                return None
-            while block := list(islice(reader, BLOCK_ROWS)):
-                if set(map(len, block)) != {4}:
+            for fields in _long_fields(fh):
+                if start and [h.strip() for h in fields[:4]] != LONG_HEADER:
                     return None
-                year_col, entity_col, feature_col, value_col = zip(*block)
-                cells.extend(map(float, map(str.strip, value_col)))
-                parsed = (list(map(int, map(str.strip, year_col))),
-                          list(map(str.strip, entity_col)),
-                          list(map(str.strip, feature_col)))
-                for (table, codes), col in zip(columns, parsed):
-                    for name in dict.fromkeys(col):
-                        table.setdefault(name, len(table))
-                    codes.extend(map(table.__getitem__, col))
+                cells.extend(map(float, map(str.strip, fields[start + 3::4])))
+                for k, (table, raw, parse, codes) in enumerate(columns):
+                    col = fields[start + k::4]
+                    for s in dict.fromkeys(col):
+                        if s not in raw:
+                            raw[s] = table.setdefault(parse(s), len(table))
+                    codes.extend(map(raw.__getitem__, col))
+                start = 0
         except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
             return None
     n_years, n_entities, n_features = len(years), len(entities), len(features)
@@ -268,14 +311,17 @@ def _load_long_rows(path: Path) -> EnergyPanel:
 
 
 def _load_wide(path: Path) -> EnergyPanel:
-    year_files: list[tuple[int, Path]] = []
+    files: dict[int, Path] = {}
     for child in sorted(path.iterdir()):
         m = _WIDE_NAME.match(child.name)
         if m:
-            year_files.append((int(m.group(1)), child))
-    if not year_files:
+            year = int(m.group(1))
+            if year in files:
+                raise PanelFormatError(f"{child}: year {year} already named by {files[year]}")
+            files[year] = child
+    if not files:
         raise PanelFormatError(f"{path}: no panel_<year>.csv files found")
-    year_files.sort()
+    year_files = sorted(files.items())
 
     features: list[str] | None = None
     entities: dict[str, None] = {}  # insertion-ordered name set

@@ -132,6 +132,15 @@ def test_wide_inconsistent_features_rejected(tmp_path):
         load_panel(wide_dir, "wide")
 
 
+def test_wide_two_files_for_one_year_name_both(tmp_path):
+    write(tmp_path / "panel_2000.csv", "entity,f\nA,1.0\n")
+    write(tmp_path / "panel_02000.csv", "entity,f\nA,2.0\n")
+    with pytest.raises(PanelFormatError) as err:
+        load_panel(tmp_path, "wide")
+    assert str(err.value) == (f"{tmp_path / 'panel_2000.csv'}: year 2000 already named by "
+                              f"{tmp_path / 'panel_02000.csv'}")
+
+
 def test_load_deterministic(tmp_path):
     p = write(tmp_path / "p.csv", "year,entity,feature,value\n"
               "2000,A,f1,1.25\n2001,A,f1,2.5\n")
@@ -351,6 +360,53 @@ def test_block_parser_equals_row_loop(tmp_path_factory, file, block_rows):
     assert_same_panel(panel, expected)
 
 
+def test_plain_long_file_is_split_without_csv_reader(tmp_path, monkeypatch):
+    """save_panel_long output holds no quote, \\r or NUL, so the loader
+    splits it with str.split: csv.reader is never built and the row loop
+    never runs, over one chunk or many."""
+    panel, _ = generate_synthetic(seed=0)
+    path = tmp_path / "panel.csv"
+    save_panel_long(panel, path)
+    reader, calls = csv.reader, []
+    monkeypatch.setattr(csv, "reader", lambda *a: calls.append("csv.reader") or reader(*a))
+    monkeypatch.setattr(dataio, "_load_long_rows", lambda path: calls.append("rows"))
+    for chunk_bytes in (dataio.CHUNK_BYTES, 1000):
+        monkeypatch.setattr(dataio, "CHUNK_BYTES", chunk_bytes)
+        back = load_panel(path, "long")
+        assert calls == []
+        assert_same_panel(back, panel)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 40, 200])
+@pytest.mark.parametrize("tail", [
+    '2001,"B,b",f,4.0\n',  # a quoted field
+    '2001,B,f,4.0\r2001,C,f,5.0',  # a bare \r ending a record
+    '2001,B\rx,f,4.0\n',  # a bare \r inside a field: csv.Error
+    '2001,B\0,f,4.0\n',  # NUL: csv.Error before Python 3.11, a name after
+    '2001,"B\nb",f,"4.0"\n2000, E1,f0,9\n',  # a quoted line end; a duplicate key
+])
+def test_chunk_cuts_and_the_hand_over_to_csv_reader(tmp_path, monkeypatch, chunk_bytes, tail):
+    """Small chunks put chunk cuts and the hand-over to csv.reader mid-file:
+    a file whose only quote, bare \\r or NUL is in its last chunk loads
+    the row loop's panel by the block parser, or raises the row loop's
+    error. Raw years and names that parse alike span chunks, and values
+    padded with \\x1c, which str.strip removes and float rejects."""
+    body = "".join(f"{'0' * (i % 2)}{2000 + i % 3},{' ' * (i % 4)}E{i % 5},f{i % 2},"
+                   f"{i}.5{chr(0x1c) * (i % 3)}\n" for i in range(24))
+    path = write(tmp_path / "panel.csv", "year,entity,feature,value\n" + body + tail)
+    monkeypatch.setattr(dataio, "CHUNK_BYTES", chunk_bytes)
+    try:
+        expected = dataio._load_long_rows(path)
+    except PanelFormatError as err:
+        with pytest.raises(PanelFormatError) as got:
+            load_panel(path, "long")
+        assert str(got.value) == str(err)
+    else:
+        panel = dataio._load_long_blocks(path)
+        assert panel is not None
+        assert_same_panel(panel, expected)
+
+
 @pytest.mark.parametrize("shape,limit_mib", [({"n_entities": 400}, 12.0), ({}, 2.1)])
 def test_long_loader_peak_memory(tmp_path, shape, limit_mib):
     """The long loader's peak Python allocation stays bounded. On the
@@ -382,7 +438,14 @@ FIELDS = st.one_of(
 @example(rows=[["2000", "A", "", "1.5"]], junk=b"", at=0)
 @example(rows=[["2000", "A", "f", "1e999"]], junk=b"", at=0)
 @example(rows=[["2000", "A", "f", "1.5"], ["2001", "A", "f", "2", "x"]], junk=b"", at=0)
+@example(rows=[["2000", "A", "f"], ["1.5", "2001", "A", "f", "2"]], junk=b"", at=0)
 @example(rows=[[], ["2000", "A", "f", "1.5"], [" ", ""]], junk=b"", at=0)
+@example(rows=[["2000", "A\0", "f", "1.5"]], junk=b"", at=0)
+@example(rows=[["2000", "A", "f", "1.5\r2001", "A", "f", "2"]], junk=b"", at=0)
+@example(rows=[["2000", "A" * (csv.field_size_limit() + 1), "f", "1.5"]], junk=b"", at=0)
+@example(rows=[["2000", "A", "f", "1.5\x1c"]], junk=b"", at=0)
+@example(rows=[["2000", "A", "f", "1.5"], ["02000", "A", "g", "2"]], junk=b"", at=0)
+@example(rows=[["2000", "A", "f", "1.5"], ["02000", "A", "f", "2"]], junk=b"", at=0)
 @settings(max_examples=300, deadline=None)
 def test_malformed_long_csv_raises_only_panel_format_error(tmp_path_factory, rows, junk, at):
     """Whatever the bytes (bad UTF-8 included), the long loader either loads
