@@ -255,18 +255,19 @@ def dbscan(
             break
         root = up
     labels = np.full(n, NOISE, dtype=int)
-    cores = np.flatnonzero(core)
-    _, first, component = np.unique(root[cores], return_index=True, return_inverse=True)
-    ids = np.empty(first.shape[0], dtype=int)
-    ids[np.argsort(first)] = np.arange(first.shape[0])
-    labels[cores] = ids[component]
-    rest = np.flatnonzero(~core)
+    cores = core.nonzero()[0]
+    core_roots = root[cores]
+    roots = list(dict.fromkeys(core_roots.tolist()))  # in order of first core index
+    id_of = np.empty(n, dtype=int)
+    id_of[roots] = np.arange(len(roots))
+    labels[cores] = id_of[core_roots]
+    rest = (~core).nonzero()[0]
     if cores.size and rest.size:
-        by_id = cores[np.argsort(labels[cores], kind="stable")]
-        near = dist[np.ix_(rest, by_id)] <= eps
+        by_id = cores[labels[cores].argsort(kind="stable")]
+        near = dist[rest[:, None], by_id] <= eps
         border = near.any(axis=1)
         labels[rest[border]] = labels[by_id[near[border].argmax(axis=1)]]
-    return ClusterAssignment(labels, first.shape[0], core)
+    return ClusterAssignment(labels, len(roots), core)
 
 
 def silhouette(

@@ -52,7 +52,7 @@ LONG_HEADER = ["year", "entity", "feature", "value"]
 # small enough that a block's field lists stay well under 1 MB.
 CHUNK_BYTES = 1 << 16
 BLOCK_ROWS = 1024
-_WIDE_NAME = re.compile(r"^panel_(\d+)\.csv$")
+_WIDE_NAME = re.compile(r"panel_(\d+)\.csv", re.ASCII)  # ASCII digits; use fullmatch
 
 
 @dataclass(frozen=True)
@@ -313,7 +313,7 @@ def _load_long_rows(path: Path) -> EnergyPanel:
 def _load_wide(path: Path) -> EnergyPanel:
     files: dict[int, Path] = {}
     for child in sorted(path.iterdir()):
-        m = _WIDE_NAME.match(child.name)
+        m = _WIDE_NAME.fullmatch(child.name)
         if m:
             year = int(m.group(1))
             if year in files:

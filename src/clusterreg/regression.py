@@ -36,6 +36,7 @@ coordinates only rounding slack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +45,7 @@ from .errors import RegressionError
 
 NONZERO_TOL = 1e-10
 PENALTY_KINDS = ("ridge", "lasso", "elastic_net")
+_EPS = np.finfo(float).eps
 
 
 class Moments(NamedTuple):
@@ -93,7 +95,9 @@ class DesignMatrix:
     _moment_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
+        x = np.asarray(self.x, dtype=float)
+        if x.ndim < 2:
+            x = np.atleast_2d(x)
         y = np.asarray(self.y, dtype=float).ravel()
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -104,7 +108,7 @@ class DesignMatrix:
             raise RegressionError(f"target length {y.shape[0]} != sample count {x.shape[0]}")
         if len(self.column_names) != x.shape[1]:
             raise RegressionError("column name count does not match regressor count")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise RegressionError("design matrix entries must be finite")
         x.setflags(write=False)
         y.setflags(write=False)
@@ -211,7 +215,7 @@ class LinearModel:
         object.__setattr__(self, "column_names", tuple(self.column_names))
         if len(self.column_names) != beta.shape[0]:
             raise RegressionError("column name count does not match coefficient count")
-        if not (np.isfinite(self.intercept) and np.all(np.isfinite(beta))):
+        if not (np.isfinite(self.intercept) and np.isfinite(beta).all()):
             raise RegressionError("model parameters must be finite")
         beta.setflags(write=False)
 
@@ -310,10 +314,10 @@ def _solve_pattern(
     the solve of H_AA b = c_A - (lam1/2)*s_A, or None when that system is
     singular or its solution is not finite."""
     try:
-        b = np.linalg.solve(hess[np.ix_(active, active)], corr[active] - 0.5 * lam1 * signs)
+        b = np.linalg.solve(hess[active[:, None], active], corr[active] - 0.5 * lam1 * signs)
     except np.linalg.LinAlgError:
         return None
-    return b if np.all(np.isfinite(b)) else None
+    return b if np.isfinite(b).all() else None
 
 
 def _optimality(
@@ -345,13 +349,13 @@ def _line_search(
     segment from x to b where a nonzero coefficient of x reaches zero (set
     exactly to zero there). x wins ties, so a step that cannot lower the
     objective leaves x in place."""
-    cross = np.flatnonzero((x != 0.0) & (x * b <= 0.0))
+    cross = ((x != 0.0) & (x * b <= 0.0)).nonzero()[0]
     steps = x[cross] / (x[cross] - b[cross])
     points = x + np.outer(np.concatenate(([0.0], steps, [1.0])), b - x)
     points[1 + np.arange(cross.size), cross] = 0.0
     objective = ((points @ hess - 2.0 * corr) * points).sum(axis=1)
     objective += lam1 * np.abs(points).sum(axis=1)
-    return points[np.argmin(objective)]
+    return points[objective.argmin()]
 
 
 def _feature_sign_search(
@@ -382,7 +386,8 @@ def _feature_sign_search(
     times that. A slack of bound would keep a copied column at a small
     lam2 inactive, as its |g_j| - lam1 = 2*lam2*|beta| falls within it."""
     p = beta.shape[0]
-    rounding = 8.0 * p * np.finfo(float).eps
+    rounding = 8.0 * p * _EPS
+    abs_hess, abs_corr = np.abs(hess), np.abs(corr)
     x = beta.copy()
     theta = np.sign(x)
     seen = set()
@@ -391,22 +396,22 @@ def _feature_sign_search(
         if key in seen:
             return None
         seen.add(key)
-        active = np.flatnonzero(theta)
+        active = theta.nonzero()[0]
         signs = theta[active]
         b = _solve_pattern(hess, corr, lam1, active, signs)
         if b is None:
             return None
-        if np.all(b * signs > 0):
+        if (b * signs > 0).all():
             x = np.zeros(p)
             x[active] = b
             stationarity, g = _optimality(hess, corr, lam1, x)
-            excess = np.abs(g) - lam1 - rounding * (np.abs(corr) + np.abs(hess) @ np.abs(x))
-            j = int(np.argmax(excess))
+            excess = np.abs(g) - lam1 - rounding * (abs_corr + abs_hess @ np.abs(x))
+            j = int(excess.argmax())
             if excess[j] <= 0.0:
                 return x if stationarity <= bound else None
             theta[j] = -np.sign(g[j])
         else:
-            x[active] = _line_search(hess[np.ix_(active, active)], corr[active], lam1,
+            x[active] = _line_search(hess[active[:, None], active], corr[active], lam1,
                                      x[active], b)
             theta = np.sign(x)
     return None
@@ -430,7 +435,7 @@ def _coordinate_descent(
     their start value."""
     p = beta.shape[0]
     beta = beta.copy()
-    diag = np.diag(hess)
+    diag = hess.diagonal()
     thresh = lam1 / 2.0
     for sweep in range(max_iter):
         q = hess @ beta  # refreshed each sweep so incremental drift cannot build up
@@ -451,6 +456,14 @@ def _coordinate_descent(
             if stationarity <= bound and np.abs(g).max() <= lam1 + bound:
                 return beta, True, sweep + 1
     return beta, False, max_iter
+
+
+@lru_cache(maxsize=8)
+def _identity(p: int) -> np.ndarray:
+    """The read-only p x p identity that every fit on p columns shares."""
+    eye = np.eye(p)
+    eye.setflags(write=False)
+    return eye
 
 
 def fit_penalized(
@@ -481,7 +494,7 @@ def fit_penalized(
     m = d.moments(fit_intercept, standardize)
     flags: tuple[str, ...] = ("standardized",) if standardize else ()
     lam1, lam2 = spec.lam1, spec.lam2
-    hess = m.gram + lam2 * np.eye(d.p)
+    hess = m.gram + lam2 * _identity(d.p)  # also at lam2 = 0: + 0.0 turns a -0.0 into +0.0
     if lam1 == lam2 == 0:
         beta, _, rank, _ = np.linalg.lstsq(m.xc, m.yc, rcond=None)
         if rank < d.p:
@@ -490,7 +503,7 @@ def fit_penalized(
         beta = np.linalg.solve(hess, m.corr)
     else:
         start = np.zeros(d.p) if start is None else np.asarray(start, dtype=float) * m.scale
-        start = np.where(np.diag(m.gram) > 0.0, start, 0.0)  # zero-norm columns stay at zero
+        start = np.where(m.gram.diagonal() > 0.0, start, 0.0)  # zero-norm columns stay at zero
         bound = 10.0 * tol * max(1.0, m.score_max)
         beta = _feature_sign_search(hess, m.corr, lam1, start, bound)
         if beta is None:
@@ -537,7 +550,8 @@ def compute_mse(y, y_hat) -> float:
     y_hat = np.asarray(y_hat, dtype=float).ravel()
     if y.shape != y_hat.shape:
         raise RegressionError("y and y_hat lengths differ")
-    return float(np.mean((y - y_hat) ** 2))
+    r = y - y_hat
+    return float(np.add.reduce(r * r) / r.size)  # np.mean's sum and division
 
 
 def compute_r2(y, y_hat) -> float:
@@ -562,7 +576,9 @@ def compute_sparsity(model: LinearModel) -> float:
 
 def predict(model: LinearModel, x_new) -> np.ndarray:
     """yhat = intercept + x_new @ beta for rows of width p."""
-    x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
+    x_new = np.asarray(x_new, dtype=float)
+    if x_new.ndim < 2:
+        x_new = np.atleast_2d(x_new)
     if x_new.shape[1] != model.p:
         raise RegressionError(
             f"prediction rows have width {x_new.shape[1]}, model expects {model.p}"
@@ -628,9 +644,10 @@ def cross_validate(
     fold_mse: list[list[float]] = [[] for _ in grid]
     for block in np.array_split(np.arange(d.n), folds):
         train = d.subset(np.setdiff1d(np.arange(d.n), block))
+        x_out, y_out = d.x[block], d.y[block]
         for i, model in _warm_descent(train, kind, grid, alpha, tol=tol, max_iter=max_iter,
                                       standardize=standardize):
-            fold_mse[i].append(compute_mse(d.y[block], predict(model, d.x[block])))
+            fold_mse[i].append(compute_mse(y_out, predict(model, x_out)))
     table = [(lam, float(np.mean(m))) for lam, m in zip(grid, fold_mse)]
     best_lam, best_mse = table[0]
     for lam, m in table[1:]:

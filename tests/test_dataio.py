@@ -141,6 +141,15 @@ def test_wide_two_files_for_one_year_name_both(tmp_path):
                               f"{tmp_path / 'panel_02000.csv'}")
 
 
+@pytest.mark.parametrize("name", ["panel_２０００.csv", "panel_2000.csv\n"])
+def test_wide_year_is_ascii_digits_and_the_whole_name(tmp_path, name):
+    """Fullwidth digits are decimal digits to `\\d` and to int(), and `$`
+    matches before a trailing newline: neither file is a panel_<year>.csv."""
+    write(tmp_path / name, "entity,f\nA,1.0\n")
+    write(tmp_path / "panel_2001.csv", "entity,f\nA,2.0\n")
+    assert load_panel(tmp_path, "wide").years == (2001,)
+
+
 def test_load_deterministic(tmp_path):
     p = write(tmp_path / "p.csv", "year,entity,feature,value\n"
               "2000,A,f1,1.25\n2001,A,f1,2.5\n")

@@ -1,12 +1,13 @@
 import dataclasses
 import errno
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clusterreg import pipeline
+from clusterreg import clustering, pipeline, regression
 from clusterreg.clustering import NOISE, ClusterAssignment
 from clusterreg.dataio import EnergyPanel
 from clusterreg.errors import ClusterRegError, ConfigError, PipelineStageError
@@ -574,6 +575,35 @@ class TestConfigKeys:
         path = tmp_path / "cfg.ini"
         path.write_text(f"[regress]\nstandardize = {text}\n")
         assert PipelineConfig.from_file(path).standardize is value
+
+
+def test_work_of_one_default_run_on_seed_2024(synthetic_case, tmp_path, monkeypatch):
+    """Pins the work of one run with the default grids, counted by spies at
+    the module attributes their callers look up, as bench/spans.py counts
+    them: every fit enters through fit_penalized (per kind, 5 folds x grid
+    + 1 refit + the path: 5*51+1+51 and 5*28+1+28), every sweep grid point
+    through dbscan (40 eps x 5 min_pts), and the centered moments are
+    computed once per fold design and once for the full design (5*3+1). A
+    change that routes grid points around an entry point, or changes what
+    the benchmark's exact counters record, fails here."""
+    calls = Counter()
+
+    def spy(module, name, key):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[key(*args)] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(regression, "fit_penalized", lambda d, spec, *rest: spec.kind)
+    spy(clustering, "dbscan", lambda *args: "dbscan")
+    spy(regression, "_compute_moments", lambda *args: "moments")
+    _, _, _, config = synthetic_case
+    pipeline.run_pipeline(dataclasses.replace(config, out_dir=str(tmp_path / "out")))
+    assert calls == {"ridge": 307, "lasso": 169, "elastic_net": 169, "dbscan": 200,
+                     "moments": 16}
 
 
 def test_every_benchmark_span_fires(synthetic_case, tmp_path):

@@ -707,6 +707,19 @@ class TestMetrics:
         with pytest.raises(RegressionError):
             compute_mse([1.0], [1.0, 2.0])
 
+    @given(data=st.data(), n=st.integers(1, 300), scale=st.sampled_from([1e-150, 1.0, 1e150]))
+    @settings(max_examples=300, deadline=None)
+    def test_mse_is_np_mean_bit_for_bit(self, data, n, scale):
+        """n from 1 to 300 crosses the 8-wide unrolled loop and the
+        128-element blocks of numpy's pairwise summation."""
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        y = scale * rng.normal(size=n)
+        y_hat = y + scale * rng.normal(size=n) * rng.choice([0.0, 1e-8, 1.0], size=n)
+        expected = float(np.mean((y - y_hat) ** 2))
+        assert compute_mse(y, y_hat).hex() == expected.hex()
+        assert compute_mse(list(y), y_hat[:, None]).hex() == expected.hex()
+
 
 class TestPredict:
     def test_zero_model(self):
@@ -721,6 +734,24 @@ class TestPredict:
         m = fit_ols(d)
         with pytest.raises(RegressionError, match="width"):
             predict(m, np.ones((2, d.p + 1)))
+
+    def test_rows_are_read_as_before(self):
+        """A 1-D row is one row, a list of lists is a matrix, and a wrong
+        width names both widths: the output of the 2-D reference form."""
+        d = random_design(seed=36, p=3)
+        m = fit_ols(d)
+
+        def reference(x_new):
+            return m.intercept + np.atleast_2d(np.asarray(x_new, dtype=float)) @ m.coefficients
+
+        for x_new in ([0.5, -1.0, 2.0], [[0.5, -1.0, 2.0], [1, 2, 3]], d.x, d.x[:1]):
+            out, expected = predict(m, x_new), reference(x_new)
+            assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+        assert predict(m, [0.5, -1.0, 2.0]).shape == (1,)
+        for x_new, width in (([1.0, 2.0], 2), (np.ones((2, 4)), 4), ([[1.0] * 5], 5)):
+            with pytest.raises(RegressionError) as err:
+                predict(m, x_new)
+            assert str(err.value) == f"prediction rows have width {width}, model expects 3"
 
     def test_training_predictions_match_report(self):
         d = random_design(seed=35)
