@@ -9,12 +9,12 @@ flags, config, input files, and (for gen-synthetic) the seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
 from . import regression
-from .dataio import LONG_HEADER, load_panel, load_report, panel_long_rows, validate_panel
+from .dataio import (
+    LONG_HEADER, _csv_rows, load_panel, load_report, panel_long_rows, validate_panel)
 from .errors import ClusterRegError, ConfigError
 from .pipeline import (
     PipelineConfig,
@@ -42,7 +42,7 @@ def _load_config(args) -> PipelineConfig:
 def cmd_validate(args) -> int:
     worst = 0
     for path in args.paths:
-        panel = load_panel(path, args.layout)
+        panel = load_panel(path)
         report = validate_panel(panel)
         for severity, location, message in report.issues:
             print(f"{path}: {severity}: {location}: {message}", file=sys.stderr)
@@ -144,12 +144,15 @@ def cmd_plot_data(args) -> int:
             rows = _tidy(matrix.entities, matrix.features, matrix.values)
     elif figure == "lambda_path":
         path_csv = _upstream(out, "path_lasso.csv", "pipeline or regress stage")
-        with open(path_csv, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            coef_names = next(reader)[1:-2]
-            header = ["lambda", "coef_name", "value"]
-            rows = [[row[0], name, value]
-                    for row in reader for name, value in zip(coef_names, row[1:-2])]
+        reader = _csv_rows(path_csv)
+        columns = next(reader)[1]
+        header = ["lambda", "coef_name", "value"]
+        rows = []
+        for line, row in reader:
+            if len(row) != len(columns):
+                raise ClusterRegError(
+                    f"{path_csv}:{line}: expected {len(columns)} columns, got {len(row)}")
+            rows += [[row[0], name, value] for name, value in zip(columns[1:-2], row[1:-2])]
     else:
         report_path = _upstream(out, "pipeline_report.json", "pipeline stage")
         report = load_report(report_path)
@@ -189,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", parents=[common], help="check a panel file")
     p.add_argument("paths", nargs="+", help="panel files (or directories for wide layout)")
-    p.add_argument("--layout", choices=["long", "wide"], default="long")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("cluster", parents=[common], help="sweep and export the clustering")

@@ -1,6 +1,6 @@
 """Panel dataset loading, validation, and JSON report persistence.
 
-Two on-disk layouts are supported for panel data:
+Two on-disk layouts are supported for panel data, told apart by the path:
 
 * long CSV -- one file, header exactly ``year,entity,feature,value``;
   missing (year, entity, feature) cells default to 0.
@@ -370,16 +370,12 @@ def _load_wide(path: Path) -> EnergyPanel:
     return EnergyPanel(tuple(years), tuple(entities), tuple(features), values)
 
 
-def load_panel(path: str | Path, layout: str = "long") -> EnergyPanel:
-    """Load a panel from disk. layout is 'long' (one CSV) or 'wide' (a
-    directory of panel_<year>.csv files). Deterministic: identical bytes
-    load to identical panels."""
+def load_panel(path: str | Path) -> EnergyPanel:
+    """Load a panel from disk: a directory of panel_<year>.csv files in the
+    wide layout, anything else as a long CSV. Deterministic: identical
+    bytes load to identical panels."""
     path = Path(path)
-    if layout == "long":
-        return _load_long(path)
-    if layout == "wide":
-        return _load_wide(path)
-    raise ValueError(f"unknown layout {layout!r}")
+    return _load_wide(path) if path.is_dir() else _load_long(path)
 
 
 def validate_panel(panel: EnergyPanel) -> ValidationReport:

@@ -105,12 +105,10 @@ def parse_years(text: str) -> list[int]:
 class PipelineConfig:
     """All knobs of a pipeline run; every field has a documented default."""
 
-    data_path: str = "panel.csv"
-    layout: str = "long"
+    data_path: str = "panel.csv"  # a directory holds the wide layout
     train_years: list[int] = field(default_factory=list)
     test_years: list[int] = field(default_factory=list)
-    anchor: str = "train_mean"  # or "year"
-    anchor_year: int | None = None
+    anchor_year: int | None = None  # None: cluster on the training-window mean
     log_epsilon: float = 1e-6
     eps_grid: list[float] = field(default_factory=lambda: list(_DEFAULT_EPS_GRID))
     minpts_grid: list[int] = field(default_factory=lambda: list(_DEFAULT_MINPTS_GRID))
@@ -134,12 +132,6 @@ class PipelineConfig:
             raise ConfigError("train and test year ranges overlap")
         if max(self.train_years) >= min(self.test_years):
             raise ConfigError("test years must come after train years")
-        if self.layout not in ("long", "wide"):
-            raise ConfigError(f"unknown layout {self.layout!r}")
-        if self.anchor not in ("train_mean", "year"):
-            raise ConfigError(f"unknown normalization anchor {self.anchor!r}")
-        if self.anchor == "year" and self.anchor_year is None:
-            raise ConfigError("anchor=year requires anchor_year")
         for name, grid in (
             ("eps_grid", self.eps_grid),
             ("minpts_grid", self.minpts_grid),
@@ -229,9 +221,7 @@ def _parse_int_grid(text: str) -> list[int]:
 # PipelineConfig field -> (INI section, key, parser of the stripped value).
 _CONFIG_KEYS = {
     "data_path": ("data", "path", str),
-    "layout": ("data", "layout", str),
     "log_epsilon": ("preprocess", "log_epsilon", _finite),
-    "anchor": ("preprocess", "anchor", str),
     "anchor_year": ("preprocess", "anchor_year", int),
     "eps_grid": ("cluster", "eps_grid", parse_grid),
     "minpts_grid": ("cluster", "minpts_grid", _parse_int_grid),
@@ -266,6 +256,10 @@ class ClusterProfile:
     maximum: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ClusterRegError(f"cluster {self.cluster_id} profile: {f.name} is {value}")
         order = (self.minimum, self.p25, self.median, self.p75, self.maximum)
         if any(b < a - 1e-12 for a, b in zip(order, order[1:])):
             raise ClusterRegError("cluster profile quantiles out of order")
@@ -299,35 +293,25 @@ def aggregate_by_cluster(
     return regressors, target
 
 
-def profile_clusters(
-    panel: EnergyPanel, assignment: ClusterAssignment, years: list[int]
-) -> list[ClusterProfile]:
-    """Summary statistics of each cluster's annual totals over the window.
+@np.errstate(over="ignore", invalid="ignore")
+def profile_clusters(totals: np.ndarray) -> list[ClusterProfile]:
+    """Summary statistics of each column of totals, the (years x clusters)
+    yearly cluster totals over the profile window.
 
     Quartiles interpolate linearly between order statistics; variance is
-    the sample variance (n-1 denominator) of the yearly totals."""
-    idx = [panel.year_index(y) for y in years]
-    if not idx:
+    the sample variance (n-1 denominator) of the yearly totals. A statistic
+    that overflows is not finite, and ClusterProfile rejects it."""
+    if not len(totals):
         raise ClusterRegError("empty year window for cluster profiles")
-    regressors, _ = aggregate_by_cluster(panel, assignment)
-    profiles = []
-    for cid in range(assignment.num_clusters):
-        vals = regressors[idx, cid]
-        p25, median, p75 = np.percentile(vals, [25, 50, 75])
-        profiles.append(
-            ClusterProfile(
-                cluster_id=cid,
-                total=float(vals.sum()),
-                mean=float(vals.mean()),
-                variance=float(vals.var(ddof=1)) if len(vals) > 1 else 0.0,
-                minimum=float(vals.min()),
-                p25=float(p25),
-                median=float(median),
-                p75=float(p75),
-                maximum=float(vals.max()),
-            )
-        )
-    return profiles
+    # One cluster per contiguous row: a reduction along it adds in the same
+    # (pairwise) order as on the cluster's own 1-d series.
+    rows = np.ascontiguousarray(totals.T)
+    p25, median, p75 = np.percentile(rows, [25, 50, 75], axis=1)
+    variance = rows.var(axis=1, ddof=1) if len(totals) > 1 else np.zeros(len(rows))
+    stats = zip(rows.sum(axis=1).tolist(), rows.mean(axis=1).tolist(), variance.tolist(),
+                rows.min(axis=1).tolist(), p25.tolist(), median.tolist(), p75.tolist(),
+                rows.max(axis=1).tolist())
+    return [ClusterProfile(cid, *values) for cid, values in enumerate(stats)]
 
 
 def summarize_forecast(differences) -> tuple[float, float]:
@@ -341,9 +325,10 @@ def summarize_forecast(differences) -> tuple[float, float]:
 @dataclass(frozen=True)
 class PreparedInputs:
     """Front half of a run: the cleaned panel's clustering and cluster
-    aggregates; the chosen clustering is the sweep's first entry. The rest
-    is derived, and frozen fields keep a value cached on first read from
-    going stale (dataclasses.replace builds a record with an empty cache)."""
+    aggregates; the chosen clustering is the sweep's first entry. The rest,
+    the cluster profiles over the training years included, is derived, and
+    frozen fields keep a value cached on first read from going stale
+    (dataclasses.replace builds a record with an empty cache)."""
 
     config: PipelineConfig
     dropped_features: list[str]
@@ -351,7 +336,6 @@ class PreparedInputs:
     sweep: list
     entities: list[str]
     years: list[int]
-    profiles: list[ClusterProfile]
     regressors: np.ndarray
 
     @property
@@ -398,6 +382,10 @@ class PreparedInputs:
     @property
     def train_idx(self) -> list[int]:
         return [self.years.index(y) for y in self.config.train_years]
+
+    @cached_property
+    def profiles(self) -> list[ClusterProfile]:
+        return _stage("profiles", profile_clusters, self.regressors[self.train_idx])
 
     @property
     def test_idx(self) -> list[int]:
@@ -514,12 +502,12 @@ def load_clean(config: PipelineConfig) -> tuple[EnergyPanel, list[str], list[str
     """Validate the config, then load, validate, year-check and clean the
     panel. Returns (cleaned panel, dropped features, dropped entities)."""
     _stage("config", config.validate)
-    raw = _stage("load", load_panel, config.data_path, config.layout)
+    raw = _stage("load", load_panel, config.data_path)
     check = validate_panel(raw)
     if not check.ok:
         issues = "; ".join(f"{loc}: {msg}" for sev, loc, msg in check.issues if sev == "error")
         raise PipelineStageError("load", f"panel validation failed: {issues}")
-    anchor = [config.anchor_year] if config.anchor == "year" else []
+    anchor = [] if config.anchor_year is None else [config.anchor_year]
     for year in [*config.train_years, *config.test_years, *anchor]:
         if year not in raw.years:
             raise PipelineStageError("load", f"configured year {year} not present in data")
@@ -530,17 +518,17 @@ def load_clean(config: PipelineConfig) -> tuple[EnergyPanel, list[str], list[str
 
 def cluster_matrix(config: PipelineConfig, panel: EnergyPanel) -> preprocess.FeatureMatrix:
     """The matrix the sweep clusters: each entity's mean feature profile
-    over the anchor window (the anchor year, or the training years),
-    min-max normalized per entity."""
-    window = [config.anchor_year] if config.anchor == "year" else list(config.train_years)
+    over the anchor window (the anchor year if set, else the training
+    years), min-max normalized per entity."""
+    window = list(config.train_years) if config.anchor_year is None else [config.anchor_year]
     profile = _stage("cluster-matrix", preprocess.entity_profile, panel, window)
     return preprocess.minmax_normalize_rows(profile)
 
 
 def prepare_inputs(config: PipelineConfig) -> PreparedInputs:
-    """Run the front half of the pipeline: load, clean, cluster, aggregate
-    and profile the clusters. The log aggregates and the training design
-    are derived from the record on first read."""
+    """Run the front half of the pipeline: load, clean, cluster and
+    aggregate. The cluster profiles, the log aggregates and the training
+    design are derived from the record on first read."""
     panel, dropped_features, dropped_entities = load_clean(config)
     normalized = cluster_matrix(config, panel)
 
@@ -554,7 +542,6 @@ def prepare_inputs(config: PipelineConfig) -> PreparedInputs:
     gap = np.abs(target - panel_totals)
     if gap.max() > CONSERVATION_TOL * max(1.0, float(np.abs(panel_totals).max())):
         raise PipelineStageError("aggregate", "conservation identity violated")
-    profiles = _stage("profiles", profile_clusters, panel, promoted, list(config.train_years))
     return PreparedInputs(
         config=config,
         dropped_features=dropped_features,
@@ -562,7 +549,6 @@ def prepare_inputs(config: PipelineConfig) -> PreparedInputs:
         sweep=sweep,
         entities=list(panel.entities),
         years=list(panel.years),
-        profiles=profiles,
         regressors=regressors,
     )
 
@@ -601,6 +587,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     # from the stored fields only: vars(prep) also holds the values cached so far
     report = PipelineReport(**{f.name: getattr(prep, f.name) for f in fields(prep)},
                             cv_tables=cv_tables, models=models, paths=paths)
+    report.profiles  # derived, yet checked on every run, written or not
     if config.out_dir is not None:
         _stage("write", write_artifacts, report, config.out_dir)
     return report

@@ -544,12 +544,20 @@ def lasso_lambda_max(d: DesignMatrix, fit_intercept: bool = True) -> float:
     return float(np.max(np.abs(2.0 * d.moments(fit_intercept).corr)))
 
 
-def compute_mse(y, y_hat) -> float:
-    """Mean squared difference between observed and predicted values."""
+def _paired(y, y_hat) -> tuple[np.ndarray, np.ndarray]:
+    """y and y_hat as flat float arrays of one nonzero length."""
     y = np.asarray(y, dtype=float).ravel()
     y_hat = np.asarray(y_hat, dtype=float).ravel()
     if y.shape != y_hat.shape:
         raise RegressionError("y and y_hat lengths differ")
+    if not y.size:
+        raise RegressionError("y and y_hat are empty")
+    return y, y_hat
+
+
+def compute_mse(y, y_hat) -> float:
+    """Mean squared difference between observed and predicted values."""
+    y, y_hat = _paired(y, y_hat)
     r = y - y_hat
     return float(np.add.reduce(r * r) / r.size)  # np.mean's sum and division
 
@@ -558,10 +566,7 @@ def compute_r2(y, y_hat) -> float:
     """Proportion of target variance explained: 1 - RSS/TSS.
 
     Raises when the target has zero variance (the ratio is undefined)."""
-    y = np.asarray(y, dtype=float).ravel()
-    y_hat = np.asarray(y_hat, dtype=float).ravel()
-    if y.shape != y_hat.shape:
-        raise RegressionError("y and y_hat lengths differ")
+    y, y_hat = _paired(y, y_hat)
     tss = float(np.sum((y - y.mean()) ** 2))
     if tss == 0.0:
         raise RegressionError("R^2 undefined: target has zero variance")

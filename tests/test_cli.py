@@ -11,7 +11,7 @@ from conftest import TEST_YEARS, TRAIN_YEARS
 
 def write_config(path, data_path, **overrides):
     lines = {
-        "data": {"path": str(data_path), "layout": "long"},
+        "data": {"path": str(data_path)},
         "preprocess": {},
         "cluster": {},
         "regress": {},
@@ -51,6 +51,13 @@ class TestValidate:
     def test_clean_panel_exit_zero(self, synthetic_cli, capsys):
         panel_path, _ = synthetic_cli
         assert main(["validate", str(panel_path)]) == 0
+
+    def test_layout_flag_is_gone(self, synthetic_cli, capsys):
+        panel_path, _ = synthetic_cli
+        with pytest.raises(SystemExit) as exit_:
+            main(["validate", "--layout", "long", str(panel_path)])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --layout" in capsys.readouterr().err
 
     def test_negative_cell_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -287,6 +294,8 @@ MALFORMED_CONFIGS = [
     ("[regress]\nridge_lambdas = logspace:0:400:3\n", "[regress] ridge_lambdas: logspace grid"),
     ("[regress]\ntolerance = 1e-8\n", "unknown key [regress] tolerance"),
     ("[data]\nlayuot = wide\n", "unknown key [data] layuot"),
+    ("[data]\nlayout = wide\n", "unknown key [data] layout"),
+    ("[preprocess]\nanchor = year\n", "unknown key [preprocess] anchor"),
     ("[regres]\ntol = 1e-8\n", "unknown section [regres]"),
     ("[output]\n", "unknown section [output]"),
     ("[DEFAULT]\ntol = 1e-8\n", "[DEFAULT] tol"),
@@ -307,7 +316,7 @@ def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, text, named
 
 
 def test_heatmap_is_the_matrix_the_sweep_clustered(tmp_path):
-    """Under anchor = year, fig_heatmap.csv holds the anchor-year matrix the
+    """With anchor_year set, fig_heatmap.csv holds the anchor-year matrix the
     sweep clustered, not a training-window profile."""
     from clusterreg.clustering import quality_rows, sweep_params
     from clusterreg.dataio import save_panel_long
@@ -322,7 +331,7 @@ def test_heatmap_is_the_matrix_the_sweep_clustered(tmp_path):
     panel = type(panel)(panel.years, panel.entities, panel.features, values)
     save_panel_long(panel, tmp_path / "panel.csv")
     cfg_path = write_config(tmp_path / "cfg.ini", tmp_path / "panel.csv", extra=[
-        ("preprocess", "anchor", "year"), ("preprocess", "anchor_year", "2003")])
+        ("preprocess", "anchor_year", "2003")])
     out = tmp_path / "out"
     assert main(["plot-data", "--figure", "heatmap", "--config", str(cfg_path),
                  "--out", str(out)]) == 0
@@ -385,7 +394,7 @@ def test_validate_bad_utf8_exit_one_naming_the_file(tmp_path, capsys):
 def test_missing_anchor_year_exits_one(synthetic_cli, tmp_path, capsys):
     panel_path, _ = synthetic_cli
     cfg = write_config(tmp_path / "cfg.ini", panel_path, extra=[
-        ("preprocess", "anchor", "year"), ("preprocess", "anchor_year", "1999")])
+        ("preprocess", "anchor_year", "1999")])
     out = tmp_path / "out"
     for argv in (["pipeline"], ["plot-data", "--figure", "heatmap"]):
         assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
@@ -407,3 +416,41 @@ def test_plot_data_report_without_a_key_names_the_key(tmp_path, capsys):
     tmp_path.joinpath("pipeline_report.json").write_text('{"aggregates": {}}\n')
     assert main(["plot-data", "--figure", "forecast", "--out", str(tmp_path)]) == 1
     assert "pipeline_report.json: report has no key 'forecast'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"", "empty file"),
+    (b"lambda,c0,c1,r2,mse\n0.1,\xff,0.0,1.0,0.0\n", "not valid UTF-8"),
+    (b"lambda,c0,c1,r2,mse\n0.1,0.0,0.0,1.0,0.0\n0.2,0.0\n",
+     ":3: expected 5 columns, got 2"),
+])
+def test_plot_data_bad_lambda_path_exits_one_naming_the_file(tmp_path, capsys, content,
+                                                             reason):
+    path_csv = tmp_path / "path_lasso.csv"
+    path_csv.write_bytes(content)
+    assert main(["plot-data", "--figure", "lambda_path", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path_csv}") and err.count("\n") == 1 and reason in err
+    assert not (tmp_path / "fig_lambda_path.csv").exists()
+
+
+def test_overflowing_cluster_profile_exits_one_and_writes_nothing(tmp_path, capsys):
+    """Finite cells near 1e160 load, cluster and fit, but the sample variance
+    of a cluster's yearly totals overflows: the run fails at stage profiles
+    with one error line, and the output directory keeps what it held."""
+    from clusterreg.dataio import save_panel_long
+    from clusterreg.synth import generate_synthetic
+
+    panel, _ = generate_synthetic(seed=2024)
+    panel = type(panel)(panel.years, panel.entities, panel.features, panel.values * 1e160)
+    save_panel_long(panel, tmp_path / "panel.csv")
+    cfg = write_config(tmp_path / "cfg.ini", tmp_path / "panel.csv")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "pipeline_report.json").write_text("previous run\n")
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [profiles] cluster ") and "variance is inf" in err
+    assert err.count("\n") == 1
+    assert [p.name for p in out.iterdir()] == ["pipeline_report.json"]
+    assert (out / "pipeline_report.json").read_text() == "previous run\n"

@@ -29,7 +29,7 @@ def test_load_long_basic(tmp_path):
     p = write(tmp_path / "p.csv", "year,entity,feature,value\n"
               "2000,Metal,Coke,39.03\n"
               "2000,Metal,Raw Coal,0.552\n")
-    panel = load_panel(p, "long")
+    panel = load_panel(p)
     assert panel.years == (2000,)
     assert panel.entities == ("Metal",)
     assert panel.features == ("Coke", "Raw Coal")
@@ -41,7 +41,7 @@ def test_load_long_missing_cells_default_zero(tmp_path):
     p = write(tmp_path / "p.csv", "year,entity,feature,value\n"
               "2000,A,f1,1.0\n"
               "2001,B,f2,2.0\n")
-    panel = load_panel(p, "long")
+    panel = load_panel(p)
     assert panel.values.shape == (2, 2, 2)
     assert panel.values[0, 1, 0] == 0.0  # (2000, B, f1) was never given
 
@@ -51,7 +51,7 @@ def test_load_long_sorts_years_seen_out_of_order(tmp_path):
               "2001,B,f2,1.0\n"
               "2000,A,f1,2.0\n"
               "2001,A,f1,3.0\n")
-    panel = load_panel(p, "long")
+    panel = load_panel(p)
     assert panel.years == (2000, 2001)
     assert panel.entities == ("B", "A") and panel.features == ("f2", "f1")
     assert panel.values.tolist() == [[[0.0, 0.0], [0.0, 2.0]], [[1.0, 0.0], [0.0, 3.0]]]
@@ -60,7 +60,7 @@ def test_load_long_sorts_years_seen_out_of_order(tmp_path):
 def test_load_long_empty_data_rows(tmp_path):
     p = write(tmp_path / "p.csv", "year,entity,feature,value\n")
     with pytest.raises(PanelFormatError, match="no data rows"):
-        load_panel(p, "long")
+        load_panel(p)
 
 
 def test_load_long_duplicate_key_names_both_rows(tmp_path):
@@ -68,7 +68,7 @@ def test_load_long_duplicate_key_names_both_rows(tmp_path):
               "2000,A,f1,1.0\n"
               "2000,A,f1,2.0\n")
     with pytest.raises(PanelFormatError) as err:
-        load_panel(p, "long")
+        load_panel(p)
     assert ":3" in str(err.value) and "row 2" in str(err.value)
 
 
@@ -88,25 +88,25 @@ def test_errors_name_the_physical_line_the_record_starts_on(tmp_path, layout, te
     else:
         path, bad = tmp_path, write(tmp_path / "panel_2000.csv", text)
     with pytest.raises(PanelFormatError) as err:
-        load_panel(path, layout)
+        load_panel(path)
     assert str(err.value) == message.format(bad)
 
 
 def test_load_long_malformed_header(tmp_path):
     p = write(tmp_path / "p.csv", "year,entity,value\n2000,A,1\n")
     with pytest.raises(PanelFormatError, match="malformed header"):
-        load_panel(p, "long")
+        load_panel(p)
 
 
 def test_load_long_non_numeric_value_reports_location(tmp_path):
     p = write(tmp_path / "p.csv", "year,entity,feature,value\n2000,A,f1,abc\n")
     with pytest.raises(PanelFormatError, match=r"(?s)abc.*:2"):
-        load_panel(p, "long")
+        load_panel(p)
 
 
 def test_load_missing_file_is_oserror(tmp_path):
     with pytest.raises(OSError):
-        load_panel(tmp_path / "nope.csv", "long")
+        load_panel(tmp_path / "nope.csv")
 
 
 def test_long_and_wide_load_identically(tmp_path):
@@ -117,8 +117,8 @@ def test_long_and_wide_load_identically(tmp_path):
     wide_dir.mkdir()
     write(wide_dir / "panel_2000.csv", "entity,f1,f2\nA,1.0,2.0\nB,3.0,0.0\n")
     write(wide_dir / "panel_2001.csv", "entity,f1,f2\nA,5.0,6.0\nB,7.0,8.0\n")
-    a = load_panel(long_file, "long")
-    b = load_panel(wide_dir, "wide")
+    a = load_panel(long_file)
+    b = load_panel(wide_dir)
     assert a.years == b.years and a.entities == b.entities and a.features == b.features
     assert np.array_equal(a.values, b.values)
 
@@ -129,14 +129,14 @@ def test_wide_inconsistent_features_rejected(tmp_path):
     write(wide_dir / "panel_2000.csv", "entity,f1,f2\nA,1,2\n")
     write(wide_dir / "panel_2001.csv", "entity,f1,f3\nA,1,2\n")
     with pytest.raises(PanelFormatError, match="differ"):
-        load_panel(wide_dir, "wide")
+        load_panel(wide_dir)
 
 
 def test_wide_two_files_for_one_year_name_both(tmp_path):
     write(tmp_path / "panel_2000.csv", "entity,f\nA,1.0\n")
     write(tmp_path / "panel_02000.csv", "entity,f\nA,2.0\n")
     with pytest.raises(PanelFormatError) as err:
-        load_panel(tmp_path, "wide")
+        load_panel(tmp_path)
     assert str(err.value) == (f"{tmp_path / 'panel_2000.csv'}: year 2000 already named by "
                               f"{tmp_path / 'panel_02000.csv'}")
 
@@ -147,14 +147,14 @@ def test_wide_year_is_ascii_digits_and_the_whole_name(tmp_path, name):
     matches before a trailing newline: neither file is a panel_<year>.csv."""
     write(tmp_path / name, "entity,f\nA,1.0\n")
     write(tmp_path / "panel_2001.csv", "entity,f\nA,2.0\n")
-    assert load_panel(tmp_path, "wide").years == (2001,)
+    assert load_panel(tmp_path).years == (2001,)
 
 
 def test_load_deterministic(tmp_path):
     p = write(tmp_path / "p.csv", "year,entity,feature,value\n"
               "2000,A,f1,1.25\n2001,A,f1,2.5\n")
-    a = load_panel(p, "long")
-    b = load_panel(p, "long")
+    a = load_panel(p)
+    b = load_panel(p)
     assert a.years == b.years and np.array_equal(a.values, b.values)
 
 
@@ -163,7 +163,7 @@ def test_save_panel_long_roundtrip(tmp_path):
                         np.array([[[1.5], [0.0]], [[2.25], [3.125]]]))
     path = tmp_path / "out.csv"
     save_panel_long(panel, path)
-    back = load_panel(path, "long")
+    back = load_panel(path)
     assert back.years == panel.years
     assert np.array_equal(back.values, panel.values)
 
@@ -275,7 +275,7 @@ def test_names_with_inner_whitespace_round_trip(tmp_path):
     panel = EnergyPanel((2000, 2001), ("A B", "C\tD"), ("f 1",),
                         np.array([[[1.5], [0.0]], [[2.25], [3.125]]]))
     save_panel_long(panel, tmp_path / "p.csv")
-    back = load_panel(tmp_path / "p.csv", "long")
+    back = load_panel(tmp_path / "p.csv")
     assert (back.years, back.entities, back.features) == (
         panel.years, panel.entities, panel.features)
     assert np.array_equal(back.values, panel.values)
@@ -310,7 +310,7 @@ def panels(draw):
 def test_save_panel_long_load_panel_roundtrip(tmp_path_factory, panel):
     path = tmp_path_factory.mktemp("roundtrip") / "panel.csv"
     save_panel_long(panel, path)
-    back = load_panel(path, "long")
+    back = load_panel(path)
     assert (back.years, back.entities, back.features) == (
         panel.years, panel.entities, panel.features)
     assert np.array_equal(back.values, panel.values)
@@ -364,7 +364,7 @@ def test_block_parser_equals_row_loop(tmp_path_factory, file, block_rows):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataio, "BLOCK_ROWS", block_rows)
         mp.setattr(dataio, "_load_long_rows", lambda path: calls.append(path))
-        panel = load_panel(path, "long")
+        panel = load_panel(path)
     assert calls == []
     assert_same_panel(panel, expected)
 
@@ -381,7 +381,7 @@ def test_plain_long_file_is_split_without_csv_reader(tmp_path, monkeypatch):
     monkeypatch.setattr(dataio, "_load_long_rows", lambda path: calls.append("rows"))
     for chunk_bytes in (dataio.CHUNK_BYTES, 1000):
         monkeypatch.setattr(dataio, "CHUNK_BYTES", chunk_bytes)
-        back = load_panel(path, "long")
+        back = load_panel(path)
         assert calls == []
         assert_same_panel(back, panel)
 
@@ -408,7 +408,7 @@ def test_chunk_cuts_and_the_hand_over_to_csv_reader(tmp_path, monkeypatch, chunk
         expected = dataio._load_long_rows(path)
     except PanelFormatError as err:
         with pytest.raises(PanelFormatError) as got:
-            load_panel(path, "long")
+            load_panel(path)
         assert str(got.value) == str(err)
     else:
         panel = dataio._load_long_blocks(path)
@@ -427,7 +427,7 @@ def test_long_loader_peak_memory(tmp_path, shape, limit_mib):
     save_panel_long(panel, path)
     tracemalloc.start()
     try:
-        load_panel(path, "long")
+        load_panel(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -468,10 +468,10 @@ def test_malformed_long_csv_raises_only_panel_format_error(tmp_path_factory, row
         expected = dataio._load_long_rows(path)
     except PanelFormatError as err:
         with pytest.raises(PanelFormatError) as got:
-            load_panel(path, "long")
+            load_panel(path)
         assert str(got.value) == str(err)
     else:
-        assert_same_panel(load_panel(path, "long"), expected)
+        assert_same_panel(load_panel(path), expected)
 
 
 @given(rows=st.lists(st.lists(FIELDS, max_size=5), max_size=6),
@@ -487,7 +487,7 @@ def test_malformed_wide_csv_raises_only_panel_format_error(tmp_path_factory, row
     (root / "panel_2000.csv").write_bytes(data[:at] + junk + data[at:])
     write(root / "panel_2001.csv", "entity,f,g\nA,1.0,2.0\n")
     try:
-        load_panel(root, "wide")
+        load_panel(root)
     except PanelFormatError:
         pass
 
@@ -501,12 +501,12 @@ def test_bad_utf8_raises_panel_format_error_naming_the_file(tmp_path, layout):
         path, bad = tmp_path, tmp_path / "panel_2000.csv"
         bad.write_bytes(b"entity,f\nA\xe9,1.0\n")
     with pytest.raises(PanelFormatError, match=f"{bad}: not valid UTF-8"):
-        load_panel(path, layout)
+        load_panel(path)
 
 
 def test_wide_loader_keeps_first_seen_entity_order(tmp_path):
     write(tmp_path / "panel_2000.csv", "entity,f\nB,1.0\nA,2.0\n")
     write(tmp_path / "panel_2001.csv", "entity,f\nC,3.0\nA,4.0\nB,5.0\n")
-    panel = load_panel(tmp_path, "wide")
+    panel = load_panel(tmp_path)
     assert panel.entities == ("B", "A", "C")
     assert panel.values[:, :, 0].tolist() == [[1.0, 2.0, 0.0], [5.0, 4.0, 3.0]]

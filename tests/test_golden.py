@@ -5,8 +5,11 @@ shared-distance sweep landed, so this test shows that those changes kept
 every artifact byte. Later, only the penalty records of model_lasso.json,
 model_elastic_net.json and pipeline_report.json were regenerated, when
 they began to record the true weights (a lasso's lambda1 and an elastic
-net's total lambda had read 0.0). They hold for the numpy/BLAS build they were recorded
-with; on another build, a file whose digest differs is compared value by
+net's total lambda had read 0.0). pipeline_report.json was regenerated
+once more when the config lost its layout and anchor keys (the path and
+anchor_year now decide both): the file lost exactly the two lines
+"anchor": "train_mean" and "layout": "long". The digests hold for the
+numpy/BLAS build they were recorded with; on another build, a file whose digest differs is compared value by
 value against the committed copy in tests/golden/seed2024 at 1e-12, and
 the assertion names the file that differed.
 """
@@ -34,7 +37,7 @@ GOLDEN_SHA256 = {
     "path_lasso.csv": "b10b4df4f2fdfb5c70f23e6a73cc6a03b8e05536b8011656286e57f8986e6bbb",
     "path_elastic_net.csv": "56340e37eff00323b948734913745fb287d656b84260df4fa2e0553f876aaf07",
     "forecast.csv": "b9af46af482503c90b20d27046a305ad73ad99a414bd7f38edf8f3f312d84cc4",
-    "pipeline_report.json": "0e28678b7e0e8a33b5277274481a995e82440db49ccef3718321214376109ea1",
+    "pipeline_report.json": "4aa6ab8cec20ffd727af0c2afb3ba1f9cc429a7bda1374d03249e85ff8e23c62",
 }
 TOL = 1e-12
 

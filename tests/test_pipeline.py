@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import importlib.util
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 from clusterreg import clustering, pipeline, regression
 from clusterreg.clustering import NOISE, ClusterAssignment
-from clusterreg.dataio import EnergyPanel
+from clusterreg.dataio import EnergyPanel, save_panel_long
 from clusterreg.errors import ClusterRegError, ConfigError, PipelineStageError
 from clusterreg.pipeline import (
     ARTIFACT_FILES,
@@ -92,7 +93,7 @@ class TestProfiles:
         values = np.full((5, 1, 1), 2.0)
         panel = panel_from(values)
         assign = ClusterAssignment((0,), 1, (True,))
-        profile = profile_clusters(panel, assign, list(panel.years))[0]
+        profile = profile_clusters(aggregate_by_cluster(panel, assign)[0])[0]
         assert profile.total == 10.0
         assert profile.mean == 2.0
         assert profile.variance == 0.0
@@ -102,7 +103,7 @@ class TestProfiles:
         values = np.array([1.0, 2.0, 3.0, 4.0]).reshape(4, 1, 1)
         panel = panel_from(values)
         assign = ClusterAssignment((0,), 1, (True,))
-        profile = profile_clusters(panel, assign, list(panel.years))[0]
+        profile = profile_clusters(aggregate_by_cluster(panel, assign)[0])[0]
         assert profile.p25 == pytest.approx(1.75)
         assert profile.median == pytest.approx(2.5)
         assert profile.p75 == pytest.approx(3.25)
@@ -111,7 +112,7 @@ class TestProfiles:
         rng = np.random.default_rng(14)
         panel = panel_from(rng.random((6, 4, 3)))
         assign = ClusterAssignment((0, 1, 0, 1), 2, (True,) * 4)
-        for p in profile_clusters(panel, assign, list(panel.years)):
+        for p in profile_clusters(aggregate_by_cluster(panel, assign)[0]):
             assert p.minimum <= p.p25 <= p.median <= p.p75 <= p.maximum
             assert p.variance >= 0.0
 
@@ -120,15 +121,20 @@ class TestProfiles:
         values[3:, 0, 0] = [1.23, 4.0]
         panel = panel_from(values)
         assign = ClusterAssignment((0,), 1, (True,))
-        profile = profile_clusters(panel, assign, list(panel.years))[0]
+        profile = profile_clusters(aggregate_by_cluster(panel, assign)[0])[0]
         assert profile.minimum == 0.0 and profile.p25 == 0.0
 
     def test_window_subset(self):
         values = np.array([1.0, 2.0, 100.0]).reshape(3, 1, 1)
         panel = panel_from(values)
         assign = ClusterAssignment((0,), 1, (True,))
-        profile = profile_clusters(panel, assign, [2000, 2001])[0]
+        profile = profile_clusters(aggregate_by_cluster(panel, assign)[0][[0, 1]])[0]
         assert profile.total == 3.0 and profile.maximum == 2.0
+
+    def test_overflowing_statistic_rejected_naming_cluster_and_statistic(self):
+        totals = np.array([[1.0, 1e160], [2.0, -1e160], [3.0, 1e160]])
+        with pytest.raises(ClusterRegError, match="cluster 1 profile: variance is inf"):
+            profile_clusters(totals)
 
 
 class TestForecastSummary:
@@ -162,11 +168,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="after"):
             cfg.validate()
 
-    def test_anchor_year_required(self):
-        cfg = PipelineConfig(train_years=[2000], test_years=[2001], anchor="year")
-        with pytest.raises(ConfigError, match="anchor_year"):
-            cfg.validate()
-
     def test_solver_settings_checked(self):
         for bad, named in ((dict(tol=float("nan")), "tol"), (dict(tol=float("inf")), "tol"),
                            (dict(tol=0.0), "tol"), (dict(max_iter=0), "max_iter")):
@@ -190,11 +191,9 @@ class TestConfig:
         text = """
 [data]
 path = panel.csv
-layout = long
 
 [preprocess]
 log_epsilon = 1e-5
-anchor = year
 anchor_year = 2003
 
 [cluster]
@@ -216,9 +215,8 @@ test_years = 2010-2012
         path = tmp_path / "cfg.ini"
         path.write_text(text)
         cfg = PipelineConfig.from_file(path)
-        assert cfg.layout == "long"
         assert cfg.log_epsilon == 1e-5
-        assert cfg.anchor == "year" and cfg.anchor_year == 2003
+        assert cfg.anchor_year == 2003
         assert cfg.eps_grid == pytest.approx([0.1, 0.2, 0.3])
         assert cfg.minpts_grid == [1, 2]
         assert cfg.enet_alpha == 0.4
@@ -269,6 +267,71 @@ class TestRunPipeline:
         cfg = dataclasses.replace(config, out_dir=str(out))
         run_pipeline(cfg)
         assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACT_FILES)
+
+    def test_long_file_and_wide_directory_give_the_same_run(self, synthetic_case, tmp_path):
+        """The path alone picks the layout: the same panel as one long CSV and
+        as a directory of panel_<year>.csv files gives the same artifacts,
+        but for the data path the report records."""
+        panel, _, path, config = synthetic_case
+        wide = tmp_path / "wide"
+        wide.mkdir()
+        for yi, year in enumerate(panel.years):
+            rows = [",".join([e, *map(repr, panel.values[yi, ei].tolist())])
+                    for ei, e in enumerate(panel.entities)]
+            (wide / f"panel_{year}.csv").write_text(
+                "\n".join([",".join(["entity", *panel.features]), *rows]) + "\n")
+        runs = {}
+        out = tmp_path / "out"
+        for name, data_path in (("long", path), ("wide", wide)):
+            run_pipeline(dataclasses.replace(config, data_path=str(data_path),
+                                             out_dir=str(out)))
+            runs[name] = {f: (out / f).read_bytes() for f in ARTIFACT_FILES}
+        reports = [json.loads(runs[name].pop("pipeline_report.json")) for name in runs]
+        assert runs["long"] == runs["wide"]
+        assert [r["config"].pop("data_path") for r in reports] == [str(path), str(wide)]
+        assert reports[0] == reports[1]
+
+    def test_anchor_year_alone_clusters_on_that_years_profile(self, tmp_path):
+        """A set anchor_year is the clustering window; nothing else says so."""
+        from clusterreg.pipeline import cluster_matrix, load_clean, prepare_inputs
+        from clusterreg.preprocess import entity_profile, minmax_normalize_rows
+        from clusterreg.synth import generate_synthetic
+
+        panel, _ = generate_synthetic(seed=2024)
+        values = panel.values.copy()
+        year = panel.year_index(2003)
+        values[year, 0, values[year, 0].argmax()] *= 50
+        panel = EnergyPanel(panel.years, panel.entities, panel.features, values)
+        save_panel_long(panel, tmp_path / "panel.csv")
+        (tmp_path / "cfg.ini").write_text(
+            f"[data]\npath = {tmp_path / 'panel.csv'}\n[preprocess]\nanchor_year = 2003\n"
+            f"[forecast]\ntrain_years = 2000-2014\ntest_years = 2015-2019\n")
+        cfg = PipelineConfig.from_file(tmp_path / "cfg.ini")
+        cleaned = load_clean(cfg)[0]
+        anchored = minmax_normalize_rows(entity_profile(cleaned, [2003]))
+        train_mean = minmax_normalize_rows(entity_profile(cleaned, cfg.train_years))
+        assert not np.array_equal(anchored.values, train_mean.values)
+        assert np.array_equal(cluster_matrix(cfg, cleaned).values, anchored.values)
+        swept = clustering.sweep_params(anchored, cfg.eps_grid, cfg.minpts_grid)
+        assert clustering.quality_rows(prepare_inputs(cfg).sweep) == clustering.quality_rows(swept)
+
+    def test_profiles_summarise_the_training_rows_of_the_aggregates(self, synthetic_report):
+        report = synthetic_report
+        assert report.profiles == profile_clusters(report.regressors[report.train_idx])
+        assert len(report.profiles) == report.regressors.shape[1]
+
+    def test_overflowing_profile_fails_the_run_at_stage_profiles(self, synthetic_case,
+                                                                  tmp_path):
+        """The profiles are derived, but a run that writes nothing still
+        checks them: the sample variance of yearly totals near 1e160
+        overflows."""
+        panel, _, _, config = synthetic_case
+        path = tmp_path / "huge.csv"
+        save_panel_long(EnergyPanel(panel.years, panel.entities, panel.features,
+                                    panel.values * 1e160), path)
+        with pytest.raises(PipelineStageError, match="variance is inf") as err:
+            run_pipeline(dataclasses.replace(config, data_path=str(path)))
+        assert err.value.stage == "profiles"
 
     def test_config_error_stage_tagged(self, synthetic_case):
         panel, truth, path, config = synthetic_case
@@ -450,11 +513,9 @@ def test_failed_json_write_leaves_none_of_the_call_files(tmp_path, monkeypatch):
 EVERY_KEY = """
 [data]
 path = data/panel
-layout = wide
 
 [preprocess]
 log_epsilon = 1e-4
-anchor = year
 anchor_year = 2001
 
 [cluster]
@@ -505,8 +566,8 @@ class TestDerivedRecord:
         eps = report.config.log_epsilon
         assert [f.name for f in dataclasses.fields(pipeline.PreparedInputs)] == [
             "config", "dropped_features", "dropped_entities", "sweep", "entities", "years",
-            "profiles", "regressors"]
-        assert len(dataclasses.fields(report)) == 11
+            "regressors"]
+        assert len(dataclasses.fields(report)) == 10
         promoted = promote_noise(report.assignment)
         assert np.array_equal(report.promoted.labels, promoted.labels)
         assert report.promoted.num_clusters == promoted.num_clusters
@@ -550,12 +611,22 @@ class TestDerivedRecord:
 
 
 class TestConfigKeys:
+    def test_the_inputs_decide_layout_and_anchor(self):
+        import inspect
+
+        from clusterreg.dataio import load_panel
+
+        assert len(dataclasses.fields(PipelineConfig)) == 16
+        assert len(pipeline._CONFIG_KEYS) == 15
+        assert {"layout", "anchor"}.isdisjoint(f.name for f in dataclasses.fields(PipelineConfig))
+        assert list(inspect.signature(load_panel).parameters) == ["path"]
+
     def test_every_key(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text(EVERY_KEY)
         assert PipelineConfig.from_file(path) == PipelineConfig(
-            data_path="data/panel", layout="wide", train_years=[2000, 2001, 2002, 2003, 2004],
-            test_years=[2005, 2006], anchor="year", anchor_year=2001, log_epsilon=1e-4,
+            data_path="data/panel", train_years=[2000, 2001, 2002, 2003, 2004],
+            test_years=[2005, 2006], anchor_year=2001, log_epsilon=1e-4,
             eps_grid=[0.1, 0.2], minpts_grid=[1, 2, 3], ridge_lambdas=parse_grid("0.0:0.2:0.1"),
             lasso_lambdas=parse_grid("logspace:-3:0:4"), enet_lambdas=[0.5], enet_alpha=0.25,
             cv_folds=4, tol=1e-9, max_iter=500, standardize=True)
@@ -583,8 +654,9 @@ def test_work_of_one_default_run_on_seed_2024(synthetic_case, tmp_path, monkeypa
     them: every fit enters through fit_penalized (per kind, 5 folds x grid
     + 1 refit + the path: 5*51+1+51 and 5*28+1+28), every sweep grid point
     through dbscan (40 eps x 5 min_pts), and the centered moments are
-    computed once per fold design and once for the full design (5*3+1). A
-    change that routes grid points around an entry point, or changes what
+    computed once per fold design and once for the full design (5*3+1).
+    The panel is aggregated once: the cluster profiles summarise those
+    totals rather than aggregating again. A change that routes grid points around an entry point, or changes what
     the benchmark's exact counters record, fails here."""
     calls = Counter()
 
@@ -600,10 +672,11 @@ def test_work_of_one_default_run_on_seed_2024(synthetic_case, tmp_path, monkeypa
     spy(regression, "fit_penalized", lambda d, spec, *rest: spec.kind)
     spy(clustering, "dbscan", lambda *args: "dbscan")
     spy(regression, "_compute_moments", lambda *args: "moments")
+    spy(pipeline, "aggregate_by_cluster", lambda *args: "aggregate")
     _, _, _, config = synthetic_case
     pipeline.run_pipeline(dataclasses.replace(config, out_dir=str(tmp_path / "out")))
     assert calls == {"ridge": 307, "lasso": 169, "elastic_net": 169, "dbscan": 200,
-                     "moments": 16}
+                     "moments": 16, "aggregate": 1}
 
 
 def test_every_benchmark_span_fires(synthetic_case, tmp_path):

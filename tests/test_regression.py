@@ -597,6 +597,40 @@ class TestActiveSetSearch:
         assert regression._feature_sign_search(xc.T @ xc, xc.T @ yc, lam, beta,
                                                _kkt_bound(d)) is None
 
+    def test_search_gives_up_on_a_repeated_pattern_and_cd_takes_over(self, monkeypatch):
+        """A near-copied column (a 1e-9 perturbation) on a warm lasso path:
+        from the third weight down, each search cycles back to a sign pattern
+        it has seen (a line trace shows that exit, and no other, for all 26)
+        and coordinate descent finishes the fit. No pattern solve is
+        singular, and no search runs its 2p steps."""
+        rng = np.random.default_rng(1)
+        n, p = rng.integers(6, 16), rng.integers(3, 9)
+        x = rng.normal(size=(n, p))
+        x[:, 1] = x[:, 0] + 1e-9 * rng.normal(size=n)
+        y = x @ rng.normal(size=p) + 0.1 * rng.normal(size=n)
+        d = DesignMatrix(x, y, tuple(f"c{j}" for j in range(p)))
+        assert (n, p) == (10, 6)
+        grid = sorted((lasso_lambda_max(d) * np.logspace(0, -6, 28)).tolist())
+        solves = _solves(monkeypatch)
+        searches: list[tuple[bool, int]] = []
+        search = regression._feature_sign_search
+
+        def recorded(*args):
+            before = len(solves)
+            beta = search(*args)
+            searches.append((beta is None, len(solves) - before))
+            return beta
+
+        monkeypatch.setattr(regression, "_feature_sign_search", recorded)
+        sweeps = _sweeps(monkeypatch)
+        models = [m for _, m in regression._warm_descent(d, "lasso", grid, 0.5)]
+        assert [gave_up for gave_up, _ in searches] == [False] * 2 + [True] * 26
+        assert all(0 < count < 2 * p for _, count in searches)
+        assert all(b is not None for _, _, b in solves)
+        assert len(sweeps) == 26
+        for m in models:
+            assert m.converged and kkt_check(m, d) <= _kkt_bound(d)
+
     @given(data=st.data(), n=st.integers(3, 8), p=st.integers(1, 5),
            lam_share=st.floats(0.001, 1.2), alpha=st.sampled_from([1.0, 0.5, 0.1]))
     @settings(max_examples=150, deadline=None)
@@ -706,6 +740,14 @@ class TestMetrics:
     def test_length_mismatch(self):
         with pytest.raises(RegressionError):
             compute_mse([1.0], [1.0, 2.0])
+
+    def test_empty_mse_raises_before_numpy_warns(self):
+        with pytest.raises(RegressionError, match="empty"):
+            compute_mse([], [])
+
+    def test_empty_r2_raises_before_numpy_warns(self):
+        with pytest.raises(RegressionError, match="empty"):
+            compute_r2([], [])
 
     @given(data=st.data(), n=st.integers(1, 300), scale=st.sampled_from([1e-150, 1.0, 1e150]))
     @settings(max_examples=300, deadline=None)
