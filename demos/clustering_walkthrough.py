@@ -39,17 +39,15 @@ print("\nwith eps=0.05:", sparse.labels, "->", sparse.num_clusters, "clusters")
 # Quality scores for the good clustering. Silhouette contrasts cohesion
 # with separation per point; SSE totals the squared centroid distances.
 sil = silhouette(points, assignment)
-quality = sse(points, assignment, sc=sil.mean_sc)
-print("\nper-point silhouette:", np.round(sil.per_point, 4))
-print("mean silhouette:", round(sil.mean_sc, 4))
-print("within-cluster SSE:", round(quality.sse, 4))
-print("centroids:", quality.centroids.ravel())
+print("\nper-point silhouette:", np.round(sil, 4))
+print("mean silhouette:", round(float(np.mean(sil)), 4))
+print("within-cluster SSE:", round(sse(points, assignment), 4))
 
 # The sweep tries every (eps, min_pts) pair, drops degenerate results, and
 # ranks the rest by silhouette (ties: lower SSE, then fewer clusters).
 ranked = sweep_params(points, eps_grid=[0.05, 0.3, 0.6, 2.0, 6.0], minpts_grid=[1, 2, 3])
 print("\nsweep ranking (best first):")
-for params, q, _ in ranked[:5]:
+for params, q, a in ranked[:5]:
     print(f"  eps={params.eps:<4} min_pts={params.min_pts}  "
-          f"c={q.c}  sc={q.sc:.4f}  sse={q.sse:.4f}")
+          f"c={a.num_clusters}  sc={q.sc:.4f}  sse={q.sse:.4f}")
 print("selected:", ranked[0][0])

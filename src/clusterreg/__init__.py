@@ -12,7 +12,6 @@ from .clustering import (
     ClusteringQuality,
     NeighborhoodParams,
     ReachabilityTree,
-    SilhouetteReport,
     dbscan,
     promote_noise,
     reachability_tree,

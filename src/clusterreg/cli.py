@@ -57,7 +57,7 @@ def cmd_cluster(args) -> int:
     write_files(args.out, clustering_tables(prep), {})
     q = prep.quality
     print(f"eps={prep.params.eps:g} min_pts={prep.params.min_pts} "
-          f"c={q.c} sc={q.sc:.6f} sse={q.sse:.6f}")
+          f"c={prep.assignment.num_clusters} sc={q.sc:.6f} sse={q.sse:.6f}")
     return 0
 
 
@@ -82,7 +82,7 @@ def cmd_pipeline(args) -> int:
     report = run_pipeline(cfg)
     q = report.quality
     print(f"clustering eps={report.params.eps:g} min_pts={report.params.min_pts} "
-          f"c={q.c} sc={q.sc:.6f} sse={q.sse:.6f}")
+          f"c={report.assignment.num_clusters} sc={q.sc:.6f} sse={q.sse:.6f}")
     for kind in regression.PENALTY_KINDS:
         print(_metrics_line(report.models[kind].penalty, report.reports[kind]))
     print(f"forecast mean_error={report.mean_error:.6f} variance={report.variance:.6f}")

@@ -92,32 +92,13 @@ class ClusterAssignment:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class SilhouetteReport:
-    """Per-point silhouette values over the scored points."""
+class ClusteringQuality(NamedTuple):
+    """Summary quality of one clustering: the mean silhouette and the
+    within-cluster SSE. (A NamedTuple: cheaper to define at import than a
+    frozen dataclass.)"""
 
-    per_point: tuple[float, ...]
-
-    @property
-    def mean_sc(self) -> float:
-        return float(np.mean(self.per_point))
-
-
-@dataclass(frozen=True)
-class ClusteringQuality:
-    """Summary quality of one clustering: silhouette mean, SSE, centroids."""
-
-    sc: float | None
+    sc: float
     sse: float
-    centroids: np.ndarray  # shape (c, n_features)
-
-    def __post_init__(self):
-        object.__setattr__(self, "centroids", np.asarray(self.centroids, dtype=float))
-
-    @property
-    def c(self) -> int:
-        """The cluster count: one centroid per cluster."""
-        return len(self.centroids)
 
 
 def _distances(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -160,12 +141,14 @@ def _check_dist(points: FeatureMatrix, dist: np.ndarray | None) -> np.ndarray:
 
 class ReachabilityTree(NamedTuple):
     """Prim minimum spanning tree of the mutual reachability distances for
-    one min_pts: each point's core distance, its parent in the tree and the
-    weight of the edge to that parent. A root is its own parent with weight
-    inf; a point that no finite edge reaches starts a new root. (A
-    NamedTuple: cheaper to define at import than a frozen dataclass.)"""
+    one min_pts: the distance matrix it was built from, each point's core
+    distance, its parent in the tree and the weight of the edge to that
+    parent. A root is its own parent with weight inf; a point that no finite
+    edge reaches starts a new root. (A NamedTuple: cheaper to define at
+    import than a frozen dataclass.)"""
 
     min_pts: int
+    dist: np.ndarray  # shape (n, n)
     core_dist: np.ndarray  # shape (n,)
     parent: np.ndarray  # shape (n,)
     weight: np.ndarray  # shape (n,)
@@ -212,13 +195,12 @@ def reachability_tree(
         np.less(row, best, out=closer)
         np.minimum(best, row, out=best)
         near[closer] = v
-    return ReachabilityTree(min_pts, core_dist, parent, weight)
+    return ReachabilityTree(min_pts, dist, core_dist, parent, weight)
 
 
 def dbscan(
     points: FeatureMatrix,
     params: NeighborhoodParams,
-    dist: np.ndarray | None = None,
     tree: ReachabilityTree | None = None,
 ) -> ClusterAssignment:
     """Density clustering of the matrix rows.
@@ -227,9 +209,9 @@ def dbscan(
     min_pts points; clusters are maximal density-connected sets; non-core
     points within eps of a core point join that core's cluster; the rest
     are NOISE. Empty input yields the vacuous assignment (0 clusters).
-    `dist` is the pairwise distance matrix of the rows and `tree` their
-    reachability tree for params.min_pts (as sweep_params shares them
-    across the grid), each built here when omitted.
+    `tree` is the rows' reachability tree for params.min_pts (as
+    sweep_params shares it across the grid), built here when omitted; the
+    border distances are read from the matrix it was built from.
 
     The core points are the core distances <= eps, and the tree edges of
     weight <= eps, resolved by pointer jumping, join them into components.
@@ -239,9 +221,8 @@ def dbscan(
     n = len(points.entities)
     if n == 0:
         return ClusterAssignment((), 0, ())
-    dist = _check_dist(points, dist)
     if tree is None:
-        tree = reachability_tree(points, params.min_pts, dist)
+        tree = reachability_tree(points, params.min_pts)
     elif tree.min_pts != params.min_pts:
         raise ClusteringError(f"tree built for min_pts {tree.min_pts}, not {params.min_pts}")
     elif tree.parent.shape != (n,):
@@ -264,7 +245,7 @@ def dbscan(
     rest = (~core).nonzero()[0]
     if cores.size and rest.size:
         by_id = cores[labels[cores].argsort(kind="stable")]
-        near = dist[rest[:, None], by_id] <= eps
+        near = tree.dist[rest[:, None], by_id] <= eps
         border = near.any(axis=1)
         labels[rest[border]] = labels[by_id[near[border].argmax(axis=1)]]
     return ClusterAssignment(labels, len(roots), core)
@@ -274,8 +255,9 @@ def silhouette(
     points: FeatureMatrix,
     assignment: ClusterAssignment,
     dist: np.ndarray | None = None,
-) -> SilhouetteReport:
-    """Silhouette values s_i = (b_i - a_i) / max(a_i, b_i) over non-noise points.
+) -> np.ndarray:
+    """Silhouette values s_i = (b_i - a_i) / max(a_i, b_i) of the non-noise
+    points, in index order.
 
     a_i is the mean distance to the other members of the point's cluster,
     b_i the smallest mean distance to any other cluster. Singleton-cluster
@@ -304,25 +286,22 @@ def silhouette(
     live = (counts[own] > 1) & (denom > 0)
     s = np.zeros(len(scored))
     s[live] = (b - a)[live] / denom[live]
-    return SilhouetteReport(per_point=tuple(s.tolist()))
+    return s
 
 
-def sse(points: FeatureMatrix, assignment: ClusterAssignment, sc: float | None = None) -> ClusteringQuality:
-    """Within-cluster sum of squared distances to centroids.
+def sse(points: FeatureMatrix, assignment: ClusterAssignment) -> float:
+    """Within-cluster sum of squared distances to the centroids.
 
     Centroid of a cluster is the mean of its member rows; noise points
-    contribute 0. The optional sc value is carried into the quality record
-    (silhouette is computed separately)."""
+    contribute 0."""
     if assignment.num_clusters < 1:
         raise ClusteringError("sse requires at least 1 cluster")
     labels = np.asarray(assignment.labels)
-    centroids = np.zeros((assignment.num_clusters, points.values.shape[1]))
     total = 0.0
     for cid in range(assignment.num_clusters):
         members = points.values[labels == cid]
-        centroids[cid] = members.mean(axis=0)
-        total += float(((members - centroids[cid]) ** 2).sum())
-    return ClusteringQuality(sc=sc, sse=total, centroids=centroids)
+        total += float(((members - members.mean(axis=0)) ** 2).sum())
+    return total
 
 
 def sweep_params(
@@ -353,21 +332,21 @@ def sweep_params(
             params = NeighborhoodParams(float(eps), min_pts)
             if params.min_pts not in trees:
                 trees[params.min_pts] = reachability_tree(points, params.min_pts, dist)
-            assignment = dbscan(points, params, dist, trees[params.min_pts])
+            assignment = dbscan(points, params, trees[params.min_pts])
             if assignment.num_clusters < 2:
                 continue
             key = (assignment.labels, assignment.core_flags)
             if key not in record_of:
                 quality = quality_of.get(assignment.labels)
                 if quality is None:
-                    sil = silhouette(points, assignment, dist)
-                    quality = sse(points, assignment, sc=sil.mean_sc)
+                    sc = float(np.mean(silhouette(points, assignment, dist)))
+                    quality = ClusteringQuality(sc, sse(points, assignment))
                     quality_of[assignment.labels] = quality
                 record_of[key] = (quality, assignment)
             results.append((params, *record_of[key]))
     if not results:
         raise ClusteringError("no admissible clustering")
-    results.sort(key=lambda r: (-r[1].sc, r[1].sse, r[1].c, r[0].eps, r[0].min_pts))
+    results.sort(key=lambda r: (-r[1].sc, r[1].sse, r[2].num_clusters, r[0].eps, r[0].min_pts))
     return results
 
 
@@ -401,6 +380,6 @@ def quality_rows(
 ) -> list[list]:
     """Rows for the `eps,min_pts,c,sc,sse` CSV export."""
     return [
-        [params.eps, params.min_pts, quality.c, quality.sc, quality.sse]
-        for params, quality, _ in ranked
+        [params.eps, params.min_pts, assignment.num_clusters, quality.sc, quality.sse]
+        for params, quality, assignment in ranked
     ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import errno
 import math
+import operator
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
@@ -143,8 +144,13 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be non-empty")
         if not 0.0 <= self.enet_alpha <= 1.0:
             raise ConfigError("enet_alpha must be in [0, 1]")
-        if self.log_epsilon <= 0:
-            raise ConfigError("log_epsilon must be > 0")
+        if not 0.0 < self.log_epsilon < math.inf:
+            raise ConfigError("log_epsilon must be finite and > 0")
+        for name in ("cv_folds", "max_iter"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.cv_folds < 2:
             raise ConfigError("cv_folds must be >= 2")
         if not 0.0 < self.tol < math.inf:

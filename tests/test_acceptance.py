@@ -158,8 +158,8 @@ def test_criterion_5_dbscan_oracle():
 def test_criterion_6a_duplicated_clusters_silhouette_one():
     m = FeatureMatrix(("a", "b", "c", "d"), ("x", "y"),
                       np.array([[0.0, 0.0], [0.0, 0.0], [7.0, 7.0], [7.0, 7.0]]))
-    rep = silhouette(m, ClusterAssignment((0, 0, 1, 1), 2, (True,) * 4))
-    ok = rep.mean_sc == 1.0 and rep.per_point == (1.0, 1.0, 1.0, 1.0)
+    s = silhouette(m, ClusterAssignment((0, 0, 1, 1), 2, (True,) * 4))
+    ok = np.mean(s) == 1.0 and s.tolist() == [1.0, 1.0, 1.0, 1.0]
     line("6a", ok, "duplicated-cluster silhouette is exactly 1")
     assert ok
 
@@ -175,20 +175,20 @@ def test_criterion_6a_duplicated_clusters_silhouette_one():
 def test_criterion_6b_four_point_silhouette_as_stated():
     m = FeatureMatrix(("a", "b", "c", "d"), ("x",),
                       np.array([[0.0], [1.0], [10.0], [11.0]]))
-    rep = silhouette(m, ClusterAssignment((0, 0, 1, 1), 2, (True,) * 4))
+    sc = float(np.mean(silhouette(m, ClusterAssignment((0, 0, 1, 1), 2, (True,) * 4))))
     hand = silhouette_by_hand([[0.0], [1.0], [10.0], [11.0]], [0, 0, 1, 1])[1]
-    assert abs(rep.mean_sc - hand) < 1e-12  # implementation matches the formula
-    ok = abs(rep.mean_sc - 0.904762) <= 1e-6
-    line("6b", ok, f"four-point mean silhouette {rep.mean_sc:.6f} vs stated 0.904762±1e-6")
+    assert abs(sc - hand) < 1e-12  # implementation matches the formula
+    ok = abs(sc - 0.904762) <= 1e-6
+    line("6b", ok, f"four-point mean silhouette {sc:.6f} vs stated 0.904762±1e-6")
     assert ok
 
 
 def test_criterion_6c_two_point_sse():
     m = FeatureMatrix(("a", "b"), ("x", "y"), np.array([[0.0, 0.0], [2.0, 0.0]]))
-    q = sse(m, ClusterAssignment((0, 0), 1, (True, True)))
-    ok = q.sse == 2.0
-    line("6c", ok, f"two-point cluster SSE = {q.sse} (exactly 2)")
-    assert q.sse == 2.0
+    total = sse(m, ClusterAssignment((0, 0), 1, (True, True)))
+    ok = total == 2.0
+    line("6c", ok, f"two-point cluster SSE = {total} (exactly 2)")
+    assert total == 2.0
 
 
 def test_criterion_7_forecast_summary_fixture():
@@ -280,7 +280,7 @@ def sichuan():
 @needs_dataset
 def test_criterion_10_clustering_matches_published(sichuan):
     _, prep = sichuan
-    c = prep.quality.c
+    c = prep.assignment.num_clusters
     sc = prep.quality.sc
     sse_val = prep.quality.sse
     ok = c == 16 and abs(sc - 0.6) <= 0.05 and abs(sse_val - 5.0) <= 1.0

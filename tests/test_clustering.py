@@ -12,6 +12,7 @@ from clusterreg.clustering import (
     DISTANCE_BLOCK,
     NOISE,
     ClusterAssignment,
+    ClusteringQuality,
     NeighborhoodParams,
     assignment_rows,
     dbscan,
@@ -234,7 +235,7 @@ class TestDbscanTreeLabelling:
             tree = reachability_tree(m, min_pts, dist)
             for eps in np.unique(dist)[::7]:
                 counted = (dist <= eps).sum(axis=1) >= min_pts
-                out = dbscan(m, NeighborhoodParams(float(eps), min_pts), dist, tree)
+                out = dbscan(m, NeighborhoodParams(float(eps), min_pts), tree)
                 assert out.core_flags == tuple(counted.tolist())
 
     def test_points_no_finite_distance_reaches_start_new_roots(self):
@@ -262,10 +263,29 @@ class TestDbscanTreeLabelling:
     def test_given_distance_matrix_is_used_and_checked(self, blob6):
         far = np.full((6, 6), 100.0)
         np.fill_diagonal(far, 0.0)
-        out = dbscan(blob6, NeighborhoodParams(0.6, 2), far)
+        out = dbscan(blob6, NeighborhoodParams(0.6, 2), reachability_tree(blob6, 2, far))
         assert out.num_clusters == 0
         with pytest.raises(ClusteringError, match="shape"):
-            dbscan(blob6, NeighborhoodParams(0.6, 2), far[:5, :5])
+            reachability_tree(blob6, 2, far[:5, :5])
+
+
+def test_result_records_state_each_fact_once(blob6):
+    """A quality is its two scores (the cluster count is the assignment's),
+    the silhouette is its per-point array, and a tree carries the distance
+    matrix it was built from, so dbscan takes no second matrix."""
+    import inspect
+
+    import clusterreg
+
+    assert ClusteringQuality._fields == ("sc", "sse")
+    assert not hasattr(clusterreg, "SilhouetteReport")
+    assert list(inspect.signature(dbscan).parameters) == ["points", "params", "tree"]
+    assert list(inspect.signature(sse).parameters) == ["points", "assignment"]
+    dist = clustering._distances(blob6.values, blob6.values)
+    assert reachability_tree(blob6, 2, dist).dist is dist
+    a = dbscan(blob6, NeighborhoodParams(0.6, 2))
+    assert isinstance(silhouette(blob6, a), np.ndarray)
+    assert type(sse(blob6, a)) is float
 
 
 def naive_sweep(points, eps_grid, minpts_grid):
@@ -278,14 +298,14 @@ def naive_sweep(points, eps_grid, minpts_grid):
             assignment = dbscan(points, params)
             if assignment.num_clusters < 2:
                 continue
-            quality = sse(points, assignment, sc=silhouette(points, assignment).mean_sc)
-            results.append((params, quality, assignment))
-    results.sort(key=lambda r: (-r[1].sc, r[1].sse, r[1].c, r[0].eps, r[0].min_pts))
+            sc = float(np.mean(silhouette(points, assignment)))
+            results.append((params, ClusteringQuality(sc, sse(points, assignment)), assignment))
+    results.sort(key=lambda r: (-r[1].sc, r[1].sse, r[2].num_clusters, r[0].eps, r[0].min_pts))
     return results
 
 
 def sweep_summary(results):
-    return [(p.eps, p.min_pts, q.c, q.sc, q.sse, a.labels, a.core_flags)
+    return [(p.eps, p.min_pts, a.num_clusters, q.sc, q.sse, a.labels, a.core_flags)
             for p, q, a in results]
 
 
@@ -344,21 +364,21 @@ class TestSilhouette:
     def test_duplicated_clusters_score_one(self):
         m = matrix([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0], [5.0, 5.0]])
         a = ClusterAssignment((0, 0, 1, 1), 2, (True,) * 4)
-        rep = silhouette(m, a)
-        assert rep.per_point == (1.0, 1.0, 1.0, 1.0)
-        assert rep.mean_sc == 1.0
+        s = silhouette(m, a)
+        assert s.tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert np.mean(s) == 1.0
 
     def test_four_point_example_matches_hand_oracle(self):
         pts = [[0.0], [1.0], [10.0], [11.0]]
         labels = [0, 0, 1, 1]
         per_point, mean = silhouette_by_hand(pts, labels)
-        rep = silhouette(matrix([0.0, 1.0, 10.0, 11.0]),
-                         ClusterAssignment(tuple(labels), 2, (True,) * 4))
-        assert rep.per_point == pytest.approx(per_point, abs=1e-12)
-        assert rep.mean_sc == pytest.approx(mean, abs=1e-12)
+        s = silhouette(matrix([0.0, 1.0, 10.0, 11.0]),
+                       ClusterAssignment(tuple(labels), 2, (True,) * 4))
+        assert s.tolist() == pytest.approx(per_point, abs=1e-12)
+        assert np.mean(s) == pytest.approx(mean, abs=1e-12)
         # outer points match the (10.5-1)/10.5 evaluation; inner ones use b=9.5
-        assert rep.per_point[0] == pytest.approx(9.5 / 10.5, abs=1e-9)
-        assert rep.per_point[1] == pytest.approx(8.5 / 9.5, abs=1e-9)
+        assert s[0] == pytest.approx(9.5 / 10.5, abs=1e-9)
+        assert s[1] == pytest.approx(8.5 / 9.5, abs=1e-9)
         assert mean == pytest.approx(0.8997493734335839, abs=1e-12)
 
     def test_single_cluster_rejected(self):
@@ -370,10 +390,10 @@ class TestSilhouette:
     def test_noise_excluded_and_singletons_zero(self):
         m = matrix([0.0, 0.1, 5.0, 9.0])
         a = ClusterAssignment((0, 0, 1, NOISE), 2, (True, True, True, False))
-        rep = silhouette(m, a)
-        assert len(rep.per_point) == 3
-        assert rep.per_point[2] == 0.0  # singleton cluster
-        assert all(-1.0 <= s <= 1.0 for s in rep.per_point)
+        s = silhouette(m, a)
+        assert isinstance(s, np.ndarray) and s.shape == (3,)
+        assert s[2] == 0.0  # singleton cluster
+        assert all(-1.0 <= v <= 1.0 for v in s)
 
     def test_random_inputs_bounded_and_match_oracle(self):
         rng = np.random.default_rng(21)
@@ -384,11 +404,11 @@ class TestSilhouette:
             labels[:3] = [0, 1, 2]  # every id used
             m = matrix(pts.tolist())
             a = ClusterAssignment(tuple(int(v) for v in labels), 3, (True,) * n)
-            rep = silhouette(m, a)
+            s = silhouette(m, a)
             hand_per, hand_mean = silhouette_by_hand(pts, labels)
-            assert rep.per_point == pytest.approx(hand_per, abs=1e-12)
-            assert rep.mean_sc == pytest.approx(hand_mean, abs=1e-12)
-            assert -1.0 <= rep.mean_sc <= 1.0
+            assert s.tolist() == pytest.approx(hand_per, abs=1e-12)
+            assert np.mean(s) == pytest.approx(hand_mean, abs=1e-12)
+            assert -1.0 <= np.mean(s) <= 1.0
 
     def test_equals_per_point_loop_with_noise_and_singletons(self):
         rng = np.random.default_rng(33)
@@ -399,33 +419,31 @@ class TestSilhouette:
             labels = rng.integers(NOISE, k - 1, size=n)
             labels[rng.permutation(n)[:k]] = np.arange(k)  # id k-1 is a singleton
             a = ClusterAssignment(tuple(labels.tolist()), k, (True,) * n)
-            rep = silhouette(matrix(v.tolist()), a, dist)
+            s = silhouette(matrix(v.tolist()), a, dist)
             per_point, mean = silhouette_loop(dist, labels)
-            assert rep.per_point == tuple(per_point)
-            assert rep.mean_sc == mean
+            assert s.tolist() == list(per_point)
+            assert np.mean(s) == mean
 
 
 class TestSse:
     def test_singletons_have_zero_sse(self):
         m = matrix([0.0, 3.0, 9.0])
         a = ClusterAssignment((0, 1, 2), 3, (True,) * 3)
-        assert sse(m, a).sse == 0.0
+        assert sse(m, a) == 0.0
 
     def test_two_point_cluster(self):
         m = matrix([[0.0, 0.0], [2.0, 0.0]])
         a = ClusterAssignment((0, 0), 1, (True, True))
-        q = sse(m, a)
-        assert q.sse == 2.0
-        assert np.allclose(q.centroids, [[1.0, 0.0]])
+        assert sse(m, a) == 2.0
 
     def test_noise_contributes_zero(self):
         m = matrix([0.0, 0.2, 50.0, 0.4, 100.0])
         labels = (0, 0, NOISE, 0, 1)
         a = ClusterAssignment(labels, 2, (True, True, False, True, True))
-        with_noise = sse(m, a).sse
+        with_noise = sse(m, a)
         m2 = matrix([0.0, 0.2, 0.4, 100.0])
         a2 = ClusterAssignment((0, 0, 0, 1), 2, (True,) * 4)
-        assert with_noise == pytest.approx(sse(m2, a2).sse)
+        assert with_noise == pytest.approx(sse(m2, a2))
 
     def test_sse_nonnegative_random(self):
         rng = np.random.default_rng(2)
@@ -434,14 +452,14 @@ class TestSse:
         labels = (0, 1) + tuple(int(v) for v in rng.integers(0, 2, 10))
         m = matrix(pts.tolist())
         a = ClusterAssignment(labels, 2, (True,) * 12)
-        assert sse(m, a).sse >= 0.0
+        assert sse(m, a) >= 0.0
 
 
 class TestSweep:
     def test_single_admissible_pair(self, blob6):
         out = sweep_params(blob6, [0.6], [2])
         assert len(out) == 1
-        assert out[0][1].c == 2 == len(out[0][1].centroids)
+        assert out[0][2].num_clusters == 2
 
     def test_ranking_prefers_higher_sc(self, blob6):
         # eps=0.05 is inadmissible (all noise); 0.6 and 2.0 both admissible
@@ -455,9 +473,10 @@ class TestSweep:
         out = sweep_params(m, [0.2, 0.5, 6.0], [1, 2])
         scs = [q.sc for _, q, _ in out]
         assert scs == sorted(scs, reverse=True)
-        for (p1, q1, _), (p2, q2, _) in zip(out, out[1:]):
+        for (p1, q1, a1), (p2, q2, a2) in zip(out, out[1:]):
             if q1.sc == q2.sc:
-                assert (q1.sse, q1.c, p1.eps, p1.min_pts) <= (q2.sse, q2.c, p2.eps, p2.min_pts)
+                assert ((q1.sse, a1.num_clusters, p1.eps, p1.min_pts)
+                        <= (q2.sse, a2.num_clusters, p2.eps, p2.min_pts))
 
     def test_no_admissible_clustering(self):
         m = matrix([0.0])

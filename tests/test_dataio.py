@@ -93,9 +93,12 @@ def test_errors_name_the_physical_line_the_record_starts_on(tmp_path, layout, te
 
 
 def test_load_long_malformed_header(tmp_path):
-    p = write(tmp_path / "p.csv", "year,entity,value\n2000,A,1\n")
-    with pytest.raises(PanelFormatError, match="malformed header"):
-        load_panel(p)
+    """A 3-field header fails the field count; a 4-field one with a wrong
+    name reaches the header comparison itself."""
+    for text in ("year,entity,value\n2000,A,1\n", "year,entity,feature,val\n2000,A,f1,1\n"):
+        p = write(tmp_path / "p.csv", text)
+        with pytest.raises(PanelFormatError, match="malformed header"):
+            load_panel(p)
 
 
 def test_load_long_non_numeric_value_reports_location(tmp_path):

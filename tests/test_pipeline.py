@@ -170,8 +170,14 @@ class TestConfig:
 
     def test_solver_settings_checked(self):
         for bad, named in ((dict(tol=float("nan")), "tol"), (dict(tol=float("inf")), "tol"),
-                           (dict(tol=0.0), "tol"), (dict(max_iter=0), "max_iter")):
-            cfg = PipelineConfig(train_years=[2000], test_years=[2001], **bad)
+                           (dict(tol=0.0), "tol"), (dict(max_iter=0), "max_iter"),
+                           (dict(train_years=[]), "train_years and test_years must be set"),
+                           (dict(test_years=[]), "train_years and test_years must be set"),
+                           (dict(lasso_lambdas=[]), "lasso_lambdas must be non-empty"),
+                           (dict(enet_alpha=1.5), r"enet_alpha must be in \[0, 1\]"),
+                           (dict(log_epsilon=0.0), "log_epsilon must be finite and > 0"),
+                           (dict(cv_folds=1), "cv_folds must be >= 2")):
+            cfg = PipelineConfig(**{"train_years": [2000], "test_years": [2001], **bad})
             with pytest.raises(ConfigError, match=named):
                 cfg.validate()
 
@@ -550,6 +556,26 @@ def test_year_counts_fail_at_the_config_stage(synthetic_case, years, message):
     does not exist, so a later check would fail at stage "load"."""
     _, _, _, config = synthetic_case
     bad = dataclasses.replace(config, data_path="/nonexistent/panel.csv", **years)
+    with pytest.raises(PipelineStageError, match=message) as err:
+        run_pipeline(bad)
+    assert err.value.stage == "config"
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(log_epsilon=float("nan")), "log_epsilon must be finite and > 0"),
+    (dict(log_epsilon=float("inf")), "log_epsilon must be finite and > 0"),
+    (dict(max_iter=float("inf")), "max_iter must be an integer, got inf"),
+    (dict(cv_folds=2.5), "cv_folds must be an integer, got 2.5"),
+], ids=["log_epsilon_nan", "log_epsilon_inf", "max_iter_inf", "cv_folds_fractional"])
+def test_code_built_values_the_ini_parser_rejects_fail_at_the_config_stage(
+        synthetic_case, bad, message):
+    """A config built in code can hold values that no INI file parses to: a
+    non-finite log epsilon (the run would end in the JSON writer's
+    ValueError), an infinite max_iter (the same) and fractional CV folds
+    (np.array_split would use 2 folds and the report record 2.5). Each
+    fails before the panel is read."""
+    _, _, _, config = synthetic_case
+    bad = dataclasses.replace(config, data_path="/nonexistent/panel.csv", **bad)
     with pytest.raises(PipelineStageError, match=message) as err:
         run_pipeline(bad)
     assert err.value.stage == "config"
