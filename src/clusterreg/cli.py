@@ -13,8 +13,7 @@ import sys
 from pathlib import Path
 
 from . import regression
-from .dataio import (
-    LONG_HEADER, _csv_rows, load_panel, load_report, panel_long_rows, validate_panel)
+from .dataio import _csv_rows, load_panel, load_report, validate_panel
 from .errors import ClusterRegError, ConfigError
 from .pipeline import (
     PipelineConfig,
@@ -110,8 +109,7 @@ def cmd_gen_synthetic(args) -> int:
         noise_sd=args.noise_sd,
     )
     panel_path, truth_path = write_files(
-        args.out, {"synthetic_panel.csv": (LONG_HEADER, panel_long_rows(panel))},
-        {"ground_truth.json": truth})
+        args.out, {"synthetic_panel.csv": panel}, {"ground_truth.json": truth})
     print(f"wrote {panel_path} and {truth_path}")
     return 0
 

@@ -207,6 +207,12 @@ def _long_fields(fh):
         yield list(chain.from_iterable(block))
 
 
+def _extend(acc: array, items, count: int) -> None:
+    """Append the count items of an iterator to an array accumulator: one
+    np.fromiter pass and one frombytes copy, not one append per item."""
+    acc.frombytes(np.fromiter(items, acc.typecode, count).view(np.uint8))
+
+
 def _load_long_blocks(path: Path) -> EnergyPanel | None:
     """Parse a long CSV a block at a time, one column at a time.
 
@@ -234,13 +240,14 @@ def _load_long_blocks(path: Path) -> EnergyPanel | None:
             for fields in _long_fields(fh):
                 if start and [h.strip() for h in fields[:4]] != LONG_HEADER:
                     return None
-                cells.extend(map(float, map(str.strip, fields[start + 3::4])))
+                col = fields[start + 3::4]
+                _extend(cells, map(float, map(str.strip, col)), len(col))
                 for k, (table, raw, parse, codes) in enumerate(columns):
                     col = fields[start + k::4]
                     for s in dict.fromkeys(col):
                         if s not in raw:
                             raw[s] = table.setdefault(parse(s), len(table))
-                    codes.extend(map(raw.__getitem__, col))
+                    _extend(codes, map(raw.__getitem__, col), len(col))
                 start = 0
         except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
             return None
@@ -431,38 +438,59 @@ def load_report(path: str | Path):
         raise ClusterRegError(f"{path}: not a valid JSON report: {err}") from None
 
 
-class _LineFeed:
-    """File proxy for csv.writer. csv quotes only fields holding a character
-    of its line terminator, so rows are formatted with the default \\r\\n
-    (a bare \\r in a name gets quoted too) and written ending in \\n."""
+class _Echo:
+    """File proxy for csv.writer whose write returns the text it is given,
+    so that writerow returns the formatted row."""
 
-    def __init__(self, fh):
-        self.write = lambda line: fh.write(line[:-2] + "\n")
+    @staticmethod
+    def write(text: str) -> str:
+        return text
 
 
-def write_csv(path: str | Path, header: list, rows) -> Path:
-    """Stream one CSV file: UTF-8, each line ending in a bare LF. rows may be
-    any iterable; a failed write removes the partial file."""
+def _csv_lines(rows):
+    """Yield each row as csv.writer formats it, ending in a bare \\n. csv
+    quotes only fields holding a character of its line terminator, so rows
+    are formatted with the default \\r\\n (a bare \\r in a name gets quoted
+    too) and that ending is then swapped for \\n."""
+    format_row = csv.writer(_Echo()).writerow
+    for row in rows:
+        yield format_row(row)[:-2] + "\n"
+
+
+def _write_text(path: str | Path, pieces) -> Path:
+    """Write an iterable of strings to one UTF-8 file, the strings as they
+    are; a failed write removes the partial file."""
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         try:
-            writer = csv.writer(_LineFeed(fh))
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.writelines(pieces)
         except BaseException:
             path.unlink()
             raise
     return path
 
 
-def panel_long_rows(panel: EnergyPanel):
-    """Rows of the long CSV layout (all cells, including zeros), one at a time."""
-    for yi, year in enumerate(panel.years):
-        for entity, row in zip(panel.entities, panel.values[yi].tolist()):
-            for feat, value in zip(panel.features, row):
-                yield [year, entity, feat, repr(value)]
+def write_csv(path: str | Path, header: list, rows) -> Path:
+    """Stream one CSV file: UTF-8, each line ending in a bare LF. rows may be
+    any iterable; a failed write removes the partial file."""
+    return _write_text(path, _csv_lines(chain([header], rows)))
 
 
 def save_panel_long(panel: EnergyPanel, path: str | Path) -> None:
-    """Write a panel in the long CSV layout (all cells, including zeros)."""
-    write_csv(path, LONG_HEADER, panel_long_rows(panel))
+    """Write a panel in the long CSV layout (all cells, including zeros).
+
+    The bytes are those write_csv writes for the rows [year, entity,
+    feature, repr(value)], but each name is formatted by csv once and each
+    year is written as one text block, so the cost is about that of repr."""
+    entities = [line[:-1] for line in _csv_lines([e] for e in panel.entities)]
+    features = [line[:-1] for line in _csv_lines([f] for f in panel.features)]
+    keys = [f"{e},{f}," for e in entities for f in features]
+
+    def blocks():
+        yield from _csv_lines([LONG_HEADER])
+        for year, values in zip(panel.years, panel.values):
+            prefix = f"{year},"
+            yield "".join([f"{prefix}{key}{value!r}\n"
+                           for key, value in zip(keys, values.ravel().tolist())])
+
+    _write_text(path, blocks())

@@ -16,14 +16,15 @@ import operator
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 
 from . import clustering, preprocess, regression
 from .clustering import NOISE, ClusterAssignment
-from .dataio import EnergyPanel, load_panel, save_report, validate_panel, write_csv
+from .dataio import (
+    EnergyPanel, load_panel, save_panel_long, save_report, validate_panel, write_csv)
 from .errors import ClusterRegError, ConfigError, PipelineStageError
 
 ARTIFACT_FILES = (
@@ -126,6 +127,15 @@ class PipelineConfig:
     def validate(self) -> None:
         if not self.train_years or not self.test_years:
             raise ConfigError("train_years and test_years must be set")
+        integers = [("cv_folds", self.cv_folds), ("max_iter", self.max_iter),
+                    *(("anchor_year", y) for y in [self.anchor_year] if y is not None),
+                    *(("train_years entry", y) for y in self.train_years),
+                    *(("test_years entry", y) for y in self.test_years)]
+        for name, value in integers:
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
         for name, years in (("train_years", self.train_years), ("test_years", self.test_years)):
             if len(set(years)) != len(years):
                 raise ConfigError(f"{name} repeats a year")
@@ -133,24 +143,29 @@ class PipelineConfig:
             raise ConfigError("train and test year ranges overlap")
         if max(self.train_years) >= min(self.test_years):
             raise ConfigError("test years must come after train years")
-        for name, grid in (
-            ("eps_grid", self.eps_grid),
-            ("minpts_grid", self.minpts_grid),
-            ("ridge_lambdas", self.ridge_lambdas),
-            ("lasso_lambdas", self.lasso_lambdas),
-            ("enet_lambdas", self.enet_lambdas),
+        if not 0.0 <= self.enet_alpha <= 1.0:
+            raise ConfigError("enet_alpha must be in [0, 1]")
+        # Each grid value gets the check its stage would make, before the
+        # panel is read; PenaltySpec.of tests a lambda's weights.
+        for name, grid, check in (
+            ("eps_grid", self.eps_grid, clustering._check_eps),
+            ("minpts_grid", self.minpts_grid, clustering._check_min_pts),
+            ("ridge_lambdas", self.ridge_lambdas,
+             partial(regression.PenaltySpec.of, "ridge", alpha=self.enet_alpha)),
+            ("lasso_lambdas", self.lasso_lambdas,
+             partial(regression.PenaltySpec.of, "lasso", alpha=self.enet_alpha)),
+            ("enet_lambdas", self.enet_lambdas,
+             partial(regression.PenaltySpec.of, "elastic_net", alpha=self.enet_alpha)),
         ):
             if not grid:
                 raise ConfigError(f"{name} must be non-empty")
-        if not 0.0 <= self.enet_alpha <= 1.0:
-            raise ConfigError("enet_alpha must be in [0, 1]")
+            for value in grid:
+                try:
+                    check(value)
+                except ClusterRegError as err:
+                    raise ConfigError(f"{name} holds {value!r}: {err}") from None
         if not 0.0 < self.log_epsilon < math.inf:
             raise ConfigError("log_epsilon must be finite and > 0")
-        for name in ("cv_folds", "max_iter"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.cv_folds < 2:
             raise ConfigError("cv_folds must be >= 2")
         if not 0.0 < self.tol < math.inf:
@@ -613,10 +628,11 @@ def clustering_tables(prep: PreparedInputs) -> dict[str, tuple[list, list[list]]
 
 
 def write_files(out_dir: str | Path, tables: dict, records: dict) -> list[Path]:
-    """Write each CSV table (name -> (header, rows)) and JSON record (name ->
-    record) into out_dir, creating it. The files are written into a hidden
-    temporary directory inside out_dir (on the same file system, and
-    writable wherever out_dir is) and then moved into place one by one with
+    """Write each CSV table (name -> (header, rows), or an EnergyPanel,
+    written by save_panel_long) and JSON record (name -> record) into
+    out_dir, creating it. The files are written into a hidden temporary
+    directory inside out_dir (on the same file system, and writable
+    wherever out_dir is) and then moved into place one by one with
     os.replace, so out_dir never holds a partly written file. A failed
     write, or a directory where a file must go, leaves out_dir as it was,
     the previous run's files included."""
@@ -628,8 +644,11 @@ def write_files(out_dir: str | Path, tables: dict, records: dict) -> list[Path]:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
     try:
-        for name, (header, rows) in tables.items():
-            write_csv(staging / name, header, rows)
+        for name, table in tables.items():
+            if isinstance(table, EnergyPanel):
+                save_panel_long(table, staging / name)
+            else:
+                write_csv(staging / name, *table)
         for name, record in records.items():
             save_report(record, staging / name)
         for name in names:

@@ -383,6 +383,25 @@ def test_gen_synthetic_writes_bare_line_feeds(tmp_path):
     assert data.count(b"\n") == 1 + 4 * 6 * 3 and data.endswith(b"\n")
 
 
+@pytest.mark.parametrize("argv, shape", [
+    ([], {}),
+    (["--entities", "9", "--features", "5", "--clusters", "3", "--years", "7",
+      "--support", "2", "--noise-sd", "0.5"],
+     dict(n_entities=9, n_features=5, n_clusters=3, n_years=7, support_size=2, noise_sd=0.5)),
+], ids=["default", "small-noisy"])
+def test_gen_synthetic_panel_is_save_panel_long_bytes(tmp_path, argv, shape):
+    """gen-synthetic writes its panel through save_panel_long, so the file
+    is byte for byte the one save_panel_long writes for the same seed and
+    shape."""
+    from clusterreg.dataio import save_panel_long
+    from clusterreg.synth import generate_synthetic
+
+    assert main(["gen-synthetic", "--seed", "2024", *argv, "--out", str(tmp_path)]) == 0
+    save_panel_long(generate_synthetic(seed=2024, **shape)[0], tmp_path / "copy.csv")
+    assert ((tmp_path / "synthetic_panel.csv").read_bytes()
+            == (tmp_path / "copy.csv").read_bytes())
+
+
 def test_validate_bad_utf8_exit_one_naming_the_file(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"year,entity,feature,value\n2000,A\xff,f,1.0\n")

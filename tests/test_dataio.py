@@ -1,5 +1,7 @@
 import csv
+import errno
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -387,6 +389,104 @@ def test_plain_long_file_is_split_without_csv_reader(tmp_path, monkeypatch):
         back = load_panel(path)
         assert calls == []
         assert_same_panel(back, panel)
+
+
+def test_wide_panel_in_small_chunks_loads_the_row_loop_panel(tmp_path, monkeypatch):
+    """The 400-entity panel (128,000 rows) cut into chunks of about 1000
+    characters: the block parser, which fills its columns a chunk at a
+    time, returns the row loop's panel bit for bit."""
+    panel, _ = generate_synthetic(seed=0, n_entities=400)
+    path = tmp_path / "panel.csv"
+    save_panel_long(panel, path)
+    monkeypatch.setattr(dataio, "CHUNK_BYTES", 1000)
+    blocks = dataio._load_long_blocks(path)
+    assert blocks is not None
+    assert_same_panel(blocks, dataio._load_long_rows(path))
+    assert_same_panel(blocks, panel)
+
+
+def csv_writer_oracle(panel) -> bytes:
+    """The long layout written one row at a time through csv.writer: rows
+    [year, entity, feature, repr(value)] formatted with csv's default
+    \\r\\n ending, which is then swapped for \\n."""
+    lines = []
+    writer = csv.writer(type("Lines", (), {"write": staticmethod(lines.append)}))
+    writer.writerow(LONG_HEADER)
+    for year, block in zip(panel.years, panel.values):
+        for entity, row in zip(panel.entities, block.tolist()):
+            for feature, value in zip(panel.features, row):
+                writer.writerow([year, entity, feature, repr(value)])
+    return "".join(line[:-2] + "\n" for line in lines).encode("utf-8")
+
+
+ODD_VALUES = [-0.0, 5e-324, 1e300, 0.1 + 0.2]
+WRITER_PANELS = {
+    "quoted-names": EnergyPanel(
+        (1999, 2000), ("a,b", 'q"x', "c\rd", "e\nf", "g\r\nh"), ("f,1", "é", "漢字"),
+        np.resize(ODD_VALUES, (2, 5, 3))),
+    "odd-values": EnergyPanel((-5, 0, 2000), ("E",), ("f", "g"), np.resize(ODD_VALUES, (3, 1, 2))),
+    "default-46": generate_synthetic(seed=0)[0],
+    "wide-400": generate_synthetic(seed=0, n_entities=400)[0],
+    "tall-full-rank": generate_synthetic(seed=0, n_years=60, support_size=16)[0],
+}
+
+
+@pytest.mark.parametrize("name", WRITER_PANELS)
+def test_save_panel_long_bytes_equal_the_csv_writer_oracle(tmp_path, name):
+    """Names holding a comma, quote, \\r, \\n, \\r\\n or non-ASCII text, values
+    whose repr is unusual (-0.0, the least subnormal, 1e300, 0.1+0.2) and
+    the three benchmark shapes: the year-block writer writes the bytes of
+    the row-by-row csv.writer oracle."""
+    panel = WRITER_PANELS[name]
+    path = tmp_path / "panel.csv"
+    save_panel_long(panel, path)
+    assert path.read_bytes() == csv_writer_oracle(panel)
+
+
+@given(years=st.lists(st.integers(-3000, 3000), min_size=1, max_size=3, unique=True),
+       entities=st.lists(QUOTED_NAMES, min_size=1, max_size=3, unique=True),
+       features=st.lists(QUOTED_NAMES, min_size=1, max_size=3, unique=True),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_save_panel_long_equals_the_oracle_on_any_names(tmp_path_factory, years, entities,
+                                                         features, data):
+    shape = (len(years), len(entities), len(features))
+    n = math.prod(shape)
+    values = data.draw(st.lists(FINITE, min_size=n, max_size=n))
+    panel = EnergyPanel(sorted(years), entities, features, np.reshape(values, shape))
+    path = tmp_path_factory.mktemp("oracle") / "panel.csv"
+    save_panel_long(panel, path)
+    assert path.read_bytes() == csv_writer_oracle(panel)
+
+
+def test_save_panel_long_failing_mid_file_leaves_no_file(tmp_path, monkeypatch):
+    """The disk fills after the header and the first year's block have been
+    written: the error propagates and the partial file is removed."""
+    class FillsUp:
+        def __init__(self, fh):
+            self.fh, self.room = fh, 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, text):
+            if not self.room:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.room -= 1
+            return self.fh.write(text)
+
+        def writelines(self, texts):
+            for text in texts:
+                self.write(text)
+
+    monkeypatch.setattr(dataio, "open", lambda *a, **k: FillsUp(open(*a, **k)), raising=False)
+    path = tmp_path / "panel.csv"
+    with pytest.raises(OSError, match="No space left"):
+        save_panel_long(generate_synthetic(seed=0)[0], path)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, 40, 200])

@@ -566,14 +566,33 @@ def test_year_counts_fail_at_the_config_stage(synthetic_case, years, message):
     (dict(log_epsilon=float("inf")), "log_epsilon must be finite and > 0"),
     (dict(max_iter=float("inf")), "max_iter must be an integer, got inf"),
     (dict(cv_folds=2.5), "cv_folds must be an integer, got 2.5"),
-], ids=["log_epsilon_nan", "log_epsilon_inf", "max_iter_inf", "cv_folds_fractional"])
+    (dict(train_years=[float(y) for y in range(2000, 2015)]),
+     "train_years entry must be an integer, got 2000.0"),
+    (dict(test_years=[2015, 2016.0, 2017]), "test_years entry must be an integer, got 2016.0"),
+    (dict(anchor_year=2003.0), "anchor_year must be an integer, got 2003.0"),
+    (dict(ridge_lambdas=[0.1, float("nan")]),
+     "ridge_lambdas holds nan: penalty weights must be finite and >= 0"),
+    (dict(lasso_lambdas=[-1.0]), "lasso_lambdas holds -1.0: penalty weights must be finite"),
+    (dict(enet_lambdas=[float("inf")]), "enet_lambdas holds inf: penalty weights must be"),
+    (dict(eps_grid=[float("nan")]), "eps_grid holds nan: eps must be finite and >= 0"),
+    (dict(eps_grid=[0.5, -0.1]), "eps_grid holds -0.1: eps must be finite and >= 0"),
+    (dict(minpts_grid=[1.5]), "minpts_grid holds 1.5: min_pts must be an integer"),
+    (dict(minpts_grid=[2, 0]), "minpts_grid holds 0: min_pts must be >= 1"),
+], ids=["log_epsilon_nan", "log_epsilon_inf", "max_iter_inf", "cv_folds_fractional",
+        "train_years_float", "test_years_float", "anchor_year_float", "ridge_lambda_nan",
+        "lasso_lambda_negative", "enet_lambda_inf", "eps_nan", "eps_negative",
+        "min_pts_fractional", "min_pts_zero"])
 def test_code_built_values_the_ini_parser_rejects_fail_at_the_config_stage(
         synthetic_case, bad, message):
     """A config built in code can hold values that no INI file parses to: a
     non-finite log epsilon (the run would end in the JSON writer's
-    ValueError), an infinite max_iter (the same) and fractional CV folds
-    (np.array_split would use 2 folds and the report record 2.5). Each
-    fails before the panel is read."""
+    ValueError), an infinite max_iter (the same), fractional CV folds
+    (np.array_split would use 2 folds and the report record 2.5), float
+    years (the run would complete and record 2000.0 where an int-year run
+    records 2000) and non-finite grid values. Those and negative grid
+    values, which an INI file can hold, would fail only at the sweep or the
+    fits, after the panel was loaded and cleaned. Each fails before the
+    panel is read."""
     _, _, _, config = synthetic_case
     bad = dataclasses.replace(config, data_path="/nonexistent/panel.csv", **bad)
     with pytest.raises(PipelineStageError, match=message) as err:
