@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import errno
 import math
+import numbers
 import operator
 import os
 import tempfile
@@ -121,7 +122,6 @@ class PipelineConfig:
     cv_folds: int = 5
     tol: float = 1e-10
     max_iter: int = 100_000
-    standardize: bool = False
     out_dir: str | None = None
 
     def validate(self) -> None:
@@ -143,46 +143,39 @@ class PipelineConfig:
             raise ConfigError("train and test year ranges overlap")
         if max(self.train_years) >= min(self.test_years):
             raise ConfigError("test years must come after train years")
-        if not 0.0 <= self.enet_alpha <= 1.0:
-            raise ConfigError("enet_alpha must be in [0, 1]")
-        # Each grid value gets the check its stage would make, before the
-        # panel is read; PenaltySpec.of tests a lambda's weights.
-        for name, grid, check in (
-            ("eps_grid", self.eps_grid, clustering._check_eps),
-            ("minpts_grid", self.minpts_grid, clustering._check_min_pts),
-            ("ridge_lambdas", self.ridge_lambdas,
-             partial(regression.PenaltySpec.of, "ridge", alpha=self.enet_alpha)),
-            ("lasso_lambdas", self.lasso_lambdas,
-             partial(regression.PenaltySpec.of, "lasso", alpha=self.enet_alpha)),
-            ("enet_lambdas", self.enet_lambdas,
-             partial(regression.PenaltySpec.of, "elastic_net", alpha=self.enet_alpha)),
-        ):
-            if not grid:
-                raise ConfigError(f"{name} must be non-empty")
-            for value in grid:
-                try:
-                    check(value)
-                except ClusterRegError as err:
-                    raise ConfigError(f"{name} holds {value!r}: {err}") from None
-        if not 0.0 < self.log_epsilon < math.inf:
-            raise ConfigError("log_epsilon must be finite and > 0")
-        if self.cv_folds < 2:
-            raise ConfigError("cv_folds must be >= 2")
-        if not 0.0 < self.tol < math.inf:
-            raise ConfigError("tol must be finite and > 0")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be >= 1")
+        for name in (*_BOUNDS, *_GRID_CHECKS):
+            self._check_field(name)
         if len(self.train_years) < self.cv_folds:
             raise ConfigError(f"cv_folds = {self.cv_folds} needs at least as many train years, "
                               f"got {len(self.train_years)}")
         if len(self.test_years) < 2:
             raise ConfigError("test_years needs at least 2 years for the forecast variance")
 
+    def _check_field(self, name: str) -> None:
+        """The test of one field that validate and from_file share: its
+        _BOUNDS, or for a grid the check its stage makes of each value."""
+        value = getattr(self, name)
+        if name in _BOUNDS:
+            ok, need = _BOUNDS[name]
+            if not (isinstance(value, numbers.Real) and ok(value)):
+                raise ConfigError(f"{name} must be {need}, got {value!r}")
+        elif name in _GRID_CHECKS:
+            if not value:
+                raise ConfigError(f"{name} must be non-empty")
+            for v in value:
+                try:
+                    if not isinstance(v, numbers.Real):
+                        raise ConfigError("not a number")
+                    _GRID_CHECKS[name](v)
+                except ClusterRegError as err:
+                    raise ConfigError(f"{name} holds {v!r}: {err}") from None
+
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         """Read an INI config. A missing or blank key keeps its default; a
-        malformed value or a key or section not in _CONFIG_KEYS raises
-        ConfigError naming the file, section and key."""
+        malformed value, one that fails its field's check, or a key or
+        section not in _CONFIG_KEYS raises ConfigError naming the file,
+        section and key."""
         parser = configparser.ConfigParser()
         try:
             read = parser.read(path, encoding="utf-8")
@@ -204,6 +197,7 @@ class PipelineConfig:
                 text = parser.get(sec, key, fallback="").strip()
                 if text:
                     setattr(cfg, name, parse(text))
+                    cfg._check_field(name)
             except (configparser.Error, ConfigError, ValueError, OverflowError) as err:
                 raise ConfigError(f"{path}: [{sec}] {key}: {err}") from None
         return cfg
@@ -212,24 +206,23 @@ class PipelineConfig:
         return asdict(self)
 
 
-def _parse_bool(text: str) -> bool:
-    if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
-        raise ValueError(f"not a boolean: {text!r}")
-    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
-
-
-def _parse_tol(text: str) -> float:
-    tol = _finite(text)
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {text!r}")
-    return tol
-
-
-def _parse_max_iter(text: str) -> int:
-    max_iter = int(text)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {text!r}")
-    return max_iter
+# Field -> (test of its value, what the test asks).
+_BOUNDS = {
+    "log_epsilon": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    "enet_alpha": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "cv_folds": (lambda v: v >= 2, ">= 2"),
+    "tol": (lambda v: 0.0 < v < math.inf, "> 0 and finite"),
+    "max_iter": (lambda v: v >= 1, ">= 1"),
+}
+# Grid field -> the check its stage makes of each value. Any alpha in
+# [0, 1] splits a valid total weight into valid weights.
+_GRID_CHECKS = {
+    "eps_grid": clustering._check_eps,
+    "minpts_grid": clustering._check_min_pts,
+    "ridge_lambdas": partial(regression.PenaltySpec.of, "ridge", alpha=0.5),
+    "lasso_lambdas": partial(regression.PenaltySpec.of, "lasso", alpha=0.5),
+    "enet_lambdas": partial(regression.PenaltySpec.of, "elastic_net", alpha=0.5),
+}
 
 
 def _parse_int_grid(text: str) -> list[int]:
@@ -251,9 +244,8 @@ _CONFIG_KEYS = {
     "enet_lambdas": ("regress", "enet_lambdas", parse_grid),
     "enet_alpha": ("regress", "enet_alpha", _finite),
     "cv_folds": ("regress", "cv_folds", int),
-    "tol": ("regress", "tol", _parse_tol),
-    "max_iter": ("regress", "max_iter", _parse_max_iter),
-    "standardize": ("regress", "standardize", _parse_bool),
+    "tol": ("regress", "tol", _finite),
+    "max_iter": ("regress", "max_iter", int),
     "train_years": ("forecast", "train_years", parse_years),
     "test_years": ("forecast", "test_years", parse_years),
 }
@@ -582,8 +574,7 @@ def fit_kind(config: PipelineConfig, design: regression.DesignMatrix, kind: str)
     chose."""
     grid = {"ridge": config.ridge_lambdas, "lasso": config.lasso_lambdas,
             "elastic_net": config.enet_lambdas}[kind]
-    solver = {"tol": config.tol, "max_iter": config.max_iter,
-              "standardize": config.standardize}
+    solver = {"tol": config.tol, "max_iter": config.max_iter}
     spec, table = _stage("fit", regression.cross_validate, design, kind, grid,
                          folds=config.cv_folds, alpha=config.enet_alpha, **solver)
     model = _stage("fit", regression.fit_penalized, design, spec, **solver)

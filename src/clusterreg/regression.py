@@ -14,8 +14,8 @@ Objective conventions (shared by every solver and by kkt_check):
 The residual sum of squares is unscaled (no 1/n or 1/2 factor), so
 penalty weights are comparable across sample sizes at face value. The
 intercept is never penalized: fits center y and the columns of X, solve
-for beta, then restore the intercept from the means. Columns are not
-rescaled unless standardize=True is requested.
+for beta, then restore the intercept from the means. Columns are never
+rescaled, so every fit is one that kkt_check checks.
 
 In Gram form every penalty is a problem on one system matrix: with
 H = X'X + lam2*I and c = X'y on the centered design, the objective is
@@ -50,39 +50,32 @@ _EPS = np.finfo(float).eps
 
 class Moments(NamedTuple):
     """What every fit on one design shares: the column and target means
-    (zero without an intercept), the centered design xc and target yc with
-    xc already divided by the column scale (one unless standardized), the
-    Gram matrix xc'xc, the correlations xc'yc, and |2X'y|_inf of the
-    uncentered design, the scale of the kkt_check bound. (A NamedTuple:
-    cheaper to define at import than a frozen dataclass.)"""
+    (zero without an intercept), the centered, never rescaled design xc and
+    target yc, the Gram matrix xc'xc, the correlations xc'yc, and |2X'y|_inf
+    of the uncentered design, the scale of the kkt_check bound. (A
+    NamedTuple: cheaper to define at import than a frozen dataclass.)"""
 
     x_mean: np.ndarray
     y_mean: float
     xc: np.ndarray
     yc: np.ndarray
-    scale: np.ndarray
     gram: np.ndarray
     corr: np.ndarray
     score_max: float
 
 
-def _compute_moments(d: "DesignMatrix", fit_intercept: bool, standardize: bool) -> Moments:
+def _compute_moments(d: "DesignMatrix", fit_intercept: bool) -> Moments:
     if fit_intercept:
         x_mean = d.x.mean(axis=0)
         y_mean = float(d.y.mean())
         xc, yc = d.x - x_mean, d.y - y_mean
     else:
         xc, yc, x_mean, y_mean = d.x, d.y, np.zeros(d.p), 0.0
-    scale = np.ones(d.p)
-    if standardize:
-        scale = xc.std(axis=0)
-        scale = np.where(scale > 0, scale, 1.0)
-        xc = xc / scale
     gram, corr = xc.T @ xc, xc.T @ yc
-    for shared in (x_mean, xc, yc, scale, gram, corr):
+    for shared in (x_mean, xc, yc, gram, corr):
         shared.setflags(write=False)
     score_max = float(np.abs(2.0 * (d.x.T @ d.y)).max())
-    return Moments(x_mean, y_mean, xc, yc, scale, gram, corr, score_max)
+    return Moments(x_mean, y_mean, xc, yc, gram, corr, score_max)
 
 
 @dataclass(frozen=True)
@@ -124,13 +117,12 @@ class DesignMatrix:
     def subset(self, rows: np.ndarray) -> "DesignMatrix":
         return DesignMatrix(self.x[rows], self.y[rows], self.column_names)
 
-    def moments(self, fit_intercept: bool = True, standardize: bool = False) -> Moments:
+    def moments(self, fit_intercept: bool = True) -> Moments:
         """The Moments of this design, computed on the first call for each
-        option pair and kept: every fit on the design reuses them."""
-        key = (fit_intercept, standardize)
-        if key not in self._moment_cache:
-            self._moment_cache[key] = _compute_moments(self, fit_intercept, standardize)
-        return self._moment_cache[key]
+        fit_intercept and kept: every fit on the design reuses them."""
+        if fit_intercept not in self._moment_cache:
+            self._moment_cache[fit_intercept] = _compute_moments(self, fit_intercept)
+        return self._moment_cache[fit_intercept]
 
 
 @dataclass(frozen=True)
@@ -472,7 +464,6 @@ def fit_penalized(
     tol: float = 1e-10,
     max_iter: int = 100_000,
     fit_intercept: bool = True,
-    standardize: bool = False,
     start: np.ndarray | None = None,
 ) -> LinearModel:
     """Fit the penalty a PenaltySpec describes. Its weights, not its kind,
@@ -491,18 +482,18 @@ def fit_penalized(
         raise RegressionError("tol must be finite and > 0")
     if max_iter < 1:
         raise RegressionError("max_iter must be >= 1")
-    m = d.moments(fit_intercept, standardize)
-    flags: tuple[str, ...] = ("standardized",) if standardize else ()
+    m = d.moments(fit_intercept)
+    flags: tuple[str, ...] = ()
     lam1, lam2 = spec.lam1, spec.lam2
     hess = m.gram + lam2 * _identity(d.p)  # also at lam2 = 0: + 0.0 turns a -0.0 into +0.0
     if lam1 == lam2 == 0:
         beta, _, rank, _ = np.linalg.lstsq(m.xc, m.yc, rcond=None)
         if rank < d.p:
-            flags = flags + ("singular_system",)
+            flags = ("singular_system",)
     elif lam1 == 0:
         beta = np.linalg.solve(hess, m.corr)
     else:
-        start = np.zeros(d.p) if start is None else np.asarray(start, dtype=float) * m.scale
+        start = np.zeros(d.p) if start is None else np.asarray(start, dtype=float)
         start = np.where(m.gram.diagonal() > 0.0, start, 0.0)  # zero-norm columns stay at zero
         bound = 10.0 * tol * max(1.0, m.score_max)
         beta = _feature_sign_search(hess, m.corr, lam1, start, bound)
@@ -510,8 +501,7 @@ def fit_penalized(
             beta, converged, _ = _coordinate_descent(hess, m.corr, lam1, tol, max_iter, bound,
                                                      start)
             if not converged:
-                flags = flags + ("non_converged",)
-    beta = beta / m.scale
+                flags = ("non_converged",)
     intercept = m.y_mean - float(m.x_mean @ beta)
     return LinearModel(intercept, beta, spec, d.column_names, flags=flags)
 
@@ -522,11 +512,9 @@ def kkt_check(model: LinearModel, d: DesignMatrix) -> float:
     With g_j = -2 x_j'(y - yhat): an L1-penalized coefficient at zero must
     satisfy |g_j| <= lam1 (excess is the violation); a nonzero one must
     satisfy g_j + lam1*sign(beta_j) + 2*lam2*beta_j = 0. Ridge and OLS use
-    the smooth stationarity residual. Applies to unstandardized fits."""
+    the smooth stationarity residual."""
     if model.p != d.p:
         raise RegressionError("model and design have different regressor counts")
-    if "standardized" in model.flags:
-        raise RegressionError("kkt_check applies to unstandardized fits")
     residual = d.y - predict(model, d.x)
     g = -2.0 * (d.x.T @ residual)
     penalty = model.penalty
@@ -625,7 +613,6 @@ def cross_validate(
     alpha: float = 0.5,
     tol: float = 1e-10,
     max_iter: int = 100_000,
-    standardize: bool = False,
 ) -> tuple[PenaltySpec, list[tuple[float, float]]]:
     """Pick the penalty weight minimizing mean validation MSE.
 
@@ -650,8 +637,7 @@ def cross_validate(
     for block in np.array_split(np.arange(d.n), folds):
         train = d.subset(np.setdiff1d(np.arange(d.n), block))
         x_out, y_out = d.x[block], d.y[block]
-        for i, model in _warm_descent(train, kind, grid, alpha, tol=tol, max_iter=max_iter,
-                                      standardize=standardize):
+        for i, model in _warm_descent(train, kind, grid, alpha, tol=tol, max_iter=max_iter):
             fold_mse[i].append(compute_mse(y_out, predict(model, x_out)))
     table = [(lam, float(np.mean(m))) for lam, m in zip(grid, fold_mse)]
     best_lam, best_mse = table[0]
@@ -668,7 +654,6 @@ def iterate_lambda(
     alpha: float = 0.5,
     tol: float = 1e-10,
     max_iter: int = 100_000,
-    standardize: bool = False,
 ) -> PathReport:
     """Fit at every grid value (ascending) and record the trajectories.
 
@@ -685,8 +670,7 @@ def iterate_lambda(
     coefs = np.zeros((len(grid), d.p))
     r2s = [0.0] * len(grid)
     mses = [0.0] * len(grid)
-    for i, model in _warm_descent(d, kind, grid, alpha, tol=tol, max_iter=max_iter,
-                                  standardize=standardize):
+    for i, model in _warm_descent(d, kind, grid, alpha, tol=tol, max_iter=max_iter):
         coefs[i] = model.coefficients
         report = fit_report(model, d)
         r2s[i] = report.r2

@@ -277,7 +277,7 @@ MALFORMED_CONFIGS = [
     ("[forecast]\ntrain_years = 2000-x\n", "[forecast] train_years"),
     ("[preprocess]\nanchor_year = 20o3\n", "[preprocess] anchor_year"),
     ("[regress]\nenet_alpha = half\n", "[regress] enet_alpha"),
-    ("[regress]\nstandardize = maybe\n", "[regress] standardize: not a boolean"),
+    ("[regress]\nstandardize = true\n", "unknown key [regress] standardize"),
     ("[cluster]\nminpts_grid = 1:0:1\n", "[cluster] minpts_grid: bad range grid"),
     ("[cluster]\nminpts_grid = 1.5,2.7\n", "[cluster] minpts_grid: min_pts values must be integers"),
     ("[regress]\ntol = nan\n", "[regress] tol: not a finite number"),
@@ -292,6 +292,11 @@ MALFORMED_CONFIGS = [
     ("[regress]\nenet_lambdas = 0:1:nan\n", "[regress] enet_lambdas: not a finite number"),
     ("[regress]\nridge_lambdas = logspace:nan:1:3\n", "[regress] ridge_lambdas: not a finite"),
     ("[regress]\nridge_lambdas = logspace:0:400:3\n", "[regress] ridge_lambdas: logspace grid"),
+    ("[cluster]\neps_grid = -0.1,0.2\n", "[cluster] eps_grid: eps_grid holds -0.1: eps must be"),
+    ("[cluster]\nminpts_grid = 0\n", "[cluster] minpts_grid: minpts_grid holds 0: min_pts must"),
+    ("[regress]\nridge_lambdas = -1\n", "[regress] ridge_lambdas: ridge_lambdas holds -1.0: "),
+    ("[regress]\nenet_alpha = 2\n", "[regress] enet_alpha: enet_alpha must be in [0, 1], got 2.0"),
+    ("[regress]\ncv_folds = 1\n", "[regress] cv_folds: cv_folds must be >= 2, got 1"),
     ("[regress]\ntolerance = 1e-8\n", "unknown key [regress] tolerance"),
     ("[data]\nlayuot = wide\n", "unknown key [data] layuot"),
     ("[data]\nlayout = wide\n", "unknown key [data] layout"),

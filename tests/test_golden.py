@@ -8,10 +8,12 @@ they began to record the true weights (a lasso's lambda1 and an elastic
 net's total lambda had read 0.0). pipeline_report.json was regenerated
 once more when the config lost its layout and anchor keys (the path and
 anchor_year now decide both): the file lost exactly the two lines
-"anchor": "train_mean" and "layout": "long". The digests hold for the
-numpy/BLAS build they were recorded with; on another build, a file whose digest differs is compared value by
-value against the committed copy in tests/golden/seed2024 at 1e-12, and
-the assertion names the file that differed.
+"anchor": "train_mean" and "layout": "long". It lost exactly one more,
+"standardize": false, when the column-scale option went (columns are
+never rescaled). The digests hold for the numpy/BLAS build they were
+recorded with; on another build, a file whose digest differs is compared
+value by value against the committed copy in tests/golden/seed2024 at
+1e-12, and the assertion names the file that differed.
 """
 
 import csv
@@ -37,7 +39,7 @@ GOLDEN_SHA256 = {
     "path_lasso.csv": "b10b4df4f2fdfb5c70f23e6a73cc6a03b8e05536b8011656286e57f8986e6bbb",
     "path_elastic_net.csv": "56340e37eff00323b948734913745fb287d656b84260df4fa2e0553f876aaf07",
     "forecast.csv": "b9af46af482503c90b20d27046a305ad73ad99a414bd7f38edf8f3f312d84cc4",
-    "pipeline_report.json": "4aa6ab8cec20ffd727af0c2afb3ba1f9cc429a7bda1374d03249e85ff8e23c62",
+    "pipeline_report.json": "7061039cb00d7a061a21caba1a3d97800c77a9e8d2432f100c30004496c810fe",
 }
 TOL = 1e-12
 

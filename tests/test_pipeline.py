@@ -212,7 +212,6 @@ lasso_lambdas = logspace:-4:0:5
 enet_lambdas = logspace:-4:0:5
 enet_alpha = 0.4
 cv_folds = 3
-standardize = true
 
 [forecast]
 train_years = 2000-2009
@@ -227,7 +226,6 @@ test_years = 2010-2012
         assert cfg.minpts_grid == [1, 2]
         assert cfg.enet_alpha == 0.4
         assert cfg.cv_folds == 3
-        assert cfg.standardize is True
         assert cfg.train_years == list(range(2000, 2010))
         assert cfg.test_years == [2010, 2011, 2012]
         cfg.validate()
@@ -536,7 +534,6 @@ enet_alpha = 0.25
 cv_folds = 4
 tol = 1e-9
 max_iter = 500
-standardize = on
 
 [forecast]
 train_years = 2000-2004
@@ -578,10 +575,17 @@ def test_year_counts_fail_at_the_config_stage(synthetic_case, years, message):
     (dict(eps_grid=[0.5, -0.1]), "eps_grid holds -0.1: eps must be finite and >= 0"),
     (dict(minpts_grid=[1.5]), "minpts_grid holds 1.5: min_pts must be an integer"),
     (dict(minpts_grid=[2, 0]), "minpts_grid holds 0: min_pts must be >= 1"),
+    (dict(minpts_grid=["2"]), "minpts_grid holds '2': not a number"),
+    (dict(eps_grid=["0.1"]), "eps_grid holds '0.1': not a number"),
+    (dict(ridge_lambdas=["0.1"]), "ridge_lambdas holds '0.1': not a number"),
+    (dict(enet_alpha="0.5"), r"enet_alpha must be in \[0, 1\], got '0.5'"),
+    (dict(tol="1e-9"), "tol must be > 0 and finite, got '1e-9'"),
+    (dict(log_epsilon="x"), "log_epsilon must be finite and > 0, got 'x'"),
 ], ids=["log_epsilon_nan", "log_epsilon_inf", "max_iter_inf", "cv_folds_fractional",
         "train_years_float", "test_years_float", "anchor_year_float", "ridge_lambda_nan",
         "lasso_lambda_negative", "enet_lambda_inf", "eps_nan", "eps_negative",
-        "min_pts_fractional", "min_pts_zero"])
+        "min_pts_fractional", "min_pts_zero", "min_pts_str", "eps_str", "ridge_lambda_str",
+        "enet_alpha_str", "tol_str", "log_epsilon_str"])
 def test_code_built_values_the_ini_parser_rejects_fail_at_the_config_stage(
         synthetic_case, bad, message):
     """A config built in code can hold values that no INI file parses to: a
@@ -589,10 +593,11 @@ def test_code_built_values_the_ini_parser_rejects_fail_at_the_config_stage(
     ValueError), an infinite max_iter (the same), fractional CV folds
     (np.array_split would use 2 folds and the report record 2.5), float
     years (the run would complete and record 2000.0 where an int-year run
-    records 2000) and non-finite grid values. Those and negative grid
+    records 2000), non-finite grid values and strings where numbers belong
+    (they would escape as a bare TypeError). Those and negative grid
     values, which an INI file can hold, would fail only at the sweep or the
     fits, after the panel was loaded and cleaned. Each fails before the
-    panel is read."""
+    panel is read, naming the field."""
     _, _, _, config = synthetic_case
     bad = dataclasses.replace(config, data_path="/nonexistent/panel.csv", **bad)
     with pytest.raises(PipelineStageError, match=message) as err:
@@ -661,9 +666,10 @@ class TestConfigKeys:
 
         from clusterreg.dataio import load_panel
 
-        assert len(dataclasses.fields(PipelineConfig)) == 16
-        assert len(pipeline._CONFIG_KEYS) == 15
-        assert {"layout", "anchor"}.isdisjoint(f.name for f in dataclasses.fields(PipelineConfig))
+        assert len(dataclasses.fields(PipelineConfig)) == 15
+        assert len(pipeline._CONFIG_KEYS) == 14
+        assert {"layout", "anchor", "standardize"}.isdisjoint(
+            f.name for f in dataclasses.fields(PipelineConfig))
         assert list(inspect.signature(load_panel).parameters) == ["path"]
 
     def test_every_key(self, tmp_path):
@@ -674,7 +680,7 @@ class TestConfigKeys:
             test_years=[2005, 2006], anchor_year=2001, log_epsilon=1e-4,
             eps_grid=[0.1, 0.2], minpts_grid=[1, 2, 3], ridge_lambdas=parse_grid("0.0:0.2:0.1"),
             lasso_lambdas=parse_grid("logspace:-3:0:4"), enet_lambdas=[0.5], enet_alpha=0.25,
-            cv_folds=4, tol=1e-9, max_iter=500, standardize=True)
+            cv_folds=4, tol=1e-9, max_iter=500)
 
     def test_blank_keys_keep_defaults(self, tmp_path):
         blank = "\n".join(line.split("=")[0] + "=" if "=" in line else line
@@ -682,15 +688,6 @@ class TestConfigKeys:
         path = tmp_path / "cfg.ini"
         path.write_text(blank)
         assert PipelineConfig.from_file(path) == PipelineConfig()
-
-    @pytest.mark.parametrize("text, value", [
-        ("1", True), ("Yes", True), ("TRUE", True), ("on", True),
-        ("0", False), ("no", False), ("false", False), ("Off", False),
-    ])
-    def test_boolean_states(self, tmp_path, text, value):
-        path = tmp_path / "cfg.ini"
-        path.write_text(f"[regress]\nstandardize = {text}\n")
-        assert PipelineConfig.from_file(path).standardize is value
 
 
 def test_work_of_one_default_run_on_seed_2024(synthetic_case, tmp_path, monkeypatch):

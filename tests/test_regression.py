@@ -173,12 +173,11 @@ class TestElasticNet:
         # stop on one copy carrying the whole weight, within the kkt_check
         # bound but not the ridge solution, which splits it.
         dup, _, _ = duplicated_column_case()
-        for d, lam2, standardize in ((dup, 1e-8, False), (dup, 0.8, True),
-                                     (random_design(seed=13, n=9, p=4), 0.8, False)):
-            ridge = fit_penalized(d, PenaltySpec.ridge(lam2), standardize=standardize)
+        for d, lam2 in ((dup, 1e-8), (dup, 0.8), (random_design(seed=13, n=9, p=4), 0.8)):
+            ridge = fit_penalized(d, PenaltySpec.ridge(lam2))
             for spec in (PenaltySpec.elastic_net(0.0, lam2),
                          PenaltySpec.of("elastic_net", lam2, 0.0)):
-                enet = fit_penalized(d, spec, standardize=standardize)
+                enet = fit_penalized(d, spec)
                 assert np.array_equal(enet.coefficients, ridge.coefficients)
                 assert enet.intercept == ridge.intercept
 
@@ -266,12 +265,6 @@ class TestKkt:
                                                                   data.draw(weights))}[kind]()
         m = LinearModel(data.draw(cells), np.array(beta), penalty, d.column_names)
         assert kkt_check(m, d) == kkt_loop(m, d)
-
-    def test_standardized_fit_rejected(self):
-        d = random_design(seed=17)
-        m = fit_penalized(d, PenaltySpec.lasso(0.1), standardize=True)
-        with pytest.raises(RegressionError, match="unstandardized"):
-            kkt_check(m, d)
 
 
 class TestGridOracle:
@@ -367,8 +360,8 @@ class TestCrossValidate:
     def test_shared_moments_are_read_only(self):
         d = random_design(seed=25)
         m = d.moments()
-        assert d.moments() is m and d.moments(standardize=True) is not m
-        for a in (m.x_mean, m.xc, m.yc, m.scale, m.gram, m.corr):
+        assert d.moments() is m and d.moments(fit_intercept=False) is not m
+        for a in (m.x_mean, m.xc, m.yc, m.gram, m.corr):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
 
@@ -433,16 +426,14 @@ class TestWarmStart:
                     assert np.abs(beta - cold.coefficients).max() <= bound, (kind, lam)
 
     def test_start_is_in_reported_coordinates(self):
-        # Started at its own solution, one sweep must already converge; a
-        # start left unscaled under standardize=True would not.
+        # Started at its own solution, one sweep must already converge, on
+        # columns whose scales span two orders of magnitude.
         base = random_design(seed=31)
         d = DesignMatrix(base.x * [1.0, 10.0, 0.1], base.y, base.column_names)
-        for standardize in (False, True):
-            cold = fit_penalized(d, PenaltySpec.lasso(0.05), standardize=standardize)
-            warm = fit_penalized(d, PenaltySpec.lasso(0.05), standardize=standardize,
-                                 max_iter=1, start=cold.coefficients)
-            assert warm.converged, standardize
-            assert np.abs(warm.coefficients - cold.coefficients).max() <= _kkt_bound(d)
+        cold = fit_penalized(d, PenaltySpec.lasso(0.05))
+        warm = fit_penalized(d, PenaltySpec.lasso(0.05), max_iter=1, start=cold.coefficients)
+        assert warm.converged
+        assert np.abs(warm.coefficients - cold.coefficients).max() <= _kkt_bound(d)
 
     def test_constant_column_stays_zero_from_any_start(self):
         base = random_design(seed=33)
