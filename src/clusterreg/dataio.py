@@ -116,15 +116,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not any(sev == "error" for sev, _, _ in self.issues)
 
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "issues": [
-                {"severity": s, "location": loc, "message": msg}
-                for s, loc, msg in self.issues
-            ],
-        }
-
 
 def _parse_value(text: str, where: str) -> float:
     try:

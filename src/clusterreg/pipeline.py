@@ -125,6 +125,9 @@ class PipelineConfig:
     out_dir: str | None = None
 
     def validate(self) -> None:
+        for name in ("train_years", "test_years", *_GRID_CHECKS):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")
         if not self.train_years or not self.test_years:
             raise ConfigError("train_years and test_years must be set")
         integers = [("cv_folds", self.cv_folds), ("max_iter", self.max_iter),
@@ -283,6 +286,7 @@ class ClusterProfile:
         return {("sum" if k == "total" else k): v for k, v in asdict(self).items()}
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def aggregate_by_cluster(
     panel: EnergyPanel, assignment: ClusterAssignment
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -290,7 +294,8 @@ def aggregate_by_cluster(
 
     regressors[t, i] sums every feature of every entity in cluster i for
     year t; target[t] is the sum over clusters. The assignment must cover
-    exactly the panel's entities with noise already promoted."""
+    exactly the panel's entities with noise already promoted. A total that
+    overflows is not finite, and is rejected naming its cluster and year."""
     if assignment.n_points != panel.n_entities:
         raise ClusterRegError(
             f"assignment covers {assignment.n_points} entities, panel has {panel.n_entities}"
@@ -303,6 +308,11 @@ def aggregate_by_cluster(
     for cid in range(assignment.num_clusters):
         regressors[:, cid] = entity_totals[:, labels == cid].sum(axis=1)
     target = regressors.sum(axis=1)
+    # the first total that overflowed, if any: a cluster's, else a grand total
+    for yi, cid in np.argwhere(~np.isfinite(regressors)):
+        raise ClusterRegError(f"cluster {cid} total in {panel.years[yi]} is {regressors[yi, cid]}")
+    for yi in np.flatnonzero(~np.isfinite(target)):
+        raise ClusterRegError(f"grand total in {panel.years[yi]} is {target[yi]}")
     return regressors, target
 
 
@@ -385,12 +395,12 @@ class PreparedInputs:
     @cached_property
     def log_regressors(self) -> np.ndarray:
         return _stage("log", preprocess.log_transform, self.regressors,
-                      self.config.log_epsilon, True)
+                      self.config.log_epsilon)
 
     @cached_property
     def log_target(self) -> np.ndarray:
         return _stage("log", preprocess.log_transform, self.target,
-                      self.config.log_epsilon, True)
+                      self.config.log_epsilon)
 
     @property
     def train_idx(self) -> list[int]:
@@ -553,7 +563,7 @@ def prepare_inputs(config: PipelineConfig) -> PreparedInputs:
     # independent check: cluster totals must reproduce the full-panel totals
     panel_totals = panel.values.sum(axis=(1, 2))
     gap = np.abs(target - panel_totals)
-    if gap.max() > CONSERVATION_TOL * max(1.0, float(np.abs(panel_totals).max())):
+    if not gap.max() <= CONSERVATION_TOL * max(1.0, float(np.abs(panel_totals).max())):
         raise PipelineStageError("aggregate", "conservation identity violated")
     return PreparedInputs(
         config=config,

@@ -64,17 +64,14 @@ def drop_zero_series(panel: EnergyPanel) -> tuple[EnergyPanel, list[str]]:
     return cleaned, dropped
 
 
-def entity_profile(panel: EnergyPanel, years: list[int] | None = None) -> FeatureMatrix:
-    """Per-entity feature profile: mean over the given years (default all).
+def entity_profile(panel: EnergyPanel, years: list[int]) -> FeatureMatrix:
+    """Per-entity feature profile: mean over the given years.
 
     One row per entity; this is the matrix handed to clustering after
     min-max normalization."""
-    if years is None:
-        idx = list(range(panel.n_years))
-    else:
-        idx = [panel.year_index(y) for y in years]
-        if not idx:
-            raise PreprocessError("empty year window for entity profile")
+    idx = [panel.year_index(y) for y in years]
+    if not idx:
+        raise PreprocessError("empty year window for entity profile")
     return FeatureMatrix(panel.entities, panel.features, panel.values[idx].mean(axis=0))
 
 
@@ -93,21 +90,14 @@ def minmax_normalize_rows(m: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix(m.entities, m.features, out)
 
 
-def log_transform(series, epsilon: float = 1e-6, zeros_only: bool = False) -> np.ndarray:
-    """Natural log with an epsilon offset: ln(x + epsilon).
-
-    With zeros_only=True the offset is applied only to cells that are
-    exactly 0 (the pipeline convention for structural zeros). Raises on
-    negative inputs and on any cell whose offset argument is not positive."""
+def log_transform(series, epsilon: float) -> np.ndarray:
+    """Natural log with the epsilon offset only on structural zeros: ln(x)
+    where x > 0 and ln(epsilon) where x is exactly 0. Raises on negative
+    inputs and on a zero cell when epsilon is not positive."""
     x = np.asarray(series, dtype=float)
-    if epsilon < 0:
-        raise PreprocessError("epsilon must be >= 0")
     if np.any(x < 0):
         raise PreprocessError("log_transform requires non-negative inputs")
-    if zeros_only:
-        arg = np.where(x == 0, x + epsilon, x)
-    else:
-        arg = x + epsilon
+    arg = np.where(x == 0, epsilon, x)
     if np.any(arg <= 0):
         raise PreprocessError("log_transform argument not positive; increase epsilon")
     return np.log(arg)

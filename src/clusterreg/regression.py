@@ -35,8 +35,8 @@ coordinates only rounding slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -49,11 +49,11 @@ _EPS = np.finfo(float).eps
 
 
 class Moments(NamedTuple):
-    """What every fit on one design shares: the column and target means
-    (zero without an intercept), the centered, never rescaled design xc and
-    target yc, the Gram matrix xc'xc, the correlations xc'yc, and |2X'y|_inf
-    of the uncentered design, the scale of the kkt_check bound. (A
-    NamedTuple: cheaper to define at import than a frozen dataclass.)"""
+    """What every fit on one design shares: the column and target means,
+    the centered, never rescaled design xc and target yc, the Gram matrix
+    xc'xc, the correlations xc'yc, and |2X'y|_inf of the uncentered design,
+    the scale of the kkt_check bound. (A NamedTuple: cheaper to define at
+    import than a frozen dataclass.)"""
 
     x_mean: np.ndarray
     y_mean: float
@@ -64,13 +64,10 @@ class Moments(NamedTuple):
     score_max: float
 
 
-def _compute_moments(d: "DesignMatrix", fit_intercept: bool) -> Moments:
-    if fit_intercept:
-        x_mean = d.x.mean(axis=0)
-        y_mean = float(d.y.mean())
-        xc, yc = d.x - x_mean, d.y - y_mean
-    else:
-        xc, yc, x_mean, y_mean = d.x, d.y, np.zeros(d.p), 0.0
+def _compute_moments(d: "DesignMatrix") -> Moments:
+    x_mean = d.x.mean(axis=0)
+    y_mean = float(d.y.mean())
+    xc, yc = d.x - x_mean, d.y - y_mean
     gram, corr = xc.T @ xc, xc.T @ yc
     for shared in (x_mean, xc, yc, gram, corr):
         shared.setflags(write=False)
@@ -85,7 +82,6 @@ class DesignMatrix:
     x: np.ndarray  # shape (n, p)
     y: np.ndarray  # shape (n,)
     column_names: tuple[str, ...]
-    _moment_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -117,12 +113,11 @@ class DesignMatrix:
     def subset(self, rows: np.ndarray) -> "DesignMatrix":
         return DesignMatrix(self.x[rows], self.y[rows], self.column_names)
 
-    def moments(self, fit_intercept: bool = True) -> Moments:
-        """The Moments of this design, computed on the first call for each
-        fit_intercept and kept: every fit on the design reuses them."""
-        if fit_intercept not in self._moment_cache:
-            self._moment_cache[fit_intercept] = _compute_moments(self, fit_intercept)
-        return self._moment_cache[fit_intercept]
+    @cached_property
+    def moments(self) -> Moments:
+        """The Moments of this design, computed on first read and kept:
+        every fit on the design reuses them."""
+        return _compute_moments(self)
 
 
 @dataclass(frozen=True)
@@ -286,13 +281,12 @@ def soft_threshold(z: float, gamma: float) -> float:
     return 0.0
 
 
-def fit_ols(d: DesignMatrix, fit_intercept: bool = True) -> LinearModel:
+def fit_ols(d: DesignMatrix) -> LinearModel:
     """Least squares baseline (no penalty).
 
     Singular systems fall back to the minimum-norm solution and the model
     is flagged 'singular_system'."""
-    return replace(fit_penalized(d, PenaltySpec.ridge(0.0), fit_intercept=fit_intercept),
-                   penalty=None)
+    return replace(fit_penalized(d, PenaltySpec.ridge(0.0)), penalty=None)
 
 
 def _solve_pattern(
@@ -418,8 +412,8 @@ def _coordinate_descent(
     bound: float,
     beta: np.ndarray,
 ) -> tuple[np.ndarray, bool, int]:
-    """Cyclic coordinate descent for b'Hb - 2c'b + lam1*|b|_1 (the fit
-    without intercept) on hess = H and corr = c, from the start beta.
+    """Cyclic coordinate descent for b'Hb - 2c'b + lam1*|b|_1 (the
+    centered fit) on hess = H and corr = c, from the start beta.
 
     Stops when the largest coefficient change in a sweep drops below tol
     and the iterate passes _optimality within bound. Coordinates with a
@@ -463,7 +457,6 @@ def fit_penalized(
     spec: PenaltySpec,
     tol: float = 1e-10,
     max_iter: int = 100_000,
-    fit_intercept: bool = True,
     start: np.ndarray | None = None,
 ) -> LinearModel:
     """Fit the penalty a PenaltySpec describes. Its weights, not its kind,
@@ -482,7 +475,7 @@ def fit_penalized(
         raise RegressionError("tol must be finite and > 0")
     if max_iter < 1:
         raise RegressionError("max_iter must be >= 1")
-    m = d.moments(fit_intercept)
+    m = d.moments
     flags: tuple[str, ...] = ()
     lam1, lam2 = spec.lam1, spec.lam2
     hess = m.gram + lam2 * _identity(d.p)  # also at lam2 = 0: + 0.0 turns a -0.0 into +0.0
@@ -526,10 +519,10 @@ def kkt_check(model: LinearModel, d: DesignMatrix) -> float:
     return float(v.max())
 
 
-def lasso_lambda_max(d: DesignMatrix, fit_intercept: bool = True) -> float:
+def lasso_lambda_max(d: DesignMatrix) -> float:
     """Smallest L1 weight at which the lasso solution is identically zero:
     max_j |2 x_j'(y - ybar)|."""
-    return float(np.max(np.abs(2.0 * d.moments(fit_intercept).corr)))
+    return float(np.max(np.abs(2.0 * d.moments.corr)))
 
 
 def _paired(y, y_hat) -> tuple[np.ndarray, np.ndarray]:

@@ -1,13 +1,23 @@
 import numpy as np
 import pytest
 
-from clusterreg.dataio import save_panel_long
+from clusterreg.dataio import EnergyPanel, save_panel_long
 from clusterreg.pipeline import PipelineConfig
 from clusterreg.preprocess import FeatureMatrix
 from clusterreg.synth import generate_synthetic
 
 TRAIN_YEARS = list(range(2000, 2015))
 TEST_YEARS = list(range(2015, 2020))
+
+
+def overflowing_panel():
+    """6 entities x 3 features over 2000-2019 with cells in [1, 3), and year
+    2003 scaled by 4e307: every cell is finite, yet cluster 0's total for
+    2003 overflows whatever the clustering."""
+    values = np.random.default_rng(0).uniform(1.0, 3.0, (20, 6, 3))
+    values[3] *= 4e307
+    return EnergyPanel(tuple(range(2000, 2020)), tuple(f"e{i}" for i in range(6)),
+                       ("f0", "f1", "f2"), values)
 
 
 @pytest.fixture(scope="session")

@@ -19,14 +19,12 @@ def penalized_objective(x, y, intercept, beta, lam1, lam2):
     return float(resid @ resid + lam1 * np.abs(beta).sum() + lam2 * (beta**2).sum())
 
 
-def best_intercept(x, y, beta, fit_intercept=True):
+def best_intercept(x, y, beta):
     """Optimal intercept for fixed beta: mean residual (calculus on a)."""
-    if not fit_intercept:
-        return 0.0
     return float(np.mean(y - x @ np.asarray(beta, dtype=float)))
 
 
-def grid_minimize(x, y, lam1, lam2, fit_intercept=True, final_spacing=2.5e-4):
+def grid_minimize(x, y, lam1, lam2, final_spacing=2.5e-4):
     """Dense-grid minimizer of the penalized objective, refined in stages.
 
     Each stage evaluates a 13-point-per-axis coordinate grid and halves
@@ -35,10 +33,7 @@ def grid_minimize(x, y, lam1, lam2, fit_intercept=True, final_spacing=2.5e-4):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     p = x.shape[1]
-    ls_beta, *_ = np.linalg.lstsq(
-        np.c_[np.ones(len(y)), x] if fit_intercept else x, y, rcond=None
-    )
-    ls_beta = ls_beta[1:] if fit_intercept else ls_beta
+    ls_beta = np.linalg.lstsq(np.c_[np.ones(len(y)), x], y, rcond=None)[0][1:]
     span = 2.0 * max(1.0, float(np.abs(ls_beta).max(initial=0.0)))
     center = np.zeros(p)
     spacing = span / 6.0
@@ -48,8 +43,7 @@ def grid_minimize(x, y, lam1, lam2, fit_intercept=True, final_spacing=2.5e-4):
         mesh = np.meshgrid(*axes, indexing="ij")
         grid = np.stack([m.ravel() for m in mesh], axis=1)  # (13^p, p)
         resid = y[:, None] - x @ grid.T
-        if fit_intercept:
-            resid = resid - resid.mean(axis=0, keepdims=True)
+        resid = resid - resid.mean(axis=0, keepdims=True)
         values = (
             (resid**2).sum(axis=0)
             + lam1 * np.abs(grid).sum(axis=1)
@@ -59,7 +53,7 @@ def grid_minimize(x, y, lam1, lam2, fit_intercept=True, final_spacing=2.5e-4):
         if spacing <= final_spacing:
             break
         spacing /= 2.0
-    a = best_intercept(x, y, center, fit_intercept)
+    a = best_intercept(x, y, center)
     return a, center, penalized_objective(x, y, a, center, lam1, lam2)
 
 

@@ -120,12 +120,13 @@ def test_criterion_3_boundary_reductions(solver_corpus):
 
 
 def test_criterion_4_closed_form_fixtures():
-    uni = DesignMatrix([[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0], ("x",))
+    # mean-zero fixtures: the intercept fit solves the no-intercept problem,
+    # with x'x = x'y = 14 (uni) and x'x = x'y = 2 (pm)
+    uni = DesignMatrix([[-3.0], [1.0], [2.0]], [-3.0, 1.0, 2.0], ("x",))
     pm = DesignMatrix([[1.0], [-1.0]], [1.0, -1.0], ("x",))
-    ridge = fit_penalized(uni, PenaltySpec.ridge(1.0), fit_intercept=False).coefficients[0]
-    lasso = fit_penalized(pm, PenaltySpec.lasso(1.0), fit_intercept=False).coefficients[0]
-    enet = fit_penalized(pm, PenaltySpec.elastic_net(1.0, 1.0),
-                         fit_intercept=False).coefficients[0]
+    ridge = fit_penalized(uni, PenaltySpec.ridge(1.0)).coefficients[0]
+    lasso = fit_penalized(pm, PenaltySpec.lasso(1.0)).coefficients[0]
+    enet = fit_penalized(pm, PenaltySpec.elastic_net(1.0, 1.0)).coefficients[0]
     ok = (abs(ridge - 14.0 / 15.0) < 1e-10
           and abs(lasso - 0.75) < 1e-10
           and abs(enet - 0.5) < 1e-10)

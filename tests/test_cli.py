@@ -1,12 +1,11 @@
 import csv
 
-import numpy as np
 import pytest
 
 from clusterreg.cli import main
 from clusterreg.pipeline import ARTIFACT_FILES
 
-from conftest import TEST_YEARS, TRAIN_YEARS
+from conftest import TEST_YEARS, TRAIN_YEARS, overflowing_panel
 
 
 def write_config(path, data_path, **overrides):
@@ -478,3 +477,17 @@ def test_overflowing_cluster_profile_exits_one_and_writes_nothing(tmp_path, caps
     assert err.count("\n") == 1
     assert [p.name for p in out.iterdir()] == ["pipeline_report.json"]
     assert (out / "pipeline_report.json").read_text() == "previous run\n"
+
+
+def test_overflowing_cluster_total_exits_one_and_writes_nothing(tmp_path, capsys):
+    """A cluster total that overflows fails the run at stage aggregate with
+    one stage-tagged error line, and no output directory is made."""
+    from clusterreg.dataio import save_panel_long
+
+    save_panel_long(overflowing_panel(), tmp_path / "panel.csv")
+    cfg = write_config(tmp_path / "cfg.ini", tmp_path / "panel.csv")
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: [aggregate] cluster 0 total in 2003 is inf\n"
+    assert not out.exists()

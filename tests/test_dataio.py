@@ -1,6 +1,5 @@
 import csv
 import errno
-import json
 import math
 import tracemalloc
 
@@ -248,14 +247,6 @@ def test_save_report_fit_report(tmp_path):
     loaded = load_report(path)
     assert loaded == report.to_dict()
     assert "r2" in loaded and loaded["r2"] == report.r2
-
-
-def test_save_report_validation_report(tmp_path):
-    report = validate_panel(EnergyPanel((2000,), ("A",), ("f",), np.array([[[1.0]]])))
-    path = tmp_path / "v.json"
-    save_report(report, path)
-    assert load_report(path) == {"ok": True, "issues": []}
-    assert json.loads(path.read_text())["issues"] == []
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -23,7 +23,7 @@ from clusterreg.pipeline import (
     summarize_forecast,
 )
 
-from conftest import map_partitions
+from conftest import TEST_YEARS, TRAIN_YEARS, map_partitions, overflowing_panel
 
 
 def panel_from(values):
@@ -76,6 +76,17 @@ class TestAggregate:
         assign = ClusterAssignment((0, 0), 1, (True, True))
         with pytest.raises(ClusterRegError, match="covers"):
             aggregate_by_cluster(panel, assign)
+
+    def test_overflowing_total_rejected_naming_cluster_and_year(self):
+        one = ClusterAssignment((0,) * 6, 1, (True,) * 6)
+        with pytest.raises(ClusterRegError, match="cluster 0 total in 2003 is inf"):
+            aggregate_by_cluster(overflowing_panel(), one)
+        # each entity's total is finite (3 * 4e307), their sum is not
+        values = np.ones((2, 6, 3))
+        values[1] *= 4e307
+        singletons = ClusterAssignment(tuple(range(6)), 6, (True,) * 6)
+        with pytest.raises(ClusterRegError, match="grand total in 2001 is inf"):
+            aggregate_by_cluster(panel_from(values), singletons)
 
     def test_promoting_noise_preserves_total(self):
         from clusterreg.clustering import promote_noise
@@ -336,6 +347,20 @@ class TestRunPipeline:
         with pytest.raises(PipelineStageError, match="variance is inf") as err:
             run_pipeline(dataclasses.replace(config, data_path=str(path)))
         assert err.value.stage == "profiles"
+
+    def test_overflowing_total_fails_the_run_at_stage_aggregate(self, tmp_path):
+        """Cells near 4e307 load and cluster, but a cluster's total for one
+        year overflows: the run fails at stage aggregate, with no
+        RuntimeWarning (an error under this suite's filterwarnings) and no
+        output directory."""
+        path, out = tmp_path / "panel.csv", tmp_path / "out"
+        save_panel_long(overflowing_panel(), path)
+        config = PipelineConfig(data_path=str(path), train_years=TRAIN_YEARS,
+                                test_years=TEST_YEARS, out_dir=str(out))
+        with pytest.raises(PipelineStageError, match="cluster 0 total in 2003 is inf") as err:
+            run_pipeline(config)
+        assert err.value.stage == "aggregate"
+        assert not out.exists()
 
     def test_config_error_stage_tagged(self, synthetic_case):
         panel, truth, path, config = synthetic_case
@@ -605,6 +630,26 @@ def test_code_built_values_the_ini_parser_rejects_fail_at_the_config_stage(
     assert err.value.stage == "config"
 
 
+@pytest.mark.parametrize("bad, message", [
+    (dict(eps_grid=0.1), "eps_grid must be a list, got 0.1"),
+    (dict(train_years=2000), "train_years must be a list, got 2000"),
+    (dict(eps_grid=np.array([0.1, 0.2])), r"eps_grid must be a list, got array\(\[0.1, 0.2\]\)"),
+    (dict(minpts_grid=np.array([2])), r"minpts_grid must be a list, got array\(\[2\]\)"),
+    (dict(eps_grid="0.1"), "eps_grid must be a list, got '0.1'"),
+], ids=["eps_float", "train_years_int", "eps_ndarray", "min_pts_ndarray", "eps_str"])
+def test_a_list_field_that_is_not_a_list_fails_at_the_config_stage(synthetic_case, bad,
+                                                                   message):
+    """The years and the grids must be lists (or tuples). A bare number
+    would escape as a TypeError, an array as numpy's ambiguous-truth
+    ValueError or, for a min_pts grid, as the JSON writer's TypeError after
+    a whole run, and a string would be checked character by character."""
+    _, _, _, config = synthetic_case
+    bad = dataclasses.replace(config, data_path="/nonexistent/panel.csv", **bad)
+    with pytest.raises(PipelineStageError, match=message) as err:
+        run_pipeline(bad)
+    assert err.value.stage == "config"
+
+
 class TestDerivedRecord:
     def test_derived_attributes_equal_their_formulas(self, synthetic_report):
         from clusterreg.clustering import promote_noise
@@ -623,8 +668,8 @@ class TestDerivedRecord:
         assert report.promoted.num_clusters == promoted.num_clusters
         assert report.columns == [f"cluster_{c}" for c in range(promoted.num_clusters)]
         assert np.array_equal(report.target, report.regressors.sum(axis=1))
-        assert np.array_equal(report.log_regressors, log_transform(report.regressors, eps, True))
-        assert np.array_equal(report.log_target, log_transform(report.target, eps, True))
+        assert np.array_equal(report.log_regressors, log_transform(report.regressors, eps))
+        assert np.array_equal(report.log_target, log_transform(report.target, eps))
         design = build_design(report.log_regressors, report.log_target, report.columns,
                               report.train_idx)
         assert np.array_equal(report.train_design.x, design.x)

@@ -114,11 +114,6 @@ class TestLogTransform:
     def test_paper_exp_inverse(self):
         assert math.exp(5.61789) == pytest.approx(275.308, abs=0.01)
 
-    def test_algebraic_inverse(self):
-        eps = 1e-6
-        out = log_transform([math.e - eps, math.e**2 - eps], epsilon=eps)
-        assert np.allclose(out, [1.0, 2.0], atol=1e-12)
-
     def test_negative_input_rejected(self):
         with pytest.raises(PreprocessError, match="non-negative"):
             log_transform([-0.1], epsilon=1e-6)
@@ -127,18 +122,22 @@ class TestLogTransform:
         with pytest.raises(PreprocessError, match="not positive"):
             log_transform([0.0], epsilon=0.0)
 
-    def test_zeros_only_mode_leaves_positive_cells_exact(self):
-        out = log_transform([2.0, 0.0], epsilon=1e-6, zeros_only=True)
+    def test_offset_only_on_zero_cells(self):
+        out = log_transform([2.0, 0.0], epsilon=1e-6)
         assert out[0] == math.log(2.0)
         assert out[1] == math.log(1e-6)
 
-    @given(st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=8))
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e300, exclude_min=True)),
+                    min_size=1, max_size=8),
+           st.floats(1e-12, 1.0))
     @settings(max_examples=60, deadline=None)
-    def test_inverse_identity_on_positive_inputs(self, xs):
-        eps = 1e-6
-        shifted = [math.exp(v) - eps for v in xs]
-        out = log_transform(shifted, epsilon=eps)
-        assert np.allclose(out, xs, atol=1e-9)
+    def test_positive_cells_are_their_log_and_zeros_the_log_of_epsilon(self, xs, eps):
+        # Compared with np.log, not math.log: numpy's SIMD log and the C
+        # library's may differ in the last bit.
+        x = np.array(xs)
+        out = log_transform(xs, eps)
+        assert np.array_equal(out[x > 0], np.log(x[x > 0]))
+        assert (out[x == 0] == np.log(eps)).all()
 
     def test_monotone(self):
         out = log_transform([0.5, 1.0, 2.0], epsilon=1e-6)

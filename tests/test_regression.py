@@ -28,7 +28,9 @@ from clusterreg.regression import (
 
 from oracles import grid_minimize, kkt_loop, penalized_objective, random_instance
 
-UNI_X = DesignMatrix(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 2.0, 3.0]), ("x",))
+# Mean-zero univariate fixtures, so the intercept fit is 0 and the closed
+# forms of the no-intercept problem hold: x'x = x'y = 14 and x'x = x'y = 2.
+UNI_X = DesignMatrix(np.array([[-3.0], [1.0], [2.0]]), np.array([-3.0, 1.0, 2.0]), ("x",))
 UNI_PM = DesignMatrix(np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]), ("x",))
 
 
@@ -78,7 +80,7 @@ class TestRidge:
         assert ridge.intercept == pytest.approx(ols.intercept, abs=1e-10)
 
     def test_univariate_closed_form(self):
-        m = fit_penalized(UNI_X, PenaltySpec.ridge(1.0), fit_intercept=False)
+        m = fit_penalized(UNI_X, PenaltySpec.ridge(1.0))
         assert m.coefficients[0] == pytest.approx(14.0 / 15.0, abs=1e-10)
         assert m.intercept == 0.0
 
@@ -142,7 +144,7 @@ class TestLasso:
         assert "singular_system" in ols.flags and "singular_system" in lasso.flags
 
     def test_univariate_subgradient_value(self):
-        m = fit_penalized(UNI_PM, PenaltySpec.lasso(1.0), fit_intercept=False)
+        m = fit_penalized(UNI_PM, PenaltySpec.lasso(1.0))
         assert m.coefficients[0] == pytest.approx(0.75, abs=1e-10)
 
     def test_dead_zone_beyond_lambda_max(self):
@@ -188,7 +190,7 @@ class TestElasticNet:
         assert enet.coefficients == pytest.approx(lasso.coefficients, abs=1e-8)
 
     def test_univariate_closed_form(self):
-        m = fit_penalized(UNI_PM, PenaltySpec.elastic_net(1.0, 1.0), fit_intercept=False)
+        m = fit_penalized(UNI_PM, PenaltySpec.elastic_net(1.0, 1.0))
         assert m.coefficients[0] == pytest.approx(0.5, abs=1e-10)
 
     def test_spec_construction(self):
@@ -212,7 +214,7 @@ class TestElasticNet:
 
 class TestKkt:
     def test_exact_univariate_solution(self):
-        m = fit_penalized(UNI_PM, PenaltySpec.lasso(1.0), fit_intercept=False)
+        m = fit_penalized(UNI_PM, PenaltySpec.lasso(1.0))
         assert kkt_check(m, UNI_PM) < 1e-8
 
     def test_all_zero_beyond_lambda_max_has_zero_violation(self):
@@ -359,8 +361,8 @@ class TestCrossValidate:
 
     def test_shared_moments_are_read_only(self):
         d = random_design(seed=25)
-        m = d.moments()
-        assert d.moments() is m and d.moments(fit_intercept=False) is not m
+        m = d.moments
+        assert d.moments is m
         for a in (m.x_mean, m.xc, m.yc, m.gram, m.corr):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0

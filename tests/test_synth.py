@@ -57,7 +57,7 @@ def test_nonsupport_aggregates_constant():
 
 def test_cluster_profiles_well_separated():
     panel, truth = generate_synthetic(seed=9)
-    profile = minmax_normalize_rows(entity_profile(panel))
+    profile = minmax_normalize_rows(entity_profile(panel, panel.years))
     values = profile.values
     labels = np.asarray(truth.labels)
     for i in range(len(values)):
