@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: validate, cluster, regress, pipeline, forecast,
-gen-synthetic, plot-data. Exit codes: 0 success, 1 domain failure,
+Subcommands: validate, cluster, regress, pipeline, gen-synthetic,
+plot-data. Exit codes: 0 success, 1 domain failure,
 2 usage or I/O failure. Every invocation is deterministic given its
 flags, config, input files, and (for gen-synthetic) the seed.
 """
@@ -84,13 +84,6 @@ def cmd_pipeline(args) -> int:
           f"c={report.assignment.num_clusters} sc={q.sc:.6f} sse={q.sse:.6f}")
     for kind in regression.PENALTY_KINDS:
         print(_metrics_line(report.models[kind].penalty, report.reports[kind]))
-    print(f"forecast mean_error={report.mean_error:.6f} variance={report.variance:.6f}")
-    return 0
-
-
-def cmd_forecast(args) -> int:
-    cfg = _load_config(args)
-    report = run_pipeline(cfg)
     for row in report.forecast_rows:
         print(f"{row['year']} true={row['true']:.6f} predict={row['predict']:.6f} "
               f"difference={row['difference']:.6f}")
@@ -201,9 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", parents=[common], help="run the full workflow")
     p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser("forecast", parents=[common], help="run the workflow and print forecasts")
-    p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("gen-synthetic", parents=[common], help="generate a benchmark panel")
     p.add_argument("--seed", type=int, required=True)

@@ -8,15 +8,22 @@ Two on-disk layouts are supported for panel data, told apart by the path:
   directory; first column ``entity``, remaining columns are feature names.
 
 The long layout is parsed in blocks, a column at a time, with two ways to
-split text into fields. The file is read in chunks of whole lines of about
-``CHUNK_BYTES`` characters. A chunk that holds no quote, ``\r`` or NUL and
-is no longer than ``csv.field_size_limit()`` is plain: on it ``csv.reader``
-would only split on ``\n`` and ``,``, so ``str.split`` does that instead.
-At the first chunk that is not plain, ``csv.reader`` takes the rest of the
-file, from that chunk's first line, ``BLOCK_ROWS`` rows at a time; that
-line starts a record, since no earlier chunk held a quote. NUL goes to
-``csv.reader`` because Python 3.10 rejects it and 3.11 accepts it. Both
-feed one coding step, which parses each distinct raw year and name once.
+split text into fields. The file is read in binary chunks of whole lines
+of about ``CHUNK_BYTES`` bytes; a chunk ends at a ``\n``, which never
+falls inside a UTF-8 sequence, so each chunk decodes alone. A chunk that
+holds no quote, ``\r`` or NUL and is no longer than
+``csv.field_size_limit()`` is plain: on it ``csv.reader`` would only
+split on ``\n`` and ``,``. One pass over its bytes checks that the
+separators run ``,,,\n`` row after row, and then one ``str.split``
+cuts its fields. A plain chunk that is ASCII with no byte below ``!``
+other than ``\n`` holds nothing ``str.strip`` removes, so its values go
+to ``float`` as they are. At the first chunk that is not plain,
+``csv.reader`` takes the rest of the file, from that chunk's first line,
+``BLOCK_ROWS`` rows at a time; that line starts a record, since no
+earlier chunk held a quote. NUL goes to ``csv.reader`` because Python
+3.10 rejects it and 3.11 accepts it. Both feed one coding step, which
+looks each raw year and name up in a table and parses only the ones it
+has not seen.
 
 A file the block parser cannot take as it stands (a blank line, a bad
 field, a duplicate key, ...) is read again by the row loop
@@ -39,7 +46,7 @@ import re
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +54,7 @@ import numpy as np
 from .errors import ClusterRegError, PanelFormatError
 
 LONG_HEADER = ["year", "entity", "feature", "value"]
-# Characters per chunk of the long parser's plain text, and rows per block
+# Bytes per chunk of the long parser's plain text, and rows per block
 # once csv.reader takes over: big enough that per-block work is negligible,
 # small enough that a block's field lists stay well under 1 MB.
 CHUNK_BYTES = 1 << 16
@@ -154,17 +161,16 @@ def _csv_rows(path: Path):
 
 
 def _long_panel(years: dict, entities: dict, features: dict,
-                year_codes: array, entity_codes: array, feature_codes: array,
-                cells: array) -> EnergyPanel:
+                year_codes, entity_codes, feature_codes, cells) -> EnergyPanel:
     """Scatter coded cells into a dense panel with the years sorted; names
-    keep their first-seen order (each dict maps a name to its code)."""
+    keep their first-seen order (each dict maps a name to its code). The
+    codes and cells are int64 and float64 buffers of one length."""
     order = sorted(years)
     rank = np.empty(len(order), dtype=np.int64)
     rank[[years[y] for y in order]] = np.arange(len(order))
     values = np.zeros((len(years), len(entities), len(features)))
-    values[rank[np.frombuffer(year_codes, dtype=np.int64)],
-           np.frombuffer(entity_codes, dtype=np.int64),
-           np.frombuffer(feature_codes, dtype=np.int64)] = np.frombuffer(cells)
+    values[rank[np.asarray(year_codes)], np.asarray(entity_codes),
+           np.asarray(feature_codes)] = np.asarray(cells)
     return EnergyPanel(tuple(order), tuple(entities), tuple(features), values)
 
 
@@ -172,36 +178,67 @@ def _load_long(path: Path) -> EnergyPanel:
     return _load_long_blocks(path) or _load_long_rows(path)
 
 
-def _long_fields(fh):
-    """Yield the fields of an open long CSV file a block at a time, each
-    block one flat list of 4 fields a record, the header's first. Plain
-    chunks are split with str.split; from the first chunk that is not plain
-    on, csv.reader splits the rest. A record that does not hold 4 fields
-    raises ValueError."""
+# Every byte but the two separators: bytes.translate deletes these, so a
+# chunk of rows of 4 fields leaves ",,,\n" once per row.
+_NOT_SEPARATORS = bytes(range(256)).translate(None, b",\n")
+
+
+def _long_fields(path: Path):
+    """Yield the fields of a long CSV file a block at a time: one flat list
+    of 4 fields a record, the header's first, and whether str.strip leaves
+    every field of the block as it is. A record that does not hold 4
+    fields raises ValueError, and so do bytes that are not UTF-8."""
     limit = csv.field_size_limit()
-    while chunk := fh.read(CHUNK_BYTES):
-        chunk += fh.readline()
-        if len(chunk) > limit or '"' in chunk or "\r" in chunk or "\0" in chunk:
-            break
-        lines = chunk.split("\n")
-        if chunk[-1] == "\n":
-            lines.pop()
-        if set(map(str.count, lines, repeat(","))) != {3}:
-            raise ValueError("a line does not hold 4 fields")
-        yield ",".join(lines).split(",")
-    else:
-        return
-    reader = csv.reader(chain(io.StringIO(chunk, newline=""), fh))
-    while block := list(islice(reader, BLOCK_ROWS)):
-        if set(map(len, block)) != {4}:
-            raise ValueError("a record does not hold 4 fields")
-        yield list(chain.from_iterable(block))
+    with open(path, "rb") as fh:
+        while chunk := fh.read(CHUNK_BYTES):
+            chunk += fh.readline()
+            if len(chunk) > limit or b'"' in chunk or b"\r" in chunk or b"\0" in chunk:
+                break
+            if not chunk.endswith(b"\n"):
+                chunk += b"\n"  # a missing final \n counts as one
+            seps = chunk.translate(None, _NOT_SEPARATORS)
+            rows = len(seps) // 4
+            if seps != b",,,\n" * rows:
+                raise ValueError("a line does not hold 4 fields")
+            fields = chunk.decode().replace("\n", ",").split(",")
+            fields.pop()  # the empty field after the last \n
+            # str.strip removes only bytes below "!" and non-ASCII text; a
+            # bare chunk's only such bytes are its row ends.
+            bare = chunk.isascii() and np.count_nonzero(
+                np.frombuffer(chunk, np.uint8) < 0x21) == rows
+            yield fields, bare
+        else:
+            return
+        text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+        try:
+            reader = csv.reader(chain(io.StringIO(chunk.decode(), newline=""), text))
+            while block := list(islice(reader, BLOCK_ROWS)):
+                if set(map(len, block)) != {4}:
+                    raise ValueError("a record does not hold 4 fields")
+                yield list(chain.from_iterable(block)), False
+        finally:
+            text.detach()  # fh is closed by its own with statement
 
 
-def _extend(acc: array, items, count: int) -> None:
-    """Append the count items of an iterator to an array accumulator: one
-    np.fromiter pass and one frombytes copy, not one append per item."""
-    acc.frombytes(np.fromiter(items, acc.typecode, count).view(np.uint8))
+def _codes(col: list, table: dict, raw: dict, parse) -> np.ndarray:
+    """The codes of a column of raw key fields. raw maps each raw field
+    seen so far to its code in table, the dict of parsed keys, so a raw
+    field is parsed only the first time it is seen, in first-seen order."""
+    try:
+        return np.fromiter(map(raw.__getitem__, col), np.int64, len(col))
+    except KeyError:
+        for s in dict.fromkeys(col):
+            if s not in raw:
+                raw[s] = table.setdefault(parse(s), len(table))
+        return np.fromiter(map(raw.__getitem__, col), np.int64, len(col))
+
+
+def _joined(parts: list) -> np.ndarray:
+    """Concatenate a list of arrays and empty it, so that of the four
+    columns only the one being joined is held twice."""
+    whole = np.concatenate(parts)
+    parts.clear()
+    return whole
 
 
 def _load_long_blocks(path: Path) -> EnergyPanel | None:
@@ -216,44 +253,40 @@ def _load_long_blocks(path: Path) -> EnergyPanel | None:
     years: dict[int, int] = {}
     entities: dict[str, int] = {}
     features: dict[str, int] = {}
-    year_codes, entity_codes, feature_codes = array("q"), array("q"), array("q")
-    cells = array("d")
     # Per key column: the table of parsed keys, a table from each raw field
-    # to its code (so each distinct raw field is parsed once), the parse,
-    # and the codes of the rows. Names are interned, so that the panels of
+    # to its code, and the parse. Names are interned, so that the panels of
     # repeated loads share one copy of each.
-    columns = ((years, {}, lambda s: int(s.strip()), year_codes),
-               (entities, {}, lambda s: sys.intern(s.strip()), entity_codes),
-               (features, {}, lambda s: sys.intern(s.strip()), feature_codes))
+    columns = ((years, {}, lambda s: int(s.strip())),
+               (entities, {}, lambda s: sys.intern(s.strip())),
+               (features, {}, lambda s: sys.intern(s.strip())))
+    parts = ([], [], [], [])  # per chunk: year, entity and feature codes, cells
     start = 4  # the header's fields lead the first block
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            for fields in _long_fields(fh):
-                if start and [h.strip() for h in fields[:4]] != LONG_HEADER:
-                    return None
-                col = fields[start + 3::4]
-                _extend(cells, map(float, map(str.strip, col)), len(col))
-                for k, (table, raw, parse, codes) in enumerate(columns):
-                    col = fields[start + k::4]
-                    for s in dict.fromkeys(col):
-                        if s not in raw:
-                            raw[s] = table.setdefault(parse(s), len(table))
-                    _extend(codes, map(raw.__getitem__, col), len(col))
-                start = 0
-        except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
-            return None
+    try:
+        for fields, bare in _long_fields(path):
+            if start and [h.strip() for h in fields[:4]] != LONG_HEADER:
+                return None
+            for k, column in enumerate(columns):
+                parts[k].append(_codes(fields[start + k::4], *column))
+            col = fields[start + 3::4]
+            values = col if bare else map(str.strip, col)
+            parts[3].append(np.fromiter(map(float, values), float, len(col)))
+            start = 0
+    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+        return None
+    if not parts[3]:  # an empty file
+        return None
+    year_codes, entity_codes, feature_codes, cells = map(_joined, parts)
     n_years, n_entities, n_features = len(years), len(entities), len(features)
-    if (not cells or "" in entities or "" in features
+    if (not cells.size or "" in entities or "" in features
             or n_years * n_entities * n_features > np.iinfo(np.int64).max):
         return None
-    if not np.isfinite(np.frombuffer(cells)).all():
+    if not np.isfinite(cells).all():
         return None
-    keys = np.frombuffer(year_codes, dtype=np.int64) * n_entities
-    keys += np.frombuffer(entity_codes, dtype=np.int64)
+    keys = year_codes * n_entities
+    keys += entity_codes
     keys *= n_features
-    keys += np.frombuffer(feature_codes, dtype=np.int64)
-    keys.sort()
-    if (keys[1:] == keys[:-1]).any():
+    keys += feature_codes
+    if np.bincount(keys).max() > 1:  # a duplicate key
         return None
     return _long_panel(years, entities, features, year_codes, entity_codes,
                        feature_codes, cells)

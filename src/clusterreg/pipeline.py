@@ -153,6 +153,14 @@ class PipelineConfig:
                               f"got {len(self.train_years)}")
         if len(self.test_years) < 2:
             raise ConfigError("test_years needs at least 2 years for the forecast variance")
+        # A numpy scalar passes every check above, but no JSON writer takes it.
+        for name in (*_BOUNDS, "anchor_year"):
+            if (value := getattr(self, name)) is not None:
+                setattr(self, name, _builtin(value))
+        for name in ("train_years", "test_years", *_GRID_CHECKS):
+            values = getattr(self, name)
+            kind = tuple if isinstance(values, tuple) else list
+            setattr(self, name, kind(map(_builtin, values)))
 
     def _check_field(self, name: str) -> None:
         """The test of one field that validate and from_file share: its
@@ -207,6 +215,11 @@ class PipelineConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _builtin(value: numbers.Real) -> int | float:
+    """The built-in int or float that equals a number (a numpy scalar, say)."""
+    return operator.index(value) if isinstance(value, numbers.Integral) else float(value)
 
 
 # Field -> (test of its value, what the test asks).

@@ -627,8 +627,9 @@ def cross_validate(
     if d.n < folds:
         raise RegressionError(f"need at least {folds} samples for {folds} folds, got {d.n}")
     fold_mse: list[list[float]] = [[] for _ in grid]
-    for block in np.array_split(np.arange(d.n), folds):
-        train = d.subset(np.setdiff1d(np.arange(d.n), block))
+    rows = np.arange(d.n)
+    for block in np.array_split(rows, folds):  # contiguous, so the rest is two slices
+        train = d.subset(np.concatenate((rows[:block[0]], rows[block[-1] + 1:])))
         x_out, y_out = d.x[block], d.y[block]
         for i, model in _warm_descent(train, kind, grid, alpha, tol=tol, max_iter=max_iter):
             fold_mse[i].append(compute_mse(y_out, predict(model, x_out)))

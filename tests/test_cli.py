@@ -4,6 +4,7 @@ import pytest
 
 from clusterreg.cli import main
 from clusterreg.pipeline import ARTIFACT_FILES
+from clusterreg.regression import PENALTY_KINDS
 
 from conftest import TEST_YEARS, TRAIN_YEARS, overflowing_panel
 
@@ -186,14 +187,21 @@ class TestPipelineCommands:
         _, out = pipeline_out
         assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACT_FILES)
 
-    def test_forecast_command_prints_rows(self, synthetic_cli, tmp_path, capsys):
+    def test_pipeline_command_prints_the_forecast_rows(self, synthetic_cli, tmp_path, capsys):
+        """One line for the clustering and one per penalty kind, then one
+        per test year and the forecast summary; there is no forecast
+        subcommand."""
         panel_path, _ = synthetic_cli
         cfg = write_config(tmp_path / "cfg.ini", panel_path)
-        assert main(["forecast", "--config", str(cfg),
-                     "--out", str(tmp_path / "out")]) == 0
+        assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == len(TEST_YEARS) + 1
+        assert [line.split()[0] for line in lines] == [
+            "clustering", *PENALTY_KINDS, *map(str, TEST_YEARS), "forecast"]
         assert lines[-1].startswith("forecast mean_error=")
+        with pytest.raises(SystemExit) as exit_:
+            main(["forecast", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'forecast'" in capsys.readouterr().err
 
     def test_plot_data_forecast_shape(self, pipeline_out, capsys):
         cfg, out = pipeline_out

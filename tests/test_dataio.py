@@ -510,6 +510,73 @@ def test_chunk_cuts_and_the_hand_over_to_csv_reader(tmp_path, monkeypatch, chunk
         assert_same_panel(panel, expected)
 
 
+# Padding str.strip removes: ASCII whitespace, the \x1c-\x1f separators,
+# NEL, no-break and ideographic spaces (the last three are not ASCII).
+STRIPPED_PADS = st.sampled_from(["", "", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                 "\x1f", "\x85", "\xa0", "\u3000", " \x1f\xa0"])
+MULTIBYTE_NAMES = st.sampled_from(["a", "b", "a b", "é", "漢字", "😀x", "\xa0", ""])
+# Bytes that are not UTF-8: a stray continuation or lead byte, a cut
+# sequence, an encoded surrogate, an over-long encoding.
+BAD_UTF8 = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe6\xbc", b"\xf0\x9f\x98",
+                            b"\xed\xa0\x80", b"\xc0\xaf"])
+
+
+@st.composite
+def long_file_bytes(draw):
+    """A long file's bytes: rows of 4 fields, now and then of 3 or 5, from
+    few years and names (so keys repeat), every field padded; a field of
+    any column may hold bytes that are not UTF-8, and the last line may
+    lack its \n. No row is blank, so the row loop skips none."""
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        fields = [draw(st.sampled_from(["2000", "2001", "02000", "-5"])),
+                  draw(MULTIBYTE_NAMES), draw(MULTIBYTE_NAMES), repr(draw(FINITE))]
+        width = draw(st.sampled_from([4, 4, 4, 4, 4, 3, 5]))
+        if width == 3:
+            del fields[draw(st.integers(0, 3))]
+        elif width == 5:
+            fields.insert(draw(st.integers(0, 4)), repr(draw(FINITE)))
+        rows.append([(draw(STRIPPED_PADS) + f + draw(STRIPPED_PADS)).encode() for f in fields])
+    if draw(st.integers(0, 3)) == 0:
+        row = draw(st.sampled_from(rows))
+        k = draw(st.integers(0, len(row) - 1))
+        at = draw(st.integers(0, len(row[k])))
+        row[k] = row[k][:at] + draw(BAD_UTF8) + row[k][at:]
+    text = b"\n".join(b",".join(row) for row in rows)
+    return b"year,entity,feature,value\n" + text + draw(st.sampled_from([b"\n", b""]))
+
+
+@given(data=long_file_bytes(), chunk_bytes=st.sampled_from([1, 40, 200, dataio.CHUNK_BYTES]))
+@example(data=b"year,entity,feature,value\n2000,a,b\n5,2001,c,d,6\n", chunk_bytes=200)
+@example(data=b"year,entity,feature,value\n2000,a,b,1\n2000,a,c,2", chunk_bytes=40)
+@example(data="year,entity,feature,value\n2000,\xa0a,\u3000b,1\x1c\n2000,a,b\x1f,2\n".encode(),
+         chunk_bytes=1)
+@example(data=b"year,entity,feature,value\n2000,a,f,1\n2000,\xe6\xbc,f,2\n", chunk_bytes=200)
+@settings(max_examples=300, deadline=None)
+def test_block_parser_returns_the_row_loops_panel_or_declines(tmp_path_factory, data,
+                                                               chunk_bytes):
+    """On any such bytes and chunk size, the block parser returns the row
+    loop's panel bit for bit, or None exactly when the row loop raises; and
+    then load_panel raises the row loop's error. A 3-field row followed by
+    a 5-field row holds 8 fields in all, so only a check of each row's
+    separators declines it."""
+    path = tmp_path_factory.mktemp("layout") / "panel.csv"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "CHUNK_BYTES", chunk_bytes)
+        panel = dataio._load_long_blocks(path)
+        try:
+            expected = dataio._load_long_rows(path)
+        except PanelFormatError as err:
+            assert panel is None
+            with pytest.raises(PanelFormatError) as got:
+                load_panel(path)
+            assert str(got.value) == str(err)
+        else:
+            assert panel is not None
+            assert_same_panel(panel, expected)
+
+
 @pytest.mark.parametrize("shape,limit_mib", [({"n_entities": 400}, 12.0), ({}, 2.1)])
 def test_long_loader_peak_memory(tmp_path, shape, limit_mib):
     """The long loader's peak Python allocation stays bounded. On the

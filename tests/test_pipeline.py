@@ -650,6 +650,48 @@ def test_a_list_field_that_is_not_a_list_fails_at_the_config_stage(synthetic_cas
     assert err.value.stage == "config"
 
 
+# A code-built field holding numpy scalars, and its built-in twin.
+NUMPY_FIELDS = {
+    "cv_folds": (np.int64(5), 5),
+    "max_iter": (np.int64(100_000), 100_000),
+    "anchor_year": (np.int64(2003), 2003),
+    "tol": (np.float32(1e-10), float(np.float32(1e-10))),
+    "minpts_grid": ([np.int64(1), 2, np.int64(3)], [1, 2, 3]),
+    "train_years": ([np.int64(y) for y in TRAIN_YEARS], list(TRAIN_YEARS)),
+    "eps_grid": ([np.float32(e) for e in pipeline._DEFAULT_EPS_GRID],
+                 [float(np.float32(e)) for e in pipeline._DEFAULT_EPS_GRID]),
+}
+
+
+@pytest.mark.parametrize("name", NUMPY_FIELDS)
+def test_validate_turns_numpy_scalars_into_builtin_numbers(synthetic_case, name):
+    """np.int64 and np.float32 pass every check, yet the JSON writer takes
+    neither: such a run would load, sweep and fit, then escape the write
+    stage as a bare TypeError. validate turns each into the int or float
+    of equal value, so to_dict holds only built-in types."""
+    _, _, _, config = synthetic_case
+    given, builtin = NUMPY_FIELDS[name]
+    cfg = dataclasses.replace(config, **{name: given})
+    cfg.validate()
+    assert cfg.to_dict() == dataclasses.replace(config, **{name: builtin}).to_dict()
+    leaves = [v for value in cfg.to_dict().values()
+              for v in (value if isinstance(value, list) else [value])]
+    assert {type(v) for v in leaves} <= {int, float, str, type(None)}
+
+
+def test_a_run_configured_with_numpy_scalars_writes_the_builtin_runs_bytes(
+        synthetic_case, tmp_path):
+    """Every numpy-scalar field at once: the run writes the artifacts of
+    the run configured with the built-in twins, byte for byte."""
+    _, _, _, config = synthetic_case
+    runs = []
+    for side in (0, 1):  # one out_dir, which the report records
+        run_pipeline(dataclasses.replace(
+            config, out_dir=str(tmp_path), **{k: v[side] for k, v in NUMPY_FIELDS.items()}))
+        runs.append({f: (tmp_path / f).read_bytes() for f in ARTIFACT_FILES})
+    assert runs[0] == runs[1]
+
+
 class TestDerivedRecord:
     def test_derived_attributes_equal_their_formulas(self, synthetic_report):
         from clusterreg.clustering import promote_noise
