@@ -7,30 +7,19 @@ Two on-disk layouts are supported for panel data, told apart by the path:
 * wide CSV -- one file per year named ``panel_<year>.csv`` inside a
   directory; first column ``entity``, remaining columns are feature names.
 
-The long layout is parsed in blocks, a column at a time, with two ways to
-split text into fields. The file is read in binary chunks of whole lines
-of about ``CHUNK_BYTES`` bytes; a chunk ends at a ``\n``, which never
-falls inside a UTF-8 sequence, so each chunk decodes alone. A chunk that
-holds no quote, ``\r`` or NUL and is no longer than
+The long layout is parsed in binary chunks of whole lines of about
+``CHUNK_BYTES`` bytes, a column at a time; a chunk ends at a ``\n``,
+which never falls inside a UTF-8 sequence, so each chunk decodes alone.
+A chunk that holds no quote, ``\r`` or NUL and is no longer than
 ``csv.field_size_limit()`` is plain: on it ``csv.reader`` would only
 split on ``\n`` and ``,``. One pass over its bytes checks that the
-separators run ``,,,\n`` row after row, and then one ``str.split``
-cuts its fields. A plain chunk that is ASCII with no byte below ``!``
-other than ``\n`` holds nothing ``str.strip`` removes, so its values go
-to ``float`` as they are. At the first chunk that is not plain,
-``csv.reader`` takes the rest of the file, from that chunk's first line,
-``BLOCK_ROWS`` rows at a time; that line starts a record, since no
-earlier chunk held a quote. NUL goes to ``csv.reader`` because Python
-3.10 rejects it and 3.11 accepts it. Both feed one coding step, which
-looks each raw year and name up in a table and parses only the ones it
-has not seen.
-
-A file the block parser cannot take as it stands (a blank line, a bad
-field, a duplicate key, ...) is read again by the row loop
-``_load_long_rows``, which reports the first problem or skips the blank
-lines. Every loader error names the file and the physical line on which
-the offending record starts, so a quoted name that spans lines does not
-shift the line numbers after it.
+separators run ``,,,\n`` row after row, and then one ``str.split`` cuts
+its fields. Every other file (a chunk that is not plain, a blank line, a
+bad field, a duplicate key, ...) is read again by the row loop
+``_load_long_rows``, which takes quotes and CRLF line ends, and reports
+the first problem or skips the blank lines. Every loader error names the
+file and the physical line on which the offending record starts, so a
+quoted name that spans lines does not shift the line numbers after it.
 
 Reports are plain JSON (UTF-8, sorted keys) so external tools can parse
 them without this package.
@@ -39,14 +28,13 @@ them without this package.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import re
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -54,11 +42,9 @@ import numpy as np
 from .errors import ClusterRegError, PanelFormatError
 
 LONG_HEADER = ["year", "entity", "feature", "value"]
-# Bytes per chunk of the long parser's plain text, and rows per block
-# once csv.reader takes over: big enough that per-block work is negligible,
-# small enough that a block's field lists stay well under 1 MB.
+# Bytes per chunk of the long parser: big enough that per-chunk work is
+# negligible, small enough that a chunk's field list stays well under 1 MB.
 CHUNK_BYTES = 1 << 16
-BLOCK_ROWS = 1024
 _WIDE_NAME = re.compile(r"panel_(\d+)\.csv", re.ASCII)  # ASCII digits; use fullmatch
 
 
@@ -184,16 +170,17 @@ _NOT_SEPARATORS = bytes(range(256)).translate(None, b",\n")
 
 
 def _long_fields(path: Path):
-    """Yield the fields of a long CSV file a block at a time: one flat list
-    of 4 fields a record, the header's first, and whether str.strip leaves
-    every field of the block as it is. A record that does not hold 4
-    fields raises ValueError, and so do bytes that are not UTF-8."""
+    """Yield the fields of a plain long CSV file a chunk at a time: one flat
+    list of 4 fields a record, the header's first, and whether str.strip
+    leaves every field of the chunk as it is. A chunk that is not plain
+    or holds a record of other than 4 fields raises ValueError, and so do
+    bytes that are not UTF-8."""
     limit = csv.field_size_limit()
     with open(path, "rb") as fh:
         while chunk := fh.read(CHUNK_BYTES):
             chunk += fh.readline()
             if len(chunk) > limit or b'"' in chunk or b"\r" in chunk or b"\0" in chunk:
-                break
+                raise ValueError("a chunk that is not plain")
             if not chunk.endswith(b"\n"):
                 chunk += b"\n"  # a missing final \n counts as one
             seps = chunk.translate(None, _NOT_SEPARATORS)
@@ -207,17 +194,6 @@ def _long_fields(path: Path):
             bare = chunk.isascii() and np.count_nonzero(
                 np.frombuffer(chunk, np.uint8) < 0x21) == rows
             yield fields, bare
-        else:
-            return
-        text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
-        try:
-            reader = csv.reader(chain(io.StringIO(chunk.decode(), newline=""), text))
-            while block := list(islice(reader, BLOCK_ROWS)):
-                if set(map(len, block)) != {4}:
-                    raise ValueError("a record does not hold 4 fields")
-                yield list(chain.from_iterable(block)), False
-        finally:
-            text.detach()  # fh is closed by its own with statement
 
 
 def _codes(col: list, table: dict, raw: dict, parse) -> np.ndarray:
@@ -242,14 +218,15 @@ def _joined(parts: list) -> np.ndarray:
 
 
 def _load_long_blocks(path: Path) -> EnergyPanel | None:
-    """Parse a long CSV a block at a time, one column at a time.
+    """Parse a plain long CSV a chunk at a time, one column at a time.
 
-    Returns None when the file is not a plain sequence of valid rows (wrong
+    Returns None when the file is not a plain sequence of valid rows (a
+    quote, \\r or NUL, a chunk longer than csv.field_size_limit(), a wrong
     header or column count, a blank line, an empty name, a field int/float
     rejects, a non-finite value, a duplicate key, no data rows, bytes that
-    are not UTF-8, a csv error); the row loop then reports the problem or
-    skips the blank lines. Otherwise the panel is the one _load_long_rows
-    returns, bit for bit."""
+    are not UTF-8); the row loop then reads the file, and reports the
+    problem or skips the blank lines. Otherwise the panel is the one
+    _load_long_rows returns, bit for bit."""
     years: dict[int, int] = {}
     entities: dict[str, int] = {}
     features: dict[str, int] = {}
@@ -260,7 +237,7 @@ def _load_long_blocks(path: Path) -> EnergyPanel | None:
                (entities, {}, lambda s: sys.intern(s.strip())),
                (features, {}, lambda s: sys.intern(s.strip())))
     parts = ([], [], [], [])  # per chunk: year, entity and feature codes, cells
-    start = 4  # the header's fields lead the first block
+    start = 4  # the header's fields lead the first chunk
     try:
         for fields, bare in _long_fields(path):
             if start and [h.strip() for h in fields[:4]] != LONG_HEADER:
@@ -271,7 +248,7 @@ def _load_long_blocks(path: Path) -> EnergyPanel | None:
             values = col if bare else map(str.strip, col)
             parts[3].append(np.fromiter(map(float, values), float, len(col)))
             start = 0
-    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+    except ValueError:  # UnicodeDecodeError is a ValueError
         return None
     if not parts[3]:  # an empty file
         return None
@@ -294,9 +271,9 @@ def _load_long_blocks(path: Path) -> EnergyPanel | None:
 
 def _load_long_rows(path: Path) -> EnergyPanel:
     """The row-at-a-time long loader: raises PanelFormatError naming the
-    file and line of the first bad row, and skips blank lines. It is the
-    error path of _load_long and the reference its block parser is
-    tested against."""
+    file and line of the first bad row, and skips blank lines. It reads
+    every long file the block parser declines (quoted, CRLF or invalid),
+    and is the reference that parser is tested against."""
     reader = _csv_rows(path)
     header = [h.strip() for h in next(reader)[1]]
     if header != LONG_HEADER:

@@ -47,6 +47,7 @@ _DEFAULT_EPS_GRID = [round(0.05 * k, 2) for k in range(1, 41)]  # 0.05 .. 2.00
 _DEFAULT_MINPTS_GRID = [1, 2, 3, 4, 5]
 _DEFAULT_RIDGE_GRID = [round(0.01 * k, 2) for k in range(0, 51)]  # 0.00 .. 0.50
 _DEFAULT_L1_GRID = [float(v) for v in np.logspace(-8, 1, 28)]
+MAX_SPEC_VALUES = 10**6  # most values a range, logspace or year spec expands to
 
 
 def _finite(text: str) -> float:
@@ -55,6 +56,13 @@ def _finite(text: str) -> float:
     if not math.isfinite(v):
         raise ValueError(f"not a finite number: {text.strip()!r}")
     return v
+
+
+def _check_count(count: int, text: str) -> None:
+    """Reject a spec that expands to more than MAX_SPEC_VALUES values,
+    before any value is built."""
+    if count > MAX_SPEC_VALUES:
+        raise ConfigError(f"{text!r} expands to more than {MAX_SPEC_VALUES} values")
 
 
 def parse_grid(text: str) -> list[float]:
@@ -68,6 +76,7 @@ def parse_grid(text: str) -> list[float]:
         e0, e1, count = _finite(parts[1]), _finite(parts[2]), int(parts[3])
         if count < 1:
             raise ConfigError("logspace grid needs count >= 1")
+        _check_count(count, text)
         with np.errstate(over="ignore"):  # an overflow to inf is rejected below
             vals = [float(v) for v in np.logspace(e0, e1, count)]
         if not all(map(math.isfinite, vals)):
@@ -80,7 +89,9 @@ def parse_grid(text: str) -> list[float]:
         a, b, step = (_finite(p) for p in parts)
         if step <= 0 or b < a:
             raise ConfigError(f"bad range grid {text!r}")
-        count = int(round((b - a) / step)) + 1
+        # capped before round(), which rejects the inf of an overflowing b - a
+        count = int(round(min((b - a) / step, MAX_SPEC_VALUES))) + 1
+        _check_count(count, text)
         vals = [a + step * k for k in range(count)]
         return [v for v in vals if v <= b + 1e-12]
     vals = [_finite(p) for p in text.split(",") if p.strip()]
@@ -97,6 +108,7 @@ def parse_years(text: str) -> list[int]:
         lo, hi = int(a), int(b)
         if hi < lo:
             raise ConfigError(f"bad year range {text!r}")
+        _check_count(hi - lo + 1, text)
         return list(range(lo, hi + 1))
     years = [int(p) for p in text.split(",") if p.strip()]
     if not years:
@@ -125,6 +137,13 @@ class PipelineConfig:
     out_dir: str | None = None
 
     def validate(self) -> None:
+        paths = ("data_path",) if self.out_dir is None else ("data_path", "out_dir")
+        for name in paths:
+            value = getattr(self, name)
+            path = os.fspath(value) if isinstance(value, (str, os.PathLike)) else value
+            if not isinstance(path, str):  # the JSON report holds it as a string
+                raise ConfigError(f"{name} must be a str or path, got {value!r}")
+            setattr(self, name, path)
         for name in ("train_years", "test_years", *_GRID_CHECKS):
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")

@@ -340,14 +340,17 @@ def valid_long_files(draw):
     return rows, draw(st.booleans())
 
 
-@given(file=valid_long_files(), block_rows=st.integers(1, 5))
+@given(file=valid_long_files(), chunk_bytes=st.sampled_from([1, 40, dataio.CHUNK_BYTES]))
 @example(file=([["2001", "a,b", "f", "1.0"], ["2000", '"c\rd', "f", "2.5"],
-                ["2001", '"c\rd', "g\n", " -0.0"]], True), block_rows=2)
+                ["2001", '"c\rd', "g\n", " -0.0"]], True), chunk_bytes=40)
+@example(file=([["2001", "a", "f", "1.0"], ["2000", " c", "f ", "2.5"],
+                ["2001", "c", "\tg", " -0.0"]], False), chunk_bytes=1)
 @settings(max_examples=200, deadline=None)
-def test_block_parser_equals_row_loop(tmp_path_factory, file, block_rows):
-    """On a valid long file the block parser returns the row loop's panel
-    bit for bit, and the row loop does not run. Small blocks make the code
-    tables run across blocks."""
+def test_block_parser_equals_row_loop(tmp_path_factory, file, chunk_bytes):
+    """On a valid long file the block parser returns None exactly when the
+    file holds a quote, \\r or NUL, and else the row loop's panel bit for
+    bit; load_panel returns that panel either way. Small chunks make the
+    code tables run across chunks."""
     rows, crlf = file
     path = tmp_path_factory.mktemp("blocks") / "panel.csv"
     if crlf:
@@ -356,20 +359,25 @@ def test_block_parser_equals_row_loop(tmp_path_factory, file, block_rows):
     else:
         write_csv(path, LONG_HEADER, rows)
     expected = dataio._load_long_rows(path)
-    calls = []
+    data = path.read_bytes()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dataio, "BLOCK_ROWS", block_rows)
-        mp.setattr(dataio, "_load_long_rows", lambda path: calls.append(path))
-        panel = load_panel(path)
-    assert calls == []
-    assert_same_panel(panel, expected)
+        mp.setattr(dataio, "CHUNK_BYTES", chunk_bytes)
+        panel = dataio._load_long_blocks(path)
+        if b'"' in data or b"\r" in data or b"\0" in data:
+            assert panel is None
+        else:
+            assert_same_panel(panel, expected)
+        assert_same_panel(load_panel(path), expected)
 
 
-def test_plain_long_file_is_split_without_csv_reader(tmp_path, monkeypatch):
+@pytest.mark.parametrize("shape", [{}, {"n_years": 60, "support_size": 16}],
+                         ids=["default-46", "tall-full-rank"])
+def test_plain_long_file_is_split_without_csv_reader(tmp_path, monkeypatch, shape):
     """save_panel_long output holds no quote, \\r or NUL, so the loader
     splits it with str.split: csv.reader is never built and the row loop
-    never runs, over one chunk or many."""
-    panel, _ = generate_synthetic(seed=0)
+    never runs, over one chunk or many, on the default and the 60-year
+    benchmark panels."""
+    panel, _ = generate_synthetic(seed=0, **shape)
     path = tmp_path / "panel.csv"
     save_panel_long(panel, path)
     reader, calls = csv.reader, []
@@ -380,6 +388,21 @@ def test_plain_long_file_is_split_without_csv_reader(tmp_path, monkeypatch):
         back = load_panel(path)
         assert calls == []
         assert_same_panel(back, panel)
+
+
+def test_a_chunk_longer_than_the_csv_field_limit_goes_to_the_row_loop(tmp_path):
+    """A plain chunk longer than csv.field_size_limit() is declined, though
+    each of its fields is shorter: the row loop, which csv.reader limits
+    per field, loads the file."""
+    path = write(tmp_path / "panel.csv", "year,entity,feature,value\n"
+                 + "".join(f"2000,E{i},f,{i}.5\n" for i in range(20)))
+    old = csv.field_size_limit(100)
+    try:
+        assert dataio._load_long_blocks(path) is None
+        assert_same_panel(load_panel(path), dataio._load_long_rows(path))
+    finally:
+        csv.field_size_limit(old)
+    assert_same_panel(dataio._load_long_blocks(path), load_panel(path))
 
 
 def test_wide_panel_in_small_chunks_loads_the_row_loop_panel(tmp_path, monkeypatch):
@@ -482,32 +505,40 @@ def test_save_panel_long_failing_mid_file_leaves_no_file(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("chunk_bytes", [1, 40, 200])
 @pytest.mark.parametrize("tail", [
+    '2001,\tB ,f,4.0\n',  # plain: the block parser loads the file
     '2001,"B,b",f,4.0\n',  # a quoted field
     '2001,B,f,4.0\r2001,C,f,5.0',  # a bare \r ending a record
     '2001,B\rx,f,4.0\n',  # a bare \r inside a field: csv.Error
     '2001,B\0,f,4.0\n',  # NUL: csv.Error before Python 3.11, a name after
     '2001,"B\nb",f,"4.0"\n2000, E1,f0,9\n',  # a quoted line end; a duplicate key
 ])
-def test_chunk_cuts_and_the_hand_over_to_csv_reader(tmp_path, monkeypatch, chunk_bytes, tail):
-    """Small chunks put chunk cuts and the hand-over to csv.reader mid-file:
-    a file whose only quote, bare \\r or NUL is in its last chunk loads
-    the row loop's panel by the block parser, or raises the row loop's
-    error. Raw years and names that parse alike span chunks, and values
-    padded with \\x1c, which str.strip removes and float rejects."""
+def test_chunk_cuts_and_a_last_chunk_that_is_not_plain(tmp_path, monkeypatch, chunk_bytes, tail):
+    """Small chunks put chunk cuts mid-file, and the only quote, bare \\r or
+    NUL of a file in its last chunk: the block parser declines the file,
+    and load_panel returns the row
+    loop's panel or raises the row loop's error. A plain tail loads the
+    row loop's panel by the block parser. Raw years and names that parse
+    alike span chunks, and values padded with \\x1c, which str.strip
+    removes and float rejects."""
     body = "".join(f"{'0' * (i % 2)}{2000 + i % 3},{' ' * (i % 4)}E{i % 5},f{i % 2},"
                    f"{i}.5{chr(0x1c) * (i % 3)}\n" for i in range(24))
     path = write(tmp_path / "panel.csv", "year,entity,feature,value\n" + body + tail)
     monkeypatch.setattr(dataio, "CHUNK_BYTES", chunk_bytes)
+    panel = dataio._load_long_blocks(path)
+    plain = not any(c in tail for c in '"\r\0')
     try:
         expected = dataio._load_long_rows(path)
     except PanelFormatError as err:
+        assert panel is None
         with pytest.raises(PanelFormatError) as got:
             load_panel(path)
         assert str(got.value) == str(err)
     else:
-        panel = dataio._load_long_blocks(path)
-        assert panel is not None
-        assert_same_panel(panel, expected)
+        if plain:
+            assert_same_panel(panel, expected)
+        else:
+            assert panel is None
+        assert_same_panel(load_panel(path), expected)
 
 
 # Padding str.strip removes: ASCII whitespace, the \x1c-\x1f separators,

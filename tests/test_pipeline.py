@@ -692,6 +692,72 @@ def test_a_run_configured_with_numpy_scalars_writes_the_builtin_runs_bytes(
     assert runs[0] == runs[1]
 
 
+def test_a_config_of_path_objects_writes_the_str_configs_artifacts(synthetic_case, tmp_path):
+    """data_path and out_dir given as pathlib.Path: validate stores each as
+    its str, so the run writes the artifacts of the str-configured run,
+    byte for byte, and the report records the paths as strings."""
+    _, _, path, config = synthetic_case
+    runs = []
+    for kind in (str, Path):  # one out_dir, which the report records
+        run_pipeline(dataclasses.replace(config, data_path=kind(path), out_dir=kind(tmp_path)))
+        runs.append({f: (tmp_path / f).read_bytes() for f in ARTIFACT_FILES})
+    assert runs[0] == runs[1]
+    recorded = json.loads(runs[1]["pipeline_report.json"])["config"]
+    assert (recorded["data_path"], recorded["out_dir"]) == (str(path), str(tmp_path))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(data_path=None), "data_path must be a str or path, got None"),
+    (dict(data_path=3), "data_path must be a str or path, got 3"),
+    (dict(data_path=b"x"), "data_path must be a str or path, got b'x'"),
+    (dict(out_dir=5), "out_dir must be a str or path, got 5"),
+], ids=["data_path_none", "data_path_int", "data_path_bytes", "out_dir_int"])
+def test_a_path_field_that_is_not_a_path_fails_at_the_config_stage(synthetic_case, tmp_path,
+                                                                   bad, message):
+    """A path field holding no str or path would escape as a bare TypeError
+    from Path(), or, as bytes, reach the JSON writer after a whole run. It
+    fails before the panel is read, naming the field, and writes no file."""
+    _, _, _, config = synthetic_case
+    bad = dataclasses.replace(config, **{"out_dir": str(tmp_path / "out"), **bad})
+    with pytest.raises(PipelineStageError, match=message) as err:
+        run_pipeline(bad)
+    assert err.value.stage == "config"
+    assert list(tmp_path.iterdir()) == []
+
+
+SPECS_ABOVE_THE_CAP = [
+    ("cluster", "eps_grid", parse_grid, "0:1:1e-12"),
+    ("regress", "ridge_lambdas", parse_grid, "-1e308:1e308:1"),
+    ("regress", "lasso_lambdas", parse_grid, "logspace:0:1:1000000000000"),
+    ("cluster", "minpts_grid", parse_grid, "1:1e12:1"),
+    ("forecast", "train_years", parse_years, "2000-1000000000000"),
+]
+
+
+@pytest.mark.parametrize("section, key, parse, text", SPECS_ABOVE_THE_CAP,
+                         ids=[spec[1] for spec in SPECS_ABOVE_THE_CAP])
+def test_a_spec_far_above_the_value_cap_fails_before_anything_is_built(
+        tmp_path, monkeypatch, section, key, parse, text):
+    """A range, logspace or year-range spec of 10^12 values (or of inf,
+    when b - a overflows) would fill memory before any check ran. Its
+    count is checked first: range() and np.logspace are never called, and
+    from_file names the file, section and key."""
+    def refuse(*args, **kwargs):
+        pytest.fail(f"{text!r} was built")
+
+    monkeypatch.setattr(pipeline, "range", refuse, raising=False)
+    monkeypatch.setattr(np, "logspace", refuse)
+    cap = f"{text!r} expands to more than {pipeline.MAX_SPEC_VALUES} values"
+    with pytest.raises(ConfigError) as err:
+        parse(text)
+    assert str(err.value) == cap
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[{section}]\n{key} = {text}\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        PipelineConfig.from_file(ini)
+    assert str(err.value) == f"{ini}: [{section}] {key}: {cap}"
+
+
 class TestDerivedRecord:
     def test_derived_attributes_equal_their_formulas(self, synthetic_report):
         from clusterreg.clustering import promote_noise
