@@ -31,6 +31,13 @@ for column j with partial residual correlation rho_j. Both accept a fit
 by _optimality within the kkt_check bound 10*tol*max(1, |2X'y|_inf),
 except that the search, whose solves are exact, gives its zero
 coordinates only rounding slack.
+
+cross_validate and iterate_lambda fit a penalty grid per design, not per
+point: every positive ridge weight of the grid in one stacked solve, the
+other fits one by one warm-started down the grid, and the validation and
+training errors of all its fits by stacked products. Every coefficient and
+score equals, bit for bit, what fit_penalized, predict and compute_mse
+give for that grid point.
 """
 
 from __future__ import annotations
@@ -452,40 +459,41 @@ def _identity(p: int) -> np.ndarray:
     return eye
 
 
-def fit_penalized(
-    d: DesignMatrix,
-    spec: PenaltySpec,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    start: np.ndarray | None = None,
-) -> LinearModel:
-    """Fit the penalty a PenaltySpec describes. Its weights, not its kind,
-    pick the solve on H = X'X + lam2*I (centered design): least squares at
-    lam1 = lam2 = 0 (flagged 'singular_system' on a rank-deficient design,
-    where it is the minimum-norm solution), H beta = X'y at lam1 = 0, and
-    otherwise the feature-sign search from the coefficients `start` (as
-    reported on a model, e.g. the fit at a neighbouring penalty) or zero,
-    with coordinate descent from the same point only when the search gives
-    up. A descent that does not converge within max_iter sweeps is flagged
-    'non_converged' on the model, never silently accepted. tol, max_iter
-    and start are checked for every fit."""
-    if start is not None and np.shape(start) != (d.p,):
-        raise RegressionError(f"start must have shape ({d.p},), got {np.shape(start)}")
+def _check_solver(tol: float, max_iter: int) -> None:
     if not 0.0 < tol < np.inf:
         raise RegressionError("tol must be finite and > 0")
     if max_iter < 1:
         raise RegressionError("max_iter must be >= 1")
+
+
+def _ridge_solve(m: Moments, lam2: float) -> np.ndarray:
+    """The solve of (X'X + lam2*I) b = X'y on the centered design."""
+    try:
+        return np.linalg.solve(m.gram + lam2 * _identity(m.gram.shape[0]), m.corr)
+    except np.linalg.LinAlgError:
+        raise RegressionError(f"X'X + lam2*I is singular at lam2 = {lam2!r}") from None
+
+
+def _solve(
+    d: DesignMatrix,
+    lam1: float,
+    lam2: float,
+    tol: float,
+    max_iter: int,
+    start: np.ndarray | None,
+) -> tuple[np.ndarray, float, tuple[str, ...]]:
+    """Coefficients, intercept and flags of the one fit fit_penalized
+    describes, for solver settings the caller has checked."""
     m = d.moments
     flags: tuple[str, ...] = ()
-    lam1, lam2 = spec.lam1, spec.lam2
-    hess = m.gram + lam2 * _identity(d.p)  # also at lam2 = 0: + 0.0 turns a -0.0 into +0.0
     if lam1 == lam2 == 0:
         beta, _, rank, _ = np.linalg.lstsq(m.xc, m.yc, rcond=None)
         if rank < d.p:
             flags = ("singular_system",)
     elif lam1 == 0:
-        beta = np.linalg.solve(hess, m.corr)
+        beta = _ridge_solve(m, lam2)
     else:
+        hess = m.gram + lam2 * _identity(d.p)  # also at lam2 = 0: + 0.0 turns a -0.0 into +0.0
         start = np.zeros(d.p) if start is None else np.asarray(start, dtype=float)
         start = np.where(m.gram.diagonal() > 0.0, start, 0.0)  # zero-norm columns stay at zero
         bound = 10.0 * tol * max(1.0, m.score_max)
@@ -496,7 +504,84 @@ def fit_penalized(
             if not converged:
                 flags = ("non_converged",)
     intercept = m.y_mean - float(m.x_mean @ beta)
+    if not (np.isfinite(intercept) and np.isfinite(beta).all()):
+        raise RegressionError("model parameters must be finite")
+    return beta, intercept, flags
+
+
+def fit_penalized(
+    d: DesignMatrix,
+    spec: PenaltySpec,
+    tol: float = 1e-10,
+    max_iter: int = 100_000,
+    start: np.ndarray | None = None,
+) -> LinearModel:
+    """Fit the penalty a PenaltySpec describes. Its weights, not its kind,
+    pick the solve on H = X'X + lam2*I (centered design): least squares at
+    lam1 = lam2 = 0 (flagged 'singular_system' on a rank-deficient design,
+    where it is the minimum-norm solution), H beta = X'y at lam1 = 0
+    (a RegressionError naming lam2 when H is singular in floating point),
+    and otherwise the feature-sign search from the coefficients `start` (as
+    reported on a model, e.g. the fit at a neighbouring penalty) or zero,
+    with coordinate descent from the same point only when the search gives
+    up. A descent that does not converge within max_iter sweeps is flagged
+    'non_converged' on the model, never silently accepted. tol, max_iter
+    and start are checked for every fit."""
+    if start is not None and np.shape(start) != (d.p,):
+        raise RegressionError(f"start must have shape ({d.p},), got {np.shape(start)}")
+    _check_solver(tol, max_iter)
+    beta, intercept, flags = _solve(d, spec.lam1, spec.lam2, tol, max_iter, start)
     return LinearModel(intercept, beta, spec, d.column_names, flags=flags)
+
+
+def _fit_grid(
+    d: DesignMatrix,
+    kind: str,
+    grid: list[float],
+    alpha: float,
+    tol: float,
+    max_iter: int,
+) -> tuple[np.ndarray, np.ndarray, list[tuple[str, ...]]]:
+    """The coefficients (k, p), intercepts (k,) and flags of the fits
+    fit_penalized makes of PenaltySpec.of(kind, lam, alpha) at every grid
+    value, in grid order.
+
+    The fits with lam1 = 0 < lam2 (every positive ridge weight) are one
+    stacked np.linalg.solve, bit for bit the solves one at a time. The
+    rest run one at a time from the largest lambda down, each lasso or
+    elastic-net fit starting from the previous fit's coefficients (the
+    largest from zero; equal values keep grid order)."""
+    specs = [PenaltySpec.of(kind, lam, alpha) for lam in grid]
+    _check_solver(tol, max_iter)
+    m = d.moments
+    coefs = np.empty((len(grid), d.p))
+    intercepts = np.empty(len(grid))
+    flags: list[tuple[str, ...]] = [()] * len(grid)
+    stacked = [i for i, s in enumerate(specs) if s.lam1 == 0 < s.lam2]
+    if stacked:
+        lams = np.array([specs[i].lam2 for i in stacked])
+        # b is (k, p, 1): numpy 1.x reads a (k, p) b as k vectors, numpy 2.x
+        # as one matrix
+        rhs = np.broadcast_to(m.corr[:, None], (len(stacked), d.p, 1))
+        try:
+            solved = np.linalg.solve(m.gram + lams[:, None, None] * _identity(d.p), rhs)
+        except np.linalg.LinAlgError:
+            for i in stacked:
+                _ridge_solve(m, specs[i].lam2)  # raises at the first singular weight
+            raise
+        coefs[stacked] = solved[..., 0]
+        for i in stacked:
+            intercepts[i] = m.y_mean - float(m.x_mean @ coefs[i])
+        if not (np.isfinite(coefs[stacked]).all() and np.isfinite(intercepts[stacked]).all()):
+            raise RegressionError("model parameters must be finite")
+    start = None
+    for i in sorted(range(len(grid)), key=lambda i: -grid[i]):
+        if specs[i].lam1 == 0 < specs[i].lam2:
+            continue
+        coefs[i], intercepts[i], flags[i] = _solve(d, specs[i].lam1, specs[i].lam2, tol,
+                                                   max_iter, start)
+        start = coefs[i]
+    return coefs, intercepts, flags
 
 
 def kkt_check(model: LinearModel, d: DesignMatrix) -> float:
@@ -548,11 +633,16 @@ def compute_r2(y, y_hat) -> float:
 
     Raises when the target has zero variance (the ratio is undefined)."""
     y, y_hat = _paired(y, y_hat)
+    tss = _total_sum_of_squares(y)
+    rss = float(np.sum((y - y_hat) ** 2))
+    return 1.0 - rss / tss
+
+
+def _total_sum_of_squares(y: np.ndarray) -> float:
     tss = float(np.sum((y - y.mean()) ** 2))
     if tss == 0.0:
         raise RegressionError("R^2 undefined: target has zero variance")
-    rss = float(np.sum((y - y_hat) ** 2))
-    return 1.0 - rss / tss
+    return tss
 
 
 def compute_sparsity(model: LinearModel) -> float:
@@ -586,16 +676,17 @@ def fit_report(model: LinearModel, d: DesignMatrix) -> FitReport:
     )
 
 
-def _warm_descent(d: DesignMatrix, kind: str, grid: list[float], alpha: float, **solver):
-    """Fit every grid value from the largest down, each fit starting from the
-    previous fit's coefficients (the largest from zero; a fit without an L1
-    weight ignores the start). Yields (grid index, model); equal values
-    keep grid order."""
-    start = None
-    for i in sorted(range(len(grid)), key=lambda i: -grid[i]):
-        model = fit_penalized(d, PenaltySpec.of(kind, grid[i], alpha), start=start, **solver)
-        start = model.coefficients
-        yield i, model
+def _grid_rss(
+    coefs: np.ndarray,
+    intercepts: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+) -> np.ndarray:
+    """The residual sum of squares on (x, y) of every fit of a grid, each
+    bit for bit the sum compute_mse and compute_r2 take of what predict
+    gives for that fit."""
+    r = y - (intercepts[:, None] + (x[None] @ coefs[:, :, None])[..., 0])
+    return np.add.reduce(r * r, axis=1)
 
 
 def cross_validate(
@@ -626,13 +717,12 @@ def cross_validate(
         raise RegressionError("folds must be >= 2")
     if d.n < folds:
         raise RegressionError(f"need at least {folds} samples for {folds} folds, got {d.n}")
-    fold_mse: list[list[float]] = [[] for _ in grid]
+    fold_mse = np.empty((len(grid), folds))
     rows = np.arange(d.n)
-    for block in np.array_split(rows, folds):  # contiguous, so the rest is two slices
+    for f, block in enumerate(np.array_split(rows, folds)):  # contiguous: the rest is two slices
         train = d.subset(np.concatenate((rows[:block[0]], rows[block[-1] + 1:])))
-        x_out, y_out = d.x[block], d.y[block]
-        for i, model in _warm_descent(train, kind, grid, alpha, tol=tol, max_iter=max_iter):
-            fold_mse[i].append(compute_mse(y_out, predict(model, x_out)))
+        coefs, intercepts, _ = _fit_grid(train, kind, grid, alpha, tol, max_iter)
+        fold_mse[:, f] = _grid_rss(coefs, intercepts, d.x[block], d.y[block]) / block.size
     table = [(lam, float(np.mean(m))) for lam, m in zip(grid, fold_mse)]
     best_lam, best_mse = table[0]
     for lam, m in table[1:]:
@@ -661,12 +751,8 @@ def iterate_lambda(
         raise RegressionError("lambda grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise RegressionError("lambda grid must be strictly ascending")
-    coefs = np.zeros((len(grid), d.p))
-    r2s = [0.0] * len(grid)
-    mses = [0.0] * len(grid)
-    for i, model in _warm_descent(d, kind, grid, alpha, tol=tol, max_iter=max_iter):
-        coefs[i] = model.coefficients
-        report = fit_report(model, d)
-        r2s[i] = report.r2
-        mses[i] = report.mse
-    return PathReport(tuple(grid), coefs, tuple(r2s), tuple(mses), d.column_names)
+    coefs, intercepts, _ = _fit_grid(d, kind, grid, alpha, tol, max_iter)
+    rss = _grid_rss(coefs, intercepts, d.x, d.y)
+    r2 = 1.0 - rss / _total_sum_of_squares(d.y)
+    return PathReport(tuple(grid), coefs, tuple(r2.tolist()), tuple((rss / d.n).tolist()),
+                      d.column_names)

@@ -4,7 +4,9 @@ Everything here is derived directly from the printed objective and
 definitions, not from the package implementation: penalized fits are
 minimized by multi-stage dense grid search over the coefficients, and
 density clustering is reproduced by explicit neighborhood enumeration
-plus union-find over core points.
+plus union-find over core points. The grid references at the end are the
+exception: they replay a penalty grid one fit_penalized call at a time, the
+per-point form the package's grid solver must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -216,3 +218,41 @@ def kkt_loop(model, d):
             v = abs(g[j] + lam1 * np.sign(beta_j) + 2.0 * lam2 * beta_j)
         worst = max(worst, float(v))
     return worst
+
+
+def warm_descent(d, kind, grid, alpha):
+    """The models of one grid in grid order, fitted one fit_penalized call
+    at a time from the largest value down, each from the previous fit's
+    coefficients (the largest from zero; equal values keep grid order)."""
+    from clusterreg.regression import PenaltySpec, fit_penalized
+
+    models = [None] * len(grid)
+    start = None
+    for i in sorted(range(len(grid)), key=lambda i: -grid[i]):
+        models[i] = fit_penalized(d, PenaltySpec.of(kind, grid[i], alpha), start=start)
+        start = models[i].coefficients
+    return models
+
+
+def cv_table_loop(d, kind, grid, folds, alpha):
+    """The (lambda, mean validation MSE) table of contiguous-block CV, each
+    fold's grid fitted by warm_descent and scored by predict and
+    compute_mse."""
+    from clusterreg.regression import compute_mse, predict
+
+    fold_mse = [[] for _ in grid]
+    rows = np.arange(d.n)
+    for block in np.array_split(rows, folds):
+        train = d.subset(np.setdiff1d(rows, block))
+        for i, model in enumerate(warm_descent(train, kind, grid, alpha)):
+            fold_mse[i].append(compute_mse(d.y[block], predict(model, d.x[block])))
+    return [(lam, float(np.mean(m))) for lam, m in zip(grid, fold_mse)]
+
+
+def path_scores_loop(d, kind, grid, alpha):
+    """The (r2, mse) lists of a path, each fit of warm_descent scored by
+    fit_report."""
+    from clusterreg.regression import fit_report
+
+    reports = [fit_report(m, d) for m in warm_descent(d, kind, grid, alpha)]
+    return [r.r2 for r in reports], [r.mse for r in reports]

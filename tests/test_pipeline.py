@@ -846,13 +846,14 @@ class TestConfigKeys:
 def test_work_of_one_default_run_on_seed_2024(synthetic_case, tmp_path, monkeypatch):
     """Pins the work of one run with the default grids, counted by spies at
     the module attributes their callers look up, as bench/spans.py counts
-    them: every fit enters through fit_penalized (per kind, 5 folds x grid
-    + 1 refit + the path: 5*51+1+51 and 5*28+1+28), every sweep grid point
-    through dbscan (40 eps x 5 min_pts), and the centered moments are
-    computed once per fold design and once for the full design (5*3+1).
-    The panel is aggregated once: the cluster profiles summarise those
-    totals rather than aggregating again. A change that routes grid points around an entry point, or changes what
-    the benchmark's exact counters record, fails here."""
+    them: every grid of a kind is fitted in one _fit_grid call per design
+    (5 folds + the path), fit_penalized runs once per kind (the refit),
+    every sweep grid point enters through dbscan (40 eps x 5 min_pts), and
+    the centered moments are computed once per fold design and once for
+    the full design (5*3+1). The panel is aggregated once: the cluster
+    profiles summarise those totals rather than aggregating again. A change
+    that routes fits around an entry point, or changes what the benchmark's
+    exact counters record, fails here."""
     calls = Counter()
 
     def spy(module, name, key):
@@ -865,13 +866,15 @@ def test_work_of_one_default_run_on_seed_2024(synthetic_case, tmp_path, monkeypa
         monkeypatch.setattr(module, name, counted)
 
     spy(regression, "fit_penalized", lambda d, spec, *rest: spec.kind)
+    spy(regression, "_fit_grid", lambda d, kind, *rest: f"grid {kind}")
     spy(clustering, "dbscan", lambda *args: "dbscan")
     spy(regression, "_compute_moments", lambda *args: "moments")
     spy(pipeline, "aggregate_by_cluster", lambda *args: "aggregate")
     _, _, _, config = synthetic_case
     pipeline.run_pipeline(dataclasses.replace(config, out_dir=str(tmp_path / "out")))
-    assert calls == {"ridge": 307, "lasso": 169, "elastic_net": 169, "dbscan": 200,
-                     "moments": 16, "aggregate": 1}
+    assert calls == {"ridge": 1, "lasso": 1, "elastic_net": 1, "grid ridge": 6,
+                     "grid lasso": 6, "grid elastic_net": 6, "dbscan": 200, "moments": 16,
+                     "aggregate": 1}
 
 
 def test_every_benchmark_span_fires(synthetic_case, tmp_path):
@@ -898,10 +901,8 @@ def test_every_benchmark_span_fires(synthetic_case, tmp_path):
     assert spans.missing_spans([metrics]) == []
     assert metrics["clustering.silhouette_calls"] == metrics["clustering.distinct_labellings"]
     assert metrics["clustering.dbscan_calls"] == len(config.eps_grid) * len(config.minpts_grid)
-    grids = {"ridge": config.ridge_lambdas, "lasso": config.lasso_lambdas,
-             "elastic_net": config.enet_lambdas}
-    for kind, grid in grids.items():
-        # CV fits every fold at every grid point, then one refit and the path
-        assert metrics[f"regression.fits.{kind}"] == (
-            config.cv_folds * len(grid) + 1 + len(set(grid))), kind
+    for kind in ("ridge", "lasso", "elastic_net"):
+        # CV and the path fit whole grids in _fit_grid; only the refit
+        # enters through fit_penalized
+        assert metrics[f"regression.fits.{kind}"] == 1, kind
         assert metrics[f"regression.non_converged.{kind}"] == 0, kind

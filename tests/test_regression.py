@@ -26,7 +26,15 @@ from clusterreg.regression import (
     soft_threshold,
 )
 
-from oracles import grid_minimize, kkt_loop, penalized_objective, random_instance
+from oracles import (
+    cv_table_loop,
+    grid_minimize,
+    kkt_loop,
+    path_scores_loop,
+    penalized_objective,
+    random_instance,
+    warm_descent,
+)
 
 # Mean-zero univariate fixtures, so the intercept fit is 0 and the closed
 # forms of the no-intercept problem hold: x'x = x'y = 14 and x'x = x'y = 2.
@@ -471,6 +479,76 @@ class TestWarmStart:
             assert table == reference, kind
 
 
+class TestGridSolver:
+    @given(data=st.data(), n=st.integers(2, 20), p=st.integers(1, 5),
+           kind=st.sampled_from(regression.PENALTY_KINDS),
+           alpha=st.sampled_from([0.5, 1.0, 0.1, 0.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_grid_fits_and_scores_equal_per_point_fits(self, data, n, p, kind, alpha):
+        """The grid solver's coefficients, intercepts and flags, and the CV
+        table and path scores computed from them for the whole grid at once,
+        equal fit_penalized at every grid value warm-started down the grid
+        and scored by predict, compute_mse and fit_report, bit for bit, on
+        designs with copied and zero-norm columns and grids that hold 0.0
+        and repeated values."""
+        cells = st.integers(-4, 4).map(lambda v: v / 2)
+        x = np.array(data.draw(st.lists(st.lists(cells, min_size=p, max_size=p),
+                                        min_size=n, max_size=n)))
+        y = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)))
+        if data.draw(st.booleans()):  # inexact cells, where no solve is exact
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            x += 0.1 * rng.normal(size=x.shape)
+            y += 0.1 * rng.normal(size=n)
+        for j in range(p):
+            shape = data.draw(st.sampled_from(["free", "constant", "copy"]))
+            if shape == "constant":
+                x[:, j] = 1.5
+            elif shape == "copy" and j:
+                x[:, j] = -2 * x[:, data.draw(st.integers(0, j - 1))]
+        d = DesignMatrix(x, y, tuple(f"c{j}" for j in range(p)))
+        shares = data.draw(st.lists(st.sampled_from([0.0, 1e-3, 0.05, 0.3, 1.0, 2.0]),
+                                    min_size=1, max_size=6))
+        grid = [share * max(lasso_lambda_max(d), 1.0) for share in shares]
+
+        models = warm_descent(d, kind, grid, alpha)
+        coefs, intercepts, flags = regression._fit_grid(d, kind, grid, alpha, 1e-10, 100_000)
+        assert np.array_equal(coefs, [m.coefficients for m in models])
+        assert np.array_equal(intercepts, [m.intercept for m in models])
+        assert flags == [m.flags for m in models]
+
+        folds = data.draw(st.integers(2, min(n, 5)))
+        _, table = cross_validate(d, kind, grid, folds=folds, alpha=alpha)
+        assert table == cv_table_loop(d, kind, grid, folds, alpha)
+
+        path_grid = sorted(set(grid))
+        if np.ptp(y) == 0.0:
+            for path_of in (iterate_lambda, path_scores_loop):
+                with pytest.raises(RegressionError, match="zero variance"):
+                    path_of(d, kind, path_grid, alpha)
+            return
+        path = iterate_lambda(d, kind, path_grid, alpha)
+        r2, mse = path_scores_loop(d, kind, path_grid, alpha)
+        assert np.array_equal(path.r2, r2) and np.array_equal(path.mse, mse)
+
+    def test_singular_ridge_system_names_its_weight(self):
+        """X'X + lam2*I of a copied column scaled by 1e10 is singular in
+        floating point at a small lam2, and fine at a large one: the single
+        and the stacked solve raise a RegressionError naming the singular
+        weight, which the pipeline's stages report, not numpy's
+        LinAlgError."""
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(8, 3)) * 1e10
+        d = DesignMatrix(np.column_stack([x, x[:, 0]]), rng.normal(size=8), tuple("abcd"))
+        message = r"X'X \+ lam2\*I is singular at lam2 = 0\.01$"
+        with pytest.raises(RegressionError, match=message):
+            fit_penalized(d, PenaltySpec.ridge(0.01))
+        with pytest.raises(RegressionError, match=message):
+            cross_validate(d, "ridge", [1e12, 0.01], folds=2)
+        with pytest.raises(RegressionError, match=message):
+            iterate_lambda(d, "ridge", [0.01, 1e12])
+        assert iterate_lambda(d, "ridge", [1e12]).coefficient_matrix.shape == (1, 4)
+
+
 def _sweeps(monkeypatch) -> list[int]:
     """Record the sweep count of every coordinate-descent run from now on."""
     sweeps: list[int] = []
@@ -616,13 +694,15 @@ class TestActiveSetSearch:
 
         monkeypatch.setattr(regression, "_feature_sign_search", recorded)
         sweeps = _sweeps(monkeypatch)
-        models = [m for _, m in regression._warm_descent(d, "lasso", grid, 0.5)]
+        coefs, intercepts, flags = regression._fit_grid(d, "lasso", grid, 0.5, 1e-10, 100_000)
         assert [gave_up for gave_up, _ in searches] == [False] * 2 + [True] * 26
         assert all(0 < count < 2 * p for _, count in searches)
         assert all(b is not None for _, _, b in solves)
         assert len(sweeps) == 26
-        for m in models:
-            assert m.converged and kkt_check(m, d) <= _kkt_bound(d)
+        assert flags == [()] * len(grid)
+        for lam, beta, intercept in zip(grid, coefs, intercepts):
+            m = LinearModel(intercept, beta, PenaltySpec.lasso(lam), d.column_names)
+            assert kkt_check(m, d) <= _kkt_bound(d)
 
     @given(data=st.data(), n=st.integers(3, 8), p=st.integers(1, 5),
            lam_share=st.floats(0.001, 1.2), alpha=st.sampled_from([1.0, 0.5, 0.1]))
