@@ -14,7 +14,11 @@ its edges of weight <= eps join exactly the core points within eps of
 each other, so they give the core components at that eps. Cluster ids
 follow the smallest core index in each component, and a non-core point
 within eps of a core point joins the lowest-id such cluster: the order
-in which a scan of the points by index discovers them.
+in which a scan of the points by index discovers them. The core
+distances and tree weights are entries of the distance matrix (or inf),
+so an eps labels the points as every other eps that the same pairwise
+distances are <= to: sweep_params runs dbscan once per such eps interval
+and min_pts.
 
 Noise points carry the NOISE label (-1). For downstream aggregation they
 can be promoted to singleton clusters via promote_noise, which keeps
@@ -317,33 +321,47 @@ def sweep_params(
     output order is deterministic. Raises when nothing is admissible.
 
     The distance matrix is built once for the whole grid, and the
-    reachability tree once per min_pts; each distinct labelling is scored
-    once. Grid points that yield the same labels and
-    core flags share one (quality, assignment) pair of objects."""
+    reachability tree once per min_pts. dbscan runs once per min_pts and
+    eps interval: it reads eps only by comparing it with distances, core
+    distances and tree weights, and the last two are themselves entries
+    of the distance matrix (or inf). Two eps values with the same count of
+    pairwise distances <= eps therefore have none of these values between
+    them, and label every point alike. Each distinct labelling is scored
+    once, and grid points that yield the same labels and core flags share
+    one (quality, assignment) pair of objects."""
     if not eps_grid or not minpts_grid:
         raise ClusteringError("parameter grids must be non-empty")
     dist = _distances(points.values, points.values)
     trees: dict[int, ReachabilityTree] = {}
+    within: dict[float, int] = {}  # eps -> count of pairwise distances <= eps
     quality_of: dict[tuple[int, ...], ClusteringQuality] = {}
     record_of: dict[tuple, tuple[ClusteringQuality, ClusterAssignment]] = {}
+    # (min_pts, count) -> the record of that eps interval, None when inadmissible
+    found: dict[tuple[int, int], tuple[ClusteringQuality, ClusterAssignment] | None] = {}
     results = []
     for eps in eps_grid:
         for min_pts in minpts_grid:
             params = NeighborhoodParams(float(eps), min_pts)
-            if params.min_pts not in trees:
-                trees[params.min_pts] = reachability_tree(points, params.min_pts, dist)
-            assignment = dbscan(points, params, trees[params.min_pts])
-            if assignment.num_clusters < 2:
-                continue
-            key = (assignment.labels, assignment.core_flags)
-            if key not in record_of:
-                quality = quality_of.get(assignment.labels)
-                if quality is None:
-                    sc = float(np.mean(silhouette(points, assignment, dist)))
-                    quality = ClusteringQuality(sc, sse(points, assignment))
-                    quality_of[assignment.labels] = quality
-                record_of[key] = (quality, assignment)
-            results.append((params, *record_of[key]))
+            if params.eps not in within:
+                within[params.eps] = int(np.count_nonzero(dist <= params.eps))
+            interval = (params.min_pts, within[params.eps])
+            if interval not in found:
+                if params.min_pts not in trees:
+                    trees[params.min_pts] = reachability_tree(points, params.min_pts, dist)
+                assignment = dbscan(points, params, trees[params.min_pts])
+                found[interval] = None
+                if assignment.num_clusters >= 2:
+                    key = (assignment.labels, assignment.core_flags)
+                    if key not in record_of:
+                        quality = quality_of.get(assignment.labels)
+                        if quality is None:
+                            sc = float(np.mean(silhouette(points, assignment, dist)))
+                            quality = ClusteringQuality(sc, sse(points, assignment))
+                            quality_of[assignment.labels] = quality
+                        record_of[key] = (quality, assignment)
+                    found[interval] = record_of[key]
+            if found[interval] is not None:
+                results.append((params, *found[interval]))
     if not results:
         raise ClusteringError("no admissible clustering")
     results.sort(key=lambda r: (-r[1].sc, r[1].sse, r[2].num_clusters, r[0].eps, r[0].min_pts))

@@ -147,6 +147,11 @@ class PipelineConfig:
         for name in ("train_years", "test_years", *_GRID_CHECKS):
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")
+        for name in _NUMBER_FIELDS:  # bool is an int subclass; no INI value parses to one
+            value = getattr(self, name)
+            for v in value if isinstance(value, (list, tuple)) else [value]:
+                if isinstance(v, (bool, np.bool_)):
+                    raise ConfigError(f"{name} must be a number, not the bool {v!r}")
         if not self.train_years or not self.test_years:
             raise ConfigError("train_years and test_years must be set")
         integers = [("cv_folds", self.cv_folds), ("max_iter", self.max_iter),
@@ -172,14 +177,22 @@ class PipelineConfig:
                               f"got {len(self.train_years)}")
         if len(self.test_years) < 2:
             raise ConfigError("test_years needs at least 2 years for the forecast variance")
-        # A numpy scalar passes every check above, but no JSON writer takes it.
-        for name in (*_BOUNDS, "anchor_year"):
-            if (value := getattr(self, name)) is not None:
-                setattr(self, name, _builtin(value))
-        for name in ("train_years", "test_years", *_GRID_CHECKS):
-            values = getattr(self, name)
-            kind = tuple if isinstance(values, tuple) else list
-            setattr(self, name, kind(map(_builtin, values)))
+        # A numpy scalar passes every check above, but no JSON writer takes it;
+        # and an int where a float belongs would be recorded as an int, where
+        # an INI file of the same values records floats. Each number becomes
+        # the built-in type of its field.
+        for name in _NUMBER_FIELDS:
+            value = getattr(self, name)
+            number = float if name in _FLOAT_FIELDS else int
+            try:
+                if isinstance(value, tuple):
+                    setattr(self, name, tuple(map(number, value)))
+                elif isinstance(value, list):
+                    setattr(self, name, list(map(number, value)))
+                elif value is not None:
+                    setattr(self, name, number(value))
+            except OverflowError:  # an int past the float range
+                raise ConfigError(f"{name} holds a number too large for a float") from None
 
     def _check_field(self, name: str) -> None:
         """The test of one field that validate and from_file share: its
@@ -236,11 +249,6 @@ class PipelineConfig:
         return asdict(self)
 
 
-def _builtin(value: numbers.Real) -> int | float:
-    """The built-in int or float that equals a number (a numpy scalar, say)."""
-    return operator.index(value) if isinstance(value, numbers.Integral) else float(value)
-
-
 # Field -> (test of its value, what the test asks).
 _BOUNDS = {
     "log_epsilon": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
@@ -258,6 +266,10 @@ _GRID_CHECKS = {
     "lasso_lambdas": partial(regression.PenaltySpec.of, "lasso", alpha=0.5),
     "enet_lambdas": partial(regression.PenaltySpec.of, "elastic_net", alpha=0.5),
 }
+_NUMBER_FIELDS = (*_BOUNDS, "anchor_year", "train_years", "test_years", *_GRID_CHECKS)
+# The fields, or grids, of floats; every other number field holds integers.
+_FLOAT_FIELDS = ("log_epsilon", "enet_alpha", "tol", "eps_grid", "ridge_lambdas",
+                 "lasso_lambdas", "enet_lambdas")
 
 
 def _parse_int_grid(text: str) -> list[int]:

@@ -34,10 +34,11 @@ coordinates only rounding slack.
 
 cross_validate and iterate_lambda fit a penalty grid per design, not per
 point: every positive ridge weight of the grid in one stacked solve, the
-other fits one by one warm-started down the grid, and the validation and
-training errors of all its fits by stacked products. Every coefficient and
-score equals, bit for bit, what fit_penalized, predict and compute_mse
-give for that grid point.
+other fits warm-started down the grid, one by one until their sign
+pattern settles and then the run of fits that keep it in one stacked
+solve, and the validation and training errors of all its fits by stacked
+products. Every coefficient and score equals, bit for bit, what
+fit_penalized, predict and compute_mse give for that grid point.
 """
 
 from __future__ import annotations
@@ -316,19 +317,59 @@ def _solve_pattern(
 def _optimality(
     hess: np.ndarray,
     corr: np.ndarray,
-    lam1: float,
-    beta: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """The acceptance test's two parts at beta: the largest stationarity
-    residual |g_j + lam1*sign(beta_j)| over the nonzero coefficients, and
-    the gradient g = -2(corr - hess @ beta) of the smooth part with its
-    nonzero entries zeroed. beta passes when the residual and
-    max |g_j| - lam1 are both within the kkt_check bound."""
-    g = -2.0 * (corr - hess @ beta)
-    nonzero = beta != 0.0
-    stationarity = np.abs(g[nonzero] + lam1 * np.sign(beta[nonzero]))
-    g[nonzero] = 0.0
-    return float(stationarity.max(initial=0.0)), g
+    lam1: float | np.ndarray,
+    x: np.ndarray,
+    active: np.ndarray,
+    signs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two parts of the acceptance tests at candidates x (..., p) that
+    are nonzero on the columns `active` with the signs `signs`, with the L1
+    weight lam1 (a float, or (m, 1) for a stack of m) on hess (..., p, p):
+    the largest stationarity residual |g_j + lam1*s_j| over the active
+    columns, and the gradient g = -2(corr - hess @ x) of the smooth part
+    with its active entries zeroed. Each product is one slice's
+    matrix-vector product, so a candidate's values do not depend on the
+    stack it is in."""
+    g = -2.0 * (corr - (hess @ x[..., None])[..., 0])
+    stationarity = np.maximum.reduce(np.abs(g.take(active, -1) + lam1 * signs), axis=-1,
+                                     initial=0.0)
+    g.T[active] = 0.0  # g[..., active], without the slower Ellipsis index
+    return stationarity, g
+
+
+def _pattern_test(
+    hess: np.ndarray,
+    corr: np.ndarray,
+    lam1: float | np.ndarray,
+    active: np.ndarray,
+    signs: np.ndarray,
+    b: np.ndarray,
+    bound: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The feature-sign search's acceptance test of solves b (..., a) of
+    the sign pattern (active, signs), with lam1 and hess as _optimality
+    takes them. Returns the solves as coefficient vectors x (..., p);
+    whether each passes: it keeps the pattern's signs, its stationarity
+    residual is within bound, and every zero coordinate has |g_j| <= lam1
+    up to rounding; and, for the search's next step, the gradient g with
+    the active entries zeroed and the excess |g_j| - lam1 - slack of the
+    zero coordinates.
+
+    The inactive test allows no iterative slack, since a pattern solve is
+    exact: only the rounding of evaluating g_j = -2(c_j - H_j x), whose
+    error is at most 2*gamma_(p+1)*(|c_j| + sum_k |H_jk||x_k|) with
+    gamma_(p+1) ~ (p+1)*eps/2 (Higham 2002, eq. 3.5). The slack is four
+    times that. A slack of bound would keep a copied column at a small
+    lam2 inactive, as its |g_j| - lam1 = 2*lam2*|beta| falls within it."""
+    p = hess.shape[-1]
+    x = np.zeros(b.shape[:-1] + (p,))
+    x.T[active] = b.T
+    stationarity, g = _optimality(hess, corr, lam1, x, active, signs)
+    slack = 8.0 * p * _EPS * (np.abs(corr) + (np.abs(hess) @ np.abs(x)[..., None])[..., 0])
+    excess = np.abs(g) - lam1 - slack
+    passes = (np.logical_and.reduce(b * signs > 0.0, axis=-1) & (stationarity <= bound)
+              & (np.maximum.reduce(excess, axis=-1) <= 0.0))
+    return x, passes, g, excess
 
 
 def _line_search(
@@ -359,9 +400,8 @@ def _feature_sign_search(
     bound: float,
 ) -> np.ndarray | None:
     """Feature-sign search (Lee, Battle, Raina & Ng 2007) from the start
-    beta: the solve of some sign pattern whose stationarity residual is
-    within bound and whose zero coordinates satisfy |g_j| <= lam1 up to
-    rounding, or None.
+    beta: the solve of some sign pattern that passes _pattern_test, or
+    None.
 
     Each step solves the objective on the current sign pattern. A solve
     that keeps its signs is returned if it passes; otherwise the worst
@@ -370,17 +410,8 @@ def _feature_sign_search(
     coefficients left at zero leave the pattern. The objective never
     rises, so the search ends on a pattern seen before, after 2p steps, on
     a singular H_AA, or when only stationarity fails (no repair applies);
-    the caller then goes on with coordinate descent.
-
-    The inactive test allows no iterative slack, since a pattern solve is
-    exact: only the rounding of evaluating g_j = -2(c_j - H_j x), whose
-    error is at most 2*gamma_(p+1)*(|c_j| + sum_k |H_jk||x_k|) with
-    gamma_(p+1) ~ (p+1)*eps/2 (Higham 2002, eq. 3.5). The slack is four
-    times that. A slack of bound would keep a copied column at a small
-    lam2 inactive, as its |g_j| - lam1 = 2*lam2*|beta| falls within it."""
+    the caller then goes on with coordinate descent."""
     p = beta.shape[0]
-    rounding = 8.0 * p * _EPS
-    abs_hess, abs_corr = np.abs(hess), np.abs(corr)
     x = beta.copy()
     theta = np.sign(x)
     seen = set()
@@ -394,14 +425,14 @@ def _feature_sign_search(
         b = _solve_pattern(hess, corr, lam1, active, signs)
         if b is None:
             return None
+        solved, passes, g, excess = _pattern_test(hess, corr, lam1, active, signs, b, bound)
+        if passes:
+            return solved
         if (b * signs > 0).all():
-            x = np.zeros(p)
-            x[active] = b
-            stationarity, g = _optimality(hess, corr, lam1, x)
-            excess = np.abs(g) - lam1 - rounding * (abs_corr + abs_hess @ np.abs(x))
+            x = solved
             j = int(excess.argmax())
-            if excess[j] <= 0.0:
-                return x if stationarity <= bound else None
+            if excess[j] <= 0.0:  # only stationarity fails
+                return None
             theta[j] = -np.sign(g[j])
         else:
             x[active] = _line_search(hess[active[:, None], active], corr[active], lam1,
@@ -445,7 +476,8 @@ def _coordinate_descent(
                 if abs(delta) > max_delta:
                     max_delta = abs(delta)
         if max_delta < tol:
-            stationarity, g = _optimality(hess, corr, lam1, beta)
+            active = beta.nonzero()[0]
+            stationarity, g = _optimality(hess, corr, lam1, beta, active, np.sign(beta[active]))
             if stationarity <= bound and np.abs(g).max() <= lam1 + bound:
                 return beta, True, sweep + 1
     return beta, False, max_iter
@@ -496,7 +528,7 @@ def _solve(
         hess = m.gram + lam2 * _identity(d.p)  # also at lam2 = 0: + 0.0 turns a -0.0 into +0.0
         start = np.zeros(d.p) if start is None else np.asarray(start, dtype=float)
         start = np.where(m.gram.diagonal() > 0.0, start, 0.0)  # zero-norm columns stay at zero
-        bound = 10.0 * tol * max(1.0, m.score_max)
+        bound = _bound(m, tol)
         beta = _feature_sign_search(hess, m.corr, lam1, start, bound)
         if beta is None:
             beta, converged, _ = _coordinate_descent(hess, m.corr, lam1, tol, max_iter, bound,
@@ -507,6 +539,22 @@ def _solve(
     if not (np.isfinite(intercept) and np.isfinite(beta).all()):
         raise RegressionError("model parameters must be finite")
     return beta, intercept, flags
+
+
+def _bound(m: Moments, tol: float) -> float:
+    """The kkt_check bound 10*tol*max(1, |2X'y|_inf) a fit must meet."""
+    return 10.0 * tol * max(1.0, m.score_max)
+
+
+def _intercepts(m: Moments, coefs: np.ndarray) -> np.ndarray:
+    """The intercepts (k,) that restore the means to the centered fits
+    coefs (k, p), each bit for bit the one _solve gives its fit; raises
+    when one of them or of the coefficients is not finite, as _solve
+    does."""
+    intercepts = m.y_mean - (m.x_mean @ coefs[:, :, None])[:, 0]
+    if not (np.isfinite(intercepts).all() and np.isfinite(coefs).all()):
+        raise RegressionError("model parameters must be finite")
+    return intercepts
 
 
 def fit_penalized(
@@ -534,6 +582,33 @@ def fit_penalized(
     return LinearModel(intercept, beta, spec, d.column_names, flags=flags)
 
 
+def _kept_pattern_fits(
+    m: Moments,
+    lam1s: np.ndarray,
+    lam2s: np.ndarray,
+    start: np.ndarray,
+    bound: float,
+) -> np.ndarray:
+    """The coefficients (r, p) of the longest run of fits at the weights
+    lam1s, lam2s (in descent order, each started from the fit before, the
+    first from `start`) whose searches accept the sign pattern of `start`
+    on their first step: the solves of that pattern, in one stacked
+    np.linalg.solve, that pass _pattern_test, up to the first that does
+    not. Each equals, bit for bit, what its search returns."""
+    active = start.nonzero()[0]
+    signs = np.sign(start[active])
+    hess = m.gram + lam2s[:, None, None] * _identity(start.size)
+    rhs = m.corr[active] - (0.5 * lam1s)[:, None] * signs
+    try:
+        # b is (r, a, 1): numpy 1.x reads an (r, a) b as r vectors, numpy
+        # 2.x as one matrix
+        b = np.linalg.solve(hess[:, active[:, None], active], rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # some H_AA is singular: its search gives up
+        return np.empty((0, start.size))
+    fits, passes, _, _ = _pattern_test(hess, m.corr, lam1s[:, None], active, signs, b, bound)
+    return fits[:passes.size if passes.all() else passes.argmin()]
+
+
 def _fit_grid(
     d: DesignMatrix,
     kind: str,
@@ -548,9 +623,17 @@ def _fit_grid(
 
     The fits with lam1 = 0 < lam2 (every positive ridge weight) are one
     stacked np.linalg.solve, bit for bit the solves one at a time. The
-    rest run one at a time from the largest lambda down, each lasso or
-    elastic-net fit starting from the previous fit's coefficients (the
-    largest from zero; equal values keep grid order)."""
+    rest run from the largest lambda down, each lasso or elastic-net fit
+    starting from the previous fit's coefficients (the largest from zero;
+    equal values keep grid order). Once two fits in a row keep the sign
+    pattern they start from, the later fits with lam1 > 0 are solved on
+    that pattern in one stacked solve, and the run of them that passes
+    the search's acceptance test is kept: each is the first and accepted
+    step of its own search. The fits go on one at a time from the first
+    that fails. (After a single kept pattern, mid-path, a stacked solve
+    kept no fit about as often as it kept some, and cost more than the
+    searches it saved.) Every fit is zero on the zero-norm columns, so its
+    signs are the next search's start pattern."""
     specs = [PenaltySpec.of(kind, lam, alpha) for lam in grid]
     _check_solver(tol, max_iter)
     m = d.moments
@@ -560,8 +643,7 @@ def _fit_grid(
     stacked = [i for i, s in enumerate(specs) if s.lam1 == 0 < s.lam2]
     if stacked:
         lams = np.array([specs[i].lam2 for i in stacked])
-        # b is (k, p, 1): numpy 1.x reads a (k, p) b as k vectors, numpy 2.x
-        # as one matrix
+        # b is (k, p, 1), as in _kept_pattern_fits
         rhs = np.broadcast_to(m.corr[:, None], (len(stacked), d.p, 1))
         try:
             solved = np.linalg.solve(m.gram + lams[:, None, None] * _identity(d.p), rhs)
@@ -570,17 +652,33 @@ def _fit_grid(
                 _ridge_solve(m, specs[i].lam2)  # raises at the first singular weight
             raise
         coefs[stacked] = solved[..., 0]
-        for i in stacked:
-            intercepts[i] = m.y_mean - float(m.x_mean @ coefs[i])
-        if not (np.isfinite(coefs[stacked]).all() and np.isfinite(intercepts[stacked]).all()):
-            raise RegressionError("model parameters must be finite")
-    start = None
-    for i in sorted(range(len(grid)), key=lambda i: -grid[i]):
-        if specs[i].lam1 == 0 < specs[i].lam2:
-            continue
+        intercepts[stacked] = _intercepts(m, coefs[stacked])
+    order = [i for i in sorted(range(len(grid)), key=lambda i: -grid[i])
+             if not specs[i].lam1 == 0 < specs[i].lam2]
+    positive = sum(specs[i].lam1 > 0 for i in order)  # lam1 falls with lambda: a prefix
+    bound = _bound(m, tol)
+    start = np.zeros(d.p)
+    pattern = np.sign(start).tobytes()
+    kept = False  # whether the last fit kept the sign pattern it started from
+    k = 0
+    while k < len(order):
+        i = order[k]
         coefs[i], intercepts[i], flags[i] = _solve(d, specs[i].lam1, specs[i].lam2, tol,
                                                    max_iter, start)
-        start = coefs[i]
+        k += 1
+        # a -0.0 reads as a changed sign, which only forgoes a stacked solve
+        start, was, pattern = coefs[i], pattern, np.sign(coefs[i]).tobytes()
+        steady, kept = kept and pattern == was, pattern == was
+        if steady and k < positive:
+            run = order[k:positive]
+            fits = _kept_pattern_fits(m, np.array([specs[j].lam1 for j in run]),
+                                      np.array([specs[j].lam2 for j in run]), start, bound)
+            if len(fits):
+                run = run[:len(fits)]
+                coefs[run] = fits
+                intercepts[run] = _intercepts(m, fits)
+                k += len(fits)
+                start = coefs[run[-1]]
     return coefs, intercepts, flags
 
 

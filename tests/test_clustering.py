@@ -32,6 +32,9 @@ from oracles import check_dbscan_against_oracle, silhouette_by_hand, silhouette_
 # themselves distances (1, sqrt 2, 2, ...) put points exactly on the boundary.
 INT_POINTS = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 2)), min_size=1, max_size=24)
 EXACT_EPS = st.sampled_from([0.0, 1.0, math.sqrt(2.0), 2.0, math.sqrt(5.0), 3.0])
+# The exact distances and values strictly between and beyond them: runs of
+# eps values with equal neighbourhood counts, as well as d == eps ties.
+SWEEP_EPS = EXACT_EPS | st.sampled_from([0.5, 1.2, 1.7, 2.1, 2.5, 2.9, 3.5])
 
 
 def matrix(points):
@@ -311,7 +314,7 @@ def sweep_summary(results):
 
 class TestSweepMemo:
     @given(points=INT_POINTS.filter(lambda pts: len(pts) >= 2),
-           eps_grid=st.lists(EXACT_EPS, min_size=1, max_size=5),
+           eps_grid=st.lists(SWEEP_EPS, min_size=1, max_size=40),
            minpts_grid=st.lists(st.integers(1, 4), min_size=1, max_size=4))
     @settings(max_examples=150, deadline=None)
     def test_matches_naive_loop_and_shares_records(self, points, eps_grid, minpts_grid):
@@ -354,7 +357,9 @@ class TestSweepMemo:
         m = matrix([0.0, 0.1, 0.2, 5.0, 5.1, 5.2, 10.0, 10.4])
         eps_grid = [0.15, 0.3, 0.5, 1.0, 6.0]
         out = sweep_params(m, eps_grid, [1, 2, 3, 2])
-        assert calls["dbscan"] == len(eps_grid) * 4
+        # 0.5 and 1.0 bound the same distances, and min_pts 2 repeats: one
+        # dbscan per distinct (min_pts, eps interval)
+        assert calls["dbscan"] == 4 * 3
         assert calls["trees"] == [1, 2, 3]  # one tree per distinct min_pts
         scored = calls["silhouette"]
         assert len(scored) == len(set(scored)) == len({a.labels for _, _, a in out})

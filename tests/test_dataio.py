@@ -80,6 +80,15 @@ def test_load_long_duplicate_key_names_both_rows(tmp_path):
      "non-numeric value 'x' at {}:4"),
     ("long", 'year,entity,feature,value\n2000,"A\r\nB",f,1.0\n2000,"A\r\nB",f,2.0\n',
      "{}:4: duplicate key (2000, 'A\\r\\nB', 'f'), first seen at row 2"),
+    # A duplicate before another bad row is the first fault; the first
+    # repeated row, not the first repeated key, is named; a bad row before a
+    # duplicate is the first fault.
+    ("long", "year,entity,feature,value\n2000,A,f,1.0\n2000,A,f,2.0\n2000,C,f,x\n",
+     "{}:3: duplicate key (2000, 'A', 'f'), first seen at row 2"),
+    ("long", "year,entity,feature,value\n2000,A,f,1.0\n2000,B,f,1.0\n2000,B,f,2.0\n"
+     "2000,A,f,2.0\n2000,C,f\n", "{}:4: duplicate key (2000, 'B', 'f'), first seen at row 3"),
+    ("long", "year,entity,feature,value\n2000,A,f,1.0\n2000,C,f\n2000,A,f,2.0\n",
+     "{}:3: expected 4 columns, got 3"),
     ("wide", 'entity,f\n"A\nB",1.0\nC,x\n', "non-numeric value 'x' at {}:4"),
     ("wide", 'entity,f\n"A\nB",1.0\n"A\nB",2.0\n', "{}:4: duplicate entity 'A\\nB'"),
 ])

@@ -692,6 +692,73 @@ def test_a_run_configured_with_numpy_scalars_writes_the_builtin_runs_bytes(
     assert runs[0] == runs[1]
 
 
+# A code-built float field holding ints, and its float twin; and a min_pts
+# grid holding integral floats, and its int twin.
+INT_FIELDS = {
+    "eps_grid": ([int(e) if e.is_integer() else e for e in pipeline._DEFAULT_EPS_GRID],
+                 pipeline._DEFAULT_EPS_GRID),
+    "ridge_lambdas": ([0, *pipeline._DEFAULT_RIDGE_GRID[1:]], pipeline._DEFAULT_RIDGE_GRID),
+    "lasso_lambdas": ([*pipeline._DEFAULT_L1_GRID[:-1], 10], pipeline._DEFAULT_L1_GRID),
+    "enet_alpha": (1, 1.0),
+    "minpts_grid": ([1.0, 2, 3.0, 4, 5], [1, 2, 3, 4, 5]),
+}
+
+
+@pytest.mark.parametrize("name", INT_FIELDS)
+def test_validate_gives_each_number_the_type_of_its_field(synthetic_case, name):
+    """An INI file records every value of a float field as a float, and of
+    an integer field as an int. validate does the same for a config built
+    in code, so equal configs write one report."""
+    _, _, _, config = synthetic_case
+    given, twin = INT_FIELDS[name]
+    cfg = dataclasses.replace(config, **{name: given})
+    cfg.validate()
+    assert cfg.to_dict() == dataclasses.replace(config, **{name: twin}).to_dict()
+    values, twins = getattr(cfg, name), twin
+    if name == "enet_alpha":
+        values, twins = [values], [twins]
+    assert [type(v) for v in values] == [type(v) for v in twins]
+
+
+def test_a_run_configured_with_ints_for_floats_writes_the_float_runs_bytes(
+        synthetic_case, tmp_path):
+    """Every field of INT_FIELDS at once: the run writes the artifacts of
+    the run configured with the twins, pipeline_report.json included, byte
+    for byte."""
+    _, _, _, config = synthetic_case
+    runs = []
+    for side in (0, 1):  # one out_dir, which the report records
+        run_pipeline(dataclasses.replace(
+            config, out_dir=str(tmp_path), **{k: v[side] for k, v in INT_FIELDS.items()}))
+        runs.append({f: (tmp_path / f).read_bytes() for f in ARTIFACT_FILES})
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(eps_grid=[True, 0.5]), "eps_grid must be a number, not the bool True"),
+    (dict(minpts_grid=[True, 2]), "minpts_grid must be a number, not the bool True"),
+    (dict(lasso_lambdas=[0.1, np.False_]), "lasso_lambdas must be a number, not the bool"),
+    (dict(cv_folds=True), "cv_folds must be a number, not the bool True"),
+    (dict(enet_alpha=False), "enet_alpha must be a number, not the bool False"),
+    (dict(anchor_year=True), "anchor_year must be a number, not the bool True"),
+    (dict(test_years=[2015, True]), "test_years must be a number, not the bool True"),
+    (dict(log_epsilon=10**400), "log_epsilon holds a number too large for a float"),
+], ids=["eps", "min_pts", "lasso_numpy_bool", "cv_folds", "enet_alpha", "anchor_year",
+        "test_years", "log_epsilon_huge_int"])
+def test_a_bool_or_a_huge_int_in_a_number_field_fails_at_the_config_stage(synthetic_case,
+                                                                          bad, message):
+    """bool is an int subclass, so True would pass every check as 1: a
+    min_pts grid of [True, 2] would run min_pts 1 and 2 and record True in
+    the report. An int past the float range passes every bound, then would
+    escape as a bare OverflowError. Each fails before the panel is read,
+    naming the field."""
+    _, _, _, config = synthetic_case
+    bad = dataclasses.replace(config, data_path="/nonexistent/panel.csv", **bad)
+    with pytest.raises(PipelineStageError, match=message) as err:
+        run_pipeline(bad)
+    assert err.value.stage == "config"
+
+
 def test_a_config_of_path_objects_writes_the_str_configs_artifacts(synthetic_case, tmp_path):
     """data_path and out_dir given as pathlib.Path: validate stores each as
     its str, so the run writes the artifacts of the str-configured run,
@@ -848,8 +915,9 @@ def test_work_of_one_default_run_on_seed_2024(synthetic_case, tmp_path, monkeypa
     the module attributes their callers look up, as bench/spans.py counts
     them: every grid of a kind is fitted in one _fit_grid call per design
     (5 folds + the path), fit_penalized runs once per kind (the refit),
-    every sweep grid point enters through dbscan (40 eps x 5 min_pts), and
-    the centered moments are computed once per fold design and once for
+    dbscan runs once per min_pts and eps interval that the 40 eps values
+    cut from the panel's pairwise distances (25 of the 40 x 5 grid
+    points), and the centered moments are computed once per fold design and once for
     the full design (5*3+1). The panel is aggregated once: the cluster
     profiles summarise those totals rather than aggregating again. A change
     that routes fits around an entry point, or changes what the benchmark's
@@ -873,7 +941,7 @@ def test_work_of_one_default_run_on_seed_2024(synthetic_case, tmp_path, monkeypa
     _, _, _, config = synthetic_case
     pipeline.run_pipeline(dataclasses.replace(config, out_dir=str(tmp_path / "out")))
     assert calls == {"ridge": 1, "lasso": 1, "elastic_net": 1, "grid ridge": 6,
-                     "grid lasso": 6, "grid elastic_net": 6, "dbscan": 200, "moments": 16,
+                     "grid lasso": 6, "grid elastic_net": 6, "dbscan": 25, "moments": 16,
                      "aggregate": 1}
 
 
@@ -900,7 +968,9 @@ def test_every_benchmark_span_fires(synthetic_case, tmp_path):
     metrics = spans.panel_metrics(tracer.take())
     assert spans.missing_spans([metrics]) == []
     assert metrics["clustering.silhouette_calls"] == metrics["clustering.distinct_labellings"]
-    assert metrics["clustering.dbscan_calls"] == len(config.eps_grid) * len(config.minpts_grid)
+    # no pairwise distance of the panel lies in (0.1, 1.0]: the three eps
+    # values are one interval, so dbscan runs once per min_pts
+    assert metrics["clustering.dbscan_calls"] == len(config.minpts_grid)
     for kind in ("ridge", "lasso", "elastic_net"):
         # CV and the path fit whole grids in _fit_grid; only the refit
         # enters through fit_penalized
