@@ -22,8 +22,10 @@ H = X'X + lam2*I and c = X'y on the centered design, the objective is
 b'Hb - 2c'b + lam1*|b|_1 up to a constant (Zou & Hastie 2005, Lemma 1).
 The weights pick the solve: least squares at lam1 = lam2 = 0, the closed
 form H b = c at lam1 = 0, and otherwise the feature-sign search, which
-returns the exact solve of one sign pattern. Only when the search gives
-up does coordinate descent run, with the update
+returns the exact solve of one sign pattern. A solve that breaks a sign
+of its pattern is repaired at once; only one that keeps them meets the
+acceptance test. Only when the search gives up does coordinate descent
+run, with the update
 
     beta_j = soft_threshold(rho_j, lam1 / 2) / H_jj
 
@@ -33,12 +35,15 @@ except that the search, whose solves are exact, gives its zero
 coordinates only rounding slack.
 
 cross_validate and iterate_lambda fit a penalty grid per design, not per
-point: every positive ridge weight of the grid in one stacked solve, the
-other fits warm-started down the grid, one by one until their sign
-pattern settles and then the run of fits that keep it in one stacked
-solve, and the validation and training errors of all its fits by stacked
-products. Every coefficient and score equals, bit for bit, what
-fit_penalized, predict and compute_mse give for that grid point.
+point: every positive ridge weight of the grid in one stacked solve; the
+fits with lam1 >= lasso_lambda_max = |2X'y|_inf (centered) as zero in
+closed form, which is what the search from zero returns there (Friedman,
+Hastie & Tibshirani 2010 start their paths at that point); the other fits
+warm-started down the grid, one by one until their sign pattern settles
+and then the run of fits that keep it in one stacked solve; and the
+validation and training errors of all its fits by stacked products.
+Every coefficient and score equals, bit for bit, what fit_penalized,
+predict and compute_mse give for that grid point.
 """
 
 from __future__ import annotations
@@ -347,13 +352,14 @@ def _pattern_test(
     bound: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The feature-sign search's acceptance test of solves b (..., a) of
-    the sign pattern (active, signs), with lam1 and hess as _optimality
-    takes them. Returns the solves as coefficient vectors x (..., p);
-    whether each passes: it keeps the pattern's signs, its stationarity
-    residual is within bound, and every zero coordinate has |g_j| <= lam1
-    up to rounding; and, for the search's next step, the gradient g with
-    the active entries zeroed and the excess |g_j| - lam1 - slack of the
-    zero coordinates.
+    the sign pattern (active, signs) that keep its signs, with lam1 and
+    hess as _optimality takes them. Returns the solves as coefficient
+    vectors x (..., p); whether each passes: its stationarity residual is
+    within bound, and every zero coordinate has |g_j| <= lam1 up to
+    rounding; and, for the search's next step, the gradient g with the
+    active entries zeroed and the excess |g_j| - lam1 - slack of the zero
+    coordinates. The sign test comes first, in the caller: a solve that
+    breaks a sign fails without this test.
 
     The inactive test allows no iterative slack, since a pattern solve is
     exact: only the rounding of evaluating g_j = -2(c_j - H_j x), whose
@@ -367,8 +373,7 @@ def _pattern_test(
     stationarity, g = _optimality(hess, corr, lam1, x, active, signs)
     slack = 8.0 * p * _EPS * (np.abs(corr) + (np.abs(hess) @ np.abs(x)[..., None])[..., 0])
     excess = np.abs(g) - lam1 - slack
-    passes = (np.logical_and.reduce(b * signs > 0.0, axis=-1) & (stationarity <= bound)
-              & (np.maximum.reduce(excess, axis=-1) <= 0.0))
+    passes = (stationarity <= bound) & (np.maximum.reduce(excess, axis=-1) <= 0.0)
     return x, passes, g, excess
 
 
@@ -400,8 +405,8 @@ def _feature_sign_search(
     bound: float,
 ) -> np.ndarray | None:
     """Feature-sign search (Lee, Battle, Raina & Ng 2007) from the start
-    beta: the solve of some sign pattern that passes _pattern_test, or
-    None.
+    beta: the solve of some sign pattern that keeps its signs and passes
+    _pattern_test, or None.
 
     Each step solves the objective on the current sign pattern. A solve
     that keeps its signs is returned if it passes; otherwise the worst
@@ -425,11 +430,10 @@ def _feature_sign_search(
         b = _solve_pattern(hess, corr, lam1, active, signs)
         if b is None:
             return None
-        solved, passes, g, excess = _pattern_test(hess, corr, lam1, active, signs, b, bound)
-        if passes:
-            return solved
         if (b * signs > 0).all():
-            x = solved
+            x, passes, g, excess = _pattern_test(hess, corr, lam1, active, signs, b, bound)
+            if passes:
+                return x
             j = int(excess.argmax())
             if excess[j] <= 0.0:  # only stationarity fails
                 return None
@@ -506,6 +510,26 @@ def _ridge_solve(m: Moments, lam2: float) -> np.ndarray:
         raise RegressionError(f"X'X + lam2*I is singular at lam2 = {lam2!r}") from None
 
 
+def _search(
+    hess: np.ndarray,
+    corr: np.ndarray,
+    lam1: float,
+    start: np.ndarray,
+    bound: float,
+    tol: float,
+    max_iter: int,
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Coefficients and flags of the fit at lam1 > 0 on H = hess: the
+    feature-sign search from `start`, or coordinate descent from the same
+    point when the search gives up, flagged 'non_converged' when it does
+    not converge within max_iter sweeps."""
+    beta = _feature_sign_search(hess, corr, lam1, start, bound)
+    if beta is not None:
+        return beta, ()
+    beta, converged, _ = _coordinate_descent(hess, corr, lam1, tol, max_iter, bound, start)
+    return beta, () if converged else ("non_converged",)
+
+
 def _solve(
     d: DesignMatrix,
     lam1: float,
@@ -528,13 +552,7 @@ def _solve(
         hess = m.gram + lam2 * _identity(d.p)  # also at lam2 = 0: + 0.0 turns a -0.0 into +0.0
         start = np.zeros(d.p) if start is None else np.asarray(start, dtype=float)
         start = np.where(m.gram.diagonal() > 0.0, start, 0.0)  # zero-norm columns stay at zero
-        bound = _bound(m, tol)
-        beta = _feature_sign_search(hess, m.corr, lam1, start, bound)
-        if beta is None:
-            beta, converged, _ = _coordinate_descent(hess, m.corr, lam1, tol, max_iter, bound,
-                                                     start)
-            if not converged:
-                flags = ("non_converged",)
+        beta, flags = _search(hess, m.corr, lam1, start, _bound(m, tol), tol, max_iter)
     intercept = m.y_mean - float(m.x_mean @ beta)
     if not (np.isfinite(intercept) and np.isfinite(beta).all()):
         raise RegressionError("model parameters must be finite")
@@ -593,8 +611,9 @@ def _kept_pattern_fits(
     lam1s, lam2s (in descent order, each started from the fit before, the
     first from `start`) whose searches accept the sign pattern of `start`
     on their first step: the solves of that pattern, in one stacked
-    np.linalg.solve, that pass _pattern_test, up to the first that does
-    not. Each equals, bit for bit, what its search returns."""
+    np.linalg.solve, that keep its signs and pass _pattern_test, up to the
+    first that does not. Each equals, bit for bit, what its search
+    returns."""
     active = start.nonzero()[0]
     signs = np.sign(start[active])
     hess = m.gram + lam2s[:, None, None] * _identity(start.size)
@@ -606,7 +625,29 @@ def _kept_pattern_fits(
     except np.linalg.LinAlgError:  # some H_AA is singular: its search gives up
         return np.empty((0, start.size))
     fits, passes, _, _ = _pattern_test(hess, m.corr, lam1s[:, None], active, signs, b, bound)
+    passes &= np.logical_and.reduce(b * signs > 0.0, axis=-1)
     return fits[:passes.size if passes.all() else passes.argmin()]
+
+
+def _grid_weights(kind: str, grid: list[float], alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The weights lam1s, lam2s of the grid values, split and checked as
+    PenaltySpec.of splits and checks each value, with its messages in its
+    order, but once for the whole grid."""
+    lams = np.array(grid, dtype=float)
+    if kind == "ridge":
+        lam1s, lam2s = np.zeros_like(lams), lams
+    elif kind == "lasso":
+        lam1s, lam2s = lams, np.zeros_like(lams)
+    elif not 0.0 <= alpha <= 1.0:
+        raise RegressionError("alpha must be in [0, 1]")
+    elif kind not in PENALTY_KINDS:
+        raise RegressionError(f"unknown penalty kind {kind!r}")
+    else:
+        with np.errstate(invalid="ignore"):  # 0 * inf is nan, as it is for a float
+            lam1s, lam2s = alpha * lams, (1.0 - alpha) * lams
+    if not ((0.0 <= lam1s) & (lam1s < np.inf) & (0.0 <= lam2s) & (lam2s < np.inf)).all():
+        raise RegressionError("penalty weights must be finite and >= 0")
+    return lam1s, lam2s
 
 
 def _fit_grid(
@@ -623,62 +664,72 @@ def _fit_grid(
 
     The fits with lam1 = 0 < lam2 (every positive ridge weight) are one
     stacked np.linalg.solve, bit for bit the solves one at a time. The
-    rest run from the largest lambda down, each lasso or elastic-net fit
-    starting from the previous fit's coefficients (the largest from zero;
-    equal values keep grid order). Once two fits in a row keep the sign
-    pattern they start from, the later fits with lam1 > 0 are solved on
-    that pattern in one stacked solve, and the run of them that passes
-    the search's acceptance test is kept: each is the first and accepted
-    step of its own search. The fits go on one at a time from the first
-    that fails. (After a single kept pattern, mid-path, a stacked solve
-    kept no fit about as often as it kept some, and cost more than the
-    searches it saved.) Every fit is zero on the zero-norm columns, so its
-    signs are the next search's start pattern."""
-    specs = [PenaltySpec.of(kind, lam, alpha) for lam in grid]
+    fits with lam1 > 0 run from the largest lambda down, each starting from
+    the previous fit's coefficients (the largest from zero; equal values
+    keep grid order). The leading ones, with lam1 >= lasso_lambda_max, are
+    zero in closed form: there the search from zero accepts the empty
+    pattern at once, as every |g_j| = |2c_j| <= lam1 (on a finite Gram
+    matrix; else its test is not finite). Once two fits in a row keep the
+    sign pattern they start from, the later fits are solved on that
+    pattern in one stacked solve, and the run of them that passes the
+    search's acceptance test is kept: each is the first and accepted step
+    of its own search. The fits go on one at a time from the first that
+    fails. (After a single kept pattern, mid-path, a stacked solve kept no
+    fit about as often as it kept some, and cost more than the searches it
+    saved.) Every fit is +0.0 on the zero-norm columns, so it is its own
+    masked start, and H = X'X + lam2*I is built once per lam2 in turn:
+    once per lasso grid."""
+    lam1s, lam2s = _grid_weights(kind, grid, alpha)
     _check_solver(tol, max_iter)
     m = d.moments
     coefs = np.empty((len(grid), d.p))
     intercepts = np.empty(len(grid))
     flags: list[tuple[str, ...]] = [()] * len(grid)
-    stacked = [i for i, s in enumerate(specs) if s.lam1 == 0 < s.lam2]
-    if stacked:
-        lams = np.array([specs[i].lam2 for i in stacked])
+    stacked = ((lam1s == 0) & (lam2s > 0)).nonzero()[0]
+    if stacked.size:
         # b is (k, p, 1), as in _kept_pattern_fits
-        rhs = np.broadcast_to(m.corr[:, None], (len(stacked), d.p, 1))
+        rhs = np.broadcast_to(m.corr[:, None], (stacked.size, d.p, 1))
         try:
-            solved = np.linalg.solve(m.gram + lams[:, None, None] * _identity(d.p), rhs)
+            solved = np.linalg.solve(m.gram + lam2s[stacked, None, None] * _identity(d.p), rhs)
         except np.linalg.LinAlgError:
-            for i in stacked:
-                _ridge_solve(m, specs[i].lam2)  # raises at the first singular weight
+            for lam2 in lam2s[stacked].tolist():
+                _ridge_solve(m, lam2)  # raises at the first singular weight
             raise
         coefs[stacked] = solved[..., 0]
         intercepts[stacked] = _intercepts(m, coefs[stacked])
-    order = [i for i in sorted(range(len(grid)), key=lambda i: -grid[i])
-             if not specs[i].lam1 == 0 < specs[i].lam2]
-    positive = sum(specs[i].lam1 > 0 for i in order)  # lam1 falls with lambda: a prefix
+    for i in ((lam1s == 0) & (lam2s == 0)).nonzero()[0].tolist():  # least squares
+        coefs[i], intercepts[i], flags[i] = _solve(d, 0.0, 0.0, tol, max_iter, None)
+    order = np.argsort(-np.array(grid, dtype=float), kind="stable")
+    order = order[lam1s[order] > 0]  # lam1 falls with lambda
+    lam_max = lasso_lambda_max(d) if np.isfinite(m.gram).all() else np.inf
+    zeros = np.count_nonzero(lam1s[order] >= lam_max)
+    coefs[order[:zeros]] = 0.0
     bound = _bound(m, tol)
     start = np.zeros(d.p)
     pattern = np.sign(start).tobytes()
-    kept = False  # whether the last fit kept the sign pattern it started from
-    k = 0
-    while k < len(order):
+    kept = zeros > 0  # whether the last fit kept the sign pattern it started from
+    lam1_list, lam2_list = lam1s.tolist(), lam2s.tolist()
+    hess, hess_lam2 = None, None
+    k = zeros
+    while k < order.size:
         i = order[k]
-        coefs[i], intercepts[i], flags[i] = _solve(d, specs[i].lam1, specs[i].lam2, tol,
-                                                   max_iter, start)
+        if lam2_list[i] != hess_lam2:
+            hess_lam2 = lam2_list[i]
+            hess = m.gram + hess_lam2 * _identity(d.p)  # at lam2 = 0 too: + 0.0 turns -0.0 to +0.0
+        coefs[i], flags[i] = _search(hess, m.corr, lam1_list[i], start, bound, tol, max_iter)
         k += 1
         # a -0.0 reads as a changed sign, which only forgoes a stacked solve
         start, was, pattern = coefs[i], pattern, np.sign(coefs[i]).tobytes()
         steady, kept = kept and pattern == was, pattern == was
-        if steady and k < positive:
-            run = order[k:positive]
-            fits = _kept_pattern_fits(m, np.array([specs[j].lam1 for j in run]),
-                                      np.array([specs[j].lam2 for j in run]), start, bound)
+        if steady and k < order.size:
+            run = order[k:]
+            fits = _kept_pattern_fits(m, lam1s[run], lam2s[run], start, bound)
             if len(fits):
                 run = run[:len(fits)]
                 coefs[run] = fits
-                intercepts[run] = _intercepts(m, fits)
                 k += len(fits)
                 start = coefs[run[-1]]
+    intercepts[order] = _intercepts(m, coefs[order])
     return coefs, intercepts, flags
 
 

@@ -89,7 +89,9 @@ def _solve_last_series(a_t: float, beta_last: float, d_t: float, u_hi: float) ->
     """Root of exp(a + beta*u) - d - exp(u) = 0 on (-inf, u_hi] by bisection.
 
     The caller guarantees f(u_hi) > 0 and beta in (0, 1), which puts one
-    root below u_hi with f negative far left."""
+    root below u_hi with f negative far left. The bisection runs at most
+    200 steps and stops at its fixed point: a step that would leave the
+    bracket as it is leaves every later step the same."""
 
     def f(u: float) -> float:
         return math.exp(a_t + beta_last * u) - d_t - math.exp(u)
@@ -99,10 +101,10 @@ def _solve_last_series(a_t: float, beta_last: float, d_t: float, u_hi: float) ->
         raise ClusterRegError("synthetic target bracket failed; widen margins")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
+        bracket = (lo, mid) if f(mid) > 0 else (mid, hi)
+        if bracket == (lo, hi):
+            break
+        lo, hi = bracket
     return 0.5 * (lo + hi)
 
 

@@ -537,6 +537,109 @@ class TestGridSolver:
         r2, mse = path_scores_loop(d, kind, path_grid, alpha)
         assert np.array_equal(path.r2, r2) and np.array_equal(path.mse, mse)
 
+    @given(data=st.data(), n=st.integers(2, 12), p=st.integers(1, 5),
+           kind=st.sampled_from(["lasso", "elastic_net"]),
+           alpha=st.sampled_from([0.1, 0.5, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_fits_at_or_above_lambda_max_are_zero_in_closed_form(self, data, n, p, kind,
+                                                                   alpha):
+        """The leading fits with lam1 >= lasso_lambda_max are zero with no
+        search, and equal the searched per-point fits bit for bit, with
+        their intercepts: on designs with a zero-norm column, targets of
+        -0.0 (whose mean is -0.0), grids holding lambda_max itself,
+        lambda_max / alpha and repeated values. A grid wholly at or above
+        lambda_max runs no search."""
+        cells = st.integers(-4, 4).map(lambda v: v / 2)
+        x = np.array(data.draw(st.lists(st.lists(cells, min_size=p, max_size=p),
+                                        min_size=n, max_size=n)))
+        y = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)))
+        if data.draw(st.booleans()):
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            x += 0.1 * rng.normal(size=x.shape)
+            y += 0.1 * rng.normal(size=n)
+        x[:, data.draw(st.integers(0, p - 1))] = data.draw(st.sampled_from([0.0, -0.0, 1.5]))
+        if data.draw(st.integers(0, 5)) == 0:
+            y = np.full(n, -0.0)
+        d = DesignMatrix(x, y, tuple(f"c{j}" for j in range(p)))
+        lam_max = lasso_lambda_max(d)
+        scale = 1.0 if kind == "lasso" else 1.0 / alpha
+        top = [lam_max, lam_max * scale, max(lam_max, 1e-3) * scale * 1.5]
+        grid = data.draw(st.lists(st.sampled_from(top), min_size=1, max_size=4))
+        below = data.draw(st.lists(st.sampled_from([1 - 1e-12, 0.99, 0.5, 1e-3, 0.0]),
+                                   max_size=4))
+        grid = data.draw(st.permutations(grid + [share * lam_max for share in below]))
+        lam1s = [PenaltySpec.of(kind, lam, alpha).lam1 for lam in grid]
+
+        calls = []
+        search = regression._feature_sign_search
+        with mock.patch.object(regression, "_feature_sign_search",
+                               lambda *args: calls.append(args) or search(*args)):
+            coefs, intercepts, flags = regression._fit_grid(d, kind, grid, alpha, 1e-10, 100_000)
+        if all(lam1 >= lam_max and lam1 > 0 for lam1 in lam1s):
+            assert calls == []
+        assert len(calls) <= sum(0 < lam1 < lam_max for lam1 in lam1s)
+        models = warm_descent(d, kind, grid, alpha)
+        assert coefs.tobytes() == np.array([m.coefficients for m in models]).tobytes()
+        assert intercepts.tobytes() == np.array([m.intercept for m in models]).tobytes()
+        assert flags == [m.flags for m in models]
+        for lam1, beta in zip(lam1s, coefs):
+            if lam1 >= lam_max and lam1 > 0:
+                assert not beta.any()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_no_closed_form_where_the_gram_matrix_overflows(self):
+        """X'X overflows while X'y stays finite: the search's test at zero
+        is not finite there, so it gives up as fit_penalized's does, and
+        descent flags the fit."""
+        x = np.array([[1e160, 1.0], [-1e160, 2.0], [3e159, -1.0]])
+        d = DesignMatrix(x, np.array([1e-160, -2e-160, 0.5]), ("a", "b"))
+        assert np.isinf(d.moments.gram).any() and np.isfinite(d.moments.corr).all()
+        grid = [2.0 * lasso_lambda_max(d)]
+        coefs, intercepts, flags = regression._fit_grid(d, "lasso", grid, 0.5, 1e-10, 10)
+        m = fit_penalized(d, PenaltySpec.lasso(grid[0]), max_iter=10)
+        assert flags == [m.flags] == [("non_converged",)]
+        assert coefs.tobytes() == m.coefficients.tobytes() and intercepts[0] == m.intercept
+
+    @pytest.mark.parametrize("kind,grid,alpha,message", [
+        ("lasso", [1.0, float("nan")], 0.5, "penalty weights must be finite and >= 0"),
+        ("ridge", [-1.0, 1.0], 0.5, "penalty weights must be finite and >= 0"),
+        ("elastic_net", [1.0, float("inf")], 0.5, "penalty weights must be finite and >= 0"),
+        ("elastic_net", [1.0, float("inf")], 0.0, "penalty weights must be finite and >= 0"),
+        ("elastic_net", [-2.0, 1.0], 1.0, "penalty weights must be finite and >= 0"),
+        ("elastic_net", [1.0], 1.5, "alpha must be in [0, 1]"),
+        ("elastic_net", [float("nan")], float("nan"), "alpha must be in [0, 1]"),
+        ("lars", [1.0], 0.5, "unknown penalty kind 'lars'"),
+        ("lars", [float("nan")], 0.5, "unknown penalty kind 'lars'"),
+        ("lars", [1.0], -0.5, "alpha must be in [0, 1]"),
+    ])
+    @pytest.mark.parametrize("tol,max_iter", [(1e-10, 100_000), (0.0, 0), (1e-10, 0)])
+    def test_grid_checks_raise_the_penalty_spec_errors_first(self, kind, grid, alpha, message,
+                                                             tol, max_iter):
+        """A grid is checked once, as a whole, with the messages and in the
+        order that PenaltySpec.of checks its values one by one, and before
+        the solver settings."""
+        with pytest.raises(RegressionError) as one_by_one:
+            for lam in grid:
+                PenaltySpec.of(kind, lam, alpha)
+        assert str(one_by_one.value) == message
+        d = random_design(seed=3, n=10)
+        for fit_grid in (lambda: cross_validate(d, kind, grid, 2, alpha, tol, max_iter),
+                         lambda: iterate_lambda(d, kind, grid, alpha, tol, max_iter)):
+            with pytest.raises(RegressionError) as raised:
+                fit_grid()
+            assert str(raised.value) == message
+
+    def test_solver_settings_are_checked_after_a_valid_grid(self):
+        d = random_design(seed=3, n=10)
+        for kind, alpha in (("ridge", 2.0), ("lasso", -1.0), ("elastic_net", 1.0)):
+            for tol, max_iter, message in ((0.0, 10, "tol must be finite and > 0"),
+                                           (1e-10, 0, "max_iter must be >= 1")):
+                with pytest.raises(RegressionError, match=f"^{message}$"):
+                    cross_validate(d, kind, [0.0, 1.0], 2, alpha, tol, max_iter)
+                with pytest.raises(RegressionError, match=f"^{message}$"):
+                    iterate_lambda(d, kind, [0.0, 1.0], alpha, tol, max_iter)
+
     def test_singular_ridge_system_names_its_weight(self):
         """X'X + lam2*I of a copied column scaled by 1e10 is singular in
         floating point at a small lam2, and fine at a large one: the single
@@ -677,10 +780,11 @@ class TestActiveSetSearch:
 
     def test_search_gives_up_on_a_repeated_pattern_and_cd_takes_over(self, monkeypatch):
         """A near-copied column (a 1e-9 perturbation) on a warm lasso path:
-        from the third weight down, each search cycles back to a sign pattern
-        it has seen (a line trace shows that exit, and no other, for all 26)
-        and coordinate descent finishes the fit. No pattern solve is
-        singular, and no search runs its 2p steps."""
+        the largest weight is lasso_lambda_max, whose fit is zero in closed
+        form with no search; from the third weight down, each search cycles
+        back to a sign pattern it has seen (a line trace shows that exit,
+        and no other, for all 26) and coordinate descent finishes the fit.
+        No pattern solve is singular, and no search runs its 2p steps."""
         rng = np.random.default_rng(1)
         n, p = rng.integers(6, 16), rng.integers(3, 9)
         x = rng.normal(size=(n, p))
@@ -702,7 +806,7 @@ class TestActiveSetSearch:
         monkeypatch.setattr(regression, "_feature_sign_search", recorded)
         sweeps = _sweeps(monkeypatch)
         coefs, intercepts, flags = regression._fit_grid(d, "lasso", grid, 0.5, 1e-10, 100_000)
-        assert [gave_up for gave_up, _ in searches] == [False] * 2 + [True] * 26
+        assert [gave_up for gave_up, _ in searches] == [False] + [True] * 26
         assert all(0 < count < 2 * p for _, count in searches)
         assert all(b is not None for _, _, b in solves)
         assert len(sweeps) == 26
@@ -766,8 +870,9 @@ class TestActiveSetSearch:
     def test_pipeline_sweep_total_on_seed_2024(self, synthetic_case, monkeypatch):
         """A machine-independent guard on solver work: the search accepts
         every lasso and elastic-net fit it runs, so no descent sweep runs.
-        Once two fits in a row keep their start's sign pattern, the grid
-        solver fits the steady run that follows in one stacked solve, so 158
+        The fits at lam1 >= lasso_lambda_max are zero in closed form, and
+        once two fits in a row keep their start's sign pattern, the grid
+        solver fits the steady run that follows in one stacked solve, so 134
         of the run's 338 lasso and elastic-net fits run a search. Descent
         first and the search on a stable pattern took 674 sweeps; descent
         alone took 8,032."""
@@ -785,7 +890,7 @@ class TestActiveSetSearch:
         monkeypatch.setattr(regression, "_feature_sign_search", recorded)
         sweeps = _sweeps(monkeypatch)
         run_pipeline(config)
-        assert accepted == [True] * 158
+        assert accepted == [True] * 134
         assert sweeps == []
 
 

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from clusterreg import synth
 from clusterreg.clustering import ClusterAssignment
 from clusterreg.errors import ClusterRegError
 from clusterreg.pipeline import aggregate_by_cluster
@@ -120,3 +123,51 @@ def test_small_configuration_works():
     record = truth.to_dict()
     assert (record["n_entities"], record["n_clusters"], record["support_size"]) == (8, 4, 2)
     assert np.all(panel.values >= 0)
+
+
+def bisect_200_steps(a_t, beta_last, d_t, u_hi):
+    """The last-series root by all 200 bisection steps, with no stop at the
+    fixed point."""
+
+    def f(u):
+        return math.exp(a_t + beta_last * u) - d_t - math.exp(u)
+
+    lo, hi = u_hi - 80.0, u_hi
+    if f(lo) >= 0 or f(hi) <= 0:
+        raise ClusterRegError("synthetic target bracket failed; widen margins")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("seed,shape,noise_sd", [
+    (2024, {}, 0.0), (0, {}, 0.003), (1, {"n_entities": 400}, 0.0),
+    (3, {"n_years": 60, "support_size": 16}, 0.004), (5, {"n_years": 6, "support_size": 2}, 0.1),
+    (7, {"n_entities": 8, "n_features": 6, "n_clusters": 4, "n_years": 6, "support_size": 2},
+     0.02),
+])
+def test_bisection_stopped_at_its_fixed_point_gives_the_200_step_panel(
+        seed, shape, noise_sd, monkeypatch):
+    """A bisection step that leaves the bracket as it is leaves every later
+    step the same, so stopping there changes no bit of the panel or the
+    truth."""
+    panel, truth = generate_synthetic(seed, noise_sd=noise_sd, **shape)
+    monkeypatch.setattr(synth, "_solve_last_series", bisect_200_steps)
+    full_panel, full_truth = generate_synthetic(seed, noise_sd=noise_sd, **shape)
+    assert panel.values.tobytes() == full_panel.values.tobytes()
+    assert truth.to_dict() == full_truth.to_dict()
+
+
+def test_bisection_root_equals_the_200_step_root():
+    """On brackets drawn as generate_synthetic draws them, and wider."""
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        beta_last, d_t = rng.uniform(0.05, 0.95), math.exp(rng.uniform(-3.0, 5.0))
+        u_hi = math.log(rng.uniform(1.01, 3.0) * d_t)
+        a_t = math.log(rng.uniform(1.01, 2.0) * (math.exp(u_hi) + d_t)) - beta_last * u_hi
+        root = synth._solve_last_series(a_t, beta_last, d_t, u_hi)
+        assert root.hex() == bisect_200_steps(a_t, beta_last, d_t, u_hi).hex()
