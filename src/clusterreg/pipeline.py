@@ -621,8 +621,10 @@ def prepare_inputs(config: PipelineConfig) -> PreparedInputs:
 
 
 def fit_kind(config: PipelineConfig, design: regression.DesignMatrix, kind: str):
-    """Cross-validate one penalty kind on design, refit at the chosen
-    penalty, and trace the path over the kind's grid.
+    """Cross-validate one penalty kind on design, trace the path over the
+    kind's grid, and refit at the penalty CV chose, starting from the
+    path's row at the grid value CV chose. The search accepts that row on
+    its first step, so the refit repeats no search work of the path.
 
     Returns (cv_table, model, path); the model's penalty is the one CV
     chose."""
@@ -631,9 +633,14 @@ def fit_kind(config: PipelineConfig, design: regression.DesignMatrix, kind: str)
     solver = {"tol": config.tol, "max_iter": config.max_iter}
     spec, table = _stage("fit", regression.cross_validate, design, kind, grid,
                          folds=config.cv_folds, alpha=config.enet_alpha, **solver)
-    model = _stage("fit", regression.fit_penalized, design, spec, **solver)
     path = _stage("fit", regression.iterate_lambda, design, kind,
                   sorted(set(float(v) for v in grid)), alpha=config.enet_alpha, **solver)
+    # matched by its weights: an elastic net's spec.lam = lam1 + lam2 is
+    # within rounding of the grid value, but need not equal it
+    row = next(i for i, lam in enumerate(path.lambdas) if math.isclose(lam, spec.lam)
+               and regression.PenaltySpec.of(kind, lam, config.enet_alpha) == spec)
+    model = _stage("fit", regression.fit_penalized, design, spec,
+                   start=path.coefficient_matrix[row], **solver)
     return table, model, path
 
 

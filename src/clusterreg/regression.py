@@ -32,7 +32,12 @@ run, with the update
 for column j with partial residual correlation rho_j. Both accept a fit
 by _optimality within the kkt_check bound 10*tol*max(1, |2X'y|_inf),
 except that the search, whose solves are exact, gives its zero
-coordinates only rounding slack.
+coordinates only rounding slack, and works that slack out only when some
+zero coordinate has |g_j| > lam1, the one case in which it can decide.
+Both tests read the stationarity residuals and the zero coordinates'
+|g_j| off the one vector |g + lam1*sign(b)|. A search started from the
+solution it would return (such as the path's row at the same weights)
+accepts it on its first step.
 
 cross_validate and iterate_lambda fit a penalty grid per design, not per
 point: every positive ridge weight of the grid in one stacked solve; the
@@ -64,9 +69,9 @@ _EPS = np.finfo(float).eps
 class Moments(NamedTuple):
     """What every fit on one design shares: the column and target means,
     the centered, never rescaled design xc and target yc, the Gram matrix
-    xc'xc, the correlations xc'yc, and |2X'y|_inf of the uncentered design,
-    the scale of the kkt_check bound. (A NamedTuple: cheaper to define at
-    import than a frozen dataclass.)"""
+    xc'xc, the correlations xc'yc and their absolute values, and |2X'y|_inf
+    of the uncentered design, the scale of the kkt_check bound. (A
+    NamedTuple: cheaper to define at import than a frozen dataclass.)"""
 
     x_mean: np.ndarray
     y_mean: float
@@ -74,18 +79,26 @@ class Moments(NamedTuple):
     yc: np.ndarray
     gram: np.ndarray
     corr: np.ndarray
+    abs_corr: np.ndarray
     score_max: float
 
 
 def _compute_moments(d: "DesignMatrix") -> Moments:
+    """The Moments of d; raises when X'X, X'y or |2X'y|_inf overflows,
+    since no fit's optimality can then be tested."""
     x_mean = d.x.mean(axis=0)
     y_mean = float(d.y.mean())
     xc, yc = d.x - x_mean, d.y - y_mean
     gram, corr = xc.T @ xc, xc.T @ yc
-    for shared in (x_mean, xc, yc, gram, corr):
-        shared.setflags(write=False)
     score_max = float(np.abs(2.0 * (d.x.T @ d.y)).max())
-    return Moments(x_mean, y_mean, xc, yc, gram, corr, score_max)
+    if not np.isfinite(gram).all():
+        raise RegressionError("X'X of the centered design is not finite")
+    if not (np.isfinite(corr).all() and np.isfinite(score_max)):
+        raise RegressionError("X'y of the design is not finite")
+    abs_corr = np.abs(corr)
+    for shared in (x_mean, xc, yc, gram, corr, abs_corr):
+        shared.setflags(write=False)
+    return Moments(x_mean, y_mean, xc, yc, gram, corr, abs_corr, score_max)
 
 
 @dataclass(frozen=True)
@@ -302,6 +315,25 @@ def fit_ols(d: DesignMatrix) -> LinearModel:
     return replace(fit_penalized(d, PenaltySpec.ridge(0.0)), penalty=None)
 
 
+class _System(NamedTuple):
+    """The smooth part on one design at one lam2: H = X'X + lam2*I, or a
+    stack (m, p, p) of them, and c = X'y, with |H| and |c|, which only the
+    rounding slack of _pattern_test reads."""
+
+    hess: np.ndarray
+    corr: np.ndarray
+    abs_hess: np.ndarray
+    abs_corr: np.ndarray
+
+
+def _system(m: Moments, lam2: float | np.ndarray) -> _System:
+    """The _System of lam2 (a float, or (m, 1, 1) for a stack) on the
+    design of m. H is m.gram + lam2*I also at lam2 = 0, where + 0.0 turns a
+    -0.0 into +0.0."""
+    hess = m.gram + lam2 * _identity(m.gram.shape[0])
+    return _System(hess, m.corr, np.abs(hess), m.abs_corr)
+
+
 def _solve_pattern(
     hess: np.ndarray,
     corr: np.ndarray,
@@ -311,12 +343,12 @@ def _solve_pattern(
 ) -> np.ndarray | None:
     """Stationary point of the objective restricted to one sign pattern:
     the solve of H_AA b = c_A - (lam1/2)*s_A, or None when that system is
-    singular or its solution is not finite."""
+    singular. The caller tests whether b is finite."""
     try:
-        b = np.linalg.solve(hess[active[:, None], active], corr[active] - 0.5 * lam1 * signs)
+        return np.linalg.solve(hess.take(active, 0).take(active, 1),
+                               corr.take(active) - 0.5 * lam1 * signs)
     except np.linalg.LinAlgError:
         return None
-    return b if np.isfinite(b).all() else None
 
 
 def _optimality(
@@ -324,57 +356,61 @@ def _optimality(
     corr: np.ndarray,
     lam1: float | np.ndarray,
     x: np.ndarray,
+    theta: np.ndarray,
     active: np.ndarray,
-    signs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two parts of the acceptance tests at candidates x (..., p) that
-    are nonzero on the columns `active` with the signs `signs`, with the L1
-    weight lam1 (a float, or (m, 1) for a stack of m) on hess (..., p, p):
-    the largest stationarity residual |g_j + lam1*s_j| over the active
-    columns, and the gradient g = -2(corr - hess @ x) of the smooth part
-    with its active entries zeroed. Each product is one slice's
-    matrix-vector product, so a candidate's values do not depend on the
-    stack it is in."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the acceptance tests read at candidates x (..., p) of the sign
+    pattern theta (p,), nonzero on the columns `active`, with the L1 weight
+    lam1 (a float, or (m, 1) for a stack of m) on hess (..., p, p): the
+    gradient g = -2(corr - hess @ x) of the smooth part; v = |g +
+    lam1*theta|; and the largest stationarity residual over the active
+    columns. As lam1*theta_j is exactly +-lam1 or 0, v holds the residual
+    |g_j + lam1*s_j| at an active column and |g_j| at any other. Each
+    product is one slice's matrix-vector product, so a candidate's values
+    do not depend on the stack it is in."""
     g = -2.0 * (corr - (hess @ x[..., None])[..., 0])
-    stationarity = np.maximum.reduce(np.abs(g.take(active, -1) + lam1 * signs), axis=-1,
-                                     initial=0.0)
-    g.T[active] = 0.0  # g[..., active], without the slower Ellipsis index
-    return stationarity, g
+    v = np.abs(g + lam1 * theta)
+    return g, v, np.maximum.reduce(v.take(active, -1), axis=-1, initial=0.0)
 
 
 def _pattern_test(
-    hess: np.ndarray,
-    corr: np.ndarray,
+    system: _System,
     lam1: float | np.ndarray,
+    theta: np.ndarray,
     active: np.ndarray,
-    signs: np.ndarray,
     b: np.ndarray,
     bound: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The feature-sign search's acceptance test of solves b (..., a) of
-    the sign pattern (active, signs) that keep its signs, with lam1 and
-    hess as _optimality takes them. Returns the solves as coefficient
-    vectors x (..., p); whether each passes: its stationarity residual is
-    within bound, and every zero coordinate has |g_j| <= lam1 up to
-    rounding; and, for the search's next step, the gradient g with the
-    active entries zeroed and the excess |g_j| - lam1 - slack of the zero
-    coordinates. The sign test comes first, in the caller: a solve that
-    breaks a sign fails without this test.
+    the sign pattern theta (p,), nonzero on the columns `active`, that keep
+    its signs, with lam1 as _optimality takes it and system's H one matrix
+    or a stack. Returns the solves as coefficient vectors x (..., p);
+    whether each passes: its stationarity residual is within bound, and
+    every zero coordinate has |g_j| <= lam1 up to rounding; and, for the
+    search's next step, the gradient g and the excess |g_j| - lam1 of the
+    zero coordinates (-inf at the active ones), less the slack wherever
+    the slack was worked out. The sign test comes first, in the caller: a
+    solve that breaks a sign fails without this test.
 
     The inactive test allows no iterative slack, since a pattern solve is
     exact: only the rounding of evaluating g_j = -2(c_j - H_j x), whose
     error is at most 2*gamma_(p+1)*(|c_j| + sum_k |H_jk||x_k|) with
     gamma_(p+1) ~ (p+1)*eps/2 (Higham 2002, eq. 3.5). The slack is four
     times that. A slack of bound would keep a copied column at a small
-    lam2 inactive, as its |g_j| - lam1 = 2*lam2*|beta| falls within it."""
-    p = hess.shape[-1]
+    lam2 inactive, as its |g_j| - lam1 = 2*lam2*|beta| falls within it.
+    The slack is >= 0, so it can turn only an excess > 0 into a pass: it is
+    worked out only when some excess is > 0 or not a number."""
+    hess, corr, abs_hess, abs_corr = system
+    p = theta.shape[-1]
     x = np.zeros(b.shape[:-1] + (p,))
     x.T[active] = b.T
-    stationarity, g = _optimality(hess, corr, lam1, x, active, signs)
-    slack = 8.0 * p * _EPS * (np.abs(corr) + (np.abs(hess) @ np.abs(x)[..., None])[..., 0])
-    excess = np.abs(g) - lam1 - slack
-    passes = (stationarity <= bound) & (np.maximum.reduce(excess, axis=-1) <= 0.0)
-    return x, passes, g, excess
+    g, v, stationarity = _optimality(hess, corr, lam1, x, theta, active)
+    excess = v - lam1
+    excess.T[active] = -np.inf  # excess[..., active], without the slower Ellipsis index
+    if np.maximum.reduce(excess, axis=None) <= 0.0:
+        return x, stationarity <= bound, g, excess
+    excess -= 8.0 * p * _EPS * (abs_corr + (abs_hess @ np.abs(x)[..., None])[..., 0])
+    return x, (stationarity <= bound) & (np.maximum.reduce(excess, axis=-1) <= 0.0), g, excess
 
 
 def _line_search(
@@ -398,8 +434,7 @@ def _line_search(
 
 
 def _feature_sign_search(
-    hess: np.ndarray,
-    corr: np.ndarray,
+    system: _System,
     lam1: float,
     beta: np.ndarray,
     bound: float,
@@ -414,8 +449,10 @@ def _feature_sign_search(
     solve that breaks a sign is approached by _line_search, and the
     coefficients left at zero leave the pattern. The objective never
     rises, so the search ends on a pattern seen before, after 2p steps, on
-    a singular H_AA, or when only stationarity fails (no repair applies);
-    the caller then goes on with coordinate descent."""
+    a singular H_AA or a solve that is not finite, or when only
+    stationarity fails (no repair applies); the caller then goes on with
+    coordinate descent."""
+    hess, corr = system.hess, system.corr
     p = beta.shape[0]
     x = beta.copy()
     theta = np.sign(x)
@@ -430,8 +467,13 @@ def _feature_sign_search(
         b = _solve_pattern(hess, corr, lam1, active, signs)
         if b is None:
             return None
-        if (b * signs > 0).all():
-            x, passes, g, excess = _pattern_test(hess, corr, lam1, active, signs, b, bound)
+        # b*signs is not finite where b is not, and > 0 where b keeps its sign
+        bs = b * signs
+        low = np.minimum.reduce(bs, initial=np.inf)
+        if not (-np.inf < low and np.maximum.reduce(bs, initial=0.0) < np.inf):
+            return None
+        if low > 0.0:
+            x, passes, g, excess = _pattern_test(system, lam1, theta, active, b, bound)
             if passes:
                 return x
             j = int(excess.argmax())
@@ -439,7 +481,7 @@ def _feature_sign_search(
                 return None
             theta[j] = -np.sign(g[j])
         else:
-            x[active] = _line_search(hess[active[:, None], active], corr[active], lam1,
+            x[active] = _line_search(hess.take(active, 0).take(active, 1), corr[active], lam1,
                                      x[active], b)
             theta = np.sign(x)
     return None
@@ -480,9 +522,11 @@ def _coordinate_descent(
                 if abs(delta) > max_delta:
                     max_delta = abs(delta)
         if max_delta < tol:
-            active = beta.nonzero()[0]
-            stationarity, g = _optimality(hess, corr, lam1, beta, active, np.sign(beta[active]))
-            if stationarity <= bound and np.abs(g).max() <= lam1 + bound:
+            theta = np.sign(beta)
+            active = theta.nonzero()[0]
+            _, v, stationarity = _optimality(hess, corr, lam1, beta, theta, active)
+            v[active] = 0.0
+            if stationarity <= bound and v.max() <= lam1 + bound:
                 return beta, True, sweep + 1
     return beta, False, max_iter
 
@@ -511,22 +555,22 @@ def _ridge_solve(m: Moments, lam2: float) -> np.ndarray:
 
 
 def _search(
-    hess: np.ndarray,
-    corr: np.ndarray,
+    system: _System,
     lam1: float,
     start: np.ndarray,
     bound: float,
     tol: float,
     max_iter: int,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Coefficients and flags of the fit at lam1 > 0 on H = hess: the
+    """Coefficients and flags of the fit at lam1 > 0 on the system: the
     feature-sign search from `start`, or coordinate descent from the same
     point when the search gives up, flagged 'non_converged' when it does
     not converge within max_iter sweeps."""
-    beta = _feature_sign_search(hess, corr, lam1, start, bound)
+    beta = _feature_sign_search(system, lam1, start, bound)
     if beta is not None:
         return beta, ()
-    beta, converged, _ = _coordinate_descent(hess, corr, lam1, tol, max_iter, bound, start)
+    beta, converged, _ = _coordinate_descent(system.hess, system.corr, lam1, tol, max_iter,
+                                             bound, start)
     return beta, () if converged else ("non_converged",)
 
 
@@ -549,10 +593,9 @@ def _solve(
     elif lam1 == 0:
         beta = _ridge_solve(m, lam2)
     else:
-        hess = m.gram + lam2 * _identity(d.p)  # also at lam2 = 0: + 0.0 turns a -0.0 into +0.0
         start = np.zeros(d.p) if start is None else np.asarray(start, dtype=float)
         start = np.where(m.gram.diagonal() > 0.0, start, 0.0)  # zero-norm columns stay at zero
-        beta, flags = _search(hess, m.corr, lam1, start, _bound(m, tol), tol, max_iter)
+        beta, flags = _search(_system(m, lam2), lam1, start, _bound(m, tol), tol, max_iter)
     intercept = m.y_mean - float(m.x_mean @ beta)
     if not (np.isfinite(intercept) and np.isfinite(beta).all()):
         raise RegressionError("model parameters must be finite")
@@ -614,17 +657,19 @@ def _kept_pattern_fits(
     np.linalg.solve, that keep its signs and pass _pattern_test, up to the
     first that does not. Each equals, bit for bit, what its search
     returns."""
-    active = start.nonzero()[0]
-    signs = np.sign(start[active])
-    hess = m.gram + lam2s[:, None, None] * _identity(start.size)
+    theta = np.sign(start)
+    active = theta.nonzero()[0]
+    signs = theta[active]
+    system = _system(m, lam2s[:, None, None])
     rhs = m.corr[active] - (0.5 * lam1s)[:, None] * signs
     try:
         # b is (r, a, 1): numpy 1.x reads an (r, a) b as r vectors, numpy
         # 2.x as one matrix
-        b = np.linalg.solve(hess[:, active[:, None], active], rhs[..., None])[..., 0]
+        b = np.linalg.solve(system.hess.take(active, 1).take(active, 2),
+                            rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:  # some H_AA is singular: its search gives up
         return np.empty((0, start.size))
-    fits, passes, _, _ = _pattern_test(hess, m.corr, lam1s[:, None], active, signs, b, bound)
+    fits, passes, _, _ = _pattern_test(system, lam1s[:, None], theta, active, b, bound)
     passes &= np.logical_and.reduce(b * signs > 0.0, axis=-1)
     return fits[:passes.size if passes.all() else passes.argmin()]
 
@@ -668,17 +713,16 @@ def _fit_grid(
     the previous fit's coefficients (the largest from zero; equal values
     keep grid order). The leading ones, with lam1 >= lasso_lambda_max, are
     zero in closed form: there the search from zero accepts the empty
-    pattern at once, as every |g_j| = |2c_j| <= lam1 (on a finite Gram
-    matrix; else its test is not finite). Once two fits in a row keep the
-    sign pattern they start from, the later fits are solved on that
-    pattern in one stacked solve, and the run of them that passes the
-    search's acceptance test is kept: each is the first and accepted step
-    of its own search. The fits go on one at a time from the first that
+    pattern at once, as every |g_j| = |2c_j| <= lam1. Once two fits in a
+    row keep the sign pattern they start from, the later fits are solved
+    on that pattern in one stacked solve, and the run of them that passes
+    the search's acceptance test is kept: each is the first and accepted
+    step of its own search. The fits go on one at a time from the first that
     fails. (After a single kept pattern, mid-path, a stacked solve kept no
     fit about as often as it kept some, and cost more than the searches it
     saved.) Every fit is +0.0 on the zero-norm columns, so it is its own
-    masked start, and H = X'X + lam2*I is built once per lam2 in turn:
-    once per lasso grid."""
+    masked start, and H = X'X + lam2*I and |H| are built once per lam2 in
+    turn: once per lasso grid."""
     lam1s, lam2s = _grid_weights(kind, grid, alpha)
     _check_solver(tol, max_iter)
     m = d.moments
@@ -701,7 +745,7 @@ def _fit_grid(
         coefs[i], intercepts[i], flags[i] = _solve(d, 0.0, 0.0, tol, max_iter, None)
     order = np.argsort(-np.array(grid, dtype=float), kind="stable")
     order = order[lam1s[order] > 0]  # lam1 falls with lambda
-    lam_max = lasso_lambda_max(d) if np.isfinite(m.gram).all() else np.inf
+    lam_max = lasso_lambda_max(d)
     zeros = np.count_nonzero(lam1s[order] >= lam_max)
     coefs[order[:zeros]] = 0.0
     bound = _bound(m, tol)
@@ -709,14 +753,14 @@ def _fit_grid(
     pattern = np.sign(start).tobytes()
     kept = zeros > 0  # whether the last fit kept the sign pattern it started from
     lam1_list, lam2_list = lam1s.tolist(), lam2s.tolist()
-    hess, hess_lam2 = None, None
+    system, system_lam2 = None, None
     k = zeros
     while k < order.size:
         i = order[k]
-        if lam2_list[i] != hess_lam2:
-            hess_lam2 = lam2_list[i]
-            hess = m.gram + hess_lam2 * _identity(d.p)  # at lam2 = 0 too: + 0.0 turns -0.0 to +0.0
-        coefs[i], flags[i] = _search(hess, m.corr, lam1_list[i], start, bound, tol, max_iter)
+        if lam2_list[i] != system_lam2:
+            system_lam2 = lam2_list[i]
+            system = _system(m, system_lam2)
+        coefs[i], flags[i] = _search(system, lam1_list[i], start, bound, tol, max_iter)
         k += 1
         # a -0.0 reads as a changed sign, which only forgoes a stacked solve
         start, was, pattern = coefs[i], pattern, np.sign(coefs[i]).tobytes()
@@ -872,7 +916,7 @@ def cross_validate(
         train = d.subset(np.concatenate((rows[:block[0]], rows[block[-1] + 1:])))
         coefs, intercepts, _ = _fit_grid(train, kind, grid, alpha, tol, max_iter)
         fold_mse[:, f] = _grid_rss(coefs, intercepts, d.x[block], d.y[block]) / block.size
-    table = [(lam, float(np.mean(m))) for lam, m in zip(grid, fold_mse)]
+    table = list(zip(grid, fold_mse.mean(axis=1).tolist()))
     best_lam, best_mse = table[0]
     for lam, m in table[1:]:
         if m < best_mse or (m == best_mse and lam > best_lam):

@@ -6,7 +6,10 @@ minimized by multi-stage dense grid search over the coefficients, and
 density clustering is reproduced by explicit neighborhood enumeration
 plus union-find over core points. The grid references at the end are the
 exception: they replay a penalty grid one fit_penalized call at a time, the
-per-point form the package's grid solver must reproduce bit for bit.
+per-point form the package's grid solver must reproduce bit for bit. So is
+the reference feature-sign search after them, a copy of the package's
+search in a form that spends more numpy calls per step, whose every result
+the package's search must return bit for bit.
 """
 
 from __future__ import annotations
@@ -256,3 +259,189 @@ def path_scores_loop(d, kind, grid, alpha):
 
     reports = [fit_report(m, d) for m in warm_descent(d, kind, grid, alpha)]
     return [r.r2 for r in reports], [r.mse for r in reports]
+
+
+# The feature-sign search, its acceptance test and the stacked run of kept
+# patterns in their reference form, as they stood before the package's
+# pattern test took |H| and |c| once per system, read the stationarity
+# residuals and the inactive |g_j| off one vector, and worked the slack out
+# only where it can decide. Here every step computes both from separate
+# vectors and the slack in full. The package's search must return the same
+# None or the same coefficients, and its stacked run keep the same rows.
+_EPS = np.finfo(float).eps
+
+
+def _identity(p):
+    return np.eye(p)
+
+
+def _solve_pattern(
+    hess: np.ndarray,
+    corr: np.ndarray,
+    lam1: float,
+    active: np.ndarray,
+    signs: np.ndarray,
+) -> np.ndarray | None:
+    """Stationary point of the objective restricted to one sign pattern:
+    the solve of H_AA b = c_A - (lam1/2)*s_A, or None when that system is
+    singular or its solution is not finite."""
+    try:
+        b = np.linalg.solve(hess[active[:, None], active], corr[active] - 0.5 * lam1 * signs)
+    except np.linalg.LinAlgError:
+        return None
+    return b if np.isfinite(b).all() else None
+
+
+def _optimality(
+    hess: np.ndarray,
+    corr: np.ndarray,
+    lam1: float | np.ndarray,
+    x: np.ndarray,
+    active: np.ndarray,
+    signs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two parts of the acceptance tests at candidates x (..., p) that
+    are nonzero on the columns `active` with the signs `signs`, with the L1
+    weight lam1 (a float, or (m, 1) for a stack of m) on hess (..., p, p):
+    the largest stationarity residual |g_j + lam1*s_j| over the active
+    columns, and the gradient g = -2(corr - hess @ x) of the smooth part
+    with its active entries zeroed. Each product is one slice's
+    matrix-vector product, so a candidate's values do not depend on the
+    stack it is in."""
+    g = -2.0 * (corr - (hess @ x[..., None])[..., 0])
+    stationarity = np.maximum.reduce(np.abs(g.take(active, -1) + lam1 * signs), axis=-1,
+                                     initial=0.0)
+    g.T[active] = 0.0  # g[..., active], without the slower Ellipsis index
+    return stationarity, g
+
+
+def _pattern_test(
+    hess: np.ndarray,
+    corr: np.ndarray,
+    lam1: float | np.ndarray,
+    active: np.ndarray,
+    signs: np.ndarray,
+    b: np.ndarray,
+    bound: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The feature-sign search's acceptance test of solves b (..., a) of
+    the sign pattern (active, signs) that keep its signs, with lam1 and
+    hess as _optimality takes them. Returns the solves as coefficient
+    vectors x (..., p); whether each passes: its stationarity residual is
+    within bound, and every zero coordinate has |g_j| <= lam1 up to
+    rounding; and, for the search's next step, the gradient g with the
+    active entries zeroed and the excess |g_j| - lam1 - slack of the zero
+    coordinates. The sign test comes first, in the caller: a solve that
+    breaks a sign fails without this test.
+
+    The inactive test allows no iterative slack, since a pattern solve is
+    exact: only the rounding of evaluating g_j = -2(c_j - H_j x), whose
+    error is at most 2*gamma_(p+1)*(|c_j| + sum_k |H_jk||x_k|) with
+    gamma_(p+1) ~ (p+1)*eps/2 (Higham 2002, eq. 3.5). The slack is four
+    times that. A slack of bound would keep a copied column at a small
+    lam2 inactive, as its |g_j| - lam1 = 2*lam2*|beta| falls within it."""
+    p = hess.shape[-1]
+    x = np.zeros(b.shape[:-1] + (p,))
+    x.T[active] = b.T
+    stationarity, g = _optimality(hess, corr, lam1, x, active, signs)
+    slack = 8.0 * p * _EPS * (np.abs(corr) + (np.abs(hess) @ np.abs(x)[..., None])[..., 0])
+    excess = np.abs(g) - lam1 - slack
+    passes = (stationarity <= bound) & (np.maximum.reduce(excess, axis=-1) <= 0.0)
+    return x, passes, g, excess
+
+
+def _line_search(
+    hess: np.ndarray,
+    corr: np.ndarray,
+    lam1: float,
+    x: np.ndarray,
+    b: np.ndarray,
+) -> np.ndarray:
+    """The point of lowest objective among x, b and the points of the
+    segment from x to b where a nonzero coefficient of x reaches zero (set
+    exactly to zero there). x wins ties, so a step that cannot lower the
+    objective leaves x in place."""
+    cross = ((x != 0.0) & (x * b <= 0.0)).nonzero()[0]
+    steps = x[cross] / (x[cross] - b[cross])
+    points = x + np.outer(np.concatenate(([0.0], steps, [1.0])), b - x)
+    points[1 + np.arange(cross.size), cross] = 0.0
+    objective = ((points @ hess - 2.0 * corr) * points).sum(axis=1)
+    objective += lam1 * np.abs(points).sum(axis=1)
+    return points[objective.argmin()]
+
+
+def _feature_sign_search(
+    hess: np.ndarray,
+    corr: np.ndarray,
+    lam1: float,
+    beta: np.ndarray,
+    bound: float,
+) -> np.ndarray | None:
+    """Feature-sign search (Lee, Battle, Raina & Ng 2007) from the start
+    beta: the solve of some sign pattern that keeps its signs and passes
+    _pattern_test, or None.
+
+    Each step solves the objective on the current sign pattern. A solve
+    that keeps its signs is returned if it passes; otherwise the worst
+    inactive KKT violator j joins the pattern with sign -sign(g_j). A
+    solve that breaks a sign is approached by _line_search, and the
+    coefficients left at zero leave the pattern. The objective never
+    rises, so the search ends on a pattern seen before, after 2p steps, on
+    a singular H_AA, or when only stationarity fails (no repair applies);
+    the caller then goes on with coordinate descent."""
+    p = beta.shape[0]
+    x = beta.copy()
+    theta = np.sign(x)
+    seen = set()
+    for _ in range(2 * p):
+        key = theta.tobytes()
+        if key in seen:
+            return None
+        seen.add(key)
+        active = theta.nonzero()[0]
+        signs = theta[active]
+        b = _solve_pattern(hess, corr, lam1, active, signs)
+        if b is None:
+            return None
+        if (b * signs > 0).all():
+            x, passes, g, excess = _pattern_test(hess, corr, lam1, active, signs, b, bound)
+            if passes:
+                return x
+            j = int(excess.argmax())
+            if excess[j] <= 0.0:  # only stationarity fails
+                return None
+            theta[j] = -np.sign(g[j])
+        else:
+            x[active] = _line_search(hess[active[:, None], active], corr[active], lam1,
+                                     x[active], b)
+            theta = np.sign(x)
+    return None
+
+
+def _kept_pattern_fits(
+    m: Moments,
+    lam1s: np.ndarray,
+    lam2s: np.ndarray,
+    start: np.ndarray,
+    bound: float,
+) -> np.ndarray:
+    """The coefficients (r, p) of the longest run of fits at the weights
+    lam1s, lam2s (in descent order, each started from the fit before, the
+    first from `start`) whose searches accept the sign pattern of `start`
+    on their first step: the solves of that pattern, in one stacked
+    np.linalg.solve, that keep its signs and pass _pattern_test, up to the
+    first that does not. Each equals, bit for bit, what its search
+    returns."""
+    active = start.nonzero()[0]
+    signs = np.sign(start[active])
+    hess = m.gram + lam2s[:, None, None] * _identity(start.size)
+    rhs = m.corr[active] - (0.5 * lam1s)[:, None] * signs
+    try:
+        # b is (r, a, 1): numpy 1.x reads an (r, a) b as r vectors, numpy
+        # 2.x as one matrix
+        b = np.linalg.solve(hess[:, active[:, None], active], rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # some H_AA is singular: its search gives up
+        return np.empty((0, start.size))
+    fits, passes, _, _ = _pattern_test(hess, m.corr, lam1s[:, None], active, signs, b, bound)
+    passes &= np.logical_and.reduce(b * signs > 0.0, axis=-1)
+    return fits[:passes.size if passes.all() else passes.argmin()]

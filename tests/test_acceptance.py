@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from clusterreg import regression
 from clusterreg.clustering import ClusterAssignment, NeighborhoodParams, dbscan, silhouette, sse
 from clusterreg.dataio import save_panel_long
 from clusterreg.pipeline import PipelineConfig, prepare_inputs, run_pipeline
@@ -247,6 +248,28 @@ def test_criterion_8_synthetic_recovery(recovery_runs):
     assert count_ok and support_ok
     assert hits >= 18
     assert elapsed < 120.0
+
+
+def test_each_model_is_its_path_row(recovery_runs):
+    """The refit at the penalty CV chose starts from the path's row at
+    that grid value, and the search accepts the row on its first step:
+    each model's coefficients, intercept and flags are the row's, bit for
+    bit, on the seed-2024 panel and the 20 noisy panels (seeds 0-5 are the
+    default-46 benchmark panels)."""
+    clean, noisy, _ = recovery_runs
+    for _, _, report, _ in [clean] + noisy:
+        config = report.config
+        for kind, model in report.models.items():
+            path = report.paths[kind]
+            [row] = [i for i, lam in enumerate(path.lambdas)
+                     if PenaltySpec.of(kind, lam, config.enet_alpha) == model.penalty]
+            coefs, intercepts, flags = regression._fit_grid(
+                report.train_design, kind, list(path.lambdas), config.enet_alpha, config.tol,
+                config.max_iter)
+            assert coefs.tobytes() == path.coefficient_matrix.tobytes()
+            assert model.coefficients.tobytes() == coefs[row].tobytes(), kind
+            assert repr(model.intercept) == repr(float(intercepts[row])), kind
+            assert model.flags == flags[row], kind
 
 
 def test_criterion_9_conservation(recovery_runs, synthetic_report):

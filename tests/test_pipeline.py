@@ -918,7 +918,10 @@ def test_work_of_one_default_run_on_seed_2024(synthetic_case, tmp_path, monkeypa
     dbscan runs once per min_pts and eps interval that the 40 eps values
     cut from the panel's pairwise distances (25 of the 40 x 5 grid
     points), and the centered moments are computed once per fold design and once for
-    the full design (5*3+1). The panel is aggregated once: the cluster
+    the full design (5*3+1). The regression module makes 287 np.linalg.solve
+    calls: each refit starts from its path row and solves one pattern,
+    where a lasso or elastic-net refit from zero took 9 steps on this
+    panel (303 in all). The panel is aggregated once: the cluster
     profiles summarise those totals rather than aggregating again. A change
     that routes fits around an entry point, or changes what the benchmark's
     exact counters record, fails here."""
@@ -938,11 +941,12 @@ def test_work_of_one_default_run_on_seed_2024(synthetic_case, tmp_path, monkeypa
     spy(clustering, "dbscan", lambda *args: "dbscan")
     spy(regression, "_compute_moments", lambda *args: "moments")
     spy(pipeline, "aggregate_by_cluster", lambda *args: "aggregate")
+    spy(np.linalg, "solve", lambda *args: "solve")  # only the regression module calls it
     _, _, _, config = synthetic_case
     pipeline.run_pipeline(dataclasses.replace(config, out_dir=str(tmp_path / "out")))
     assert calls == {"ridge": 1, "lasso": 1, "elastic_net": 1, "grid ridge": 6,
                      "grid lasso": 6, "grid elastic_net": 6, "dbscan": 25, "moments": 16,
-                     "aggregate": 1}
+                     "aggregate": 1, "solve": 287}
 
 
 def test_every_benchmark_span_fires(synthetic_case, tmp_path):

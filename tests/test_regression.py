@@ -26,6 +26,8 @@ from clusterreg.regression import (
     soft_threshold,
 )
 
+from oracles import _feature_sign_search as reference_search
+from oracles import _kept_pattern_fits as reference_kept_pattern_fits
 from oracles import (
     cv_table_loop,
     grid_minimize,
@@ -586,20 +588,27 @@ class TestGridSolver:
             if lam1 >= lam_max and lam1 > 0:
                 assert not beta.any()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
-    def test_no_closed_form_where_the_gram_matrix_overflows(self):
-        """X'X overflows while X'y stays finite: the search's test at zero
-        is not finite there, so it gives up as fit_penalized's does, and
-        descent flags the fit."""
-        x = np.array([[1e160, 1.0], [-1e160, 2.0], [3e159, -1.0]])
-        d = DesignMatrix(x, np.array([1e-160, -2e-160, 0.5]), ("a", "b"))
-        assert np.isinf(d.moments.gram).any() and np.isfinite(d.moments.corr).all()
-        grid = [2.0 * lasso_lambda_max(d)]
-        coefs, intercepts, flags = regression._fit_grid(d, "lasso", grid, 0.5, 1e-10, 10)
-        m = fit_penalized(d, PenaltySpec.lasso(grid[0]), max_iter=10)
-        assert flags == [m.flags] == [("non_converged",)]
-        assert coefs.tobytes() == m.coefficients.tobytes() and intercepts[0] == m.intercept
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("x,y,moment", [
+        # X'X overflows while X'y stays finite, on every fold design too
+        ([[1e160, 1.0], [-1e160, 2.0], [3e159, -1.0]], [1e-160, -2e-160, 0.5], "X'X"),
+        # a constant column centers to zero, but |2X'y|_inf of the
+        # uncentered design overflows
+        ([[1e160, 1.0], [1e160, 2.0], [1e160, -1.0]], [1e160, 2e160, 3e160], "X'y"),
+    ])
+    def test_a_design_whose_moments_overflow_is_refused(self, x, y, moment):
+        """No fit's optimality can be tested where X'X, X'y or |2X'y|_inf
+        is not finite: every fit on such a finite design raises, naming
+        the moment, where a search on it once gave up into 100,000 sweeps
+        of descent on not-a-number arithmetic."""
+        d = DesignMatrix(np.array(x), np.array(y), ("a", "b"))
+        message = f"^{moment} of the (centered )?design is not finite$"
+        for fit in (lambda: regression._fit_grid(d, "lasso", [1.0], 0.5, 1e-10, 10),
+                    lambda: fit_penalized(d, PenaltySpec.lasso(1.0)),
+                    lambda: fit_ols(d),
+                    lambda: cross_validate(d, "lasso", [1.0], folds=3)):
+            with pytest.raises(RegressionError, match=message):
+                fit()
 
     @pytest.mark.parametrize("kind,grid,alpha,message", [
         ("lasso", [1.0, float("nan")], 0.5, "penalty weights must be finite and >= 0"),
@@ -772,11 +781,60 @@ class TestActiveSetSearch:
         d = DesignMatrix(WRONG_SIGN_X, WRONG_SIGN_Y, ("a", "b", "c", "d"))
         lam = 0.1 * lasso_lambda_max(d)
         beta = fit_penalized(d, PenaltySpec.lasso(lam)).coefficients
-        xc, yc = d.x - d.x.mean(axis=0), d.y - d.y.mean()
         solve = regression._solve_pattern
         monkeypatch.setattr(regression, "_solve_pattern", lambda *args: 1.001 * solve(*args))
-        assert regression._feature_sign_search(xc.T @ xc, xc.T @ yc, lam, beta,
+        assert regression._feature_sign_search(regression._system(d.moments, 0.0), lam, beta,
                                                _kkt_bound(d)) is None
+
+    @given(data=st.data(), n=st.integers(3, 20), p=st.integers(1, 16))
+    @settings(max_examples=300, deadline=None)
+    def test_search_and_stacked_run_match_the_reference(self, data, n, p):
+        """The search returns the reference search's None or coefficients,
+        bit for bit, and the stacked run of kept patterns keeps the
+        reference's rows, on designs with copied and near-constant columns
+        of magnitudes from 1e-150 to 1e150, at lam2 = 0 and lam2 > 0, from
+        starts of random sign patterns and from the search's own answer."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.normal(size=(n, p))
+        for j in range(p):
+            shape = data.draw(st.sampled_from(["free", "copy", "near-constant"]))
+            if shape == "copy" and j:
+                x[:, j] = data.draw(st.sampled_from([1.0, -2.0])) * x[:, rng.integers(j)]
+            elif shape == "near-constant":
+                x[:, j] = 1.5 + 1e-9 * rng.normal(size=n)
+        scales = 10.0 ** np.array(data.draw(st.lists(st.integers(-150, 150), min_size=p + 1,
+                                                     max_size=p + 1)), dtype=float)
+        x *= scales[:p]
+        y = scales[p] * (x[:, :1] @ rng.normal(size=1) / scales[0] + rng.normal(size=n))
+        d = DesignMatrix(x, y, tuple(f"c{j}" for j in range(p)))
+        try:
+            m = d.moments
+        except RegressionError:  # X'X or X'y overflows: no fit is made
+            return
+        lam_max = lasso_lambda_max(d)
+        lam1 = lam_max * data.draw(st.sampled_from([1e-6, 1e-3, 0.1, 0.5, 0.999, 1.0, 2.0]))
+        if not lam1 > 0.0:
+            return
+        diag = float(m.gram.diagonal().max())
+        lam2 = diag * data.draw(st.sampled_from([0.0, 0.0, 1e-12, 1e-6, 1e-2, 1.0]))
+        theta = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=p,
+                                            max_size=p)))
+        start = theta * (scales[p] / scales[:p]) * 10.0 ** rng.uniform(-3, 1, size=p)
+        system = regression._system(m, lam2)
+        bound = regression._bound(m, 1e-10)
+        with np.errstate(all="ignore"):
+            got = regression._feature_sign_search(system, lam1, start, bound)
+            want = reference_search(system.hess, system.corr, lam1, start, bound)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.tobytes() == want.tobytes()
+                start = got
+            shares = np.array(data.draw(st.lists(st.sampled_from([1.0, 0.9, 0.5, 1e-3]),
+                                                 min_size=1, max_size=5)))
+            lam1s, lam2s = lam1 * np.cumprod(shares), lam2 * np.cumprod(shares)
+            got = regression._kept_pattern_fits(m, lam1s, lam2s, start, bound)
+            want = reference_kept_pattern_fits(m, lam1s, lam2s, start, bound)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_search_gives_up_on_a_repeated_pattern_and_cd_takes_over(self, monkeypatch):
         """A near-copied column (a 1e-9 perturbation) on a warm lasso path:
