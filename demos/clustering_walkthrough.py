@@ -8,7 +8,6 @@ from clusterreg import (
     FeatureMatrix,
     NeighborhoodParams,
     dbscan,
-    region_query,
     silhouette,
     sse,
     sweep_params,
@@ -21,9 +20,10 @@ points = FeatureMatrix(
     values=np.array([[0.0], [0.5], [1.0], [10.0], [10.5], [11.0]]),
 )
 
-# A neighborhood query returns every point within the radius, self included.
-print("neighbors of p1 within 0.6:", region_query(points, 1, eps=0.6))
-print("neighbors of p1 within 0.1:", region_query(points, 1, eps=0.1))
+# A neighborhood is every point within the radius, self included.
+distance = np.linalg.norm(points.values - points.values[1], axis=1)
+print("neighbors of p1 within 0.6:", np.flatnonzero(distance <= 0.6).tolist())
+print("neighbors of p1 within 0.1:", np.flatnonzero(distance <= 0.1).tolist())
 
 # With eps=0.6 and min_pts=2 every point has a neighbor, so each group
 # grows into one cluster.

@@ -15,7 +15,6 @@ from .clustering import (
     dbscan,
     promote_noise,
     reachability_tree,
-    region_query,
     silhouette,
     sse,
     sweep_params,
@@ -71,7 +70,6 @@ from .regression import (
     kkt_check,
     lasso_lambda_max,
     predict,
-    soft_threshold,
 )
 from .synth import SyntheticTruth, generate_synthetic
 

@@ -123,16 +123,6 @@ def _distance_block(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def region_query(points: FeatureMatrix, index: int, eps: float) -> list[int]:
-    """Indices (self included, ascending) within Euclidean distance eps."""
-    n = len(points.entities)
-    if not 0 <= index < n:
-        raise IndexError(f"index {index} out of range for {n} points")
-    _check_eps(eps)
-    d = _distances(points.values[index:index + 1], points.values)[0]
-    return np.flatnonzero(d <= eps).tolist()
-
-
 def _check_dist(points: FeatureMatrix, dist: np.ndarray | None) -> np.ndarray:
     """The pairwise distance matrix of the rows, built unless one is given."""
     if dist is None:

@@ -39,16 +39,18 @@ Both tests read the stationarity residuals and the zero coordinates'
 solution it would return (such as the path's row at the same weights)
 accepts it on its first step.
 
-cross_validate and iterate_lambda fit a penalty grid per design, not per
-point: every positive ridge weight of the grid in one stacked solve; the
-fits with lam1 >= lasso_lambda_max = |2X'y|_inf (centered) as zero in
-closed form, which is what the search from zero returns there (Friedman,
-Hastie & Tibshirani 2010 start their paths at that point); the other fits
-warm-started down the grid, one by one until their sign pattern settles
-and then the run of fits that keep it in one stacked solve; and the
-validation and training errors of all its fits by stacked products.
-Every coefficient and score equals, bit for bit, what fit_penalized,
-predict and compute_mse give for that grid point.
+Every fit runs through one dispatch, _fit_grid, which fits a whole
+penalty grid per design, not per point; fit_penalized is a grid of one
+point. It solves every positive ridge weight of the grid in one stacked
+solve; the fits with lam1 >= lasso_lambda_max = |2X'y|_inf (centered) as
+zero in closed form, which is what the search from zero returns there
+(Friedman, Hastie & Tibshirani 2010 start their paths at that point);
+and the other fits warm-started down the grid, one by one until their
+sign pattern settles and then the run of fits that keep it in one
+stacked solve. Each fit equals, bit for bit, the per-point solve at its
+weights from the fit before it. cross_validate and iterate_lambda score
+all fits of a grid by stacked products, each bit for bit what predict
+and compute_mse give for that fit.
 """
 
 from __future__ import annotations
@@ -546,14 +548,6 @@ def _check_solver(tol: float, max_iter: int) -> None:
         raise RegressionError("max_iter must be >= 1")
 
 
-def _ridge_solve(m: Moments, lam2: float) -> np.ndarray:
-    """The solve of (X'X + lam2*I) b = X'y on the centered design."""
-    try:
-        return np.linalg.solve(m.gram + lam2 * _identity(m.gram.shape[0]), m.corr)
-    except np.linalg.LinAlgError:
-        raise RegressionError(f"X'X + lam2*I is singular at lam2 = {lam2!r}") from None
-
-
 def _search(
     system: _System,
     lam1: float,
@@ -574,34 +568,6 @@ def _search(
     return beta, () if converged else ("non_converged",)
 
 
-def _solve(
-    d: DesignMatrix,
-    lam1: float,
-    lam2: float,
-    tol: float,
-    max_iter: int,
-    start: np.ndarray | None,
-) -> tuple[np.ndarray, float, tuple[str, ...]]:
-    """Coefficients, intercept and flags of the one fit fit_penalized
-    describes, for solver settings the caller has checked."""
-    m = d.moments
-    flags: tuple[str, ...] = ()
-    if lam1 == lam2 == 0:
-        beta, _, rank, _ = np.linalg.lstsq(m.xc, m.yc, rcond=None)
-        if rank < d.p:
-            flags = ("singular_system",)
-    elif lam1 == 0:
-        beta = _ridge_solve(m, lam2)
-    else:
-        start = np.zeros(d.p) if start is None else np.asarray(start, dtype=float)
-        start = np.where(m.gram.diagonal() > 0.0, start, 0.0)  # zero-norm columns stay at zero
-        beta, flags = _search(_system(m, lam2), lam1, start, _bound(m, tol), tol, max_iter)
-    intercept = m.y_mean - float(m.x_mean @ beta)
-    if not (np.isfinite(intercept) and np.isfinite(beta).all()):
-        raise RegressionError("model parameters must be finite")
-    return beta, intercept, flags
-
-
 def _bound(m: Moments, tol: float) -> float:
     """The kkt_check bound 10*tol*max(1, |2X'y|_inf) a fit must meet."""
     return 10.0 * tol * max(1.0, m.score_max)
@@ -609,9 +575,9 @@ def _bound(m: Moments, tol: float) -> float:
 
 def _intercepts(m: Moments, coefs: np.ndarray) -> np.ndarray:
     """The intercepts (k,) that restore the means to the centered fits
-    coefs (k, p), each bit for bit the one _solve gives its fit; raises
-    when one of them or of the coefficients is not finite, as _solve
-    does."""
+    coefs (k, p), each bit for bit y_mean - x_mean @ beta of its fit beta
+    alone; raises when one of them or of the coefficients is not
+    finite."""
     intercepts = m.y_mean - (m.x_mean @ coefs[:, :, None])[:, 0]
     if not (np.isfinite(intercepts).all() and np.isfinite(coefs).all()):
         raise RegressionError("model parameters must be finite")
@@ -625,22 +591,23 @@ def fit_penalized(
     max_iter: int = 100_000,
     start: np.ndarray | None = None,
 ) -> LinearModel:
-    """Fit the penalty a PenaltySpec describes. Its weights, not its kind,
-    pick the solve on H = X'X + lam2*I (centered design): least squares at
-    lam1 = lam2 = 0 (flagged 'singular_system' on a rank-deficient design,
-    where it is the minimum-norm solution), H beta = X'y at lam1 = 0
-    (a RegressionError naming lam2 when H is singular in floating point),
-    and otherwise the feature-sign search from the coefficients `start` (as
-    reported on a model, e.g. the fit at a neighbouring penalty) or zero,
-    with coordinate descent from the same point only when the search gives
-    up. A descent that does not converge within max_iter sweeps is flagged
+    """Fit the penalty a PenaltySpec describes: _fit_grid on the grid of
+    its one point, so its weights, not its kind, pick the solve on H =
+    X'X + lam2*I (centered design). That is least squares at lam1 = lam2 =
+    0 (flagged 'singular_system' on a rank-deficient design, where it is
+    the minimum-norm solution), H beta = X'y at lam1 = 0 (a
+    RegressionError naming lam2 when H is singular in floating point),
+    zero in closed form at lam1 >= lasso_lambda_max, and otherwise the
+    feature-sign search from the coefficients `start` (as reported on a
+    model, e.g. the fit at a neighbouring penalty) or zero, with
+    coordinate descent from the same point only when the search gives up.
+    A descent that does not converge within max_iter sweeps is flagged
     'non_converged' on the model, never silently accepted. tol, max_iter
     and start are checked for every fit."""
     if start is not None and np.shape(start) != (d.p,):
         raise RegressionError(f"start must have shape ({d.p},), got {np.shape(start)}")
-    _check_solver(tol, max_iter)
-    beta, intercept, flags = _solve(d, spec.lam1, spec.lam2, tol, max_iter, start)
-    return LinearModel(intercept, beta, spec, d.column_names, flags=flags)
+    coefs, intercepts, flags = _fit_grid(d, [spec.lam1], [spec.lam2], tol, max_iter, start)
+    return LinearModel(float(intercepts[0]), coefs[0], spec, d.column_names, flags=flags[0])
 
 
 def _kept_pattern_fits(
@@ -697,38 +664,43 @@ def _grid_weights(kind: str, grid: list[float], alpha: float) -> tuple[np.ndarra
 
 def _fit_grid(
     d: DesignMatrix,
-    kind: str,
-    grid: list[float],
-    alpha: float,
+    lam1s: np.ndarray | list[float],
+    lam2s: np.ndarray | list[float],
     tol: float,
     max_iter: int,
+    start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[str, ...]]]:
-    """The coefficients (k, p), intercepts (k,) and flags of the fits
-    fit_penalized makes of PenaltySpec.of(kind, lam, alpha) at every grid
-    value, in grid order.
+    """The coefficients (k, p), intercepts (k,) and flags of the fits at
+    the weights lam1s, lam2s (k values each, checked by the caller), in
+    their order: every fit the package makes, a single one being a grid of
+    one point (as glmnet treats it; Friedman, Hastie & Tibshirani 2010).
 
-    The fits with lam1 = 0 < lam2 (every positive ridge weight) are one
-    stacked np.linalg.solve, bit for bit the solves one at a time. The
-    fits with lam1 > 0 run from the largest lambda down, each starting from
-    the previous fit's coefficients (the largest from zero; equal values
-    keep grid order). The leading ones, with lam1 >= lasso_lambda_max, are
-    zero in closed form: there the search from zero accepts the empty
-    pattern at once, as every |g_j| = |2c_j| <= lam1. Once two fits in a
-    row keep the sign pattern they start from, the later fits are solved
-    on that pattern in one stacked solve, and the run of them that passes
-    the search's acceptance test is kept: each is the first and accepted
-    step of its own search. The fits go on one at a time from the first that
-    fails. (After a single kept pattern, mid-path, a stacked solve kept no
-    fit about as often as it kept some, and cost more than the searches it
-    saved.) Every fit is +0.0 on the zero-norm columns, so it is its own
-    masked start, and H = X'X + lam2*I and |H| are built once per lam2 in
-    turn: once per lasso grid."""
-    lam1s, lam2s = _grid_weights(kind, grid, alpha)
+    The fits with lam1 = lam2 = 0 are least squares, the minimum-norm
+    solution flagged 'singular_system' on a rank-deficient design. The
+    fits with lam1 = 0 < lam2 (every positive ridge weight) are one stacked
+    np.linalg.solve, bit for bit the solves one at a time; a singular one
+    raises a RegressionError naming the first such lam2. The fits with
+    lam1 > 0 run in descent order, by lam1 and then lam2 (equal weights
+    keep their order), each starting from the previous fit's coefficients,
+    the first from `start` with its zero-norm columns set to zero, or from
+    zero. The leading ones, with lam1 >= lasso_lambda_max, are zero in
+    closed form: there the search from zero accepts the empty pattern at
+    once, as every |g_j| = |2c_j| <= lam1, and the solution is unique, so
+    no start is searched from. Once two fits in a row keep the sign pattern
+    they start from, the later fits are solved on that pattern in one
+    stacked solve, and the run of them that passes the search's acceptance
+    test is kept: each is the first and accepted step of its own search.
+    The fits go on one at a time from the first that fails. (After a single
+    kept pattern, mid-path, a stacked solve kept no fit about as often as
+    it kept some, and cost more than the searches it saved.) Every fit is
+    +0.0 on the zero-norm columns, so it is its own masked start, and H =
+    X'X + lam2*I and |H| are built once per lam2 in turn: once per lasso
+    grid."""
+    lam1s, lam2s = np.asarray(lam1s, dtype=float), np.asarray(lam2s, dtype=float)
     _check_solver(tol, max_iter)
     m = d.moments
-    coefs = np.empty((len(grid), d.p))
-    intercepts = np.empty(len(grid))
-    flags: list[tuple[str, ...]] = [()] * len(grid)
+    coefs = np.empty((lam1s.size, d.p))
+    flags: list[tuple[str, ...]] = [()] * lam1s.size
     stacked = ((lam1s == 0) & (lam2s > 0)).nonzero()[0]
     if stacked.size:
         # b is (k, p, 1), as in _kept_pattern_fits
@@ -736,20 +708,26 @@ def _fit_grid(
         try:
             solved = np.linalg.solve(m.gram + lam2s[stacked, None, None] * _identity(d.p), rhs)
         except np.linalg.LinAlgError:
-            for lam2 in lam2s[stacked].tolist():
-                _ridge_solve(m, lam2)  # raises at the first singular weight
+            for lam2 in lam2s[stacked].tolist():  # name the first singular weight
+                try:
+                    np.linalg.solve(m.gram + lam2 * _identity(d.p), m.corr)
+                except np.linalg.LinAlgError:
+                    raise RegressionError(f"X'X + lam2*I is singular at lam2 = {lam2!r}") from None
             raise
         coefs[stacked] = solved[..., 0]
-        intercepts[stacked] = _intercepts(m, coefs[stacked])
     for i in ((lam1s == 0) & (lam2s == 0)).nonzero()[0].tolist():  # least squares
-        coefs[i], intercepts[i], flags[i] = _solve(d, 0.0, 0.0, tol, max_iter, None)
-    order = np.argsort(-np.array(grid, dtype=float), kind="stable")
-    order = order[lam1s[order] > 0]  # lam1 falls with lambda
-    lam_max = lasso_lambda_max(d)
-    zeros = np.count_nonzero(lam1s[order] >= lam_max)
+        coefs[i], _, rank, _ = np.linalg.lstsq(m.xc, m.yc, rcond=None)
+        if rank < d.p:
+            flags[i] = ("singular_system",)
+    order = np.lexsort((-lam2s, -lam1s))  # stable
+    order = order[lam1s[order] > 0]
+    zeros = np.count_nonzero(lam1s[order] >= lasso_lambda_max(d))
     coefs[order[:zeros]] = 0.0
+    if start is None or zeros:
+        start = np.zeros(d.p)
+    else:  # zero-norm columns stay at zero
+        start = np.where(m.gram.diagonal() > 0.0, np.asarray(start, dtype=float), 0.0)
     bound = _bound(m, tol)
-    start = np.zeros(d.p)
     pattern = np.sign(start).tobytes()
     kept = zeros > 0  # whether the last fit kept the sign pattern it started from
     lam1_list, lam2_list = lam1s.tolist(), lam2s.tolist()
@@ -773,8 +751,7 @@ def _fit_grid(
                 coefs[run] = fits
                 k += len(fits)
                 start = coefs[run[-1]]
-    intercepts[order] = _intercepts(m, coefs[order])
-    return coefs, intercepts, flags
+    return coefs, _intercepts(m, coefs), flags
 
 
 def kkt_check(model: LinearModel, d: DesignMatrix) -> float:
@@ -910,11 +887,12 @@ def cross_validate(
         raise RegressionError("folds must be >= 2")
     if d.n < folds:
         raise RegressionError(f"need at least {folds} samples for {folds} folds, got {d.n}")
+    lam1s, lam2s = _grid_weights(kind, grid, alpha)
     fold_mse = np.empty((len(grid), folds))
     rows = np.arange(d.n)
     for f, block in enumerate(np.array_split(rows, folds)):  # contiguous: the rest is two slices
         train = d.subset(np.concatenate((rows[:block[0]], rows[block[-1] + 1:])))
-        coefs, intercepts, _ = _fit_grid(train, kind, grid, alpha, tol, max_iter)
+        coefs, intercepts, _ = _fit_grid(train, lam1s, lam2s, tol, max_iter)
         fold_mse[:, f] = _grid_rss(coefs, intercepts, d.x[block], d.y[block]) / block.size
     table = list(zip(grid, fold_mse.mean(axis=1).tolist()))
     best_lam, best_mse = table[0]
@@ -944,7 +922,7 @@ def iterate_lambda(
         raise RegressionError("lambda grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise RegressionError("lambda grid must be strictly ascending")
-    coefs, intercepts, _ = _fit_grid(d, kind, grid, alpha, tol, max_iter)
+    coefs, intercepts, _ = _fit_grid(d, *_grid_weights(kind, grid, alpha), tol, max_iter)
     rss = _grid_rss(coefs, intercepts, d.x, d.y)
     r2 = 1.0 - rss / _total_sum_of_squares(d.y)
     return PathReport(tuple(grid), coefs, tuple(r2.tolist()), tuple((rss / d.n).tolist()),

@@ -4,9 +4,12 @@ Everything here is derived directly from the printed objective and
 definitions, not from the package implementation: penalized fits are
 minimized by multi-stage dense grid search over the coefficients, and
 density clustering is reproduced by explicit neighborhood enumeration
-plus union-find over core points. The grid references at the end are the
-exception: they replay a penalty grid one fit_penalized call at a time, the
-per-point form the package's grid solver must reproduce bit for bit. So is
+plus union-find over core points. region_query is an exception: it reads
+one point's neighbourhood through the package's one distance routine, so
+that its count is the one dbscan's core flag sees. The grid references at
+the end are another: they replay a penalty grid one fit at a time through
+the per-point dispatch the package had before every fit ran through its
+grid solver, which that solver must reproduce bit for bit. So is
 the reference feature-sign search after them, a copy of the package's
 search in a form that spends more numpy calls per step, whose every result
 the package's search must return bit for bit.
@@ -138,6 +141,20 @@ def check_dbscan_against_oracle(values, eps, min_pts, assignment) -> None:
         assert labels[i] != -1, f"border {i} wrongly marked noise"
 
 
+def region_query(points, index: int, eps: float) -> list[int]:
+    """Indices (self included, ascending) within Euclidean distance eps of
+    the row `index` of a FeatureMatrix, by the distance routine dbscan
+    uses, with its eps check."""
+    from clusterreg import clustering
+
+    n = len(points.entities)
+    if not 0 <= index < n:
+        raise IndexError(f"index {index} out of range for {n} points")
+    clustering._check_eps(eps)
+    d = clustering._distances(points.values[index:index + 1], points.values)[0]
+    return np.flatnonzero(d <= eps).tolist()
+
+
 def silhouette_by_hand(values, labels):
     """Per-point silhouette by direct loops over the definition.
 
@@ -223,16 +240,41 @@ def kkt_loop(model, d):
     return worst
 
 
+def _solve(d, lam1, lam2, tol, max_iter, start):
+    """Coefficients, intercept and flags of one fit, by the per-point
+    dispatch the package had before a single fit became a one-point grid:
+    least squares at lam1 = lam2 = 0, the ridge solve at lam1 = 0, and
+    otherwise the package's search from `start` with its zero-norm columns
+    set to zero, even where lam1 >= lasso_lambda_max."""
+    from clusterreg import regression
+
+    m = d.moments
+    flags = ()
+    if lam1 == lam2 == 0:
+        beta, _, rank, _ = np.linalg.lstsq(m.xc, m.yc, rcond=None)
+        if rank < d.p:
+            flags = ("singular_system",)
+    elif lam1 == 0:
+        beta = np.linalg.solve(m.gram + lam2 * _identity(d.p), m.corr)
+    else:
+        start = np.where(m.gram.diagonal() > 0.0, start, 0.0)  # zero-norm columns stay at zero
+        beta, flags = regression._search(regression._system(m, lam2), lam1, start,
+                                         regression._bound(m, tol), tol, max_iter)
+    return beta, m.y_mean - float(m.x_mean @ beta), flags
+
+
 def warm_descent(d, kind, grid, alpha):
-    """The models of one grid in grid order, fitted one fit_penalized call
-    at a time from the largest value down, each from the previous fit's
+    """The models of one grid in grid order, fitted one _solve call at a
+    time from the largest value down, each from the previous fit's
     coefficients (the largest from zero; equal values keep grid order)."""
-    from clusterreg.regression import PenaltySpec, fit_penalized
+    from clusterreg.regression import LinearModel, PenaltySpec
 
     models = [None] * len(grid)
-    start = None
+    start = np.zeros(d.p)
     for i in sorted(range(len(grid)), key=lambda i: -grid[i]):
-        models[i] = fit_penalized(d, PenaltySpec.of(kind, grid[i], alpha), start=start)
+        spec = PenaltySpec.of(kind, grid[i], alpha)
+        beta, intercept, flags = _solve(d, spec.lam1, spec.lam2, 1e-10, 100_000, start)
+        models[i] = LinearModel(intercept, beta, spec, d.column_names, flags=flags)
         start = models[i].coefficients
     return models
 

@@ -264,8 +264,9 @@ def test_each_model_is_its_path_row(recovery_runs):
             [row] = [i for i, lam in enumerate(path.lambdas)
                      if PenaltySpec.of(kind, lam, config.enet_alpha) == model.penalty]
             coefs, intercepts, flags = regression._fit_grid(
-                report.train_design, kind, list(path.lambdas), config.enet_alpha, config.tol,
-                config.max_iter)
+                report.train_design,
+                *regression._grid_weights(kind, list(path.lambdas), config.enet_alpha),
+                config.tol, config.max_iter)
             assert coefs.tobytes() == path.coefficient_matrix.tobytes()
             assert model.coefficients.tobytes() == coefs[row].tobytes(), kind
             assert repr(model.intercept) == repr(float(intercepts[row])), kind

@@ -18,7 +18,6 @@ from clusterreg.clustering import (
     dbscan,
     promote_noise,
     reachability_tree,
-    region_query,
     silhouette,
     sse,
     sweep_params,
@@ -26,7 +25,7 @@ from clusterreg.clustering import (
 from clusterreg.errors import ClusteringError
 from clusterreg.preprocess import FeatureMatrix
 
-from oracles import check_dbscan_against_oracle, silhouette_by_hand, silhouette_loop
+from oracles import check_dbscan_against_oracle, region_query, silhouette_by_hand, silhouette_loop
 
 # Integer coordinates make every distance exact, so eps values that are
 # themselves distances (1, sqrt 2, 2, ...) put points exactly on the boundary.

@@ -913,8 +913,9 @@ class TestConfigKeys:
 def test_work_of_one_default_run_on_seed_2024(synthetic_case, tmp_path, monkeypatch):
     """Pins the work of one run with the default grids, counted by spies at
     the module attributes their callers look up, as bench/spans.py counts
-    them: every grid of a kind is fitted in one _fit_grid call per design
-    (5 folds + the path), fit_penalized runs once per kind (the refit),
+    them: every fit runs through _fit_grid, once per design for each grid
+    of a kind (5 folds + the path) and once per kind for the refit, which
+    enters through fit_penalized as a one-point grid (18 + 3 calls),
     dbscan runs once per min_pts and eps interval that the 40 eps values
     cut from the panel's pairwise distances (25 of the 40 x 5 grid
     points), and the centered moments are computed once per fold design and once for
@@ -937,16 +938,15 @@ def test_work_of_one_default_run_on_seed_2024(synthetic_case, tmp_path, monkeypa
         monkeypatch.setattr(module, name, counted)
 
     spy(regression, "fit_penalized", lambda d, spec, *rest: spec.kind)
-    spy(regression, "_fit_grid", lambda d, kind, *rest: f"grid {kind}")
+    spy(regression, "_fit_grid", lambda *args: "grid")
     spy(clustering, "dbscan", lambda *args: "dbscan")
     spy(regression, "_compute_moments", lambda *args: "moments")
     spy(pipeline, "aggregate_by_cluster", lambda *args: "aggregate")
     spy(np.linalg, "solve", lambda *args: "solve")  # only the regression module calls it
     _, _, _, config = synthetic_case
     pipeline.run_pipeline(dataclasses.replace(config, out_dir=str(tmp_path / "out")))
-    assert calls == {"ridge": 1, "lasso": 1, "elastic_net": 1, "grid ridge": 6,
-                     "grid lasso": 6, "grid elastic_net": 6, "dbscan": 25, "moments": 16,
-                     "aggregate": 1, "solve": 287}
+    assert calls == {"ridge": 1, "lasso": 1, "elastic_net": 1, "grid": 21, "dbscan": 25,
+                     "moments": 16, "aggregate": 1, "solve": 287}
 
 
 def test_every_benchmark_span_fires(synthetic_case, tmp_path):

@@ -489,8 +489,8 @@ class TestGridSolver:
     def test_grid_fits_and_scores_equal_per_point_fits(self, data, n, p, kind, alpha):
         """The grid solver's coefficients, intercepts and flags, and the CV
         table and path scores computed from them for the whole grid at once,
-        equal fit_penalized at every grid value warm-started down the grid
-        and scored by predict, compute_mse and fit_report, bit for bit, on
+        equal the per-point dispatch (warm_descent) at every grid value
+        warm-started down the grid and scored by predict, compute_mse and fit_report, bit for bit, on
         designs with copied and zero-norm columns, grids that hold 0.0 and
         repeated values, and log-spaced grids of up to 28 values across
         lasso_lambda_max, whose small-lambda ends keep one sign pattern and
@@ -520,7 +520,8 @@ class TestGridSolver:
         grid = [share * max(lasso_lambda_max(d), 1.0) for share in shares]
 
         models = warm_descent(d, kind, grid, alpha)
-        coefs, intercepts, flags = regression._fit_grid(d, kind, grid, alpha, 1e-10, 100_000)
+        weights = regression._grid_weights(kind, grid, alpha)
+        coefs, intercepts, flags = regression._fit_grid(d, *weights, 1e-10, 100_000)
         assert np.array_equal(coefs, [m.coefficients for m in models])
         assert np.array_equal(intercepts, [m.intercept for m in models])
         assert flags == [m.flags for m in models]
@@ -550,7 +551,9 @@ class TestGridSolver:
         their intercepts: on designs with a zero-norm column, targets of
         -0.0 (whose mean is -0.0), grids holding lambda_max itself,
         lambda_max / alpha and repeated values. A grid wholly at or above
-        lambda_max runs no search."""
+        lambda_max runs no search. fit_penalized, a one-point grid, fits
+        such a point as the same zero with no search from a nonzero start
+        too, where the per-point dispatch searched from that start."""
         cells = st.integers(-4, 4).map(lambda v: v / 2)
         x = np.array(data.draw(st.lists(st.lists(cells, min_size=p, max_size=p),
                                         min_size=n, max_size=n)))
@@ -572,11 +575,16 @@ class TestGridSolver:
         grid = data.draw(st.permutations(grid + [share * lam_max for share in below]))
         lam1s = [PenaltySpec.of(kind, lam, alpha).lam1 for lam in grid]
 
+        start = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.5, 2.0]),
+                                            min_size=p, max_size=p)))
+
         calls = []
         search = regression._feature_sign_search
-        with mock.patch.object(regression, "_feature_sign_search",
-                               lambda *args: calls.append(args) or search(*args)):
-            coefs, intercepts, flags = regression._fit_grid(d, kind, grid, alpha, 1e-10, 100_000)
+        recorded = mock.patch.object(regression, "_feature_sign_search",
+                                     lambda *args: calls.append(args) or search(*args))
+        with recorded:
+            coefs, intercepts, flags = regression._fit_grid(
+                d, *regression._grid_weights(kind, grid, alpha), 1e-10, 100_000)
         if all(lam1 >= lam_max and lam1 > 0 for lam1 in lam1s):
             assert calls == []
         assert len(calls) <= sum(0 < lam1 < lam_max for lam1 in lam1s)
@@ -584,9 +592,17 @@ class TestGridSolver:
         assert coefs.tobytes() == np.array([m.coefficients for m in models]).tobytes()
         assert intercepts.tobytes() == np.array([m.intercept for m in models]).tobytes()
         assert flags == [m.flags for m in models]
-        for lam1, beta in zip(lam1s, coefs):
+        for lam, lam1, beta, model in zip(grid, lam1s, coefs, models):
             if lam1 >= lam_max and lam1 > 0:
                 assert not beta.any()
+                calls.clear()
+                with recorded:
+                    fit = fit_penalized(d, PenaltySpec.of(kind, lam, alpha), start=start)
+                assert calls == []
+                assert not fit.coefficients.any()
+                assert fit.coefficients.tobytes() == model.coefficients.tobytes()
+                assert repr(fit.intercept) == repr(model.intercept)
+                assert fit.flags == model.flags
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("x,y,moment", [
@@ -603,7 +619,7 @@ class TestGridSolver:
         of descent on not-a-number arithmetic."""
         d = DesignMatrix(np.array(x), np.array(y), ("a", "b"))
         message = f"^{moment} of the (centered )?design is not finite$"
-        for fit in (lambda: regression._fit_grid(d, "lasso", [1.0], 0.5, 1e-10, 10),
+        for fit in (lambda: regression._fit_grid(d, [1.0], [0.0], 1e-10, 10),
                     lambda: fit_penalized(d, PenaltySpec.lasso(1.0)),
                     lambda: fit_ols(d),
                     lambda: cross_validate(d, "lasso", [1.0], folds=3)):
@@ -863,7 +879,7 @@ class TestActiveSetSearch:
 
         monkeypatch.setattr(regression, "_feature_sign_search", recorded)
         sweeps = _sweeps(monkeypatch)
-        coefs, intercepts, flags = regression._fit_grid(d, "lasso", grid, 0.5, 1e-10, 100_000)
+        coefs, intercepts, flags = regression._fit_grid(d, grid, np.zeros(len(grid)), 1e-10, 100_000)
         assert [gave_up for gave_up, _ in searches] == [False] + [True] * 26
         assert all(0 < count < 2 * p for _, count in searches)
         assert all(b is not None for _, _, b in solves)
