@@ -12,12 +12,26 @@ the per-point dispatch the package had before every fit ran through its
 grid solver, which that solver must reproduce bit for bit. So is
 the reference feature-sign search after them, a copy of the package's
 search in a form that spends more numpy calls per step, whose every result
-the package's search must return bit for bit.
+the package's search must return bit for bit. Last come the config
+checks as they stood before each field's facts moved into one row of one
+table.
 """
 
 from __future__ import annotations
 
+import configparser
+import math
+import numbers
+import operator
+import os
+from dataclasses import asdict
+from functools import partial
+
 import numpy as np
+
+from clusterreg import clustering, regression
+from clusterreg.errors import ClusterRegError, ConfigError
+from clusterreg.pipeline import _finite, parse_grid, parse_years
 
 
 def penalized_objective(x, y, intercept, beta, lam1, lam2):
@@ -487,3 +501,174 @@ def _kept_pattern_fits(
     fits, passes, _, _ = _pattern_test(hess, m.corr, lam1s[:, None], active, signs, b, bound)
     passes &= np.logical_and.reduce(b * signs > 0.0, axis=-1)
     return fits[:passes.size if passes.all() else passes.argmin()]
+
+
+# The config checks in their reference form, as they stood while each
+# PipelineConfig field's facts were spread over five parallel tables:
+# validate, _check_field, from_file and to_dict are the methods of that
+# form, taking the config (or, for from_file, its class) as their first
+# argument, and the tables below them are its tables. Every config, code
+# built or read from an INI file, must raise the same error with the same
+# text in the package, or give an equal config with an equal to_dict.
+def validate(self) -> None:
+    paths = ("data_path",) if self.out_dir is None else ("data_path", "out_dir")
+    for name in paths:
+        value = getattr(self, name)
+        path = os.fspath(value) if isinstance(value, (str, os.PathLike)) else value
+        if not isinstance(path, str):  # the JSON report holds it as a string
+            raise ConfigError(f"{name} must be a str or path, got {value!r}")
+        setattr(self, name, path)
+    for name in ("train_years", "test_years", *_GRID_CHECKS):
+        if not isinstance(getattr(self, name), (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")
+    for name in _NUMBER_FIELDS:  # bool is an int subclass; no INI value parses to one
+        value = getattr(self, name)
+        for v in value if isinstance(value, (list, tuple)) else [value]:
+            if isinstance(v, (bool, np.bool_)):
+                raise ConfigError(f"{name} must be a number, not the bool {v!r}")
+    if not self.train_years or not self.test_years:
+        raise ConfigError("train_years and test_years must be set")
+    integers = [("cv_folds", self.cv_folds), ("max_iter", self.max_iter),
+                *(("anchor_year", y) for y in [self.anchor_year] if y is not None),
+                *(("train_years entry", y) for y in self.train_years),
+                *(("test_years entry", y) for y in self.test_years)]
+    for name, value in integers:
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    for name, years in (("train_years", self.train_years), ("test_years", self.test_years)):
+        if len(set(years)) != len(years):
+            raise ConfigError(f"{name} repeats a year")
+    if set(self.train_years) & set(self.test_years):
+        raise ConfigError("train and test year ranges overlap")
+    if max(self.train_years) >= min(self.test_years):
+        raise ConfigError("test years must come after train years")
+    for name in (*_BOUNDS, *_GRID_CHECKS):
+        _check_field(self, name)
+    if len(self.train_years) < self.cv_folds:
+        raise ConfigError(f"cv_folds = {self.cv_folds} needs at least as many train years, "
+                          f"got {len(self.train_years)}")
+    if len(self.test_years) < 2:
+        raise ConfigError("test_years needs at least 2 years for the forecast variance")
+    # A numpy scalar passes every check above, but no JSON writer takes it;
+    # and an int where a float belongs would be recorded as an int, where
+    # an INI file of the same values records floats. Each number becomes
+    # the built-in type of its field.
+    for name in _NUMBER_FIELDS:
+        value = getattr(self, name)
+        number = float if name in _FLOAT_FIELDS else int
+        try:
+            if isinstance(value, tuple):
+                setattr(self, name, tuple(map(number, value)))
+            elif isinstance(value, list):
+                setattr(self, name, list(map(number, value)))
+            elif value is not None:
+                setattr(self, name, number(value))
+        except OverflowError:  # an int past the float range
+            raise ConfigError(f"{name} holds a number too large for a float") from None
+
+
+def _check_field(self, name: str) -> None:
+    """The test of one field that validate and from_file share: its
+    _BOUNDS, or for a grid the check its stage makes of each value."""
+    value = getattr(self, name)
+    if name in _BOUNDS:
+        ok, need = _BOUNDS[name]
+        if not (isinstance(value, numbers.Real) and ok(value)):
+            raise ConfigError(f"{name} must be {need}, got {value!r}")
+    elif name in _GRID_CHECKS:
+        if not value:
+            raise ConfigError(f"{name} must be non-empty")
+        for v in value:
+            try:
+                if not isinstance(v, numbers.Real):
+                    raise ConfigError("not a number")
+                _GRID_CHECKS[name](v)
+            except ClusterRegError as err:
+                raise ConfigError(f"{name} holds {v!r}: {err}") from None
+
+
+def from_file(cls, path):
+    """Read an INI config. A missing or blank key keeps its default; a
+    malformed value, one that fails its field's check, or a key or
+    section not in _CONFIG_KEYS raises ConfigError naming the file,
+    section and key."""
+    parser = configparser.ConfigParser()
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, ValueError) as err:
+        raise ConfigError(f"{path}: {err}") from None
+    if not read:
+        raise ConfigError(f"cannot read config file {path}")
+    known = {(sec, key) for sec, key, _ in _CONFIG_KEYS.values()}
+    for sec in parser.sections():
+        if sec not in {s for s, _ in known}:
+            raise ConfigError(f"{path}: unknown section [{sec}]")
+    for sec in [parser.default_section, *parser.sections()]:
+        for key in parser[sec]:
+            if (sec, key) not in known:
+                raise ConfigError(f"{path}: unknown key [{sec}] {key}")
+    cfg = cls()
+    for name, (sec, key, parse) in _CONFIG_KEYS.items():
+        try:
+            text = parser.get(sec, key, fallback="").strip()
+            if text:
+                setattr(cfg, name, parse(text))
+                _check_field(cfg, name)
+        except (configparser.Error, ConfigError, ValueError, OverflowError) as err:
+            raise ConfigError(f"{path}: [{sec}] {key}: {err}") from None
+    return cfg
+
+
+def to_dict(self) -> dict:
+    return asdict(self)
+
+
+# Field -> (test of its value, what the test asks).
+_BOUNDS = {
+    "log_epsilon": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    "enet_alpha": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "cv_folds": (lambda v: v >= 2, ">= 2"),
+    "tol": (lambda v: 0.0 < v < math.inf, "> 0 and finite"),
+    "max_iter": (lambda v: v >= 1, ">= 1"),
+}
+# Grid field -> the check its stage makes of each value. Any alpha in
+# [0, 1] splits a valid total weight into valid weights.
+_GRID_CHECKS = {
+    "eps_grid": clustering._check_eps,
+    "minpts_grid": clustering._check_min_pts,
+    "ridge_lambdas": partial(regression.PenaltySpec.of, "ridge", alpha=0.5),
+    "lasso_lambdas": partial(regression.PenaltySpec.of, "lasso", alpha=0.5),
+    "enet_lambdas": partial(regression.PenaltySpec.of, "elastic_net", alpha=0.5),
+}
+_NUMBER_FIELDS = (*_BOUNDS, "anchor_year", "train_years", "test_years", *_GRID_CHECKS)
+# The fields, or grids, of floats; every other number field holds integers.
+_FLOAT_FIELDS = ("log_epsilon", "enet_alpha", "tol", "eps_grid", "ridge_lambdas",
+                 "lasso_lambdas", "enet_lambdas")
+
+
+def _parse_int_grid(text: str) -> list[int]:
+    vals = parse_grid(text)
+    if any(v != int(v) for v in vals):
+        raise ValueError(f"min_pts values must be integers, got {text!r}")
+    return [int(v) for v in vals]
+
+
+# PipelineConfig field -> (INI section, key, parser of the stripped value).
+_CONFIG_KEYS = {
+    "data_path": ("data", "path", str),
+    "log_epsilon": ("preprocess", "log_epsilon", _finite),
+    "anchor_year": ("preprocess", "anchor_year", int),
+    "eps_grid": ("cluster", "eps_grid", parse_grid),
+    "minpts_grid": ("cluster", "minpts_grid", _parse_int_grid),
+    "ridge_lambdas": ("regress", "ridge_lambdas", parse_grid),
+    "lasso_lambdas": ("regress", "lasso_lambdas", parse_grid),
+    "enet_lambdas": ("regress", "enet_lambdas", parse_grid),
+    "enet_alpha": ("regress", "enet_alpha", _finite),
+    "cv_folds": ("regress", "cv_folds", int),
+    "tol": ("regress", "tol", _finite),
+    "max_iter": ("regress", "max_iter", int),
+    "train_years": ("forecast", "train_years", parse_years),
+    "test_years": ("forecast", "test_years", parse_years),
+}
