@@ -10,6 +10,7 @@ training years only; the elastic-net fit produces the holdout forecasts.
 from __future__ import annotations
 
 import configparser
+import copy
 import errno
 import math
 import numbers
@@ -17,8 +18,10 @@ import operator
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
+from decimal import Decimal
 from functools import cached_property, partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -92,7 +95,10 @@ def parse_grid(text: str) -> list[float]:
         # capped before round(), which rejects the inf of an overflowing b - a
         count = int(round(min((b - a) / step, MAX_SPEC_VALUES))) + 1
         _check_count(count, text)
-        vals = [a + step * k for k in range(count)]
+        # start + k*step in decimal, rounded once: 0.05:2.0:0.05 holds 0.15,
+        # where 0.05 + 2*0.05 is 0.15000000000000002
+        start, stride = Decimal(parts[0]), Decimal(parts[2])
+        vals = [float(start + stride * k) for k in range(count)]
         return [v for v in vals if v <= b + 1e-12]
     vals = [_finite(p) for p in text.split(",") if p.strip()]
     if not vals:
@@ -137,32 +143,30 @@ class PipelineConfig:
     out_dir: str | None = None
 
     def validate(self) -> None:
-        paths = ("data_path",) if self.out_dir is None else ("data_path", "out_dir")
-        for name in paths:
-            value = getattr(self, name)
-            path = os.fspath(value) if isinstance(value, (str, os.PathLike)) else value
-            if not isinstance(path, str):  # the JSON report holds it as a string
-                raise ConfigError(f"{name} must be a str or path, got {value!r}")
-            setattr(self, name, path)
-        for name in ("train_years", "test_years", *_GRID_CHECKS):
-            if not isinstance(getattr(self, name), (list, tuple)):
-                raise ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")
-        for name in _NUMBER_FIELDS:  # bool is an int subclass; no INI value parses to one
-            value = getattr(self, name)
-            for v in value if isinstance(value, (list, tuple)) else [value]:
-                if isinstance(v, (bool, np.bool_)):
-                    raise ConfigError(f"{name} must be a number, not the bool {v!r}")
+        given = [f for f in _CHECK_ORDER if not (f.optional and getattr(self, f.name) is None)]
+        for f in given:
+            value = getattr(self, f.name)
+            if f.number is None:  # a path, which the JSON report holds as a string
+                path = os.fspath(value) if isinstance(value, (str, os.PathLike)) else value
+                if not isinstance(path, str):
+                    raise ConfigError(f"{f.name} must be a str or path, got {value!r}")
+                setattr(self, f.name, path)
+            elif f.many and not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{f.name} must be a list, got {value!r}")
+        held = [(f, v) for f in given if f.number  # every number, with its field
+                for v in (getattr(self, f.name) if f.many else [getattr(self, f.name)])]
+        for f, v in held:  # bool is an int subclass; no INI value parses to one
+            if isinstance(v, (bool, np.bool_)):
+                raise ConfigError(f"{f.name} must be a number, not the bool {v!r}")
         if not self.train_years or not self.test_years:
             raise ConfigError("train_years and test_years must be set")
-        integers = [("cv_folds", self.cv_folds), ("max_iter", self.max_iter),
-                    *(("anchor_year", y) for y in [self.anchor_year] if y is not None),
-                    *(("train_years entry", y) for y in self.train_years),
-                    *(("test_years entry", y) for y in self.test_years)]
-        for name, value in integers:
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        for f, v in held:  # a grid's own check tests that its values are integers
+            if f.number is int and not (f.many and f.check):
+                try:
+                    operator.index(v)
+                except TypeError:
+                    name = f"{f.name} entry" if f.many else f.name
+                    raise ConfigError(f"{name} must be an integer, got {v!r}") from None
         for name, years in (("train_years", self.train_years), ("test_years", self.test_years)):
             if len(set(years)) != len(years):
                 raise ConfigError(f"{name} repeats a year")
@@ -170,8 +174,8 @@ class PipelineConfig:
             raise ConfigError("train and test year ranges overlap")
         if max(self.train_years) >= min(self.test_years):
             raise ConfigError("test years must come after train years")
-        for name in (*_BOUNDS, *_GRID_CHECKS):
-            self._check_field(name)
+        for f in given:
+            f.check_value(getattr(self, f.name))
         if len(self.train_years) < self.cv_folds:
             raise ConfigError(f"cv_folds = {self.cv_folds} needs at least as many train years, "
                               f"got {len(self.train_years)}")
@@ -181,44 +185,24 @@ class PipelineConfig:
         # and an int where a float belongs would be recorded as an int, where
         # an INI file of the same values records floats. Each number becomes
         # the built-in type of its field.
-        for name in _NUMBER_FIELDS:
-            value = getattr(self, name)
-            number = float if name in _FLOAT_FIELDS else int
+        for f in given:
+            value = getattr(self, f.name)
             try:
                 if isinstance(value, tuple):
-                    setattr(self, name, tuple(map(number, value)))
+                    setattr(self, f.name, tuple(map(f.number, value)))
                 elif isinstance(value, list):
-                    setattr(self, name, list(map(number, value)))
-                elif value is not None:
-                    setattr(self, name, number(value))
+                    setattr(self, f.name, list(map(f.number, value)))
+                elif f.number:
+                    setattr(self, f.name, f.number(value))
             except OverflowError:  # an int past the float range
-                raise ConfigError(f"{name} holds a number too large for a float") from None
-
-    def _check_field(self, name: str) -> None:
-        """The test of one field that validate and from_file share: its
-        _BOUNDS, or for a grid the check its stage makes of each value."""
-        value = getattr(self, name)
-        if name in _BOUNDS:
-            ok, need = _BOUNDS[name]
-            if not (isinstance(value, numbers.Real) and ok(value)):
-                raise ConfigError(f"{name} must be {need}, got {value!r}")
-        elif name in _GRID_CHECKS:
-            if not value:
-                raise ConfigError(f"{name} must be non-empty")
-            for v in value:
-                try:
-                    if not isinstance(v, numbers.Real):
-                        raise ConfigError("not a number")
-                    _GRID_CHECKS[name](v)
-                except ClusterRegError as err:
-                    raise ConfigError(f"{name} holds {v!r}: {err}") from None
+                raise ConfigError(f"{f.name} holds a number too large for a float") from None
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         """Read an INI config. A missing or blank key keeps its default; a
         malformed value, one that fails its field's check, or a key or
-        section not in _CONFIG_KEYS raises ConfigError naming the file,
-        section and key."""
+        section that no field of _FIELDS reads raises ConfigError naming
+        the file, section and key."""
         parser = configparser.ConfigParser()
         try:
             read = parser.read(path, encoding="utf-8")
@@ -226,7 +210,7 @@ class PipelineConfig:
             raise ConfigError(f"{path}: {err}") from None
         if not read:
             raise ConfigError(f"cannot read config file {path}")
-        known = {(sec, key) for sec, key, _ in _CONFIG_KEYS.values()}
+        known = {(f.section, f.key) for f in _FIELDS if f.section}
         for sec in parser.sections():
             if sec not in {s for s, _ in known}:
                 raise ConfigError(f"{path}: unknown section [{sec}]")
@@ -235,41 +219,48 @@ class PipelineConfig:
                 if (sec, key) not in known:
                     raise ConfigError(f"{path}: unknown key [{sec}] {key}")
         cfg = cls()
-        for name, (sec, key, parse) in _CONFIG_KEYS.items():
+        for f in _FIELDS:
             try:
-                text = parser.get(sec, key, fallback="").strip()
+                text = parser.get(f.section, f.key, fallback="").strip() if f.section else ""
                 if text:
-                    setattr(cfg, name, parse(text))
-                    cfg._check_field(name)
+                    setattr(cfg, f.name, f.parse(text))
+                    f.check_value(getattr(cfg, f.name))
             except (configparser.Error, ConfigError, ValueError, OverflowError) as err:
-                raise ConfigError(f"{path}: [{sec}] {key}: {err}") from None
+                raise ConfigError(f"{path}: [{f.section}] {f.key}: {err}") from None
         return cfg
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: copy.copy(getattr(self, f.name)) for f in fields(self)}
 
 
-# Field -> (test of its value, what the test asks).
-_BOUNDS = {
-    "log_epsilon": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
-    "enet_alpha": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    "cv_folds": (lambda v: v >= 2, ">= 2"),
-    "tol": (lambda v: 0.0 < v < math.inf, "> 0 and finite"),
-    "max_iter": (lambda v: v >= 1, ">= 1"),
-}
-# Grid field -> the check its stage makes of each value. Any alpha in
-# [0, 1] splits a valid total weight into valid weights.
-_GRID_CHECKS = {
-    "eps_grid": clustering._check_eps,
-    "minpts_grid": clustering._check_min_pts,
-    "ridge_lambdas": partial(regression.PenaltySpec.of, "ridge", alpha=0.5),
-    "lasso_lambdas": partial(regression.PenaltySpec.of, "lasso", alpha=0.5),
-    "enet_lambdas": partial(regression.PenaltySpec.of, "elastic_net", alpha=0.5),
-}
-_NUMBER_FIELDS = (*_BOUNDS, "anchor_year", "train_years", "test_years", *_GRID_CHECKS)
-# The fields, or grids, of floats; every other number field holds integers.
-_FLOAT_FIELDS = ("log_epsilon", "enet_alpha", "tol", "eps_grid", "ridge_lambdas",
-                 "lasso_lambdas", "enet_lambdas")
+class _Field(NamedTuple):
+    """One PipelineConfig field, and all that validate and from_file know of it."""
+
+    name: str
+    section: str | None  # the INI section and key that set it; None for out_dir
+    key: str | None
+    parse: Callable[[str], object] | None  # of the key's stripped text
+    number: type | None = None  # the built-in type of its numbers; None for a path
+    many: bool = False  # a list: the years and the grids
+    optional: bool = False  # may be None
+    check: Callable | None = None  # a number's test, or a grid's check of each value
+    need: str = ""  # what a number's test asks
+
+    def check_value(self, value) -> None:
+        """The check that validate and from_file make of the field's value."""
+        if self.check and not self.many:
+            if not (isinstance(value, numbers.Real) and self.check(value)):
+                raise ConfigError(f"{self.name} must be {self.need}, got {value!r}")
+        elif self.check:
+            if not value:
+                raise ConfigError(f"{self.name} must be non-empty")
+            for v in value:
+                try:
+                    if not isinstance(v, numbers.Real):
+                        raise ConfigError("not a number")
+                    self.check(v)
+                except ClusterRegError as err:
+                    raise ConfigError(f"{self.name} holds {v!r}: {err}") from None
 
 
 def _parse_int_grid(text: str) -> list[int]:
@@ -279,23 +270,36 @@ def _parse_int_grid(text: str) -> list[int]:
     return [int(v) for v in vals]
 
 
-# PipelineConfig field -> (INI section, key, parser of the stripped value).
-_CONFIG_KEYS = {
-    "data_path": ("data", "path", str),
-    "log_epsilon": ("preprocess", "log_epsilon", _finite),
-    "anchor_year": ("preprocess", "anchor_year", int),
-    "eps_grid": ("cluster", "eps_grid", parse_grid),
-    "minpts_grid": ("cluster", "minpts_grid", _parse_int_grid),
-    "ridge_lambdas": ("regress", "ridge_lambdas", parse_grid),
-    "lasso_lambdas": ("regress", "lasso_lambdas", parse_grid),
-    "enet_lambdas": ("regress", "enet_lambdas", parse_grid),
-    "enet_alpha": ("regress", "enet_alpha", _finite),
-    "cv_folds": ("regress", "cv_folds", int),
-    "tol": ("regress", "tol", _finite),
-    "max_iter": ("regress", "max_iter", int),
-    "train_years": ("forecast", "train_years", parse_years),
-    "test_years": ("forecast", "test_years", parse_years),
-}
+# The fields in INI order, as README "Config file" lists them. A grid's check is its
+# stage's; any alpha in [0, 1] splits a valid total weight into valid weights.
+_FIELDS = (
+    _Field("data_path", "data", "path", str),
+    _Field("log_epsilon", "preprocess", "log_epsilon", _finite, float,
+           check=lambda v: 0.0 < v < math.inf, need="finite and > 0"),
+    _Field("anchor_year", "preprocess", "anchor_year", int, int, optional=True),
+    _Field("eps_grid", "cluster", "eps_grid", parse_grid, float, many=True,
+           check=clustering._check_eps),
+    _Field("minpts_grid", "cluster", "minpts_grid", _parse_int_grid, int, many=True,
+           check=clustering._check_min_pts),
+    _Field("ridge_lambdas", "regress", "ridge_lambdas", parse_grid, float, many=True,
+           check=partial(regression.PenaltySpec.of, "ridge", alpha=0.5)),
+    _Field("lasso_lambdas", "regress", "lasso_lambdas", parse_grid, float, many=True,
+           check=partial(regression.PenaltySpec.of, "lasso", alpha=0.5)),
+    _Field("enet_lambdas", "regress", "enet_lambdas", parse_grid, float, many=True,
+           check=partial(regression.PenaltySpec.of, "elastic_net", alpha=0.5)),
+    _Field("enet_alpha", "regress", "enet_alpha", _finite, float,
+           check=lambda v: 0.0 <= v <= 1.0, need="in [0, 1]"),
+    _Field("cv_folds", "regress", "cv_folds", int, int, check=lambda v: v >= 2, need=">= 2"),
+    _Field("tol", "regress", "tol", _finite, float,
+           check=lambda v: 0.0 < v < math.inf, need="> 0 and finite"),
+    _Field("max_iter", "regress", "max_iter", int, int, check=lambda v: v >= 1, need=">= 1"),
+    _Field("train_years", "forecast", "train_years", parse_years, int, many=True),
+    _Field("test_years", "forecast", "test_years", parse_years, int, many=True),
+    _Field("out_dir", None, None, None, optional=True),
+)
+# validate's order: single values (those that may be None last), the years, the
+# grids. So a config with several faults raises the error it always raised first.
+_CHECK_ORDER = sorted(_FIELDS, key=lambda f: (f.many, f.many and bool(f.check), f.optional))
 
 
 @dataclass(frozen=True)
@@ -635,10 +639,7 @@ def fit_kind(config: PipelineConfig, design: regression.DesignMatrix, kind: str)
                          folds=config.cv_folds, alpha=config.enet_alpha, **solver)
     path = _stage("fit", regression.iterate_lambda, design, kind,
                   sorted(set(float(v) for v in grid)), alpha=config.enet_alpha, **solver)
-    # matched by its weights: an elastic net's spec.lam = lam1 + lam2 is
-    # within rounding of the grid value, but need not equal it
-    row = next(i for i, lam in enumerate(path.lambdas) if math.isclose(lam, spec.lam)
-               and regression.PenaltySpec.of(kind, lam, config.enet_alpha) == spec)
+    row = path.lambdas.index(spec.lam)  # spec.lam = lam1 + lam2 is the grid value
     model = _stage("fit", regression.fit_penalized, design, spec,
                    start=path.coefficient_matrix[row], **solver)
     return table, model, path

@@ -183,14 +183,18 @@ class PenaltySpec:
     @classmethod
     def of(cls, kind: str, lam: float, alpha: float) -> "PenaltySpec":
         """Spec of one grid point: lam is the weight, or for elastic_net the
-        total weight split as lam1 = alpha*lam, lam2 = (1-alpha)*lam."""
+        total weight split as lam1 = alpha*lam, lam2 = (1-alpha)*lam. The
+        larger share is the product and the smaller is lam less it, which
+        is exact (Sterbenz lemma), so lam1 + lam2 == lam."""
         if kind == "ridge":
             return cls(kind, lam2=lam)
         if kind == "lasso":
             return cls(kind, lam1=lam)
         if not 0.0 <= alpha <= 1.0:
             raise RegressionError("alpha must be in [0, 1]")
-        return cls(kind, lam1=alpha * lam, lam2=(1.0 - alpha) * lam)
+        if alpha >= 0.5:
+            return cls(kind, lam1=alpha * lam, lam2=lam - alpha * lam)
+        return cls(kind, lam1=lam - (1.0 - alpha) * lam, lam2=(1.0 - alpha) * lam)
 
     @classmethod
     def ridge(cls, lam: float) -> "PenaltySpec":
@@ -642,24 +646,11 @@ def _kept_pattern_fits(
 
 
 def _grid_weights(kind: str, grid: list[float], alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """The weights lam1s, lam2s of the grid values, split and checked as
-    PenaltySpec.of splits and checks each value, with its messages in its
-    order, but once for the whole grid."""
-    lams = np.array(grid, dtype=float)
-    if kind == "ridge":
-        lam1s, lam2s = np.zeros_like(lams), lams
-    elif kind == "lasso":
-        lam1s, lam2s = lams, np.zeros_like(lams)
-    elif not 0.0 <= alpha <= 1.0:
-        raise RegressionError("alpha must be in [0, 1]")
-    elif kind not in PENALTY_KINDS:
-        raise RegressionError(f"unknown penalty kind {kind!r}")
-    else:
-        with np.errstate(invalid="ignore"):  # 0 * inf is nan, as it is for a float
-            lam1s, lam2s = alpha * lams, (1.0 - alpha) * lams
-    if not ((0.0 <= lam1s) & (lam1s < np.inf) & (0.0 <= lam2s) & (lam2s < np.inf)).all():
-        raise RegressionError("penalty weights must be finite and >= 0")
-    return lam1s, lam2s
+    """The weights lam1s, lam2s of the grid values, each split and checked
+    by PenaltySpec.of."""
+    specs = [PenaltySpec.of(kind, lam, alpha) for lam in grid]
+    return (np.array([spec.lam1 for spec in specs], dtype=float),
+            np.array([spec.lam2 for spec in specs], dtype=float))
 
 
 def _fit_grid(

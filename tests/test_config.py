@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from clusterreg import pipeline
 from clusterreg.pipeline import PipelineConfig
 
 TRAIN = list(range(2000, 2015))
@@ -204,3 +205,20 @@ def test_from_file_raises_or_reads_what_the_reference_does(ini_path, text):
         results.append((snapshot(to_dict, cfg), outcome(validate, to_dict, cfg)))
     assert results[0] == results[1]
 
+
+def test_the_readme_config_table_is_the_field_table():
+    """README "Config file" lists the INI keys of the field table, in its
+    order, each with a documented default that parses to the field's
+    default: a spec through the field's parser (parse_grid or parse_years),
+    `unset` as None and `required` as an empty list."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config file\n", 1)[1].split("\n## ", 1)[0]
+    lines = [line for line in section.splitlines() if line.startswith("|")][2:]  # no header
+    rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")][:3]
+            for line in lines]
+    ini_fields = [f for f in pipeline._FIELDS if f.section]
+    assert [(sec, key) for sec, key, _ in rows] == [(f.section, f.key) for f in ini_fields]
+    default, words = PipelineConfig(), {"unset": None, "required": []}
+    for (_, key, text), f in zip(rows, ini_fields):
+        documented = words[text] if text in words else f.parse(text)
+        assert documented == getattr(default, f.name), key

@@ -887,7 +887,10 @@ class TestConfigKeys:
         from clusterreg.dataio import load_panel
 
         assert len(dataclasses.fields(PipelineConfig)) == 15
-        assert len(pipeline._CONFIG_KEYS) == 14
+        # one row of the field table per field, and an INI key for all but out_dir
+        assert sorted(f.name for f in pipeline._FIELDS) == sorted(
+            f.name for f in dataclasses.fields(PipelineConfig))
+        assert [f.name for f in pipeline._FIELDS if not f.section] == ["out_dir"]
         assert {"layout", "anchor", "standardize"}.isdisjoint(
             f.name for f in dataclasses.fields(PipelineConfig))
         assert list(inspect.signature(load_panel).parameters) == ["path"]

@@ -221,6 +221,19 @@ class TestElasticNet:
             "kind": "ridge", "lambda": 0.3, "lambda1": 0.0, "lambda2": 0.3, "alpha": None}
         assert PenaltySpec.of("elastic_net", 1e-8, 0.5).to_dict()["lambda"] == 1e-8
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.7])
+    def test_elastic_net_weights_sum_back_to_the_grid_value(self, alpha):
+        """lam1 + lam2 is the grid value bit for bit, for one spec and for a
+        whole grid, so the model's lambda is a row of its path and of the CV
+        table."""
+        from clusterreg.pipeline import _DEFAULT_L1_GRID
+
+        specs = [PenaltySpec.of("elastic_net", lam, alpha) for lam in _DEFAULT_L1_GRID]
+        assert [spec.lam for spec in specs] == _DEFAULT_L1_GRID
+        lam1s, lam2s = regression._grid_weights("elastic_net", _DEFAULT_L1_GRID, alpha)
+        assert list(zip(lam1s.tolist(), lam2s.tolist())) == [
+            (spec.lam1, spec.lam2) for spec in specs]
+
 
 class TestKkt:
     def test_exact_univariate_solution(self):
