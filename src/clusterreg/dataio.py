@@ -171,10 +171,9 @@ _NOT_SEPARATORS = bytes(range(256)).translate(None, b",\n")
 
 def _long_fields(path: Path):
     """Yield the fields of a plain long CSV file a chunk at a time: one flat
-    list of 4 fields a record, the header's first, and whether str.strip
-    leaves every field of the chunk as it is. A chunk that is not plain
-    or holds a record of other than 4 fields raises ValueError, and so do
-    bytes that are not UTF-8."""
+    list of 4 fields a record, the header's first. A chunk that is not
+    plain or holds a record of other than 4 fields raises ValueError, and
+    so do bytes that are not UTF-8."""
     limit = csv.field_size_limit()
     with open(path, "rb") as fh:
         while chunk := fh.read(CHUNK_BYTES):
@@ -189,11 +188,7 @@ def _long_fields(path: Path):
                 raise ValueError("a line does not hold 4 fields")
             fields = chunk.decode().replace("\n", ",").split(",")
             fields.pop()  # the empty field after the last \n
-            # str.strip removes only bytes below "!" and non-ASCII text; a
-            # bare chunk's only such bytes are its row ends.
-            bare = chunk.isascii() and np.count_nonzero(
-                np.frombuffer(chunk, np.uint8) < 0x21) == rows
-            yield fields, bare
+            yield fields
 
 
 def _codes(col: list, table: dict, raw: dict, parse) -> np.ndarray:
@@ -239,14 +234,15 @@ def _load_long_blocks(path: Path) -> EnergyPanel | None:
     parts = ([], [], [], [])  # per chunk: year, entity and feature codes, cells
     start = 4  # the header's fields lead the first chunk
     try:
-        for fields, bare in _long_fields(path):
+        for fields in _long_fields(path):
             if start and [h.strip() for h in fields[:4]] != LONG_HEADER:
                 return None
             for k, column in enumerate(columns):
                 parts[k].append(_codes(fields[start + k::4], *column))
+            # float() strips what str.strip would, but \x1c-\x1f, which it
+            # rejects: the row loop then reads the file, to the same panel.
             col = fields[start + 3::4]
-            values = col if bare else map(str.strip, col)
-            parts[3].append(np.fromiter(map(float, values), float, len(col)))
+            parts[3].append(np.fromiter(map(float, col), float, len(col)))
             start = 0
     except ValueError:  # UnicodeDecodeError is a ValueError
         return None

@@ -261,6 +261,8 @@ class _Field(NamedTuple):
                     self.check(v)
                 except ClusterRegError as err:
                     raise ConfigError(f"{self.name} holds {v!r}: {err}") from None
+                except OverflowError:  # an int past the float range
+                    raise ConfigError(f"{self.name} holds a number too large for a float") from None
 
 
 def _parse_int_grid(text: str) -> list[int]:

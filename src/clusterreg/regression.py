@@ -30,14 +30,15 @@ run, with the update
     beta_j = soft_threshold(rho_j, lam1 / 2) / H_jj
 
 for column j with partial residual correlation rho_j. Both accept a fit
-by _optimality within the kkt_check bound 10*tol*max(1, |2X'y|_inf),
-except that the search, whose solves are exact, gives its zero
-coordinates only rounding slack, and works that slack out only when some
-zero coordinate has |g_j| > lam1, the one case in which it can decide.
-Both tests read the stationarity residuals and the zero coordinates'
-|g_j| off the one vector |g + lam1*sign(b)|. A search started from the
-solution it would return (such as the path's row at the same weights)
-accepts it on its first step.
+by _optimality within the kkt_check bound 10*tol*max(1, |2X'y|_inf), the
+one place tol enters the solver: the descent stops at the first sweep
+whose iterate passes, and the search, whose solves are exact, gives its
+zero coordinates only rounding slack, and works that slack out only when
+some zero coordinate has |g_j| > lam1, the one case in which it can
+decide. Both tests read the stationarity residuals and the zero
+coordinates' |g_j| off the one vector |g + lam1*sign(b)|. A search
+started from the solution it would return (such as the path's row at the
+same weights) accepts it on its first step.
 
 Every fit runs through one dispatch, _fit_grid, which fits a whole
 penalty grid per design, not per point; fit_penalized is a grid of one
@@ -497,25 +498,25 @@ def _coordinate_descent(
     hess: np.ndarray,
     corr: np.ndarray,
     lam1: float,
-    tol: float,
     max_iter: int,
     bound: float,
     beta: np.ndarray,
 ) -> tuple[np.ndarray, bool, int]:
     """Cyclic coordinate descent for b'Hb - 2c'b + lam1*|b|_1 (the
-    centered fit) on hess = H and corr = c, from the start beta.
+    centered fit) on hess = H and corr = c, from the start beta: the
+    iterate, whether it converged, and the sweeps run.
 
-    Stops when the largest coefficient change in a sweep drops below tol
-    and the iterate passes _optimality within bound. Coordinates with a
-    zero diagonal (centered constants at lam2 = 0) are skipped and keep
-    their start value."""
+    Stops at the first sweep whose iterate passes _optimality within
+    bound: stationarity <= bound on its nonzero coordinates and |g_j| <=
+    lam1 + bound on its zero ones. Coordinates with a zero diagonal
+    (centered constants at lam2 = 0) are skipped and keep their start
+    value."""
     p = beta.shape[0]
     beta = beta.copy()
     diag = hess.diagonal()
     thresh = lam1 / 2.0
     for sweep in range(max_iter):
         q = hess @ beta  # refreshed each sweep so incremental drift cannot build up
-        max_delta = 0.0
         for j in range(p):
             if diag[j] == 0.0:
                 continue
@@ -525,15 +526,12 @@ def _coordinate_descent(
             if delta != 0.0:
                 q += hess[:, j] * delta
                 beta[j] = new
-                if abs(delta) > max_delta:
-                    max_delta = abs(delta)
-        if max_delta < tol:
-            theta = np.sign(beta)
-            active = theta.nonzero()[0]
-            _, v, stationarity = _optimality(hess, corr, lam1, beta, theta, active)
-            v[active] = 0.0
-            if stationarity <= bound and v.max() <= lam1 + bound:
-                return beta, True, sweep + 1
+        theta = np.sign(beta)
+        active = theta.nonzero()[0]
+        _, v, stationarity = _optimality(hess, corr, lam1, beta, theta, active)
+        v[active] = 0.0
+        if stationarity <= bound and v.max() <= lam1 + bound:
+            return beta, True, sweep + 1
     return beta, False, max_iter
 
 
@@ -557,7 +555,6 @@ def _search(
     lam1: float,
     start: np.ndarray,
     bound: float,
-    tol: float,
     max_iter: int,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Coefficients and flags of the fit at lam1 > 0 on the system: the
@@ -567,8 +564,8 @@ def _search(
     beta = _feature_sign_search(system, lam1, start, bound)
     if beta is not None:
         return beta, ()
-    beta, converged, _ = _coordinate_descent(system.hess, system.corr, lam1, tol, max_iter,
-                                             bound, start)
+    beta, converged, _ = _coordinate_descent(system.hess, system.corr, lam1, max_iter, bound,
+                                             start)
     return beta, () if converged else ("non_converged",)
 
 
@@ -729,7 +726,7 @@ def _fit_grid(
         if lam2_list[i] != system_lam2:
             system_lam2 = lam2_list[i]
             system = _system(m, system_lam2)
-        coefs[i], flags[i] = _search(system, lam1_list[i], start, bound, tol, max_iter)
+        coefs[i], flags[i] = _search(system, lam1_list[i], start, bound, max_iter)
         k += 1
         # a -0.0 reads as a changed sign, which only forgoes a stacked solve
         start, was, pattern = coefs[i], pattern, np.sign(coefs[i]).tobytes()

@@ -273,7 +273,7 @@ def _solve(d, lam1, lam2, tol, max_iter, start):
     else:
         start = np.where(m.gram.diagonal() > 0.0, start, 0.0)  # zero-norm columns stay at zero
         beta, flags = regression._search(regression._system(m, lam2), lam1, start,
-                                         regression._bound(m, tol), tol, max_iter)
+                                         regression._bound(m, tol), max_iter)
     return beta, m.y_mean - float(m.x_mean @ beta), flags
 
 
@@ -587,6 +587,8 @@ def _check_field(self, name: str) -> None:
                 _GRID_CHECKS[name](v)
             except ClusterRegError as err:
                 raise ConfigError(f"{name} holds {v!r}: {err}") from None
+            except OverflowError:  # an int past the float range
+                raise ConfigError(f"{name} holds a number too large for a float") from None
 
 
 def from_file(cls, path):

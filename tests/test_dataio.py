@@ -354,12 +354,15 @@ def valid_long_files(draw):
                 ["2001", '"c\rd', "g\n", " -0.0"]], True), chunk_bytes=40)
 @example(file=([["2001", "a", "f", "1.0"], ["2000", " c", "f ", "2.5"],
                 ["2001", "c", "\tg", " -0.0"]], False), chunk_bytes=1)
+@example(file=([["2001", "a", "f", "\x1c1.0"], ["2000", "\x1fc", "f", "2.5 \x1d"],
+                ["2001", "c", "g\x1e", "-0.0"]], False), chunk_bytes=40)
 @settings(max_examples=200, deadline=None)
 def test_block_parser_equals_row_loop(tmp_path_factory, file, chunk_bytes):
     """On a valid long file the block parser returns None exactly when the
-    file holds a quote, \\r or NUL, and else the row loop's panel bit for
-    bit; load_panel returns that panel either way. Small chunks make the
-    code tables run across chunks."""
+    file holds a quote, \\r or NUL, or a value padded with \\x1c-\\x1f (which
+    str.strip removes and float rejects), and else the row loop's panel
+    bit for bit; load_panel returns that panel either way. Small chunks
+    make the code tables run across chunks."""
     rows, crlf = file
     path = tmp_path_factory.mktemp("blocks") / "panel.csv"
     if crlf:
@@ -372,7 +375,8 @@ def test_block_parser_equals_row_loop(tmp_path_factory, file, chunk_bytes):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataio, "CHUNK_BYTES", chunk_bytes)
         panel = dataio._load_long_blocks(path)
-        if b'"' in data or b"\r" in data or b"\0" in data:
+        if (b'"' in data or b"\r" in data or b"\0" in data
+                or any(set(row[3]) & set("\x1c\x1d\x1e\x1f") for row in rows)):
             assert panel is None
         else:
             assert_same_panel(panel, expected)
@@ -527,10 +531,9 @@ def test_chunk_cuts_and_a_last_chunk_that_is_not_plain(tmp_path, monkeypatch, ch
     and load_panel returns the row
     loop's panel or raises the row loop's error. A plain tail loads the
     row loop's panel by the block parser. Raw years and names that parse
-    alike span chunks, and values padded with \\x1c, which str.strip
-    removes and float rejects."""
+    alike span chunks, and values padded with \\x0b, which float strips."""
     body = "".join(f"{'0' * (i % 2)}{2000 + i % 3},{' ' * (i % 4)}E{i % 5},f{i % 2},"
-                   f"{i}.5{chr(0x1c) * (i % 3)}\n" for i in range(24))
+                   f"{i}.5{chr(0x0b) * (i % 3)}\n" for i in range(24))
     path = write(tmp_path / "panel.csv", "year,entity,feature,value\n" + body + tail)
     monkeypatch.setattr(dataio, "CHUNK_BYTES", chunk_bytes)
     panel = dataio._load_long_blocks(path)
@@ -596,10 +599,11 @@ def long_file_bytes(draw):
 def test_block_parser_returns_the_row_loops_panel_or_declines(tmp_path_factory, data,
                                                                chunk_bytes):
     """On any such bytes and chunk size, the block parser returns the row
-    loop's panel bit for bit, or None exactly when the row loop raises; and
-    then load_panel raises the row loop's error. A 3-field row followed by
-    a 5-field row holds 8 fields in all, so only a check of each row's
-    separators declines it."""
+    loop's panel bit for bit, or None exactly when the row loop raises (and
+    then load_panel raises the row loop's error) or a value is padded with
+    \\x1c-\\x1f, which float rejects. A 3-field row followed by a 5-field
+    row holds 8 fields in all, so only a check of each row's separators
+    declines it."""
     path = tmp_path_factory.mktemp("layout") / "panel.csv"
     path.write_bytes(data)
     with pytest.MonkeyPatch.context() as mp:
@@ -613,8 +617,12 @@ def test_block_parser_returns_the_row_loops_panel_or_declines(tmp_path_factory, 
                 load_panel(path)
             assert str(got.value) == str(err)
         else:
-            assert panel is not None
-            assert_same_panel(panel, expected)
+            values = [line.split(b",")[3] for line in data.split(b"\n")[1:] if line]
+            if any(set(value) & set(b"\x1c\x1d\x1e\x1f") for value in values):
+                assert panel is None
+            else:
+                assert_same_panel(panel, expected)
+            assert_same_panel(load_panel(path), expected)
 
 
 @pytest.mark.parametrize("shape,limit_mib", [({"n_entities": 400}, 12.0), ({}, 2.1)])

@@ -743,15 +743,18 @@ def test_a_run_configured_with_ints_for_floats_writes_the_float_runs_bytes(
     (dict(anchor_year=True), "anchor_year must be a number, not the bool True"),
     (dict(test_years=[2015, True]), "test_years must be a number, not the bool True"),
     (dict(log_epsilon=10**400), "log_epsilon holds a number too large for a float"),
+    (dict(minpts_grid=[2, 10**400]), "minpts_grid holds a number too large for a float"),
+    (dict(enet_lambdas=[10**400]), "enet_lambdas holds a number too large for a float"),
 ], ids=["eps", "min_pts", "lasso_numpy_bool", "cv_folds", "enet_alpha", "anchor_year",
-        "test_years", "log_epsilon_huge_int"])
+        "test_years", "log_epsilon_huge_int", "minpts_grid_huge_int", "enet_lambdas_huge_int"])
 def test_a_bool_or_a_huge_int_in_a_number_field_fails_at_the_config_stage(synthetic_case,
                                                                           bad, message):
     """bool is an int subclass, so True would pass every check as 1: a
     min_pts grid of [True, 2] would run min_pts 1 and 2 and record True in
-    the report. An int past the float range passes every bound, then would
-    escape as a bare OverflowError. Each fails before the panel is read,
-    naming the field."""
+    the report. An int past the float range passes every bound, or
+    overflows in a grid's check (float() of a min_pts, alpha*lam of an
+    elastic-net weight), and would escape as a bare OverflowError. Each
+    fails before the panel is read, naming the field."""
     _, _, _, config = synthetic_case
     bad = dataclasses.replace(config, data_path="/nonexistent/panel.csv", **bad)
     with pytest.raises(PipelineStageError, match=message) as err:

@@ -789,6 +789,27 @@ class TestActiveSetSearch:
         assert m.converged and kkt_check(m, d) <= _kkt_bound(d)
         assert m.coefficients[0] * m.coefficients[1] > 0
 
+    def test_descent_stops_at_the_first_sweep_that_passes_the_bound(self, monkeypatch):
+        # The search gives up on the split start and the descent runs k
+        # sweeps. k sweeps are enough to converge; after k - 1 the iterate
+        # fails the acceptance test, so the descent ran no sweep past the
+        # first iterate within the kkt_check bound.
+        d, lam, start = duplicated_column_case()
+        sweeps = _sweeps(monkeypatch)
+        assert fit_penalized(d, PenaltySpec.lasso(lam), start=start).converged
+        (k,) = sweeps
+        assert k >= 2
+        assert fit_penalized(d, PenaltySpec.lasso(lam), max_iter=k, start=start).converged
+        m = fit_penalized(d, PenaltySpec.lasso(lam), max_iter=k - 1, start=start)
+        assert m.flags == ("non_converged",)
+        system = regression._system(d.moments, 0.0)
+        theta = np.sign(m.coefficients)
+        active = theta.nonzero()[0]
+        _, v, stationarity = regression._optimality(system.hess, system.corr, lam,
+                                                    m.coefficients, theta, active)
+        bound = _kkt_bound(d)
+        assert stationarity > bound or np.delete(v, active).max(initial=0.0) > lam + bound
+
     def test_copies_share_the_weight_at_a_tiny_l2_weight(self):
         # The grouping effect (Zou & Hastie 2005, Theorem 1): at any lam2 > 0
         # a copied column gets its copy's weight. At lam2 = 1e-8 the inactive
