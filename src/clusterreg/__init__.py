@@ -10,6 +10,7 @@ from .clustering import (
     NOISE,
     ClusterAssignment,
     ClusteringQuality,
+    FeatureMatrix,
     NeighborhoodParams,
     ReachabilityTree,
     dbscan,
@@ -47,7 +48,6 @@ from .pipeline import (
     summarize_forecast,
 )
 from .preprocess import (
-    FeatureMatrix,
     drop_zero_series,
     entity_profile,
     log_transform,

@@ -18,7 +18,8 @@ in which a scan of the points by index discovers them. The core
 distances and tree weights are entries of the distance matrix (or inf),
 so an eps labels the points as every other eps that the same pairwise
 distances are <= to: sweep_params runs dbscan once per such eps interval
-and min_pts.
+and min_pts. The points carry their distances and their trees, each
+built once, on first use, and kept read-only (FeatureMatrix).
 
 Noise points carry the NOISE label (-1). For downstream aggregation they
 can be promoted to singleton clusters via promote_noise, which keeps
@@ -28,17 +29,50 @@ every entity in play.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ClusteringError
-from .preprocess import FeatureMatrix
+from .errors import ClusteringError, PreprocessError
 
 NOISE = -1
 # Rows of the distance matrix computed per step, which bounds the
 # (rows, n, p) difference tensor a step holds.
 DISTANCE_BLOCK = 64
+
+
+@dataclass(frozen=True)
+class FeatureMatrix:
+    """2-d entity-by-feature matrix; one row per clustering point. It keeps
+    what every clustering of its rows reads, built on first read and
+    read-only: its distances, and its reachability_tree for each min_pts."""
+
+    entities: tuple[str, ...]
+    features: tuple[str, ...]
+    values: np.ndarray  # shape (n_entities, n_features)
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "entities", tuple(self.entities))
+        object.__setattr__(self, "features", tuple(self.features))
+        if values.shape != (len(self.entities), len(self.features)):
+            raise PreprocessError(
+                f"matrix shape {values.shape} does not match axes "
+                f"({len(self.entities)}, {len(self.features)})"
+            )
+        if not np.all(np.isfinite(values)):
+            raise PreprocessError("matrix contains non-finite values")
+        values.setflags(write=False)
+        object.__setattr__(self, "_trees", {})  # min_pts -> ReachabilityTree
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """The Euclidean distance matrix of the rows, shape (n, n)."""
+        dist = _distances(self.values, self.values)
+        dist.setflags(write=False)
+        return dist
 
 
 @dataclass(frozen=True)
@@ -123,49 +157,38 @@ def _distance_block(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def _check_dist(points: FeatureMatrix, dist: np.ndarray | None) -> np.ndarray:
-    """The pairwise distance matrix of the rows, built unless one is given."""
-    if dist is None:
-        return _distances(points.values, points.values)
-    n = len(points.entities)
-    if dist.shape != (n, n):
-        raise ClusteringError(f"distance matrix shape {dist.shape} != ({n}, {n})")
-    return dist
-
-
 class ReachabilityTree(NamedTuple):
     """Prim minimum spanning tree of the mutual reachability distances for
-    one min_pts: the distance matrix it was built from, each point's core
-    distance, its parent in the tree and the weight of the edge to that
-    parent. A root is its own parent with weight inf; a point that no finite
-    edge reaches starts a new root. (A NamedTuple: cheaper to define at
-    import than a frozen dataclass.)"""
+    one min_pts: each point's core distance, its parent in the tree and the
+    weight of the edge to that parent. A root is its own parent with weight
+    inf; a point that no finite edge reaches starts a new root. (A
+    NamedTuple: cheaper to define at import than a frozen dataclass.)"""
 
     min_pts: int
-    dist: np.ndarray  # shape (n, n)
     core_dist: np.ndarray  # shape (n,)
     parent: np.ndarray  # shape (n,)
     weight: np.ndarray  # shape (n,)
 
 
-def reachability_tree(
-    points: FeatureMatrix,
-    min_pts: int,
-    dist: np.ndarray | None = None,
-) -> ReachabilityTree:
-    """The reachability tree that labels the rows at every eps for min_pts.
+def reachability_tree(points: FeatureMatrix, min_pts: int) -> ReachabilityTree:
+    """The reachability tree that labels the rows at every eps for min_pts:
+    built on the first request for this min_pts, kept read-only on the
+    points, and returned unchanged after that.
 
     The core distance cd_i is the min_pts-th smallest entry of row i of
-    `dist` (inf when min_pts > n), and the tree spans the mutual
+    points.distances (inf when min_pts > n), and the tree spans the mutual
     reachability max(cd_i, cd_j, d_ij). Only comparisons and max touch the
     distances, so a point is core at eps exactly when its neighborhood
     count reaches min_pts. The mutual reachability is built one row per
     step, never as a full matrix."""
     min_pts = _check_min_pts(min_pts)
-    dist = _check_dist(points, dist)
+    if min_pts in points._trees:
+        return points._trees[min_pts]
+    dist = points.distances
     n = len(dist)
     if min_pts <= n:
-        core_dist = np.partition(dist, min_pts - 1, axis=1)[:, min_pts - 1]
+        # a copy, so the kept tree does not hold the partitioned matrix
+        core_dist = np.partition(dist, min_pts - 1, axis=1)[:, min_pts - 1].copy()
     else:
         core_dist = np.full(n, np.inf)
     parent = np.arange(n)
@@ -189,23 +212,22 @@ def reachability_tree(
         np.less(row, best, out=closer)
         np.minimum(best, row, out=best)
         near[closer] = v
-    return ReachabilityTree(min_pts, dist, core_dist, parent, weight)
+    for kept in (core_dist, parent, weight):
+        kept.setflags(write=False)
+    tree = points._trees[min_pts] = ReachabilityTree(min_pts, core_dist, parent, weight)
+    return tree
 
 
-def dbscan(
-    points: FeatureMatrix,
-    params: NeighborhoodParams,
-    tree: ReachabilityTree | None = None,
-) -> ClusterAssignment:
+def dbscan(points: FeatureMatrix, params: NeighborhoodParams) -> ClusterAssignment:
     """Density clustering of the matrix rows.
 
     A point is core iff its eps neighborhood (self included) has at least
     min_pts points; clusters are maximal density-connected sets; non-core
     points within eps of a core point join that core's cluster; the rest
     are NOISE. Empty input yields the vacuous assignment (0 clusters).
-    `tree` is the rows' reachability tree for params.min_pts (as
-    sweep_params shares it across the grid), built here when omitted; the
-    border distances are read from the matrix it was built from.
+    The labels are read off the points' reachability tree for
+    params.min_pts, and the border distances off points.distances, so
+    every eps on the same points shares one tree per min_pts.
 
     The core points are the core distances <= eps, and the tree edges of
     weight <= eps, resolved by pointer jumping, join them into components.
@@ -215,12 +237,7 @@ def dbscan(
     n = len(points.entities)
     if n == 0:
         return ClusterAssignment((), 0, ())
-    if tree is None:
-        tree = reachability_tree(points, params.min_pts)
-    elif tree.min_pts != params.min_pts:
-        raise ClusteringError(f"tree built for min_pts {tree.min_pts}, not {params.min_pts}")
-    elif tree.parent.shape != (n,):
-        raise ClusteringError(f"tree spans {tree.parent.shape[0]} points, not {n}")
+    tree = reachability_tree(points, params.min_pts)
     eps = params.eps
     core = tree.core_dist <= eps
     root = np.where(tree.weight <= eps, tree.parent, np.arange(n))
@@ -239,36 +256,37 @@ def dbscan(
     rest = (~core).nonzero()[0]
     if cores.size and rest.size:
         by_id = cores[labels[cores].argsort(kind="stable")]
-        near = tree.dist[rest[:, None], by_id] <= eps
+        near = points.distances[rest[:, None], by_id] <= eps
         border = near.any(axis=1)
         labels[rest[border]] = labels[by_id[near[border].argmax(axis=1)]]
     return ClusterAssignment(labels, len(roots), core)
 
 
-def silhouette(
-    points: FeatureMatrix,
-    assignment: ClusterAssignment,
-    dist: np.ndarray | None = None,
-) -> np.ndarray:
+def _check_covers(points: FeatureMatrix, assignment: ClusterAssignment) -> None:
+    n = len(points.entities)
+    if assignment.n_points != n:
+        raise ClusteringError(f"assignment covers {assignment.n_points} points, matrix has {n}")
+
+
+def silhouette(points: FeatureMatrix, assignment: ClusterAssignment) -> np.ndarray:
     """Silhouette values s_i = (b_i - a_i) / max(a_i, b_i) of the non-noise
     points, in index order.
 
     a_i is the mean distance to the other members of the point's cluster,
     b_i the smallest mean distance to any other cluster. Singleton-cluster
     points score 0. Noise points are excluded from scoring and from the
-    mean. Requires at least 2 clusters. `dist` is the pairwise distance
-    matrix of the rows, computed here when omitted."""
+    mean. Requires at least 2 clusters and one label per row."""
+    _check_covers(points, assignment)
     if assignment.num_clusters < 2:
         raise ClusteringError("silhouette undefined for fewer than 2 clusters")
     labels = np.asarray(assignment.labels)
     scored = np.flatnonzero(labels != NOISE)
-    dist = _check_dist(points, dist)
     own = labels[scored]
     counts = np.bincount(own, minlength=assignment.num_clusters)
     # A gathered block's rows sum in the order a per-point loop would, so the
     # scores match that loop bit for bit (a one-hot matmul would not).
     sums = np.stack([
-        dist[np.ix_(scored, np.flatnonzero(labels == cid))].sum(axis=1)
+        points.distances[np.ix_(scored, np.flatnonzero(labels == cid))].sum(axis=1)
         for cid in range(assignment.num_clusters)
     ], axis=1)
     rows = np.arange(len(scored))
@@ -287,7 +305,8 @@ def sse(points: FeatureMatrix, assignment: ClusterAssignment) -> float:
     """Within-cluster sum of squared distances to the centroids.
 
     Centroid of a cluster is the mean of its member rows; noise points
-    contribute 0."""
+    contribute 0. Requires one label per row."""
+    _check_covers(points, assignment)
     if assignment.num_clusters < 1:
         raise ClusteringError("sse requires at least 1 cluster")
     labels = np.asarray(assignment.labels)
@@ -310,19 +329,18 @@ def sweep_params(
     count; remaining ties fall back to ascending (eps, min_pts) so the
     output order is deterministic. Raises when nothing is admissible.
 
-    The distance matrix is built once for the whole grid, and the
-    reachability tree once per min_pts. dbscan runs once per min_pts and
-    eps interval: it reads eps only by comparing it with distances, core
-    distances and tree weights, and the last two are themselves entries
-    of the distance matrix (or inf). Two eps values with the same count of
-    pairwise distances <= eps therefore have none of these values between
-    them, and label every point alike. Each distinct labelling is scored
+    The points build their distance matrix once for the whole grid, and
+    their reachability tree once per min_pts, on the first dbscan call
+    that reads it. dbscan runs once per min_pts and eps interval: it
+    reads eps only by comparing it with distances, core distances and
+    tree weights, and the last two are themselves entries of the distance
+    matrix (or inf). Two eps values with the same count of pairwise
+    distances <= eps therefore have none of these values between them,
+    and label every point alike. Each distinct labelling is scored
     once, and grid points that yield the same labels and core flags share
     one (quality, assignment) pair of objects."""
     if not eps_grid or not minpts_grid:
         raise ClusteringError("parameter grids must be non-empty")
-    dist = _distances(points.values, points.values)
-    trees: dict[int, ReachabilityTree] = {}
     within: dict[float, int] = {}  # eps -> count of pairwise distances <= eps
     quality_of: dict[tuple[int, ...], ClusteringQuality] = {}
     record_of: dict[tuple, tuple[ClusteringQuality, ClusterAssignment]] = {}
@@ -333,19 +351,17 @@ def sweep_params(
         for min_pts in minpts_grid:
             params = NeighborhoodParams(float(eps), min_pts)
             if params.eps not in within:
-                within[params.eps] = int(np.count_nonzero(dist <= params.eps))
+                within[params.eps] = int(np.count_nonzero(points.distances <= params.eps))
             interval = (params.min_pts, within[params.eps])
             if interval not in found:
-                if params.min_pts not in trees:
-                    trees[params.min_pts] = reachability_tree(points, params.min_pts, dist)
-                assignment = dbscan(points, params, trees[params.min_pts])
+                assignment = dbscan(points, params)
                 found[interval] = None
                 if assignment.num_clusters >= 2:
                     key = (assignment.labels, assignment.core_flags)
                     if key not in record_of:
                         quality = quality_of.get(assignment.labels)
                         if quality is None:
-                            sc = float(np.mean(silhouette(points, assignment, dist)))
+                            sc = float(np.mean(silhouette(points, assignment)))
                             quality = ClusteringQuality(sc, sse(points, assignment))
                             quality_of[assignment.labels] = quality
                         record_of[key] = (quality, assignment)

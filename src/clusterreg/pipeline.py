@@ -589,7 +589,7 @@ def load_clean(config: PipelineConfig) -> tuple[EnergyPanel, list[str], list[str
     return panel, dropped[:n_features], dropped[n_features:]
 
 
-def cluster_matrix(config: PipelineConfig, panel: EnergyPanel) -> preprocess.FeatureMatrix:
+def cluster_matrix(config: PipelineConfig, panel: EnergyPanel) -> clustering.FeatureMatrix:
     """The matrix the sweep clusters: each entity's mean feature profile
     over the anchor window (the anchor year if set, else the training
     years), min-max normalized per entity."""

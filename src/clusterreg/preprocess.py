@@ -9,35 +9,11 @@ small epsilon offset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .clustering import FeatureMatrix
 from .dataio import EnergyPanel
 from .errors import PreprocessError
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """2-d entity-by-feature matrix; one row per clustering point."""
-
-    entities: tuple[str, ...]
-    features: tuple[str, ...]
-    values: np.ndarray  # shape (n_entities, n_features)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "entities", tuple(self.entities))
-        object.__setattr__(self, "features", tuple(self.features))
-        if values.shape != (len(self.entities), len(self.features)):
-            raise PreprocessError(
-                f"matrix shape {values.shape} does not match axes "
-                f"({len(self.entities)}, {len(self.features)})"
-            )
-        if not np.all(np.isfinite(values)):
-            raise PreprocessError("matrix contains non-finite values")
-        values.setflags(write=False)
 
 
 def drop_zero_series(panel: EnergyPanel) -> tuple[EnergyPanel, list[str]]:

@@ -14,6 +14,7 @@ from clusterreg.clustering import (
     ClusterAssignment,
     ClusteringQuality,
     NeighborhoodParams,
+    ReachabilityTree,
     assignment_rows,
     dbscan,
     promote_noise,
@@ -211,14 +212,15 @@ class TestDbscanTreeLabelling:
            min_pts=st.integers(1, 26))
     @settings(max_examples=200, deadline=None)
     def test_shared_tree_labels_every_eps_as_its_own_tree(self, points, eps_grid, min_pts):
-        """One tree per min_pts, as sweep_params shares it, labels each eps
-        as dbscan with no tree, the breadth-first reference and the oracle."""
+        """The tree a matrix keeps for min_pts, as sweep_params shares it,
+        labels each eps as a fresh matrix's own tree, the breadth-first
+        reference and the oracle."""
         m = FeatureMatrix(tuple(f"p{i}" for i in range(len(points))), ("x", "y"),
                           np.asarray(points, dtype=float).reshape(len(points), 2))
-        tree = reachability_tree(m, min_pts)
         for eps in eps_grid:
             params = NeighborhoodParams(eps, min_pts)
-            shared, own = dbscan(m, params, tree=tree), dbscan(m, params)
+            fresh = FeatureMatrix(m.entities, m.features, m.values)
+            shared, own = dbscan(m, params), dbscan(fresh, params)
             assert (shared.labels, shared.core_flags) == (own.labels, own.core_flags)
             assert shared.num_clusters == own.num_clusters
             if points:
@@ -229,15 +231,11 @@ class TestDbscanTreeLabelling:
     def test_core_flags_are_the_neighbourhood_counts(self):
         """Core distances only compare distances, so the core flags equal the
         counts on the distance matrix bit for bit, at every pairwise distance."""
-        rng = np.random.default_rng(8)
-        v = rng.random((30, 4))
-        m = matrix(v.tolist())
-        dist = np.sqrt(((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2))
+        m = matrix(np.random.default_rng(8).random((30, 4)).tolist())
         for min_pts in (1, 2, 5, 30, 31):
-            tree = reachability_tree(m, min_pts, dist)
-            for eps in np.unique(dist)[::7]:
-                counted = (dist <= eps).sum(axis=1) >= min_pts
-                out = dbscan(m, NeighborhoodParams(float(eps), min_pts), tree)
+            for eps in np.unique(m.distances)[::7]:
+                counted = (m.distances <= eps).sum(axis=1) >= min_pts
+                out = dbscan(m, NeighborhoodParams(float(eps), min_pts))
                 assert out.core_flags == tuple(counted.tolist())
 
     def test_points_no_finite_distance_reaches_start_new_roots(self):
@@ -247,44 +245,34 @@ class TestDbscanTreeLabelling:
         tree = reachability_tree(m, 2)
         assert tree.parent.tolist() == [0, 0, 2, 3, 2]  # two pairs and a lone point
         assert np.isinf(tree.weight[[0, 2, 3]]).all()
-        out = dbscan(m, NeighborhoodParams(1.0, 2), tree=tree)
+        out = dbscan(m, NeighborhoodParams(1.0, 2))
         assert out.labels == (0, 0, 1, NOISE, 1)
         with np.errstate(over="ignore"):
             assert out.labels == bfs_dbscan_labels(m.values, 1.0, 2)[0]
 
-    def test_tree_for_another_min_pts_or_size_rejected(self, blob6):
-        tree = reachability_tree(blob6, 3)
-        with pytest.raises(ClusteringError, match="min_pts 3, not 2"):
-            dbscan(blob6, NeighborhoodParams(0.6, 2), tree=tree)
-        with pytest.raises(ClusteringError, match="spans 5 points, not 6"):
-            dbscan(blob6, NeighborhoodParams(0.6, 3),
-                   tree=reachability_tree(matrix([0.0, 0.5, 1.0, 10.0, 10.5]), 3))
+    def test_tree_for_fractional_min_pts_rejected(self, blob6):
         with pytest.raises(ClusteringError, match="min_pts must be an integer"):
             reachability_tree(blob6, 2.5)
-
-    def test_given_distance_matrix_is_used_and_checked(self, blob6):
-        far = np.full((6, 6), 100.0)
-        np.fill_diagonal(far, 0.0)
-        out = dbscan(blob6, NeighborhoodParams(0.6, 2), reachability_tree(blob6, 2, far))
-        assert out.num_clusters == 0
-        with pytest.raises(ClusteringError, match="shape"):
-            reachability_tree(blob6, 2, far[:5, :5])
 
 
 def test_result_records_state_each_fact_once(blob6):
     """A quality is its two scores (the cluster count is the assignment's),
-    the silhouette is its per-point array, and a tree carries the distance
-    matrix it was built from, so dbscan takes no second matrix."""
+    the silhouette is its per-point array, and the points carry their
+    distances and trees, so no clustering function takes them: a matrix
+    builds its tree for a min_pts once."""
     import inspect
 
     import clusterreg
 
     assert ClusteringQuality._fields == ("sc", "sse")
     assert not hasattr(clusterreg, "SilhouetteReport")
-    assert list(inspect.signature(dbscan).parameters) == ["points", "params", "tree"]
-    assert list(inspect.signature(sse).parameters) == ["points", "assignment"]
-    dist = clustering._distances(blob6.values, blob6.values)
-    assert reachability_tree(blob6, 2, dist).dist is dist
+    for fn, names in [(reachability_tree, ["points", "min_pts"]), (dbscan, ["points", "params"]),
+                      (silhouette, ["points", "assignment"]), (sse, ["points", "assignment"])]:
+        assert list(inspect.signature(fn).parameters) == names, fn
+    assert ReachabilityTree._fields == ("min_pts", "core_dist", "parent", "weight")
+    tree = reachability_tree(blob6, 2)
+    assert reachability_tree(blob6, 2.0) is tree
+    assert reachability_tree(matrix(blob6.values), 2) is not tree
     a = dbscan(blob6, NeighborhoodParams(0.6, 2))
     assert isinstance(silhouette(blob6, a), np.ndarray)
     assert type(sse(blob6, a)) is float
@@ -334,7 +322,7 @@ class TestSweepMemo:
     def test_each_distinct_labelling_scored_once(self, monkeypatch):
         import clusterreg.clustering as clustering
 
-        calls = {"dbscan": 0, "silhouette": [], "trees": []}
+        calls = {"dbscan": 0, "silhouette": [], "trees": {}}
         real_dbscan, real_silhouette = clustering.dbscan, clustering.silhouette
         real_tree = clustering.reachability_tree
 
@@ -342,9 +330,10 @@ class TestSweepMemo:
             calls["dbscan"] += 1
             return real_dbscan(*args, **kwargs)
 
-        def counting_tree(points, min_pts, *args, **kwargs):
-            calls["trees"].append(min_pts)
-            return real_tree(points, min_pts, *args, **kwargs)
+        def counting_tree(points, min_pts):
+            tree = real_tree(points, min_pts)
+            calls["trees"].setdefault(id(tree), tree.min_pts)  # trees live on m
+            return tree
 
         def counting_silhouette(points, assignment, *args, **kwargs):
             calls["silhouette"].append(assignment.labels)
@@ -359,7 +348,7 @@ class TestSweepMemo:
         # 0.5 and 1.0 bound the same distances, and min_pts 2 repeats: one
         # dbscan per distinct (min_pts, eps interval)
         assert calls["dbscan"] == 4 * 3
-        assert calls["trees"] == [1, 2, 3]  # one tree per distinct min_pts
+        assert list(calls["trees"].values()) == [1, 2, 3]  # one tree per distinct min_pts
         scored = calls["silhouette"]
         assert len(scored) == len(set(scored)) == len({a.labels for _, _, a in out})
 
@@ -418,13 +407,13 @@ class TestSilhouette:
         rng = np.random.default_rng(33)
         for n in [*range(3, 40), 120, 250]:
             v = rng.random((n, 3))
-            dist = np.sqrt(((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2))
+            m = matrix(v.tolist())
             k = int(rng.integers(2, min(n, 9) + 1))
             labels = rng.integers(NOISE, k - 1, size=n)
             labels[rng.permutation(n)[:k]] = np.arange(k)  # id k-1 is a singleton
             a = ClusterAssignment(tuple(labels.tolist()), k, (True,) * n)
-            s = silhouette(matrix(v.tolist()), a, dist)
-            per_point, mean = silhouette_loop(dist, labels)
+            s = silhouette(m, a)
+            per_point, mean = silhouette_loop(m.distances, labels)
             assert s.tolist() == list(per_point)
             assert np.mean(s) == mean
 
@@ -535,6 +524,48 @@ def test_assignment_errors_name_the_lowest_failing_id():
         ClusterAssignment((0, -2), 2, (True, True))  # -2 is neither an id nor NOISE
     with pytest.raises(ClusteringError, match="cluster 1 has no core point"):
         ClusterAssignment((0, 1, 2, 1, 2), 3, (True, False, False, False, False))
+
+
+@pytest.mark.parametrize("size", [4, 7])
+def test_assignment_of_another_size_rejected(blob6, size):
+    """A labelling must cover the matrix's rows: a short one would score
+    the wrong points, a long one index past them."""
+    a = ClusterAssignment(tuple(range(size)), size, (True,) * size)
+    for score in (silhouette, sse):
+        with pytest.raises(ClusteringError, match=f"assignment covers {size} points, matrix has 6"):
+            score(blob6, a)
+
+
+def test_points_build_their_distances_and_trees_once(monkeypatch):
+    """A sweep, then dbscan, silhouette and sse on the same matrix, read one
+    distance matrix and one tree per distinct min_pts, and a caller cannot
+    write to either, so no later labelling reads a corrupted copy."""
+    distances, trees = [], {}
+    real_distances, real_tree = clustering._distances, clustering.reachability_tree
+
+    def counting_distances(rows, values):
+        distances.append(len(rows))
+        return real_distances(rows, values)
+
+    def counting_tree(points, min_pts):
+        tree = real_tree(points, min_pts)
+        trees.setdefault(id(tree), tree)
+        return tree
+
+    monkeypatch.setattr(clustering, "_distances", counting_distances)
+    monkeypatch.setattr(clustering, "reachability_tree", counting_tree)
+    m = matrix([0.0, 0.1, 0.2, 5.0, 5.1, 5.2, 10.0, 10.4])
+    sweep_params(m, [0.15, 0.3, 1.0, 6.0], [1, 2, 3, 2])
+    a = dbscan(m, NeighborhoodParams(0.3, 2))
+    silhouette(m, a)
+    sse(m, a)
+    dbscan(m, NeighborhoodParams(6.0, 3))
+    assert distances == [8]
+    assert sorted(tree.min_pts for tree in trees.values()) == [1, 2, 3]
+    cached = [m.distances, *(arr for t in trees.values() for arr in t[1:])]
+    for arr in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def test_blocked_distances_match_the_one_shot_formula():

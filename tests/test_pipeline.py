@@ -2,11 +2,15 @@ import dataclasses
 import errno
 import importlib.util
 import json
+import shutil
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from clusterreg import clustering, pipeline, regression
 from clusterreg.clustering import NOISE, ClusterAssignment
@@ -955,16 +959,22 @@ def test_work_of_one_default_run_on_seed_2024(synthetic_case, tmp_path, monkeypa
                      "moments": 16, "aggregate": 1, "solve": 287}
 
 
+def _bench_module(name):
+    """A module of bench/, loaded read-only from its file."""
+    source = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", source)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_benchmark_span_fires(synthetic_case, tmp_path):
     """The benchmark tracer wraps layer functions at the module globals their
     callers resolve; a refactor that calls one some other way silently drops
     its span. Runs one pipeline under that tracer (bench/spans.py, loaded
     read-only) on small grids, one with a repeated value, and checks the
     counts the spans read off the fit records and the sweep."""
-    source = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", source)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _bench_module("spans")
     _, _, _, config = synthetic_case
     config = dataclasses.replace(
         config, out_dir=str(tmp_path / "out"), eps_grid=[0.1, 0.4, 1.0], minpts_grid=[1, 2],
@@ -986,3 +996,64 @@ def test_every_benchmark_span_fires(synthetic_case, tmp_path):
         # enters through fit_penalized
         assert metrics[f"regression.fits.{kind}"] == 1, kind
         assert metrics[f"regression.non_converged.{kind}"] == 0, kind
+
+
+@st.composite
+def small_runs(draw):
+    """A small panel, with zero cells, copied entity rows (so distances tie
+    at 0) and copied feature columns, each entity at its own magnitude from
+    1e-300 to 1e300, and a config over it: a train/test split and cv_folds."""
+    n_years, n_entities, n_features = (draw(st.integers(4, 12)), draw(st.integers(1, 8)),
+                                       draw(st.integers(1, 4)))
+    size = n_years * n_entities * n_features
+    values = np.array(draw(st.lists(st.floats(1.0, 100.0), min_size=size, max_size=size)))
+    values[draw(st.lists(st.integers(0, size - 1), max_size=size // 2))] = 0.0
+    values = values.reshape(n_years, n_entities, n_features)
+    top = draw(st.integers(-300, 298))
+    for i in range(n_entities):
+        values[:, i] *= 10.0 ** draw(st.integers(-300, top))
+        copied = draw(st.none() | st.integers(0, i - 1)) if i else None
+        if copied is not None:
+            values[:, i] = values[:, copied]
+    for j in range(1, n_features):
+        copied = draw(st.none() | st.integers(0, j - 1))
+        if copied is not None:
+            values[:, :, j] = values[:, :, copied]
+    years = tuple(range(2000, 2000 + n_years))
+    panel = EnergyPanel(years, tuple(f"e{i}" for i in range(n_entities)),
+                        tuple(f"f{j}" for j in range(n_features)), values)
+    n_train = draw(st.integers(2, n_years - 2))
+    n_test = draw(st.integers(2, n_years - n_train))
+    config = PipelineConfig(train_years=list(years[:n_train]),
+                            test_years=list(years[n_train:n_train + n_test]),
+                            cv_folds=draw(st.integers(2, n_train)))
+    return panel, config
+
+
+@pytest.fixture(scope="module")
+def bench_checks():
+    return _bench_module("checks")
+
+
+@given(run=small_runs())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_every_small_run_passes_the_benchmark_checks_or_fails_at_a_stage(bench_checks, run):
+    """Each run either fails with a PipelineStageError or passes the
+    benchmark's checks (bench/checks.py, loaded read-only: conservation,
+    the KKT bound, the exact artifact set, strict JSON) and writes the
+    same bytes when run again. Warnings are errors here too."""
+    panel, config = run
+    with tempfile.TemporaryDirectory() as work:
+        data, out = Path(work) / "panel.csv", Path(work) / "out"
+        save_panel_long(panel, data)
+        config = dataclasses.replace(config, data_path=str(data), out_dir=str(out))
+        try:
+            report = run_pipeline(config)
+        except PipelineStageError:
+            return
+        assert bench_checks.check_run(report, panel, out) == []
+        first = bench_checks.artifact_digests(out)
+        shutil.rmtree(out)
+        run_pipeline(config)
+        assert bench_checks.artifact_digests(out) == first
+
