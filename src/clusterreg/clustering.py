@@ -53,7 +53,7 @@ class FeatureMatrix:
     values: np.ndarray  # shape (n_entities, n_features)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)  # its own copy, kept read-only
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "entities", tuple(self.entities))
         object.__setattr__(self, "features", tuple(self.features))

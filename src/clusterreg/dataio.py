@@ -58,7 +58,7 @@ class EnergyPanel:
     values: np.ndarray  # shape (n_years, n_entities, n_features)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)  # its own copy, kept read-only
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "years", tuple(int(y) for y in self.years))
         object.__setattr__(self, "entities", tuple(self.entities))

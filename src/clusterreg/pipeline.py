@@ -16,6 +16,7 @@ import math
 import numbers
 import operator
 import os
+import shutil
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
 from decimal import Decimal
@@ -139,7 +140,6 @@ class PipelineConfig:
     enet_alpha: float = 0.5
     cv_folds: int = 5
     tol: float = 1e-10
-    max_iter: int = 100_000
     out_dir: str | None = None
 
     def validate(self) -> None:
@@ -294,7 +294,6 @@ _FIELDS = (
     _Field("cv_folds", "regress", "cv_folds", int, int, check=lambda v: v >= 2, need=">= 2"),
     _Field("tol", "regress", "tol", _finite, float,
            check=lambda v: 0.0 < v < math.inf, need="> 0 and finite"),
-    _Field("max_iter", "regress", "max_iter", int, int, check=lambda v: v >= 1, need=">= 1"),
     _Field("train_years", "forecast", "train_years", parse_years, int, many=True),
     _Field("test_years", "forecast", "test_years", parse_years, int, many=True),
     _Field("out_dir", None, None, None, optional=True),
@@ -636,14 +635,13 @@ def fit_kind(config: PipelineConfig, design: regression.DesignMatrix, kind: str)
     chose."""
     grid = {"ridge": config.ridge_lambdas, "lasso": config.lasso_lambdas,
             "elastic_net": config.enet_lambdas}[kind]
-    solver = {"tol": config.tol, "max_iter": config.max_iter}
     spec, table = _stage("fit", regression.cross_validate, design, kind, grid,
-                         folds=config.cv_folds, alpha=config.enet_alpha, **solver)
+                         folds=config.cv_folds, alpha=config.enet_alpha, tol=config.tol)
     path = _stage("fit", regression.iterate_lambda, design, kind,
-                  sorted(set(float(v) for v in grid)), alpha=config.enet_alpha, **solver)
+                  sorted(set(float(v) for v in grid)), alpha=config.enet_alpha, tol=config.tol)
     row = path.lambdas.index(spec.lam)  # spec.lam = lam1 + lam2 is the grid value
-    model = _stage("fit", regression.fit_penalized, design, spec,
-                   start=path.coefficient_matrix[row], **solver)
+    model = _stage("fit", regression.fit_penalized, design, spec, tol=config.tol,
+                   start=path.coefficient_matrix[row])
     return table, model, path
 
 
@@ -688,9 +686,11 @@ def write_files(out_dir: str | Path, tables: dict, records: dict) -> list[Path]:
     out_dir, creating it. The files are written into a hidden temporary
     directory inside out_dir (on the same file system, and writable
     wherever out_dir is) and then moved into place one by one with
-    os.replace, so out_dir never holds a partly written file. A failed
-    write, or a directory where a file must go, leaves out_dir as it was,
-    the previous run's files included."""
+    os.replace, each after moving the previous file of its name aside, so
+    out_dir never holds a partly written file. A failed write or rename,
+    or a directory where a file must go, leaves out_dir as it was: the new
+    files go and the previous ones move back (or stay in the hidden
+    directory if that fails). A kill between two renames can leave a mix."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = [*tables, *records]
@@ -698,6 +698,8 @@ def write_files(out_dir: str | Path, tables: dict, records: dict) -> list[Path]:
         if (out / name).is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    previous = Path(tempfile.mkdtemp(prefix=".previous-", dir=staging))
+    placed = []
     try:
         for name, table in tables.items():
             if isinstance(table, EnergyPanel):
@@ -707,11 +709,18 @@ def write_files(out_dir: str | Path, tables: dict, records: dict) -> list[Path]:
         for name, record in records.items():
             save_report(record, staging / name)
         for name in names:
+            if os.path.lexists(out / name):
+                os.replace(out / name, previous / name)
             os.replace(staging / name, out / name)
-    finally:  # the staging directory is empty unless a write failed
-        for path in staging.iterdir():
-            path.unlink()
-        staging.rmdir()
+            placed.append(name)
+    except BaseException:
+        for name in placed:
+            (out / name).unlink()
+        for path in previous.iterdir():
+            os.replace(path, out / path.name)
+        shutil.rmtree(staging)
+        raise
+    shutil.rmtree(staging)
     return [out / name for name in names]
 
 

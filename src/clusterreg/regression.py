@@ -66,6 +66,9 @@ from .errors import RegressionError
 
 NONZERO_TOL = 1e-10
 PENALTY_KINDS = ("ridge", "lasso", "elastic_net")
+# Bounds the time of a descent that does not converge (it is flagged 'non_converged'):
+# on a collinear corpus one ran all 100,000 sweeps and ended at 993x the kkt_check bound.
+MAX_SWEEPS = 100_000
 _EPS = np.finfo(float).eps
 
 
@@ -113,10 +116,10 @@ class DesignMatrix:
     column_names: tuple[str, ...]
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
+        x = np.array(self.x, dtype=float)  # own copies, kept read-only: moments stay true
         if x.ndim < 2:
             x = np.atleast_2d(x)
-        y = np.asarray(self.y, dtype=float).ravel()
+        y = np.array(self.y, dtype=float).ravel()
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "column_names", tuple(self.column_names))
@@ -230,7 +233,7 @@ class LinearModel:
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
-        beta = np.asarray(self.coefficients, dtype=float).ravel()
+        beta = np.array(self.coefficients, dtype=float).ravel()  # its own copy, kept read-only
         object.__setattr__(self, "coefficients", beta)
         object.__setattr__(self, "column_names", tuple(self.column_names))
         if len(self.column_names) != beta.shape[0]:
@@ -498,7 +501,6 @@ def _coordinate_descent(
     hess: np.ndarray,
     corr: np.ndarray,
     lam1: float,
-    max_iter: int,
     bound: float,
     beta: np.ndarray,
 ) -> tuple[np.ndarray, bool, int]:
@@ -515,7 +517,7 @@ def _coordinate_descent(
     beta = beta.copy()
     diag = hess.diagonal()
     thresh = lam1 / 2.0
-    for sweep in range(max_iter):
+    for sweep in range(MAX_SWEEPS):
         q = hess @ beta  # refreshed each sweep so incremental drift cannot build up
         for j in range(p):
             if diag[j] == 0.0:
@@ -532,7 +534,7 @@ def _coordinate_descent(
         v[active] = 0.0
         if stationarity <= bound and v.max() <= lam1 + bound:
             return beta, True, sweep + 1
-    return beta, False, max_iter
+    return beta, False, MAX_SWEEPS
 
 
 @lru_cache(maxsize=8)
@@ -543,29 +545,20 @@ def _identity(p: int) -> np.ndarray:
     return eye
 
 
-def _check_solver(tol: float, max_iter: int) -> None:
-    if not 0.0 < tol < np.inf:
-        raise RegressionError("tol must be finite and > 0")
-    if max_iter < 1:
-        raise RegressionError("max_iter must be >= 1")
-
-
 def _search(
     system: _System,
     lam1: float,
     start: np.ndarray,
     bound: float,
-    max_iter: int,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Coefficients and flags of the fit at lam1 > 0 on the system: the
     feature-sign search from `start`, or coordinate descent from the same
     point when the search gives up, flagged 'non_converged' when it does
-    not converge within max_iter sweeps."""
+    not converge within MAX_SWEEPS sweeps."""
     beta = _feature_sign_search(system, lam1, start, bound)
     if beta is not None:
         return beta, ()
-    beta, converged, _ = _coordinate_descent(system.hess, system.corr, lam1, max_iter, bound,
-                                             start)
+    beta, converged, _ = _coordinate_descent(system.hess, system.corr, lam1, bound, start)
     return beta, () if converged else ("non_converged",)
 
 
@@ -589,7 +582,6 @@ def fit_penalized(
     d: DesignMatrix,
     spec: PenaltySpec,
     tol: float = 1e-10,
-    max_iter: int = 100_000,
     start: np.ndarray | None = None,
 ) -> LinearModel:
     """Fit the penalty a PenaltySpec describes: _fit_grid on the grid of
@@ -602,12 +594,12 @@ def fit_penalized(
     feature-sign search from the coefficients `start` (as reported on a
     model, e.g. the fit at a neighbouring penalty) or zero, with
     coordinate descent from the same point only when the search gives up.
-    A descent that does not converge within max_iter sweeps is flagged
-    'non_converged' on the model, never silently accepted. tol, max_iter
-    and start are checked for every fit."""
+    A descent that does not converge within MAX_SWEEPS sweeps is flagged
+    'non_converged' on the model, never silently accepted. tol and start
+    are checked for every fit."""
     if start is not None and np.shape(start) != (d.p,):
         raise RegressionError(f"start must have shape ({d.p},), got {np.shape(start)}")
-    coefs, intercepts, flags = _fit_grid(d, [spec.lam1], [spec.lam2], tol, max_iter, start)
+    coefs, intercepts, flags = _fit_grid(d, [spec.lam1], [spec.lam2], tol, start)
     return LinearModel(float(intercepts[0]), coefs[0], spec, d.column_names, flags=flags[0])
 
 
@@ -655,7 +647,6 @@ def _fit_grid(
     lam1s: np.ndarray | list[float],
     lam2s: np.ndarray | list[float],
     tol: float,
-    max_iter: int,
     start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[str, ...]]]:
     """The coefficients (k, p), intercepts (k,) and flags of the fits at
@@ -685,7 +676,8 @@ def _fit_grid(
     X'X + lam2*I and |H| are built once per lam2 in turn: once per lasso
     grid."""
     lam1s, lam2s = np.asarray(lam1s, dtype=float), np.asarray(lam2s, dtype=float)
-    _check_solver(tol, max_iter)
+    if not 0.0 < tol < np.inf:
+        raise RegressionError("tol must be finite and > 0")
     m = d.moments
     coefs = np.empty((lam1s.size, d.p))
     flags: list[tuple[str, ...]] = [()] * lam1s.size
@@ -726,7 +718,7 @@ def _fit_grid(
         if lam2_list[i] != system_lam2:
             system_lam2 = lam2_list[i]
             system = _system(m, system_lam2)
-        coefs[i], flags[i] = _search(system, lam1_list[i], start, bound, max_iter)
+        coefs[i], flags[i] = _search(system, lam1_list[i], start, bound)
         k += 1
         # a -0.0 reads as a changed sign, which only forgoes a stacked solve
         start, was, pattern = coefs[i], pattern, np.sign(coefs[i]).tobytes()
@@ -854,7 +846,6 @@ def cross_validate(
     folds: int = 5,
     alpha: float = 0.5,
     tol: float = 1e-10,
-    max_iter: int = 100_000,
 ) -> tuple[PenaltySpec, list[tuple[float, float]]]:
     """Pick the penalty weight minimizing mean validation MSE.
 
@@ -880,7 +871,7 @@ def cross_validate(
     rows = np.arange(d.n)
     for f, block in enumerate(np.array_split(rows, folds)):  # contiguous: the rest is two slices
         train = d.subset(np.concatenate((rows[:block[0]], rows[block[-1] + 1:])))
-        coefs, intercepts, _ = _fit_grid(train, lam1s, lam2s, tol, max_iter)
+        coefs, intercepts, _ = _fit_grid(train, lam1s, lam2s, tol)
         fold_mse[:, f] = _grid_rss(coefs, intercepts, d.x[block], d.y[block]) / block.size
     table = list(zip(grid, fold_mse.mean(axis=1).tolist()))
     best_lam, best_mse = table[0]
@@ -896,7 +887,6 @@ def iterate_lambda(
     grid,
     alpha: float = 0.5,
     tol: float = 1e-10,
-    max_iter: int = 100_000,
 ) -> PathReport:
     """Fit at every grid value (ascending) and record the trajectories.
 
@@ -910,7 +900,7 @@ def iterate_lambda(
         raise RegressionError("lambda grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise RegressionError("lambda grid must be strictly ascending")
-    coefs, intercepts, _ = _fit_grid(d, *_grid_weights(kind, grid, alpha), tol, max_iter)
+    coefs, intercepts, _ = _fit_grid(d, *_grid_weights(kind, grid, alpha), tol)
     rss = _grid_rss(coefs, intercepts, d.x, d.y)
     r2 = 1.0 - rss / _total_sum_of_squares(d.y)
     return PathReport(tuple(grid), coefs, tuple(r2.tolist()), tuple((rss / d.n).tolist()),

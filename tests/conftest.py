@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from clusterreg.dataio import EnergyPanel, save_panel_long
 from clusterreg.pipeline import PipelineConfig
@@ -75,3 +76,35 @@ def map_partitions(promoted_labels, truth_labels):
     if len(mapping) != len(planted):
         return None
     return mapping
+
+
+@st.composite
+def small_runs(draw):
+    """A small panel, with zero cells, copied entity rows (so distances tie
+    at 0) and copied feature columns, each entity at its own magnitude from
+    1e-300 to 1e300, and a config over it: a train/test split and cv_folds."""
+    n_years, n_entities, n_features = (draw(st.integers(4, 12)), draw(st.integers(1, 8)),
+                                       draw(st.integers(1, 4)))
+    size = n_years * n_entities * n_features
+    values = np.array(draw(st.lists(st.floats(1.0, 100.0), min_size=size, max_size=size)))
+    values[draw(st.lists(st.integers(0, size - 1), max_size=size // 2))] = 0.0
+    values = values.reshape(n_years, n_entities, n_features)
+    top = draw(st.integers(-300, 298))
+    for i in range(n_entities):
+        values[:, i] *= 10.0 ** draw(st.integers(-300, top))
+        copied = draw(st.none() | st.integers(0, i - 1)) if i else None
+        if copied is not None:
+            values[:, i] = values[:, copied]
+    for j in range(1, n_features):
+        copied = draw(st.none() | st.integers(0, j - 1))
+        if copied is not None:
+            values[:, :, j] = values[:, :, copied]
+    years = tuple(range(2000, 2000 + n_years))
+    panel = EnergyPanel(years, tuple(f"e{i}" for i in range(n_entities)),
+                        tuple(f"f{j}" for j in range(n_features)), values)
+    n_train = draw(st.integers(2, n_years - 2))
+    n_test = draw(st.integers(2, n_years - n_train))
+    config = PipelineConfig(train_years=list(years[:n_train]),
+                            test_years=list(years[n_train:n_train + n_test]),
+                            cv_folds=draw(st.integers(2, n_train)))
+    return panel, config

@@ -254,7 +254,7 @@ def kkt_loop(model, d):
     return worst
 
 
-def _solve(d, lam1, lam2, tol, max_iter, start):
+def _solve(d, lam1, lam2, tol, start):
     """Coefficients, intercept and flags of one fit, by the per-point
     dispatch the package had before a single fit became a one-point grid:
     least squares at lam1 = lam2 = 0, the ridge solve at lam1 = 0, and
@@ -273,7 +273,7 @@ def _solve(d, lam1, lam2, tol, max_iter, start):
     else:
         start = np.where(m.gram.diagonal() > 0.0, start, 0.0)  # zero-norm columns stay at zero
         beta, flags = regression._search(regression._system(m, lam2), lam1, start,
-                                         regression._bound(m, tol), max_iter)
+                                         regression._bound(m, tol))
     return beta, m.y_mean - float(m.x_mean @ beta), flags
 
 
@@ -287,7 +287,7 @@ def warm_descent(d, kind, grid, alpha):
     start = np.zeros(d.p)
     for i in sorted(range(len(grid)), key=lambda i: -grid[i]):
         spec = PenaltySpec.of(kind, grid[i], alpha)
-        beta, intercept, flags = _solve(d, spec.lam1, spec.lam2, 1e-10, 100_000, start)
+        beta, intercept, flags = _solve(d, spec.lam1, spec.lam2, 1e-10, start)
         models[i] = LinearModel(intercept, beta, spec, d.column_names, flags=flags)
         start = models[i].coefficients
     return models
@@ -528,7 +528,7 @@ def validate(self) -> None:
                 raise ConfigError(f"{name} must be a number, not the bool {v!r}")
     if not self.train_years or not self.test_years:
         raise ConfigError("train_years and test_years must be set")
-    integers = [("cv_folds", self.cv_folds), ("max_iter", self.max_iter),
+    integers = [("cv_folds", self.cv_folds),
                 *(("anchor_year", y) for y in [self.anchor_year] if y is not None),
                 *(("train_years entry", y) for y in self.train_years),
                 *(("test_years entry", y) for y in self.test_years)]
@@ -633,7 +633,6 @@ _BOUNDS = {
     "enet_alpha": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     "cv_folds": (lambda v: v >= 2, ">= 2"),
     "tol": (lambda v: 0.0 < v < math.inf, "> 0 and finite"),
-    "max_iter": (lambda v: v >= 1, ">= 1"),
 }
 # Grid field -> the check its stage makes of each value. Any alpha in
 # [0, 1] splits a valid total weight into valid weights.
@@ -670,7 +669,6 @@ _CONFIG_KEYS = {
     "enet_alpha": ("regress", "enet_alpha", _finite),
     "cv_folds": ("regress", "cv_folds", int),
     "tol": ("regress", "tol", _finite),
-    "max_iter": ("regress", "max_iter", int),
     "train_years": ("forecast", "train_years", parse_years),
     "test_years": ("forecast", "test_years", parse_years),
 }

@@ -266,7 +266,7 @@ def test_each_model_is_its_path_row(recovery_runs):
             coefs, intercepts, flags = regression._fit_grid(
                 report.train_design,
                 *regression._grid_weights(kind, list(path.lambdas), config.enet_alpha),
-                config.tol, config.max_iter)
+                config.tol)
             assert coefs.tobytes() == path.coefficient_matrix.tobytes()
             assert model.coefficients.tobytes() == coefs[row].tobytes(), kind
             assert repr(model.intercept) == repr(float(intercepts[row])), kind

@@ -1,12 +1,18 @@
+import contextlib
 import csv
+import io
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from clusterreg.cli import main
+from clusterreg.dataio import save_panel_long
 from clusterreg.pipeline import ARTIFACT_FILES
 from clusterreg.regression import PENALTY_KINDS
 
-from conftest import TEST_YEARS, TRAIN_YEARS, overflowing_panel
+from conftest import TEST_YEARS, TRAIN_YEARS, overflowing_panel, small_runs
 
 
 def write_config(path, data_path, **overrides):
@@ -285,12 +291,12 @@ MALFORMED_CONFIGS = [
     ("[preprocess]\nanchor_year = 20o3\n", "[preprocess] anchor_year"),
     ("[regress]\nenet_alpha = half\n", "[regress] enet_alpha"),
     ("[regress]\nstandardize = true\n", "unknown key [regress] standardize"),
+    ("[regress]\nmax_iter = 100000\n", "unknown key [regress] max_iter"),
     ("[cluster]\nminpts_grid = 1:0:1\n", "[cluster] minpts_grid: bad range grid"),
     ("[cluster]\nminpts_grid = 1.5,2.7\n", "[cluster] minpts_grid: min_pts values must be integers"),
     ("[regress]\ntol = nan\n", "[regress] tol: not a finite number"),
     ("[regress]\ntol = inf\n", "[regress] tol: not a finite number"),
     ("[regress]\ntol = 0\n", "[regress] tol: tol must be > 0"),
-    ("[regress]\nmax_iter = 0\n", "[regress] max_iter: max_iter must be >= 1"),
     ("[regress]\nenet_alpha = nan\n", "[regress] enet_alpha: not a finite number"),
     ("[preprocess]\nlog_epsilon = inf\n", "[preprocess] log_epsilon: not a finite number"),
     ("[cluster]\neps_grid = 0.1,-inf\n", "[cluster] eps_grid: not a finite number"),
@@ -325,6 +331,32 @@ def test_malformed_config_exits_one_naming_the_key(tmp_path, capsys, text, named
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err and "cfg.ini" in err
     assert not out.exists()
+
+
+@given(run=small_runs())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_every_small_run_through_the_command_exits_zero_or_one(run):
+    """`clusterreg pipeline` over a small panel and an INI file of its split
+    and folds either exits 0 with exactly the artifact set, or exits 1 with
+    one `error: ` line on stderr and no artifact written."""
+    panel, config = run
+    with tempfile.TemporaryDirectory() as work:
+        data, cfg, out = Path(work) / "panel.csv", Path(work) / "cfg.ini", Path(work) / "out"
+        save_panel_long(panel, data)
+        cfg.write_text(f"[data]\npath = {data}\n[regress]\ncv_folds = {config.cv_folds}\n"
+                       f"[forecast]\ntrain_years = {','.join(map(str, config.train_years))}\n"
+                       f"test_years = {','.join(map(str, config.test_years))}\n")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["pipeline", "--config", str(cfg), "--out", str(out)])
+        if code == 0:
+            assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACT_FILES)
+            assert err.getvalue() == ""
+        else:
+            assert code == 1, err.getvalue()
+            [line] = err.getvalue().splitlines()
+            assert line.startswith("error: ")
+            assert not out.exists() or not any(out.iterdir())
 
 
 def test_heatmap_is_the_matrix_the_sweep_clustered(tmp_path):

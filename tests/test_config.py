@@ -32,7 +32,6 @@ GOOD = {
     "enet_alpha": [0.5, 0, 1, 0.25, np.float64(0.1), np.int64(1)],
     "cv_folds": [5, 2, np.int64(3)],
     "tol": [1e-10, 1, np.float32(1e-9)],
-    "max_iter": [100_000, 1, np.int64(500), HUGE],
     "eps_grid": [[0.1, 0.5], (0.2, 1), [np.float32(0.3), np.float64(0.6)], [0, 2]],
     "minpts_grid": [[1, 2], (3,), [np.int64(2), 4.0], [np.float64(1)]],
     "ridge_lambdas": [[0, 0.5], (0.1,), [np.float32(0.25), 1]],
@@ -50,12 +49,11 @@ FAULTS = {
                    "years": [(2000, TEST), (TRAIN, 2015), (np.array(TRAIN), TEST),
                              ("2000-2014", TEST), (TRAIN, None)]},
     "a bool": {"log_epsilon": [True, np.bool_(False)], "anchor_year": [True],
-               "enet_alpha": [False], "cv_folds": [True], "tol": [np.True_], "max_iter": [True],
+               "enet_alpha": [False], "cv_folds": [True], "tol": [np.True_],
                **{grid: [[True, 0.5], [np.bool_(True)]] for grid in GRIDS},
                "years": [(TRAIN, [2015, True]), ([True, *TRAIN], TEST)]},
     "not an integer": {"anchor_year": [2003.0, np.float64(2003), "2003", b"x", [2003]],
                        "cv_folds": [2.5, 5.0, np.float64(3), NAN, INF, "5", None, [5]],
-                       "max_iter": [2.5, INF, NAN, "500", None, (5,)],
                        "years": [([float(y) for y in TRAIN], TEST), (TRAIN, [2015, 2016.0]),
                                  (TRAIN, ["2015", "2016"]), (TRAIN, [2015, None, 2017])]},
     "bad years": {"years": [([], TEST), (TRAIN, []), (TRAIN, [2019]),
@@ -66,7 +64,6 @@ FAULTS = {
                                      np.array([0.5])],
                      "enet_alpha": [1.5, -0.1, NAN, INF, "0.5", None, (0.5,)],
                      "cv_folds": [1, 0, -2], "tol": [0.0, -1e-10, NAN, INF, "1e-9", b"x"],
-                     "max_iter": [0, -3],
                      "eps_grid": [[], [NAN], [0.1, INF], [-0.1], ["0.1"], [None]],
                      "minpts_grid": [[], [0], [1.5], [NAN], [INF], ["2"], [2, None]],
                      "ridge_lambdas": [[], [-1], [NAN], [INF], ["0.1"]],
@@ -137,7 +134,6 @@ TEXTS = {
     "enet_alpha": (["", "0.25", "1", "-0.0", "0.1"], ["2", "half", "nan"]),
     "cv_folds": (["", "3", "2"], ["1", "2.5", "x"]),
     "tol": (["", "1e-9"], ["0", "inf", "abc", "-1e-10"]),
-    "max_iter": (["", "500", "100000"], ["0", "1e5"]),
     "train_years": (["", "2000-2014", "2000,2001,2002", "2000-2004", "2014-2014"],
                     ["2000-x", "2014-2000", "2000-1000000000000", ","]),
     "test_years": (["", "2015-2019", "2015,2016", "2015"], ["x"]),

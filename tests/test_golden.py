@@ -10,10 +10,13 @@ once more when the config lost its layout and anchor keys (the path and
 anchor_year now decide both): the file lost exactly the two lines
 "anchor": "train_mean" and "layout": "long". It lost exactly one more,
 "standardize": false, when the column-scale option went (columns are
-never rescaled). The digests hold for the numpy/BLAS build they were
-recorded with; on another build, a file whose digest differs is compared
-value by value against the committed copy in tests/golden/seed2024 at
-1e-12, and the assertion names the file that differed.
+never rescaled), and one more, "max_iter": 100000, when the cap on the
+fallback descent's sweeps became the constant regression.MAX_SWEEPS (no
+caller set another value). The digests hold for the numpy/BLAS build
+they were recorded with; on another build, a file whose digest differs
+is compared value by value against the committed copy in
+tests/golden/seed2024 at 1e-12, and the assertion names the file that
+differed.
 """
 
 import csv
@@ -39,7 +42,7 @@ GOLDEN_SHA256 = {
     "path_lasso.csv": "b10b4df4f2fdfb5c70f23e6a73cc6a03b8e05536b8011656286e57f8986e6bbb",
     "path_elastic_net.csv": "56340e37eff00323b948734913745fb287d656b84260df4fa2e0553f876aaf07",
     "forecast.csv": "b9af46af482503c90b20d27046a305ad73ad99a414bd7f38edf8f3f312d84cc4",
-    "pipeline_report.json": "7061039cb00d7a061a21caba1a3d97800c77a9e8d2432f100c30004496c810fe",
+    "pipeline_report.json": "cb471e4f869bc049ee035242d58b9b7d12c51d359d16f09d3c6bd3a1edceeb4e",
 }
 TOL = 1e-12
 

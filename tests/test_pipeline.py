@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from clusterreg import clustering, pipeline, regression
 from clusterreg.clustering import NOISE, ClusterAssignment
@@ -27,7 +26,7 @@ from clusterreg.pipeline import (
     summarize_forecast,
 )
 
-from conftest import TEST_YEARS, TRAIN_YEARS, map_partitions, overflowing_panel
+from conftest import TEST_YEARS, TRAIN_YEARS, map_partitions, overflowing_panel, small_runs
 
 
 def panel_from(values):
@@ -185,7 +184,7 @@ class TestConfig:
 
     def test_solver_settings_checked(self):
         for bad, named in ((dict(tol=float("nan")), "tol"), (dict(tol=float("inf")), "tol"),
-                           (dict(tol=0.0), "tol"), (dict(max_iter=0), "max_iter"),
+                           (dict(tol=0.0), "tol"),
                            (dict(train_years=[]), "train_years and test_years must be set"),
                            (dict(test_years=[]), "train_years and test_years must be set"),
                            (dict(lasso_lambdas=[]), "lasso_lambdas must be non-empty"),
@@ -524,6 +523,37 @@ def test_failed_rerun_leaves_the_previous_artifacts(synthetic_report, tmp_path):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_failed_rename_puts_the_previous_artifacts_back(synthetic_report, tmp_path,
+                                                        monkeypatch):
+    """A rerun whose 4th move into out_dir fails, after assignment.csv,
+    cluster_quality.csv and a changed forecast.csv were placed, leaves the
+    previous run's files byte for byte and no staging directory."""
+    from clusterreg.pipeline import ARTIFACT_FILES, write_artifacts
+
+    out = tmp_path / "out"
+    write_artifacts(synthetic_report, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    config = synthetic_report.config
+    changed = dataclasses.replace(synthetic_report, config=dataclasses.replace(
+        config, test_years=config.test_years[:2]))  # forecast.csv changes
+    real, placements = pipeline.os.replace, []
+
+    def fourth_placement_fails(src, dst):
+        if Path(dst).parent == out:
+            placements.append(Path(dst).name)
+            if len(placements) == 4:
+                raise OSError(errno.EIO, "Input/output error", str(dst))
+        real(src, dst)
+
+    monkeypatch.setattr(pipeline.os, "replace", fourth_placement_fails)
+    with pytest.raises(OSError, match="Input/output error"):
+        write_artifacts(changed, out)
+    assert placements[:4] == ["assignment.csv", "cluster_quality.csv", "forecast.csv",
+                              "path_ridge.csv"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACT_FILES)  # no .staging-*
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_failed_json_write_leaves_none_of_the_call_files(tmp_path, monkeypatch):
     """A disk that fills up halfway through b.json: the partial b.json goes
     too, with the files written before it."""
@@ -562,7 +592,6 @@ enet_lambdas = 0.5
 enet_alpha = 0.25
 cv_folds = 4
 tol = 1e-9
-max_iter = 500
 
 [forecast]
 train_years = 2000-2004
@@ -590,7 +619,6 @@ def test_year_counts_fail_at_the_config_stage(synthetic_case, years, message):
 @pytest.mark.parametrize("bad, message", [
     (dict(log_epsilon=float("nan")), "log_epsilon must be finite and > 0"),
     (dict(log_epsilon=float("inf")), "log_epsilon must be finite and > 0"),
-    (dict(max_iter=float("inf")), "max_iter must be an integer, got inf"),
     (dict(cv_folds=2.5), "cv_folds must be an integer, got 2.5"),
     (dict(train_years=[float(y) for y in range(2000, 2015)]),
      "train_years entry must be an integer, got 2000.0"),
@@ -610,7 +638,7 @@ def test_year_counts_fail_at_the_config_stage(synthetic_case, years, message):
     (dict(enet_alpha="0.5"), r"enet_alpha must be in \[0, 1\], got '0.5'"),
     (dict(tol="1e-9"), "tol must be > 0 and finite, got '1e-9'"),
     (dict(log_epsilon="x"), "log_epsilon must be finite and > 0, got 'x'"),
-], ids=["log_epsilon_nan", "log_epsilon_inf", "max_iter_inf", "cv_folds_fractional",
+], ids=["log_epsilon_nan", "log_epsilon_inf", "cv_folds_fractional",
         "train_years_float", "test_years_float", "anchor_year_float", "ridge_lambda_nan",
         "lasso_lambda_negative", "enet_lambda_inf", "eps_nan", "eps_negative",
         "min_pts_fractional", "min_pts_zero", "min_pts_str", "eps_str", "ridge_lambda_str",
@@ -619,10 +647,9 @@ def test_code_built_values_the_ini_parser_rejects_fail_at_the_config_stage(
         synthetic_case, bad, message):
     """A config built in code can hold values that no INI file parses to: a
     non-finite log epsilon (the run would end in the JSON writer's
-    ValueError), an infinite max_iter (the same), fractional CV folds
-    (np.array_split would use 2 folds and the report record 2.5), float
-    years (the run would complete and record 2000.0 where an int-year run
-    records 2000), non-finite grid values and strings where numbers belong
+    ValueError), fractional CV folds (np.array_split would use 2 folds and
+    the report record 2.5), float years (the run would complete and record
+    2000.0 where an int-year run records 2000), non-finite grid values and strings where numbers belong
     (they would escape as a bare TypeError). Those and negative grid
     values, which an INI file can hold, would fail only at the sweep or the
     fits, after the panel was loaded and cleaned. Each fails before the
@@ -657,7 +684,6 @@ def test_a_list_field_that_is_not_a_list_fails_at_the_config_stage(synthetic_cas
 # A code-built field holding numpy scalars, and its built-in twin.
 NUMPY_FIELDS = {
     "cv_folds": (np.int64(5), 5),
-    "max_iter": (np.int64(100_000), 100_000),
     "anchor_year": (np.int64(2003), 2003),
     "tol": (np.float32(1e-10), float(np.float32(1e-10))),
     "minpts_grid": ([np.int64(1), 2, np.int64(3)], [1, 2, 3]),
@@ -887,19 +913,63 @@ class TestDerivedRecord:
             synthetic_report.models = {}
 
 
+def _feature_matrix():
+    values = np.array([[0.0, 1.0], [3.0, 1.0], [0.0, 5.0]])
+    m = clustering.FeatureMatrix(("a", "b", "c"), ("f", "g"), values)
+    return [values], lambda: [m.values, m.distances, *clustering.reachability_tree(m, 2)[1:]]
+
+
+def _design_matrix():
+    x, y = np.array([[1.0, 0.0], [2.0, 1.0], [4.0, 3.0]]), np.array([1.5, 2.5, 3.5])
+    d = regression.DesignMatrix(x, y, ("a", "b"))
+    return [x, y], lambda: [d.x, d.y, d.moments.x_mean, d.moments.yc, d.moments.gram,
+                            d.moments.corr]
+
+
+def _energy_panel():
+    values = np.arange(1.0, 13.0).reshape(2, 3, 2)
+    panel = panel_from(values)
+    return [values], lambda: [panel.values]
+
+
+def _linear_model():
+    b = np.array([0.5, -2.0])
+    m = regression.LinearModel(1.0, b, None, ("a", "b"))
+    return [b], lambda: [m.coefficients]
+
+
+@pytest.mark.parametrize("record", [_feature_matrix, _design_matrix, _energy_panel,
+                                    _linear_model],
+                         ids=["FeatureMatrix", "DesignMatrix", "EnergyPanel", "LinearModel"])
+def test_a_record_owns_its_arrays(record):
+    """A record keeps its own read-only copy of each array it is given: the
+    caller's array stays writable, and writing to it changes no value of
+    the record, nor the distances, trees or moments it has cached."""
+    given, held = record()
+    before = [a.copy() for a in held()]
+    for a in given:
+        assert a.flags.writeable
+        a[...] = 50.0
+    after = held()
+    assert all(np.array_equal(a, b) for a, b in zip(after, before))
+    assert not any(a.flags.writeable for a in after)
+
+
 class TestConfigKeys:
     def test_the_inputs_decide_layout_and_anchor(self):
         import inspect
 
         from clusterreg.dataio import load_panel
 
-        assert len(dataclasses.fields(PipelineConfig)) == 15
+        assert len(dataclasses.fields(PipelineConfig)) == 14
         # one row of the field table per field, and an INI key for all but out_dir
         assert sorted(f.name for f in pipeline._FIELDS) == sorted(
             f.name for f in dataclasses.fields(PipelineConfig))
         assert [f.name for f in pipeline._FIELDS if not f.section] == ["out_dir"]
-        assert {"layout", "anchor", "standardize"}.isdisjoint(
+        assert {"layout", "anchor", "standardize", "max_iter"}.isdisjoint(
             f.name for f in dataclasses.fields(PipelineConfig))
+        with pytest.raises(TypeError, match="max_iter"):
+            PipelineConfig(max_iter=100_000)
         assert list(inspect.signature(load_panel).parameters) == ["path"]
 
     def test_every_key(self, tmp_path):
@@ -910,7 +980,7 @@ class TestConfigKeys:
             test_years=[2005, 2006], anchor_year=2001, log_epsilon=1e-4,
             eps_grid=[0.1, 0.2], minpts_grid=[1, 2, 3], ridge_lambdas=parse_grid("0.0:0.2:0.1"),
             lasso_lambdas=parse_grid("logspace:-3:0:4"), enet_lambdas=[0.5], enet_alpha=0.25,
-            cv_folds=4, tol=1e-9, max_iter=500)
+            cv_folds=4, tol=1e-9)
 
     def test_blank_keys_keep_defaults(self, tmp_path):
         blank = "\n".join(line.split("=")[0] + "=" if "=" in line else line
@@ -996,38 +1066,6 @@ def test_every_benchmark_span_fires(synthetic_case, tmp_path):
         # enters through fit_penalized
         assert metrics[f"regression.fits.{kind}"] == 1, kind
         assert metrics[f"regression.non_converged.{kind}"] == 0, kind
-
-
-@st.composite
-def small_runs(draw):
-    """A small panel, with zero cells, copied entity rows (so distances tie
-    at 0) and copied feature columns, each entity at its own magnitude from
-    1e-300 to 1e300, and a config over it: a train/test split and cv_folds."""
-    n_years, n_entities, n_features = (draw(st.integers(4, 12)), draw(st.integers(1, 8)),
-                                       draw(st.integers(1, 4)))
-    size = n_years * n_entities * n_features
-    values = np.array(draw(st.lists(st.floats(1.0, 100.0), min_size=size, max_size=size)))
-    values[draw(st.lists(st.integers(0, size - 1), max_size=size // 2))] = 0.0
-    values = values.reshape(n_years, n_entities, n_features)
-    top = draw(st.integers(-300, 298))
-    for i in range(n_entities):
-        values[:, i] *= 10.0 ** draw(st.integers(-300, top))
-        copied = draw(st.none() | st.integers(0, i - 1)) if i else None
-        if copied is not None:
-            values[:, i] = values[:, copied]
-    for j in range(1, n_features):
-        copied = draw(st.none() | st.integers(0, j - 1))
-        if copied is not None:
-            values[:, :, j] = values[:, :, copied]
-    years = tuple(range(2000, 2000 + n_years))
-    panel = EnergyPanel(years, tuple(f"e{i}" for i in range(n_entities)),
-                        tuple(f"f{j}" for j in range(n_features)), values)
-    n_train = draw(st.integers(2, n_years - 2))
-    n_test = draw(st.integers(2, n_years - n_train))
-    config = PipelineConfig(train_years=list(years[:n_train]),
-                            test_years=list(years[n_train:n_train + n_test]),
-                            cv_folds=draw(st.integers(2, n_train)))
-    return panel, config
 
 
 @pytest.fixture(scope="module")

@@ -164,11 +164,12 @@ class TestLasso:
         assert np.all(m.coefficients == 0.0)
         assert m.intercept == pytest.approx(float(d.y.mean()), abs=1e-12)
 
-    def test_non_convergence_flagged(self):
+    def test_non_convergence_flagged(self, monkeypatch):
         # The search gives up on the split start (a singular G_AA), and one
         # fallback sweep does not converge.
         d, lam, start = duplicated_column_case()
-        m = fit_penalized(d, PenaltySpec.lasso(lam), max_iter=1, start=start)
+        monkeypatch.setattr(regression, "MAX_SWEEPS", 1)
+        m = fit_penalized(d, PenaltySpec.lasso(lam), start=start)
         assert not m.converged
         assert "non_converged" in m.flags
 
@@ -450,13 +451,14 @@ class TestWarmStart:
                     cold = fit_penalized(d, spec)
                     assert np.abs(beta - cold.coefficients).max() <= bound, (kind, lam)
 
-    def test_start_is_in_reported_coordinates(self):
+    def test_start_is_in_reported_coordinates(self, monkeypatch):
         # Started at its own solution, one sweep must already converge, on
         # columns whose scales span two orders of magnitude.
         base = random_design(seed=31)
         d = DesignMatrix(base.x * [1.0, 10.0, 0.1], base.y, base.column_names)
         cold = fit_penalized(d, PenaltySpec.lasso(0.05))
-        warm = fit_penalized(d, PenaltySpec.lasso(0.05), max_iter=1, start=cold.coefficients)
+        monkeypatch.setattr(regression, "MAX_SWEEPS", 1)
+        warm = fit_penalized(d, PenaltySpec.lasso(0.05), start=cold.coefficients)
         assert warm.converged
         assert np.abs(warm.coefficients - cold.coefficients).max() <= _kkt_bound(d)
 
@@ -534,7 +536,7 @@ class TestGridSolver:
 
         models = warm_descent(d, kind, grid, alpha)
         weights = regression._grid_weights(kind, grid, alpha)
-        coefs, intercepts, flags = regression._fit_grid(d, *weights, 1e-10, 100_000)
+        coefs, intercepts, flags = regression._fit_grid(d, *weights, 1e-10)
         assert np.array_equal(coefs, [m.coefficients for m in models])
         assert np.array_equal(intercepts, [m.intercept for m in models])
         assert flags == [m.flags for m in models]
@@ -597,7 +599,7 @@ class TestGridSolver:
                                      lambda *args: calls.append(args) or search(*args))
         with recorded:
             coefs, intercepts, flags = regression._fit_grid(
-                d, *regression._grid_weights(kind, grid, alpha), 1e-10, 100_000)
+                d, *regression._grid_weights(kind, grid, alpha), 1e-10)
         if all(lam1 >= lam_max and lam1 > 0 for lam1 in lam1s):
             assert calls == []
         assert len(calls) <= sum(0 < lam1 < lam_max for lam1 in lam1s)
@@ -632,7 +634,7 @@ class TestGridSolver:
         of descent on not-a-number arithmetic."""
         d = DesignMatrix(np.array(x), np.array(y), ("a", "b"))
         message = f"^{moment} of the (centered )?design is not finite$"
-        for fit in (lambda: regression._fit_grid(d, [1.0], [0.0], 1e-10, 10),
+        for fit in (lambda: regression._fit_grid(d, [1.0], [0.0], 1e-10),
                     lambda: fit_penalized(d, PenaltySpec.lasso(1.0)),
                     lambda: fit_ols(d),
                     lambda: cross_validate(d, "lasso", [1.0], folds=3)):
@@ -651,19 +653,19 @@ class TestGridSolver:
         ("lars", [float("nan")], 0.5, "unknown penalty kind 'lars'"),
         ("lars", [1.0], -0.5, "alpha must be in [0, 1]"),
     ])
-    @pytest.mark.parametrize("tol,max_iter", [(1e-10, 100_000), (0.0, 0), (1e-10, 0)])
+    @pytest.mark.parametrize("tol", [1e-10, 0.0])
     def test_grid_checks_raise_the_penalty_spec_errors_first(self, kind, grid, alpha, message,
-                                                             tol, max_iter):
+                                                             tol):
         """A grid is checked once, as a whole, with the messages and in the
         order that PenaltySpec.of checks its values one by one, and before
-        the solver settings."""
+        the solver's tol."""
         with pytest.raises(RegressionError) as one_by_one:
             for lam in grid:
                 PenaltySpec.of(kind, lam, alpha)
         assert str(one_by_one.value) == message
         d = random_design(seed=3, n=10)
-        for fit_grid in (lambda: cross_validate(d, kind, grid, 2, alpha, tol, max_iter),
-                         lambda: iterate_lambda(d, kind, grid, alpha, tol, max_iter)):
+        for fit_grid in (lambda: cross_validate(d, kind, grid, 2, alpha, tol),
+                         lambda: iterate_lambda(d, kind, grid, alpha, tol)):
             with pytest.raises(RegressionError) as raised:
                 fit_grid()
             assert str(raised.value) == message
@@ -671,12 +673,10 @@ class TestGridSolver:
     def test_solver_settings_are_checked_after_a_valid_grid(self):
         d = random_design(seed=3, n=10)
         for kind, alpha in (("ridge", 2.0), ("lasso", -1.0), ("elastic_net", 1.0)):
-            for tol, max_iter, message in ((0.0, 10, "tol must be finite and > 0"),
-                                           (1e-10, 0, "max_iter must be >= 1")):
-                with pytest.raises(RegressionError, match=f"^{message}$"):
-                    cross_validate(d, kind, [0.0, 1.0], 2, alpha, tol, max_iter)
-                with pytest.raises(RegressionError, match=f"^{message}$"):
-                    iterate_lambda(d, kind, [0.0, 1.0], alpha, tol, max_iter)
+            with pytest.raises(RegressionError, match="^tol must be finite and > 0$"):
+                cross_validate(d, kind, [0.0, 1.0], 2, alpha, 0.0)
+            with pytest.raises(RegressionError, match="^tol must be finite and > 0$"):
+                iterate_lambda(d, kind, [0.0, 1.0], alpha, 0.0)
 
     def test_singular_ridge_system_names_its_weight(self):
         """X'X + lam2*I of a copied column scaled by 1e10 is singular in
@@ -772,11 +772,12 @@ class TestActiveSetSearch:
                       [-2.0, -1.5, 3.0, 3.0], [1.0, 2.0, -4.0, -4.0]])
         d = DesignMatrix(x, np.array([0.0, -1.5, 1.5, 1.0]), ("a", "b", "c", "d"))
         lam = 0.01 * lasso_lambda_max(d)
+        monkeypatch.setattr(regression, "MAX_SWEEPS", 2000)
         with mock.patch.object(regression, "_feature_sign_search", lambda *args: None):
-            descent = fit_penalized(d, PenaltySpec.lasso(lam), max_iter=2000)
+            descent = fit_penalized(d, PenaltySpec.lasso(lam))
             assert not descent.converged
         sweeps = _sweeps(monkeypatch)
-        m = fit_penalized(d, PenaltySpec.lasso(lam), max_iter=2000)
+        m = fit_penalized(d, PenaltySpec.lasso(lam))
         assert sweeps == []
         assert m.converged and kkt_check(m, d) <= _kkt_bound(d)
         assert m.coefficients[1] == 0.0 and m.coefficients[3] == 0.0
@@ -799,8 +800,10 @@ class TestActiveSetSearch:
         assert fit_penalized(d, PenaltySpec.lasso(lam), start=start).converged
         (k,) = sweeps
         assert k >= 2
-        assert fit_penalized(d, PenaltySpec.lasso(lam), max_iter=k, start=start).converged
-        m = fit_penalized(d, PenaltySpec.lasso(lam), max_iter=k - 1, start=start)
+        monkeypatch.setattr(regression, "MAX_SWEEPS", k)
+        assert fit_penalized(d, PenaltySpec.lasso(lam), start=start).converged
+        monkeypatch.setattr(regression, "MAX_SWEEPS", k - 1)
+        m = fit_penalized(d, PenaltySpec.lasso(lam), start=start)
         assert m.flags == ("non_converged",)
         system = regression._system(d.moments, 0.0)
         theta = np.sign(m.coefficients)
@@ -913,7 +916,7 @@ class TestActiveSetSearch:
 
         monkeypatch.setattr(regression, "_feature_sign_search", recorded)
         sweeps = _sweeps(monkeypatch)
-        coefs, intercepts, flags = regression._fit_grid(d, grid, np.zeros(len(grid)), 1e-10, 100_000)
+        coefs, intercepts, flags = regression._fit_grid(d, grid, np.zeros(len(grid)), 1e-10)
         assert [gave_up for gave_up, _ in searches] == [False] + [True] * 26
         assert all(0 < count < 2 * p for _, count in searches)
         assert all(b is not None for _, _, b in solves)
@@ -1149,14 +1152,12 @@ class TestInvariants:
                      PenaltySpec.elastic_net(0.0, 0.5)):
             with pytest.raises(RegressionError, match="tol"):
                 fit_penalized(d, spec, tol=np.nan)
-            with pytest.raises(RegressionError, match="max_iter"):
-                fit_penalized(d, spec, max_iter=0)
             with pytest.raises(RegressionError, match="start"):
                 fit_penalized(d, spec, start=np.zeros(d.p + 1))
 
     def test_non_finite_solver_input_rejected(self):
         # An infinite tol used to accept the start point as converged, and a
-        # NaN tol ran to max_iter; a NaN weight passed the sign check.
+        # NaN tol ran every sweep; a NaN weight passed the sign check.
         d = random_design(seed=44, n=10, p=3)
         for tol in (np.inf, np.nan, 0.0):
             with pytest.raises(RegressionError, match="tol must be finite"):
