@@ -554,6 +554,95 @@ def test_failed_rename_puts_the_previous_artifacts_back(synthetic_report, tmp_pa
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def _rerun_failing(report, out, monkeypatch, fails):
+    """Rerun write_artifacts over out with os.replace raising the first time
+    fails(dst, placements) says so, placements being the names of the new
+    files moved into out_dir so far, this one included; return those names."""
+    real, placements, failed = pipeline.os.replace, [], []
+
+    def failing_replace(src, dst):
+        if Path(src).parent.name.startswith(".staging-"):
+            placements.append(Path(dst).name)
+        if not failed and fails(Path(dst), placements):
+            failed.append(dst)
+            raise OSError(errno.EIO, "Input/output error", str(dst))
+        real(src, dst)
+
+    changed = dataclasses.replace(report, config=dataclasses.replace(
+        report.config, test_years=report.config.test_years[:2]))  # forecast.csv changes
+    monkeypatch.setattr(pipeline.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="Input/output error"):
+        pipeline.write_artifacts(changed, out)
+    monkeypatch.undo()
+    return placements
+
+
+@pytest.mark.parametrize("at", [1, len(ARTIFACT_FILES)], ids=["first", "last"])
+def test_failed_rename_at_either_end_puts_the_previous_artifacts_back(synthetic_report,
+                                                                      tmp_path, monkeypatch,
+                                                                      at):
+    """A failure at the first move into out_dir (after one previous file was
+    moved aside) and at the last (after all others were placed) both leave
+    the previous run's files byte for byte and no staging directory."""
+    out = tmp_path / "out"
+    pipeline.write_artifacts(synthetic_report, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    placed = _rerun_failing(synthetic_report, out, monkeypatch,
+                            lambda dst, placed: dst.parent == out and len(placed) == at)
+    assert len(placed) == at
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_failed_move_aside_puts_the_previous_artifacts_back(synthetic_report, tmp_path,
+                                                            monkeypatch):
+    """A rerun whose 4th move of a previous file aside fails, after three new
+    files were placed, leaves the previous run's files byte for byte and no
+    staging directory."""
+    out = tmp_path / "out"
+    pipeline.write_artifacts(synthetic_report, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    aside = []
+
+    def fourth_move_aside(dst, placed):
+        if dst.parent.name.startswith(".previous-"):
+            aside.append(dst.name)
+        return len(aside) == 4
+
+    placed = _rerun_failing(synthetic_report, out, monkeypatch, fourth_move_aside)
+    assert placed == ["assignment.csv", "cluster_quality.csv", "forecast.csv"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_failed_rename_into_a_new_directory_leaves_it_empty(synthetic_report, tmp_path,
+                                                           monkeypatch):
+    """With no previous run, a 4th move into out_dir that fails removes the
+    three files placed before it and the staging directory."""
+    out = tmp_path / "out"
+    out.mkdir()
+    placed = _rerun_failing(synthetic_report, out, monkeypatch,
+                            lambda dst, placed: dst.parent == out and len(placed) == 4)
+    assert len(placed) == 4
+    assert list(out.iterdir()) == []
+
+
+def test_a_rerun_leaves_files_that_are_not_artifacts_alone(synthetic_report, tmp_path,
+                                                           monkeypatch):
+    """Files of other names in out_dir are neither moved nor removed, by a
+    rerun that fails at its 4th placement or by one that succeeds."""
+    out = tmp_path / "out"
+    pipeline.write_artifacts(synthetic_report, out)
+    (out / "notes.txt").write_bytes(b"kept\n")
+    (out / "forecast.csv.bak").write_bytes(b"also kept\n")
+    placed = _rerun_failing(synthetic_report, out, monkeypatch,
+                            lambda dst, placed: dst.parent == out and len(placed) == 4)
+    assert len(placed) == 4
+    pipeline.write_artifacts(synthetic_report, out)
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [*ARTIFACT_FILES, "notes.txt", "forecast.csv.bak"])
+    assert (out / "notes.txt").read_bytes() == b"kept\n"
+    assert (out / "forecast.csv.bak").read_bytes() == b"also kept\n"
+
+
 def test_failed_json_write_leaves_none_of_the_call_files(tmp_path, monkeypatch):
     """A disk that fills up halfway through b.json: the partial b.json goes
     too, with the files written before it."""

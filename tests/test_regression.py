@@ -1155,6 +1155,18 @@ class TestInvariants:
             with pytest.raises(RegressionError, match="start"):
                 fit_penalized(d, spec, start=np.zeros(d.p + 1))
 
+    @pytest.mark.parametrize("fit", [
+        lambda d: fit_penalized(d, PenaltySpec.lasso(0.5), max_iter=100_000),
+        lambda d: cross_validate(d, "lasso", [0.5], 2, max_iter=100_000),
+        lambda d: iterate_lambda(d, "lasso", [0.5], max_iter=100_000),
+    ], ids=["fit_penalized", "cross_validate", "iterate_lambda"])
+    def test_the_sweep_cap_is_not_an_option(self, fit):
+        """The fallback descent's sweep cap is the constant MAX_SWEEPS: no
+        fit takes a max_iter keyword."""
+        assert regression.MAX_SWEEPS == 100_000
+        with pytest.raises(TypeError, match="max_iter"):
+            fit(random_design(seed=45, n=10, p=3))
+
     def test_non_finite_solver_input_rejected(self):
         # An infinite tol used to accept the start point as converged, and a
         # NaN tol ran every sweep; a NaN weight passed the sign check.
