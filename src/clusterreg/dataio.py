@@ -14,8 +14,12 @@ A chunk that holds no quote, ``\r`` or NUL and is no longer than
 ``csv.field_size_limit()`` is plain: on it ``csv.reader`` would only
 split on ``\n`` and ``,``. One pass over its bytes checks that the
 separators run ``,,,\n`` row after row, and then one ``str.split`` cuts
-its fields. Every other file (a chunk that is not plain, a blank line, a
-bad field, a duplicate key, ...) is read again by the row loop
+its fields. A chunk that repeats the first year block (the rows before
+the first of another year) name for name from its place in it on, with
+one raw year per block, takes the block's codes; any other chunk (a row
+moved or respelled, a year changed inside a block) is coded by one dict
+lookup a field. Every other file (a chunk that is not plain, a blank
+line, a bad field, a duplicate key, ...) is read again by the row loop
 ``_load_long_rows``, which takes quotes and CRLF line ends, and reports
 the first problem or skips the blank lines. Every loader error names the
 file and the physical line on which the offending record starts, so a
@@ -204,6 +208,39 @@ def _codes(col: list, table: dict, raw: dict, parse) -> np.ndarray:
         return np.fromiter(map(raw.__getitem__, col), np.int64, len(col))
 
 
+def _first_block(length: int, parts: tuple, columns: tuple) -> tuple:
+    """The first year block, the file's first `length` rows: its length
+    and, per name column, each row's raw field and code. The raw field is
+    the raw-field table's key first coded alike, so a row costs a pointer."""
+    names = []
+    for k in (1, 2):
+        spelling = {}  # code -> first raw field; codes are first seen as 0, 1, ...
+        for raw, code in columns[k][1].items():
+            spelling.setdefault(code, raw)
+        codes = np.concatenate(parts[k])[:length]
+        names.append((np.array(list(spelling.values()), object)[codes].tolist(), codes))
+    return length, names
+
+
+def _repeated_codes(fields: list, rows: int, years: tuple, length: int, names: list):
+    """The year, entity and feature codes of a chunk of data rows from row
+    `rows` on whose names repeat the first block's from that row's place
+    in it on, with one raw year per block; None for any other chunk."""
+    n, offset = len(fields) // 4, rows % length
+    q, r = divmod(offset + n, length)  # the chunk ends q blocks and r rows on
+    for k, (raw, _) in zip((1, 2), names):
+        if fields[k] != raw[offset] or fields[k::4] != (
+                raw[offset:offset + n] if not q else raw[offset:] + raw * (q - 1) + raw[:r]):
+            return None
+    seg, at = np.divmod(np.arange(offset, offset + n), length)
+    first = -offset % length  # the first row of the chunk to start a block
+    col = fields[::4]
+    heads = col[:first and 1] + col[first::length]
+    if length > 1 and col != np.array(heads, dtype=object)[seg].tolist():
+        return None
+    return [_codes(heads, *years)[seg]] + [codes[at] for _, codes in names]
+
+
 def _joined(parts: list) -> np.ndarray:
     """Concatenate a list of arrays and empty it, so that of the four
     columns only the one being joined is held twice."""
@@ -233,16 +270,23 @@ def _load_long_blocks(path: Path) -> EnergyPanel | None:
                (features, {}, lambda s: sys.intern(s.strip())))
     parts = ([], [], [], [])  # per chunk: year, entity and feature codes, cells
     start = 4  # the header's fields lead the first chunk
+    rows, block = 0, None  # data rows before the chunk; the block of year code 0
     try:
         for fields in _long_fields(path):
             if start and [h.strip() for h in fields[:4]] != LONG_HEADER:
                 return None
-            for k, column in enumerate(columns):
-                parts[k].append(_codes(fields[start + k::4], *column))
+            codes = block and _repeated_codes(fields, rows, columns[0], *block)
+            if not codes:
+                codes = [_codes(fields[start + k::4], *col) for k, col in enumerate(columns)]
+            for part, code in zip(parts, codes):
+                part.append(code)
+            if block is None and (ends := np.flatnonzero(codes[0])).size:
+                block = _first_block(rows + int(ends[0]), parts, columns)
             # float() strips what str.strip would, but \x1c-\x1f, which it
             # rejects: the row loop then reads the file, to the same panel.
             col = fields[start + 3::4]
             parts[3].append(np.fromiter(map(float, col), float, len(col)))
+            rows += len(col)
             start = 0
     except ValueError:  # UnicodeDecodeError is a ValueError
         return None

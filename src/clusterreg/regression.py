@@ -156,12 +156,14 @@ class DesignMatrix:
 class PenaltySpec:
     """Penalty kind plus the weights lam1 of its L1 term and lam2 of its
     squared-L2 term: a ridge carries only lam2, a lasso only lam1. An
-    elastic net has the mixing ratio alpha = lam1 / (lam1 + lam2) when the
-    total is positive."""
+    elastic net with a positive total has a mixing ratio alpha: the one it
+    was split by (PenaltySpec.of), else lam1 / (lam1 + lam2). Any other
+    spec has alpha None."""
 
     kind: str
     lam1: float = 0.0
     lam2: float = 0.0
+    alpha: float | None = None
 
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
@@ -172,33 +174,33 @@ class PenaltySpec:
             raise RegressionError("a ridge penalty has no L1 weight")
         if self.kind == "lasso" and self.lam2:
             raise RegressionError("a lasso penalty has no L2 weight")
+        if self.kind != "elastic_net" or self.lam == 0:
+            object.__setattr__(self, "alpha", None)
+        elif self.alpha is None:
+            object.__setattr__(self, "alpha", self.lam1 / self.lam)
 
     @property
     def lam(self) -> float:
         """The total weight lam1 + lam2."""
         return self.lam1 + self.lam2
 
-    @property
-    def alpha(self) -> float | None:
-        if self.kind != "elastic_net" or self.lam == 0:
-            return None
-        return self.lam1 / self.lam
-
     @classmethod
     def of(cls, kind: str, lam: float, alpha: float) -> "PenaltySpec":
         """Spec of one grid point: lam is the weight, or for elastic_net the
         total weight split as lam1 = alpha*lam, lam2 = (1-alpha)*lam. The
         larger share is the product and the smaller is lam less it, which
-        is exact (Sterbenz lemma), so lam1 + lam2 == lam."""
+        is exact (Sterbenz lemma), so lam1 + lam2 == lam. An elastic net
+        records alpha as given, which lam1 / lam need not equal."""
         if kind == "ridge":
             return cls(kind, lam2=lam)
         if kind == "lasso":
             return cls(kind, lam1=lam)
         if not 0.0 <= alpha <= 1.0:
             raise RegressionError("alpha must be in [0, 1]")
+        alpha = float(alpha)
         if alpha >= 0.5:
-            return cls(kind, lam1=alpha * lam, lam2=lam - alpha * lam)
-        return cls(kind, lam1=lam - (1.0 - alpha) * lam, lam2=(1.0 - alpha) * lam)
+            return cls(kind, alpha * lam, lam - alpha * lam, alpha)
+        return cls(kind, lam - (1.0 - alpha) * lam, (1.0 - alpha) * lam, alpha)
 
     @classmethod
     def ridge(cls, lam: float) -> "PenaltySpec":

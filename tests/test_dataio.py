@@ -383,6 +383,77 @@ def test_block_parser_equals_row_loop(tmp_path_factory, file, chunk_bytes):
         assert_same_panel(load_panel(path), expected)
 
 
+# Names a plain file may hold: no comma, quote, \r, \n or NUL, none padded.
+PLAIN_NAMES = st.text(st.sampled_from("ab xé漢"), min_size=1, max_size=3).filter(
+    lambda s: s == s.strip())
+
+
+@st.composite
+def block_files(draw):
+    """Rows of a dense plain long file in year blocks, each block holding
+    the first block's (entity, feature) sequence, then up to three later
+    blocks perturbed: two rows swapped, a row dropped or repeated, a name
+    respelled with surrounding whitespace, or a row put under another
+    year."""
+    years = draw(st.lists(st.integers(1990, 2030), min_size=1, max_size=5, unique=True))
+    entities = draw(st.lists(PLAIN_NAMES, min_size=1, max_size=4, unique=True))
+    features = draw(st.lists(PLAIN_NAMES, min_size=1, max_size=3, unique=True))
+    keys = draw(st.permutations([(e, f) for e in entities for f in features]))
+    blocks = [[[str(y), e, f, repr(draw(FINITE))] for e, f in keys] for y in years]
+    for _ in range(draw(st.integers(0, 3)) if len(blocks) > 1 else 0):
+        block = blocks[draw(st.integers(1, len(blocks) - 1))]
+        if not block:
+            continue
+        i = draw(st.integers(0, len(block) - 1))
+        kind = draw(st.sampled_from(["swap", "drop", "repeat", "respell", "year"]))
+        if kind == "swap":
+            j = draw(st.integers(0, len(block) - 1))
+            block[i], block[j] = block[j], block[i]
+        elif kind == "drop":
+            del block[i]
+        elif kind == "repeat":
+            block.insert(i, list(block[i]))
+        elif kind == "respell":
+            k = draw(st.sampled_from([1, 2]))
+            block[i][k] = draw(st.sampled_from([" ", "\t"])) + block[i][k] + " "
+        else:
+            block[i][0] = str(draw(st.integers(1990, 2031)))
+    return [row for block in blocks for row in block]
+
+
+@given(rows=block_files(), chunk_bytes=st.sampled_from([1, 40, 200, dataio.CHUNK_BYTES]))
+@example(rows=[], chunk_bytes=dataio.CHUNK_BYTES)  # a header-only file
+@example(rows=[["2000", "a", "f", "1.0"], ["2000", "a", "g", "2.0"], ["2000", "b", "f", "3.0"]],
+         chunk_bytes=40)
+@example(rows=[[str(2000 + i), "a", "f", f"{i}.5"] for i in range(40)], chunk_bytes=40)
+@example(rows=[[str(2000 + i), "a", "f", f"{i}.5"] for i in range(40)]
+         + [["2000", "a", "f", "1.0"]], chunk_bytes=200)
+@example(rows=[[str(2000 + i // 2) if i != 9 else "2030", "ab"[i % 2], "f", f"{i}.5"]
+               for i in range(12)], chunk_bytes=40)
+@settings(max_examples=300, deadline=None)
+def test_block_parser_on_repeated_year_blocks(tmp_path_factory, rows, chunk_bytes):
+    """On a plain file whose later year blocks repeat the first block's
+    (entity, feature) sequence, or nearly do, the block parser returns the
+    row loop's panel bit for bit, or None where the row loop raises: a
+    chunk that repeats the first block is coded from it, any other chunk
+    row by row, and the two must agree wherever a chunk cut or a
+    perturbation falls. Examples: a header-only file, a single-year file,
+    one-row blocks (with a repeated key in the last chunk), and a row put
+    under another year inside a two-row block of a chunk that holds
+    three."""
+    path = tmp_path_factory.mktemp("repeat") / "panel.csv"
+    write_csv(path, LONG_HEADER, rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "CHUNK_BYTES", chunk_bytes)
+        panel = dataio._load_long_blocks(path)
+    try:
+        expected = dataio._load_long_rows(path)
+    except PanelFormatError:
+        assert panel is None
+    else:
+        assert_same_panel(panel, expected)
+
+
 @pytest.mark.parametrize("shape", [{}, {"n_years": 60, "support_size": 16}],
                          ids=["default-46", "tall-full-rank"])
 def test_plain_long_file_is_split_without_csv_reader(tmp_path, monkeypatch, shape):
@@ -401,6 +472,45 @@ def test_plain_long_file_is_split_without_csv_reader(tmp_path, monkeypatch, shap
         back = load_panel(path)
         assert calls == []
         assert_same_panel(back, panel)
+
+
+@pytest.mark.parametrize("chunk_bytes", [dataio.CHUNK_BYTES, 1000])
+@pytest.mark.parametrize("shape", [{}, {"n_entities": 400}, {"n_years": 60, "support_size": 16}],
+                         ids=["default-46", "wide-400", "tall-full-rank"])
+def test_chunks_that_repeat_the_first_year_block_skip_the_code_tables(tmp_path, monkeypatch,
+                                                                      shape, chunk_bytes):
+    """save_panel_long writes every year block in the first block's
+    (entity, feature) order, so _codes sees the columns of the chunks up to
+    the one in which the second year starts, and of every later chunk only
+    the raw year of each block it holds. Two adjacent rows of the last
+    year swapped send exactly the chunks that hold them to _codes too; the
+    panel is the same."""
+    panel, _ = generate_synthetic(seed=0, **shape)
+    path, swapped = tmp_path / "panel.csv", tmp_path / "swapped.csv"
+    save_panel_long(panel, path)
+    block = panel.n_entities * panel.n_features
+    row = block * (panel.n_years - 1) + block // 2  # a data row of the last year
+    lines = path.read_text().splitlines(keepends=True)
+    lines[row + 1], lines[row + 2] = lines[row + 2], lines[row + 1]
+    swapped.write_text("".join(lines))
+    monkeypatch.setattr(dataio, "CHUNK_BYTES", chunk_bytes)
+    codes, calls = dataio._codes, []
+    monkeypatch.setattr(dataio, "_codes", lambda col, *a: calls.append(col) or codes(col, *a))
+    for file, moved in ((path, ()), (swapped, (row, row + 1))):
+        calls.clear()
+        assert_same_panel(dataio._load_long_blocks(file), panel)
+        expected, start, sent = [], 0, 0
+        for k, fields in enumerate(dataio._long_fields(file)):
+            cols = [fields[4 * (k == 0) + j::4] for j in range(3)]
+            end = start + len(cols[0])
+            if start <= block or any(start <= r < end for r in moved):
+                expected += cols
+                sent += 1
+            else:
+                expected.append(list(dict.fromkeys(cols[0])))
+            start = end
+        assert calls == expected
+        assert sent < k / 2  # most chunks take the block's codes
 
 
 def test_a_chunk_longer_than_the_csv_field_limit_goes_to_the_row_loop(tmp_path):

@@ -235,6 +235,24 @@ class TestElasticNet:
         assert list(zip(lam1s.tolist(), lam2s.tolist())) == [
             (spec.lam1, spec.lam2) for spec in specs]
 
+    @pytest.mark.parametrize("alpha", [0, 0.1, 0.3, 0.5, 0.7, 1])
+    def test_elastic_net_records_the_alpha_it_was_given(self, alpha):
+        """An elastic net split by PenaltySpec.of reports the alpha it was
+        given, as a float, not lam1 / lam: at 0, 0.5 and 1 the two are
+        equal (so those models' bytes hold), at 0.1 they differ on the
+        default grid. A spec built from its weights reports lam1 / lam, and
+        a spec of another kind or of zero weight reports None."""
+        from clusterreg.pipeline import _DEFAULT_L1_GRID
+
+        specs = [PenaltySpec.of("elastic_net", lam, alpha) for lam in _DEFAULT_L1_GRID]
+        assert {(spec.alpha, type(spec.alpha)) for spec in specs} == {(alpha, float)}
+        ratios = {spec.lam1 / spec.lam for spec in specs}
+        assert (ratios == {alpha}) == (alpha in (0, 0.5, 1))
+        assert all(spec.to_dict()["alpha"] == alpha for spec in specs)
+        assert PenaltySpec.elastic_net(1.0, 3.0).alpha == 0.25
+        assert PenaltySpec.of("elastic_net", 0.0, alpha).alpha is None
+        assert PenaltySpec("ridge", lam2=1.0, alpha=0.3).alpha is None
+
 
 class TestKkt:
     def test_exact_univariate_solution(self):
