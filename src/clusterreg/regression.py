@@ -1,7 +1,6 @@
 """Penalized linear regression: closed-form ridge, lasso and elastic net by
-feature-sign search with a coordinate-descent fallback, with metrics,
-cross-validated penalty selection, path tracing, and subgradient
-optimality checks.
+feature-sign search, with metrics, cross-validated penalty selection, path
+tracing, and subgradient optimality checks.
 
 Objective conventions (shared by every solver and by kkt_check):
 
@@ -22,23 +21,21 @@ H = X'X + lam2*I and c = X'y on the centered design, the objective is
 b'Hb - 2c'b + lam1*|b|_1 up to a constant (Zou & Hastie 2005, Lemma 1).
 The weights pick the solve: least squares at lam1 = lam2 = 0, the closed
 form H b = c at lam1 = 0, and otherwise the feature-sign search, which
-returns the exact solve of one sign pattern. A solve that breaks a sign
-of its pattern is repaired at once; only one that keeps them meets the
-acceptance test. Only when the search gives up does coordinate descent
-run, with the update
-
-    beta_j = soft_threshold(rho_j, lam1 / 2) / H_jj
-
-for column j with partial residual correlation rho_j. Both accept a fit
-by _optimality within the kkt_check bound 10*tol*max(1, |2X'y|_inf), the
-one place tol enters the solver: the descent stops at the first sweep
-whose iterate passes, and the search, whose solves are exact, gives its
-zero coordinates only rounding slack, and works that slack out only when
-some zero coordinate has |g_j| > lam1, the one case in which it can
-decide. Both tests read the stationarity residuals and the zero
-coordinates' |g_j| off the one vector |g + lam1*sign(b)|. A search
-started from the solution it would return (such as the path's row at the
-same weights) accepts it on its first step.
+returns the solve of one sign pattern. A solve that breaks a sign of its
+pattern is repaired at once; only one that keeps them meets the
+acceptance test, _pattern_test: stationarity within the kkt_check bound
+10*tol*max(1, |2X'y|_inf), the one place tol enters the solver, and, as
+the solves are direct, not iterative, only rounding slack for the zero
+coordinates, worked out only when some zero coordinate has |g_j| > lam1,
+the one case in which it can decide. It reads the stationarity residuals
+and the zero coordinates' |g_j| off the one vector |g + lam1*sign(b)|. A
+search started from the solution it would return (such as the path's row
+at the same weights) accepts it on its first step. When the search gives up (a
+singular H_AA, or a nearly singular one whose solve breaks a sign and
+leads back to a pattern seen before), it is run again with every pattern
+solved by minimum-norm least squares, first from the same start and
+then from zero; so every fit returned without a 'non_converged' flag
+passes the one acceptance test.
 
 Every fit runs through one dispatch, _fit_grid, which fits a whole
 penalty grid per design, not per point; fit_penalized is a grid of one
@@ -66,9 +63,6 @@ from .errors import RegressionError
 
 NONZERO_TOL = 1e-10
 PENALTY_KINDS = ("ridge", "lasso", "elastic_net")
-# Bounds the time of a descent that does not converge (it is flagged 'non_converged'):
-# on a collinear corpus one ran all 100,000 sweeps and ended at 993x the kkt_check bound.
-MAX_SWEEPS = 100_000
 _EPS = np.finfo(float).eps
 
 
@@ -308,17 +302,6 @@ class PathReport:
         return ["lambda", *self.column_names, "r2", "mse"]
 
 
-def soft_threshold(z: float, gamma: float) -> float:
-    """sign(z) * max(|z| - gamma, 0); the coordinate-wise L1 minimizer."""
-    if gamma < 0:
-        raise RegressionError("gamma must be >= 0")
-    if z > gamma:
-        return z - gamma
-    if z < -gamma:
-        return z + gamma
-    return 0.0
-
-
 def fit_ols(d: DesignMatrix) -> LinearModel:
     """Least squares baseline (no penalty).
 
@@ -352,37 +335,20 @@ def _solve_pattern(
     lam1: float,
     active: np.ndarray,
     signs: np.ndarray,
+    exact: bool = True,
 ) -> np.ndarray | None:
     """Stationary point of the objective restricted to one sign pattern:
-    the solve of H_AA b = c_A - (lam1/2)*s_A, or None when that system is
-    singular. The caller tests whether b is finite."""
+    the solve of H_AA b = c_A - (lam1/2)*s_A, or, unless exact, its
+    minimum-norm least-squares solution; None when the solve raises (for
+    the exact solve, a singular system). The caller tests whether b is
+    finite."""
+    hess_aa, rhs = hess.take(active, 0).take(active, 1), corr.take(active) - 0.5 * lam1 * signs
     try:
-        return np.linalg.solve(hess.take(active, 0).take(active, 1),
-                               corr.take(active) - 0.5 * lam1 * signs)
+        if exact:
+            return np.linalg.solve(hess_aa, rhs)
+        return np.linalg.lstsq(hess_aa, rhs, rcond=None)[0]
     except np.linalg.LinAlgError:
         return None
-
-
-def _optimality(
-    hess: np.ndarray,
-    corr: np.ndarray,
-    lam1: float | np.ndarray,
-    x: np.ndarray,
-    theta: np.ndarray,
-    active: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What the acceptance tests read at candidates x (..., p) of the sign
-    pattern theta (p,), nonzero on the columns `active`, with the L1 weight
-    lam1 (a float, or (m, 1) for a stack of m) on hess (..., p, p): the
-    gradient g = -2(corr - hess @ x) of the smooth part; v = |g +
-    lam1*theta|; and the largest stationarity residual over the active
-    columns. As lam1*theta_j is exactly +-lam1 or 0, v holds the residual
-    |g_j + lam1*s_j| at an active column and |g_j| at any other. Each
-    product is one slice's matrix-vector product, so a candidate's values
-    do not depend on the stack it is in."""
-    g = -2.0 * (corr - (hess @ x[..., None])[..., 0])
-    v = np.abs(g + lam1 * theta)
-    return g, v, np.maximum.reduce(v.take(active, -1), axis=-1, initial=0.0)
 
 
 def _pattern_test(
@@ -395,17 +361,24 @@ def _pattern_test(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The feature-sign search's acceptance test of solves b (..., a) of
     the sign pattern theta (p,), nonzero on the columns `active`, that keep
-    its signs, with lam1 as _optimality takes it and system's H one matrix
-    or a stack. Returns the solves as coefficient vectors x (..., p);
-    whether each passes: its stationarity residual is within bound, and
-    every zero coordinate has |g_j| <= lam1 up to rounding; and, for the
-    search's next step, the gradient g and the excess |g_j| - lam1 of the
-    zero coordinates (-inf at the active ones), less the slack wherever
-    the slack was worked out. The sign test comes first, in the caller: a
-    solve that breaks a sign fails without this test.
+    its signs, with the L1 weight lam1 (a float, or (m, 1) for a stack of
+    m) and system's H one matrix or a stack (..., p, p). Returns the solves
+    as coefficient vectors x (..., p); whether each passes: its
+    stationarity residual is within bound, and every zero coordinate has
+    |g_j| <= lam1 up to rounding; and, for the search's next step, the
+    gradient g = -2(c - H x) of the smooth part and the excess |g_j| - lam1
+    of the zero coordinates (-inf at the active ones), less the slack
+    wherever the slack was worked out. The sign test comes first, in the
+    caller: a solve that breaks a sign fails without this test.
+
+    Both tests read v = |g + lam1*theta|: as lam1*theta_j is exactly
+    +-lam1 or 0, v holds the stationarity residual |g_j + lam1*s_j| at an
+    active column and |g_j| at any other. Each product is one slice's
+    matrix-vector product, so a candidate's values do not depend on the
+    stack it is in.
 
     The inactive test allows no iterative slack, since a pattern solve is
-    exact: only the rounding of evaluating g_j = -2(c_j - H_j x), whose
+    direct, not an iterate: only the rounding of evaluating g_j = -2(c_j - H_j x), whose
     error is at most 2*gamma_(p+1)*(|c_j| + sum_k |H_jk||x_k|) with
     gamma_(p+1) ~ (p+1)*eps/2 (Higham 2002, eq. 3.5). The slack is four
     times that. A slack of bound would keep a copied column at a small
@@ -416,7 +389,9 @@ def _pattern_test(
     p = theta.shape[-1]
     x = np.zeros(b.shape[:-1] + (p,))
     x.T[active] = b.T
-    g, v, stationarity = _optimality(hess, corr, lam1, x, theta, active)
+    g = -2.0 * (corr - (hess @ x[..., None])[..., 0])
+    v = np.abs(g + lam1 * theta)
+    stationarity = np.maximum.reduce(v.take(active, -1), axis=-1, initial=0.0)
     excess = v - lam1
     excess.T[active] = -np.inf  # excess[..., active], without the slower Ellipsis index
     if np.maximum.reduce(excess, axis=None) <= 0.0:
@@ -450,20 +425,21 @@ def _feature_sign_search(
     lam1: float,
     beta: np.ndarray,
     bound: float,
+    exact: bool = True,
 ) -> np.ndarray | None:
     """Feature-sign search (Lee, Battle, Raina & Ng 2007) from the start
     beta: the solve of some sign pattern that keeps its signs and passes
-    _pattern_test, or None.
+    _pattern_test, or None. Each pattern is solved by _solve_pattern with
+    `exact`.
 
     Each step solves the objective on the current sign pattern. A solve
     that keeps its signs is returned if it passes; otherwise the worst
     inactive KKT violator j joins the pattern with sign -sign(g_j). A
     solve that breaks a sign is approached by _line_search, and the
     coefficients left at zero leave the pattern. The objective never
-    rises, so the search ends on a pattern seen before, after 2p steps, on
-    a singular H_AA or a solve that is not finite, or when only
-    stationarity fails (no repair applies); the caller then goes on with
-    coordinate descent."""
+    rises, so the search gives up on a pattern seen before, after 2p steps,
+    on a solve that raises or is not finite, or when only stationarity
+    fails (no repair applies)."""
     hess, corr = system.hess, system.corr
     p = beta.shape[0]
     x = beta.copy()
@@ -476,7 +452,7 @@ def _feature_sign_search(
         seen.add(key)
         active = theta.nonzero()[0]
         signs = theta[active]
-        b = _solve_pattern(hess, corr, lam1, active, signs)
+        b = _solve_pattern(hess, corr, lam1, active, signs, exact)
         if b is None:
             return None
         # b*signs is not finite where b is not, and > 0 where b keeps its sign
@@ -499,46 +475,6 @@ def _feature_sign_search(
     return None
 
 
-def _coordinate_descent(
-    hess: np.ndarray,
-    corr: np.ndarray,
-    lam1: float,
-    bound: float,
-    beta: np.ndarray,
-) -> tuple[np.ndarray, bool, int]:
-    """Cyclic coordinate descent for b'Hb - 2c'b + lam1*|b|_1 (the
-    centered fit) on hess = H and corr = c, from the start beta: the
-    iterate, whether it converged, and the sweeps run.
-
-    Stops at the first sweep whose iterate passes _optimality within
-    bound: stationarity <= bound on its nonzero coordinates and |g_j| <=
-    lam1 + bound on its zero ones. Coordinates with a zero diagonal
-    (centered constants at lam2 = 0) are skipped and keep their start
-    value."""
-    p = beta.shape[0]
-    beta = beta.copy()
-    diag = hess.diagonal()
-    thresh = lam1 / 2.0
-    for sweep in range(MAX_SWEEPS):
-        q = hess @ beta  # refreshed each sweep so incremental drift cannot build up
-        for j in range(p):
-            if diag[j] == 0.0:
-                continue
-            rho = corr[j] - q[j] + diag[j] * beta[j]
-            new = soft_threshold(float(rho), thresh) / diag[j]
-            delta = new - beta[j]
-            if delta != 0.0:
-                q += hess[:, j] * delta
-                beta[j] = new
-        theta = np.sign(beta)
-        active = theta.nonzero()[0]
-        _, v, stationarity = _optimality(hess, corr, lam1, beta, theta, active)
-        v[active] = 0.0
-        if stationarity <= bound and v.max() <= lam1 + bound:
-            return beta, True, sweep + 1
-    return beta, False, MAX_SWEEPS
-
-
 @lru_cache(maxsize=8)
 def _identity(p: int) -> np.ndarray:
     """The read-only p x p identity that every fit on p columns shares."""
@@ -554,14 +490,17 @@ def _search(
     bound: float,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Coefficients and flags of the fit at lam1 > 0 on the system: the
-    feature-sign search from `start`, or coordinate descent from the same
-    point when the search gives up, flagged 'non_converged' when it does
-    not converge within MAX_SWEEPS sweeps."""
+    first fit that the feature-sign search returns from `start`, then,
+    with least-squares pattern solves, from `start` and from zero; or,
+    when all three give up, `start` flagged 'non_converged'."""
     beta = _feature_sign_search(system, lam1, start, bound)
     if beta is not None:
         return beta, ()
-    beta, converged, _ = _coordinate_descent(system.hess, system.corr, lam1, bound, start)
-    return beta, () if converged else ("non_converged",)
+    for begin in (start, np.zeros_like(start)):
+        beta = _feature_sign_search(system, lam1, begin, bound, False)
+        if beta is not None:
+            return beta, ()
+    return start, ("non_converged",)
 
 
 def _bound(m: Moments, tol: float) -> float:
@@ -594,11 +533,10 @@ def fit_penalized(
     RegressionError naming lam2 when H is singular in floating point),
     zero in closed form at lam1 >= lasso_lambda_max, and otherwise the
     feature-sign search from the coefficients `start` (as reported on a
-    model, e.g. the fit at a neighbouring penalty) or zero, with
-    coordinate descent from the same point only when the search gives up.
-    A descent that does not converge within MAX_SWEEPS sweeps is flagged
-    'non_converged' on the model, never silently accepted. tol and start
-    are checked for every fit."""
+    model, e.g. the fit at a neighbouring penalty) or zero, run again with
+    least-squares pattern solves only when it gives up (see _search). A
+    fit no attempt finishes is flagged 'non_converged' on the model, never
+    silently accepted. tol and start are checked for every fit."""
     if start is not None and np.shape(start) != (d.p,):
         raise RegressionError(f"start must have shape ({d.p},), got {np.shape(start)}")
     coefs, intercepts, flags = _fit_grid(d, [spec.lam1], [spec.lam2], tol, start)

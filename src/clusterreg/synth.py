@@ -121,7 +121,7 @@ def generate_synthetic(
 
     Requires n_entities >= n_clusters, n_features >= n_clusters (one peak
     feature per cluster), 2 <= support_size <= n_clusters, n_years >= 2,
-    noise_sd >= 0. Deterministic in the seed."""
+    a finite noise_sd >= 0 and seed >= 0. Deterministic in the seed."""
     if min(n_entities, n_features, n_clusters, n_years) < 1:
         raise ClusterRegError("sizes must be positive")
     if support_size > n_clusters:
@@ -137,8 +137,10 @@ def generate_synthetic(
         raise ClusterRegError("need n_features >= n_clusters (one peak feature per cluster)")
     if n_years < 2:
         raise ClusterRegError("need n_years >= 2")
-    if noise_sd < 0:
-        raise ClusterRegError("noise_sd must be >= 0")
+    if not 0 <= noise_sd < math.inf:  # a NaN fails too
+        raise ClusterRegError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
+    if seed < 0:
+        raise ClusterRegError(f"seed must be >= 0, got {seed!r}")
 
     rng = np.random.default_rng(seed)
 

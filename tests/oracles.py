@@ -12,9 +12,12 @@ the per-point dispatch the package had before every fit ran through its
 grid solver, which that solver must reproduce bit for bit. So is
 the reference feature-sign search after them, a copy of the package's
 search in a form that spends more numpy calls per step, whose every result
-the package's search must return bit for bit. Last come the config
-checks as they stood before each field's facts moved into one row of one
-table.
+the package's search must return bit for bit. Beside it stands a cyclic
+coordinate descent, a second solver that shares no step with the search,
+whose fits the search's must agree with; collinear_designs builds the
+corpus of near-singular designs on which the search's least-squares retry
+is tested. Last come the config checks as they stood before each field's
+facts moved into one row of one table.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from clusterreg import clustering, regression
-from clusterreg.errors import ClusterRegError, ConfigError
+from clusterreg.errors import ClusterRegError, ConfigError, RegressionError
 from clusterreg.pipeline import _finite, parse_grid, parse_years
 
 
@@ -232,6 +235,56 @@ def random_instance(rng, max_n=8, max_p=3, cond_cap=10.0):
         beta = rng.normal(size=p) * (rng.random(p) < 0.7)
         y = x @ beta + rng.normal() + 0.3 * rng.normal(size=n)
         return x, y
+
+
+def collinear_designs(seed, count):
+    """The first `count` designs of a collinear corpus, each 16 columns on
+    15, 30 or 60 rows (in turn): 8 Gaussian columns, then 8 more, each an
+    exact copy of one of them, a scaled copy plus 1e-8 noise, a copy plus
+    noise at 10^U(-15, -4), the exact combination a - 0.3b, or a constant.
+    The target is sparse in the 16 columns (4 nonzero weights) plus noise
+    at 0.1. Near-copies make pattern solves that np.linalg.solve does not
+    refuse but whose H_AA has condition 1e15 or more; exact copies and
+    combinations make singular ones."""
+    from clusterreg.regression import DesignMatrix
+
+    rng = np.random.default_rng(seed)
+    designs = []
+    for i in range(count):
+        n = (15, 30, 60)[i % 3]
+        base = rng.normal(size=(n, 8))
+        columns = []
+        for _ in range(8):
+            kind = rng.integers(5)
+            a = base[:, rng.integers(8)]
+            b = base[:, rng.integers(8)]
+            if kind == 0:
+                columns.append(a)
+            elif kind == 1:
+                columns.append(rng.uniform(0.5, 3) * a + 1e-8 * rng.normal(size=n))
+            elif kind == 2:
+                columns.append(a + 10 ** rng.uniform(-15, -4) * rng.normal(size=n))
+            elif kind == 3:
+                columns.append(a - 0.3 * b)
+            else:
+                columns.append(np.full(n, rng.normal()))
+        x = np.column_stack([base, *columns])
+        beta = np.zeros(16)
+        beta[rng.choice(16, 4, replace=False)] = rng.normal(size=4)
+        y = x @ beta + 0.1 * rng.normal(size=n)
+        designs.append(DesignMatrix(x, y, tuple(f"c{j}" for j in range(16))))
+    return designs
+
+
+def collinear_grid(d):
+    """The (lam1s, lam2s) pairs each collinear design is fitted on: 28 lasso
+    weights from lasso_lambda_max down to 1e-6 of it, at lam2 = 0 and at
+    lam2 = 1e-6 * max diag(X'X) of the centered design."""
+    from clusterreg.regression import lasso_lambda_max
+
+    lam1s = lasso_lambda_max(d) * np.logspace(0, -6, 28)
+    small = 1e-6 * float(d.moments.gram.diagonal().max())
+    return [(lam1s, np.full(28, lam2)) for lam2 in (0.0, small)]
 
 
 def kkt_loop(model, d):
@@ -472,6 +525,58 @@ def _feature_sign_search(
                                      x[active], b)
             theta = np.sign(x)
     return None
+
+
+def soft_threshold(z: float, gamma: float) -> float:
+    """sign(z) * max(|z| - gamma, 0); the coordinate-wise L1 minimizer."""
+    if gamma < 0:
+        raise RegressionError("gamma must be >= 0")
+    if z > gamma:
+        return z - gamma
+    if z < -gamma:
+        return z + gamma
+    return 0.0
+
+
+def _coordinate_descent(
+    hess: np.ndarray,
+    corr: np.ndarray,
+    lam1: float,
+    bound: float,
+    beta: np.ndarray,
+    max_sweeps: int = 100_000,
+) -> tuple[np.ndarray, bool, int]:
+    """Cyclic coordinate descent for b'Hb - 2c'b + lam1*|b|_1 (the
+    centered fit) on hess = H and corr = c, from the start beta: the
+    iterate, whether it converged, and the sweeps run. It is the fallback
+    the package ran where its search gave up, kept here as a second,
+    independent solver for the search's fits to agree with.
+
+    Stops at the first sweep whose iterate passes the optimality test
+    within bound: stationarity <= bound on its nonzero coordinates and
+    |g_j| <= lam1 + bound on its zero ones; after max_sweeps sweeps it
+    stops unconverged. Coordinates with a zero diagonal (centered
+    constants at lam2 = 0) are skipped and keep their start value."""
+    p = beta.shape[0]
+    beta = beta.copy()
+    diag = hess.diagonal()
+    thresh = lam1 / 2.0
+    for sweep in range(max_sweeps):
+        q = hess @ beta  # refreshed each sweep so incremental drift cannot build up
+        for j in range(p):
+            if diag[j] == 0.0:
+                continue
+            rho = corr[j] - q[j] + diag[j] * beta[j]
+            new = soft_threshold(float(rho), thresh) / diag[j]
+            delta = new - beta[j]
+            if delta != 0.0:
+                q += hess[:, j] * delta
+                beta[j] = new
+        active = beta.nonzero()[0]
+        stationarity, g = _optimality(hess, corr, lam1, beta, active, np.sign(beta[active]))
+        if stationarity <= bound and np.abs(g).max() <= lam1 + bound:
+            return beta, True, sweep + 1
+    return beta, False, max_sweeps
 
 
 def _kept_pattern_fits(

@@ -103,6 +103,22 @@ class TestGenSynthetic:
         assert main(["gen-synthetic", "--seed", "1", "--support", "99",
                      "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--seed", "1", "--noise-sd", "nan"], "noise_sd must be finite and >= 0, got nan"),
+        (["--seed", "1", "--noise-sd", "inf"], "noise_sd must be finite and >= 0, got inf"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+    ], ids=["nan-noise", "inf-noise", "negative-seed"])
+    def test_bad_noise_or_seed_exits_one_writing_nothing(self, tmp_path, capsys, argv,
+                                                         message):
+        """A NaN noise_sd once ended in a traceback from the strict JSON
+        writer, an infinite one in a bracket failure, and a negative seed
+        in numpy's traceback: each is now one error line, and no file is
+        written."""
+        out = tmp_path / "out"
+        assert main(["gen-synthetic", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestCluster:
     def test_two_blob_fixture(self, tmp_path, capsys):

@@ -11,8 +11,10 @@ anchor_year now decide both): the file lost exactly the two lines
 "anchor": "train_mean" and "layout": "long". It lost exactly one more,
 "standardize": false, when the column-scale option went (columns are
 never rescaled), and one more, "max_iter": 100000, when the cap on the
-fallback descent's sweeps became the constant regression.MAX_SWEEPS (no
-caller set another value). The digests hold for the numpy/BLAS build
+sweeps of the coordinate-descent fallback became a constant (no caller
+set another value). When that fallback gave way to a least-squares retry
+of the feature-sign search, which no fit of this run needs, no digest
+changed. The digests hold for the numpy/BLAS build
 they were recorded with; on another build, a file whose digest differs
 is compared value by value against the committed copy in
 tests/golden/seed2024 at 1e-12, and the assertion names the file that

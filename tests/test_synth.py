@@ -115,6 +115,21 @@ def test_size_validation():
         generate_synthetic(seed=1, n_years=1)
 
 
+@pytest.mark.parametrize("noise_sd", [math.nan, math.inf, -math.inf, -0.1])
+def test_noise_sd_must_be_finite_and_non_negative(noise_sd):
+    """A NaN noise_sd once passed the check (nan < 0 is False) and gave a
+    noiseless panel whose truth recorded NaN; an infinite one failed as a
+    bracket failure."""
+    with pytest.raises(ClusterRegError, match=r"^noise_sd must be finite and >= 0, got "):
+        generate_synthetic(seed=1, noise_sd=noise_sd)
+
+
+def test_negative_seed_refused():
+    with pytest.raises(ClusterRegError, match=r"^seed must be >= 0, got -1$"):
+        generate_synthetic(seed=-1)
+    assert generate_synthetic(seed=0)[1].seed == 0
+
+
 def test_small_configuration_works():
     panel, truth = generate_synthetic(seed=2, n_entities=8, n_features=6,
                                       n_clusters=4, n_years=6, support_size=2)
