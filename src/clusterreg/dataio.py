@@ -325,55 +325,33 @@ def _load_long_rows(path: Path) -> EnergyPanel:
     entities: dict[str, int] = {}
     features: dict[str, int] = {}
     year_codes, entity_codes, feature_codes = array("q"), array("q"), array("q")
-    lines = array("q")  # the line each row starts on
     cells = array("d")
+    first_seen: dict[tuple, int] = {}  # the line each (year, entity, feature) key is first on
     name = str(path)
-    try:
-        for lineno, row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 4:
-                raise PanelFormatError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-            where = f"{name}:{lineno}"
-            year = _parse_year(row[0].strip(), where)
-            entity = row[1].strip()
-            feat = row[2].strip()
-            if not entity or not feat:
-                raise PanelFormatError(f"{where}: empty entity or feature name")
-            value = _parse_value(row[3].strip(), where)
-            year_codes.append(years.setdefault(year, len(years)))
-            entity_codes.append(entities.setdefault(entity, len(entities)))
-            feature_codes.append(features.setdefault(feat, len(features)))
-            lines.append(lineno)
-            cells.append(value)
-    finally:  # a duplicate among the rows before a bad one is the first fault
-        _check_unique_keys(path, years, entities, features, year_codes, entity_codes,
-                           feature_codes, lines)
+    for lineno, row in reader:
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 4:
+            raise PanelFormatError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
+        where = f"{name}:{lineno}"
+        year = _parse_year(row[0].strip(), where)
+        entity = row[1].strip()
+        feat = row[2].strip()
+        if not entity or not feat:
+            raise PanelFormatError(f"{where}: empty entity or feature name")
+        value = _parse_value(row[3].strip(), where)
+        key = (year, entity, feat)
+        first = first_seen.setdefault(key, lineno)
+        if first != lineno:
+            raise PanelFormatError(f"{where}: duplicate key {key}, first seen at row {first}")
+        year_codes.append(years.setdefault(year, len(years)))
+        entity_codes.append(entities.setdefault(entity, len(entities)))
+        feature_codes.append(features.setdefault(feat, len(features)))
+        cells.append(value)
     if not cells:
         raise PanelFormatError(f"{path}: no data rows")
     return _long_panel(years, entities, features, year_codes, entity_codes,
                        feature_codes, cells)
-
-
-def _check_unique_keys(path: Path, years: dict, entities: dict, features: dict,
-                       year_codes, entity_codes, feature_codes, lines) -> None:
-    """Raise PanelFormatError at the first row whose (year, entity, feature)
-    codes an earlier row has, naming both rows' lines. The rows are sorted
-    by their three codes, not by one product key, which could overflow
-    int64."""
-    codes = [np.asarray(c) for c in (year_codes, entity_codes, feature_codes)]
-    order = np.lexsort(codes[::-1])  # stable: the rows of one key keep file order
-    repeat = np.ones(max(order.size - 1, 0), dtype=bool)  # sorted row t repeats row t-1
-    for c in codes:
-        ranked = c[order]
-        repeat &= ranked[1:] == ranked[:-1]
-    if repeat.any():
-        row = int(order[1:][repeat].min())
-        first = int(np.flatnonzero(np.logical_and.reduce([c == c[row] for c in codes]))[0])
-        year, entity, feat = (list(table)[int(c[row])]
-                              for table, c in zip((years, entities, features), codes))
-        raise PanelFormatError(f"{path}:{lines[row]}: duplicate key {(year, entity, feat)}, "
-                               f"first seen at row {lines[first]}") from None
 
 
 def _load_wide(path: Path) -> EnergyPanel:

@@ -139,8 +139,12 @@ class PipelineConfig:
     enet_lambdas: list[float] = field(default_factory=lambda: list(_DEFAULT_L1_GRID))
     enet_alpha: float = 0.5
     cv_folds: int = 5
-    tol: float = 1e-10
     out_dir: str | None = None
+
+    @property
+    def tol(self) -> float:
+        """The fixed regression.TOL that scales every fit's acceptance bound."""
+        return regression.TOL
 
     def validate(self) -> None:
         given = [f for f in _CHECK_ORDER if not (f.optional and getattr(self, f.name) is None)]
@@ -292,8 +296,6 @@ _FIELDS = (
     _Field("enet_alpha", "regress", "enet_alpha", _finite, float,
            check=lambda v: 0.0 <= v <= 1.0, need="in [0, 1]"),
     _Field("cv_folds", "regress", "cv_folds", int, int, check=lambda v: v >= 2, need=">= 2"),
-    _Field("tol", "regress", "tol", _finite, float,
-           check=lambda v: 0.0 < v < math.inf, need="> 0 and finite"),
     _Field("train_years", "forecast", "train_years", parse_years, int, many=True),
     _Field("test_years", "forecast", "test_years", parse_years, int, many=True),
     _Field("out_dir", None, None, None, optional=True),
@@ -636,11 +638,11 @@ def fit_kind(config: PipelineConfig, design: regression.DesignMatrix, kind: str)
     grid = {"ridge": config.ridge_lambdas, "lasso": config.lasso_lambdas,
             "elastic_net": config.enet_lambdas}[kind]
     spec, table = _stage("fit", regression.cross_validate, design, kind, grid,
-                         folds=config.cv_folds, alpha=config.enet_alpha, tol=config.tol)
+                         folds=config.cv_folds, alpha=config.enet_alpha)
     path = _stage("fit", regression.iterate_lambda, design, kind,
-                  sorted(set(float(v) for v in grid)), alpha=config.enet_alpha, tol=config.tol)
+                  sorted(set(float(v) for v in grid)), alpha=config.enet_alpha)
     row = path.lambdas.index(spec.lam)  # spec.lam = lam1 + lam2 is the grid value
-    model = _stage("fit", regression.fit_penalized, design, spec, tol=config.tol,
+    model = _stage("fit", regression.fit_penalized, design, spec,
                    start=path.coefficient_matrix[row])
     return table, model, path
 

@@ -24,7 +24,7 @@ form H b = c at lam1 = 0, and otherwise the feature-sign search, which
 returns the solve of one sign pattern. A solve that breaks a sign of its
 pattern is repaired at once; only one that keeps them meets the
 acceptance test, _pattern_test: stationarity within the kkt_check bound
-10*tol*max(1, |2X'y|_inf), the one place tol enters the solver, and, as
+B = 10*TOL*max(1, |2X'y|_inf) with the fixed TOL = 1e-10, and, as
 the solves are direct, not iterative, only rounding slack for the zero
 coordinates, worked out only when some zero coordinate has |g_j| > lam1,
 the one case in which it can decide. It reads the stationarity residuals
@@ -62,6 +62,7 @@ import numpy as np
 from .errors import RegressionError
 
 NONZERO_TOL = 1e-10
+TOL = 1e-10  # scales the acceptance bound, see _bound
 PENALTY_KINDS = ("ridge", "lasso", "elastic_net")
 _EPS = np.finfo(float).eps
 
@@ -503,9 +504,9 @@ def _search(
     return start, ("non_converged",)
 
 
-def _bound(m: Moments, tol: float) -> float:
-    """The kkt_check bound 10*tol*max(1, |2X'y|_inf) a fit must meet."""
-    return 10.0 * tol * max(1.0, m.score_max)
+def _bound(m: Moments) -> float:
+    """The kkt_check bound 10*TOL*max(1, |2X'y|_inf) a fit must meet."""
+    return 10.0 * TOL * max(1.0, m.score_max)
 
 
 def _intercepts(m: Moments, coefs: np.ndarray) -> np.ndarray:
@@ -522,7 +523,6 @@ def _intercepts(m: Moments, coefs: np.ndarray) -> np.ndarray:
 def fit_penalized(
     d: DesignMatrix,
     spec: PenaltySpec,
-    tol: float = 1e-10,
     start: np.ndarray | None = None,
 ) -> LinearModel:
     """Fit the penalty a PenaltySpec describes: _fit_grid on the grid of
@@ -536,10 +536,10 @@ def fit_penalized(
     model, e.g. the fit at a neighbouring penalty) or zero, run again with
     least-squares pattern solves only when it gives up (see _search). A
     fit no attempt finishes is flagged 'non_converged' on the model, never
-    silently accepted. tol and start are checked for every fit."""
+    silently accepted. start is checked for every fit."""
     if start is not None and np.shape(start) != (d.p,):
         raise RegressionError(f"start must have shape ({d.p},), got {np.shape(start)}")
-    coefs, intercepts, flags = _fit_grid(d, [spec.lam1], [spec.lam2], tol, start)
+    coefs, intercepts, flags = _fit_grid(d, [spec.lam1], [spec.lam2], start)
     return LinearModel(float(intercepts[0]), coefs[0], spec, d.column_names, flags=flags[0])
 
 
@@ -586,7 +586,6 @@ def _fit_grid(
     d: DesignMatrix,
     lam1s: np.ndarray | list[float],
     lam2s: np.ndarray | list[float],
-    tol: float,
     start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[str, ...]]]:
     """The coefficients (k, p), intercepts (k,) and flags of the fits at
@@ -616,8 +615,6 @@ def _fit_grid(
     X'X + lam2*I and |H| are built once per lam2 in turn: once per lasso
     grid."""
     lam1s, lam2s = np.asarray(lam1s, dtype=float), np.asarray(lam2s, dtype=float)
-    if not 0.0 < tol < np.inf:
-        raise RegressionError("tol must be finite and > 0")
     m = d.moments
     coefs = np.empty((lam1s.size, d.p))
     flags: list[tuple[str, ...]] = [()] * lam1s.size
@@ -647,7 +644,7 @@ def _fit_grid(
         start = np.zeros(d.p)
     else:  # zero-norm columns stay at zero
         start = np.where(m.gram.diagonal() > 0.0, np.asarray(start, dtype=float), 0.0)
-    bound = _bound(m, tol)
+    bound = _bound(m)
     pattern = np.sign(start).tobytes()
     kept = zeros > 0  # whether the last fit kept the sign pattern it started from
     lam1_list, lam2_list = lam1s.tolist(), lam2s.tolist()
@@ -785,7 +782,6 @@ def cross_validate(
     lambda_grid,
     folds: int = 5,
     alpha: float = 0.5,
-    tol: float = 1e-10,
 ) -> tuple[PenaltySpec, list[tuple[float, float]]]:
     """Pick the penalty weight minimizing mean validation MSE.
 
@@ -811,7 +807,7 @@ def cross_validate(
     rows = np.arange(d.n)
     for f, block in enumerate(np.array_split(rows, folds)):  # contiguous: the rest is two slices
         train = d.subset(np.concatenate((rows[:block[0]], rows[block[-1] + 1:])))
-        coefs, intercepts, _ = _fit_grid(train, lam1s, lam2s, tol)
+        coefs, intercepts, _ = _fit_grid(train, lam1s, lam2s)
         fold_mse[:, f] = _grid_rss(coefs, intercepts, d.x[block], d.y[block]) / block.size
     table = list(zip(grid, fold_mse.mean(axis=1).tolist()))
     best_lam, best_mse = table[0]
@@ -826,21 +822,20 @@ def iterate_lambda(
     kind: str,
     grid,
     alpha: float = 0.5,
-    tol: float = 1e-10,
 ) -> PathReport:
     """Fit at every grid value (ascending) and record the trajectories.
 
     The fits run from the largest lambda down; each lasso or elastic-net
     fit starts from the coefficients of the next larger lambda (the
     largest starts from zero). Every row meets the kkt_check bound
-    10*tol*max(1, |2X'y|_inf) and differs from a cold-started one-off fit
+    10*TOL*max(1, |2X'y|_inf) and differs from a cold-started one-off fit
     with the same penalty by at most that bound."""
     grid = [float(v) for v in grid]
     if not grid:
         raise RegressionError("lambda grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise RegressionError("lambda grid must be strictly ascending")
-    coefs, intercepts, _ = _fit_grid(d, *_grid_weights(kind, grid, alpha), tol)
+    coefs, intercepts, _ = _fit_grid(d, *_grid_weights(kind, grid, alpha))
     rss = _grid_rss(coefs, intercepts, d.x, d.y)
     r2 = 1.0 - rss / _total_sum_of_squares(d.y)
     return PathReport(tuple(grid), coefs, tuple(r2.tolist()), tuple((rss / d.n).tolist()),

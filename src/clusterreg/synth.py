@@ -22,6 +22,8 @@ Everything is a deterministic function of the seed.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,9 +121,22 @@ def generate_synthetic(
 ) -> tuple[EnergyPanel, SyntheticTruth]:
     """Build a panel with planted clusters and a planted sparse target.
 
-    Requires n_entities >= n_clusters, n_features >= n_clusters (one peak
-    feature per cluster), 2 <= support_size <= n_clusters, n_years >= 2,
-    a finite noise_sd >= 0 and seed >= 0. Deterministic in the seed."""
+    Requires integer sizes and seed (no bool), n_entities >= n_clusters,
+    n_features >= n_clusters (one peak feature per cluster), 2 <=
+    support_size <= n_clusters, n_years >= 2, a real, finite noise_sd >= 0
+    and seed >= 0. Deterministic in the seed."""
+    integers = {"seed": seed, "n_entities": n_entities, "n_features": n_features,
+                "n_clusters": n_clusters, "n_years": n_years, "support_size": support_size}
+    for name, value in [*integers.items(), ("noise_sd", noise_sd)]:
+        if isinstance(value, (bool, np.bool_)):
+            raise ClusterRegError(f"{name} must be a number, not the bool {value!r}")
+    for name, value in integers.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ClusterRegError(f"{name} must be an integer, got {value!r}") from None
+    if not isinstance(noise_sd, numbers.Real):
+        raise ClusterRegError(f"noise_sd must be a real number, got {noise_sd!r}")
     if min(n_entities, n_features, n_clusters, n_years) < 1:
         raise ClusterRegError("sizes must be positive")
     if support_size > n_clusters:

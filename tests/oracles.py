@@ -307,7 +307,7 @@ def kkt_loop(model, d):
     return worst
 
 
-def _solve(d, lam1, lam2, tol, start):
+def _solve(d, lam1, lam2, start):
     """Coefficients, intercept and flags of one fit, by the per-point
     dispatch the package had before a single fit became a one-point grid:
     least squares at lam1 = lam2 = 0, the ridge solve at lam1 = 0, and
@@ -326,7 +326,7 @@ def _solve(d, lam1, lam2, tol, start):
     else:
         start = np.where(m.gram.diagonal() > 0.0, start, 0.0)  # zero-norm columns stay at zero
         beta, flags = regression._search(regression._system(m, lam2), lam1, start,
-                                         regression._bound(m, tol))
+                                         regression._bound(m))
     return beta, m.y_mean - float(m.x_mean @ beta), flags
 
 
@@ -340,7 +340,7 @@ def warm_descent(d, kind, grid, alpha):
     start = np.zeros(d.p)
     for i in sorted(range(len(grid)), key=lambda i: -grid[i]):
         spec = PenaltySpec.of(kind, grid[i], alpha)
-        beta, intercept, flags = _solve(d, spec.lam1, spec.lam2, 1e-10, start)
+        beta, intercept, flags = _solve(d, spec.lam1, spec.lam2, start)
         models[i] = LinearModel(intercept, beta, spec, d.column_names, flags=flags)
         start = models[i].coefficients
     return models
@@ -737,7 +737,6 @@ _BOUNDS = {
     "log_epsilon": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
     "enet_alpha": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     "cv_folds": (lambda v: v >= 2, ">= 2"),
-    "tol": (lambda v: 0.0 < v < math.inf, "> 0 and finite"),
 }
 # Grid field -> the check its stage makes of each value. Any alpha in
 # [0, 1] splits a valid total weight into valid weights.
@@ -750,8 +749,8 @@ _GRID_CHECKS = {
 }
 _NUMBER_FIELDS = (*_BOUNDS, "anchor_year", "train_years", "test_years", *_GRID_CHECKS)
 # The fields, or grids, of floats; every other number field holds integers.
-_FLOAT_FIELDS = ("log_epsilon", "enet_alpha", "tol", "eps_grid", "ridge_lambdas",
-                 "lasso_lambdas", "enet_lambdas")
+_FLOAT_FIELDS = ("log_epsilon", "enet_alpha", "eps_grid", "ridge_lambdas", "lasso_lambdas",
+                 "enet_lambdas")
 
 
 def _parse_int_grid(text: str) -> list[int]:
@@ -773,7 +772,6 @@ _CONFIG_KEYS = {
     "enet_lambdas": ("regress", "enet_lambdas", parse_grid),
     "enet_alpha": ("regress", "enet_alpha", _finite),
     "cv_folds": ("regress", "cv_folds", int),
-    "tol": ("regress", "tol", _finite),
     "train_years": ("forecast", "train_years", parse_years),
     "test_years": ("forecast", "test_years", parse_years),
 }

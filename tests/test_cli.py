@@ -299,7 +299,7 @@ def test_subcommand_files_match_pipeline_bytes(synthetic_cli, tmp_path):
 
 
 MALFORMED_CONFIGS = [
-    ("[regress]\ntol = abc\n", "[regress] tol"),
+    ("[preprocess]\nlog_epsilon = abc\n", "[preprocess] log_epsilon"),
     ("[cluster]\neps_grid = 0.1,x\n", "[cluster] eps_grid"),
     ("[cluster]\neps_grid = 0:inf:1\n", "[cluster] eps_grid"),
     ("[regress]\ncv_folds = 2.5\n", "[regress] cv_folds"),
@@ -308,11 +308,12 @@ MALFORMED_CONFIGS = [
     ("[regress]\nenet_alpha = half\n", "[regress] enet_alpha"),
     ("[regress]\nstandardize = true\n", "unknown key [regress] standardize"),
     ("[regress]\nmax_iter = 100000\n", "unknown key [regress] max_iter"),
+    ("[regress]\ntol = 1e-10\n", "unknown key [regress] tol"),
     ("[cluster]\nminpts_grid = 1:0:1\n", "[cluster] minpts_grid: bad range grid"),
     ("[cluster]\nminpts_grid = 1.5,2.7\n", "[cluster] minpts_grid: min_pts values must be integers"),
-    ("[regress]\ntol = nan\n", "[regress] tol: not a finite number"),
-    ("[regress]\ntol = inf\n", "[regress] tol: not a finite number"),
-    ("[regress]\ntol = 0\n", "[regress] tol: tol must be > 0"),
+    ("[preprocess]\nlog_epsilon = nan\n", "[preprocess] log_epsilon: not a finite number"),
+    ("[preprocess]\nlog_epsilon = 0\n",
+     "[preprocess] log_epsilon: log_epsilon must be finite and > 0"),
     ("[regress]\nenet_alpha = nan\n", "[regress] enet_alpha: not a finite number"),
     ("[preprocess]\nlog_epsilon = inf\n", "[preprocess] log_epsilon: not a finite number"),
     ("[cluster]\neps_grid = 0.1,-inf\n", "[cluster] eps_grid: not a finite number"),
@@ -330,11 +331,11 @@ MALFORMED_CONFIGS = [
     ("[data]\nlayuot = wide\n", "unknown key [data] layuot"),
     ("[data]\nlayout = wide\n", "unknown key [data] layout"),
     ("[preprocess]\nanchor = year\n", "unknown key [preprocess] anchor"),
-    ("[regres]\ntol = 1e-8\n", "unknown section [regres]"),
+    ("[regres]\ncv_folds = 3\n", "unknown section [regres]"),
     ("[output]\n", "unknown section [output]"),
-    ("[DEFAULT]\ntol = 1e-8\n", "[DEFAULT] tol"),
-    ("[regress]\ntol = 1e-8\ntol = 1e-9\n", "'tol'"),
-    ("tol = 1e-8\n[regress]\n", "cfg.ini"),  # no section header
+    ("[DEFAULT]\ncv_folds = 3\n", "[DEFAULT] cv_folds"),
+    ("[regress]\ncv_folds = 3\ncv_folds = 4\n", "'cv_folds'"),
+    ("cv_folds = 3\n[regress]\n", "cfg.ini"),  # no section header
 ]
 
 

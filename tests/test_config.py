@@ -31,7 +31,6 @@ GOOD = {
     "anchor_year": [None, 2003, np.int64(2001), np.int32(2010)],
     "enet_alpha": [0.5, 0, 1, 0.25, np.float64(0.1), np.int64(1)],
     "cv_folds": [5, 2, np.int64(3)],
-    "tol": [1e-10, 1, np.float32(1e-9)],
     "eps_grid": [[0.1, 0.5], (0.2, 1), [np.float32(0.3), np.float64(0.6)], [0, 2]],
     "minpts_grid": [[1, 2], (3,), [np.int64(2), 4.0], [np.float64(1)]],
     "ridge_lambdas": [[0, 0.5], (0.1,), [np.float32(0.25), 1]],
@@ -49,7 +48,7 @@ FAULTS = {
                    "years": [(2000, TEST), (TRAIN, 2015), (np.array(TRAIN), TEST),
                              ("2000-2014", TEST), (TRAIN, None)]},
     "a bool": {"log_epsilon": [True, np.bool_(False)], "anchor_year": [True],
-               "enet_alpha": [False], "cv_folds": [True], "tol": [np.True_],
+               "enet_alpha": [False], "cv_folds": [True, np.True_],
                **{grid: [[True, 0.5], [np.bool_(True)]] for grid in GRIDS},
                "years": [(TRAIN, [2015, True]), ([True, *TRAIN], TEST)]},
     "not an integer": {"anchor_year": [2003.0, np.float64(2003), "2003", b"x", [2003]],
@@ -63,14 +62,14 @@ FAULTS = {
     "out of range": {"log_epsilon": [0.0, -1.0, NAN, INF, "0.5", Path("x"), None, [0.5],
                                      np.array([0.5])],
                      "enet_alpha": [1.5, -0.1, NAN, INF, "0.5", None, (0.5,)],
-                     "cv_folds": [1, 0, -2], "tol": [0.0, -1e-10, NAN, INF, "1e-9", b"x"],
+                     "cv_folds": [1, 0, -2],
                      "eps_grid": [[], [NAN], [0.1, INF], [-0.1], ["0.1"], [None]],
                      "minpts_grid": [[], [0], [1.5], [NAN], [INF], ["2"], [2, None]],
                      "ridge_lambdas": [[], [-1], [NAN], [INF], ["0.1"]],
                      "lasso_lambdas": [[], (), [-1e-3], [NAN], ["1"], [Path("x")]],
                      "enet_lambdas": [[], [-2], [INF], [None]]},
     "too large for a float": {name: [HUGE] for name in (
-        "log_epsilon", "enet_alpha", "cv_folds", "tol")} | {grid: [[HUGE]] for grid in GRIDS},
+        "log_epsilon", "enet_alpha", "cv_folds")} | {grid: [[HUGE]] for grid in GRIDS},
 }
 
 
@@ -133,7 +132,6 @@ TEXTS = {
     "enet_lambdas": (["", "logspace:-4:0:5", "0.5"], ["0:1:nan", "-0.5"]),
     "enet_alpha": (["", "0.25", "1", "-0.0", "0.1"], ["2", "half", "nan"]),
     "cv_folds": (["", "3", "2"], ["1", "2.5", "x"]),
-    "tol": (["", "1e-9"], ["0", "inf", "abc", "-1e-10"]),
     "train_years": (["", "2000-2014", "2000,2001,2002", "2000-2004", "2014-2014"],
                     ["2000-x", "2014-2000", "2000-1000000000000", ","]),
     "test_years": (["", "2015-2019", "2015,2016", "2015"], ["x"]),
@@ -166,15 +164,16 @@ def ini_text(draw):
             lines.insert(draw(st.integers(0, len(lines))),
                          f"{key} = {draw(st.sampled_from(TEXTS[key][1]))}")
         elif fault == "key":
-            lines.append(f"{draw(st.sampled_from(['tolerance', 'standardize', *TEXTS]))} = 1")
+            unknown = ["tol", "tolerance", "max_iter", "standardize"]  # removed keys, a typo
+            lines.append(f"{draw(st.sampled_from([*unknown, *TEXTS]))} = 1")
         elif fault == "section":
-            body[draw(st.sampled_from(["regres", "output"]))] = ["tol = 1e-8"]
+            body[draw(st.sampled_from(["regres", "output"]))] = ["cv_folds = 3"]
         elif fault == "default":
             body["DEFAULT"] = [f"{key} = 1"]
         elif fault == "repeat" and lines:
             lines.append(lines[0])
         elif fault == "header":
-            head = ["tol = 1e-8"]
+            head = ["cv_folds = 3"]
     order = draw(st.permutations(list(body)))
     return "\n".join([*head, *(f"[{sec}]\n" + "\n".join(body[sec]) for sec in order)]) + "\n"
 

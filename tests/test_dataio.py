@@ -89,6 +89,11 @@ def test_load_long_duplicate_key_names_both_rows(tmp_path):
      "2000,A,f,2.0\n2000,C,f\n", "{}:4: duplicate key (2000, 'B', 'f'), first seen at row 3"),
     ("long", "year,entity,feature,value\n2000,A,f,1.0\n2000,C,f\n2000,A,f,2.0\n",
      "{}:3: expected 4 columns, got 3"),
+    # A row that repeats a key and holds a bad value reports the value.
+    ("long", "year,entity,feature,value\n2000,A,f,1.0\n2000,A,f,x\n",
+     "non-numeric value 'x' at {}:3"),
+    ("long", "year,entity,feature,value\n2000,A,f,1.0\n2000,A,f,inf\n",
+     "non-finite value 'inf' at {}:3"),
     ("wide", 'entity,f\n"A\nB",1.0\nC,x\n', "non-numeric value 'x' at {}:4"),
     ("wide", 'entity,f\n"A\nB",1.0\n"A\nB",2.0\n', "{}:4: duplicate entity 'A\\nB'"),
 ])

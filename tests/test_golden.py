@@ -14,9 +14,11 @@ never rescaled), and one more, "max_iter": 100000, when the cap on the
 sweeps of the coordinate-descent fallback became a constant (no caller
 set another value). When that fallback gave way to a least-squares retry
 of the feature-sign search, which no fit of this run needs, no digest
-changed. The digests hold for the numpy/BLAS build
-they were recorded with; on another build, a file whose digest differs
-is compared value by value against the committed copy in
+changed. pipeline_report.json lost exactly one more line, "tol": 1e-10,
+when the scale of the acceptance bound became the constant
+regression.TOL (no caller set another value). The digests hold for the
+numpy/BLAS build they were recorded with; on another build, a file whose
+digest differs is compared value by value against the committed copy in
 tests/golden/seed2024 at 1e-12, and the assertion names the file that
 differed.
 """
@@ -44,7 +46,7 @@ GOLDEN_SHA256 = {
     "path_lasso.csv": "b10b4df4f2fdfb5c70f23e6a73cc6a03b8e05536b8011656286e57f8986e6bbb",
     "path_elastic_net.csv": "56340e37eff00323b948734913745fb287d656b84260df4fa2e0553f876aaf07",
     "forecast.csv": "b9af46af482503c90b20d27046a305ad73ad99a414bd7f38edf8f3f312d84cc4",
-    "pipeline_report.json": "cb471e4f869bc049ee035242d58b9b7d12c51d359d16f09d3c6bd3a1edceeb4e",
+    "pipeline_report.json": "c07574922e68d194cfc1d578f44caee1b0b1e3ae2bb3a3cc6f6088f819dad680",
 }
 TOL = 1e-12
 

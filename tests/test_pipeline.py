@@ -183,13 +183,12 @@ class TestConfig:
             cfg.validate()
 
     def test_solver_settings_checked(self):
-        for bad, named in ((dict(tol=float("nan")), "tol"), (dict(tol=float("inf")), "tol"),
-                           (dict(tol=0.0), "tol"),
-                           (dict(train_years=[]), "train_years and test_years must be set"),
+        for bad, named in ((dict(train_years=[]), "train_years and test_years must be set"),
                            (dict(test_years=[]), "train_years and test_years must be set"),
                            (dict(lasso_lambdas=[]), "lasso_lambdas must be non-empty"),
                            (dict(enet_alpha=1.5), r"enet_alpha must be in \[0, 1\]"),
                            (dict(log_epsilon=0.0), "log_epsilon must be finite and > 0"),
+                           (dict(log_epsilon=float("nan")), "log_epsilon must be finite and > 0"),
                            (dict(cv_folds=1), "cv_folds must be >= 2")):
             cfg = PipelineConfig(**{"train_years": [2000], "test_years": [2001], **bad})
             with pytest.raises(ConfigError, match=named):
@@ -680,7 +679,6 @@ lasso_lambdas = logspace:-3:0:4
 enet_lambdas = 0.5
 enet_alpha = 0.25
 cv_folds = 4
-tol = 1e-9
 
 [forecast]
 train_years = 2000-2004
@@ -725,13 +723,12 @@ def test_year_counts_fail_at_the_config_stage(synthetic_case, years, message):
     (dict(eps_grid=["0.1"]), "eps_grid holds '0.1': not a number"),
     (dict(ridge_lambdas=["0.1"]), "ridge_lambdas holds '0.1': not a number"),
     (dict(enet_alpha="0.5"), r"enet_alpha must be in \[0, 1\], got '0.5'"),
-    (dict(tol="1e-9"), "tol must be > 0 and finite, got '1e-9'"),
     (dict(log_epsilon="x"), "log_epsilon must be finite and > 0, got 'x'"),
 ], ids=["log_epsilon_nan", "log_epsilon_inf", "cv_folds_fractional",
         "train_years_float", "test_years_float", "anchor_year_float", "ridge_lambda_nan",
         "lasso_lambda_negative", "enet_lambda_inf", "eps_nan", "eps_negative",
         "min_pts_fractional", "min_pts_zero", "min_pts_str", "eps_str", "ridge_lambda_str",
-        "enet_alpha_str", "tol_str", "log_epsilon_str"])
+        "enet_alpha_str", "log_epsilon_str"])
 def test_code_built_values_the_ini_parser_rejects_fail_at_the_config_stage(
         synthetic_case, bad, message):
     """A config built in code can hold values that no INI file parses to: a
@@ -774,7 +771,7 @@ def test_a_list_field_that_is_not_a_list_fails_at_the_config_stage(synthetic_cas
 NUMPY_FIELDS = {
     "cv_folds": (np.int64(5), 5),
     "anchor_year": (np.int64(2003), 2003),
-    "tol": (np.float32(1e-10), float(np.float32(1e-10))),
+    "log_epsilon": (np.float32(1e-6), float(np.float32(1e-6))),
     "minpts_grid": ([np.int64(1), 2, np.int64(3)], [1, 2, 3]),
     "train_years": ([np.int64(y) for y in TRAIN_YEARS], list(TRAIN_YEARS)),
     "eps_grid": ([np.float32(e) for e in pipeline._DEFAULT_EPS_GRID],
@@ -1050,16 +1047,27 @@ class TestConfigKeys:
 
         from clusterreg.dataio import load_panel
 
-        assert len(dataclasses.fields(PipelineConfig)) == 14
+        assert len(dataclasses.fields(PipelineConfig)) == 13
         # one row of the field table per field, and an INI key for all but out_dir
         assert sorted(f.name for f in pipeline._FIELDS) == sorted(
             f.name for f in dataclasses.fields(PipelineConfig))
         assert [f.name for f in pipeline._FIELDS if not f.section] == ["out_dir"]
-        assert {"layout", "anchor", "standardize", "max_iter"}.isdisjoint(
+        assert {"layout", "anchor", "standardize", "max_iter", "tol"}.isdisjoint(
             f.name for f in dataclasses.fields(PipelineConfig))
-        with pytest.raises(TypeError, match="max_iter"):
-            PipelineConfig(max_iter=100_000)
+        for removed in (dict(max_iter=100_000), dict(tol=1e-10)):
+            with pytest.raises(TypeError, match=next(iter(removed))):
+                PipelineConfig(**removed)
         assert list(inspect.signature(load_panel).parameters) == ["path"]
+
+    def test_tol_is_the_fixed_solver_constant_and_read_only(self):
+        """The acceptance bound's scale is regression.TOL: a config reads it
+        but holds no field for it, so no INI key or report line sets it."""
+        cfg = PipelineConfig()
+        assert cfg.tol == regression.TOL == 1e-10
+        assert "tol" not in cfg.to_dict()
+        with pytest.raises(AttributeError):
+            cfg.tol = 1e-8
+        assert cfg.tol == regression.TOL
 
     def test_every_key(self, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -1069,7 +1077,7 @@ class TestConfigKeys:
             test_years=[2005, 2006], anchor_year=2001, log_epsilon=1e-4,
             eps_grid=[0.1, 0.2], minpts_grid=[1, 2, 3], ridge_lambdas=parse_grid("0.0:0.2:0.1"),
             lasso_lambdas=parse_grid("logspace:-3:0:4"), enet_lambdas=[0.5], enet_alpha=0.25,
-            cv_folds=4, tol=1e-9)
+            cv_folds=4)
 
     def test_blank_keys_keep_defaults(self, tmp_path):
         blank = "\n".join(line.split("=")[0] + "=" if "=" in line else line

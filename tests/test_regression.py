@@ -294,8 +294,8 @@ class TestKkt:
             d = DesignMatrix(x, y, tuple(f"c{j}" for j in range(x.shape[1])))
             lam1 = float(rng.uniform(0.0, 2.0))
             lam2 = float(rng.uniform(0.0, 2.0))
-            for m in (fit_penalized(d, PenaltySpec.lasso(lam1), tol=1e-10),
-                      fit_penalized(d, PenaltySpec.elastic_net(lam1, lam2), tol=1e-10)):
+            for m in (fit_penalized(d, PenaltySpec.lasso(lam1)),
+                      fit_penalized(d, PenaltySpec.elastic_net(lam1, lam2))):
                 assert m.converged
                 assert kkt_check(m, d) < 10 * 1e-10 * max(
                     1.0, float(np.abs(2 * d.x.T @ d.y).max()))
@@ -455,8 +455,8 @@ class TestIterateLambda:
         assert len(path.rows()) == 2 and len(path.rows()[0]) == 6
 
 
-def _kkt_bound(d: DesignMatrix, tol: float = 1e-10) -> float:
-    return 10 * tol * max(1.0, float(np.abs(2 * d.x.T @ d.y).max()))
+def _kkt_bound(d: DesignMatrix) -> float:
+    return 10 * 1e-10 * max(1.0, float(np.abs(2 * d.x.T @ d.y).max()))
 
 
 class TestWarmStart:
@@ -565,7 +565,7 @@ class TestGridSolver:
 
         models = warm_descent(d, kind, grid, alpha)
         weights = regression._grid_weights(kind, grid, alpha)
-        coefs, intercepts, flags = regression._fit_grid(d, *weights, 1e-10)
+        coefs, intercepts, flags = regression._fit_grid(d, *weights)
         assert np.array_equal(coefs, [m.coefficients for m in models])
         assert np.array_equal(intercepts, [m.intercept for m in models])
         assert flags == [m.flags for m in models]
@@ -632,7 +632,7 @@ class TestGridSolver:
         recorded = mock.patch.object(regression, "_feature_sign_search", exact_recorded)
         with recorded:
             coefs, intercepts, flags = regression._fit_grid(
-                d, *regression._grid_weights(kind, grid, alpha), 1e-10)
+                d, *regression._grid_weights(kind, grid, alpha))
         if all(lam1 >= lam_max and lam1 > 0 for lam1 in lam1s):
             assert calls == []
         assert sum(calls) <= sum(0 < lam1 < lam_max for lam1 in lam1s)  # fits searched
@@ -667,7 +667,7 @@ class TestGridSolver:
         of descent on not-a-number arithmetic."""
         d = DesignMatrix(np.array(x), np.array(y), ("a", "b"))
         message = f"^{moment} of the (centered )?design is not finite$"
-        for fit in (lambda: regression._fit_grid(d, [1.0], [0.0], 1e-10),
+        for fit in (lambda: regression._fit_grid(d, [1.0], [0.0]),
                     lambda: fit_penalized(d, PenaltySpec.lasso(1.0)),
                     lambda: fit_ols(d),
                     lambda: cross_validate(d, "lasso", [1.0], folds=3)):
@@ -686,30 +686,19 @@ class TestGridSolver:
         ("lars", [float("nan")], 0.5, "unknown penalty kind 'lars'"),
         ("lars", [1.0], -0.5, "alpha must be in [0, 1]"),
     ])
-    @pytest.mark.parametrize("tol", [1e-10, 0.0])
-    def test_grid_checks_raise_the_penalty_spec_errors_first(self, kind, grid, alpha, message,
-                                                             tol):
+    def test_grid_checks_raise_the_penalty_spec_errors_first(self, kind, grid, alpha, message):
         """A grid is checked once, as a whole, with the messages and in the
-        order that PenaltySpec.of checks its values one by one, and before
-        the solver's tol."""
+        order that PenaltySpec.of checks its values one by one."""
         with pytest.raises(RegressionError) as one_by_one:
             for lam in grid:
                 PenaltySpec.of(kind, lam, alpha)
         assert str(one_by_one.value) == message
         d = random_design(seed=3, n=10)
-        for fit_grid in (lambda: cross_validate(d, kind, grid, 2, alpha, tol),
-                         lambda: iterate_lambda(d, kind, grid, alpha, tol)):
+        for fit_grid in (lambda: cross_validate(d, kind, grid, 2, alpha),
+                         lambda: iterate_lambda(d, kind, grid, alpha)):
             with pytest.raises(RegressionError) as raised:
                 fit_grid()
             assert str(raised.value) == message
-
-    def test_solver_settings_are_checked_after_a_valid_grid(self):
-        d = random_design(seed=3, n=10)
-        for kind, alpha in (("ridge", 2.0), ("lasso", -1.0), ("elastic_net", 1.0)):
-            with pytest.raises(RegressionError, match="^tol must be finite and > 0$"):
-                cross_validate(d, kind, [0.0, 1.0], 2, alpha, 0.0)
-            with pytest.raises(RegressionError, match="^tol must be finite and > 0$"):
-                iterate_lambda(d, kind, [0.0, 1.0], alpha, 0.0)
 
     def test_singular_ridge_system_names_its_weight(self):
         """X'X + lam2*I of a copied column scaled by 1e10 is singular in
@@ -859,14 +848,14 @@ class TestActiveSetSearch:
         for index, grid in ((13, 0), (35, 1)):
             d = designs[index]
             lam1s, lam2s = collinear_grid(d)[grid]
-            coefs, intercepts, flags = regression._fit_grid(d, lam1s, lam2s, 1e-10)
+            coefs, intercepts, flags = regression._fit_grid(d, lam1s, lam2s)
             assert flags == [()] * 28
             for lam1, lam2, beta, intercept in zip(lam1s, lam2s, coefs, intercepts):
                 m = LinearModel(intercept, beta, PenaltySpec.elastic_net(lam1, lam2),
                                 d.column_names)
                 assert kkt_check(m, d) <= _kkt_bound(d), (index, lam1)
             searches = _searches(monkeypatch)
-            regression._fit_grid(d, lam1s, lam2s, 1e-10)
+            regression._fit_grid(d, lam1s, lam2s)
             monkeypatch.undo()
             retries = [(beta.any(), result is None) for exact, beta, result in searches
                        if not exact]
@@ -934,7 +923,7 @@ class TestActiveSetSearch:
                                             max_size=p)))
         start = theta * (scales[p] / scales[:p]) * 10.0 ** rng.uniform(-3, 1, size=p)
         system = regression._system(m, lam2)
-        bound = regression._bound(m, 1e-10)
+        bound = regression._bound(m)
         with np.errstate(all="ignore"):
             got = regression._feature_sign_search(system, lam1, start, bound)
             want = reference_search(system.hess, system.corr, lam1, start, bound)
@@ -978,7 +967,7 @@ class TestActiveSetSearch:
             return result
 
         monkeypatch.setattr(regression, "_feature_sign_search", recorded)
-        coefs, intercepts, flags = regression._fit_grid(d, grid, np.zeros(len(grid)), 1e-10)
+        coefs, intercepts, flags = regression._fit_grid(d, grid, np.zeros(len(grid)))
         assert [(exact, gave_up) for exact, gave_up, _ in searches] == (
             [(True, False)] + [(True, True), (False, False)] * 26)
         assert all(0 < count < 2 * p for exact, _, count in searches if exact)
@@ -1041,7 +1030,7 @@ class TestActiveSetSearch:
 
     def test_coefficient_change_exit_meets_the_kkt_bound(self):
         """The reference descent (plain CD) moves each coefficient by less
-        than tol per sweep here long before the KKT residual falls within
+        than 1e-10 per sweep here long before the KKT residual falls within
         the kkt_check bound; it must not stop there, or test_agrees_with_plain_cd
         would compare against a fit outside the bound."""
         x = np.zeros((6, 4))
@@ -1214,29 +1203,26 @@ class TestInvariants:
         d = random_design(seed=45, n=10, p=3)
         for spec in (PenaltySpec.ridge(0.5), PenaltySpec.ridge(0.0), PenaltySpec.lasso(0.5),
                      PenaltySpec.elastic_net(0.0, 0.5)):
-            with pytest.raises(RegressionError, match="tol"):
-                fit_penalized(d, spec, tol=np.nan)
             with pytest.raises(RegressionError, match="start"):
                 fit_penalized(d, spec, start=np.zeros(d.p + 1))
 
+    @pytest.mark.parametrize("option", [{"max_iter": 100_000}, {"tol": 1e-10}],
+                             ids=["max_iter", "tol"])
     @pytest.mark.parametrize("fit", [
-        lambda d: fit_penalized(d, PenaltySpec.lasso(0.5), max_iter=100_000),
-        lambda d: cross_validate(d, "lasso", [0.5], 2, max_iter=100_000),
-        lambda d: iterate_lambda(d, "lasso", [0.5], max_iter=100_000),
+        lambda d, option: fit_penalized(d, PenaltySpec.lasso(0.5), **option),
+        lambda d, option: cross_validate(d, "lasso", [0.5], 2, **option),
+        lambda d, option: iterate_lambda(d, "lasso", [0.5], **option),
     ], ids=["fit_penalized", "cross_validate", "iterate_lambda"])
-    def test_the_sweep_cap_is_not_an_option(self, fit):
-        """No fit takes a max_iter keyword: the search and its retries end
-        within 2p steps each, so there is no sweep cap to set."""
-        with pytest.raises(TypeError, match="max_iter"):
-            fit(random_design(seed=45, n=10, p=3))
+    def test_the_sweep_cap_is_not_an_option(self, fit, option):
+        """No fit takes a max_iter or a tol keyword: the search and its
+        retries end within 2p steps each, so there is no sweep cap to set,
+        and every fit is accepted within the bound of the fixed
+        regression.TOL."""
+        with pytest.raises(TypeError, match=next(iter(option))):
+            fit(random_design(seed=45, n=10, p=3), option)
 
     def test_non_finite_solver_input_rejected(self):
-        # An infinite tol used to accept the start point as converged, and a
-        # NaN tol ran every sweep; a NaN weight passed the sign check.
-        d = random_design(seed=44, n=10, p=3)
-        for tol in (np.inf, np.nan, 0.0):
-            with pytest.raises(RegressionError, match="tol must be finite"):
-                fit_penalized(d, PenaltySpec.lasso(0.5), tol=tol)
+        # A NaN weight once passed the sign check.
         for lam in (np.nan, np.inf, -np.inf, -1.0):
             with pytest.raises(RegressionError, match="penalty weights must be finite"):
                 PenaltySpec.lasso(lam)

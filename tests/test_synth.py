@@ -124,6 +124,31 @@ def test_noise_sd_must_be_finite_and_non_negative(noise_sd):
         generate_synthetic(seed=1, noise_sd=noise_sd)
 
 
+@pytest.mark.parametrize("argument,value,message", [
+    ("seed", 1.5, "seed must be an integer, got {!r}"),
+    ("n_years", 2.5, "n_years must be an integer, got {!r}"),
+    ("n_entities", 46.0, "n_entities must be an integer, got {!r}"),
+    ("support_size", "7", "support_size must be an integer, got {!r}"),
+    ("noise_sd", "0.1", "noise_sd must be a real number, got {!r}"),
+    ("noise_sd", 0.1j, "noise_sd must be a real number, got {!r}"),
+    ("seed", True, "seed must be a number, not the bool {!r}"),
+    ("n_features", np.True_, "n_features must be a number, not the bool {!r}"),
+    ("noise_sd", False, "noise_sd must be a number, not the bool {!r}"),
+])
+def test_wrong_typed_argument_is_named(argument, value, message):
+    """Each once escaped as a bare TypeError, or, for a bool, was taken as 0
+    or 1."""
+    with pytest.raises(ClusterRegError) as err:
+        generate_synthetic(**{"seed": 1, argument: value})
+    assert str(err.value) == message.format(value)
+
+
+def test_integer_like_arguments_are_accepted():
+    a = generate_synthetic(seed=np.int64(3), n_years=np.int32(6), noise_sd=np.float32(0.1))
+    b = generate_synthetic(seed=3, n_years=6, noise_sd=float(np.float32(0.1)))
+    np.testing.assert_array_equal(a[0].values, b[0].values)
+
+
 def test_negative_seed_refused():
     with pytest.raises(ClusterRegError, match=r"^seed must be >= 0, got -1$"):
         generate_synthetic(seed=-1)
