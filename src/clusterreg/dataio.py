@@ -150,11 +150,12 @@ def _csv_rows(path: Path):
         raise PanelFormatError(f"{path}: empty file")
 
 
-def _long_panel(years: dict, entities: dict, features: dict,
+def _long_panel(years: dict, entities: dict, features: dict | list,
                 year_codes, entity_codes, feature_codes, cells) -> EnergyPanel:
     """Scatter coded cells into a dense panel with the years sorted; names
-    keep their first-seen order (each dict maps a name to its code). The
-    codes and cells are int64 and float64 buffers of one length."""
+    keep their first-seen order (each dict maps a name to its code, and a
+    list of features codes each by its place). The codes and cells are
+    int64 and float64 buffers, or lists, of one length."""
     order = sorted(years)
     rank = np.empty(len(order), dtype=np.int64)
     rank[[years[y] for y in order]] = np.arange(len(order))
@@ -368,9 +369,9 @@ def _load_wide(path: Path) -> EnergyPanel:
     year_files = sorted(files.items())
 
     features: list[str] | None = None
-    entities: dict[str, None] = {}  # insertion-ordered name set
-    per_year: dict[int, dict[str, list[float]]] = {}
-    for year, file in year_files:
+    entities: dict[str, int] = {}  # name -> code, in first-seen order
+    row_years, row_entities, cells = [], [], []  # per data row: its codes and values
+    for code, (year, file) in enumerate(year_files):
         reader = _csv_rows(file)
         header = [h.strip() for h in next(reader)[1]]
         if not header or header[0] != "entity":
@@ -384,7 +385,7 @@ def _load_wide(path: Path) -> EnergyPanel:
             raise PanelFormatError(
                 f"{file}: feature columns {file_feats!r} differ from {features!r}"
             )
-        rows: dict[str, list[float]] = {}
+        seen: set[str] = set()
         for lineno, row in reader:
             if not row or all(not c.strip() for c in row):
                 continue
@@ -395,23 +396,19 @@ def _load_wide(path: Path) -> EnergyPanel:
             entity = row[0].strip()
             if not entity:
                 raise PanelFormatError(f"{file}:{lineno}: empty entity name")
-            if entity in rows:
+            if entity in seen:
                 raise PanelFormatError(f"{file}:{lineno}: duplicate entity {entity!r}")
-            rows[entity] = [_parse_value(c.strip(), f"{file}:{lineno}") for c in row[1:]]
-            entities[entity] = None
-        if not rows:
+            seen.add(entity)
+            cells.extend([_parse_value(c.strip(), f"{file}:{lineno}") for c in row[1:]])
+            row_years.append(code)
+            row_entities.append(entities.setdefault(entity, len(entities)))
+        if not seen:
             raise PanelFormatError(f"{file}: no data rows")
-        per_year[year] = rows
 
     assert features is not None
-    years = [y for y, _ in year_files]
-    values = np.zeros((len(years), len(entities), len(features)))
-    for yi, year in enumerate(years):
-        rows = per_year[year]
-        for ei, entity in enumerate(entities):
-            if entity in rows:
-                values[yi, ei, :] = rows[entity]
-    return EnergyPanel(tuple(years), tuple(entities), tuple(features), values)
+    w, years = len(features), {year: code for code, (year, _) in enumerate(year_files)}
+    return _long_panel(years, entities, features, np.repeat(row_years, w),
+                       np.repeat(row_entities, w), np.tile(np.arange(w), len(row_years)), cells)
 
 
 def load_panel(path: str | Path) -> EnergyPanel:

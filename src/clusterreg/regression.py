@@ -32,10 +32,10 @@ and the zero coordinates' |g_j| off the one vector |g + lam1*sign(b)|. A
 search started from the solution it would return (such as the path's row
 at the same weights) accepts it on its first step. When the search gives up (a
 singular H_AA, or a nearly singular one whose solve breaks a sign and
-leads back to a pattern seen before), it is run again with every pattern
-solved by minimum-norm least squares, first from the same start and
-then from zero; so every fit returned without a 'non_converged' flag
-passes the one acceptance test.
+leads back to a pattern seen before), it is run once more from the same
+start with every pattern solved by minimum-norm least squares; so every
+fit returned without a 'non_converged' flag passes the one acceptance
+test.
 
 Every fit runs through one dispatch, _fit_grid, which fits a whole
 penalty grid per design, not per point; fit_penalized is a grid of one
@@ -408,14 +408,14 @@ def _line_search(
     x: np.ndarray,
     b: np.ndarray,
 ) -> np.ndarray:
-    """The point of lowest objective among x, b and the points of the
-    segment from x to b where a nonzero coefficient of x reaches zero (set
-    exactly to zero there). x wins ties, so a step that cannot lower the
-    objective leaves x in place."""
+    """The point of lowest objective among the points of the segment from
+    x to b where a nonzero coefficient of x reaches zero (set exactly to
+    zero there), b and x, the first of them on a tie: a step that zeroes a
+    coefficient without raising the objective is taken."""
     cross = ((x != 0.0) & (x * b <= 0.0)).nonzero()[0]
     steps = x[cross] / (x[cross] - b[cross])
-    points = x + np.outer(np.concatenate(([0.0], steps, [1.0])), b - x)
-    points[1 + np.arange(cross.size), cross] = 0.0
+    points = x + np.outer(np.concatenate((steps, [1.0, 0.0])), b - x)
+    points[np.arange(cross.size), cross] = 0.0
     objective = ((points @ hess - 2.0 * corr) * points).sum(axis=1)
     objective += lam1 * np.abs(points).sum(axis=1)
     return points[objective.argmin()]
@@ -437,16 +437,19 @@ def _feature_sign_search(
     that keeps its signs is returned if it passes; otherwise the worst
     inactive KKT violator j joins the pattern with sign -sign(g_j). A
     solve that breaks a sign is approached by _line_search, and the
-    coefficients left at zero leave the pattern. The objective never
-    rises, so the search gives up on a pattern seen before, after 2p steps,
-    on a solve that raises or is not finite, or when only stationarity
-    fails (no repair applies)."""
+    coefficients left at zero leave the pattern. When only stationarity
+    fails, no b solves H_AA b = rhs: a least-squares solve then steps
+    along r = rhs - H_AA b, in null(H_AA), on which the objective falls,
+    twice as far as the first coefficient r drives to zero (so that one
+    surely crosses), and _line_search takes it from there. The objective
+    never rises, so a pattern seen before ends the search: it gives up
+    there, on a solve that raises or is not finite, or when only
+    stationarity fails an exact solve or r breaks no sign."""
     hess, corr = system.hess, system.corr
-    p = beta.shape[0]
     x = beta.copy()
     theta = np.sign(x)
     seen = set()
-    for _ in range(2 * p):
+    while True:
         key = theta.tobytes()
         if key in seen:
             return None
@@ -466,14 +469,19 @@ def _feature_sign_search(
             if passes:
                 return x
             j = int(excess.argmax())
-            if excess[j] <= 0.0:  # only stationarity fails
+            if excess[j] > 0.0:
+                theta[j] = -np.sign(g[j])
+                continue
+            if exact:  # only stationarity fails
                 return None
-            theta[j] = -np.sign(g[j])
-        else:
-            x[active] = _line_search(hess.take(active, 0).take(active, 1), corr[active], lam1,
-                                     x[active], b)
-            theta = np.sign(x)
-    return None
+            r = -0.5 * (g[active] + lam1 * signs)  # rhs - H_AA b
+            breaks = (r * signs < 0.0).nonzero()[0]
+            if not breaks.size:
+                return None
+            b = b + 2.0 * (b[breaks] / -r[breaks]).min() * r
+        x[active] = _line_search(hess.take(active, 0).take(active, 1), corr[active], lam1,
+                                 x[active], b)
+        theta = np.sign(x)
 
 
 @lru_cache(maxsize=8)
@@ -491,14 +499,11 @@ def _search(
     bound: float,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Coefficients and flags of the fit at lam1 > 0 on the system: the
-    first fit that the feature-sign search returns from `start`, then,
-    with least-squares pattern solves, from `start` and from zero; or,
-    when all three give up, `start` flagged 'non_converged'."""
-    beta = _feature_sign_search(system, lam1, start, bound)
-    if beta is not None:
-        return beta, ()
-    for begin in (start, np.zeros_like(start)):
-        beta = _feature_sign_search(system, lam1, begin, bound, False)
+    fit that the feature-sign search returns from `start`, first with
+    exact pattern solves and then with least-squares ones; or, when both
+    give up, `start` flagged 'non_converged'."""
+    for exact in (True, False):
+        beta = _feature_sign_search(system, lam1, start, bound, exact)
         if beta is not None:
             return beta, ()
     return start, ("non_converged",)
@@ -533,10 +538,11 @@ def fit_penalized(
     RegressionError naming lam2 when H is singular in floating point),
     zero in closed form at lam1 >= lasso_lambda_max, and otherwise the
     feature-sign search from the coefficients `start` (as reported on a
-    model, e.g. the fit at a neighbouring penalty) or zero, run again with
-    least-squares pattern solves only when it gives up (see _search). A
-    fit no attempt finishes is flagged 'non_converged' on the model, never
-    silently accepted. start is checked for every fit."""
+    model, e.g. the fit at a neighbouring penalty) or zero, run once more
+    from that start with least-squares pattern solves only when it gives
+    up (see _search). A fit neither search finishes is flagged
+    'non_converged' on the model, never silently accepted. start is
+    checked for every fit."""
     if start is not None and np.shape(start) != (d.p,):
         raise RegressionError(f"start must have shape ({d.p},), got {np.shape(start)}")
     coefs, intercepts, flags = _fit_grid(d, [spec.lam1], [spec.lam2], start)

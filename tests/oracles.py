@@ -466,14 +466,13 @@ def _line_search(
     x: np.ndarray,
     b: np.ndarray,
 ) -> np.ndarray:
-    """The point of lowest objective among x, b and the points of the
-    segment from x to b where a nonzero coefficient of x reaches zero (set
-    exactly to zero there). x wins ties, so a step that cannot lower the
-    objective leaves x in place."""
+    """The point of lowest objective among the points of the segment from
+    x to b where a nonzero coefficient of x reaches zero (set exactly to
+    zero there), b and x, the first of them on a tie."""
     cross = ((x != 0.0) & (x * b <= 0.0)).nonzero()[0]
     steps = x[cross] / (x[cross] - b[cross])
-    points = x + np.outer(np.concatenate(([0.0], steps, [1.0])), b - x)
-    points[1 + np.arange(cross.size), cross] = 0.0
+    points = x + np.outer(np.concatenate((steps, [1.0, 0.0])), b - x)
+    points[np.arange(cross.size), cross] = 0.0
     objective = ((points @ hess - 2.0 * corr) * points).sum(axis=1)
     objective += lam1 * np.abs(points).sum(axis=1)
     return points[objective.argmin()]
@@ -495,14 +494,13 @@ def _feature_sign_search(
     inactive KKT violator j joins the pattern with sign -sign(g_j). A
     solve that breaks a sign is approached by _line_search, and the
     coefficients left at zero leave the pattern. The objective never
-    rises, so the search ends on a pattern seen before, after 2p steps, on
-    a singular H_AA, or when only stationarity fails (no repair applies);
-    the caller then goes on with coordinate descent."""
-    p = beta.shape[0]
+    rises, so the search ends on a pattern seen before, on a singular
+    H_AA, or when only stationarity fails (no repair applies); the caller
+    then runs the search again with least-squares pattern solves."""
     x = beta.copy()
     theta = np.sign(x)
     seen = set()
-    for _ in range(2 * p):
+    while True:
         key = theta.tobytes()
         if key in seen:
             return None
@@ -524,7 +522,6 @@ def _feature_sign_search(
             x[active] = _line_search(hess[active[:, None], active], corr[active], lam1,
                                      x[active], b)
             theta = np.sign(x)
-    return None
 
 
 def soft_threshold(z: float, gamma: float) -> float:

@@ -310,6 +310,14 @@ MALFORMED_CONFIGS = [
     ("[regress]\nmax_iter = 100000\n", "unknown key [regress] max_iter"),
     ("[regress]\ntol = 1e-10\n", "unknown key [regress] tol"),
     ("[cluster]\nminpts_grid = 1:0:1\n", "[cluster] minpts_grid: bad range grid"),
+    ("[regress]\nridge_lambdas = 0:1\n",
+     "[regress] ridge_lambdas: bad range grid '0:1', want start:stop:step"),
+    ("[regress]\nlasso_lambdas = logspace:0:1\n",
+     "[regress] lasso_lambdas: bad logspace grid 'logspace:0:1', want logspace:e0:e1:count"),
+    ("[regress]\nenet_lambdas = logspace:0:1:0\n",
+     "[regress] enet_lambdas: logspace grid needs count >= 1"),
+    ("[forecast]\ntrain_years = 2010-2000\n", "[forecast] train_years: bad year range '2010-2000'"),
+    ("[forecast]\ntest_years = ,\n", "[forecast] test_years: empty year list ','"),
     ("[cluster]\nminpts_grid = 1.5,2.7\n", "[cluster] minpts_grid: min_pts values must be integers"),
     ("[preprocess]\nlog_epsilon = nan\n", "[preprocess] log_epsilon: not a finite number"),
     ("[preprocess]\nlog_epsilon = 0\n",

@@ -96,10 +96,33 @@ def test_load_long_duplicate_key_names_both_rows(tmp_path):
      "non-finite value 'inf' at {}:3"),
     ("wide", 'entity,f\n"A\nB",1.0\nC,x\n', "non-numeric value 'x' at {}:4"),
     ("wide", 'entity,f\n"A\nB",1.0\n"A\nB",2.0\n', "{}:4: duplicate entity 'A\\nB'"),
+    ("wide", 'entity,f\n"A\nB",1.0\n ,2.0\n', "{}:4: empty entity name"),
 ])
 def test_errors_name_the_physical_line_the_record_starts_on(tmp_path, layout, text, message):
     if layout == "long":
         path = bad = write(tmp_path / "p.csv", text)
+    else:
+        path, bad = tmp_path, write(tmp_path / "panel_2000.csv", text)
+    with pytest.raises(PanelFormatError) as err:
+        load_panel(path)
+    assert str(err.value) == message.format(bad)
+
+
+@pytest.mark.parametrize("layout,text,message", [
+    ("long", "", "{}: empty file"),
+    ("wide", None, "{}: no panel_<year>.csv files found"),
+    ("wide", "entity\nA\n", "{}: no feature columns"),
+    ("wide", "entity,f\n\n", "{}: no data rows"),
+])
+def test_errors_of_a_whole_file_name_the_file(tmp_path, layout, text, message):
+    """A long file with no header, a directory with no panel_<year>.csv
+    file, and a wide file with no feature column or no data row: each
+    raises naming the file or directory."""
+    if layout == "long":
+        path = bad = write(tmp_path / "p.csv", text)
+    elif text is None:
+        path = bad = tmp_path
+        write(tmp_path / "panel.csv", "entity,f\nA,1.0\n")
     else:
         path, bad = tmp_path, write(tmp_path / "panel_2000.csv", text)
     with pytest.raises(PanelFormatError) as err:

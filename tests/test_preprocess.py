@@ -155,3 +155,8 @@ class TestEntityProfile:
         panel = panel_from(np.ones((2, 1, 1)))
         with pytest.raises(KeyError):
             entity_profile(panel, [1999])
+
+    def test_empty_year_window_rejected(self):
+        panel = panel_from(np.ones((2, 1, 1)))
+        with pytest.raises(PreprocessError, match="^empty year window for entity profile$"):
+            entity_profile(panel, [])

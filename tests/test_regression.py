@@ -170,16 +170,15 @@ class TestLasso:
         assert m.intercept == pytest.approx(float(d.y.mean()), abs=1e-12)
 
     def test_non_convergence_flagged(self, monkeypatch):
-        # Every pattern solve raises, so all three attempts give up: the
-        # exact search from the start, then the least-squares search from
-        # the start and from zero. The fit is the start, flagged.
+        # Every pattern solve raises, so both searches give up: the exact
+        # search from the start, then the least-squares search from the
+        # same start. The fit is the start, flagged.
         d, lam, start = duplicated_column_case()
         monkeypatch.setattr(regression, "_solve_pattern", lambda *args: None)
         searches = _searches(monkeypatch)
         m = fit_penalized(d, PenaltySpec.lasso(lam), start=start)
         assert [(exact, begin.tolist(), beta) for exact, begin, beta in searches] == [
-            (True, start.tolist(), None), (False, start.tolist(), None),
-            (False, [0.0] * d.p, None)]
+            (True, start.tolist(), None), (False, start.tolist(), None)]
         assert not m.converged and m.flags == ("non_converged",)
         assert np.array_equal(m.coefficients, start)
 
@@ -287,6 +286,13 @@ class TestKkt:
         )
         assert kkt_check(bad, d) > 1e-3
 
+    def test_model_of_another_width_rejected(self):
+        d = random_design(seed=16)
+        m = fit_penalized(d, PenaltySpec.lasso(0.1))
+        wider = DesignMatrix(np.column_stack([d.x, d.x[:, 0]]), d.y, (*d.column_names, "extra"))
+        with pytest.raises(RegressionError, match="^model and design have different regressor"):
+            kkt_check(m, wider)
+
     def test_converged_fits_pass_within_ten_tol(self):
         rng = np.random.default_rng(77)
         for _ in range(25):
@@ -379,9 +385,11 @@ class TestCrossValidate:
 
     def test_preconditions(self):
         d = random_design(seed=23, n=4)
-        with pytest.raises(RegressionError):
+        with pytest.raises(RegressionError, match="^lambda grid is empty$"):
             cross_validate(d, "lasso", [], folds=2)
-        with pytest.raises(RegressionError):
+        with pytest.raises(RegressionError, match="^folds must be >= 2$"):
+            cross_validate(d, "lasso", [0.1], folds=1)
+        with pytest.raises(RegressionError, match="^need at least 5 samples for 5 folds, got 4$"):
             cross_validate(d, "lasso", [0.1], folds=5)
 
     def test_contiguous_blocks_used(self):
@@ -447,6 +455,8 @@ class TestIterateLambda:
         d = random_design(seed=28)
         with pytest.raises(RegressionError, match="ascending"):
             iterate_lambda(d, "lasso", [0.1, 0.1])
+        with pytest.raises(RegressionError, match="^lambda grid is empty$"):
+            iterate_lambda(d, "lasso", [])
 
     def test_csv_rows_shape(self):
         d = random_design(seed=29)
@@ -822,7 +832,7 @@ class TestActiveSetSearch:
         """The exact search gives up on the split start, whose H_AA is
         singular. The retry from the same start solves that pattern by
         minimum-norm least squares, which splits the weight equally over the
-        copies, and passes: the search from zero does not run."""
+        copies, and passes."""
         d, lam, start = duplicated_column_case()
         solves = _solves(monkeypatch)
         searches = _searches(monkeypatch)
@@ -840,10 +850,10 @@ class TestActiveSetSearch:
         before the least-squares retry, left 5 fits 'non_converged' and
         outside the kkt_check bound (the worst at 69.9 times it): design 13
         at lam2 = 0 and design 35 at lam2 = 1e-6 max diag(X'X). The exact
-        search gives up on 21 fits of design 13, and the retry from the
-        start finishes each. On design 35 one retry from the start gives up
-        too, and the search from zero finishes that fit. Every fit is
-        unflagged and within the bound."""
+        search gives up on 21 fits of design 13 and on one of design 35, and
+        the retry from the start finishes each; on design 35 only because a
+        tie in _line_search takes the step that zeroes a coefficient at no
+        cost. Every fit is unflagged and within the bound."""
         designs = collinear_designs(15, 36)
         for index, grid in ((13, 0), (35, 1)):
             d = designs[index]
@@ -859,8 +869,48 @@ class TestActiveSetSearch:
             monkeypatch.undo()
             retries = [(beta.any(), result is None) for exact, beta, result in searches
                        if not exact]
-            assert retries == ([(True, False)] * 21 if index == 13
-                               else [(True, True), (False, False)])
+            assert retries == [(True, False)] * (21 if index == 13 else 1)
+
+    def test_scaled_collinear_fits_are_finished_by_the_least_squares_step(self):
+        """Design 43 of the seed-19 collinear corpus, its columns scaled by
+        10^U(-3, 3), on the lam2 = 0 grid. At grid points 23-27 the
+        least-squares search solves a pattern whose result keeps its signs
+        but fails only stationarity: no b solves H_AA b = rhs. It gave up
+        there, and those fits came back flagged at up to 7,960 times the
+        kkt_check bound. Stepping along r = rhs - H_AA b finishes each, and
+        every fit is well within the bound."""
+        d = collinear_designs(19, 44)[43]
+        scales = 10 ** np.random.default_rng(1019).uniform(-3, 3, (44, 16))[43]
+        d = DesignMatrix(d.x * scales, d.y, d.column_names)
+        lam1s, lam2s = collinear_grid(d)[0]
+        coefs, intercepts, flags = regression._fit_grid(d, lam1s, lam2s)
+        assert flags == [()] * 28
+        for lam1, beta, intercept in zip(lam1s, coefs, intercepts):
+            m = LinearModel(intercept, beta, PenaltySpec.lasso(lam1), d.column_names)
+            assert kkt_check(m, d) <= 1e-3 * _kkt_bound(d), lam1
+
+    @pytest.mark.parametrize("x,y,lam,want,searches", [
+        # The centered design has rank 2 and a zero first column. The exact
+        # search gives up on a singular H_AA; the least-squares search meets
+        # a solve that fails only stationarity and steps along its residual.
+        ([[0, 0, 0.5, 0], [0, 1, 0, 0], [0, -1, -1, 1.5]], [0, 0, 0.5], 0.25,
+         [0.0, 0.0, 0.0, 0.25], [(True, True), (False, False)]),
+        # X'X has eigenvalues 0.149 and 5.02; the exact search needs 5
+        # steps, one more than the 2p step cap the search once had.
+        ([[-0.5, -1.5], [1, -1.5], [-2, -0.5]], [0, 1, 1.5], 0.4,
+         [0.08888888888888889, 0.9], [(True, False)]),
+    ], ids=["rank-2", "five-steps"])
+    def test_tiny_lassos_are_finished(self, monkeypatch, x, y, lam, want, searches):
+        """Two tiny lasso fits that the three searches with a 2p step cap
+        each gave up on, returning zeros flagged 'non_converged' at
+        kkt_check 0.75 and 1.1."""
+        d = DesignMatrix(np.array(x, dtype=float), np.array(y, dtype=float),
+                         tuple(f"c{j}" for j in range(len(x[0]))))
+        recorded = _searches(monkeypatch)
+        m = fit_penalized(d, PenaltySpec.lasso(lam))
+        assert [(exact, beta is None) for exact, _, beta in recorded] == searches
+        assert m.converged and kkt_check(m, d) <= _kkt_bound(d)
+        assert m.coefficients == pytest.approx(want, abs=1e-12)
 
     def test_copies_share_the_weight_at_a_tiny_l2_weight(self):
         # The grouping effect (Zou & Hastie 2005, Theorem 1): at any lam2 > 0
@@ -946,7 +996,7 @@ class TestActiveSetSearch:
         cycles back to a sign pattern it has seen (a line trace shows that
         exit, and no other, for all 26), and the search with least-squares
         pattern solves from the same start finishes the fit. No exact
-        pattern solve is singular, and no exact search runs its 2p
+        pattern solve is singular, and every exact search ends within 2p
         steps."""
         rng = np.random.default_rng(1)
         n, p = rng.integers(6, 16), rng.integers(3, 9)
@@ -1215,9 +1265,9 @@ class TestInvariants:
     ], ids=["fit_penalized", "cross_validate", "iterate_lambda"])
     def test_the_sweep_cap_is_not_an_option(self, fit, option):
         """No fit takes a max_iter or a tol keyword: the search and its
-        retries end within 2p steps each, so there is no sweep cap to set,
-        and every fit is accepted within the bound of the fixed
-        regression.TOL."""
+        retry each end on a sign pattern seen before, if not sooner, so
+        there is no step cap to set, and every fit is accepted within the
+        bound of the fixed regression.TOL."""
         with pytest.raises(TypeError, match=next(iter(option))):
             fit(random_design(seed=45, n=10, p=3), option)
 
