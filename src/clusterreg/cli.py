@@ -195,7 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", parents=[common], help="run the full workflow")
     p.set_defaults(func=cmd_pipeline)
 
-    p = sub.add_parser("gen-synthetic", parents=[common], help="generate a benchmark panel")
+    p = sub.add_parser("gen-synthetic", parents=[common], help="generate a benchmark panel",
+                       formatter_class=argparse.RawDescriptionHelpFormatter,
+                       epilog="A value that starts with '-' and is not a plain number, such\n"
+                              "as -inf or -1e3, reads as an option: give --noise-sd=-inf.")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--entities", type=int, default=46)
     p.add_argument("--features", type=int, default=16)

@@ -11,7 +11,8 @@ its min_pts-th smallest distance, counting itself (inf when min_pts > n),
 so it is core exactly when that distance is <= eps. The tree is a Prim
 minimum spanning tree of the mutual reachability max(cd_i, cd_j, d_ij):
 its edges of weight <= eps join exactly the core points within eps of
-each other, so they give the core components at that eps. Cluster ids
+each other, so they give the core components at that eps. At min_pts 1
+and 2 that is d_ij itself, so the two share one Prim tree. Cluster ids
 follow the smallest core index in each component, and a non-core point
 within eps of a core point joins the lowest-id such cluster: the order
 in which a scan of the points by index discovers them. The core
@@ -179,8 +180,8 @@ def reachability_tree(points: FeatureMatrix, min_pts: int) -> ReachabilityTree:
     points.distances (inf when min_pts > n), and the tree spans the mutual
     reachability max(cd_i, cd_j, d_ij). Only comparisons and max touch the
     distances, so a point is core at eps exactly when its neighborhood
-    count reaches min_pts. The mutual reachability is built one row per
-    step, never as a full matrix."""
+    count reaches min_pts. The trees of min_pts 1 and 2 share their parent
+    and weight arrays."""
     min_pts = _check_min_pts(min_pts)
     if min_pts in points._trees:
         return points._trees[min_pts]
@@ -191,6 +192,23 @@ def reachability_tree(points: FeatureMatrix, min_pts: int) -> ReachabilityTree:
         core_dist = np.partition(dist, min_pts - 1, axis=1)[:, min_pts - 1].copy()
     else:
         core_dist = np.full(n, np.inf)
+    if min_pts == 2 and n >= 2:
+        # cd_i is the least entry of row i besides d_ii = 0, so cd_i <= d_ij,
+        # and cd_j <= d_ji = d_ij as points.distances is bitwise symmetric: the
+        # mutual reachability is d_ij, as at min_pts 1 (cd = 0). Same tree.
+        parent, weight = reachability_tree(points, 1)[2:]
+    else:
+        parent, weight = _prim(dist, core_dist)
+    for kept in (core_dist, parent, weight):
+        kept.setflags(write=False)
+    tree = points._trees[min_pts] = ReachabilityTree(min_pts, core_dist, parent, weight)
+    return tree
+
+
+def _prim(dist: np.ndarray, core_dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The parent and weight arrays of the Prim tree of max(cd_i, cd_j,
+    d_ij), built one row per step, never as a full matrix."""
+    n = len(dist)
     parent = np.arange(n)
     weight = np.full(n, np.inf)
     best = np.full(n, np.inf)  # lightest edge from each point to the tree
@@ -212,10 +230,7 @@ def reachability_tree(points: FeatureMatrix, min_pts: int) -> ReachabilityTree:
         np.less(row, best, out=closer)
         np.minimum(best, row, out=best)
         near[closer] = v
-    for kept in (core_dist, parent, weight):
-        kept.setflags(write=False)
-    tree = points._trees[min_pts] = ReachabilityTree(min_pts, core_dist, parent, weight)
-    return tree
+    return parent, weight
 
 
 def dbscan(points: FeatureMatrix, params: NeighborhoodParams) -> ClusterAssignment:

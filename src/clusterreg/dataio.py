@@ -8,22 +8,24 @@ Two on-disk layouts are supported for panel data, told apart by the path:
   directory; first column ``entity``, remaining columns are feature names.
 
 The long layout is parsed in binary chunks of whole lines of about
-``CHUNK_BYTES`` bytes, a column at a time; a chunk ends at a ``\n``,
-which never falls inside a UTF-8 sequence, so each chunk decodes alone.
-A chunk that holds no quote, ``\r`` or NUL and is no longer than
-``csv.field_size_limit()`` is plain: on it ``csv.reader`` would only
-split on ``\n`` and ``,``. One pass over its bytes checks that the
-separators run ``,,,\n`` row after row, and then one ``str.split`` cuts
-its fields. A chunk that repeats the first year block (the rows before
-the first of another year) name for name from its place in it on, with
-one raw year per block, takes the block's codes; any other chunk (a row
-moved or respelled, a year changed inside a block) is coded by one dict
-lookup a field. Every other file (a chunk that is not plain, a blank
-line, a bad field, a duplicate key, ...) is read again by the row loop
-``_load_long_rows``, which takes quotes and CRLF line ends, and reports
-the first problem or skips the blank lines. Every loader error names the
-file and the physical line on which the offending record starts, so a
-quoted name that spans lines does not shift the line numbers after it.
+``CHUNK_BYTES`` bytes, a column at a time. A chunk that holds no quote,
+``\r`` or NUL and is no longer than ``csv.field_size_limit()`` is plain:
+on it ``csv.reader`` would only split on ``\n`` and ``,``. One pass over
+its bytes checks that the separators run ``,,,\n`` row after row, and
+then one ``bytes.split`` cuts its fields (no UTF-8 sequence holds either
+byte). Only the header and each raw year or name, when first seen, are
+decoded; values go to ``float`` as bytes. A chunk that repeats the first
+year block (the rows before the first of another year) name for name
+from its place in it on, with one raw year per block, takes the block's
+codes; any other chunk (a row moved or respelled, a year changed inside
+a block) is coded by one dict lookup a field. Every other file (a chunk
+that is not plain, a blank line, a bad field, a value that holds a byte
+that is not ASCII or is padded with ``\x1c``-``\x1f``, a duplicate key,
+...) is read again by the row loop ``_load_long_rows``, which takes
+quotes and CRLF line ends, and reports the first problem or skips the
+blank lines. Every loader error names the file and the physical line on
+which the offending record starts, so a quoted name that spans lines
+does not shift the line numbers after it.
 
 Reports are plain JSON (UTF-8, sorted keys) so external tools can parse
 them without this package.
@@ -176,9 +178,10 @@ _NOT_SEPARATORS = bytes(range(256)).translate(None, b",\n")
 
 def _long_fields(path: Path):
     """Yield the fields of a plain long CSV file a chunk at a time: one flat
-    list of 4 fields a record, the header's first. A chunk that is not
-    plain or holds a record of other than 4 fields raises ValueError, and
-    so do bytes that are not UTF-8."""
+    list of 4 bytes fields a record, the header's first. A chunk that is
+    not plain or holds a record of other than 4 fields raises ValueError;
+    bytes that are not UTF-8 raise only where a field is decoded or
+    parsed."""
     limit = csv.field_size_limit()
     with open(path, "rb") as fh:
         while chunk := fh.read(CHUNK_BYTES):
@@ -191,7 +194,7 @@ def _long_fields(path: Path):
             rows = len(seps) // 4
             if seps != b",,,\n" * rows:
                 raise ValueError("a line does not hold 4 fields")
-            fields = chunk.decode().replace("\n", ",").split(",")
+            fields = chunk.replace(b"\n", b",").split(b",")
             fields.pop()  # the empty field after the last \n
             yield fields
 
@@ -256,25 +259,25 @@ def _load_long_blocks(path: Path) -> EnergyPanel | None:
     Returns None when the file is not a plain sequence of valid rows (a
     quote, \\r or NUL, a chunk longer than csv.field_size_limit(), a wrong
     header or column count, a blank line, an empty name, a field int/float
-    rejects, a non-finite value, a duplicate key, no data rows, bytes that
-    are not UTF-8); the row loop then reads the file, and reports the
-    problem or skips the blank lines. Otherwise the panel is the one
-    _load_long_rows returns, bit for bit."""
+    rejects, a value with a byte that is not ASCII, a non-finite value, a
+    duplicate key, no data rows, bytes that are not UTF-8); the row loop
+    then reads the file, and reports the problem or skips the blank lines.
+    Otherwise the panel is the one _load_long_rows returns, bit for bit."""
     years: dict[int, int] = {}
     entities: dict[str, int] = {}
     features: dict[str, int] = {}
     # Per key column: the table of parsed keys, a table from each raw field
-    # to its code, and the parse. Names are interned, so that the panels of
-    # repeated loads share one copy of each.
-    columns = ((years, {}, lambda s: int(s.strip())),
-               (entities, {}, lambda s: sys.intern(s.strip())),
-               (features, {}, lambda s: sys.intern(s.strip())))
+    # to its code, and the parse, which decodes a raw field. Names are
+    # interned, so that the panels of repeated loads share one copy of each.
+    columns = ((years, {}, lambda s: int(s.decode().strip())),
+               (entities, {}, lambda s: sys.intern(s.decode().strip())),
+               (features, {}, lambda s: sys.intern(s.decode().strip())))
     parts = ([], [], [], [])  # per chunk: year, entity and feature codes, cells
     start = 4  # the header's fields lead the first chunk
     rows, block = 0, None  # data rows before the chunk; the block of year code 0
     try:
         for fields in _long_fields(path):
-            if start and [h.strip() for h in fields[:4]] != LONG_HEADER:
+            if start and [h.decode().strip() for h in fields[:4]] != LONG_HEADER:
                 return None
             codes = block and _repeated_codes(fields, rows, columns[0], *block)
             if not codes:
@@ -283,8 +286,8 @@ def _load_long_blocks(path: Path) -> EnergyPanel | None:
                 part.append(code)
             if block is None and (ends := np.flatnonzero(codes[0])).size:
                 block = _first_block(rows + int(ends[0]), parts, columns)
-            # float() strips what str.strip would, but \x1c-\x1f, which it
-            # rejects: the row loop then reads the file, to the same panel.
+            # float() of bytes rejects \x1c-\x1f padding and non-ASCII bytes,
+            # which str.strip or float(str) take: the row loop reads those.
             col = fields[start + 3::4]
             parts[3].append(np.fromiter(map(float, col), float, len(col)))
             rows += len(col)

@@ -107,7 +107,10 @@ class TestGenSynthetic:
         (["--seed", "1", "--noise-sd", "nan"], "noise_sd must be finite and >= 0, got nan"),
         (["--seed", "1", "--noise-sd", "inf"], "noise_sd must be finite and >= 0, got inf"),
         (["--seed", "-1"], "seed must be >= 0, got -1"),
-    ], ids=["nan-noise", "inf-noise", "negative-seed"])
+        # argparse reads -inf and -1e3 as options, so they are given as --flag=value.
+        (["--seed", "1", "--noise-sd=-inf"], "noise_sd must be finite and >= 0, got -inf"),
+        (["--seed", "1", "--noise-sd=-1e3"], "noise_sd must be finite and >= 0, got -1000.0"),
+    ], ids=["nan-noise", "inf-noise", "negative-seed", "minus-inf-noise", "negative-noise"])
     def test_bad_noise_or_seed_exits_one_writing_nothing(self, tmp_path, capsys, argv,
                                                          message):
         """A NaN noise_sd once ended in a traceback from the strict JSON
@@ -117,6 +120,17 @@ class TestGenSynthetic:
         out = tmp_path / "out"
         assert main(["gen-synthetic", *argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_negative_value_after_a_space_is_an_argparse_usage_error(self, tmp_path, capsys):
+        """argparse reads -inf after a space as an option, so it exits 2 with
+        its usage message before the package sees the value; README and the
+        subcommand's help give the --noise-sd=-inf form instead."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            main(["gen-synthetic", "--seed", "1", "--noise-sd", "-inf", "--out", str(out)])
+        assert exit_.value.code == 2
+        assert "argument --noise-sd: expected one argument" in capsys.readouterr().err
         assert not out.exists()
 
 

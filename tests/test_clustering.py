@@ -23,8 +23,10 @@ from clusterreg.clustering import (
     sse,
     sweep_params,
 )
+from clusterreg import preprocess
 from clusterreg.errors import ClusteringError
 from clusterreg.preprocess import FeatureMatrix
+from clusterreg.synth import generate_synthetic
 
 from oracles import check_dbscan_against_oracle, region_query, silhouette_by_hand, silhouette_loop
 
@@ -189,6 +191,27 @@ def bfs_dbscan_labels(values, eps, min_pts):
     return tuple(labels), tuple(core)
 
 
+def dense_prim(mutual):
+    """Reference Prim tree of an explicit mutual reachability matrix, with
+    the library's choices: the first open point of least edge weight joins
+    next, and when none is finite the first open point starts a new root."""
+    n = len(mutual)
+    parent, weight = np.arange(n), np.full(n, np.inf)
+    best, near, done = np.full(n, np.inf), np.arange(n), np.zeros(n, dtype=bool)
+    for _ in range(n):
+        open_points = np.flatnonzero(~done)
+        v = open_points[best[open_points].argmin()]
+        if best[v] == np.inf:
+            v = open_points[0]
+        else:
+            parent[v], weight[v] = near[v], best[v]
+        done[v] = True
+        for j in np.flatnonzero(~done):
+            if mutual[v, j] < best[j]:
+                best[j], near[j] = mutual[v, j], v
+    return parent, weight
+
+
 class TestDbscanTreeLabelling:
     # A border point at exactly eps from a core of each of two clusters,
     # listed so that either cluster is discovered first.
@@ -249,6 +272,36 @@ class TestDbscanTreeLabelling:
         assert out.labels == (0, 0, 1, NOISE, 1)
         with np.errstate(over="ignore"):
             assert out.labels == bfs_dbscan_labels(m.values, 1.0, 2)[0]
+
+    @pytest.mark.parametrize("values", [
+        [2.0],
+        [0.0, 3.0],
+        [[1.0, 1.0], [1.0, 1.0]],
+        [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [3.0, 1.0], [0.0, 0.0]],
+        [-1e200, -1e200, 1e200, 1e200 * (1 + 2**-52), 1e200],
+        np.random.default_rng(11).integers(0, 3, (40, 2)).tolist(),
+        np.random.default_rng(12).random((70, 5)).tolist(),
+    ], ids=["n1", "n2", "n2-duplicate", "duplicates", "overflow-to-inf", "int-ties", "n70"])
+    def test_min_pts_two_shares_the_min_pts_one_tree(self, values):
+        """At min_pts 2 a point's core distance is its least distance to
+        another point, so the mutual reachability is the distance itself,
+        as at min_pts 1: the tree keeps its own core distances and the
+        min_pts 1 tree's parent and weight arrays, which are the Prim tree
+        of the explicit max(cd_i, cd_j, d_ij). At n = 1 no point has
+        another, cd is inf, and the tree is its own root either way."""
+        m = matrix(values)
+        n = len(m.entities)
+        tree = reachability_tree(m, 2)
+        one = reachability_tree(m, 1)
+        if n >= 2:
+            assert tree.parent is one.parent and tree.weight is one.weight
+        counted = np.sort(m.distances, axis=1)[:, 1] if n >= 2 else np.full(n, np.inf)
+        assert np.array_equal(tree.core_dist, counted)
+        mutual = np.maximum(np.maximum(tree.core_dist[:, None], tree.core_dist[None, :]),
+                            m.distances)
+        parent, weight = dense_prim(mutual)
+        assert tree.parent.tolist() == parent.tolist()
+        assert np.array_equal(tree.weight.view(np.int64), weight.view(np.int64))
 
     def test_tree_for_fractional_min_pts_rejected(self, blob6):
         with pytest.raises(ClusteringError, match="min_pts must be an integer"):
@@ -579,6 +632,59 @@ def test_blocked_distances_match_the_one_shot_formula():
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
     row = clustering._distances(values[100:101], values)
     assert np.array_equal(row.view(np.int64), expected[100:101].view(np.int64))
+
+
+def workload_cluster_matrix(shape, train_years):
+    """The matrix the sweep clusters on a benchmark workload's panel 0:
+    noise at 0.01 x the noiseless panel's signal_sd, zero series dropped,
+    the mean profile over the training years, min-max normalized."""
+    reference = generate_synthetic(seed=0, **shape)[1]
+    panel = generate_synthetic(seed=0, noise_sd=0.01 * reference.signal_sd, **shape)[0]
+    panel = preprocess.drop_zero_series(panel)[0]
+    return preprocess.minmax_normalize_rows(preprocess.entity_profile(panel, train_years))
+
+
+def random_matrices():
+    """Random matrices of 1 to 130 rows, so one or more DISTANCE_BLOCKs,
+    with entries of magnitudes from 1e-5 to 1e5 and a third of their rows
+    copies of others."""
+    rng = np.random.default_rng(21)
+    for n in [1, 2, 3, 5, 17, 63, 64, 65, 100, 128, 129, 130] * 8:
+        p = int(rng.integers(1, 17))
+        values = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-5, 5, (n, p))
+        values[rng.integers(0, n, n // 3)] = values[rng.integers(0, n, n // 3)]
+        yield values
+
+
+def test_distances_are_bitwise_symmetric():
+    """d_ij and d_ji differ only in the sign of each difference, which the
+    square drops, and each sums its p squares in the same order, so the
+    matrix equals its transpose bit for bit: the min_pts 2 tree rests on
+    this (reachability_tree). Checked on random matrices and on the cluster
+    matrices of the benchmark workloads' panel 0."""
+    workloads = [({}, 2015), ({"n_entities": 400}, 2015),
+                 ({"n_years": 60, "support_size": 16}, 2045)]  # shape, first test year
+    for values in [*random_matrices(),
+                   *(workload_cluster_matrix(shape, list(range(2000, end))).values
+                     for shape, end in workloads)]:
+        dist = matrix(values).distances
+        assert np.array_equal(dist.view(np.int64), dist.T.view(np.int64))
+
+
+def test_default_sweep_runs_the_prim_loop_four_times(monkeypatch, synthetic_case):
+    """The default minpts grid 1..5 on seed 2024 builds five trees but runs
+    the Prim loop four times: min_pts 2 takes the min_pts 1 tree's arrays."""
+    from clusterreg.pipeline import cluster_matrix, load_clean
+
+    config = synthetic_case[3]
+    m = cluster_matrix(config, load_clean(config)[0])
+    real_prim, calls = clustering._prim, []
+    monkeypatch.setattr(clustering, "_prim", lambda *a: calls.append(1) or real_prim(*a))
+    sweep_params(m, config.eps_grid, config.minpts_grid)
+    assert config.minpts_grid == [1, 2, 3, 4, 5]
+    assert sorted(m._trees) == [1, 2, 3, 4, 5]
+    assert len(calls) == 4
+    assert m._trees[2].parent is m._trees[1].parent
 
 
 def test_distance_matrix_peak_memory():

@@ -388,9 +388,11 @@ def valid_long_files(draw):
 def test_block_parser_equals_row_loop(tmp_path_factory, file, chunk_bytes):
     """On a valid long file the block parser returns None exactly when the
     file holds a quote, \\r or NUL, or a value padded with \\x1c-\\x1f (which
-    str.strip removes and float rejects), and else the row loop's panel
-    bit for bit; load_panel returns that panel either way. Small chunks
-    make the code tables run across chunks."""
+    str.strip removes and float of bytes rejects) or holding a character
+    that is not ASCII (none here: values are repr text padded with ASCII
+    whitespace), and else the row loop's panel bit for bit; load_panel
+    returns that panel either way. Small chunks make the code tables run
+    across chunks."""
     rows, crlf = file
     path = tmp_path_factory.mktemp("blocks") / "panel.csv"
     if crlf:
@@ -404,7 +406,8 @@ def test_block_parser_equals_row_loop(tmp_path_factory, file, chunk_bytes):
         mp.setattr(dataio, "CHUNK_BYTES", chunk_bytes)
         panel = dataio._load_long_blocks(path)
         if (b'"' in data or b"\r" in data or b"\0" in data
-                or any(set(row[3]) & set("\x1c\x1d\x1e\x1f") for row in rows)):
+                or any(set(row[3]) & set("\x1c\x1d\x1e\x1f") or not row[3].isascii()
+                       for row in rows)):
             assert panel is None
         else:
             assert_same_panel(panel, expected)
@@ -733,15 +736,23 @@ def long_file_bytes(draw):
 @example(data="year,entity,feature,value\n2000,\xa0a,\u3000b,1\x1c\n2000,a,b\x1f,2\n".encode(),
          chunk_bytes=1)
 @example(data=b"year,entity,feature,value\n2000,a,f,1\n2000,\xe6\xbc,f,2\n", chunk_bytes=200)
+# Values float(str) takes and float(bytes) does not: padded with U+00A0 or
+# U+0085, and written in Arabic-Indic digits.
+@example(data="year,entity,feature,value\n2000,a,f,1\n2000,b,f,\xa02.5\xa0\n".encode(),
+         chunk_bytes=200)
+@example(data="year,entity,feature,value\n2000,a,f,0.0\x85\n".encode(), chunk_bytes=1)
+@example(data="year,entity,feature,value\n2000,a,f,1\n2001,a,f,\u0661.\u0665\n".encode(),
+         chunk_bytes=40)
 @settings(max_examples=300, deadline=None)
 def test_block_parser_returns_the_row_loops_panel_or_declines(tmp_path_factory, data,
                                                                chunk_bytes):
     """On any such bytes and chunk size, the block parser returns the row
     loop's panel bit for bit, or None exactly when the row loop raises (and
-    then load_panel raises the row loop's error) or a value is padded with
-    \\x1c-\\x1f, which float rejects. A 3-field row followed by a 5-field
-    row holds 8 fields in all, so only a check of each row's separators
-    declines it."""
+    then load_panel raises the row loop's error) or a value holds
+    \\x1c-\\x1f or a byte that is not ASCII: float of bytes rejects both,
+    where the row loop strips the first and float of str takes Unicode
+    spaces and digits. A 3-field row followed by a 5-field row holds 8
+    fields in all, so only a check of each row's separators declines it."""
     path = tmp_path_factory.mktemp("layout") / "panel.csv"
     path.write_bytes(data)
     with pytest.MonkeyPatch.context() as mp:
@@ -756,7 +767,8 @@ def test_block_parser_returns_the_row_loops_panel_or_declines(tmp_path_factory, 
             assert str(got.value) == str(err)
         else:
             values = [line.split(b",")[3] for line in data.split(b"\n")[1:] if line]
-            if any(set(value) & set(b"\x1c\x1d\x1e\x1f") for value in values):
+            if any(set(value) & set(b"\x1c\x1d\x1e\x1f") or not value.isascii()
+                   for value in values):
                 assert panel is None
             else:
                 assert_same_panel(panel, expected)
