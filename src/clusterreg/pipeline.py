@@ -143,7 +143,9 @@ class PipelineConfig:
 
     @property
     def tol(self) -> float:
-        """The fixed regression.TOL that scales every fit's acceptance bound."""
+        """The fixed regression.TOL that scales every fit's acceptance bound.
+        Its one reader is check_run of bench/checks.py, whose KKT bound is
+        10 * tol * max(1, |2X'y|_inf)."""
         return regression.TOL
 
     def validate(self) -> None:

@@ -70,9 +70,9 @@ _EPS = np.finfo(float).eps
 class Moments(NamedTuple):
     """What every fit on one design shares: the column and target means,
     the centered, never rescaled design xc and target yc, the Gram matrix
-    xc'xc, the correlations xc'yc and their absolute values, and |2X'y|_inf
-    of the uncentered design, the scale of the kkt_check bound. (A
-    NamedTuple: cheaper to define at import than a frozen dataclass.)"""
+    xc'xc, the correlations xc'yc, and |2X'y|_inf of the uncentered design,
+    the scale of the kkt_check bound. (A NamedTuple: cheaper to define at
+    import than a frozen dataclass.)"""
 
     x_mean: np.ndarray
     y_mean: float
@@ -80,7 +80,6 @@ class Moments(NamedTuple):
     yc: np.ndarray
     gram: np.ndarray
     corr: np.ndarray
-    abs_corr: np.ndarray
     score_max: float
 
 
@@ -96,10 +95,9 @@ def _compute_moments(d: "DesignMatrix") -> Moments:
         raise RegressionError("X'X of the centered design is not finite")
     if not (np.isfinite(corr).all() and np.isfinite(score_max)):
         raise RegressionError("X'y of the design is not finite")
-    abs_corr = np.abs(corr)
-    for shared in (x_mean, xc, yc, gram, corr, abs_corr):
+    for shared in (x_mean, xc, yc, gram, corr):
         shared.setflags(write=False)
-    return Moments(x_mean, y_mean, xc, yc, gram, corr, abs_corr, score_max)
+    return Moments(x_mean, y_mean, xc, yc, gram, corr, score_max)
 
 
 @dataclass(frozen=True)
@@ -311,23 +309,11 @@ def fit_ols(d: DesignMatrix) -> LinearModel:
     return replace(fit_penalized(d, PenaltySpec.ridge(0.0)), penalty=None)
 
 
-class _System(NamedTuple):
-    """The smooth part on one design at one lam2: H = X'X + lam2*I, or a
-    stack (m, p, p) of them, and c = X'y, with |H| and |c|, which only the
-    rounding slack of _pattern_test reads."""
-
-    hess: np.ndarray
-    corr: np.ndarray
-    abs_hess: np.ndarray
-    abs_corr: np.ndarray
-
-
-def _system(m: Moments, lam2: float | np.ndarray) -> _System:
-    """The _System of lam2 (a float, or (m, 1, 1) for a stack) on the
-    design of m. H is m.gram + lam2*I also at lam2 = 0, where + 0.0 turns a
-    -0.0 into +0.0."""
-    hess = m.gram + lam2 * _identity(m.gram.shape[0])
-    return _System(hess, m.corr, np.abs(hess), m.abs_corr)
+def _hess(m: Moments, lam2: float | np.ndarray) -> np.ndarray:
+    """H = X'X + lam2*I on the design of m, for lam2 a float, or (r, 1, 1)
+    for a stack (r, p, p). Also at lam2 = 0, where + 0.0 turns a -0.0 into
+    +0.0."""
+    return m.gram + lam2 * _identity(m.gram.shape[0])
 
 
 def _solve_pattern(
@@ -353,7 +339,8 @@ def _solve_pattern(
 
 
 def _pattern_test(
-    system: _System,
+    hess: np.ndarray,
+    corr: np.ndarray,
     lam1: float | np.ndarray,
     theta: np.ndarray,
     active: np.ndarray,
@@ -363,7 +350,7 @@ def _pattern_test(
     """The feature-sign search's acceptance test of solves b (..., a) of
     the sign pattern theta (p,), nonzero on the columns `active`, that keep
     its signs, with the L1 weight lam1 (a float, or (m, 1) for a stack of
-    m) and system's H one matrix or a stack (..., p, p). Returns the solves
+    m), on c = X'y and H one matrix or a stack (..., p, p). Returns the solves
     as coefficient vectors x (..., p); whether each passes: its
     stationarity residual is within bound, and every zero coordinate has
     |g_j| <= lam1 up to rounding; and, for the search's next step, the
@@ -384,9 +371,9 @@ def _pattern_test(
     gamma_(p+1) ~ (p+1)*eps/2 (Higham 2002, eq. 3.5). The slack is four
     times that. A slack of bound would keep a copied column at a small
     lam2 inactive, as its |g_j| - lam1 = 2*lam2*|beta| falls within it.
-    The slack is >= 0, so it can turn only an excess > 0 into a pass: it is
-    worked out only when some excess is > 0 or not a number."""
-    hess, corr, abs_hess, abs_corr = system
+    The slack is >= 0, so it can turn only an excess > 0 into a pass: it,
+    and |H| and |c| with it, is worked out only when some excess is > 0 or
+    not a number."""
     p = theta.shape[-1]
     x = np.zeros(b.shape[:-1] + (p,))
     x.T[active] = b.T
@@ -397,7 +384,7 @@ def _pattern_test(
     excess.T[active] = -np.inf  # excess[..., active], without the slower Ellipsis index
     if np.maximum.reduce(excess, axis=None) <= 0.0:
         return x, stationarity <= bound, g, excess
-    excess -= 8.0 * p * _EPS * (abs_corr + (abs_hess @ np.abs(x)[..., None])[..., 0])
+    excess -= 8.0 * p * _EPS * (np.abs(corr) + (np.abs(hess) @ np.abs(x)[..., None])[..., 0])
     return x, (stationarity <= bound) & (np.maximum.reduce(excess, axis=-1) <= 0.0), g, excess
 
 
@@ -422,7 +409,8 @@ def _line_search(
 
 
 def _feature_sign_search(
-    system: _System,
+    hess: np.ndarray,
+    corr: np.ndarray,
     lam1: float,
     beta: np.ndarray,
     bound: float,
@@ -445,7 +433,6 @@ def _feature_sign_search(
     never rises, so a pattern seen before ends the search: it gives up
     there, on a solve that raises or is not finite, or when only
     stationarity fails an exact solve or r breaks no sign."""
-    hess, corr = system.hess, system.corr
     x = beta.copy()
     theta = np.sign(x)
     seen = set()
@@ -465,7 +452,7 @@ def _feature_sign_search(
         if not (-np.inf < low and np.maximum.reduce(bs, initial=0.0) < np.inf):
             return None
         if low > 0.0:
-            x, passes, g, excess = _pattern_test(system, lam1, theta, active, b, bound)
+            x, passes, g, excess = _pattern_test(hess, corr, lam1, theta, active, b, bound)
             if passes:
                 return x
             j = int(excess.argmax())
@@ -493,17 +480,18 @@ def _identity(p: int) -> np.ndarray:
 
 
 def _search(
-    system: _System,
+    hess: np.ndarray,
+    corr: np.ndarray,
     lam1: float,
     start: np.ndarray,
     bound: float,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Coefficients and flags of the fit at lam1 > 0 on the system: the
+    """Coefficients and flags of the fit at lam1 > 0 on H and c: the
     fit that the feature-sign search returns from `start`, first with
     exact pattern solves and then with least-squares ones; or, when both
     give up, `start` flagged 'non_converged'."""
     for exact in (True, False):
-        beta = _feature_sign_search(system, lam1, start, bound, exact)
+        beta = _feature_sign_search(hess, corr, lam1, start, bound, exact)
         if beta is not None:
             return beta, ()
     return start, ("non_converged",)
@@ -566,16 +554,16 @@ def _kept_pattern_fits(
     theta = np.sign(start)
     active = theta.nonzero()[0]
     signs = theta[active]
-    system = _system(m, lam2s[:, None, None])
+    hess = _hess(m, lam2s[:, None, None])
     rhs = m.corr[active] - (0.5 * lam1s)[:, None] * signs
     try:
         # b is (r, a, 1): numpy 1.x reads an (r, a) b as r vectors, numpy
         # 2.x as one matrix
-        b = np.linalg.solve(system.hess.take(active, 1).take(active, 2),
+        b = np.linalg.solve(hess.take(active, 1).take(active, 2),
                             rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:  # some H_AA is singular: its search gives up
         return np.empty((0, start.size))
-    fits, passes, _, _ = _pattern_test(system, lam1s[:, None], theta, active, b, bound)
+    fits, passes, _, _ = _pattern_test(hess, m.corr, lam1s[:, None], theta, active, b, bound)
     passes &= np.logical_and.reduce(b * signs > 0.0, axis=-1)
     return fits[:passes.size if passes.all() else passes.argmin()]
 
@@ -618,8 +606,7 @@ def _fit_grid(
     kept pattern, mid-path, a stacked solve kept no fit about as often as
     it kept some, and cost more than the searches it saved.) Every fit is
     +0.0 on the zero-norm columns, so it is its own masked start, and H =
-    X'X + lam2*I and |H| are built once per lam2 in turn: once per lasso
-    grid."""
+    X'X + lam2*I is built once per lam2 in turn: once per lasso grid."""
     lam1s, lam2s = np.asarray(lam1s, dtype=float), np.asarray(lam2s, dtype=float)
     m = d.moments
     coefs = np.empty((lam1s.size, d.p))
@@ -629,11 +616,11 @@ def _fit_grid(
         # b is (k, p, 1), as in _kept_pattern_fits
         rhs = np.broadcast_to(m.corr[:, None], (stacked.size, d.p, 1))
         try:
-            solved = np.linalg.solve(m.gram + lam2s[stacked, None, None] * _identity(d.p), rhs)
+            solved = np.linalg.solve(_hess(m, lam2s[stacked, None, None]), rhs)
         except np.linalg.LinAlgError:
             for lam2 in lam2s[stacked].tolist():  # name the first singular weight
                 try:
-                    np.linalg.solve(m.gram + lam2 * _identity(d.p), m.corr)
+                    np.linalg.solve(_hess(m, lam2), m.corr)
                 except np.linalg.LinAlgError:
                     raise RegressionError(f"X'X + lam2*I is singular at lam2 = {lam2!r}") from None
             raise
@@ -654,14 +641,14 @@ def _fit_grid(
     pattern = np.sign(start).tobytes()
     kept = zeros > 0  # whether the last fit kept the sign pattern it started from
     lam1_list, lam2_list = lam1s.tolist(), lam2s.tolist()
-    system, system_lam2 = None, None
+    hess, hess_lam2 = None, None
     k = zeros
     while k < order.size:
         i = order[k]
-        if lam2_list[i] != system_lam2:
-            system_lam2 = lam2_list[i]
-            system = _system(m, system_lam2)
-        coefs[i], flags[i] = _search(system, lam1_list[i], start, bound)
+        if lam2_list[i] != hess_lam2:
+            hess_lam2 = lam2_list[i]
+            hess = _hess(m, hess_lam2)
+        coefs[i], flags[i] = _search(hess, m.corr, lam1_list[i], start, bound)
         k += 1
         # a -0.0 reads as a changed sign, which only forgoes a stacked solve
         start, was, pattern = coefs[i], pattern, np.sign(coefs[i]).tobytes()

@@ -12,17 +12,18 @@ the per-point dispatch the package had before every fit ran through its
 grid solver, which that solver must reproduce bit for bit. So is
 the reference feature-sign search after them, a copy of the package's
 search in a form that spends more numpy calls per step, whose every result
-the package's search must return bit for bit. Beside it stands a cyclic
-coordinate descent, a second solver that shares no step with the search,
-whose fits the search's must agree with; collinear_designs builds the
-corpus of near-singular designs on which the search's least-squares retry
-is tested. Last come the config checks as they stood before each field's
+the package's search must return bit for bit. enumerated_minimum, beside
+grid_minimize, is the exact minimum of a small fit, found by solving every
+sign pattern and sharing no step with the search; collinear_designs builds
+the corpus of near-singular designs on which the search's least-squares
+retry is tested. Last come the config checks as they stood before each field's
 facts moved into one row of one table.
 """
 
 from __future__ import annotations
 
 import configparser
+import itertools
 import math
 import numbers
 import operator
@@ -33,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from clusterreg import clustering, regression
-from clusterreg.errors import ClusterRegError, ConfigError, RegressionError
+from clusterreg.errors import ClusterRegError, ConfigError
 from clusterreg.pipeline import _finite, parse_grid, parse_years
 
 
@@ -80,6 +81,46 @@ def grid_minimize(x, y, lam1, lam2, final_spacing=2.5e-4):
         spacing /= 2.0
     a = best_intercept(x, y, center)
     return a, center, penalized_objective(x, y, a, center, lam1, lam2)
+
+
+def enumerated_minimum(x, y, lam1, lam2):
+    """Exact minimizer of the penalized objective, for lam1 > 0 or lam2 > 0,
+    by enumerating the 3^p sign patterns s. With H = X'X + lam2*I and c =
+    X'y on the centered design, each pattern whose H_AA has full rank is
+    solved, H_AA b = c_A - (lam1/2)*s_A; a solve that keeps the signs of s
+    is the minimizer on that pattern's face. The least objective among
+    those and zero's is the minimum: with lam2 > 0 every H_AA is
+    nonsingular, and at lam2 = 0 < lam1 some lasso minimizer has linearly
+    independent active columns (Tibshirani 2013, "The Lasso Problem and
+    Uniqueness"), so its face is one that is solved. The
+    precondition is that case split; least squares (lam1 = lam2 = 0) is
+    np.linalg.lstsq's. Returns (intercept, beta, objective)."""
+    if not (lam1 > 0 or lam2 > 0):
+        raise ValueError("enumerated_minimum needs lam1 > 0 or lam2 > 0")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xc, yc = x - x.mean(axis=0), y - y.mean()
+    hess = xc.T @ xc + lam2 * np.eye(x.shape[1])
+    corr = xc.T @ yc
+    candidates = [np.zeros(x.shape[1])]
+    for pattern in itertools.product((-1.0, 0.0, 1.0), repeat=x.shape[1]):
+        s = np.array(pattern)
+        active = s.nonzero()[0]
+        hess_aa = hess[np.ix_(active, active)]
+        if not active.size or np.linalg.matrix_rank(hess_aa) < active.size:
+            continue
+        b = np.linalg.solve(hess_aa, corr[active] - 0.5 * lam1 * s[active])
+        if (b * s[active] > 0).all():
+            beta = np.zeros(x.shape[1])
+            beta[active] = b
+            candidates.append(beta)
+    best = None
+    for beta in candidates:
+        a = best_intercept(x, y, beta)
+        value = penalized_objective(x, y, a, beta, lam1, lam2)
+        if best is None or value < best[2]:
+            best = a, beta, value
+    return best
 
 
 def brute_dbscan(values, eps, min_pts):
@@ -325,7 +366,7 @@ def _solve(d, lam1, lam2, start):
         beta = np.linalg.solve(m.gram + lam2 * _identity(d.p), m.corr)
     else:
         start = np.where(m.gram.diagonal() > 0.0, start, 0.0)  # zero-norm columns stay at zero
-        beta, flags = regression._search(regression._system(m, lam2), lam1, start,
+        beta, flags = regression._search(regression._hess(m, lam2), m.corr, lam1, start,
                                          regression._bound(m))
     return beta, m.y_mean - float(m.x_mean @ beta), flags
 
@@ -372,11 +413,11 @@ def path_scores_loop(d, kind, grid, alpha):
 
 # The feature-sign search, its acceptance test and the stacked run of kept
 # patterns in their reference form, as they stood before the package's
-# pattern test took |H| and |c| once per system, read the stationarity
-# residuals and the inactive |g_j| off one vector, and worked the slack out
-# only where it can decide. Here every step computes both from separate
-# vectors and the slack in full. The package's search must return the same
-# None or the same coefficients, and its stacked run keep the same rows.
+# pattern test read the stationarity residuals and the inactive |g_j| off
+# one vector, and worked the slack out only where it can decide. Here every
+# step computes both from separate vectors and the slack in full. The
+# package's search must return the same None or the same coefficients, and
+# its stacked run keep the same rows.
 _EPS = np.finfo(float).eps
 
 
@@ -522,58 +563,6 @@ def _feature_sign_search(
             x[active] = _line_search(hess[active[:, None], active], corr[active], lam1,
                                      x[active], b)
             theta = np.sign(x)
-
-
-def soft_threshold(z: float, gamma: float) -> float:
-    """sign(z) * max(|z| - gamma, 0); the coordinate-wise L1 minimizer."""
-    if gamma < 0:
-        raise RegressionError("gamma must be >= 0")
-    if z > gamma:
-        return z - gamma
-    if z < -gamma:
-        return z + gamma
-    return 0.0
-
-
-def _coordinate_descent(
-    hess: np.ndarray,
-    corr: np.ndarray,
-    lam1: float,
-    bound: float,
-    beta: np.ndarray,
-    max_sweeps: int = 100_000,
-) -> tuple[np.ndarray, bool, int]:
-    """Cyclic coordinate descent for b'Hb - 2c'b + lam1*|b|_1 (the
-    centered fit) on hess = H and corr = c, from the start beta: the
-    iterate, whether it converged, and the sweeps run. It is the fallback
-    the package ran where its search gave up, kept here as a second,
-    independent solver for the search's fits to agree with.
-
-    Stops at the first sweep whose iterate passes the optimality test
-    within bound: stationarity <= bound on its nonzero coordinates and
-    |g_j| <= lam1 + bound on its zero ones; after max_sweeps sweeps it
-    stops unconverged. Coordinates with a zero diagonal (centered
-    constants at lam2 = 0) are skipped and keep their start value."""
-    p = beta.shape[0]
-    beta = beta.copy()
-    diag = hess.diagonal()
-    thresh = lam1 / 2.0
-    for sweep in range(max_sweeps):
-        q = hess @ beta  # refreshed each sweep so incremental drift cannot build up
-        for j in range(p):
-            if diag[j] == 0.0:
-                continue
-            rho = corr[j] - q[j] + diag[j] * beta[j]
-            new = soft_threshold(float(rho), thresh) / diag[j]
-            delta = new - beta[j]
-            if delta != 0.0:
-                q += hess[:, j] * delta
-                beta[j] = new
-        active = beta.nonzero()[0]
-        stationarity, g = _optimality(hess, corr, lam1, beta, active, np.sign(beta[active]))
-        if stationarity <= bound and np.abs(g).max() <= lam1 + bound:
-            return beta, True, sweep + 1
-    return beta, False, max_sweeps
 
 
 def _kept_pattern_fits(

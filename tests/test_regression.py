@@ -25,19 +25,17 @@ from clusterreg.regression import (
     predict,
 )
 
-from oracles import _coordinate_descent as reference_descent
 from oracles import _feature_sign_search as reference_search
 from oracles import _kept_pattern_fits as reference_kept_pattern_fits
 from oracles import (
     collinear_designs,
     collinear_grid,
     cv_table_loop,
-    grid_minimize,
+    enumerated_minimum,
     kkt_loop,
     path_scores_loop,
     penalized_objective,
     random_instance,
-    soft_threshold,
     warm_descent,
 )
 
@@ -115,29 +113,6 @@ class TestRidge:
     def test_negative_lambda_rejected(self):
         with pytest.raises(RegressionError):
             fit_penalized(UNI_X, PenaltySpec.ridge(-0.1))
-
-
-class TestSoftThreshold:
-    """The update of the reference descent in oracles.py."""
-
-    def test_dead_zone(self):
-        assert soft_threshold(0.5, 1.0) == 0.0
-
-    def test_shrinks_toward_zero(self):
-        assert soft_threshold(2.0, 0.5) == 1.5
-        assert soft_threshold(-2.0, 0.5) == -1.5
-
-    @given(st.floats(-1e6, 1e6))
-    @settings(max_examples=60, deadline=None)
-    def test_identity_at_zero_gamma(self, z):
-        assert soft_threshold(z, 0.0) == z
-
-    @given(st.floats(-1e3, 1e3), st.floats(0.0, 1e3))
-    @settings(max_examples=60, deadline=None)
-    def test_contraction_and_sign(self, z, gamma):
-        out = soft_threshold(z, gamma)
-        assert abs(out) <= max(abs(z) - gamma, 0.0) + 1e-12
-        assert out == 0.0 or np.sign(out) == np.sign(z)
 
 
 class TestLasso:
@@ -340,12 +315,12 @@ class TestGridOracle:
                 (fit_penalized(d, PenaltySpec.elastic_net(lam, 0.5 * lam)), lam, 0.5 * lam),
             ]
             for model, lam1, lam2 in cases:
-                a, beta, value = grid_minimize(x, y, lam1, lam2)
+                a, beta, value = enumerated_minimum(x, y, lam1, lam2)
                 solver_value = penalized_objective(
                     x, y, model.intercept, model.coefficients, lam1, lam2)
-                assert value <= solver_value + 1e-6 * max(1.0, abs(solver_value))
-                assert model.coefficients == pytest.approx(beta, abs=1.5e-3)
-                assert model.intercept == pytest.approx(a, abs=1.5e-3)
+                assert solver_value == pytest.approx(value, rel=1e-12)
+                assert model.coefficients == pytest.approx(beta, abs=1e-9)
+                assert model.intercept == pytest.approx(a, abs=1e-9)
 
 
 class TestCrossValidate:
@@ -635,9 +610,9 @@ class TestGridSolver:
         calls = []  # whether each search is exact: a retry is not one
         search = regression._feature_sign_search
 
-        def exact_recorded(system, lam1, beta, bound, exact=True):
+        def exact_recorded(hess, corr, lam1, beta, bound, exact=True):
             calls.append(exact)
-            return search(system, lam1, beta, bound, exact)
+            return search(hess, corr, lam1, beta, bound, exact)
 
         recorded = mock.patch.object(regression, "_feature_sign_search", exact_recorded)
         with recorded:
@@ -736,8 +711,8 @@ def _searches(monkeypatch) -> list[tuple]:
     searches: list[tuple] = []
     search = regression._feature_sign_search
 
-    def recorded(system, lam1, beta, bound, exact=True):
-        result = search(system, lam1, beta, bound, exact)
+    def recorded(hess, corr, lam1, beta, bound, exact=True):
+        result = search(hess, corr, lam1, beta, bound, exact)
         searches.append((exact, beta.copy(), result))
         return result
 
@@ -760,20 +735,8 @@ def _solves(monkeypatch) -> list[tuple]:
     return solves
 
 
-def _centered_system(d: DesignMatrix, lam2: float) -> tuple[np.ndarray, np.ndarray]:
-    """H = X'X + lam2*I and c = X'y of the centered design, computed here,
-    for the reference descent."""
-    xc, yc = d.x - d.x.mean(axis=0), d.y - d.y.mean()
-    return xc.T @ xc + lam2 * np.eye(d.p), xc.T @ yc
-
-
-def _model(d: DesignMatrix, beta: np.ndarray, spec: PenaltySpec) -> LinearModel:
-    """The model of the centered fit beta, its intercept restored."""
-    return LinearModel(float(d.y.mean() - d.x.mean(axis=0) @ beta), beta, spec, d.column_names)
-
-
 # The exact solve on the sign pattern (+, -, -, +) gives column 2 a positive
-# coefficient, and plain CD from zero needs 833 sweeps.
+# coefficient.
 WRONG_SIGN_X = np.array([
     [2.8, 2.3, 2.0, -0.6], [0.6, 0.4, 0.4, -0.3], [-0.8, -2.0, -1.7, 1.4],
     [0.5, -3.2, -3.0, 3.3], [-1.8, -3.8, -3.4, 2.4], [-1.3, -2.8, -2.6, 1.9],
@@ -810,23 +773,22 @@ class TestActiveSetSearch:
         assert m.intercept == cold.intercept
         assert m.coefficients[2] == 0.0 and m.coefficients[3] == 0.0
 
-    def test_collinear_design_solved_where_descent_stalls(self, monkeypatch):
-        # Columns c and d are -2 times column b. The reference descent from
-        # zero spreads weight over b and c, whose G_AA is singular; after
-        # 2,000 sweeps its KKT residual is still 0.016. The search from zero
-        # takes in one column at a time and solves the fit exactly.
+    def test_collinear_design_solved_exactly(self, monkeypatch):
+        # Columns c and d are -2 times column b, so every pattern holding b
+        # and c has a singular G_AA. The search from zero takes in one
+        # column at a time and reaches the enumerated minimum.
         x = np.array([[0.5, 1.5, -3.0, -3.0], [-2.0, -0.5, 1.0, 1.0],
                       [-2.0, -1.5, 3.0, 3.0], [1.0, 2.0, -4.0, -4.0]])
         d = DesignMatrix(x, np.array([0.0, -1.5, 1.5, 1.0]), ("a", "b", "c", "d"))
         lam = 0.01 * lasso_lambda_max(d)
-        _, converged, _ = reference_descent(*_centered_system(d, 0.0), lam, _kkt_bound(d),
-                                            np.zeros(d.p), max_sweeps=2000)
-        assert not converged
         searches = _searches(monkeypatch)
         m = fit_penalized(d, PenaltySpec.lasso(lam))
         assert [exact for exact, _, _ in searches] == [True]
         assert m.converged and kkt_check(m, d) <= _kkt_bound(d)
         assert m.coefficients[1] == 0.0 and m.coefficients[3] == 0.0
+        f = penalized_objective(d.x, d.y, m.intercept, m.coefficients, lam, 0.0)
+        f_min = enumerated_minimum(d.x, d.y, lam, 0.0)[2]
+        assert f <= f_min + 1e-12 * max(1.0, f_min)
 
     def test_singular_active_gram_is_finished_by_the_least_squares_retry(self, monkeypatch):
         """The exact search gives up on the split start, whose H_AA is
@@ -935,7 +897,8 @@ class TestActiveSetSearch:
         beta = fit_penalized(d, PenaltySpec.lasso(lam)).coefficients
         solve = regression._solve_pattern
         monkeypatch.setattr(regression, "_solve_pattern", lambda *args: 1.001 * solve(*args))
-        assert regression._feature_sign_search(regression._system(d.moments, 0.0), lam, beta,
+        m = d.moments
+        assert regression._feature_sign_search(regression._hess(m, 0.0), m.corr, lam, beta,
                                                _kkt_bound(d)) is None
 
     @given(data=st.data(), n=st.integers(3, 20), p=st.integers(1, 16))
@@ -972,11 +935,11 @@ class TestActiveSetSearch:
         theta = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=p,
                                             max_size=p)))
         start = theta * (scales[p] / scales[:p]) * 10.0 ** rng.uniform(-3, 1, size=p)
-        system = regression._system(m, lam2)
+        hess = regression._hess(m, lam2)
         bound = regression._bound(m)
         with np.errstate(all="ignore"):
-            got = regression._feature_sign_search(system, lam1, start, bound)
-            want = reference_search(system.hess, system.corr, lam1, start, bound)
+            got = regression._feature_sign_search(hess, m.corr, lam1, start, bound)
+            want = reference_search(hess, m.corr, lam1, start, bound)
             assert (got is None) == (want is None)
             if got is not None:
                 assert got.tobytes() == want.tobytes()
@@ -1010,9 +973,9 @@ class TestActiveSetSearch:
         searches: list[tuple[bool, bool, int]] = []
         search = regression._feature_sign_search
 
-        def recorded(system, lam1, beta, bound, exact=True):
+        def recorded(hess, corr, lam1, beta, bound, exact=True):
             before = len(solves)
-            result = search(system, lam1, beta, bound, exact)
+            result = search(hess, corr, lam1, beta, bound, exact)
             searches.append((exact, result is None, len(solves) - before))
             return result
 
@@ -1027,25 +990,15 @@ class TestActiveSetSearch:
             m = LinearModel(intercept, beta, PenaltySpec.lasso(lam), d.column_names)
             assert kkt_check(m, d) <= _kkt_bound(d)
 
-    def test_agrees_with_plain_cd(self):
-        """The search's fit and the reference descent's from zero (plain CD,
-        oracles.py), where it converges, both meet the kkt_check bound. With
-        eps the larger KKT residual of the two fits, convexity bounds their
-        objective gap by eps * |beta - beta'|_1. The reference converges on
-        most drawn cases, so the comparison is made."""
-        converged: list[bool] = []
-
-        @given(data=st.data(), n=st.integers(3, 8), p=st.integers(1, 5),
-               lam_share=st.floats(0.001, 1.2), alpha=st.sampled_from([1.0, 0.5, 0.1]))
-        @settings(max_examples=150, deadline=None)
-        def case(data, n, p, lam_share, alpha):
-            self._agrees_with_plain_cd(data, n, p, lam_share, alpha, converged)
-
-        case()
-        assert sum(converged) >= 0.9 * len(converged)
-
-    @staticmethod
-    def _agrees_with_plain_cd(data, n, p, lam_share, alpha, converged):
+    @given(data=st.data(), n=st.integers(3, 8), p=st.integers(1, 5),
+           lam_share=st.floats(0.001, 1.2), alpha=st.sampled_from([1.0, 0.5, 0.1]))
+    @settings(max_examples=150, deadline=None)
+    def test_reaches_the_enumerated_minimum(self, data, n, p, lam_share, alpha):
+        """On small designs with constant, copied and summed columns, the
+        search's fit meets the kkt_check bound, and its objective f is the
+        enumerated minimum f* (oracles.py) up to rounding: f* <= f, and,
+        with eps the fit's KKT residual, convexity bounds f - f* by
+        eps * |beta - beta*|_1."""
         cells = st.integers(-4, 4).map(lambda v: v / 2)
         x = np.array(data.draw(st.lists(st.lists(cells, min_size=p, max_size=p),
                                         min_size=n, max_size=n)))
@@ -1059,38 +1012,16 @@ class TestActiveSetSearch:
                 x[:, j] = x[:, 0] + x[:, 1]
         y = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)))
         d = DesignMatrix(x, y, tuple(f"c{j}" for j in range(p)))
-        lam_max = lasso_lambda_max(d)
-        spec = PenaltySpec.of("elastic_net", lam_share * max(lam_max, 1.0), alpha)
-        bound = _kkt_bound(d)
-        fast = fit_penalized(d, spec)
-        beta, ok, _ = reference_descent(*_centered_system(d, spec.lam2), spec.lam1, bound,
-                                        np.zeros(p))
-        converged.append(ok)
-        assert fast.converged and kkt_check(fast, d) <= bound
-        if not ok:
-            return
-        plain = _model(d, beta, spec)
-        assert kkt_check(plain, d) <= bound
-        eps = max(kkt_check(fast, d), kkt_check(plain, d))
+        spec = PenaltySpec.of("elastic_net", lam_share * max(lasso_lambda_max(d), 1.0), alpha)
+        m = fit_penalized(d, spec)
+        eps = kkt_check(m, d)
+        assert m.converged and eps <= _kkt_bound(d)
         lam1, lam2 = spec.lam1, spec.lam2
-        f = [penalized_objective(d.x, d.y, m.intercept, m.coefficients, lam1, lam2)
-             for m in (fast, plain)]
-        gap = np.abs(fast.coefficients - plain.coefficients).sum()
-        assert abs(f[0] - f[1]) <= eps * gap + 1e-12 * max(1.0, f[1])
-
-    def test_coefficient_change_exit_meets_the_kkt_bound(self):
-        """The reference descent (plain CD) moves each coefficient by less
-        than 1e-10 per sweep here long before the KKT residual falls within
-        the kkt_check bound; it must not stop there, or test_agrees_with_plain_cd
-        would compare against a fit outside the bound."""
-        x = np.zeros((6, 4))
-        x[:, 0] = (0.0, 0.0, 0.0, 0.0, -1.5, 0.5)
-        x[:, 1] = x[:, 3] = -2 * x[:, 0]
-        d = DesignMatrix(x, np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.5]), ("a", "b", "c", "d"))
-        beta, converged, sweeps = reference_descent(*_centered_system(d, 0.5), 0.5,
-                                                    _kkt_bound(d), np.zeros(d.p))
-        assert converged and sweeps > 1
-        assert kkt_check(_model(d, beta, PenaltySpec.elastic_net(0.5, 0.5)), d) <= _kkt_bound(d)
+        f = penalized_objective(d.x, d.y, m.intercept, m.coefficients, lam1, lam2)
+        _, beta, f_min = enumerated_minimum(d.x, d.y, lam1, lam2)
+        assert f_min <= f + 1e-12 * max(1.0, f)
+        gap = np.abs(m.coefficients - beta).sum()
+        assert f - f_min <= eps * gap + 1e-12 * max(1.0, f_min)
 
     def test_pipeline_sweep_total_on_seed_2024(self, synthetic_case, monkeypatch):
         """A machine-independent guard on solver work: the exact search
