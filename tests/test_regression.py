@@ -323,6 +323,48 @@ class TestGridOracle:
                 assert model.intercept == pytest.approx(a, abs=1e-9)
 
 
+class TestEnumeratedMinimum:
+    """The oracle that the search is checked against, checked against
+    closed forms."""
+
+    def test_needs_a_penalty(self):
+        with pytest.raises(ValueError, match="lam1 > 0 or lam2 > 0"):
+            enumerated_minimum(UNI_X.x, UNI_X.y, 0.0, 0.0)
+
+    @pytest.mark.parametrize("lam1", [0.0, 4.0, 28.0, 40.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_univariate_soft_threshold(self, lam1, sign):
+        """x'x = x'y = 14: beta = sign*max(14 - lam1/2, 0)/(14 + lam2), zero
+        from lam1 = 2*14 on."""
+        lam2 = 0.5
+        a, beta, value = enumerated_minimum(UNI_X.x, sign * UNI_X.y, lam1, lam2)
+        want = sign * max(14.0 - 0.5 * lam1, 0.0) / (14.0 + lam2)
+        assert beta == pytest.approx([want], abs=1e-15)
+        assert a == pytest.approx(0.0, abs=1e-15)
+        assert value == pytest.approx(
+            penalized_objective(UNI_X.x, sign * UNI_X.y, 0.0, [want], lam1, lam2), rel=1e-15)
+
+    def test_ridge_is_the_linear_solve(self):
+        d = random_design(seed=4, n=9, p=3)
+        lam2 = 0.7
+        _, beta, _ = enumerated_minimum(d.x, d.y, 0.0, lam2)
+        m = d.moments
+        assert beta == pytest.approx(np.linalg.solve(m.gram + lam2 * np.eye(3), m.corr),
+                                     rel=1e-12)
+
+    def test_copied_column_lasso_reaches_the_single_column_minimum(self):
+        """At lam2 = 0 a copied column makes every pattern holding both
+        copies singular; those are skipped, and the minimum is the one
+        column's: 14*b^2 - 28*b + lam1*|b| at b = 1 - lam1/28."""
+        lam1 = 7.0
+        x = np.column_stack([UNI_X.x[:, 0], UNI_X.x[:, 0]])
+        _, beta, value = enumerated_minimum(x, UNI_X.y, lam1, 0.0)
+        b = 1.0 - lam1 / 28.0
+        assert beta.sum() == pytest.approx(b, rel=1e-15)
+        assert value == pytest.approx(
+            penalized_objective(UNI_X.x, UNI_X.y, 0.0, [b], lam1, 0.0), rel=1e-15)
+
+
 class TestCrossValidate:
     def test_single_lambda_grid(self):
         d = random_design(seed=19, n=10)
@@ -758,6 +800,35 @@ def duplicated_column_case():
 
 
 class TestActiveSetSearch:
+    def test_hess_turns_a_negative_zero_positive_at_lam2_zero(self):
+        m = random_design().moments
+        m = m._replace(gram=np.array([[-0.0, -0.0], [2.0, -0.0]]))
+        hess = regression._hess(m, 0.0)
+        assert hess.tolist() == [[0.0, 0.0], [2.0, 0.0]]
+        assert not np.signbit(hess).any()
+
+    def test_hess_of_a_stack_is_each_weights_hess_bit_for_bit(self):
+        m = random_design(seed=2, n=7, p=3).moments
+        lam2 = np.array([0.0, 1e-3, 0.25, 3.0])
+        stacked = regression._hess(m, lam2[:, None, None])
+        assert stacked.shape == (4, 3, 3)
+        for one, lam in zip(stacked, lam2):
+            assert one.tobytes() == regression._hess(m, float(lam)).tobytes()
+
+    def test_pattern_test_subtracts_the_slack_only_after_a_positive_excess(self):
+        """H = 2I, c = (1, 0.5), pattern (+, 0): column 1's |g_1| = 1, so
+        its excess |g_1| - lam1 is 0 at lam1 = 1 and returned as it is, and
+        0.5 at lam1 = 0.5, less the slack 8*p*eps*(|c_1| + |H_1||x|)."""
+        hess, corr = 2.0 * np.eye(2), np.array([1.0, 0.5])
+        theta, active = np.array([1.0, 0.0]), np.array([0])
+        for lam1, excess_1, passes in [(1.0, 0.0, True),
+                                       (0.5, 0.5 - 8.0 * 2 * regression._EPS * 0.5, False)]:
+            b = np.array([(1.0 - 0.5 * lam1) / 2.0])
+            x, ok, g, excess = regression._pattern_test(hess, corr, lam1, theta, active, b, 1e-12)
+            assert x.tolist() == [b[0], 0.0] and g[1] == -1.0
+            assert excess[0] == -np.inf and excess[1] == excess_1
+            assert bool(ok) is passes
+
     def test_wrong_sign_pattern_is_repaired_without_a_retry(self, monkeypatch):
         d = DesignMatrix(WRONG_SIGN_X, WRONG_SIGN_Y, ("a", "b", "c", "d"))
         lam = 0.1 * lasso_lambda_max(d)
