@@ -138,7 +138,7 @@ def _csv_rows(path: Path):
     first; line is the physical line on which the record starts. An empty
     file, bytes that are not UTF-8 and csv errors raise PanelFormatError."""
     start = 1
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             for row in reader:
@@ -167,10 +167,6 @@ def _long_panel(years: dict, entities: dict, features: dict | list,
     return EnergyPanel(tuple(order), tuple(entities), tuple(features), values)
 
 
-def _load_long(path: Path) -> EnergyPanel:
-    return _load_long_blocks(path) or _load_long_rows(path)
-
-
 # Every byte but the two separators: bytes.translate deletes these, so a
 # chunk of rows of 4 fields leaves ",,,\n" once per row.
 _NOT_SEPARATORS = bytes(range(256)).translate(None, b",\n")
@@ -184,6 +180,8 @@ def _long_fields(path: Path):
     parsed."""
     limit = csv.field_size_limit()
     with open(path, "rb") as fh:
+        if fh.peek(3)[:3] == b"\xef\xbb\xbf":  # a leading UTF-8 byte-order mark
+            fh.read(3)
         while chunk := fh.read(CHUNK_BYTES):
             chunk += fh.readline()
             if len(chunk) > limit or b'"' in chunk or b"\r" in chunk or b"\0" in chunk:
@@ -273,25 +271,25 @@ def _load_long_blocks(path: Path) -> EnergyPanel | None:
                (entities, {}, lambda s: sys.intern(s.decode().strip())),
                (features, {}, lambda s: sys.intern(s.decode().strip())))
     parts = ([], [], [], [])  # per chunk: year, entity and feature codes, cells
-    start = 4  # the header's fields lead the first chunk
     rows, block = 0, None  # data rows before the chunk; the block of year code 0
     try:
         for fields in _long_fields(path):
-            if start and [h.decode().strip() for h in fields[:4]] != LONG_HEADER:
-                return None
+            if not parts[3]:  # the first chunk, which the header's fields lead
+                if [h.decode().strip() for h in fields[:4]] != LONG_HEADER:
+                    return None
+                del fields[:4]
             codes = block and _repeated_codes(fields, rows, columns[0], *block)
             if not codes:
-                codes = [_codes(fields[start + k::4], *col) for k, col in enumerate(columns)]
+                codes = [_codes(fields[k::4], *col) for k, col in enumerate(columns)]
             for part, code in zip(parts, codes):
                 part.append(code)
             if block is None and (ends := np.flatnonzero(codes[0])).size:
                 block = _first_block(rows + int(ends[0]), parts, columns)
             # float() of bytes rejects \x1c-\x1f padding and non-ASCII bytes,
             # which str.strip or float(str) take: the row loop reads those.
-            col = fields[start + 3::4]
+            col = fields[3::4]
             parts[3].append(np.fromiter(map(float, col), float, len(col)))
             rows += len(col)
-            start = 0
     except ValueError:  # UnicodeDecodeError is a ValueError
         return None
     if not parts[3]:  # an empty file
@@ -419,7 +417,9 @@ def load_panel(path: str | Path) -> EnergyPanel:
     wide layout, anything else as a long CSV. Deterministic: identical
     bytes load to identical panels."""
     path = Path(path)
-    return _load_wide(path) if path.is_dir() else _load_long(path)
+    if path.is_dir():
+        return _load_wide(path)
+    return _load_long_blocks(path) or _load_long_rows(path)
 
 
 def validate_panel(panel: EnergyPanel) -> ValidationReport:
@@ -449,20 +449,17 @@ def validate_panel(panel: EnergyPanel) -> ValidationReport:
     return ValidationReport(tuple(issues))
 
 
-def _jsonable(record) -> dict | list:
-    if hasattr(record, "to_dict"):
-        return record.to_dict()
-    if isinstance(record, (dict, list)):
-        return record
-    raise TypeError(f"cannot serialize {type(record).__name__}: expected to_dict(), dict, or list")
-
-
 def save_report(record, path: str | Path) -> None:
     """Write any report record as round-trippable JSON (UTF-8, sorted keys).
 
     The JSON is strict: a NaN or infinite number raises ValueError before
     the file is created."""
-    payload = json.dumps(_jsonable(record), sort_keys=True, indent=2, allow_nan=False)
+    if hasattr(record, "to_dict"):
+        record = record.to_dict()
+    elif not isinstance(record, (dict, list)):
+        raise TypeError(f"cannot serialize {type(record).__name__}: "
+                        "expected to_dict(), dict, or list")
+    payload = json.dumps(record, sort_keys=True, indent=2, allow_nan=False)
     Path(path).write_text(payload + "\n", encoding="utf-8")
 
 

@@ -211,7 +211,7 @@ class PipelineConfig:
         the file, section and key."""
         parser = configparser.ConfigParser()
         try:
-            read = parser.read(path, encoding="utf-8")
+            read = parser.read(path, encoding="utf-8-sig")
         except (configparser.Error, ValueError) as err:
             raise ConfigError(f"{path}: {err}") from None
         if not read:
@@ -469,7 +469,9 @@ class PreparedInputs:
 
     @cached_property
     def train_design(self) -> regression.DesignMatrix:
-        return build_design(self.log_regressors, self.log_target, self.columns, self.train_idx)
+        rows = self.train_idx
+        return regression.DesignMatrix(self.log_regressors[rows], self.log_target[rows],
+                                       self.columns)
 
 
 @dataclass(frozen=True)
@@ -561,17 +563,6 @@ def _stage(name: str, fn, *args, **kwargs):
         raise
     except (ClusterRegError, OSError) as err:
         raise PipelineStageError(name, str(err)) from err
-
-
-def build_design(
-    log_regressors: np.ndarray,
-    log_target: np.ndarray,
-    columns: list[str],
-    row_idx: list[int],
-) -> regression.DesignMatrix:
-    """Design matrix over a subset of year rows of the log aggregates."""
-    rows = np.asarray(row_idx, dtype=int)
-    return regression.DesignMatrix(log_regressors[rows], log_target[rows], tuple(columns))
 
 
 def load_clean(config: PipelineConfig) -> tuple[EnergyPanel, list[str], list[str]]:

@@ -689,7 +689,7 @@ def from_file(cls, path):
     section and key."""
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path, encoding="utf-8")
+        read = parser.read(path, encoding="utf-8-sig")
     except (configparser.Error, ValueError) as err:
         raise ConfigError(f"{path}: {err}") from None
     if not read:

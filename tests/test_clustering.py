@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from collections import deque
 
@@ -24,7 +25,7 @@ from clusterreg.clustering import (
     sweep_params,
 )
 from clusterreg import preprocess
-from clusterreg.errors import ClusteringError
+from clusterreg.errors import ClusteringError, PreprocessError
 from clusterreg.preprocess import FeatureMatrix
 from clusterreg.synth import generate_synthetic
 
@@ -699,3 +700,21 @@ def test_distance_matrix_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 6.0 * 2**20
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: FeatureMatrix(("a", "b"), ("x",), [[0.0]]), PreprocessError,
+     "matrix shape (1, 1) does not match axes (2, 1)"),
+    (lambda: FeatureMatrix(("a",), ("x",), [[math.inf]]), PreprocessError,
+     "matrix contains non-finite values"),
+    (lambda: ClusterAssignment((0, 0), 1, (True,)), ClusteringError,
+     "labels and core_flags length mismatch"),
+    (lambda: sse(FeatureMatrix(("a",), ("x",), [[0.0]]), ClusterAssignment((NOISE,), 0, (False,))),
+     ClusteringError, "sse requires at least 1 cluster"),
+    (lambda: assignment_rows(("a", "b"), ClusterAssignment((0,), 1, (True,))), ClusteringError,
+     "entity list does not match assignment size"),
+], ids=["matrix-shape", "matrix-non-finite", "core-flags-length", "sse-no-cluster",
+        "rows-entity-count"])
+def test_malformed_clustering_inputs_raise(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()

@@ -1,6 +1,7 @@
 import csv
 import errno
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -869,3 +870,54 @@ def test_wide_loader_keeps_first_seen_entity_order(tmp_path):
     panel = load_panel(tmp_path)
     assert panel.entities == ("B", "A", "C")
     assert panel.values[:, :, 0].tolist() == [[1.0, 2.0, 0.0], [5.0, 4.0, 3.0]]
+
+
+# A name that starts with U+FEFF on line 3: only a mark that leads the file
+# is dropped.
+MARKED_ROWS = "year,entity,feature,value\n2000,A,f1,1.0\n2000,\ufeffA,f1,2.0\n2001,A,f1,3.0\n"
+
+
+@pytest.mark.parametrize("newline, chunk_bytes", [
+    ("\n", 1), ("\n", 40), ("\n", dataio.CHUNK_BYTES), ("\r\n", dataio.CHUNK_BYTES)],
+    ids=["lf-1", "lf-40", "lf", "crlf"])
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, monkeypatch, newline, chunk_bytes):
+    """Spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark.
+    The block parser reads an LF file with one, at any chunk size, and the
+    row loop a CRLF file, each to the panel of the file without it."""
+    monkeypatch.setattr(dataio, "CHUNK_BYTES", chunk_bytes)
+    text = MARKED_ROWS.replace("\n", newline).encode()
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    panel = load_panel(marked)
+    assert_same_panel(panel, load_panel(plain))
+    assert panel.entities == ("A", "\ufeffA")
+    assert (dataio._load_long_blocks(marked) is None) == (newline == "\r\n")
+
+
+def test_a_wide_year_file_may_start_with_a_byte_order_mark(tmp_path):
+    for name, mark in (("plain", ""), ("marked", "\ufeff")):
+        (tmp_path / name).mkdir()
+        write(tmp_path / name / "panel_2000.csv", mark + "entity,f1,f2\nA,1.0,2.0\n")
+        write(tmp_path / name / "panel_2001.csv", "entity,f1,f2\nA,3.0,4.0\n")
+    assert_same_panel(load_panel(tmp_path / "marked"), load_panel(tmp_path / "plain"))
+
+
+def _wide_without_entity_column(tmp_path):
+    (tmp_path / "wide").mkdir()
+    load_panel(write(tmp_path / "wide" / "panel_2000.csv", "name,f1\nA,1.0\n").parent)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda tmp_path: EnergyPanel((2000,), ("",), ("f",), [[[1.0]]]), PanelFormatError,
+     "empty entity name"),
+    (lambda tmp_path: EnergyPanel((2000,), ("A",), ("",), [[[1.0]]]), PanelFormatError,
+     "empty feature name"),
+    (_wide_without_entity_column, PanelFormatError,
+     "{tmp_path}/wide/panel_2000.csv: first header column must be 'entity'"),
+    (lambda tmp_path: save_report(object(), tmp_path / "r.json"), TypeError,
+     "cannot serialize object: expected to_dict(), dict, or list"),
+], ids=["empty-entity", "empty-feature", "wide-header", "report-type"])
+def test_malformed_dataio_inputs_raise(tmp_path, build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message.format(tmp_path=tmp_path))}$"):
+        build(tmp_path)

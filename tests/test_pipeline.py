@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import importlib.util
 import json
+import re
 import shutil
 import tempfile
 from collections import Counter
@@ -17,10 +18,12 @@ from clusterreg.dataio import EnergyPanel, save_panel_long
 from clusterreg.errors import ClusterRegError, ConfigError, PipelineStageError
 from clusterreg.pipeline import (
     ARTIFACT_FILES,
+    ClusterProfile,
     PipelineConfig,
     aggregate_by_cluster,
     parse_grid,
     parse_years,
+    prepare_inputs,
     profile_clusters,
     run_pipeline,
     summarize_forecast,
@@ -243,6 +246,13 @@ test_years = 2010-2012
         assert cfg.test_years == [2010, 2011, 2012]
         cfg.validate()
 
+    def test_from_file_drops_a_leading_byte_order_mark(self, tmp_path):
+        text = "[cluster]\nminpts_grid = 1,2\n[forecast]\ntest_years = 2010-2012\n"
+        plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert PipelineConfig.from_file(marked) == PipelineConfig.from_file(plain)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             PipelineConfig.from_file(tmp_path / "nope.ini")
@@ -398,14 +408,9 @@ class TestRunPipeline:
         assert lasso.intercept == pytest.approx(truth.intercept, abs=1e-6)
 
     def test_matched_penalties_reduce_consistently(self, synthetic_report):
-        from clusterreg.pipeline import build_design
         from clusterreg.regression import PenaltySpec, fit_penalized, fit_report
 
-        report = synthetic_report
-        design = build_design(
-            np.asarray(report.log_regressors), np.asarray(report.log_target),
-            report.columns,
-            [report.years.index(y) for y in report.config.train_years])
+        design = synthetic_report.train_design
         lam = 0.01
         def r2(spec):
             return fit_report(fit_penalized(design, spec), design).r2
@@ -947,9 +952,8 @@ def test_a_spec_far_above_the_value_cap_fails_before_anything_is_built(
 class TestDerivedRecord:
     def test_derived_attributes_equal_their_formulas(self, synthetic_report):
         from clusterreg.clustering import promote_noise
-        from clusterreg.pipeline import build_design
         from clusterreg.preprocess import log_transform
-        from clusterreg.regression import fit_report, predict
+        from clusterreg.regression import DesignMatrix, fit_report, predict
 
         report = synthetic_report
         eps = report.config.log_epsilon
@@ -964,8 +968,9 @@ class TestDerivedRecord:
         assert np.array_equal(report.target, report.regressors.sum(axis=1))
         assert np.array_equal(report.log_regressors, log_transform(report.regressors, eps))
         assert np.array_equal(report.log_target, log_transform(report.target, eps))
-        design = build_design(report.log_regressors, report.log_target, report.columns,
-                              report.train_idx)
+        rows = [report.years.index(y) for y in report.config.train_years]
+        design = DesignMatrix(report.log_regressors[rows], report.log_target[rows],
+                              report.columns)
         assert np.array_equal(report.train_design.x, design.x)
         assert np.array_equal(report.train_design.y, design.y)
         for kind, model in report.models.items():
@@ -1192,3 +1197,25 @@ def test_every_small_run_passes_the_benchmark_checks_or_fails_at_a_stage(bench_c
         run_pipeline(config)
         assert bench_checks.artifact_digests(out) == first
 
+
+def _unconserved_target(monkeypatch, config):
+    def aggregate(panel, assignment):
+        regressors, target = aggregate_by_cluster(panel, assignment)
+        return regressors, target * (1 + 1e-6)
+
+    monkeypatch.setattr(pipeline, "aggregate_by_cluster", aggregate)
+    prepare_inputs(config)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda mp, config: ClusterProfile(0, 1.0, 1.0, 0.0, 2.0, 1.0, 1.0, 1.0, 1.0),
+     ClusterRegError, "cluster profile quantiles out of order"),
+    (lambda mp, config: ClusterProfile(0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+     ClusterRegError, "cluster profile variance negative"),
+    (lambda mp, config: profile_clusters(np.empty((0, 2))), ClusterRegError,
+     "empty year window for cluster profiles"),
+    (_unconserved_target, PipelineStageError, "[aggregate] conservation identity violated"),
+], ids=["profile-quantiles", "profile-variance", "profile-window", "conservation"])
+def test_malformed_pipeline_inputs_raise(monkeypatch, synthetic_case, build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build(monkeypatch, synthetic_case[3])

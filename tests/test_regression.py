@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -1280,3 +1282,23 @@ class TestInvariants:
                 PenaltySpec.lasso(lam)
             with pytest.raises(RegressionError, match="penalty weights must be finite"):
                 PenaltySpec.elastic_net(0.5, lam)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DesignMatrix(np.zeros((1, 1, 1)), [0.0], ("a",)),
+     "design matrix must be n x p with n,p >= 1, got (1, 1, 1)"),
+    (lambda: DesignMatrix(np.zeros((2, 0)), [0.0, 0.0], ()),
+     "design matrix must be n x p with n,p >= 1, got (2, 0)"),
+    # a 1-d x is read as one row
+    (lambda: DesignMatrix([1.0, 2.0], [1.0, 2.0], ("a", "b")), "target length 2 != sample count 1"),
+    (lambda: DesignMatrix([[1.0]], [1.0], ("a", "b")),
+     "column name count does not match regressor count"),
+    (lambda: DesignMatrix([[1.0]], [math.nan], ("a",)), "design matrix entries must be finite"),
+    (lambda: LinearModel(0.0, [1.0], None, ("a", "b")),
+     "column name count does not match coefficient count"),
+    (lambda: LinearModel(math.inf, [1.0], None, ("a",)), "model parameters must be finite"),
+], ids=["design-3d", "design-no-column", "design-1d-row", "design-names", "design-non-finite",
+        "model-names", "model-non-finite"])
+def test_malformed_regression_inputs_raise(build, message):
+    with pytest.raises(RegressionError, match=f"^{re.escape(message)}$"):
+        build()

@@ -211,3 +211,9 @@ def test_bisection_root_equals_the_200_step_root():
         a_t = math.log(rng.uniform(1.01, 2.0) * (math.exp(u_hi) + d_t)) - beta_last * u_hi
         root = synth._solve_last_series(a_t, beta_last, d_t, u_hi)
         assert root.hex() == bisect_200_steps(a_t, beta_last, d_t, u_hi).hex()
+
+
+@pytest.mark.parametrize("size", ["n_entities", "n_features", "n_clusters", "n_years"])
+def test_a_size_below_one_is_rejected(size):
+    with pytest.raises(ClusterRegError, match="^sizes must be positive$"):
+        generate_synthetic(seed=1, **{size: 0})
